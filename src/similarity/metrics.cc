@@ -94,28 +94,10 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   const int m = static_cast<int>(b.size());
   if (n == 0 && m == 0) return 1.0;
   if (n == 0 || m == 0) return 0.0;
-  // Cheap upper-bound reject: Jaro is 0 exactly when no character of `a`
-  // occurs in `b`, so a byte-presence bitmap over the shorter string rejects
-  // wildly different values (the common case under blocking) in O(n + m)
-  // before the O(n · window) match loop ever runs.
-  {
-    const std::string_view shorter = n <= m ? a : b;
-    const std::string_view longer = n <= m ? b : a;
-    bool seen[256] = {};
-    for (char c : shorter) seen[static_cast<unsigned char>(c)] = true;
-    bool any_common = false;
-    for (char c : longer) {
-      if (seen[static_cast<unsigned char>(c)]) {
-        any_common = true;
-        break;
-      }
-    }
-    if (!any_common) return 0.0;
-  }
   const int window = std::max(0, std::max(n, m) / 2 - 1);
   // Thread-local scratch instead of two heap-allocated vector<bool> per
-  // call: JaroSimilarity is the hottest leaf of the pipeline profile, and
-  // the allocations dominated its cost. Byte flags beat bit-packing here.
+  // call: the allocations dominated this function's cost. Byte flags beat
+  // bit-packing here.
   static thread_local std::vector<unsigned char> a_matched;
   static thread_local std::vector<unsigned char> b_matched;
   a_matched.assign(static_cast<size_t>(n), 0);

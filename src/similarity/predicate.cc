@@ -54,17 +54,35 @@ bool SimilarityPredicate::Evaluate(std::string_view a,
       return BoundedEditDistance(a, b, k) <= k;
     }
     case PredicateKind::kJaroWinkler: {
-      // Length pre-filter: with m <= min(|a|,|b|) matches, Jaro is at most
-      // (m/|a| + m/|b| + 1) / 3, and the Winkler prefix bonus can lift a
-      // score j to at most j + 0.4 * (1 - j). Reject when even that upper
-      // bound misses the threshold.
+      // Multiset pre-filter. Jaro pairs equal characters, so its m matches
+      // are at most the shared multiset, sum over c of min(#a(c), #b(c)),
+      // and with no transpositions Jaro (m/|a| + m/|b| + 1) / 3 rises with
+      // m. The Winkler prefix p (at most 4 characters) is exact, and
+      // j + 0.1 * p * (1 - j) rises with j. Reject only when this upper
+      // bound misses the threshold by more than rounding could explain.
       if (!a.empty() && !b.empty()) {
-        double lo = static_cast<double>(std::min(a.size(), b.size()));
-        double ub_jaro = (lo / static_cast<double>(a.size()) +
-                          lo / static_cast<double>(b.size()) + 1.0) /
-                         3.0;
-        double ub = ub_jaro + 0.4 * (1.0 - ub_jaro);
-        if (ub < threshold_) return false;
+        int counts[256] = {};
+        for (char c : a) ++counts[static_cast<unsigned char>(c)];
+        int shared = 0;
+        for (char c : b) {
+          int& left = counts[static_cast<unsigned char>(c)];
+          if (left > 0) {
+            --left;
+            ++shared;
+          }
+        }
+        double ub = 0.0;  // nothing shared: Jaro and the prefix are 0
+        if (shared > 0) {
+          const double m = shared;
+          const double jaro = (m / static_cast<double>(a.size()) +
+                               m / static_cast<double>(b.size()) + 1.0) /
+                              3.0;
+          const size_t limit = std::min({a.size(), b.size(), size_t{4}});
+          size_t prefix = 0;
+          while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+          ub = jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
+        }
+        if (ub + 1e-9 < threshold_) return false;
       }
       return JaroWinklerSimilarity(a, b) >= threshold_;
     }

@@ -138,7 +138,7 @@ void GeneralizedSuffixTree::Build() {
         leaf_starts_.push_back(suffix_start_[static_cast<size_t>(node)]);
       } else {
         // Push children in map order; LIFO popping visits them in reverse,
-        // matching the old CollectLeaves stack discipline.
+        // matching the old per-query stack walk.
         const int depth = f.depth;
         for (const auto& [sym, child] : children) {
           (void)sym;
@@ -216,19 +216,6 @@ std::vector<int> GeneralizedSuffixTree::AllSuffixStarts() const {
   return starts;
 }
 
-int GeneralizedSuffixTree::StringIdAt(int text_pos) const {
-  UC_CHECK_GE(text_pos, 0);
-  UC_CHECK_LT(static_cast<size_t>(text_pos), text_.size());
-  // Precomputed at Build(); separators map to -1. Before Build(), fall back
-  // to the binary search over boundaries_.
-  if (!pos_string_id_.empty()) {
-    return pos_string_id_[static_cast<size_t>(text_pos)];
-  }
-  if (text_[static_cast<size_t>(text_pos)] < 0) return -1;  // separator
-  auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(), text_pos);
-  return static_cast<int>(it - boundaries_.begin()) - 1;
-}
-
 bool GeneralizedSuffixTree::ContainsSubstring(std::string_view q) const {
   UC_CHECK(built_);
   int node = 0;
@@ -246,18 +233,6 @@ bool GeneralizedSuffixTree::ContainsSubstring(std::string_view q) const {
     node = next_node;
   }
   return true;
-}
-
-void GeneralizedSuffixTree::CollectLeaves(int node, int limit,
-                                          std::vector<int>* starts) const {
-  // The node's leaves are a precomputed contiguous slice (see Build()), in
-  // the same order the old per-query subtree walk produced them.
-  const auto [begin, end] = leaf_range_[static_cast<size_t>(node)];
-  const int room = limit - static_cast<int>(starts->size());
-  if (room <= 0) return;
-  const int take = std::min(room, end - begin);
-  starts->insert(starts->end(), leaf_starts_.begin() + begin,
-                 leaf_starts_.begin() + begin + take);
 }
 
 std::vector<BlockingCandidate> GeneralizedSuffixTree::TopL(
@@ -317,27 +292,44 @@ void GeneralizedSuffixTree::TopL(std::string_view q, int l,
     }
   }
 
-  // Deepest probes first, so each string's recorded score is its best.
+  // Deepest probes first, so a string's first credit is its best score.
   std::sort(probes.begin(), probes.end(),
             [](const Probe& a, const Probe& b) { return a.depth > b.depth; });
 
-  static thread_local std::unordered_map<int, int> best_score;  // sid -> score
-  static thread_local std::vector<int> starts;
-  best_score.clear();
+  // Per-string best score, indexed by string id (0: not credited yet; every
+  // probe depth is positive), and the ids credited by this query — the only
+  // entries reset before returning.
+  static thread_local std::vector<int> best_score;
+  static thread_local std::vector<int> credited;
+  if (best_score.size() < boundaries_.size()) {
+    best_score.resize(boundaries_.size(), 0);
+  }
+  credited.clear();
+  int last_depth = 0;
   for (const Probe& p : probes) {
-    starts.clear();
-    CollectLeaves(p.node, max_leaves_per_probe, &starts);
-    for (int s : starts) {
-      int sid = StringIdAt(s);
-      if (sid < 0) continue;
-      auto [it, inserted] = best_score.emplace(sid, p.depth);
-      if (!inserted && it->second < p.depth) it->second = p.depth;
+    // Early exit, exact: every credited string scores at least the depth of
+    // the last probe processed, and a strictly shallower probe can only
+    // credit new strings below all of them. Once l strings are credited,
+    // the sorted and truncated result can no longer change.
+    if (static_cast<int>(credited.size()) >= l && p.depth < last_depth) break;
+    last_depth = p.depth;
+    // The node's leaves are a precomputed contiguous slice (see Build()).
+    const auto [begin, end] = leaf_range_[static_cast<size_t>(p.node)];
+    const int take = std::min(max_leaves_per_probe, end - begin);
+    for (int k = begin; k < begin + take; ++k) {
+      const int sid = pos_string_id_[static_cast<size_t>(
+          leaf_starts_[static_cast<size_t>(k)])];
+      if (sid < 0 || best_score[static_cast<size_t>(sid)] != 0) continue;
+      best_score[static_cast<size_t>(sid)] = p.depth;
+      credited.push_back(sid);
     }
   }
 
-  result.reserve(best_score.size());
-  for (const auto& [sid, score] : best_score) {
+  result.reserve(credited.size());
+  for (int sid : credited) {
+    int& score = best_score[static_cast<size_t>(sid)];
     result.push_back(BlockingCandidate{sid, score});
+    score = 0;
   }
   std::sort(result.begin(), result.end(),
             [](const BlockingCandidate& a, const BlockingCandidate& b) {

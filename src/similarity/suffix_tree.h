@@ -53,7 +53,9 @@ class GeneralizedSuffixTree {
   /// Returns up to `l` indexed strings sharing the longest common substrings
   /// with `q`, best first (ties broken by string id). `max_leaves_per_probe`
   /// bounds the leaf collection under each match locus; with a generous
-  /// bound the top-1 score equals the exact LCS length.
+  /// bound the top-1 score equals the exact LCS length. Probes are scored
+  /// deepest first and stop once l strings are credited and the next probe
+  /// is shallower: nothing a shallower probe credits can outrank them.
   /// Requires built().
   std::vector<BlockingCandidate> TopL(std::string_view q, int l,
                                       int max_leaves_per_probe = 64) const;
@@ -106,13 +108,6 @@ class GeneralizedSuffixTree {
   /// Child of `node` along `symbol` in the frozen arrays, or -1. O(log k)
   /// over the node's k children.
   int FindChild(int node, int32_t symbol) const;
-
-  /// Maps a text position to the id of the string containing it, or -1 for
-  /// separator positions.
-  int StringIdAt(int text_pos) const;
-
-  /// Collects up to `limit` distinct leaf suffix-starts under `node`.
-  void CollectLeaves(int node, int limit, std::vector<int>* starts) const;
 
   std::vector<int32_t> text_;       // concatenated symbols + unique separators
   std::vector<int> boundaries_;     // start offset of each string in text_

@@ -383,8 +383,8 @@ Status Codec::RestoreTree(core::MdMatcher* matcher, Reader* r) {
   }
   UC_RETURN_IF_ERROR(ReadWords(r, leaf_count, &tree.leaf_starts_));
   {
-    // Leaf starts index text_ directly in CollectLeaves/StringIdAt; an
-    // out-of-range one would abort there, so refuse it here.
+    // TopL indexes the position -> string-id map with leaf starts
+    // unchecked; refuse an out-of-range one here.
     int lo = 0;
     int hi = -1;
     for (const int s : tree.leaf_starts_) {

@@ -1,7 +1,9 @@
 #include "uniclean/builtin_phases.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -35,6 +37,19 @@ core::FixObserver JournalObserver(PipelineContext* ctx,
   };
 }
 
+/// The distinct pairs of an engine's match log, sorted. The engines log a
+/// pair once per pass and per MD that matched it, so the log can be many
+/// times longer than the matches it records.
+std::vector<std::pair<data::TupleId, data::TupleId>> DistinctMatches(
+    const std::vector<std::pair<data::TupleId, data::TupleId>>& log) {
+  std::vector<std::pair<data::TupleId, data::TupleId>> distinct = log;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  distinct.shrink_to_fit();
+  return distinct;
+}
+
 void CheckContext(const PipelineContext* ctx) {
   UC_CHECK(ctx != nullptr);
   UC_CHECK(ctx->data != nullptr);
@@ -61,7 +76,7 @@ Result<PhaseStats> CRepairPhase::Run(PipelineContext* ctx) {
 
   PhaseStats out;
   out.fixes = stats_.deterministic_fixes;
-  out.matches = stats_.md_matches;
+  out.matches = DistinctMatches(stats_.md_matches);
   out.counters = {{"confidence_upgrades", stats_.confidence_upgrades},
                   {"rule_applications", stats_.rule_applications},
                   {"conflicts", stats_.conflicts}};
@@ -81,7 +96,7 @@ Result<PhaseStats> ERepairPhase::Run(PipelineContext* ctx) {
 
   PhaseStats out;
   out.fixes = stats_.reliable_fixes;
-  out.matches = stats_.md_matches;
+  out.matches = DistinctMatches(stats_.md_matches);
   out.counters = {
       {"groups_resolved", stats_.groups_resolved},
       {"groups_skipped_high_entropy", stats_.groups_skipped_high_entropy},
@@ -99,7 +114,7 @@ Result<PhaseStats> HRepairPhase::Run(PipelineContext* ctx) {
 
   PhaseStats out;
   out.fixes = stats_.possible_fixes;
-  out.matches = stats_.md_matches;
+  out.matches = DistinctMatches(stats_.md_matches);
   out.counters = {{"merges", stats_.merges},
                   {"nulls_introduced", stats_.nulls_introduced},
                   {"passes", stats_.passes},

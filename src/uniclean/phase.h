@@ -69,6 +69,8 @@ struct PhaseStats {
   /// entry count for the built-in phases).
   int fixes = 0;
   /// Record matches identified while cleaning: (data tuple, master tuple).
+  /// The built-in phases list each distinct pair once, sorted, however
+  /// often they matched it.
   std::vector<std::pair<data::TupleId, data::TupleId>> matches;
   /// Phase-specific diagnostic counters, e.g. ("conflicts", 2).
   std::vector<std::pair<std::string, int64_t>> counters;

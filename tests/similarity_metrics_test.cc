@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -311,6 +312,61 @@ TEST_P(EditPredicateSweep, AgreesWithBoundedDistance) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, EditPredicateSweep,
                          ::testing::Values(0, 1, 2, 4, 7));
+
+// The Jaro-Winkler predicate rejects on a multiset upper bound before
+// scoring; the bound must never change a verdict. Inputs cover small
+// alphabets (many shared characters), large ones with high-bit bytes (few),
+// near-duplicates around the 0.95 threshold, empty strings, disjoint
+// alphabets and a 300-character run, which overflows a byte counter.
+class JaroWinklerPredicateSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(JaroWinklerPredicateSweep, AgreesWithExactSimilarity) {
+  const double t = GetParam();
+  const auto p = SimilarityPredicate::JaroWinkler(t);
+  Rng rng(300 + static_cast<uint64_t>(t * 100));
+  auto random_string = [&rng](int alphabet, size_t max_len) {
+    std::string s;
+    const size_t len = rng.Index(max_len + 1);
+    for (size_t j = 0; j < len; ++j) {
+      s.push_back(static_cast<char>(
+          'a' + rng.Index(static_cast<size_t>(alphabet))));
+    }
+    return s;
+  };
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"", ""},
+      {"", "abc"},
+      {"abcd", "wxyz"},
+      {"aaaa", "bbbbbbbb"},
+      {std::string(300, 'a'), std::string(300, 'a')},
+      {std::string(300, 'a'), std::string(299, 'a') + "b"},
+      {std::string(300, 'a'), "a"},
+      {std::string(300, 'a'), "bbba"},
+  };
+  for (int i = 0; i < 200; ++i) {
+    for (int alphabet : {2, 4, 26, 150}) {
+      std::string a = random_string(alphabet, 14);
+      pairs.emplace_back(a, random_string(alphabet, 14));
+      // A near-duplicate: one character replaced.
+      std::string b = a;
+      if (!b.empty()) b[rng.Index(b.size())] = 'a';
+      pairs.emplace_back(std::move(a), std::move(b));
+    }
+  }
+  for (const auto& [a, b] : pairs) {
+    EXPECT_EQ(p.Evaluate(a, b), JaroWinklerSimilarity(a, b) >= t)
+        << "\"" << a << "\" vs \"" << b << "\"";
+    EXPECT_EQ(p.Evaluate(b, a), JaroWinklerSimilarity(b, a) >= t)
+        << "\"" << b << "\" vs \"" << a << "\"";
+    // A threshold equal to the pair's own score must accept it.
+    EXPECT_TRUE(SimilarityPredicate::JaroWinkler(JaroWinklerSimilarity(a, b))
+                    .Evaluate(a, b))
+        << "\"" << a << "\" vs \"" << b << "\"";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, JaroWinklerPredicateSweep,
+                         ::testing::Values(0.0, 0.5, 0.70, 0.75, 0.95, 1.0));
 
 }  // namespace
 }  // namespace similarity

@@ -158,6 +158,58 @@ TEST(SuffixTreeTest, TopLOrderIsScoreDescending) {
   EXPECT_EQ(top[0].score, 4);
 }
 
+// TopL stops probing once l strings are credited and the next probe is
+// shallower. The corpora here share a long common suffix, as hospital names
+// share " Hospital": a few hundred strings put far more than 64 leaves (the
+// per-probe cap) under the suffix's nodes, so the cap bites and top-l cuts
+// among tied scores. However early the query stops, its top-l must be the
+// first l entries of the full ranking.
+TEST(SuffixTreeTest, TopLIsAPrefixOfTheFullRankingAtScale) {
+  Rng rng(2024);
+  auto random_word = [&rng](size_t min_len, size_t max_len) {
+    std::string s;
+    const size_t len = min_len + rng.Index(max_len - min_len + 1);
+    for (size_t j = 0; j < len; ++j) {
+      s.push_back(static_cast<char>('a' + rng.Index(6)));
+    }
+    return s;
+  };
+  const std::string suffix = " Hospital";
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::string> corpus;
+    const int n = 200 + static_cast<int>(rng.Index(201));
+    for (int i = 0; i < n; ++i) corpus.push_back(random_word(2, 10) + suffix);
+    auto tree = BuildTree(corpus);
+    for (int probe = 0; probe < 60; ++probe) {
+      std::string q;
+      switch (probe % 4) {
+        case 0:  // a corpus member with one character changed
+          q = corpus[rng.Index(corpus.size())];
+          q[rng.Index(q.size())] = 'z';
+          break;
+        case 1:  // a new name under the shared suffix
+          q = random_word(1, 12) + suffix;
+          break;
+        case 2:  // a cut-off suffix
+          q = random_word(0, 6) +
+              suffix.substr(0, 1 + rng.Index(suffix.size()));
+          break;
+        default:  // no suffix at all
+          q = random_word(1, 12);
+          break;
+      }
+      const auto full = tree.TopL(q, tree.num_strings(), 64);
+      for (int l : {1, 5, 20}) {
+        const auto top = tree.TopL(q, l, 64);
+        const std::vector<BlockingCandidate> prefix(
+            full.begin(),
+            full.begin() + std::min(static_cast<size_t>(l), full.size()));
+        EXPECT_EQ(top, prefix) << "query=\"" << q << "\" l=" << l;
+      }
+    }
+  }
+}
+
 TEST(SuffixTreeTest, DuplicateStringsGetDistinctIds) {
   GeneralizedSuffixTree tree;
   int a = tree.AddString("same");
