@@ -30,12 +30,8 @@ void RunSeries(const char* figure, gen::Dataset (*generate)(
     config.seed = 100 + static_cast<uint64_t>(noi);
     gen::Dataset ds = generate(config);
 
-    core::UniCleanOptions options;
-    options.eta = 1.0;  // §8's confidence threshold
-    options.delta2 = 0.8;
-
     data::Relation uni = ds.dirty.Clone();
-    core::UniClean(&uni, ds.master, ds.rules, options);
+    bench::CleanFresh(&uni, ds.master, ds.rules);
     double uni_f = eval::RepairAccuracy(ds.dirty, uni, ds.clean).F();
 
     // Uni(CFD): same pipeline, CFDs only.
@@ -43,7 +39,7 @@ void RunSeries(const char* figure, gen::Dataset (*generate)(
                                          ds.rules.master_schema_ptr(),
                                          ds.rules.cfds(), {});
     data::Relation uni_cfd = ds.dirty.Clone();
-    core::UniClean(&uni_cfd, ds.master, cfd_only.value(), options);
+    bench::CleanFresh(&uni_cfd, ds.master, cfd_only.value());
     double cfd_f = eval::RepairAccuracy(ds.dirty, uni_cfd, ds.clean).F();
 
     data::Relation quaid_out = ds.dirty.Clone();

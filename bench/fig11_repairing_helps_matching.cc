@@ -44,12 +44,10 @@ void RunSeries(const char* figure, gen::Dataset (*generate)(
 
     // Uni's matches are the (t, s) pairs whose MD premise held while the
     // cleaning rules were applied — matching and repairing interleaved.
-    core::UniCleanOptions options;
-    options.eta = 1.0;
     data::Relation cleaned = ds.dirty.Clone();
-    auto report = core::UniClean(&cleaned, ds.master, ds.rules, options);
+    CleanResult result = bench::CleanFresh(&cleaned, ds.master, ds.rules);
     double uni_f =
-        eval::MatchAccuracy(report.AllMatches(), ds.true_matches).F() * 100.0;
+        eval::MatchAccuracy(result.AllMatches(), ds.true_matches).F() * 100.0;
 
     std::printf("%8d %12.1f %12.1f\n", noi, uni_f, sortn_f);
   }

@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_util.h"
 #include "gen/dataset.h"
 #include "uniclean/uniclean.h"
 
@@ -30,16 +31,14 @@ gen::Dataset Generate(int dataset, const gen::GeneratorConfig& config) {
 }
 
 void RunStages(benchmark::State& state, gen::Dataset& ds, Stage stage) {
-  core::UniCleanOptions options;
-  options.eta = 1.0;
-  options.run_erepair = stage >= kCPlusE;
-  options.run_hrepair = stage >= kFull;
   for (auto _ : state) {
     state.PauseTiming();
     data::Relation d = ds.dirty.Clone();
     state.ResumeTiming();
-    auto report = core::UniClean(&d, ds.master, ds.rules, options);
-    benchmark::DoNotOptimize(report.total_fixes());
+    CleanResult result = bench::CleanFresh(&d, ds.master, ds.rules,
+                                           /*erepair=*/stage >= kCPlusE,
+                                           /*hrepair=*/stage >= kFull);
+    benchmark::DoNotOptimize(result.total_fixes());
   }
   state.SetItemsProcessed(state.iterations() * ds.dirty.size());
 }

@@ -1,11 +1,8 @@
 // End-to-end file pipeline: write a dirty dataset, its master data and its
-// per-cell confidences to CSV, then clean files-in / files-out through the
-// single-session Cleaner shim (CleanerBuilder::Build() — now a thin wrapper
-// over CleanEngine + Session; see serving_engine.cpp for the shared-engine
-// form). The builder owns all loading: schemas are inferred from the CSV
-// headers, the rule program is parsed against them, and the confidence CSV
-// is validated cell-by-cell — the Build()-only conveniences that keep the
-// shim the right tool for one-shot file jobs.
+// per-cell confidences to CSV, then clean files-in / files-out with one
+// engine and one session (see serving_engine.cpp for one engine serving
+// many runs). Schemas are inferred from the CSV headers, the rule program is
+// parsed against them, and the confidence CSV is validated cell-by-cell.
 
 #include <cstdio>
 #include <string>
@@ -36,19 +33,36 @@ int main() {
   }
   std::printf("wrote %s/{dirty,master,confidence}.csv\n", dir.c_str());
 
-  // Clean files-in / files-out: every input is a path.
-  auto cleaner = CleanerBuilder()
-                     .WithDataCsv(dir + "/dirty.csv")
-                     .WithMasterCsv(dir + "/master.csv")
-                     .WithRuleText(ds.rule_text)
-                     .WithConfidenceCsv(dir + "/confidence.csv")
-                     .WithEta(1.0)  // §8: confidence threshold 1.0
-                     .Build();
-  if (!cleaner.ok()) {
-    std::printf("config error: %s\n", cleaner.status().ToString().c_str());
+  // Clean files-in / files-out: every input is a path. The dirty relation
+  // and its confidences are loaded here; the engine loads the master data
+  // and parses the rules against the dirty relation's schema.
+  auto schema = data::InferCsvSchema(dir + "/dirty.csv", "data");
+  if (!schema.ok()) {
+    std::printf("read failed: %s\n", schema.status().ToString().c_str());
     return 1;
   }
-  auto result = cleaner->Run();
+  auto dirty = data::ReadCsvFile(dir + "/dirty.csv", *schema);
+  if (!dirty.ok()) {
+    std::printf("read failed: %s\n", dirty.status().ToString().c_str());
+    return 1;
+  }
+  s = data::ReadConfidenceCsvFile(dir + "/confidence.csv", &*dirty);
+  if (!s.ok()) {
+    std::printf("read failed: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  auto engine = EngineBuilder()
+                    .WithDataSchema(*schema)
+                    .WithMasterCsv(dir + "/master.csv")
+                    .WithRuleText(ds.rule_text)
+                    .WithEta(1.0)  // §8: confidence threshold 1.0
+                    .BuildEngine();
+  if (!engine.ok()) {
+    std::printf("config error: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(&*dirty);
   if (!result.ok()) {
     std::printf("run error: %s\n", result.status().ToString().c_str());
     return 1;
@@ -59,7 +73,7 @@ int main() {
               result->journal.CountForPhase(HRepairPhase::kName));
 
   // Export the repaired relation and the structured fix provenance.
-  s = data::WriteCsvFile(dir + "/repaired.csv", cleaner->data());
+  s = data::WriteCsvFile(dir + "/repaired.csv", *dirty);
   if (s.ok()) s = result->journal.WriteTextFile(dir + "/fixes.txt");
   if (s.ok()) s = result->journal.WriteCsvFile(dir + "/fixes.csv");
   if (!s.ok()) {

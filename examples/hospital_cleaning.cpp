@@ -1,6 +1,6 @@
 // Hospital data cleaning: the paper's HOSP scenario at a glance. Generates
 // a synthetic hospital quality dataset (19 attributes, 23 CFDs + 3 MDs),
-// dirties it, and cleans it with a Cleaner whose progress callback reports
+// dirties it, and cleans it with a Session whose progress callback reports
 // per-phase accuracy as the pipeline advances — the miniature version of
 // §8's Exp-1/Exp-3, built on the observer hook instead of running the
 // phases by hand.

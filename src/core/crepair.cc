@@ -282,11 +282,5 @@ CRepairStats CRepair(Relation* d, const MatchEnvironment& env,
   return run.Run();
 }
 
-CRepairStats CRepair(Relation* d, const Relation& dm, const RuleSet& ruleset,
-                     const CRepairOptions& options) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
-  return CRepair(d, env, options);
-}
-
 }  // namespace core
 }  // namespace uniclean

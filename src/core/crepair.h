@@ -25,10 +25,6 @@ namespace core {
 struct CRepairOptions {
   /// Confidence threshold η: cells at or above are asserted correct.
   double eta = 0.8;
-  /// Options for MD candidate retrieval (suffix-tree blocking, §5.2). Only
-  /// consulted by the deprecated environment-less entry point; when a
-  /// MatchEnvironment is borrowed, its own options govern retrieval.
-  MdMatcherOptions matcher;
   /// Optional per-fix callback (see fix_observer.h); called exactly once per
   /// deterministic fix, with the rule that produced it.
   FixObserver on_fix;
@@ -63,23 +59,9 @@ struct CRepairStats {
 /// Runs cRepair in place: fixes cells of `d`, upgrades their confidence and
 /// marks them deterministic. Returns statistics. Tombstoned tuples
 /// (data::Relation::EraseTuple) are skipped. Borrows the shared match
-/// environment (master relation, rules, warm MD indexes and memos) instead
-/// of building per-run matchers; `options.matcher` is ignored on this path.
+/// environment (master relation, rules, warm MD indexes and memos); its
+/// options govern MD candidate retrieval (suffix-tree blocking, §5.2).
 CRepairStats CRepair(data::Relation* d, const MatchEnvironment& env,
-                     const CRepairOptions& options = {});
-
-/// DEPRECATED: environment-less entry point. Builds a throwaway
-/// MatchEnvironment from `options.matcher` on every call — every MD index
-/// and memo is rebuilt and re-warmed, which is exactly the cost the shared
-/// environment removes. Construct a core::MatchEnvironment (or use
-/// uniclean::CleanEngine, which owns one) and call the overload above; this
-/// shim remains only to pin env/env-less parity in match_environment_test
-/// and will be removed next release.
-[[deprecated(
-    "build a core::MatchEnvironment once and call "
-    "CRepair(d, env, options)")]]
-CRepairStats CRepair(data::Relation* d, const data::Relation& dm,
-                     const rules::RuleSet& ruleset,
                      const CRepairOptions& options = {});
 
 }  // namespace core

@@ -292,11 +292,5 @@ ERepairStats ERepair(Relation* d, const MatchEnvironment& env,
   return run.Run();
 }
 
-ERepairStats ERepair(Relation* d, const Relation& dm, const RuleSet& ruleset,
-                     const ERepairOptions& options) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
-  return ERepair(d, env, options);
-}
-
 }  // namespace core
 }  // namespace uniclean

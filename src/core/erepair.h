@@ -27,9 +27,6 @@ struct ERepairOptions {
   double delta2 = 0.8;
   /// Cells with confidence >= eta are treated as asserted and not modified.
   double eta = 0.8;
-  /// Only consulted by the deprecated environment-less entry point; when a
-  /// MatchEnvironment is borrowed, its own options govern retrieval.
-  MdMatcherOptions matcher;
   /// Optional per-fix callback (see fix_observer.h); called once per reliable
   /// fix — a cell rewritten twice produces two calls.
   FixObserver on_fix;
@@ -66,20 +63,8 @@ double GroupEntropy(const std::vector<int>& counts);
 /// Runs eRepair in place; returns statistics. Tombstoned tuples
 /// (data::Relation::EraseTuple) are skipped — they join no group and are
 /// never rewritten. Borrows the shared match environment (master relation,
-/// rules, warm MD indexes and memos) instead of building per-run matchers;
-/// `options.matcher` is ignored on this path.
+/// rules, warm MD indexes and memos) instead of building per-run matchers.
 ERepairStats ERepair(data::Relation* d, const MatchEnvironment& env,
-                     const ERepairOptions& options = {});
-
-/// DEPRECATED: environment-less entry point. Rebuilds every MD index and
-/// memo per call; share a core::MatchEnvironment (or use
-/// uniclean::CleanEngine) and call the overload above. Kept only for the
-/// parity pins in match_environment_test; removed next release.
-[[deprecated(
-    "build a core::MatchEnvironment once and call "
-    "ERepair(d, env, options)")]]
-ERepairStats ERepair(data::Relation* d, const data::Relation& dm,
-                     const rules::RuleSet& ruleset,
                      const ERepairOptions& options = {});
 
 }  // namespace core

@@ -468,11 +468,5 @@ HRepairStats HRepair(Relation* d, const MatchEnvironment& env,
   return run.Run();
 }
 
-HRepairStats HRepair(Relation* d, const Relation& dm, const RuleSet& ruleset,
-                     const HRepairOptions& options) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
-  return HRepair(d, env, options);
-}
-
 }  // namespace core
 }  // namespace uniclean

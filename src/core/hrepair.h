@@ -29,9 +29,6 @@ namespace uniclean {
 namespace core {
 
 struct HRepairOptions {
-  /// Only consulted by the deprecated environment-less entry point; when a
-  /// MatchEnvironment is borrowed, its own options govern retrieval.
-  MdMatcherOptions matcher;
   /// Optional per-fix callback (see fix_observer.h); called once per possible
   /// fix — i.e. per cell whose final value differs from the phase input —
   /// with the rule that last retargeted the cell's equivalence class.
@@ -69,19 +66,8 @@ struct HRepairStats {
 /// anomalies), the live tuples of `*d` satisfy every CFD and MD of the
 /// environment's rules w.r.t. its master relation (tombstoned tuples are
 /// skipped). Borrows the shared match environment instead of building
-/// per-run matchers; `options.matcher` is ignored on this path.
+/// per-run matchers.
 HRepairStats HRepair(data::Relation* d, const MatchEnvironment& env,
-                     const HRepairOptions& options = {});
-
-/// DEPRECATED: environment-less entry point. Rebuilds every MD index and
-/// memo per call; share a core::MatchEnvironment (or use
-/// uniclean::CleanEngine) and call the overload above. Kept only for the
-/// parity pins in match_environment_test; removed next release.
-[[deprecated(
-    "build a core::MatchEnvironment once and call "
-    "HRepair(d, env, options)")]]
-HRepairStats HRepair(data::Relation* d, const data::Relation& dm,
-                     const rules::RuleSet& ruleset,
                      const HRepairOptions& options = {});
 
 }  // namespace core

@@ -9,7 +9,7 @@
 // similarity / blocking / match memos, which — because cell values are
 // interned ids in the process-wide StringPool — stay valid across phases
 // *and* across successive data relations cleaned against the same master
-// (the warm serving scenario; see uniclean::Cleaner::Run(data::Relation*)).
+// (the warm serving scenario; see uniclean::Session::Run).
 //
 // Lifetime: the environment borrows `rules` and `master`; both must outlive
 // it. The rules must never be mutated; the master may only grow by appends,

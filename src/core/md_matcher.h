@@ -94,8 +94,8 @@ class MdMatcher {
   MemoStats memo_stats() const;
 
   /// Process-wide count of MdMatcher constructions (each construction pays
-  /// the full index-build cost). Tests assert index sharing with it: a warm
-  /// Cleaner re-run must not move this counter.
+  /// the full index-build cost). Tests assert index sharing with it: a
+  /// warm Session re-run must not move this counter.
   static uint64_t ConstructedCount();
 
   /// Master tuples covered by the indexes: dm.size() at construction and

@@ -150,6 +150,8 @@ struct Daemon::Work {
   std::string ruleset;
   /// Response bytes written for this request (request-log field).
   uint64_t bytes_out = 0;
+  /// Set by RecordLatency: the sample is taken once per request.
+  bool latency_recorded = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -302,21 +304,16 @@ void Daemon::Shutdown() {
   // 1. Stop accepting (the poll loop sees running_ == false).
   if (acceptor_.joinable()) acceptor_.join();
   // 2. EOF every connection's read side so readers stop enqueuing, then
-  //    join them. In-flight and queued requests are untouched.
+  //    wait for them to leave. In-flight and queued requests are untouched.
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
+    std::unique_lock<std::mutex> lock(conns_mu_);
     for (auto& [id, weak] : conns_) {
       if (std::shared_ptr<Conn> conn = weak.lock()) {
         ::shutdown(conn->channel.fd(), SHUT_RD);
       }
     }
+    readers_cv_.wait(lock, [this] { return live_readers_ == 0; });
   }
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    readers.swap(readers_);
-  }
-  for (std::thread& t : readers) t.join();
   // 3. Drain: every queued request is served before the workers stop — but
   //    a request wedged past the grace budget has its token cancelled, so
   //    the engines unwind it cooperatively and the drain still completes.
@@ -406,7 +403,8 @@ void Daemon::AcceptLoop() {
     const uint64_t id = next_conn_id_++;
     auto conn = std::make_shared<Conn>(this, fd, id);
     conns_.emplace(id, conn);
-    readers_.emplace_back(&Daemon::ReadLoop, this, std::move(conn));
+    ++live_readers_;
+    std::thread(&Daemon::ReadLoop, this, std::move(conn)).detach();
   }
 }
 
@@ -472,8 +470,15 @@ void Daemon::ReadLoop(std::shared_ptr<Conn> conn) {
     queue_cv_.notify_one();
   }
   conn->closing.store(true);
+  const uint64_t id = conn->id;
+  // Drop the reference before the count falls: ~Conn writes daemon
+  // counters, and once live_readers_ reaches 0 Shutdown may return and the
+  // daemon be destroyed. For the same reason the notify happens under the
+  // lock, and nothing touches `this` after it is released.
+  conn.reset();
   std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(conn->id);
+  conns_.erase(id);
+  if (--live_readers_ == 0) readers_cv_.notify_all();
 }
 
 void Daemon::WorkerLoop() {
@@ -539,9 +544,7 @@ void Daemon::Dispatch(Work& work) {
           std::shared_ptr<CleanEngine> engine = entry->Get();
           PutU64(&body, engine != nullptr ? engine->Fingerprint() : 0);
         }
-        std::lock_guard<std::mutex> lock(conn.write_mu);
-        status = conn.channel.WriteFrame(work.frame.tag, Op::kPong, body);
-        work.bytes_out += body.size();
+        status = WriteFinalFrame(work, Op::kPong, body);
         break;
       }
       case Op::kClean:
@@ -581,15 +584,15 @@ void Daemon::Dispatch(Work& work) {
     // worth writing while someone is still reading (shutdown-drain
     // cancellations typically race the reader's exit).
     if (!conn.closing.load()) {
+      RecordLatency(work);
       WriteError(conn, work.frame.tag, status,
                  status.code() == StatusCode::kUnavailable ? RetryAfterMsHint()
                                                            : 0);
     }
   }
   UnregisterToken(conn.id, work.frame.tag);
-  const uint64_t now = NowUs();
-  metrics.latency_us.Record(now - work.enqueue_us);
-  LogRequest(work, now - work.dequeue_us, status);
+  RecordLatency(work);
+  LogRequest(work, NowUs() - work.dequeue_us, status);
 }
 
 Result<Daemon::EngineEntry*> Daemon::FindRuleset(const std::string& name) {
@@ -616,6 +619,20 @@ Status Daemon::StreamChunks(Work& work, Op op, const std::string& text) {
     work.bytes_out += piece.size();
   }
   return Status::OK();
+}
+
+void Daemon::RecordLatency(Work& work) {
+  if (work.latency_recorded) return;
+  work.latency_recorded = true;
+  op_metrics_[static_cast<int>(work.frame.op)].latency_us.Record(
+      NowUs() - work.enqueue_us);
+}
+
+Status Daemon::WriteFinalFrame(Work& work, Op op, std::string_view body) {
+  RecordLatency(work);
+  work.bytes_out += body.size();
+  std::lock_guard<std::mutex> lock(work.conn->write_mu);
+  return work.conn->channel.WriteFrame(work.frame.tag, op, body);
 }
 
 Status Daemon::WriteError(Conn& conn, uint32_t tag, const Status& error,
@@ -727,9 +744,7 @@ Status Daemon::HandleClean(Work& work) {
   PutU32(&done, static_cast<uint32_t>(result->total_fixes()));
   PutU32(&done, static_cast<uint32_t>(result->journal.size()));
   PutLp(&done, summary);
-  work.bytes_out += done.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kCleanDone, done);
+  return WriteFinalFrame(work, Op::kCleanDone, done);
 }
 
 Status Daemon::HandleDelta(Work& work) {
@@ -811,21 +826,14 @@ Status Daemon::HandleDelta(Work& work) {
   PutU32(&done, static_cast<uint32_t>(dr->refinement_rounds));
   PutU32(&done, static_cast<uint32_t>(dr->total_fixes()));
   PutLp(&done, inserted_ids);
-  work.bytes_out += done.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kDeltaDone, done);
+  return WriteFinalFrame(work, Op::kDeltaDone, done);
 }
 
 Status Daemon::HandleStats(Work& work) {
-  Conn& conn = *work.conn;
-  const std::string json = StatsJson();
-  work.bytes_out += json.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(work.frame.tag, Op::kStatsReply, json);
+  return WriteFinalFrame(work, Op::kStatsReply, StatsJson());
 }
 
 Status Daemon::HandleReload(Work& work) {
-  Conn& conn = *work.conn;
   const Frame& frame = work.frame;
   BodyReader body(frame.body);
   UC_ASSIGN_OR_RETURN(std::string name, body.Lp());
@@ -861,9 +869,7 @@ Status Daemon::HandleReload(Work& work) {
   }
   std::string ok_body;
   PutLp(&ok_body, message);
-  work.bytes_out += ok_body.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body);
+  return WriteFinalFrame(work, Op::kOk, ok_body);
 }
 
 Status Daemon::HandleCloseSession(Work& work) {
@@ -881,9 +887,7 @@ Status Daemon::HandleCloseSession(Work& work) {
   sessions_open_.fetch_sub(1, std::memory_order_relaxed);
   std::string ok_body;
   PutLp(&ok_body, "session " + std::to_string(session_id) + " closed");
-  work.bytes_out += ok_body.size();
-  std::lock_guard<std::mutex> lock(conn.write_mu);
-  return conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body);
+  return WriteFinalFrame(work, Op::kOk, ok_body);
 }
 
 void Daemon::HandleCancelInline(Conn& conn, const Frame& frame) {
@@ -894,6 +898,7 @@ void Daemon::HandleCancelInline(Conn& conn, const Frame& frame) {
   Result<uint32_t> target = body.U32();
   if (!target.ok()) {
     metrics.errors.fetch_add(1, std::memory_order_relaxed);
+    metrics.latency_us.Record(NowUs() - t0);
     WriteError(conn, frame.tag, target.status());
     return;
   }
@@ -911,13 +916,11 @@ void Daemon::HandleCancelInline(Conn& conn, const Frame& frame) {
   std::string ok_body;
   PutLp(&ok_body, "tag " + std::to_string(target.value()) +
                       (found ? " cancelled" : " not in flight"));
-  {
-    std::lock_guard<std::mutex> lock(conn.write_mu);
-    if (!conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body).ok()) {
-      metrics.errors.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   metrics.latency_us.Record(NowUs() - t0);
+  std::lock_guard<std::mutex> lock(conn.write_mu);
+  if (!conn.channel.WriteFrame(frame.tag, Op::kOk, ok_body).ok()) {
+    metrics.errors.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ struct DaemonOptions {
 class Daemon {
  public:
   Daemon(DaemonOptions options, std::vector<RulesetConfig> rulesets);
-  /// Joins every thread; equivalent to Shutdown() if still running.
+  /// Stops every thread; equivalent to Shutdown() if still running.
   ~Daemon();
 
   Daemon(const Daemon&) = delete;
@@ -228,6 +228,12 @@ class Daemon {
 
   /// Streams `text` as chunked frames of `op` under the request's tag.
   Status StreamChunks(Work& work, Op op, const std::string& text);
+  /// Records the request's latency sample, once. Runs before the request's
+  /// final frame is written, so a client that holds the reply and asks for
+  /// STATS next always finds the request in the histogram.
+  void RecordLatency(Work& work);
+  /// Records the latency sample, then writes the request's final frame.
+  Status WriteFinalFrame(Work& work, Op op, std::string_view body);
   /// `retry_after_ms` rides the kError trailer (0 = no hint).
   Status WriteError(Conn& conn, uint32_t tag, const Status& error,
                     uint32_t retry_after_ms = 0);
@@ -268,10 +274,13 @@ class Daemon {
   std::vector<std::thread> workers_;
 
   // Reader bookkeeping: readers register themselves so Shutdown can EOF
-  // them, and their threads are joined on the way out.
+  // them. Reader threads run detached, so a closed connection releases its
+  // thread at once; Shutdown waits on readers_cv_ until every reader has
+  // left instead of joining them.
   std::mutex conns_mu_;
+  std::condition_variable readers_cv_;
   std::unordered_map<uint64_t, std::weak_ptr<Conn>> conns_;
-  std::vector<std::thread> readers_;
+  int live_readers_ = 0;  // guarded by conns_mu_
   uint64_t next_conn_id_ = 1;
 
   // Work queue (readers produce, workers consume).

@@ -55,9 +55,8 @@ void CheckContext(const PipelineContext* ctx) {
   UC_CHECK(ctx->data != nullptr);
   UC_CHECK(ctx->master != nullptr);
   UC_CHECK(ctx->rules != nullptr);
-  // Session::Run always provides the engine's warm environment; the
-  // per-phase index-build fallback rode on the deprecated env-less repair
-  // entry points and is gone with them.
+  // Session::Run always provides the engine's warm environment; the phases
+  // never build indexes of their own.
   UC_CHECK(ctx->match_env != nullptr)
       << "builtin phases require PipelineContext::match_env (run them "
          "through a Session, or build a core::MatchEnvironment)";
@@ -71,15 +70,16 @@ Result<PhaseStats> CRepairPhase::Run(PipelineContext* ctx) {
   opts.eta = ctx->config.eta;
   opts.on_fix = JournalObserver(ctx, kName);
   opts.cancel = ctx->cancel;
-  stats_ = core::CRepair(ctx->data, *ctx->match_env, opts);
-  UC_RETURN_IF_ERROR(stats_.interrupt);
+  const core::CRepairStats stats =
+      core::CRepair(ctx->data, *ctx->match_env, opts);
+  UC_RETURN_IF_ERROR(stats.interrupt);
 
   PhaseStats out;
-  out.fixes = stats_.deterministic_fixes;
-  out.matches = DistinctMatches(stats_.md_matches);
-  out.counters = {{"confidence_upgrades", stats_.confidence_upgrades},
-                  {"rule_applications", stats_.rule_applications},
-                  {"conflicts", stats_.conflicts}};
+  out.fixes = stats.deterministic_fixes;
+  out.matches = DistinctMatches(stats.md_matches);
+  out.counters = {{"confidence_upgrades", stats.confidence_upgrades},
+                  {"rule_applications", stats.rule_applications},
+                  {"conflicts", stats.conflicts}};
   return out;
 }
 
@@ -91,16 +91,17 @@ Result<PhaseStats> ERepairPhase::Run(PipelineContext* ctx) {
   opts.eta = ctx->config.eta;
   opts.on_fix = JournalObserver(ctx, kName);
   opts.cancel = ctx->cancel;
-  stats_ = core::ERepair(ctx->data, *ctx->match_env, opts);
-  UC_RETURN_IF_ERROR(stats_.interrupt);
+  const core::ERepairStats stats =
+      core::ERepair(ctx->data, *ctx->match_env, opts);
+  UC_RETURN_IF_ERROR(stats.interrupt);
 
   PhaseStats out;
-  out.fixes = stats_.reliable_fixes;
-  out.matches = DistinctMatches(stats_.md_matches);
+  out.fixes = stats.reliable_fixes;
+  out.matches = DistinctMatches(stats.md_matches);
   out.counters = {
-      {"groups_resolved", stats_.groups_resolved},
-      {"groups_skipped_high_entropy", stats_.groups_skipped_high_entropy},
-      {"passes", stats_.passes}};
+      {"groups_resolved", stats.groups_resolved},
+      {"groups_skipped_high_entropy", stats.groups_skipped_high_entropy},
+      {"passes", stats.passes}};
   return out;
 }
 
@@ -109,27 +110,18 @@ Result<PhaseStats> HRepairPhase::Run(PipelineContext* ctx) {
   core::HRepairOptions opts;
   opts.on_fix = JournalObserver(ctx, kName);
   opts.cancel = ctx->cancel;
-  stats_ = core::HRepair(ctx->data, *ctx->match_env, opts);
-  UC_RETURN_IF_ERROR(stats_.interrupt);
+  const core::HRepairStats stats =
+      core::HRepair(ctx->data, *ctx->match_env, opts);
+  UC_RETURN_IF_ERROR(stats.interrupt);
 
   PhaseStats out;
-  out.fixes = stats_.possible_fixes;
-  out.matches = DistinctMatches(stats_.md_matches);
-  out.counters = {{"merges", stats_.merges},
-                  {"nulls_introduced", stats_.nulls_introduced},
-                  {"passes", stats_.passes},
-                  {"anomalies", stats_.anomalies}};
+  out.fixes = stats.possible_fixes;
+  out.matches = DistinctMatches(stats.md_matches);
+  out.counters = {{"merges", stats.merges},
+                  {"nulls_introduced", stats.nulls_introduced},
+                  {"passes", stats.passes},
+                  {"anomalies", stats.anomalies}};
   return out;
-}
-
-std::vector<std::unique_ptr<Phase>> MakeDefaultPhases(bool crepair,
-                                                      bool erepair,
-                                                      bool hrepair) {
-  std::vector<std::unique_ptr<Phase>> phases;
-  if (crepair) phases.push_back(std::make_unique<CRepairPhase>());
-  if (erepair) phases.push_back(std::make_unique<ERepairPhase>());
-  if (hrepair) phases.push_back(std::make_unique<HRepairPhase>());
-  return phases;
 }
 
 std::vector<PhaseFactory> MakeDefaultPhaseFactories(bool crepair, bool erepair,

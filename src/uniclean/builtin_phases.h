@@ -1,8 +1,14 @@
-// The three built-in phases of the paper's Fig. 2 pipeline, wrapped as
-// Phase implementations. Each forwards the PipelineContext thresholds to
-// its core engine, journals every fix with the justifying rule, and keeps
-// the engine's typed statistics readable after the run (the legacy
-// core::UniClean shim assembles its UniCleanReport from them).
+// The three built-in phases of the paper's UniClean pipeline (Fig. 2),
+// wrapped as Phase implementations:
+//   1. cRepair  — deterministic fixes from confidence + master data (§5),
+//   2. eRepair  — reliable fixes from entropy (§6),
+//   3. hRepair  — possible fixes from heuristics, yielding a repair with
+//                 Dr |= Σ and (Dr, Dm) |= Γ (§7).
+// A default session runs them once each, in this order: no iteration
+// between phases is needed (the Remark at the end of §3.2). Every modified
+// cell carries a FixMark naming the phase that produced it. Each phase
+// forwards the PipelineContext thresholds to its core engine and journals
+// every fix with the justifying rule.
 
 #ifndef UNICLEAN_UNICLEAN_BUILTIN_PHASES_H_
 #define UNICLEAN_UNICLEAN_BUILTIN_PHASES_H_
@@ -24,11 +30,6 @@ class CRepairPhase : public Phase {
   static constexpr std::string_view kName = "cRepair";
   std::string_view name() const override { return kName; }
   Result<PhaseStats> Run(PipelineContext* ctx) override;
-  /// Engine statistics of the most recent Run().
-  const core::CRepairStats& stats() const { return stats_; }
-
- private:
-  core::CRepairStats stats_;
 };
 
 /// Reliable fixes with information entropy (§6).
@@ -37,10 +38,6 @@ class ERepairPhase : public Phase {
   static constexpr std::string_view kName = "eRepair";
   std::string_view name() const override { return kName; }
   Result<PhaseStats> Run(PipelineContext* ctx) override;
-  const core::ERepairStats& stats() const { return stats_; }
-
- private:
-  core::ERepairStats stats_;
 };
 
 /// Heuristic possible fixes yielding a consistent repair (§7).
@@ -49,20 +46,11 @@ class HRepairPhase : public Phase {
   static constexpr std::string_view kName = "hRepair";
   std::string_view name() const override { return kName; }
   Result<PhaseStats> Run(PipelineContext* ctx) override;
-  const core::HRepairStats& stats() const { return stats_; }
-
- private:
-  core::HRepairStats stats_;
 };
 
-/// The default pipeline: the selected subset of cRepair → eRepair → hRepair
-/// in paper order.
-std::vector<std::unique_ptr<Phase>> MakeDefaultPhases(bool crepair = true,
-                                                      bool erepair = true,
-                                                      bool hrepair = true);
-
-/// The same default pipeline as per-session factories — what a CleanEngine
-/// stores so every NewSession() gets fresh phase instances.
+/// The default pipeline as per-session factories: the selected subset of
+/// cRepair → eRepair → hRepair in paper order. A CleanEngine stores
+/// factories so every NewSession() gets fresh phase instances.
 std::vector<PhaseFactory> MakeDefaultPhaseFactories(bool crepair = true,
                                                     bool erepair = true,
                                                     bool hrepair = true);

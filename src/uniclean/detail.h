@@ -1,5 +1,5 @@
 // Private helpers shared by the façade translation units (engine.cc,
-// session.cc, cleaner.cc). Not part of the public API.
+// session.cc). Not part of the public API.
 
 #ifndef UNICLEAN_UNICLEAN_DETAIL_H_
 #define UNICLEAN_UNICLEAN_DETAIL_H_

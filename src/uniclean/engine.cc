@@ -123,27 +123,6 @@ std::vector<Result<CleanResult>> CleanEngine::RunBatch(
 // EngineBuilder
 // ---------------------------------------------------------------------------
 
-EngineBuilder& EngineBuilder::WithData(data::Relation data) {
-  data_owned_ = std::make_unique<data::Relation>(std::move(data));
-  data_ptr_ = nullptr;
-  data_csv_.clear();
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::WithData(data::Relation* data) {
-  data_ptr_ = data;
-  data_owned_.reset();
-  data_csv_.clear();
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::WithDataCsv(std::string path) {
-  data_csv_ = std::move(path);
-  data_owned_.reset();
-  data_ptr_ = nullptr;
-  return *this;
-}
-
 EngineBuilder& EngineBuilder::WithDataSchema(data::SchemaPtr schema) {
   data_schema_ = std::move(schema);
   return *this;
@@ -202,11 +181,6 @@ EngineBuilder& EngineBuilder::WithRulesFile(std::string path) {
   return *this;
 }
 
-EngineBuilder& EngineBuilder::WithConfidenceCsv(std::string path) {
-  confidence_csv_ = std::move(path);
-  return *this;
-}
-
 EngineBuilder& EngineBuilder::WithEta(double eta) {
   config_.eta = eta;
   return *this;
@@ -233,9 +207,7 @@ EngineBuilder& EngineBuilder::WithDefaultPhases(bool crepair, bool erepair,
   run_crepair_ = crepair;
   run_erepair_ = erepair;
   run_hrepair_ = hrepair;
-  custom_pipeline_ = false;
   factory_pipeline_ = false;
-  pipeline_.clear();
   factories_.clear();
   return *this;
 }
@@ -244,8 +216,6 @@ EngineBuilder& EngineBuilder::WithPhaseFactories(
     std::vector<PhaseFactory> factories) {
   factories_ = std::move(factories);
   factory_pipeline_ = true;
-  custom_pipeline_ = false;
-  pipeline_.clear();
   return *this;
 }
 
@@ -254,53 +224,37 @@ EngineBuilder& EngineBuilder::AddPhaseFactory(PhaseFactory factory) {
   return *this;
 }
 
-EngineBuilder& EngineBuilder::WithPhases(
-    std::vector<std::unique_ptr<Phase>> phases) {
-  pipeline_ = std::move(phases);
-  custom_pipeline_ = true;
-  factory_pipeline_ = false;
-  factories_.clear();
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::AddPhase(std::unique_ptr<Phase> phase) {
-  extra_phases_.push_back(std::move(phase));
-  return *this;
-}
-
 EngineBuilder& EngineBuilder::CheckConsistency(bool check) {
   check_consistency_ = check;
   return *this;
 }
 
-EngineBuilder& EngineBuilder::WithProgressCallback(ProgressCallback callback) {
-  progress_ = std::move(callback);
-  return *this;
-}
+namespace {
 
-Status EngineBuilder::ValidateThresholds() const {
+Status ValidateThresholds(const PipelineConfig& config) {
   // The negated comparisons also reject NaN.
-  if (!(config_.eta >= 0.0 && config_.eta <= 1.0)) {
+  if (!(config.eta >= 0.0 && config.eta <= 1.0)) {
     return Status::InvalidArgument(
         "confidence threshold eta must be in [0, 1], got " +
-        std::to_string(config_.eta));
+        std::to_string(config.eta));
   }
-  if (config_.delta1 < 0) {
+  if (config.delta1 < 0) {
     return Status::InvalidArgument(
         "update threshold delta1 must be >= 0, got " +
-        std::to_string(config_.delta1));
+        std::to_string(config.delta1));
   }
-  if (!(config_.delta2 >= 0.0 && config_.delta2 <= 1.0)) {
+  if (!(config.delta2 >= 0.0 && config.delta2 <= 1.0)) {
     return Status::InvalidArgument(
         "entropy threshold delta2 must be in [0, 1], got " +
-        std::to_string(config_.delta2));
+        std::to_string(config.delta2));
   }
   return Status::OK();
 }
 
-Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngineInternal(
-    data::SchemaPtr data_schema) {
-  UC_RETURN_IF_ERROR(ValidateThresholds());
+}  // namespace
+
+Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngine() {
+  UC_RETURN_IF_ERROR(ValidateThresholds(config_));
 
   // shared_ptr with a private ctor: wrap the raw allocation.
   std::shared_ptr<CleanEngine> engine(new CleanEngine());
@@ -330,15 +284,14 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngineInternal(
     UC_ASSIGN_OR_RETURN(rule_text, internal::ReadFileToString(rules_file_));
   }
   if (!rule_text.empty()) {
-    if (data_schema == nullptr) {
+    if (data_schema_ == nullptr) {
       return Status::InvalidArgument(
-          "rule text needs a data schema to parse against: configure the "
-          "data relation (WithData/WithDataCsv) or declare it with "
+          "rule text needs a data schema to parse against: declare it with "
           "WithDataSchema");
     }
     UC_ASSIGN_OR_RETURN(
         rules::RuleSet parsed,
-        rules::ParseRuleSet(rule_text, data_schema,
+        rules::ParseRuleSet(rule_text, data_schema_,
                             engine->master_->schema_ptr()));
     engine->owned_rules_ = std::make_unique<rules::RuleSet>(std::move(parsed));
     engine->rules_ = engine->owned_rules_.get();
@@ -353,13 +306,12 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngineInternal(
   }
 
   // Schema conformance: the rules were normalized against specific schemas;
-  // the relations (and the declared data schema, when present) must match
-  // them attribute-for-attribute. The data check precedes the master check,
-  // matching the historic Build() diagnostic order.
-  if (data_schema != nullptr &&
-      !internal::SchemaMatches(engine->rules_->data_schema(), *data_schema)) {
+  // the master relation (and the declared data schema, when present) must
+  // match them attribute-for-attribute.
+  if (data_schema_ != nullptr &&
+      !internal::SchemaMatches(engine->rules_->data_schema(), *data_schema_)) {
     return Status::InvalidArgument(
-        "data relation schema " + internal::DescribeSchema(*data_schema) +
+        "data relation schema " + internal::DescribeSchema(*data_schema_) +
         " does not match the rule set's data schema " +
         internal::DescribeSchema(engine->rules_->data_schema()));
   }
@@ -384,9 +336,8 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngineInternal(
     }
   }
 
-  // Pipeline factories. Instance phases (WithPhases/AddPhase) are handled by
-  // Build() — they bind to its single session; the engine keeps factories so
-  // NewSession() can stamp out fresh instances forever.
+  // The engine keeps factories so NewSession() can stamp out fresh phase
+  // instances forever.
   engine->phase_factories_ =
       factory_pipeline_ ? std::move(factories_)
                         : MakeDefaultPhaseFactories(run_crepair_, run_erepair_,
@@ -396,40 +347,6 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngineInternal(
   }
   extra_factories_.clear();
   return engine;
-}
-
-Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngine() {
-  if (custom_pipeline_ || !extra_phases_.empty()) {
-    return Status::InvalidArgument(
-        "WithPhases/AddPhase instances are single-session and cannot seed a "
-        "shared engine; register per-session factories with "
-        "WithPhaseFactories/AddPhaseFactory instead");
-  }
-  if (progress_) {
-    return Status::InvalidArgument(
-        "WithProgressCallback is per-session state and cannot live on a "
-        "shared engine; call Session::set_progress_callback on each "
-        "NewSession() instead");
-  }
-  if (!confidence_csv_.empty()) {
-    return Status::InvalidArgument(
-        "WithConfidenceCsv rides on the data relation and an engine binds "
-        "none; apply confidences to each relation before Session::Run "
-        "(data::ReadConfidenceCsvFile), or use Build()");
-  }
-  // Resolve the data schema the rule text parses against (not needed when
-  // the rules arrive pre-parsed).
-  data::SchemaPtr schema = data_schema_;
-  if (schema == nullptr) {
-    if (!data_csv_.empty()) {
-      UC_ASSIGN_OR_RETURN(schema, data::InferCsvSchema(data_csv_, "data"));
-    } else if (data_ptr_ != nullptr) {
-      schema = data_ptr_->schema_ptr();
-    } else if (data_owned_ != nullptr) {
-      schema = data_owned_->schema_ptr();
-    }
-  }
-  return BuildEngineInternal(std::move(schema));
 }
 
 }  // namespace uniclean

@@ -1,12 +1,11 @@
-// CleanEngine: the shared, immutable, thread-safe half of the library's
-// top-level API. An engine owns everything expensive and read-only — the
-// rule set, the master relation, the warm core::MatchEnvironment (MD
-// indexes + sharded memos) and the validated pipeline configuration — and
-// stamps out cheap per-run Session handles (session.h) that carry only
-// mutable run state. This is the engine/session split HoloClean makes
-// between its compiled signal model and per-cell scoring, applied to the
-// paper's unified cleaning framework: pay the §5.2 index build once, then
-// answer many cheap repair runs, concurrently.
+// CleanEngine + Session: the library's run API. An engine owns everything
+// immutable and expensive — the rule set, the master relation, the warm
+// core::MatchEnvironment (MD indexes + sharded memos) and the validated
+// pipeline configuration — and stamps out cheap per-run Session handles
+// (session.h) that carry only mutable run state. This is the engine/session
+// split HoloClean makes between its compiled signal model and per-cell
+// scoring, applied to the paper's unified cleaning framework: pay the §5.2
+// index build once, then answer many cheap repair runs, concurrently.
 //
 //   auto engine = EngineBuilder()
 //                     .WithMasterCsv("master.csv")
@@ -19,6 +18,11 @@
 //   uniclean::Session session = (*engine)->NewSession();
 //   auto result = session.Run(&batch);
 //
+// The engine binds no data: each Run cleans a caller-owned relation in
+// place, so a one-shot job loads D itself (data::ReadCsvFile, plus
+// data::ReadConfidenceCsvFile for per-cell confidences) and runs one
+// session over it.
+//
 // Thread-safety contract: after BuildEngine() returns, every const method
 // of CleanEngine is safe from any number of threads. Concurrent
 // Session::Run() calls over *independent* data relations are data-race-free
@@ -26,10 +30,6 @@
 // functions of the static master data, so interleaving cannot change
 // results. RunBatch() packages that: a worker pool of sessions over a batch
 // of relations.
-//
-// The historic single-session façade, uniclean::Cleaner (cleaner.h), is now
-// a thin shim over CleanEngine + Session and remains the convenient choice
-// for one-shot cleaning; CleanerBuilder is an alias of EngineBuilder.
 
 #ifndef UNICLEAN_UNICLEAN_ENGINE_H_
 #define UNICLEAN_UNICLEAN_ENGINE_H_
@@ -48,8 +48,6 @@
 #include "uniclean/session.h"
 
 namespace uniclean {
-
-class Cleaner;
 
 /// The shared, immutable cleaning engine. Created only via
 /// EngineBuilder::BuildEngine() (always behind a shared_ptr — sessions keep
@@ -156,28 +154,17 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   double snapshot_load_s_ = 0.0;
 };
 
-/// Fluent single-use builder for CleanEngine (and the Cleaner shim — the
-/// historic name CleanerBuilder aliases this class). Every setter
-/// overwrites earlier configuration of the same slot; BuildEngine()/Build()
-/// move the configuration out.
+/// Fluent single-use builder for CleanEngine. Every setter overwrites
+/// earlier configuration of the same slot; BuildEngine() moves the
+/// configuration out.
 class EngineBuilder {
  public:
   EngineBuilder() = default;
 
-  // --- data relation D -----------------------------------------------------
-  // Engine builds need the data relation only to resolve the rule text's
-  // data schema (or not at all — see WithDataSchema); Build() additionally
-  // loads it as the Cleaner's session data.
-  /// Takes ownership of an in-memory relation.
-  EngineBuilder& WithData(data::Relation data);
-  /// Cleans a caller-owned relation in place (must outlive the Cleaner).
-  EngineBuilder& WithData(data::Relation* data);
-  /// Loads D from a CSV file at Build(); the schema is inferred from the
-  /// header row.
-  EngineBuilder& WithDataCsv(std::string path);
-  /// Declares the data schema without binding any data — the engine-only
-  /// path for parsing WithRuleText/WithRulesFile programs when the dirty
-  /// relations only arrive later, per Session::Run.
+  // --- data schema ---------------------------------------------------------
+  /// Declares the schema of the data relations sessions will clean. Rule
+  /// text (WithRuleText/WithRulesFile) parses against it; pre-parsed rules
+  /// are checked against it when it is given.
   EngineBuilder& WithDataSchema(data::SchemaPtr schema);
 
   // --- master relation Dm --------------------------------------------------
@@ -196,13 +183,6 @@ class EngineBuilder {
   /// Like WithRuleText, reading the program from a file at build.
   EngineBuilder& WithRulesFile(std::string path);
 
-  // --- per-cell confidences ------------------------------------------------
-  /// CSV with the same shape as D holding confidences in [0, 1]; applied to
-  /// the data relation at Build(). Build()-only — an engine binds no data,
-  /// so BuildEngine() rejects it; apply confidences per relation with
-  /// data::ReadConfidenceCsvFile before Session::Run.
-  EngineBuilder& WithConfidenceCsv(std::string path);
-
   // --- thresholds ----------------------------------------------------------
   EngineBuilder& WithEta(double eta);
   EngineBuilder& WithDelta1(int delta1);
@@ -219,21 +199,11 @@ class EngineBuilder {
   EngineBuilder& WithPhaseFactories(std::vector<PhaseFactory> factories);
   /// Appends a per-session phase factory after the current pipeline.
   EngineBuilder& AddPhaseFactory(PhaseFactory factory);
-  /// Replaces the pipeline with concrete single-session phase instances.
-  /// Build()-only: BuildEngine() rejects instance phases (an engine must be
-  /// able to stamp out any number of sessions) — use WithPhaseFactories.
-  EngineBuilder& WithPhases(std::vector<std::unique_ptr<Phase>> phases);
-  /// Appends a concrete phase (Build()-only, like WithPhases).
-  EngineBuilder& AddPhase(std::unique_ptr<Phase> phase);
 
   // --- diagnostics ---------------------------------------------------------
   /// Verifies at build that the rules are consistent (§4.1); an
   /// inconsistent Θ fails the build.
   EngineBuilder& CheckConsistency(bool check = true);
-  /// Observer installed on the Cleaner's session by Build(). Per-session
-  /// state: BuildEngine() rejects it — engine sessions set their own via
-  /// Session::set_progress_callback.
-  EngineBuilder& WithProgressCallback(ProgressCallback callback);
 
   /// Validates the configuration and assembles the shared engine. Returns
   /// Status::InvalidArgument on bad configuration; I/O and parse failures
@@ -255,23 +225,7 @@ class EngineBuilder {
   /// uniclean::snapshot to use it.
   Result<std::shared_ptr<CleanEngine>> FromSnapshot(const std::string& path);
 
-  /// Validates the configuration and assembles the single-session Cleaner
-  /// shim (engine + one session + the bound data relation). Defined with
-  /// Cleaner in cleaner.h/.cc.
-  Result<Cleaner> Build();
-
  private:
-  Status ValidateThresholds() const;
-
-  /// Shared validation: thresholds, master, rules, consistency, factories.
-  /// `data_schema` is the resolved data schema when the caller already
-  /// loaded data, or null to resolve from WithDataSchema / the rules.
-  Result<std::shared_ptr<CleanEngine>> BuildEngineInternal(
-      data::SchemaPtr data_schema);
-
-  std::unique_ptr<data::Relation> data_owned_;
-  data::Relation* data_ptr_ = nullptr;
-  std::string data_csv_;
   data::SchemaPtr data_schema_;
 
   std::unique_ptr<data::Relation> master_owned_;
@@ -283,20 +237,14 @@ class EngineBuilder {
   std::string rule_text_;
   std::string rules_file_;
 
-  std::string confidence_csv_;
-
   PipelineConfig config_;
   bool run_crepair_ = true;
   bool run_erepair_ = true;
   bool run_hrepair_ = true;
-  bool custom_pipeline_ = false;
   bool factory_pipeline_ = false;
-  std::vector<std::unique_ptr<Phase>> pipeline_;
-  std::vector<std::unique_ptr<Phase>> extra_phases_;
   std::vector<PhaseFactory> factories_;
   std::vector<PhaseFactory> extra_factories_;
   bool check_consistency_ = false;
-  ProgressCallback progress_;
 };
 
 }  // namespace uniclean

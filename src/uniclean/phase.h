@@ -1,8 +1,9 @@
-// Phase: the pluggable unit of the Cleaner pipeline. The paper's Fig. 2
+// Phase: the pluggable unit of a Session's pipeline. The paper's Fig. 2
 // phases (cRepair / eRepair / hRepair, see builtin_phases.h) are the
 // default implementations; additional phases — a probabilistic repair pass,
 // a rule-discovery preprocessor, a custom validator — implement the same
-// two-method interface and are registered through CleanerBuilder.
+// two-method interface and are registered as per-session factories through
+// EngineBuilder::WithPhaseFactories / AddPhaseFactory.
 
 #ifndef UNICLEAN_UNICLEAN_PHASE_H_
 #define UNICLEAN_UNICLEAN_PHASE_H_
@@ -37,7 +38,7 @@ struct PipelineConfig {
   core::MdMatcherOptions matcher;
 };
 
-/// Everything a phase may read or mutate during one Cleaner::Run(). The
+/// Everything a phase may read or mutate during one Session::Run(). The
 /// relations and rules outlive the run; `data` is cleaned in place.
 struct PipelineContext {
   data::Relation* data = nullptr;
@@ -45,12 +46,12 @@ struct PipelineContext {
   const rules::RuleSet* rules = nullptr;
   PipelineConfig config;
   /// Fix provenance sink; phases append one entry per fix. Never null
-  /// during a Cleaner::Run().
+  /// during a Session::Run().
   FixJournal* journal = nullptr;
-  /// The session's shared match environment: one warm MdMatcher (index +
+  /// The engine's shared match environment: one warm MdMatcher (index +
   /// memos) per MD rule, scoped to (rules, master). Never null during a
-  /// Cleaner::Run() — built once per Cleaner lifetime and reused by every
-  /// phase of every run, so user phases should probe MDs through
+  /// Session::Run() — built once per engine lifetime and reused by every
+  /// phase of every session, so user phases should probe MDs through
   /// `match_env->matcher(rule)` rather than constructing their own matcher.
   const core::MatchEnvironment* match_env = nullptr;
   /// Optional cooperative-cancellation token (null = uncancellable). The
@@ -61,9 +62,9 @@ struct PipelineContext {
   const common::CancelToken* cancel = nullptr;
 };
 
-/// What one phase did. Cleaner::Run() collects one per executed phase.
+/// What one phase did. Session::Run() collects one per executed phase.
 struct PhaseStats {
-  /// Phase name; filled in by the Cleaner from Phase::name().
+  /// Phase name; filled in by the Session from Phase::name().
   std::string phase;
   /// Cells this phase changed (fix events; matches the phase's journal
   /// entry count for the built-in phases).
@@ -95,12 +96,12 @@ class Phase {
   virtual std::string_view name() const = 0;
 
   /// Executes the phase against `ctx->data`. A non-OK status aborts the
-  /// pipeline and propagates out of Cleaner::Run().
+  /// pipeline and propagates out of Session::Run().
   virtual Result<PhaseStats> Run(PipelineContext* ctx) = 0;
 };
 
-/// Progress notification delivered to the CleanerBuilder's callback before
-/// and after every phase.
+/// Progress notification delivered to Session::set_progress_callback's
+/// observer before and after every phase.
 struct PhaseEvent {
   enum class Kind { kPhaseStarted, kPhaseFinished };
   Kind kind = Kind::kPhaseStarted;

@@ -231,7 +231,6 @@ class Session {
 
  private:
   friend class CleanEngine;
-  friend class EngineBuilder;
 
   Session(std::shared_ptr<const CleanEngine> engine,
           std::vector<std::unique_ptr<Phase>> phases)

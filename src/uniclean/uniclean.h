@@ -1,41 +1,40 @@
 // Umbrella header: the public API of the UniClean library. Includes every
 // layer's headers — applications (tools/, examples/, bench/) include this
-// one; library code includes the specific layer headers instead. The
-// similarly named "core/uniclean.h" is NOT a duplicate: it declares only
-// the tri-level pipeline entry point and is pulled in below.
+// one; library code includes the specific layer headers instead.
 //
-// Quickstart (see uniclean/cleaner.h for the full builder surface):
+// Quickstart: CleanEngine + Session (uniclean/engine.h, uniclean/session.h)
+// are the run API. Build the engine once from the master data and rules,
+// then clean any number of relations, one Session per run:
 //
 //   #include "uniclean/uniclean.h"
 //   using namespace uniclean;
 //
-//   auto cleaner = CleanerBuilder()
-//                      .WithDataCsv("dirty.csv")
-//                      .WithMasterCsv("master.csv")
-//                      .WithRulesFile("rules.txt")
-//                      .WithConfidenceCsv("confidence.csv")
-//                      .WithEta(0.8)
-//                      .Build();               // Result<Cleaner>
-//   auto result = cleaner->Run();              // Result<CleanResult>
-//   // cleaner->data() is now consistent; result->journal records every
-//   // repaired cell with its phase and justifying rule.
+//   auto schema = data::InferCsvSchema("dirty.csv", "data");
+//   auto d = data::ReadCsvFile("dirty.csv", *schema);
+//   data::ReadConfidenceCsvFile("confidence.csv", &*d);  // optional
+//   auto engine = EngineBuilder()
+//                     .WithDataSchema(*schema)     // rules parse against it
+//                     .WithMasterCsv("master.csv")
+//                     .WithRulesFile("rules.txt")
+//                     .WithEta(0.8)
+//                     .BuildEngine();  // Result<shared_ptr<CleanEngine>>
+//   Session session = (*engine)->NewSession();
+//   auto result = session.Run(&*d);              // Result<CleanResult>
+//   // *d is now consistent; result->journal records every repaired cell
+//   // with its phase and justifying rule.
 //
-// For long-lived or concurrent use the canonical surface is CleanEngine +
-// Session (uniclean/engine.h, uniclean/session.h): build the engine once,
-// stamp out a Session per run. Incremental cleaning rides on the same pair —
-// a tracked session re-cleans only the tuples an edit can affect:
+// (Every call above returns a Status or Result; check it — bad paths,
+// malformed rules or CSVs and out-of-range thresholds are reported there.)
 //
-//   auto engine = EngineBuilder()... .BuildEngine();  // shared, immutable
+// Incremental cleaning rides on the same pair — a tracked session re-cleans
+// only the tuples an edit can affect:
+//
 //   Session session = (*engine)->NewTrackedSession();
 //   session.Run(&d);                           // batch clean + group indexes
 //   Delta delta;
 //   delta.updates.emplace_back(tuple_id, edited_tuple);
 //   auto dr = session.ApplyDelta(delta);       // Result<DeltaResult>
 //   FixJournal canon = session.CanonicalJournal();
-//
-// The historic entry point core::UniClean(...) (core/uniclean.h) remains
-// available as a compatibility shim over the façade; Cleaner::Run is
-// likewise a shim over a single engine + session.
 
 #ifndef UNICLEAN_UNICLEAN_UNICLEAN_H_
 #define UNICLEAN_UNICLEAN_UNICLEAN_H_
@@ -51,7 +50,6 @@
 #include "core/hrepair.h"
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
-#include "core/uniclean.h"
 #include "data/csv.h"
 #include "data/relation.h"
 #include "data/schema.h"
@@ -75,7 +73,6 @@
 #include "similarity/predicate.h"
 #include "similarity/suffix_tree.h"
 #include "uniclean/builtin_phases.h"
-#include "uniclean/cleaner.h"
 #include "uniclean/engine.h"
 #include "uniclean/fix_journal.h"
 #include "uniclean/phase.h"

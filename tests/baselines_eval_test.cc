@@ -2,17 +2,32 @@
 
 #include "baselines/quaid.h"
 #include "baselines/sortn.h"
-#include "core/uniclean.h"
 #include "eval/metrics.h"
 #include "gen/dataset.h"
 #include "paper_example.h"
 #include "rules/violation.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
 
 using data::Relation;
 using data::Value;
+
+/// Cleans `*d` in place through the full pipeline on a fresh engine.
+void Clean(Relation* d, const Relation& dm, const rules::RuleSet& rules,
+           double eta) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(d->schema_ptr())
+                    .WithMaster(&dm)
+                    .WithRules(&rules)
+                    .WithEta(eta)
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(d);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
 
 gen::GeneratorConfig SmallConfig() {
   gen::GeneratorConfig config;
@@ -78,7 +93,7 @@ TEST(SortNTest, MissesMatchesWhoseDirtyKeysSortApart) {
   ASSERT_TRUE(parsed.ok());
   auto before = baselines::SortedNeighborhoodMatch(d, dm, parsed->mds, {});
   EXPECT_TRUE(before.empty());
-  core::UniClean(&d, dm, rs, {});
+  Clean(&d, dm, rs, /*eta=*/0.8);
   auto after = baselines::FindAllMatches(d, dm, parsed->mds);
   EXPECT_GE(after.size(), 3u);  // t1-s1, t3-s2, t4-s2
 }
@@ -120,11 +135,9 @@ TEST(IntegrationTest, UniBeatsQuaidOnHosp) {
   // The headline claim (Exp-1): unifying matching and repairing beats
   // CFD-only repairing in F-measure.
   gen::Dataset ds = gen::GenerateHosp(SmallConfig());
-  core::UniCleanOptions opts;
-  opts.eta = 1.0;  // the paper's experimental confidence threshold
-
   Relation uni = ds.dirty.Clone();
-  core::UniClean(&uni, ds.master, ds.rules, opts);
+  // η = 1: the paper's experimental confidence threshold.
+  Clean(&uni, ds.master, ds.rules, /*eta=*/1.0);
   auto uni_pr = eval::RepairAccuracy(ds.dirty, uni, ds.clean);
 
   Relation quaid = ds.dirty.Clone();
@@ -142,8 +155,6 @@ TEST(IntegrationTest, UniFindsMoreMatchesThanSortNOnDblp) {
   gen::GeneratorConfig config = SmallConfig();
   config.noise_rate = 0.10;
   gen::Dataset ds = gen::GenerateDblp(config);
-  core::UniCleanOptions opts;
-  opts.eta = 1.0;
 
   baselines::SortNOptions sortn_opts;
   sortn_opts.window = 3;
@@ -152,7 +163,7 @@ TEST(IntegrationTest, UniFindsMoreMatchesThanSortNOnDblp) {
   auto sortn_pr = eval::MatchAccuracy(sortn, ds.true_matches);
 
   Relation cleaned = ds.dirty.Clone();
-  core::UniClean(&cleaned, ds.master, ds.rules, opts);
+  Clean(&cleaned, ds.master, ds.rules, /*eta=*/1.0);
   auto uni = baselines::FindAllMatches(cleaned, ds.master, ds.rules.mds());
   auto uni_pr = eval::MatchAccuracy(uni, ds.true_matches);
 

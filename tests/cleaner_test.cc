@@ -1,9 +1,10 @@
-// Tests for the uniclean::Cleaner façade: builder validation, phase
-// pipeline execution, progress observation, fix journaling, and parity with
-// the direct core-phase sequence.
+// Tests for the run API, EngineBuilder → CleanEngine → Session: builder
+// validation, phase pipeline execution, progress observation, pluggable
+// phases, fix journaling, and parity with the direct core-phase sequence.
 
+#include <algorithm>
 #include <cctype>
-#include <fstream>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -12,15 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancellation.h"
 #include "core/crepair.h"
 #include "core/erepair.h"
 #include "core/hrepair.h"
-#include "core/uniclean.h"
 #include "data/csv.h"
 #include "gen/dataset.h"
 #include "paper_example.h"
 #include "uniclean/builtin_phases.h"
-#include "uniclean/cleaner.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
@@ -36,162 +37,131 @@ const char kPaperRules[] =
     "MD psi: LN=LN & city=city & St=St & post=zip & FN ~jw:0.6 FN "
     "-> FN:=FN, phn:=tel\n";
 
-CleanerBuilder PaperBuilder() {
-  CleanerBuilder builder;
-  builder.WithData(uniclean::testing::TranDirty())
+EngineBuilder PaperBuilder() {
+  EngineBuilder builder;
+  builder.WithDataSchema(uniclean::testing::TranSchema())
       .WithMaster(uniclean::testing::CardMaster())
       .WithRuleText(kPaperRules)
       .WithEta(0.8);
   return builder;
 }
 
-std::string WriteTempFile(const std::string& name, const std::string& text) {
-  std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream out(path);
-  out << text;
-  return path;
-}
-
 // ---------------------------------------------------------------------------
 // Builder validation
 // ---------------------------------------------------------------------------
 
-TEST(CleanerBuilderTest, RejectsEtaOutOfRange) {
+TEST(EngineBuilderValidationTest, RejectsEtaOutOfRange) {
   for (double eta : {-0.1, 1.5}) {
-    auto cleaner = PaperBuilder().WithEta(eta).Build();
-    ASSERT_FALSE(cleaner.ok()) << "eta = " << eta;
-    EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+    auto engine = PaperBuilder().WithEta(eta).BuildEngine();
+    ASSERT_FALSE(engine.ok()) << "eta = " << eta;
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
-TEST(CleanerBuilderTest, RejectsNegativeDelta1) {
-  auto cleaner = PaperBuilder().WithDelta1(-1).Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+TEST(EngineBuilderValidationTest, RejectsNegativeDelta1) {
+  auto engine = PaperBuilder().WithDelta1(-1).BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsDelta2OutOfRange) {
-  auto cleaner = PaperBuilder().WithDelta2(2.0).Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+TEST(EngineBuilderValidationTest, RejectsDelta2OutOfRange) {
+  auto engine = PaperBuilder().WithDelta2(2.0).BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsMissingData) {
-  auto cleaner = CleanerBuilder()
-                     .WithMaster(uniclean::testing::CardMaster())
-                     .WithRuleText(kPaperRules)
-                     .Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+TEST(EngineBuilderValidationTest, RejectsMissingMaster) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(uniclean::testing::TranSchema())
+                    .WithRuleText(kPaperRules)
+                    .BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsMissingMaster) {
-  auto cleaner = CleanerBuilder()
-                     .WithData(uniclean::testing::TranDirty())
-                     .WithRuleText(kPaperRules)
-                     .Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+TEST(EngineBuilderValidationTest, RejectsMissingRules) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(uniclean::testing::TranSchema())
+                    .WithMaster(uniclean::testing::CardMaster())
+                    .BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsMissingRules) {
-  auto cleaner = CleanerBuilder()
-                     .WithData(uniclean::testing::TranDirty())
-                     .WithMaster(uniclean::testing::CardMaster())
-                     .Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CleanerBuilderTest, RejectsSchemaMismatchBetweenRulesAndData) {
+TEST(EngineBuilderValidationTest, RejectsSchemaMismatchBetweenRulesAndData) {
   // Rules normalized against the tran/card schemas, data with a different
   // schema: the builder must reject instead of cleaning garbage.
   auto rules = rules::ParseRuleSet(kPaperRules, uniclean::testing::TranSchema(),
                                    uniclean::testing::CardSchema());
   ASSERT_TRUE(rules.ok());
-  Relation other(data::MakeSchema("other", {"X", "Y"}));
-  other.AddRow({"1", "2"});
-  auto cleaner = CleanerBuilder()
-                     .WithData(std::move(other))
-                     .WithMaster(uniclean::testing::CardMaster())
-                     .WithRules(std::move(rules).value())
-                     .Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+  auto engine = EngineBuilder()
+                    .WithDataSchema(data::MakeSchema("other", {"X", "Y"}))
+                    .WithMaster(uniclean::testing::CardMaster())
+                    .WithRules(std::move(rules).value())
+                    .BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsMasterSchemaMismatch) {
+TEST(EngineBuilderValidationTest, RejectsMasterSchemaMismatch) {
   auto rules = rules::ParseRuleSet(kPaperRules, uniclean::testing::TranSchema(),
                                    uniclean::testing::CardSchema());
   ASSERT_TRUE(rules.ok());
-  auto cleaner = CleanerBuilder()
-                     .WithData(uniclean::testing::TranDirty())
-                     .WithMaster(uniclean::testing::TranDirty())  // wrong side
-                     .WithRules(std::move(rules).value())
-                     .Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+  auto engine = EngineBuilder()
+                    .WithDataSchema(uniclean::testing::TranSchema())
+                    .WithMaster(uniclean::testing::TranDirty())  // wrong side
+                    .WithRules(std::move(rules).value())
+                    .BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsInconsistentRulesWhenCheckingRequested) {
+TEST(EngineBuilderValidationTest,
+     RejectsInconsistentRulesWhenCheckingRequested) {
   const char kContradiction[] =
       "CFD c1: AC -> city='Edi'\n"
       "CFD c2: AC -> city='Ldn'\n";
-  auto unchecked = PaperBuilder().WithRuleText(kContradiction).Build();
+  auto unchecked = PaperBuilder().WithRuleText(kContradiction).BuildEngine();
   EXPECT_TRUE(unchecked.ok()) << unchecked.status().ToString();
 
-  auto checked =
-      PaperBuilder().WithRuleText(kContradiction).CheckConsistency().Build();
+  auto checked = PaperBuilder()
+                     .WithRuleText(kContradiction)
+                     .CheckConsistency()
+                     .BuildEngine();
   ASSERT_FALSE(checked.ok());
   EXPECT_EQ(checked.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, RejectsBadRuleSyntaxWithParserStatus) {
-  auto cleaner = PaperBuilder().WithRuleText("CFD broken").Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+TEST(EngineBuilderValidationTest, RejectsBadRuleSyntaxWithParserStatus) {
+  auto engine = PaperBuilder().WithRuleText("CFD broken").BuildEngine();
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CleanerBuilderTest, MissingCsvInputsReportNotFound) {
-  auto cleaner = CleanerBuilder()
-                     .WithDataCsv(::testing::TempDir() + "/no_such_file.csv")
-                     .WithMaster(uniclean::testing::CardMaster())
-                     .WithRuleText(kPaperRules)
-                     .Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kNotFound);
-}
+TEST(EngineBuilderValidationTest, MissingInputFilesReportNotFound) {
+  const std::string missing = ::testing::TempDir() + "/no_such_file";
+  auto no_master = PaperBuilder().WithMasterCsv(missing + ".csv").BuildEngine();
+  ASSERT_FALSE(no_master.ok());
+  EXPECT_EQ(no_master.status().code(), StatusCode::kNotFound);
 
-TEST(CleanerBuilderTest, RejectsMalformedConfidenceCsv) {
-  std::string path = WriteTempFile(
-      "bad_conf.csv", "FN,LN,St,city,AC,post,phn,gd,item,when,where\n"
-                      "0.5,abc,0,0,0,0,0,0,0,0,0\n");
-  auto cleaner = PaperBuilder().WithConfidenceCsv(path).Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CleanerBuilderTest, RejectsConfidenceOutOfRange) {
-  std::string row = "0,0,0,0,0,0,0,0,0,0,1.5";
-  std::string text = "FN,LN,St,city,AC,post,phn,gd,item,when,where\n";
-  for (int i = 0; i < 4; ++i) text += row + "\n";
-  std::string path = WriteTempFile("oob_conf.csv", text);
-  auto cleaner = PaperBuilder().WithConfidenceCsv(path).Build();
-  ASSERT_FALSE(cleaner.ok());
-  EXPECT_EQ(cleaner.status().code(), StatusCode::kInvalidArgument);
+  auto no_rules = PaperBuilder().WithRulesFile(missing + ".txt").BuildEngine();
+  ASSERT_FALSE(no_rules.ok());
+  EXPECT_EQ(no_rules.status().code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
 // Running the pipeline
 // ---------------------------------------------------------------------------
 
-TEST(CleanerTest, RunsPaperExampleAndJournalsEveryFix) {
-  auto cleaner = PaperBuilder().Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  auto result = cleaner->Run();
+TEST(SessionPipelineTest, RunsPaperExampleAndJournalsEveryFix) {
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Relation d = uniclean::testing::TranDirty();
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(&d);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // The legacy reference: the same pipeline through the direct phase calls.
+  // The reference: the same pipeline through the direct phase calls.
   Relation reference = uniclean::testing::TranDirty();
   auto rules =
       rules::ParseRuleSet(kPaperRules, uniclean::testing::TranSchema(),
@@ -209,7 +179,7 @@ TEST(CleanerTest, RunsPaperExampleAndJournalsEveryFix) {
 
   // Same repaired relation, and per-phase journal counts equal to the
   // engines' fix counts.
-  EXPECT_EQ(cleaner->data().CellDiffCount(reference), 0);
+  EXPECT_EQ(d.CellDiffCount(reference), 0);
   EXPECT_EQ(result->journal.CountForPhase(CRepairPhase::kName),
             cstats.deterministic_fixes);
   EXPECT_EQ(result->journal.CountForPhase(ERepairPhase::kName),
@@ -223,64 +193,21 @@ TEST(CleanerTest, RunsPaperExampleAndJournalsEveryFix) {
   // real change.
   for (const FixEntry& fix : result->journal.entries()) {
     EXPECT_GE(fix.tuple, 0);
-    EXPECT_LT(fix.tuple, cleaner->data().size());
-    EXPECT_EQ(fix.attribute,
-              cleaner->data().schema().attribute_name(fix.attr));
+    EXPECT_LT(fix.tuple, d.size());
+    EXPECT_EQ(fix.attribute, d.schema().attribute_name(fix.attr));
     EXPECT_FALSE(fix.phase.empty());
     EXPECT_NE(fix.old_value, fix.new_value);
   }
 }
 
-TEST(CleanerTest, JournalPhaseCountsMatchLegacyReportOnHospSample) {
-  // Acceptance: on the HOSP sample, the FixJournal's per-phase fix counts
-  // equal the legacy UniCleanReport counts for the same inputs.
-  gen::GeneratorConfig config;
-  config.num_tuples = 80;
-  config.master_size = 40;
-  config.seed = 7;
-  gen::Dataset ds = gen::GenerateHosp(config);
-
-  Relation legacy_data = ds.dirty.Clone();
-  core::UniCleanOptions options;
-  options.eta = 1.0;
-  auto report = core::UniClean(&legacy_data, ds.master, ds.rules, options);
-
-  auto cleaner = CleanerBuilder()
-                     .WithData(ds.dirty.Clone())
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .WithEta(1.0)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  auto result = cleaner->Run();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  EXPECT_EQ(result->journal.CountForPhase(CRepairPhase::kName),
-            report.crepair.deterministic_fixes);
-  EXPECT_EQ(result->journal.CountForPhase(ERepairPhase::kName),
-            report.erepair.reliable_fixes);
-  EXPECT_EQ(result->journal.CountForPhase(HRepairPhase::kName),
-            report.hrepair.possible_fixes);
-  EXPECT_EQ(cleaner->data().CellDiffCount(legacy_data), 0);
-  EXPECT_EQ(result->AllMatches(), report.AllMatches());
-}
-
-TEST(CleanerTest, InPlaceDataIsRepairedInTheCallersRelation) {
+TEST(SessionPipelineTest, PhaseSubsetRunsOnlySelectedPhases) {
+  auto engine =
+      PaperBuilder().WithDefaultPhases(true, false, false).BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  EXPECT_EQ(session.PhaseNames(), std::vector<std::string>{"cRepair"});
   Relation d = uniclean::testing::TranDirty();
-  auto cleaner = PaperBuilder().WithData(&d).Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  ASSERT_TRUE(cleaner->Run().ok());
-  // Example 1.1's first deterministic fix lands in the caller's relation.
-  data::AttributeId city = d.schema().MustFindAttribute("city");
-  EXPECT_EQ(d.tuple(0).value(city), Value("Edi"));
-  EXPECT_EQ(&cleaner->data(), &d);
-}
-
-TEST(CleanerTest, PhaseSubsetRunsOnlySelectedPhases) {
-  auto cleaner = PaperBuilder().WithDefaultPhases(true, false, false).Build();
-  ASSERT_TRUE(cleaner.ok());
-  EXPECT_EQ(cleaner->PhaseNames(), std::vector<std::string>{"cRepair"});
-  auto result = cleaner->Run();
+  auto result = session.Run(&d);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->phases.size(), 1u);
   EXPECT_EQ(result->phases[0].phase, "cRepair");
@@ -288,29 +215,150 @@ TEST(CleanerTest, PhaseSubsetRunsOnlySelectedPhases) {
   EXPECT_EQ(result->journal.CountForPhase(HRepairPhase::kName), 0);
 }
 
-TEST(CleanerTest, ProgressCallbackSeesEveryPhaseInOrder) {
+TEST(SessionPipelineTest, ProgressCallbackSeesEveryPhaseInOrder) {
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
   std::vector<std::string> events;
-  auto cleaner = PaperBuilder()
-                     .WithProgressCallback([&](const PhaseEvent& event) {
-                       std::string tag =
-                           event.kind == PhaseEvent::Kind::kPhaseStarted
-                               ? "start:"
-                               : "finish:";
-                       events.push_back(tag + std::string(event.phase));
-                       EXPECT_EQ(event.total, 3);
-                       EXPECT_NE(event.data, nullptr);
-                       if (event.kind == PhaseEvent::Kind::kPhaseFinished) {
-                         ASSERT_NE(event.stats, nullptr);
-                         EXPECT_EQ(event.stats->phase, event.phase);
-                       }
-                     })
-                     .Build();
-  ASSERT_TRUE(cleaner.ok());
-  ASSERT_TRUE(cleaner->Run().ok());
+  session.set_progress_callback([&](const PhaseEvent& event) {
+    std::string tag =
+        event.kind == PhaseEvent::Kind::kPhaseStarted ? "start:" : "finish:";
+    events.push_back(tag + std::string(event.phase));
+    EXPECT_EQ(event.total, 3);
+    EXPECT_NE(event.data, nullptr);
+    if (event.kind == PhaseEvent::Kind::kPhaseFinished) {
+      ASSERT_NE(event.stats, nullptr);
+      EXPECT_EQ(event.stats->phase, event.phase);
+    }
+  });
+  Relation d = uniclean::testing::TranDirty();
+  ASSERT_TRUE(session.Run(&d).ok());
   EXPECT_EQ(events,
             (std::vector<std::string>{"start:cRepair", "finish:cRepair",
                                       "start:eRepair", "finish:eRepair",
                                       "start:hRepair", "finish:hRepair"}));
+}
+
+TEST(SessionPipelineTest, InPlaceDataIsRepairedInTheCallersRelation) {
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  std::vector<const Relation*> seen;
+  session.set_progress_callback(
+      [&](const PhaseEvent& event) { seen.push_back(event.data); });
+
+  // Without a cancel token every phase cleans the caller's relation itself,
+  // and Example 1.1's first deterministic fix lands there.
+  Relation d = uniclean::testing::TranDirty();
+  ASSERT_TRUE(session.Run(&d).ok());
+  ASSERT_FALSE(seen.empty());
+  for (const Relation* data : seen) EXPECT_EQ(data, &d);
+  data::AttributeId city = d.schema().MustFindAttribute("city");
+  EXPECT_EQ(d.tuple(0).value(city), Value("Edi"));
+
+  // With a token armed the phases clean a scratch copy, which is swapped
+  // into the caller's relation on success.
+  seen.clear();
+  session.set_cancel_token(std::make_shared<common::CancelToken>());
+  Relation guarded = uniclean::testing::TranDirty();
+  ASSERT_TRUE(session.Run(&guarded).ok());
+  ASSERT_FALSE(seen.empty());
+  for (const Relation* data : seen) EXPECT_NE(data, &guarded);
+  EXPECT_EQ(guarded.CellDiffCount(d), 0);
+}
+
+TEST(SessionPipelineTest, JournalPhaseCountsMatchCorePhaseStatsOnHospSample) {
+  // On the HOSP sample, a session's journal, per-phase stats and matches
+  // agree with the three core entry points run in paper order over one
+  // shared match environment.
+  gen::GeneratorConfig config;
+  config.num_tuples = 80;
+  config.master_size = 40;
+  config.seed = 7;
+  gen::Dataset ds = gen::GenerateHosp(config);
+
+  Relation reference = ds.dirty.Clone();
+  core::MatchEnvironment env(ds.rules, ds.master);
+  core::CRepairOptions copts;
+  copts.eta = 1.0;
+  auto cstats = core::CRepair(&reference, env, copts);
+  core::ERepairOptions eopts;
+  eopts.eta = 1.0;
+  auto estats = core::ERepair(&reference, env, eopts);
+  auto hstats = core::HRepair(&reference, env, {});
+
+  auto engine = EngineBuilder()
+                    .WithDataSchema(ds.dirty.schema_ptr())
+                    .WithMaster(&ds.master)
+                    .WithRules(&ds.rules)
+                    .WithEta(1.0)
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Relation d = ds.dirty.Clone();
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(&d);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(result->journal.CountForPhase(CRepairPhase::kName),
+            cstats.deterministic_fixes);
+  EXPECT_EQ(result->journal.CountForPhase(ERepairPhase::kName),
+            estats.reliable_fixes);
+  EXPECT_EQ(result->journal.CountForPhase(HRepairPhase::kName),
+            hstats.possible_fixes);
+  ASSERT_EQ(result->phases.size(), 3u);
+  for (const PhaseStats& stats : result->phases) {
+    EXPECT_EQ(stats.fixes, result->journal.CountForPhase(stats.phase))
+        << stats.phase;
+  }
+  EXPECT_GT(result->total_fixes(), 0);
+  EXPECT_EQ(d.CellDiffCount(reference), 0);
+
+  std::vector<std::pair<data::TupleId, data::TupleId>> matches;
+  for (const auto* md_matches :
+       {&cstats.md_matches, &estats.md_matches, &hstats.md_matches}) {
+    matches.insert(matches.end(), md_matches->begin(), md_matches->end());
+  }
+  std::sort(matches.begin(), matches.end());
+  matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
+  EXPECT_FALSE(matches.empty());
+  EXPECT_EQ(result->AllMatches(), matches);
+}
+
+TEST(SessionPipelineTest, CsvLoadedDataReproducesTheInMemoryRun) {
+  // A one-shot job loads D and its confidences from files itself and runs
+  // one session over them; the repair equals the in-memory run's.
+  const Relation original = uniclean::testing::TranDirty();
+  const std::string data_path = ::testing::TempDir() + "/tran_dirty.csv";
+  const std::string conf_path = ::testing::TempDir() + "/tran_conf.csv";
+  ASSERT_TRUE(data::WriteCsvFile(data_path, original).ok());
+  ASSERT_TRUE(data::WriteConfidenceCsvFile(conf_path, original).ok());
+
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto journal_csv = [&](Relation* d) {
+    auto result = (*engine)->NewSession().Run(d);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::ostringstream csv;
+    if (result.ok()) {
+      EXPECT_TRUE(result->journal.WriteCsv(csv).ok());
+    }
+    return csv.str();
+  };
+
+  Relation in_memory = original.Clone();
+  const std::string expected = journal_csv(&in_memory);
+
+  auto loaded = data::ReadCsvFile(data_path, uniclean::testing::TranSchema());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Relation without_confidences = loaded->Clone();
+  Status status = data::ReadConfidenceCsvFile(conf_path, &*loaded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(journal_csv(&*loaded), expected);
+  EXPECT_EQ(loaded->CellDiffCount(in_memory), 0);
+
+  // The confidences matter: without them no cell is asserted, so cRepair
+  // has nothing to propagate and the run differs.
+  EXPECT_NE(journal_csv(&without_confidences), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,47 +404,171 @@ class FailingPhase : public Phase {
   }
 };
 
-TEST(CleanerTest, CustomPhaseAppendsAfterDefaults) {
-  auto cleaner =
-      PaperBuilder().AddPhase(std::make_unique<UppercaseCityPhase>()).Build();
-  ASSERT_TRUE(cleaner.ok());
-  EXPECT_EQ(cleaner->PhaseNames(),
+TEST(SessionPipelineTest, CustomPhaseAppendsAfterDefaults) {
+  auto engine = PaperBuilder()
+                    .AddPhaseFactory(
+                        [] { return std::make_unique<UppercaseCityPhase>(); })
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  EXPECT_EQ(session.PhaseNames(),
             (std::vector<std::string>{"cRepair", "eRepair", "hRepair",
                                       "uppercaseCity"}));
-  auto result = cleaner->Run();
+  Relation d = uniclean::testing::TranDirty();
+  auto result = session.Run(&d);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const PhaseStats* custom = result->phase("uppercaseCity");
   ASSERT_NE(custom, nullptr);
   EXPECT_GT(custom->fixes, 0);
   EXPECT_EQ(result->journal.CountForPhase("uppercaseCity"), custom->fixes);
-  data::AttributeId city =
-      cleaner->data().schema().MustFindAttribute("city");
-  EXPECT_EQ(cleaner->data().tuple(0).value(city), Value("EDI"));
+  data::AttributeId city = d.schema().MustFindAttribute("city");
+  EXPECT_EQ(d.tuple(0).value(city), Value("EDI"));
 }
 
-TEST(CleanerTest, CustomPipelineReplacesDefaults) {
-  std::vector<std::unique_ptr<Phase>> phases;
-  phases.push_back(std::make_unique<UppercaseCityPhase>());
-  auto cleaner = PaperBuilder().WithPhases(std::move(phases)).Build();
-  ASSERT_TRUE(cleaner.ok());
-  EXPECT_EQ(cleaner->PhaseNames(),
-            std::vector<std::string>{"uppercaseCity"});
-  auto result = cleaner->Run();
+TEST(SessionPipelineTest, CustomPipelineReplacesDefaults) {
+  std::vector<PhaseFactory> factories;
+  factories.push_back([] { return std::make_unique<UppercaseCityPhase>(); });
+  auto engine =
+      PaperBuilder().WithPhaseFactories(std::move(factories)).BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  EXPECT_EQ(session.PhaseNames(), std::vector<std::string>{"uppercaseCity"});
+  Relation d = uniclean::testing::TranDirty();
+  auto result = session.Run(&d);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->phases.size(), 1u);
 }
 
-TEST(CleanerTest, FailingPhaseAbortsAndAnnotatesStatus) {
-  std::vector<std::unique_ptr<Phase>> phases;
-  phases.push_back(std::make_unique<CRepairPhase>());
-  phases.push_back(std::make_unique<FailingPhase>());
-  phases.push_back(std::make_unique<HRepairPhase>());
-  auto cleaner = PaperBuilder().WithPhases(std::move(phases)).Build();
-  ASSERT_TRUE(cleaner.ok());
-  auto result = cleaner->Run();
+TEST(SessionPipelineTest, FailingPhaseAbortsAndAnnotatesStatus) {
+  std::vector<PhaseFactory> factories;
+  factories.push_back([] { return std::make_unique<CRepairPhase>(); });
+  factories.push_back([] { return std::make_unique<FailingPhase>(); });
+  factories.push_back([] { return std::make_unique<HRepairPhase>(); });
+  auto engine =
+      PaperBuilder().WithPhaseFactories(std::move(factories)).BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  Relation d = uniclean::testing::TranDirty();
+  auto result = session.Run(&d);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
   EXPECT_NE(result.status().message().find("failing"), std::string::npos);
+}
+
+TEST(SessionPipelineTest, ProgressStopsAtAFailingPhase) {
+  std::vector<PhaseFactory> factories;
+  factories.push_back([] { return std::make_unique<CRepairPhase>(); });
+  factories.push_back([] { return std::make_unique<FailingPhase>(); });
+  factories.push_back([] { return std::make_unique<HRepairPhase>(); });
+  auto engine =
+      PaperBuilder().WithPhaseFactories(std::move(factories)).BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  std::vector<std::string> events;
+  session.set_progress_callback([&](const PhaseEvent& event) {
+    std::string tag =
+        event.kind == PhaseEvent::Kind::kPhaseStarted ? "start:" : "finish:";
+    events.push_back(tag + std::to_string(event.index) + "/" +
+                     std::to_string(event.total) + ":" +
+                     std::string(event.phase));
+  });
+  Relation d = uniclean::testing::TranDirty();
+  ASSERT_FALSE(session.Run(&d).ok());
+  EXPECT_EQ(events, (std::vector<std::string>{"start:0/3:cRepair",
+                                              "finish:0/3:cRepair",
+                                              "start:1/3:failing"}));
+}
+
+/// Reports how often this instance has run, so a test can tell whether two
+/// sessions share phase objects.
+class RunCountingPhase : public Phase {
+ public:
+  std::string_view name() const override { return "counting"; }
+  Result<PhaseStats> Run(PipelineContext*) override {
+    PhaseStats stats;
+    stats.counters.emplace_back("runs", ++runs_);
+    return stats;
+  }
+
+ private:
+  int64_t runs_ = 0;
+};
+
+TEST(SessionPipelineTest, EachSessionGetsItsOwnPhaseInstances) {
+  int created = 0;
+  std::vector<PhaseFactory> factories;
+  factories.push_back([&created] {
+    ++created;
+    return std::make_unique<RunCountingPhase>();
+  });
+  auto engine =
+      PaperBuilder().WithPhaseFactories(std::move(factories)).BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ(created, 0);
+
+  Session first = (*engine)->NewSession();
+  Session second = (*engine)->NewSession();
+  EXPECT_EQ(created, 2);
+
+  auto runs = [](Session* session) -> int64_t {
+    Relation d = uniclean::testing::TranDirty();
+    auto result = session->Run(&d);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok() || result->phase("counting") == nullptr) return -1;
+    return result->phase("counting")->counter("runs");
+  };
+  EXPECT_EQ(runs(&first), 1);
+  EXPECT_EQ(runs(&first), 2);
+  EXPECT_EQ(runs(&second), 1);
+  EXPECT_EQ(created, 2);
+}
+
+TEST(SessionPipelineTest, AddedPhasesFollowWhicheverPipelineIsSelected) {
+  auto counting = [] { return std::make_unique<RunCountingPhase>(); };
+
+  // Added before the pipeline is replaced: still appended after it.
+  std::vector<PhaseFactory> custom;
+  custom.push_back([] { return std::make_unique<UppercaseCityPhase>(); });
+  auto replaced = PaperBuilder()
+                      .AddPhaseFactory(counting)
+                      .WithPhaseFactories(std::move(custom))
+                      .BuildEngine();
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ((*replaced)->PhaseNames(),
+            (std::vector<std::string>{"uppercaseCity", "counting"}));
+
+  // WithDefaultPhases drops an earlier custom pipeline but keeps the added
+  // phase behind the selected built-ins.
+  std::vector<PhaseFactory> dropped;
+  dropped.push_back([] { return std::make_unique<UppercaseCityPhase>(); });
+  auto subset = PaperBuilder()
+                    .WithPhaseFactories(std::move(dropped))
+                    .AddPhaseFactory(counting)
+                    .WithDefaultPhases(false, true, false)
+                    .BuildEngine();
+  ASSERT_TRUE(subset.ok());
+  EXPECT_EQ((*subset)->PhaseNames(),
+            (std::vector<std::string>{"eRepair", "counting"}));
+  Relation d = uniclean::testing::TranDirty();
+  auto result = (*subset)->NewSession().Run(&d);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->phases.size(), 2u);
+  EXPECT_EQ(result->phases[0].phase, "eRepair");
+  EXPECT_EQ(result->phases[1].phase, "counting");
+}
+
+TEST(SessionPipelineTest, EmptyPipelineLeavesDataUntouched) {
+  auto engine =
+      PaperBuilder().WithDefaultPhases(false, false, false).BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_TRUE((*engine)->PhaseNames().empty());
+  Relation d = uniclean::testing::TranDirty();
+  auto result = (*engine)->NewSession().Run(&d);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->phases.empty());
+  EXPECT_EQ(result->journal.size(), 0u);
+  EXPECT_EQ(result->total_fixes(), 0);
+  EXPECT_EQ(d.CellDiffCount(uniclean::testing::TranDirty()), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@
 #include "core/erepair.h"
 #include "core/hrepair.h"
 #include "core/md_matcher.h"
-#include "core/uniclean.h"
 #include "data/relation.h"
 #include "data/schema.h"
 #include "paper_example.h"
 #include "rules/parser.h"
 #include "rules/violation.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace core {
@@ -34,27 +34,45 @@ RuleSet MakeRules(const std::string& text, SchemaPtr schema,
   return std::move(rs).value();
 }
 
-// Test-local shims with the historic (d, dm, ruleset, options) signature.
-// They build a throwaway MatchEnvironment per call (honoring
-// options.matcher), standing in for the retired env-less free functions so
-// the single-phase tests below stay terse. Production code should build one
-// environment and reuse it — see core/match_environment.h.
+// Test-local shims with a (d, dm, ruleset, options) signature. They build a
+// throwaway MatchEnvironment per call so the single-phase tests below stay
+// terse. Production code should build one environment and reuse it — see
+// core/match_environment.h.
 CRepairStats TestCRepair(Relation* d, const Relation& dm, const RuleSet& ruleset,
-                     const CRepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+                     const CRepairOptions& options = {},
+                     const MdMatcherOptions& matcher = {}) {
+  MatchEnvironment env(ruleset, dm, matcher);
   return core::CRepair(d, env, options);
 }
 
 ERepairStats TestERepair(Relation* d, const Relation& dm, const RuleSet& ruleset,
                      const ERepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+  MatchEnvironment env(ruleset, dm);
   return core::ERepair(d, env, options);
 }
 
 HRepairStats TestHRepair(Relation* d, const Relation& dm, const RuleSet& ruleset,
                      const HRepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+  MatchEnvironment env(ruleset, dm);
   return core::HRepair(d, env, options);
+}
+
+/// The Fig. 2 pipeline through the run API: a fresh engine with the default
+/// thresholds and the selected phases, and one session cleaning `*d` in
+/// place.
+CleanResult RunPipeline(Relation* d, const Relation& dm, const RuleSet& ruleset,
+                        bool erepair = true, bool hrepair = true) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(d->schema_ptr())
+                    .WithMaster(&dm)
+                    .WithRules(&ruleset)
+                    .WithDefaultPhases(/*crepair=*/true, erepair, hrepair)
+                    .BuildEngine();
+  UC_CHECK(engine.ok()) << engine.status().ToString();
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(d);
+  UC_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 // ---------------------------------------------------------------------------
@@ -229,11 +247,10 @@ TEST_F(CRepairPaperTest, NoAssertionsNoFixes) {
 TEST_F(CRepairPaperTest, BlockingAndBruteForceAgree) {
   auto rs = uniclean::testing::PaperRuleSet();
   Relation d2 = uniclean::testing::TranDirty();
-  CRepairOptions fast;
-  CRepairOptions brute;
-  brute.matcher.use_blocking = false;
-  TestCRepair(&d_, dm_, rs, fast);
-  TestCRepair(&d2, dm_, rs, brute);
+  MdMatcherOptions brute;
+  brute.use_blocking = false;
+  TestCRepair(&d_, dm_, rs);
+  TestCRepair(&d2, dm_, rs, {}, brute);
   EXPECT_EQ(d_.CellDiffCount(d2), 0);
 }
 
@@ -427,9 +444,9 @@ TEST(HRepairTest, RandomizedRepairsAlwaysConsistent) {
       d.mutable_tuple(t).set_value(a, Value(rng.RandomWord(4)));
       d.mutable_tuple(t).set_confidence(a, rng.NextDouble() * 0.5);
     }
-    UniCleanOptions opts;
-    auto report = UniClean(&d, dm, rs, opts);
-    EXPECT_EQ(report.hrepair.anomalies, 0) << "round " << round;
+    CleanResult result = RunPipeline(&d, dm, rs);
+    EXPECT_EQ(result.phase("hRepair")->counter("anomalies"), 0)
+        << "round " << round;
     EXPECT_EQ(rules::CountViolations(d, dm, rs), 0u) << "round " << round;
   }
 }
@@ -443,9 +460,10 @@ TEST(UniCleanTest, FraudDetectionNarrative) {
   auto schema = uniclean::testing::TranSchema();
   Relation d = uniclean::testing::TranDirty();
   Relation dm = uniclean::testing::CardMaster();
-  UniCleanReport report = UniClean(&d, dm, rs, {});
-  EXPECT_GT(report.crepair.deterministic_fixes, 0);
-  EXPECT_GT(report.erepair.reliable_fixes + report.hrepair.possible_fixes, 0);
+  CleanResult result = RunPipeline(&d, dm, rs);
+  EXPECT_GT(result.phase("cRepair")->fixes, 0);
+  EXPECT_GT(result.phase("eRepair")->fixes + result.phase("hRepair")->fixes,
+            0);
   // Example 1.1: after cleaning, t3 and t4 agree on every personal
   // attribute — the same card was used in the UK and the US: fraud.
   for (const char* attr : {"FN", "LN", "St", "city", "AC", "post", "phn"}) {
@@ -467,10 +485,7 @@ TEST(UniCleanTest, PhaseTogglesMatchIndividualRuns) {
   Relation dm = uniclean::testing::CardMaster();
   Relation a = uniclean::testing::TranDirty();
   Relation b = uniclean::testing::TranDirty();
-  UniCleanOptions only_c;
-  only_c.run_erepair = false;
-  only_c.run_hrepair = false;
-  UniClean(&a, dm, rs, only_c);
+  RunPipeline(&a, dm, rs, /*erepair=*/false, /*hrepair=*/false);
   TestCRepair(&b, dm, rs, {});
   EXPECT_EQ(a.CellDiffCount(b), 0);
 }
@@ -480,7 +495,7 @@ TEST(UniCleanTest, MarksIdentifyPhases) {
   auto schema = uniclean::testing::TranSchema();
   Relation d = uniclean::testing::TranDirty();
   Relation dm = uniclean::testing::CardMaster();
-  UniClean(&d, dm, rs, {});
+  RunPipeline(&d, dm, rs);
   // t1[city] was a deterministic fix, t3[FN] a reliable fix (ϕ4 applied by
   // eRepair), and t4[St] a possible fix (null enrichment in hRepair).
   EXPECT_EQ(d.tuple(0).mark(schema->MustFindAttribute("city")),

@@ -32,7 +32,7 @@ rules::RuleSet MakeRules(const std::string& text, SchemaPtr schema,
 CRepairStats TestCRepair(Relation* d, const Relation& dm,
                      const rules::RuleSet& ruleset,
                      const CRepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+  MatchEnvironment env(ruleset, dm);
   return core::CRepair(d, env, options);
 }
 

@@ -1,5 +1,8 @@
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -256,6 +259,81 @@ TEST(CsvTest, CrLfLineEndingsAccepted) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1);
   EXPECT_EQ(r->tuple(0).value(0), Value("v"));
+}
+
+// ---------------------------------------------------------------------------
+// Confidence CSV
+// ---------------------------------------------------------------------------
+
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream out(path);
+  out << text;
+  return path;
+}
+
+/// A relation of `rows` tuples over (a, b), every confidence 0.
+Relation TwoColumns(int rows) {
+  Relation r(MakeSchema("t", {"a", "b"}));
+  for (int i = 0; i < rows; ++i) r.AddRow({"x" + std::to_string(i), "y"});
+  return r;
+}
+
+TEST(ConfidenceCsvTest, RejectsMalformedConfidenceCsv) {
+  Relation r = TwoColumns(2);
+  std::string path = WriteTempFile("bad_conf.csv", "a,b\n0.5,abc\n0,0\n");
+  EXPECT_EQ(ReadConfidenceCsvFile(path, &r).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ConfidenceCsvTest, RejectsConfidenceOutOfRange) {
+  Relation r = TwoColumns(2);
+  std::string path = WriteTempFile("oob_conf.csv", "a,b\n0,0\n0,1.5\n");
+  EXPECT_EQ(ReadConfidenceCsvFile(path, &r).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ConfidenceCsvTest, RejectsRowCountMismatch) {
+  Relation r = TwoColumns(3);
+  std::string fewer = WriteTempFile("short_conf.csv", "a,b\n1,1\n1,1\n");
+  EXPECT_EQ(ReadConfidenceCsvFile(fewer, &r).code(),
+            StatusCode::kInvalidArgument);
+  std::string more =
+      WriteTempFile("long_conf.csv", "a,b\n1,1\n1,1\n1,1\n1,1\n");
+  EXPECT_EQ(ReadConfidenceCsvFile(more, &r).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ConfidenceCsvTest, WriteThenReadRestoresExactDoubles) {
+  // Values whose shortest decimal form is long, or that sit one ulp below
+  // a threshold: a lossy format would flip a cf >= eta decision.
+  const std::vector<double> values = {0.0,
+                                      1.0,
+                                      0.1,
+                                      1.0 / 3.0,
+                                      2.0 / 3.0,
+                                      0.123456789012345678,
+                                      std::nextafter(0.8, 0.0),
+                                      std::nextafter(1.0, 0.0),
+                                      1e-300,
+                                      0.7};
+  Relation written = TwoColumns(static_cast<int>(values.size()) / 2);
+  for (size_t i = 0; i < values.size(); ++i) {
+    written.mutable_tuple(static_cast<TupleId>(i / 2))
+        .set_confidence(static_cast<AttributeId>(i % 2), values[i]);
+  }
+  const std::string path = ::testing::TempDir() + "/roundtrip_conf.csv";
+  ASSERT_TRUE(WriteConfidenceCsvFile(path, written).ok());
+
+  Relation read = TwoColumns(written.size());
+  Status status = ReadConfidenceCsvFile(path, &read);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(read.tuple(static_cast<TupleId>(i / 2))
+                  .confidence(static_cast<AttributeId>(i % 2)),
+              values[i])
+        << "value " << i;
+  }
 }
 
 }  // namespace

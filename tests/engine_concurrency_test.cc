@@ -5,9 +5,7 @@
 //     journals and repaired relations byte-identical to a serial baseline
 //     on a fresh engine — the shared sharded memos may not change outcomes.
 //     This suite is the ThreadSanitizer target in CI (UNICLEAN_TSAN).
-//  2. Shim parity: the Cleaner façade is a thin wrapper over
-//     CleanEngine + Session; both paths must produce identical journals.
-//  3. Memo capping: MdMatcherOptions::memo_capacity bounds resident memo
+//  2. Memo capping: MdMatcherOptions::memo_capacity bounds resident memo
 //     entries (admission-controlled eviction), counts evictions, and never
 //     changes results.
 
@@ -23,7 +21,6 @@
 #include "data/string_pool.h"
 #include "gen/dataset.h"
 #include "uniclean/builtin_phases.h"
-#include "uniclean/cleaner.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -183,32 +180,6 @@ TEST_P(EngineConcurrency, RawThreadedSessionsMatchSerialBaseline) {
   }
 }
 
-TEST_P(EngineConcurrency, CleanerShimMatchesEngineSession) {
-  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/31);
-
-  data::Relation shim_data = ds.dirty.Clone();
-  auto cleaner = CleanerBuilder()
-                     .WithData(&shim_data)
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .WithEta(1.0)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  auto shim_result = cleaner->Run();
-  ASSERT_TRUE(shim_result.ok()) << shim_result.status().ToString();
-
-  data::Relation engine_data = ds.dirty.Clone();
-  std::shared_ptr<CleanEngine> engine = MakeEngine(ds);
-  Session session = engine->NewSession();
-  auto engine_result = session.Run(&engine_data);
-  ASSERT_TRUE(engine_result.ok()) << engine_result.status().ToString();
-
-  EXPECT_TRUE(Materialize(shim_result->journal, shim_data) ==
-              Materialize(engine_result->journal, engine_data))
-      << "Cleaner shim diverged from Engine+Session";
-  EXPECT_EQ(shim_result->total_fixes(), engine_result->total_fixes());
-}
-
 INSTANTIATE_TEST_SUITE_P(Datasets, EngineConcurrency,
                          ::testing::Values("HOSP", "DBLP"));
 
@@ -315,70 +286,6 @@ TEST(MemoStatsTest, WarmRerunHitsWithoutGrowing) {
   EXPECT_EQ(warm.entries, cold.entries)
       << "a warm rerun of identical data minted new memo entries";
   EXPECT_GT(warm.hits, cold.hits);
-}
-
-TEST(EngineBuilderTest, RejectsInstancePhasesForEngines) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .WithPhases(MakeDefaultPhases())
-                    .BuildEngine();
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineBuilderTest, RejectsProgressCallbackForEngines) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .WithProgressCallback([](const PhaseEvent&) {})
-                    .BuildEngine();
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineBuilderTest, RejectsConfidenceCsvForEngines) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .WithConfidenceCsv("conf.csv")
-                    .BuildEngine();
-  ASSERT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EngineBuilderTest, CleanerHidesEngineWhenBuiltFromInstancePhases) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/53);
-  data::Relation d1 = ds.dirty.Clone();
-  auto factory_cleaner = CleanerBuilder()
-                             .WithData(&d1)
-                             .WithMaster(&ds.master)
-                             .WithRules(&ds.rules)
-                             .Build();
-  ASSERT_TRUE(factory_cleaner.ok());
-  EXPECT_NE(factory_cleaner->engine(), nullptr);
-
-  // Instance phases bind only to the shim's session; the engine's factories
-  // would stamp a *different* (default) pipeline, so it must not leak out.
-  data::Relation d2 = ds.dirty.Clone();
-  auto instance_cleaner = CleanerBuilder()
-                              .WithData(&d2)
-                              .WithMaster(&ds.master)
-                              .WithRules(&ds.rules)
-                              .WithPhases(MakeDefaultPhases(
-                                  /*crepair=*/true, /*erepair=*/false,
-                                  /*hrepair=*/false))
-                              .Build();
-  ASSERT_TRUE(instance_cleaner.ok());
-  EXPECT_EQ(instance_cleaner->engine(), nullptr);
-  EXPECT_EQ(instance_cleaner->PhaseNames(),
-            std::vector<std::string>{"cRepair"});
 }
 
 TEST(EngineBuilderTest, RuleTextWithoutSchemaFailsEngineBuild) {

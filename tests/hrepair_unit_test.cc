@@ -44,7 +44,7 @@ void AddRow(Relation* d, const std::vector<std::string>& values,
 HRepairStats TestHRepair(Relation* d, const Relation& dm,
                      const rules::RuleSet& ruleset,
                      const HRepairOptions& options = {}) {
-  MatchEnvironment env(ruleset, dm, options.matcher);
+  MatchEnvironment env(ruleset, dm);
   return core::HRepair(d, env, options);
 }
 

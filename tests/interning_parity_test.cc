@@ -1,6 +1,6 @@
 // Property test for the interned-value data core: the pipeline's observable
 // behavior must be a function of the cell *strings*, never of the interned
-// ids. For each seeded HOSP / DBLP / TPCH sample the full Cleaner::Run is
+// ids. For each seeded HOSP / DBLP / TPCH sample the full Session::Run is
 // executed twice under ScopedStringPool — once with the natural id
 // assignment and once with thousands of junk strings interned first, which
 // permutes every id the run sees — and the FixJournal serializations
@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
-#include "uniclean/cleaner.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
@@ -67,17 +67,18 @@ class InterningParity
     }
     gen::Dataset ds = Generate();
     RunOutcome outcome;
-    auto cleaner = CleanerBuilder()
-                       .WithData(ds.dirty)
-                       .WithMaster(ds.master)
-                       .WithRules(ds.rules)
-                       .WithEta(1.0)
-                       .Build();
-    if (!cleaner.ok()) {
-      ADD_FAILURE() << "Build failed: " << cleaner.status().ToString();
+    auto engine = EngineBuilder()
+                      .WithDataSchema(ds.dirty.schema_ptr())
+                      .WithMaster(&ds.master)
+                      .WithRules(&ds.rules)
+                      .WithEta(1.0)
+                      .BuildEngine();
+    if (!engine.ok()) {
+      ADD_FAILURE() << "Build failed: " << engine.status().ToString();
       return outcome;
     }
-    auto result = cleaner->Run();
+    Session session = (*engine)->NewSession();
+    auto result = session.Run(&ds.dirty);
     if (!result.ok()) {
       ADD_FAILURE() << "Run failed: " << result.status().ToString();
       return outcome;
@@ -88,7 +89,7 @@ class InterningParity
     EXPECT_TRUE(result->journal.WriteCsv(csv).ok());
     outcome.journal_text = text.str();
     outcome.journal_csv = csv.str();
-    const data::Relation& repaired = cleaner->data();
+    const data::Relation& repaired = ds.dirty;
     outcome.repaired.reserve(static_cast<size_t>(repaired.size()));
     for (const data::Tuple& t : repaired.tuples()) {
       std::vector<std::string> row;

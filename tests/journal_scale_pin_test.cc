@@ -27,7 +27,7 @@
 
 #include "data/string_pool.h"
 #include "gen/dataset.h"
-#include "uniclean/cleaner.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
@@ -66,14 +66,15 @@ TEST_P(JournalScalePin, JournalCsvDigestIsUnchanged) {
                     : name == "DBLP" ? gen::GenerateDblp(config)
                                      : gen::GenerateTpch(config);
 
-  auto cleaner = CleanerBuilder()
-                     .WithData(ds.dirty)
-                     .WithMaster(ds.master)
-                     .WithRules(ds.rules)
-                     .WithEta(1.0)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  auto result = cleaner->Run();
+  auto engine = EngineBuilder()
+                    .WithDataSchema(ds.dirty.schema_ptr())
+                    .WithMaster(&ds.master)
+                    .WithRules(&ds.rules)
+                    .WithEta(1.0)
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(&ds.dirty);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::ostringstream csv;
   ASSERT_TRUE(result->journal.WriteCsv(csv).ok());

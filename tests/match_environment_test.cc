@@ -1,14 +1,15 @@
-// Tests for the session-scoped core::MatchEnvironment and the warm Cleaner
-// API built on it. Two properties matter:
+// Tests for the engine-scoped core::MatchEnvironment and the warm
+// CleanEngine / Session runs built on it. Two properties matter:
 //
 //  1. Parity: sharing one matcher (index + memos) across cRepair / eRepair /
 //     hRepair must be invisible — the pipeline's journal and repaired
-//     relation must be byte-identical to the per-phase-matcher baseline
-//     (the deprecated free functions, which rebuild indexes per phase).
-//  2. Warm reuse: a Cleaner builds its MD indexes at most once per lifetime;
-//     successive Run(data) calls over fresh dirty relations reuse them and
+//     relation must be byte-identical to a baseline that gives each phase
+//     its own freshly built MatchEnvironment.
+//  2. Warm reuse: an engine builds its MD indexes at most once per lifetime;
+//     successive Session runs over fresh dirty relations reuse them and
 //     produce identical journals (warm-rerun determinism).
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -20,15 +21,10 @@
 #include "core/erepair.h"
 #include "core/hrepair.h"
 #include "core/match_environment.h"
-
-// This suite is the designated home of the env/env-less parity pin: the
-// deprecated free functions are exercised on purpose, as the baseline the
-// shared environment must be indistinguishable from.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include "core/md_matcher.h"
 #include "gen/dataset.h"
 #include "uniclean/builtin_phases.h"
-#include "uniclean/cleaner.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
@@ -99,38 +95,43 @@ TEST_P(MatchEnvironmentParity, SharedEnvironmentMatchesPerPhaseBaseline) {
   gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/17);
   const double eta = 1.0;
 
-  // Baseline: the deprecated environment-less engines, each of which builds
-  // (and warms) its own matchers — the pre-refactor per-phase behavior.
+  // Baseline: every phase builds (and warms) its own matchers in a fresh
+  // environment, so no index or memo crosses a phase boundary.
   data::Relation baseline_data = ds.dirty.Clone();
   FixJournal baseline_journal;
   core::CRepairOptions copts;
   copts.eta = eta;
   copts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
                             CRepairPhase::kName);
-  core::CRepair(&baseline_data, ds.master, ds.rules, copts);
+  core::CRepair(&baseline_data, core::MatchEnvironment(ds.rules, ds.master),
+                copts);
   core::ERepairOptions eopts;
   eopts.eta = eta;
   eopts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
                             ERepairPhase::kName);
-  core::ERepair(&baseline_data, ds.master, ds.rules, eopts);
+  core::ERepair(&baseline_data, core::MatchEnvironment(ds.rules, ds.master),
+                eopts);
   core::HRepairOptions hopts;
   hopts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
                             HRepairPhase::kName);
-  core::HRepair(&baseline_data, ds.master, ds.rules, hopts);
+  core::HRepair(&baseline_data, core::MatchEnvironment(ds.rules, ds.master),
+                hopts);
   Outcome baseline = Materialize(baseline_journal, baseline_data);
 
-  // Shared environment: the Cleaner pipeline, one matcher set for all three
+  // Shared environment: an engine session, one matcher set for all three
   // phases.
-  auto cleaner = CleanerBuilder()
-                     .WithData(ds.dirty.Clone())
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .WithEta(eta)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
-  auto result = cleaner->Run();
+  auto engine = EngineBuilder()
+                    .WithDataSchema(ds.dirty.schema_ptr())
+                    .WithMaster(&ds.master)
+                    .WithRules(&ds.rules)
+                    .WithEta(eta)
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  data::Relation shared_data = ds.dirty.Clone();
+  Session session = (*engine)->NewSession();
+  auto result = session.Run(&shared_data);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  Outcome shared = Materialize(result->journal, cleaner->data());
+  Outcome shared = Materialize(result->journal, shared_data);
 
   EXPECT_FALSE(shared.journal_csv.empty());
   EXPECT_EQ(shared.journal_text, baseline.journal_text);
@@ -155,48 +156,52 @@ TEST(MatchEnvironmentTest, MatchersExistExactlyForMdRules) {
   }
 }
 
-TEST(MatchEnvironmentTest, CleanerBuildsIndexesAtMostOncePerLifetime) {
+/// An engine over the dataset's master and rules (η = 1).
+std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds) {
+  auto engine = EngineBuilder()
+                    .WithDataSchema(ds.dirty.schema_ptr())
+                    .WithMaster(&ds.master)
+                    .WithRules(&ds.rules)
+                    .WithEta(1.0)
+                    .BuildEngine();
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return std::move(engine).value();
+}
+
+TEST(MatchEnvironmentTest, EngineBuildsIndexesAtMostOncePerLifetime) {
   gen::Dataset ds = MakeDataset("DBLP", 31);
-  auto cleaner = CleanerBuilder()
-                     .WithData(ds.dirty.Clone())
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .WithEta(1.0)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
+  std::shared_ptr<CleanEngine> engine = MakeEngine(ds);
 
   const uint64_t before = core::MdMatcher::ConstructedCount();
-  cleaner->Warmup();
+  engine->Warmup();
   const uint64_t after_warmup = core::MdMatcher::ConstructedCount();
   EXPECT_EQ(after_warmup - before, ds.rules.mds().size());
 
-  // Every run — the session relation and two successive caller relations —
-  // reuses the warm environment: the build counter must not move again.
-  ASSERT_TRUE(cleaner->Run().ok());
+  // Every run — a session run twice, then a second session — reuses the
+  // warm environment: the build counter must not move again.
+  Session session = engine->NewSession();
   data::Relation copy1 = ds.dirty.Clone();
   data::Relation copy2 = ds.dirty.Clone();
-  auto r1 = cleaner->Run(&copy1);
+  data::Relation copy3 = ds.dirty.Clone();
+  auto r1 = session.Run(&copy1);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  auto r2 = cleaner->Run(&copy2);
+  auto r2 = session.Run(&copy2);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  auto r3 = engine->NewSession().Run(&copy3);
+  ASSERT_TRUE(r3.ok()) << r3.status().ToString();
   EXPECT_EQ(core::MdMatcher::ConstructedCount(), after_warmup);
 }
 
 TEST(MatchEnvironmentTest, WarmRerunsAreDeterministic) {
   gen::Dataset ds = MakeDataset("HOSP", 41);
-  auto cleaner = CleanerBuilder()
-                     .WithData(ds.dirty.Clone())
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .WithEta(1.0)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
+  std::shared_ptr<CleanEngine> engine = MakeEngine(ds);
+  Session session = engine->NewSession();
 
   data::Relation cold_copy = ds.dirty.Clone();
   data::Relation warm_copy = ds.dirty.Clone();
-  auto cold = cleaner->Run(&cold_copy);   // pays the index build
+  auto cold = session.Run(&cold_copy);   // pays the index build
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  auto warm = cleaner->Run(&warm_copy);   // fully warm indexes and memos
+  auto warm = session.Run(&warm_copy);   // fully warm indexes and memos
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
   Outcome cold_outcome = Materialize(cold->journal, cold_copy);
@@ -205,26 +210,19 @@ TEST(MatchEnvironmentTest, WarmRerunsAreDeterministic) {
   EXPECT_EQ(cold_outcome.journal_text, warm_outcome.journal_text);
   EXPECT_EQ(cold_outcome.journal_csv, warm_outcome.journal_csv);
   EXPECT_EQ(cold_outcome.repaired, warm_outcome.repaired);
-
-  // The session's own data relation was not touched by Run(data).
-  EXPECT_EQ(cleaner->data().CellDiffCount(ds.dirty), 0);
 }
 
 TEST(MatchEnvironmentTest, RunOnForeignRelationValidatesArguments) {
   gen::Dataset ds = MakeDataset("HOSP", 7);
-  auto cleaner = CleanerBuilder()
-                     .WithData(ds.dirty.Clone())
-                     .WithMaster(&ds.master)
-                     .WithRules(&ds.rules)
-                     .Build();
-  ASSERT_TRUE(cleaner.ok()) << cleaner.status().ToString();
+  std::shared_ptr<CleanEngine> engine = MakeEngine(ds);
+  Session session = engine->NewSession();
 
-  auto null_result = cleaner->Run(nullptr);
+  auto null_result = session.Run(nullptr);
   EXPECT_EQ(null_result.status().code(), StatusCode::kInvalidArgument);
 
   data::Relation wrong(data::MakeSchema("other", {"x", "y"}));
   wrong.AddRow({"1", "2"});
-  auto mismatch = cleaner->Run(&wrong);
+  auto mismatch = session.Run(&wrong);
   EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
 }
 

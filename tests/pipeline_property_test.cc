@@ -12,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
-#include "core/uniclean.h"
+#include "core/crepair.h"
+#include "core/erepair.h"
+#include "core/hrepair.h"
 #include "eval/metrics.h"
 #include "gen/dataset.h"
 #include "rules/violation.h"
+#include "uniclean/engine.h"
 
 namespace uniclean {
 namespace {
@@ -42,19 +46,31 @@ class PipelineProperties
     return gen::GenerateTpch(config);
   }
 
-  static core::UniCleanOptions PaperOptions() {
-    core::UniCleanOptions options;
-    options.eta = 1.0;
-    options.delta2 = 0.8;
-    return options;
+  /// Cleans `*d` in place through the full pipeline with the paper's
+  /// thresholds (η = 1, δ2 = 0.8) on a fresh engine.
+  static CleanResult CleanPaper(const gen::Dataset& ds, Relation* d,
+                                const core::MdMatcherOptions& matcher = {}) {
+    auto engine = EngineBuilder()
+                      .WithDataSchema(d->schema_ptr())
+                      .WithMaster(&ds.master)
+                      .WithRules(&ds.rules)
+                      .WithEta(1.0)
+                      .WithDelta2(0.8)
+                      .WithMatcherOptions(matcher)
+                      .BuildEngine();
+    UC_CHECK(engine.ok()) << engine.status().ToString();
+    Session session = (*engine)->NewSession();
+    auto result = session.Run(d);
+    UC_CHECK(result.ok()) << result.status().ToString();
+    return std::move(result).value();
   }
 };
 
 TEST_P(PipelineProperties, FinalRepairIsConsistent) {
   gen::Dataset ds = Generate();
   Relation d = ds.dirty.Clone();
-  auto report = core::UniClean(&d, ds.master, ds.rules, PaperOptions());
-  EXPECT_EQ(report.hrepair.anomalies, 0);
+  CleanResult result = CleanPaper(ds, &d);
+  EXPECT_EQ(result.phase("hRepair")->counter("anomalies"), 0);
   EXPECT_EQ(rules::CountViolations(d, ds.master, ds.rules), 0u);
 }
 
@@ -103,13 +119,12 @@ TEST_P(PipelineProperties, DeterministicFixesSurviveLaterPhases) {
 
 TEST_P(PipelineProperties, BlockingDoesNotChangeTheResult) {
   gen::Dataset ds = Generate();
-  core::UniCleanOptions with = PaperOptions();
-  core::UniCleanOptions without = PaperOptions();
-  without.matcher.use_blocking = false;
+  core::MdMatcherOptions without;
+  without.use_blocking = false;
   Relation a = ds.dirty.Clone();
   Relation b = ds.dirty.Clone();
-  core::UniClean(&a, ds.master, ds.rules, with);
-  core::UniClean(&b, ds.master, ds.rules, without);
+  CleanPaper(ds, &a);
+  CleanPaper(ds, &b, without);
   EXPECT_EQ(a.CellDiffCount(b), 0);
 }
 
@@ -143,7 +158,7 @@ TEST_P(PipelineProperties, PipelineNeverHurtsBelowDirtyBaseline) {
   // input (the pipeline converges toward the truth on these workloads).
   gen::Dataset ds = Generate();
   Relation d = ds.dirty.Clone();
-  core::UniClean(&d, ds.master, ds.rules, PaperOptions());
+  CleanPaper(ds, &d);
   EXPECT_LT(eval::ErrorCount(d, ds.clean), eval::ErrorCount(ds.dirty, ds.clean));
 }
 

@@ -154,6 +154,37 @@ TEST(ServeTest, PingRoundTrips) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+/// Number of memory mappings of this process (lines of /proc/self/maps).
+long MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  long count = 0;
+  std::string line;
+  while (std::getline(maps, line)) ++count;
+  return count;
+}
+
+TEST(ServeTest, ClosedConnectionsReleaseTheirReaderThreads) {
+  // Every connection gets a reader thread. A finished reader that is never
+  // reclaimed keeps its stack mapped (two mappings with its guard page), so
+  // a daemon serving per-request clients would grow until thread creation
+  // fails. Reclaimed stacks are reused, so the count stays flat.
+  ServeWorld* w = ServeWorld::Get();
+  {
+    Client warmup = w->Connect();
+    ASSERT_TRUE(warmup.Ping().ok());
+  }
+  constexpr int kCycles = 500;
+  const long before = MappingCount();
+  for (int i = 0; i < kCycles; ++i) {
+    Client client = w->Connect();
+    ASSERT_TRUE(client.Ping().ok()) << "cycle " << i;
+    client.Close();
+  }
+  EXPECT_TRUE(Eventually([&] { return MappingCount() - before < kCycles / 4; }))
+      << "mappings grew by " << MappingCount() - before << " over " << kCycles
+      << " connections";
+}
+
 TEST(ServeTest, BatchJournalByteIdenticalToInProcessRun) {
   ServeWorld* w = ServeWorld::Get();
   Client client = w->Connect();

@@ -204,8 +204,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
 }
 
 int Run(const CliOptions& opts) {
-  // Load the data relation here (not via WithDataCsv) so the original is
-  // available for the repair-cost summary.
+  // Load the data relation here, keeping the original for the repair-cost
+  // summary.
   auto schema = data::InferCsvSchema(opts.data_path, "data");
   if (!schema.ok()) {
     std::fprintf(stderr, "%s\n", schema.status().ToString().c_str());
