@@ -373,7 +373,11 @@ void ConcurrentPoint(const std::string& dataset, int num_tuples,
 /// The reference arm is a full memo-warm Session::Run over the complete
 /// relation — what a caller without ApplyDelta would pay per edit batch.
 /// The k=1 point is the acceptance criterion: single-tuple maintenance must
-/// beat the full warm re-run by an order of magnitude.
+/// beat the full warm re-run by an order of magnitude. Larger k may cross
+/// over: once a scoped round would re-clean about half the relation,
+/// ApplyDelta re-cleans all of it once instead (DeltaResult::full_rerun), so
+/// a k point then costs about one full re-run — pristine clone, pipeline and
+/// refile — and its `result` is the live tuple count.
 void DeltaPoint(const std::string& dataset, int num_tuples, int master_size) {
   gen::GeneratorConfig config;
   config.num_tuples = num_tuples;

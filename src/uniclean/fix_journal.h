@@ -9,6 +9,7 @@
 #ifndef UNICLEAN_UNICLEAN_FIX_JOURNAL_H_
 #define UNICLEAN_UNICLEAN_FIX_JOURNAL_H_
 
+#include <algorithm>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -36,15 +37,22 @@ struct FixEntry {
   std::string rule;
   /// Delta generation that produced this entry: 0 for the initial
   /// Session::Run, g for the g-th Session::ApplyDelta. A tuple re-repaired
-  /// by a delta gets a fresh full set of generation-g entries; the entries
-  /// of earlier generations stay in the journal as history (see
-  /// Session::CanonicalJournal for the covering view).
+  /// by a delta gets a fresh full set of generation-g entries, which
+  /// replace its earlier ones in the session's journal (see
+  /// Session::journal).
   int generation = 0;
 };
 
 class FixJournal {
  public:
   void Append(FixEntry entry) { entries_.push_back(std::move(entry)); }
+
+  /// Drops every entry `pred` holds for, keeping the rest in order.
+  template <typename Pred>
+  void RemoveIf(Pred pred) {
+    entries_.erase(std::remove_if(entries_.begin(), entries_.end(), pred),
+                   entries_.end());
+  }
 
   const std::vector<FixEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }

@@ -116,12 +116,16 @@ Result<CleanResult> Session::Run(data::Relation* data) {
         internal::DescribeSchema(engine_->rules().data_schema()));
   }
 
+  std::unique_ptr<data::Relation> pristine;
   if (track_deltas_) {
     // Snapshot the pre-cleaning state first: ApplyDelta restarts affected
     // tuples from these values, exactly as a batch run over the edited
-    // relation would. A repeated Run restarts tracking from scratch.
-    tracked_ = data;
-    pristine_ = std::make_unique<data::Relation>(data->Clone());
+    // relation would. A repeated Run restarts tracking from scratch, and
+    // until it succeeds the session is in the not-yet-run state (a failed
+    // Run leaves it usable for a fresh one).
+    pristine = std::make_unique<data::Relation>(data->Clone());
+    tracked_ = nullptr;
+    pristine_.reset();
     journal_ = FixJournal();
     generation_ = 0;
   }
@@ -133,35 +137,42 @@ Result<CleanResult> Session::Run(data::Relation* data) {
     // run applies ZERO fixes — never a partially repaired relation. The
     // tokenless path below stays the historical clean-in-place one (no copy).
     data::Relation scratch = data->Clone();
-    Result<std::vector<PhaseStats>> executed =
-        ExecutePipeline(&scratch, &result.journal);
-    if (!executed.ok()) {
-      if (track_deltas_) {
-        // Reset to the not-yet-run state so the session stays usable for a
-        // fresh tracked Run().
-        tracked_ = nullptr;
-        pristine_.reset();
-        journal_ = FixJournal();
-        generation_ = 0;
-      }
-      return executed.status();
-    }
+    UC_ASSIGN_OR_RETURN(result.phases,
+                        ExecutePipeline(&scratch, &result.journal));
     *data = std::move(scratch);
-    result.phases = std::move(executed).value();
   } else {
-    Result<std::vector<PhaseStats>> executed =
-        ExecutePipeline(data, &result.journal);
-    if (!executed.ok()) return executed.status();
-    result.phases = std::move(executed).value();
+    UC_ASSIGN_OR_RETURN(result.phases,
+                        ExecutePipeline(data, &result.journal));
   }
 
   if (track_deltas_) {
-    journal_ = result.journal;
-    covered_gen_.assign(static_cast<size_t>(data->size()), 0);
-    BuildGroupIndex();
+    tracked_ = data;
+    pristine_ = std::move(pristine);
+    AdoptFullRun(result.journal);
     known_master_size_ = engine_->environment().indexed_master_size();
   }
   return result;
+}
+
+void Session::AdoptFullRun(const FixJournal& journal) {
+  journal_ = FixJournal();
+  for (FixEntry entry : journal.entries()) {
+    entry.generation = generation_;
+    journal_.Append(std::move(entry));
+  }
+  BuildGroupIndex();
+}
+
+Status Session::FullRerun(DeltaResult* result) {
+  data::Relation rerun = pristine_->Clone();
+  FixJournal journal;
+  UC_ASSIGN_OR_RETURN(result->phases, ExecutePipeline(&rerun, &journal));
+  *tracked_ = std::move(rerun);
+  AdoptFullRun(journal);
+  result->delta_journal = journal_;
+  result->affected = tracked_->live_size();
+  result->full_rerun = true;
+  return Status::OK();
 }
 
 void Session::FileTuple(data::TupleId t) {
@@ -269,6 +280,14 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
           "ApplyDelta: delete of already-deleted tuple " + std::to_string(t));
     }
   }
+  std::vector<data::TupleId> deletes = delta.deletes;
+  std::sort(deletes.begin(), deletes.end());
+  auto repeated = std::adjacent_find(deletes.begin(), deletes.end());
+  if (repeated != deletes.end()) {
+    return Status::InvalidArgument("ApplyDelta: tuple " +
+                                   std::to_string(*repeated) +
+                                   " is deleted twice");
+  }
 
   ++generation_;
   result.generation = generation_;
@@ -358,12 +377,15 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     tracked_->EraseTuple(t);
     pristine_->EraseTuple(t);
   }
+  if (!delta.deletes.empty()) {
+    journal_.RemoveIf(
+        [&](const FixEntry& entry) { return !tracked_->live(entry.tuple); });
+  }
   // Inserts: append to both relations (fresh ids), join the group indexes.
   for (const data::Tuple& tup : delta.inserts) {
     const data::TupleId t = tracked_->AddTuple(tup);
     const data::TupleId shadow = pristine_->AddTuple(tup);
     UC_CHECK_EQ(t, shadow);
-    covered_gen_.push_back(0);
     filed_.emplace_back();
     in_closure.push_back(0);
     edited.push_back(1);
@@ -422,6 +444,13 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
   // closure boundary. Clean tuples reproduce themselves, so expansion
   // chains stop at them instead of flooding the whole key-sharing
   // component. Terminates: the closure only grows, bounded by |D|.
+  //
+  // Crossover (see session.h): every round's scratch contains the previous
+  // round's, so once 2S reaches the live count, or the rounds so far plus
+  // this one do, finishing incrementally costs at least a full re-run;
+  // re-clean the whole relation once instead.
+  const int live = tracked_->live_size();
+  int recleaned = 0;  // scratch tuples of the rounds run so far
   while (true) {
     ++result.refinement_rounds;
     // The scratch relation: closure tuples restarted from their pristine
@@ -452,6 +481,20 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
         }
       }
     }
+    const int scratch_size =
+        static_cast<int>(closure.size()) +
+        static_cast<int>(std::count(in_ring.begin(), in_ring.end(), 1));
+    if (2 * scratch_size >= live || recleaned + scratch_size >= live) {
+      // Fails like a round: the raw edits stay applied, nothing else moves.
+      Status rerun = FullRerun(&result);
+      if (!rerun.ok()) {
+        return internal::Annotate(
+            rerun, "ApplyDelta generation " + std::to_string(generation_) +
+                       " (full re-run): ");
+      }
+      return result;
+    }
+    recleaned += scratch_size;
     data::Relation scratch(tracked_->schema_ptr());
     std::vector<data::TupleId> scratch_src;  // scratch id -> tracked id
     std::vector<uint8_t> scratch_in_closure;
@@ -603,8 +646,11 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     // mark drift — re-derivation in a partial context is not perfectly
     // provenance-faithful) keeps its committed state AND its existing
     // journal entries, which a full batch run already stands behind. Ring
-    // entries are dropped wholesale — the ring is context.
+    // entries are dropped wholesale — the ring is context. A committed
+    // tuple's new entries replace its earlier ones, so the journal holds
+    // only covering entries.
     std::vector<uint8_t> commits(scratch_src.size(), 0);
+    std::vector<uint8_t> superseded(static_cast<size_t>(tracked_->size()), 0);
     for (size_t j = 0; j < scratch_src.size(); ++j) {
       if (!scratch_in_closure[j]) continue;
       const data::TupleId t = scratch_src[j];
@@ -615,11 +661,14 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
       }
       if (!changed) continue;
       commits[j] = 1;
+      superseded[static_cast<size_t>(t)] = 1;
       tracked_->mutable_tuple(t) = after;
       UnfileTuple(t);
       FileTuple(t);
-      covered_gen_[static_cast<size_t>(t)] = generation_;
     }
+    journal_.RemoveIf([&](const FixEntry& entry) {
+      return superseded[static_cast<size_t>(entry.tuple)] != 0;
+    });
     for (FixEntry entry : scratch_journal.entries()) {
       if (entry.tuple < 0 ||
           entry.tuple >= static_cast<data::TupleId>(scratch_src.size()) ||
@@ -635,20 +684,6 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
   }
   result.affected = static_cast<int>(closure.size());
   return result;
-}
-
-FixJournal Session::CanonicalJournal() const {
-  FixJournal covering;
-  if (tracked_ == nullptr) return covering;
-  for (const FixEntry& entry : journal_.entries()) {
-    if (entry.tuple < 0 || entry.tuple >= tracked_->size()) continue;
-    if (!tracked_->live(entry.tuple)) continue;
-    if (entry.generation != covered_gen_[static_cast<size_t>(entry.tuple)]) {
-      continue;  // superseded by a later re-clean of this tuple
-    }
-    covering.Append(entry);
-  }
-  return covering.Canonicalized();
 }
 
 std::vector<std::string> Session::PhaseNames() const {

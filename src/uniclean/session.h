@@ -28,8 +28,10 @@
 // engine's warm match environment — and iterates to a fixpoint: whenever a
 // re-cleaned tuple's outcome differs from its committed state, its
 // violation groups are pulled in and the round repeats, so cross-group
-// effects propagate exactly as far as they reach and no further. The resulting fixes are journaled under a
-// fresh delta generation:
+// effects propagate exactly as far as they reach and no further. When the
+// next round would cost about as much as re-cleaning everything, it instead
+// re-cleans the whole relation once from pristine values. Either way the
+// resulting fixes are journaled under a fresh delta generation:
 //
 //   uniclean::Session session = engine->NewTrackedSession();
 //   auto initial = session.Run(&d);              // generation 0
@@ -104,16 +106,21 @@ struct DeltaResult {
   int generation = 0;
   /// Ids minted for Delta::inserts, index-matched to the input.
   std::vector<data::TupleId> inserted_ids;
-  /// Tuples re-cleaned (the edit's violation-group neighborhood, widened to
-  /// the repair fixpoint) — the incremental cost driver, typically << the
-  /// relation size.
+  /// Tuples re-cleaned: the edit's violation-group neighborhood, widened to
+  /// the repair fixpoint — the incremental cost driver. After a full
+  /// re-run, every live tuple.
   int affected = 0;
-  /// Scoped re-repair rounds run: 1 plus one per closure expansion (a
-  /// re-cleaned tuple's outcome changed, so its groups were pulled in).
+  /// Re-repair rounds run: 1 plus one per closure expansion (a re-cleaned
+  /// tuple's outcome changed, so its groups were pulled in). A full re-run
+  /// counts as one round.
   int refinement_rounds = 0;
+  /// True when the delta re-cleaned the whole relation once instead of
+  /// running the next scoped round (see Session::ApplyDelta).
+  bool full_rerun = false;
   /// Fixes of this generation only, with tuple ids of the tracked relation.
+  /// After a full re-run, the whole relation's fixes.
   FixJournal delta_journal;
-  /// Per-phase statistics of the final refinement round.
+  /// Per-phase statistics of the final round.
   std::vector<PhaseStats> phases;
 
   /// Sum of the final round's phase fix counts.
@@ -145,7 +152,8 @@ class Session {
   /// relation's pristine state, accumulates the journal and builds the
   /// violation-group indexes ApplyDelta maintains; the relation must then
   /// outlive the session's delta use, and a repeated Run restarts tracking
-  /// from scratch (generation 0) on its relation.
+  /// from scratch (generation 0) on its relation. A failed tracked Run
+  /// leaves the session in the not-yet-run state.
   Result<CleanResult> Run(data::Relation* data);
 
   /// Arms delta tracking for the next Run (see ApplyDelta). Must be called
@@ -160,12 +168,22 @@ class Session {
   /// the last call — see CleanEngine::RefreshMasterIndexes), and re-runs the
   /// phase pipeline over only that set, restarted from pristine values
   /// against the warm match environment, widening to a fixpoint when
-  /// outcomes change. Fixes are journaled under a fresh generation; a
-  /// re-cleaned tuple's earlier-generation entries stay as history and
-  /// CanonicalJournal() exposes the covering view. Fails with
+  /// outcomes change. Fixes are journaled under a fresh generation and
+  /// replace the re-cleaned tuples' earlier entries. Fails with
   /// FailedPrecondition before a tracked Run() and with InvalidArgument on
-  /// bad edits (unknown or dead tuple ids, arity mismatches), in which case
-  /// nothing was applied. An empty delta with no master growth is a no-op.
+  /// bad edits (unknown or dead tuple ids, a tuple deleted twice, arity
+  /// mismatches), in which case nothing was applied. An empty delta with no
+  /// master growth is a no-op.
+  ///
+  /// Crossover: a round re-cleans its scratch relation of S tuples (closure
+  /// plus ring), and a round that expands is followed by one at least as
+  /// large. So before each round, with N live tuples and W scratch tuples
+  /// re-cleaned by the earlier rounds, ApplyDelta re-cleans the whole
+  /// relation once from pristine values instead when 2S >= N (finishing
+  /// incrementally would cost at least that much) or W + S >= N (the rounds
+  /// so far already cost a full re-run). The result is then the batch run
+  /// over the final relation by construction; DeltaResult::full_rerun says
+  /// so. The decision reads only tuple counts, so it is deterministic.
   ///
   /// Convergence: the closure re-runs the same phases from the same pristine
   /// inputs a batch run over the final relation would see — with its
@@ -188,10 +206,11 @@ class Session {
   /// byte-comparable to a batch run's over the final relation; the
   /// full-provenance rows additionally carry phase/rule attribution, which
   /// is trajectory-dependent. Empty before a tracked Run().
-  FixJournal CanonicalJournal() const;
+  FixJournal CanonicalJournal() const { return journal_.Canonicalized(); }
 
-  /// Full accumulated journal of a tracked session: the initial Run's
-  /// generation-0 entries plus every delta generation's, in append order.
+  /// The covering entries of a tracked session in append order: for every
+  /// live tuple, the entries of the generation that last cleaned it. Its
+  /// size is bounded by the relation's, not by the number of deltas.
   const FixJournal& journal() const { return journal_; }
 
   /// Delta generations applied since the tracked Run() (0 right after it).
@@ -217,8 +236,9 @@ class Session {
   ///    cancelled resets to the not-yet-run state and stays usable for a
   ///    fresh Run().
   ///  * ApplyDelta keeps its existing failure contract: the raw edits are
-  ///    applied, the scratch re-repair is discarded, the journal still
-  ///    covers the pre-delta repairs, and the session remains usable.
+  ///    applied, the scratch re-repair (or full re-run copy) is discarded,
+  ///    the journal still covers the pre-delta repairs of the live tuples,
+  ///    and the session remains usable.
   void set_cancel_token(std::shared_ptr<const common::CancelToken> token) {
     cancel_ = std::move(token);
   }
@@ -239,6 +259,14 @@ class Session {
   /// The shared pipeline executor behind Run and ApplyDelta's rounds.
   Result<std::vector<PhaseStats>> ExecutePipeline(data::Relation* data,
                                                   FixJournal* journal);
+
+  /// Adopts `journal`, a pipeline run over the whole tracked relation, as
+  /// the covering journal under the current generation, and refiles every
+  /// tuple. The shared tail of a tracked Run and of a full re-run.
+  void AdoptFullRun(const FixJournal& journal);
+  /// ApplyDelta's crossover: re-cleans a copy of the pristine relation and,
+  /// on success, moves it into the tracked one. On failure nothing changes.
+  Status FullRerun(DeltaResult* result);
 
   /// Files tuple `t` in every variable-CFD group index, under both its
   /// current and its pristine LHS key (repair coupling can flow through
@@ -262,8 +290,7 @@ class Session {
   bool track_deltas_ = false;
   data::Relation* tracked_ = nullptr;         // borrowed; bound by Run
   std::unique_ptr<data::Relation> pristine_;  // pre-cleaning snapshot
-  FixJournal journal_;                        // all generations, append order
-  std::vector<int> covered_gen_;              // per tuple: covering generation
+  FixJournal journal_;                        // covering entries only
   int generation_ = 0;
   int known_master_size_ = 0;  // master extent already accounted for
   std::vector<rules::RuleId> vcfd_rules_;

@@ -3,11 +3,14 @@
 // and the same canonical fix set as one cold batch run over the final
 // relation — plus the edge cases around it: batched edits, updates,
 // deletes/tombstones, fresh violation groups, master growth, no-op deltas,
-// validation atomicity, and concurrent tracked sessions (the TSan target).
+// validation atomicity, both sides of the full re-run crossover, the
+// covering journal's bound, and concurrent tracked sessions (the TSan
+// target).
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -156,6 +159,181 @@ TEST_P(DeltaConvergenceTest, OneBatchedDeltaConvergesToBatch) {
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DeltaConvergenceTest,
                          ::testing::Values("HOSP", "DBLP", "TPCH"));
+
+// --- The crossover: both sides converge to the batch run. ------------------
+//
+// ApplyDelta re-cleans the whole relation once instead of running a scoped
+// round whose scratch (closure plus ring) holds at least half the live
+// tuples. These pin one delta on each side per dataset, so the convergence
+// pins above cannot silently cover only one path.
+
+class DeltaCrossoverTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DeltaCrossoverTest, FreshInsertStaysIncremental) {
+  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/31);
+  auto engine = MakeEngine(ds);
+
+  data::Relation incremental = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  // Every cell a brand-new string: no shared violation group, no master
+  // match, so the closure is the insert alone.
+  data::Tuple alien = ds.dirty.tuple(0);
+  for (data::AttributeId a = 0; a < alien.arity(); ++a) {
+    alien.set_value(a, data::Value("zz-fresh-" + std::to_string(a)));
+    alien.set_confidence(a, 0.0);
+    alien.set_mark(a, data::FixMark::kNone);
+  }
+  Delta delta;
+  delta.inserts.push_back(alien);
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_FALSE(dr->full_rerun);
+  EXPECT_EQ(dr->affected, 1);
+  EXPECT_EQ(dr->refinement_rounds, 1);
+
+  data::Relation batch = ds.dirty.Clone();
+  batch.AddTuple(alien);
+  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+}
+
+TEST_P(DeltaCrossoverTest, LargeBatchFallsBackToOneFullRerun) {
+  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/7);
+  auto engine = MakeEngine(ds);
+
+  constexpr int kHeld = 16;
+  data::Relation incremental(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < ds.dirty.size() - kHeld; ++t) {
+    incremental.AddTuple(ds.dirty.tuple(t));
+  }
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  Delta delta;
+  for (int k = 0; k < kHeld; ++k) {
+    delta.inserts.push_back(ds.dirty.tuple(ds.dirty.size() - kHeld + k));
+  }
+  delta.deletes.push_back(3);
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_TRUE(dr->full_rerun);
+  EXPECT_EQ(dr->affected, incremental.live_size());
+  EXPECT_GE(dr->refinement_rounds, 1);
+  EXPECT_EQ(dr->generation, 1);
+  EXPECT_EQ(dr->delta_journal.CountForGeneration(1),
+            static_cast<int>(dr->delta_journal.size()));
+
+  data::Relation batch = ds.dirty.Clone();
+  batch.EraseTuple(3);
+  Session batch_session = engine->NewTrackedSession();
+  auto batch_run = batch_session.Run(&batch);
+  ASSERT_TRUE(batch_run.ok()) << batch_run.status().ToString();
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(),
+            batch_session.CanonicalJournal().CanonicalFixSetCsv());
+  // A full re-run IS the batch run, provenance included.
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()),
+            CanonicalCsv(batch_session.CanonicalJournal()));
+  EXPECT_EQ(session.journal().size(), batch_run->journal.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, DeltaCrossoverTest,
+                         ::testing::Values("HOSP", "DBLP", "TPCH"));
+
+TEST(DeltaTest, IncrementalDeltasKeepOnlyCoveringEntries) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/42);
+  auto engine = MakeEngine(ds);
+
+  data::Relation incremental = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+  const size_t entries_before = session.journal().size();
+  const std::string fixes_before =
+      session.CanonicalJournal().CanonicalFixSetCsv();
+  const data::TupleId target = 4;
+  auto count_entries = [&] {
+    int n = 0;
+    for (const FixEntry& entry : session.journal().entries()) {
+      n += entry.tuple == target ? 1 : 0;
+    }
+    return n;
+  };
+  ASSERT_GT(count_entries(), 0);
+
+  // Re-submitting a repaired tuple's own content re-cleans it to the same
+  // repairs: its generation-1 entries must replace, not join, its
+  // generation-0 ones.
+  {
+    Delta delta;
+    delta.updates.emplace_back(target, ds.dirty.tuple(target));
+    auto dr = session.ApplyDelta(delta);
+    ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+    ASSERT_FALSE(dr->full_rerun);
+    ASSERT_GT(dr->delta_journal.size(), 0u);
+    EXPECT_EQ(session.journal().size(), entries_before);
+    for (const FixEntry& entry : session.journal().entries()) {
+      if (entry.tuple == target) {
+        EXPECT_EQ(entry.generation, 1);
+      }
+    }
+    EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), fixes_before);
+  }
+  // Deleting it drops its entries.
+  {
+    Delta delta;
+    delta.deletes.push_back(target);
+    auto dr = session.ApplyDelta(delta);
+    ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+    ASSERT_FALSE(dr->full_rerun);
+    EXPECT_EQ(count_entries(), 0);
+  }
+
+  data::Relation batch = ds.dirty.Clone();
+  batch.EraseTuple(target);
+  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+}
+
+TEST(DeltaTest, FallbackKeepsTheJournalBounded) {
+  constexpr int kDeltas = 20;
+  constexpr int kPerDelta = 16;
+  gen::Dataset ds =
+      MakeDataset("HOSP", /*seed=*/13, /*num_tuples=*/120 + kDeltas * kPerDelta);
+  auto engine = MakeEngine(ds);
+
+  const int standing = ds.dirty.size() - kDeltas * kPerDelta;
+  data::Relation incremental(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < standing; ++t) {
+    incremental.AddTuple(ds.dirty.tuple(t));
+  }
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  for (int g = 0; g < kDeltas; ++g) {
+    Delta delta;
+    for (int k = 0; k < kPerDelta; ++k) {
+      delta.inserts.push_back(ds.dirty.tuple(standing + g * kPerDelta + k));
+    }
+    auto dr = session.ApplyDelta(delta);
+    ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+    ASSERT_TRUE(dr->full_rerun) << "delta " << g;
+  }
+
+  // Each fallback replaced the journal wholesale: it holds one batch run's
+  // entries, not one per delta.
+  data::Relation batch = ds.dirty.Clone();
+  Session batch_session = engine->NewSession();
+  auto batch_run = batch_session.Run(&batch);
+  ASSERT_TRUE(batch_run.ok()) << batch_run.status().ToString();
+  EXPECT_EQ(session.journal().size(), batch_run->journal.size());
+  EXPECT_EQ(session.journal().CountForGeneration(kDeltas),
+            static_cast<int>(session.journal().size()));
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+}
 
 // --- Updates --------------------------------------------------------------
 
@@ -349,6 +527,15 @@ TEST(DeltaTest, InvalidEditsAreRejectedAtomically) {
     EXPECT_EQ(dr.status().code(), StatusCode::kInvalidArgument);
   }
   {
+    // A delta deleting one tuple twice applies nothing either.
+    Delta delta;
+    delta.deletes = {1, 1};
+    auto dr = session.ApplyDelta(delta);
+    EXPECT_EQ(dr.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(incremental.live(1));
+    EXPECT_EQ(session.generation(), 0);
+  }
+  {
     // Deleting a tombstone is an error too (double delete).
     Delta ok_delta;
     ok_delta.deletes.push_back(1);
@@ -396,6 +583,36 @@ TEST(DeltaTest, ApplyDeltaRequiresATrackedRun) {
     auto dr = session.ApplyDelta(Delta{});
     EXPECT_EQ(dr.status().code(), StatusCode::kFailedPrecondition);
   }
+}
+
+TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
+  class FailingPhase : public Phase {
+   public:
+    std::string_view name() const override { return "failing"; }
+    Result<PhaseStats> Run(PipelineContext*) override {
+      return Status::Unimplemented("not today");
+    }
+  };
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/3, /*num_tuples=*/120);
+  auto engine = EngineBuilder()
+                    .WithDataSchema(ds.dirty.schema_ptr())
+                    .WithMaster(&ds.master)
+                    .WithRules(&ds.rules)
+                    .AddPhaseFactory(
+                        [] { return std::make_unique<FailingPhase>(); })
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+  // Without a cancel token the pipeline cleans in place; a failure there
+  // must still leave no half-built tracking state for ApplyDelta to use.
+  data::Relation d = ds.dirty.Clone();
+  Session session = (*engine)->NewTrackedSession();
+  EXPECT_EQ(session.Run(&d).status().code(), StatusCode::kUnimplemented);
+  Delta delta;
+  delta.inserts.push_back(ds.dirty.tuple(0));
+  EXPECT_EQ(session.ApplyDelta(delta).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(session.journal().empty());
 }
 
 // --- Concurrency (the TSan target) ---------------------------------------
@@ -554,6 +771,61 @@ TEST(CancellationTest, TrackedSessionUsableAfterCancelledRun) {
   ASSERT_TRUE(session.ApplyDelta(insert_last).ok());
   EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), ref_fixes);
   EXPECT_EQ(LiveCellDiff(relation, ref_relation), 0);
+}
+
+TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/7);
+  auto engine = MakeEngine(ds);
+
+  constexpr int kHeld = 16;
+  const int standing = ds.dirty.size() - kHeld;
+  data::Relation initial(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < standing; ++t) {
+    initial.AddTuple(ds.dirty.tuple(t));
+  }
+  Delta delta;
+  for (int k = 0; k < kHeld; ++k) {
+    delta.inserts.push_back(ds.dirty.tuple(standing + k));
+  }
+
+  // From one poll on, the token passes ApplyDelta's entry check (which
+  // would fail before any edit is applied) and trips inside the re-run.
+  bool saw_cancel = false;
+  bool saw_success = false;
+  for (int64_t polls : {1, 3, 8, 21, 55, 1000000}) {
+    data::Relation relation = initial.Clone();
+    Session session = engine->NewTrackedSession();
+    ASSERT_TRUE(session.Run(&relation).ok());
+    data::Relation expected = relation.Clone();
+    for (const data::Tuple& tup : delta.inserts) expected.AddTuple(tup);
+    const std::string journal_before = CanonicalCsv(session.CanonicalJournal());
+
+    auto token = std::make_shared<common::CancelToken>();
+    token->CancelAfterChecksForTest(polls);
+    session.set_cancel_token(token);
+    auto dr = session.ApplyDelta(delta);
+    if (dr.ok()) {
+      saw_success = true;
+      // No scoped round ran first, so every cancel above hit the re-run.
+      EXPECT_TRUE(dr->full_rerun) << "polls=" << polls;
+      EXPECT_EQ(dr->refinement_rounds, 1) << "polls=" << polls;
+      data::Relation batch = ds.dirty.Clone();
+      EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(),
+                BatchFixSetCsv(engine, &batch))
+          << "polls=" << polls;
+    } else {
+      saw_cancel = true;
+      EXPECT_EQ(dr.status().code(), StatusCode::kCancelled)
+          << dr.status().ToString();
+      EXPECT_EQ(RelationCsv(relation), RelationCsv(expected))
+          << "cancelled full re-run moved more than the raw edits (polls="
+          << polls << ")";
+      EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), journal_before)
+          << "polls=" << polls;
+    }
+  }
+  EXPECT_TRUE(saw_cancel);
+  EXPECT_TRUE(saw_success);
 }
 
 }  // namespace

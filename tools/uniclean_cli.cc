@@ -18,8 +18,9 @@
 // memo map's resident entries (0 = unbounded), the long-lived-serving knob.
 // --delta names a CSV (same header as the data file) whose rows are applied
 // as *inserts* after the batch clean, through Session::ApplyDelta — only the
-// tuples they can affect are re-cleaned, and the journal written afterwards
-// is the canonical (batch-equivalent) one.
+// tuples they can affect are re-cleaned (or, when that would cost as much,
+// the whole relation once: the summary line then says "(full re-run)"), and
+// the journal written afterwards is the canonical (batch-equivalent) one.
 
 #include <cerrno>
 #include <chrono>
@@ -310,10 +311,10 @@ int Run(const CliOptions& opts) {
       original.AddTuple(tuple);
     }
     std::printf(
-        "delta: %zu inserts, %d tuples re-cleaned in %d round(s), "
+        "delta: %zu inserts, %d tuples re-cleaned in %d round(s)%s, "
         "%d fixes, %.3fs\n",
         delta.inserts.size(), dr->affected, dr->refinement_rounds,
-        dr->total_fixes(),
+        dr->full_rerun ? " (full re-run)" : "", dr->total_fixes(),
         std::chrono::duration<double>(t4 - t3).count());
   }
 
