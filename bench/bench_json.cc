@@ -83,10 +83,23 @@ void* operator new[](std::size_t size) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line on purpose: once a delete is inlined, GCC 12 sees `new`
+// paired with `free` at the call site and reports -Wmismatched-new-delete,
+// which fails the -DUNICLEAN_WERROR=ON build. The pairing is correct —
+// every operator new above allocates with malloc.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

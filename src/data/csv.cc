@@ -6,18 +6,21 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <set>
 #include <vector>
 
 #include "common/string_util.h"
+#include "data/string_pool.h"
 
 namespace uniclean {
 namespace data {
 
 namespace {
 
-bool NeedsQuoting(const std::string& s, char delim) {
-  return s.find(delim) != std::string::npos ||
+constexpr char kDelimiter = ',';
+
+bool NeedsQuoting(const std::string& s) {
+  return s.find(kDelimiter) != std::string::npos ||
          s.find('"') != std::string::npos ||
          s.find('\n') != std::string::npos ||
          s.find('\r') != std::string::npos;
@@ -38,8 +41,6 @@ enum class CsvStep {
 /// only at field *start*; mid-field quotes are literal content.
 class CsvScanner {
  public:
-  explicit CsvScanner(char delimiter) : delim_(delimiter) {}
-
   bool in_quotes() const { return in_quotes_; }
 
   /// Classifies s[i] (peeking s[i+1] for escaped quotes) and advances the
@@ -66,7 +67,7 @@ class CsvScanner {
       *step = CsvStep::kQuoteOpen;
       return 1;
     }
-    if (c == delim_) {
+    if (c == kDelimiter) {
       field_empty_ = true;
       *step = CsvStep::kDelimiter;
       return 1;
@@ -84,19 +85,129 @@ class CsvScanner {
   }
 
  private:
-  char delim_;
   bool in_quotes_ = false;
   bool field_empty_ = true;
 };
 
+/// The one header check: arity, then names compared trimmed — the way
+/// InferCsvSchema builds a schema from a header.
+Status CheckHeader(const std::vector<std::string_view>& fields,
+                   const Schema& schema) {
+  if (static_cast<int>(fields.size()) != schema.arity()) {
+    return Status::InvalidArgument(
+        "CSV header arity mismatch: got " + std::to_string(fields.size()) +
+        " columns, schema has " + std::to_string(schema.arity()));
+  }
+  for (AttributeId a = 0; a < schema.arity(); ++a) {
+    const std::string_view got = fields[static_cast<size_t>(a)];
+    if (Trim(got) != Trim(schema.attribute_name(a))) {
+      return Status::InvalidArgument(
+          "CSV header mismatch at column " + std::to_string(a) +
+          ": expected '" + schema.attribute_name(a) + "', got '" +
+          std::string(got) + "'");
+    }
+  }
+  return Status::OK();
+}
+
+/// The one record loop behind every reader: skips blank records, checks
+/// the header row (when `header`; then it is required) and every record's
+/// arity, and hands each data record's fields to `row(fields, line_no)`.
+template <typename RowFn>
+Status ForEachRow(std::istream& in, const Schema& schema, bool header,
+                  RowFn row) {
+  std::string record;
+  // Reused across records: `owned` backs the quoted (unescaping) path,
+  // `fields` views either the record itself (fast path) or `owned`.
+  std::vector<std::string> owned;
+  std::vector<std::string_view> fields;
+  bool saw_header = !header;
+  int line_no = 0;
+  int lines_read = 0;
+  // Logical records: ReadCsvRecord joins physical lines while a quoted field
+  // is open, so values containing newlines round-trip through Write/Read.
+  while (ReadCsvRecord(in, &record, &lines_read)) {
+    line_no += lines_read;
+    if (record.empty()) continue;
+    fields.clear();
+    if (record.find('"') == std::string::npos) {
+      // No quotes: fields are plain delimiter splits, viewed in place — no
+      // per-field allocation, no per-character state machine.
+      size_t start = 0;
+      for (;;) {
+        const size_t d = record.find(kDelimiter, start);
+        if (d == std::string::npos) {
+          fields.emplace_back(record.data() + start, record.size() - start);
+          break;
+        }
+        fields.emplace_back(record.data() + start, d - start);
+        start = d + 1;
+      }
+    } else {
+      UC_ASSIGN_OR_RETURN(owned, ParseCsvRecord(record));
+      fields.assign(owned.begin(), owned.end());
+    }
+    if (!saw_header) {
+      saw_header = true;
+      UC_RETURN_IF_ERROR(CheckHeader(fields, schema));
+      continue;
+    }
+    if (static_cast<int>(fields.size()) != schema.arity()) {
+      return Status::InvalidArgument(
+          "CSV record arity mismatch at line " + std::to_string(line_no) +
+          ": got " + std::to_string(fields.size()) + " columns, expected " +
+          std::to_string(schema.arity()));
+    }
+    UC_RETURN_IF_ERROR(row(fields, line_no));
+  }
+  if (!saw_header) {
+    return Status::InvalidArgument("CSV is empty (header row required)");
+  }
+  return Status::OK();
+}
+
+Result<Tuple> RowToTuple(const std::vector<std::string_view>& fields) {
+  Tuple t(static_cast<int>(fields.size()));
+  for (size_t a = 0; a < fields.size(); ++a) {
+    UC_ASSIGN_OR_RETURN(Value v, ParseCsvCell(fields[a]));
+    t.set_value(static_cast<AttributeId>(a), v);
+  }
+  return t;
+}
+
+/// One confidence cell; `buf` gives strtod its terminating NUL.
+Result<double> ParseConfidence(std::string_view field, int line_no,
+                               std::string* buf) {
+  if (field.empty() || field == kNullToken) return 0.0;
+  buf->assign(field);
+  errno = 0;
+  char* end = nullptr;
+  const double cf = std::strtod(buf->c_str(), &end);
+  // Negated so NaN fails too: every comparison with NaN is false.
+  if (end == buf->c_str() || *end != '\0' || errno == ERANGE ||
+      !(cf >= 0.0 && cf <= 1.0)) {
+    return Status::InvalidArgument("confidence CSV line " +
+                                   std::to_string(line_no) + ": '" + *buf +
+                                   "' is not a number in [0, 1]");
+  }
+  return cf;
+}
+
+void WriteHeader(std::ostream& out, const Schema& schema) {
+  for (AttributeId a = 0; a < schema.arity(); ++a) {
+    if (a > 0) out << kDelimiter;
+    out << CsvQuote(schema.attribute_name(a));
+  }
+  out << '\n';
+}
+
 }  // namespace
 
-bool ReadCsvRecord(std::istream& in, std::string* record, int* lines_read,
-                   char delimiter) {
+bool ReadCsvRecord(std::istream& in, std::string* record, int* lines_read) {
   record->clear();
   int lines = 0;
   std::string line;
-  CsvScanner scanner(delimiter);
+  CsvScanner scanner;
   while (std::getline(in, line)) {
     ++lines;
     if (lines > 1) {
@@ -123,11 +234,10 @@ bool ReadCsvRecord(std::istream& in, std::string* record, int* lines_read,
   return lines > 0;
 }
 
-Result<std::vector<std::string>> ParseCsvRecord(const std::string& line,
-                                                char delim) {
+Result<std::vector<std::string>> ParseCsvRecord(const std::string& line) {
   std::vector<std::string> fields;
   std::string field;
-  CsvScanner scanner(delim);
+  CsvScanner scanner;
   size_t i = 0;
   while (i < line.size()) {
     CsvStep step;
@@ -165,8 +275,14 @@ Result<std::vector<std::string>> ParseCsvRecord(const std::string& line,
   return fields;
 }
 
-std::string CsvQuote(const std::string& field, char delimiter) {
-  if (!NeedsQuoting(field, delimiter)) return field;
+Result<Value> ParseCsvCell(std::string_view field) {
+  if (field == kNullToken) return Value::Null();
+  UC_ASSIGN_OR_RETURN(ValueId id, StringPool::Global().TryIntern(field));
+  return Value::FromId(id);
+}
+
+std::string CsvQuote(const std::string& field) {
+  if (!NeedsQuoting(field)) return field;
   std::string out = "\"";
   for (char c : field) {
     if (c == '"') out.push_back('"');
@@ -176,94 +292,51 @@ std::string CsvQuote(const std::string& field, char delimiter) {
   return out;
 }
 
-Result<Relation> ReadCsv(std::istream& in, SchemaPtr schema,
-                         const CsvOptions& options) {
+Result<Relation> ReadCsv(std::istream& in, SchemaPtr schema) {
   Relation relation(schema);
-  std::string line;
-  bool saw_header = false;
-  int line_no = 0;
-  int lines_read = 0;
-  // Reused across records: `owned` backs the quoted (unescaping) path,
-  // `fields` views either the record itself (fast path) or `owned`.
-  std::vector<std::string> owned;
-  std::vector<std::string_view> fields;
-  // Logical records: ReadCsvRecord joins physical lines while a quoted field
-  // is open, so values containing newlines round-trip through Write/Read.
-  while (ReadCsvRecord(in, &line, &lines_read, options.delimiter)) {
-    line_no += lines_read;
-    if (line.empty()) continue;
-    fields.clear();
-    if (line.find('"') == std::string::npos) {
-      // No quotes: fields are plain delimiter splits, viewed in place — no
-      // per-field allocation, no per-character state machine.
-      size_t start = 0;
-      for (;;) {
-        const size_t d = line.find(options.delimiter, start);
-        if (d == std::string::npos) {
-          fields.emplace_back(line.data() + start, line.size() - start);
-          break;
-        }
-        fields.emplace_back(line.data() + start, d - start);
-        start = d + 1;
-      }
-    } else {
-      UC_ASSIGN_OR_RETURN(owned, ParseCsvRecord(line, options.delimiter));
-      fields.assign(owned.begin(), owned.end());
-    }
-    if (options.header && !saw_header) {
-      saw_header = true;
-      if (static_cast<int>(fields.size()) != schema->arity()) {
-        return Status::Corruption("CSV header arity mismatch");
-      }
-      for (int a = 0; a < schema->arity(); ++a) {
-        if (fields[static_cast<size_t>(a)] != schema->attribute_name(a)) {
-          return Status::Corruption(
-              "CSV header mismatch at column " + std::to_string(a) +
-              ": expected '" + schema->attribute_name(a) + "', got '" +
-              std::string(fields[static_cast<size_t>(a)]) + "'");
-        }
-      }
-      continue;
-    }
-    if (static_cast<int>(fields.size()) != schema->arity()) {
-      return Status::Corruption("CSV record arity mismatch at line " +
-                                std::to_string(line_no));
-    }
-    Tuple t(schema->arity());
-    for (int a = 0; a < schema->arity(); ++a) {
-      const std::string_view f = fields[static_cast<size_t>(a)];
-      t.set_value(a, f == options.null_token ? Value::Null() : Value(f));
-    }
-    relation.AddTuple(std::move(t));
-  }
+  UC_RETURN_IF_ERROR(ForEachRow(
+      in, *schema, /*header=*/true,
+      [&](const std::vector<std::string_view>& fields, int) -> Status {
+        UC_ASSIGN_OR_RETURN(Tuple t, RowToTuple(fields));
+        relation.AddTuple(std::move(t));
+        return Status::OK();
+      }));
   return relation;
 }
 
-Result<Relation> ReadCsvFile(const std::string& path, SchemaPtr schema,
-                             const CsvOptions& options) {
+Result<Relation> ReadCsvFile(const std::string& path, SchemaPtr schema) {
   std::ifstream in(path);
   if (!in.is_open()) {
     return Status::NotFound("cannot open CSV file: " + path);
   }
-  return ReadCsv(in, std::move(schema), options);
+  return ReadCsv(in, std::move(schema));
 }
 
-Status WriteCsv(std::ostream& out, const Relation& relation,
-                const CsvOptions& options) {
+Result<std::vector<Tuple>> ReadCsvRows(std::istream& in, const Schema& schema,
+                                       bool header) {
+  std::vector<Tuple> rows;
+  UC_RETURN_IF_ERROR(ForEachRow(
+      in, schema, header,
+      [&](const std::vector<std::string_view>& fields, int) -> Status {
+        UC_ASSIGN_OR_RETURN(Tuple t, RowToTuple(fields));
+        rows.push_back(std::move(t));
+        return Status::OK();
+      }));
+  return rows;
+}
+
+Status WriteCsv(std::ostream& out, const Relation& relation) {
   const Schema& schema = relation.schema();
-  if (options.header) {
-    for (int a = 0; a < schema.arity(); ++a) {
-      if (a > 0) out << options.delimiter;
-      out << CsvQuote(schema.attribute_name(a), options.delimiter);
-    }
-    out << '\n';
-  }
+  WriteHeader(out, schema);
   for (const Tuple& t : relation.tuples()) {
     for (int a = 0; a < schema.arity(); ++a) {
-      if (a > 0) out << options.delimiter;
+      if (a > 0) out << kDelimiter;
       const Value& v = t.value(a);
-      out << (v.is_null() ? options.null_token
-                          : CsvQuote(v.str(), options.delimiter));
+      if (v.is_null()) {
+        out << kNullToken;
+      } else {
+        out << CsvQuote(v.str());
+      }
     }
     out << '\n';
   }
@@ -271,91 +344,60 @@ Status WriteCsv(std::ostream& out, const Relation& relation,
   return Status::OK();
 }
 
-Status WriteCsvFile(const std::string& path, const Relation& relation,
-                    const CsvOptions& options) {
+Status WriteCsvFile(const std::string& path, const Relation& relation) {
   std::ofstream out(path);
   if (!out.is_open()) {
     return Status::Internal("cannot open CSV file for write: " + path);
   }
-  return WriteCsv(out, relation, options);
+  return WriteCsv(out, relation);
 }
 
 Result<SchemaPtr> InferCsvSchema(const std::string& path,
-                                 const std::string& relation_name,
-                                 const CsvOptions& options) {
-  if (!options.header) {
-    return Status::InvalidArgument(
-        "InferCsvSchema requires a CSV with a header row");
-  }
+                                 const std::string& relation_name) {
   std::ifstream in(path);
   if (!in.is_open()) {
     return Status::NotFound("cannot open CSV file: " + path);
   }
   std::string header;
-  if (!ReadCsvRecord(in, &header, nullptr, options.delimiter)) {
-    return Status::Corruption("empty CSV: " + path);
+  do {
+    if (!ReadCsvRecord(in, &header)) {
+      return Status::InvalidArgument("CSV is empty (header row required): " +
+                                     path);
+    }
+  } while (header.empty());
+  UC_ASSIGN_OR_RETURN(std::vector<std::string> names, ParseCsvRecord(header));
+  std::set<std::string> seen;
+  for (std::string& name : names) {
+    name = std::string(Trim(name));
+    if (!seen.insert(name).second) {
+      return Status::InvalidArgument("CSV header repeats the column name '" +
+                                     name + "': " + path);
+    }
   }
-  UC_ASSIGN_OR_RETURN(std::vector<std::string> names,
-                      ParseCsvRecord(header, options.delimiter));
-  for (std::string& name : names) name = std::string(Trim(name));
   return MakeSchema(relation_name, std::move(names));
 }
 
-Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
-                             const CsvOptions& options) {
+Status ReadConfidenceCsv(std::istream& in, Relation* relation) {
   UC_CHECK(relation != nullptr);
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::NotFound("cannot open confidence CSV: " + path);
-  }
-  const int arity = relation->schema().arity();
-  std::string line;
-  bool saw_header = !options.header;
   TupleId row = 0;
-  int line_no = 0;
-  int lines_read = 0;
-  while (ReadCsvRecord(in, &line, &lines_read, options.delimiter)) {
-    line_no += lines_read;
-    if (line.empty()) continue;
-    UC_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                        ParseCsvRecord(line, options.delimiter));
-    if (static_cast<int>(fields.size()) != arity) {
-      return Status::InvalidArgument(
-          "confidence CSV arity mismatch at line " + std::to_string(line_no) +
-          ": expected " + std::to_string(arity) + " fields, got " +
-          std::to_string(fields.size()));
-    }
-    if (!saw_header) {
-      saw_header = true;
-      continue;
-    }
-    if (row >= relation->size()) {
-      return Status::InvalidArgument(
-          "confidence CSV has more rows than the data relation (" +
-          std::to_string(relation->size()) + ")");
-    }
-    for (AttributeId a = 0; a < arity; ++a) {
-      const std::string& field = fields[static_cast<size_t>(a)];
-      double cf = 0.0;
-      if (!field.empty() && field != options.null_token) {
-        errno = 0;
-        char* end = nullptr;
-        cf = std::strtod(field.c_str(), &end);
-        if (end == field.c_str() || *end != '\0' || errno == ERANGE) {
+  std::string buf;
+  UC_RETURN_IF_ERROR(ForEachRow(
+      in, relation->schema(), /*header=*/true,
+      [&](const std::vector<std::string_view>& fields,
+          int line_no) -> Status {
+        if (row >= relation->size()) {
           return Status::InvalidArgument(
-              "confidence CSV cell is not a number at line " +
-              std::to_string(line_no) + ": '" + field + "'");
+              "confidence CSV has more rows than the data relation (" +
+              std::to_string(relation->size()) + ")");
         }
-      }
-      if (cf < 0.0 || cf > 1.0) {
-        return Status::InvalidArgument(
-            "confidence out of [0, 1] at line " + std::to_string(line_no) +
-            ": " + field);
-      }
-      relation->mutable_tuple(row).set_confidence(a, cf);
-    }
-    ++row;
-  }
+        Tuple& t = relation->mutable_tuple(row++);
+        for (size_t a = 0; a < fields.size(); ++a) {
+          UC_ASSIGN_OR_RETURN(double cf,
+                              ParseConfidence(fields[a], line_no, &buf));
+          t.set_confidence(static_cast<AttributeId>(a), cf);
+        }
+        return Status::OK();
+      }));
   if (row != relation->size()) {
     return Status::InvalidArgument(
         "confidence CSV row count mismatch: expected " +
@@ -364,22 +406,23 @@ Status ReadConfidenceCsvFile(const std::string& path, Relation* relation,
   return Status::OK();
 }
 
-Status WriteConfidenceCsv(std::ostream& out, const Relation& relation,
-                          const CsvOptions& options) {
-  const Schema& schema = relation.schema();
-  if (options.header) {
-    for (AttributeId a = 0; a < schema.arity(); ++a) {
-      if (a > 0) out << options.delimiter;
-      out << CsvQuote(schema.attribute_name(a), options.delimiter);
-    }
-    out << '\n';
+Status ReadConfidenceCsvFile(const std::string& path, Relation* relation) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    return Status::NotFound("cannot open confidence CSV: " + path);
   }
+  return ReadConfidenceCsv(in, relation);
+}
+
+Status WriteConfidenceCsv(std::ostream& out, const Relation& relation) {
+  const Schema& schema = relation.schema();
+  WriteHeader(out, schema);
   // Shortest round-trip formatting: re-reading the file restores the exact
   // confidences, so cf >= η decisions survive a save/load cycle.
   char buf[32];
   for (TupleId t = 0; t < relation.size(); ++t) {
     for (AttributeId a = 0; a < schema.arity(); ++a) {
-      if (a > 0) out << options.delimiter;
+      if (a > 0) out << kDelimiter;
       auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf),
                                      relation.tuple(t).confidence(a));
       UC_CHECK(ec == std::errc());
@@ -392,13 +435,12 @@ Status WriteConfidenceCsv(std::ostream& out, const Relation& relation,
 }
 
 Status WriteConfidenceCsvFile(const std::string& path,
-                              const Relation& relation,
-                              const CsvOptions& options) {
+                              const Relation& relation) {
   std::ofstream out(path);
   if (!out.is_open()) {
     return Status::Internal("cannot open confidence CSV for write: " + path);
   }
-  return WriteConfidenceCsv(out, relation, options);
+  return WriteConfidenceCsv(out, relation);
 }
 
 }  // namespace data

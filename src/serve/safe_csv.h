@@ -1,54 +1,48 @@
-// Hardened CSV ingestion for wire-supplied data. data::ReadCsv interns cell
-// strings through Value's constructor, which CHECK-aborts the process when
-// the StringPool id space is exhausted — acceptable for a CLI, fatal for a
-// daemon a client can feed unbounded distinct values. These parsers follow
-// the exact RFC-4180 record/quote/null semantics of data::ReadCsv (they
-// share ReadCsvRecord / ParseCsvRecord, so a given CSV text produces an
-// identical relation) but intern through StringPool::TryIntern and surface
-// every failure as a Status: pool exhaustion, arity mismatches, bad headers
-// and malformed confidences all come back as error values the daemon turns
-// into protocol error responses, never an abort.
+// The names perfbench calls for the CSV that unicleand reads off the wire.
+// These are forwarders with no parsing of their own: each wraps the text in
+// a stream and calls data/csv.h, the only CSV reader, which the daemon
+// calls too — so the benchmark parses exactly as the daemon does, with the
+// error contract documented there (Corruption for malformed quoting,
+// InvalidArgument for header/arity/empty/confidence faults, OutOfRange on
+// StringPool exhaustion, which the wire reports as ResourceExhausted).
+// Library code calls data:: directly; this header only keeps perfbench's
+// sources building unedited until the benchmark moves to data::.
 
 #ifndef UNICLEAN_SERVE_SAFE_CSV_H_
 #define UNICLEAN_SERVE_SAFE_CSV_H_
 
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
-#include "data/relation.h"
-#include "data/schema.h"
+#include "data/csv.h"
 
 namespace uniclean {
 namespace serve {
 
-/// Parses `csv_text` (header row required, matching `schema`) into a
-/// relation, interning every cell via StringPool::TryIntern. Fails with
-/// Corruption on malformed CSV, InvalidArgument on a header/arity mismatch
-/// and OutOfRange ("StringPool: ...") on pool exhaustion — the wire layer
-/// maps the latter to ResourceExhausted (see WireErrorCode).
-Result<data::Relation> ParseRelationCsv(const std::string& csv_text,
-                                        data::SchemaPtr schema);
+/// data::ReadCsv over `csv_text`.
+inline Result<data::Relation> ParseRelationCsv(const std::string& csv_text,
+                                               data::SchemaPtr schema) {
+  std::istringstream in(csv_text);
+  return data::ReadCsv(in, std::move(schema));
+}
 
-/// Parses a CSV of rows shaped like `schema` into tuples (same cell
-/// semantics as ParseRelationCsv). Delta inserts travel as a full CSV
-/// document (expect_header = true, validated against the schema); delta
-/// update rows are header-less, index-aligned with their id list
-/// (expect_header = false).
-Result<std::vector<data::Tuple>> ParseTupleRows(const std::string& csv_text,
-                                                const data::SchemaPtr& schema,
-                                                bool expect_header);
+/// data::ReadCsvRows over `csv_text`.
+inline Result<std::vector<data::Tuple>> ParseTupleRows(
+    const std::string& csv_text, const data::SchemaPtr& schema,
+    bool expect_header) {
+  std::istringstream in(csv_text);
+  return data::ReadCsvRows(in, *schema, expect_header);
+}
 
-/// Applies a confidence CSV (same shape as the relation, header row
-/// required) to `*relation`: every cell must parse as a number in [0, 1].
-/// Mirrors data::ReadConfidenceCsvFile but fails with InvalidArgument
-/// instead of trusting the input.
-Status ApplyConfidenceCsv(const std::string& csv_text,
-                          data::Relation* relation);
-
-/// Parses a newline-separated list of non-negative decimal tuple ids
-/// (blank lines ignored). Fails with InvalidArgument on anything else.
-Result<std::vector<data::TupleId>> ParseIdList(const std::string& text);
+/// data::ReadConfidenceCsv over `csv_text`.
+inline Status ApplyConfidenceCsv(const std::string& csv_text,
+                                 data::Relation* relation) {
+  std::istringstream in(csv_text);
+  return data::ReadConfidenceCsv(in, relation);
+}
 
 }  // namespace serve
 }  // namespace uniclean

@@ -7,15 +7,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "data/csv.h"
 #include "data/string_pool.h"
-#include "serve/safe_csv.h"
 #include "snapshot/snapshot.h"
 
 namespace uniclean {
@@ -34,6 +36,27 @@ double NowS() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Parses a newline-separated list of non-negative decimal tuple ids
+/// (blank lines ignored). Fails with InvalidArgument on anything else.
+Result<std::vector<data::TupleId>> ParseIdList(const std::string& text) {
+  std::vector<data::TupleId> ids;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    errno = 0;
+    char* end = nullptr;
+    long v = std::strtol(line.c_str(), &end, 10);
+    if (end == line.c_str() || *end != '\0' || errno == ERANGE || v < 0 ||
+        v > INT32_MAX) {
+      return Status::InvalidArgument("bad tuple id '" + line + "'");
+    }
+    ids.push_back(static_cast<data::TupleId>(v));
+  }
+  return ids;
 }
 
 std::string JsonEscape(const std::string& s) {
@@ -692,15 +715,17 @@ Status Daemon::HandleClean(Work& work) {
 
   auto session = std::make_shared<ServeSession>();
   {
+    std::istringstream in(data_csv);
     UC_ASSIGN_OR_RETURN(
         data::Relation relation,
-        ParseRelationCsv(data_csv, engine->rules().data_schema_ptr()));
+        data::ReadCsv(in, engine->rules().data_schema_ptr()));
     session->relation =
         std::make_unique<data::Relation>(std::move(relation));
   }
   if (!confidence_csv.empty()) {
+    std::istringstream in(confidence_csv);
     UC_RETURN_IF_ERROR(
-        ApplyConfidenceCsv(confidence_csv, session->relation.get()));
+        data::ReadConfidenceCsv(in, session->relation.get()));
   }
 
   const bool track = (flags & kCleanTrack) != 0;
@@ -769,21 +794,21 @@ Status Daemon::HandleDelta(Work& work) {
     }
     session = it->second;
   }
-  const data::SchemaPtr& schema = session->relation->schema_ptr();
+  const data::Schema& schema = session->relation->schema();
 
   Delta delta;
   if (!inserts_csv.empty()) {
+    std::istringstream in(inserts_csv);
     UC_ASSIGN_OR_RETURN(delta.inserts,
-                        ParseTupleRows(inserts_csv, schema,
-                                       /*expect_header=*/true));
+                        data::ReadCsvRows(in, schema, /*header=*/true));
   }
   UC_ASSIGN_OR_RETURN(std::vector<data::TupleId> update_ids,
                       ParseIdList(update_ids_text));
   std::vector<data::Tuple> update_rows;
   if (!updates_csv.empty()) {
+    std::istringstream in(updates_csv);
     UC_ASSIGN_OR_RETURN(update_rows,
-                        ParseTupleRows(updates_csv, schema,
-                                       /*expect_header=*/false));
+                        data::ReadCsvRows(in, schema, /*header=*/false));
   }
   if (update_ids.size() != update_rows.size()) {
     return Status::InvalidArgument(

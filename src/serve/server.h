@@ -18,7 +18,8 @@
 //    mid-stream leaks nothing.
 //
 //  * Hardened ingestion — wire bodies decode through BodyReader and
-//    client CSV through serve/safe_csv.h (StringPool::TryIntern), so a
+//    client CSV through data/csv.h, the one CSV reader the CLI and the
+//    master load use too (cells interned by StringPool::TryIntern), so a
 //    malformed, oversized or pool-exhausting request yields a kError
 //    response (or a connection close for unframeable garbage), never a
 //    CHECK-abort of the daemon.

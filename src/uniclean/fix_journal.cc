@@ -16,10 +16,9 @@ namespace uniclean {
 
 namespace {
 
-/// Renders a value the way data/csv.cc's writer does (default options).
+/// Renders a value the way data/csv.cc's writer does.
 std::string CsvValue(const data::Value& v) {
-  return v.is_null() ? data::CsvOptions{}.null_token
-                     : data::CsvQuote(v.str());
+  return v.is_null() ? std::string(data::kNullToken) : data::CsvQuote(v.str());
 }
 
 template <typename WriteFn>
@@ -157,7 +156,6 @@ Result<FixJournal> FixJournal::ReadCsv(std::istream& in) {
   constexpr char kExpectedHeader[] = "tuple,attribute,old,new,phase,rule";
   constexpr char kGenerationHeader[] =
       "tuple,attribute,old,new,phase,rule,generation";
-  const std::string null_token = data::CsvOptions{}.null_token;
   FixJournal journal;
   std::string record;
   bool saw_header = false;
@@ -192,10 +190,8 @@ Result<FixJournal> FixJournal::ReadCsv(std::istream& in) {
     }
     entry.tuple = static_cast<data::TupleId>(tuple);
     entry.attribute = std::move(fields[1]);
-    entry.old_value = fields[2] == null_token ? data::Value::Null()
-                                              : data::Value(fields[2]);
-    entry.new_value = fields[3] == null_token ? data::Value::Null()
-                                              : data::Value(fields[3]);
+    UC_ASSIGN_OR_RETURN(entry.old_value, data::ParseCsvCell(fields[2]));
+    UC_ASSIGN_OR_RETURN(entry.new_value, data::ParseCsvCell(fields[3]));
     entry.phase = std::move(fields[4]);
     entry.rule = std::move(fields[5]);
     if (arity == 7) {

@@ -109,7 +109,8 @@ class FixJournal {
   /// variant; generation reads back as 0 for 6-column journals). The CSV
   /// stores the attribute by *name* only, so `attr` is -1 on every parsed
   /// entry (resolve it against a schema if needed). Fails with Corruption on
-  /// a malformed header, arity mismatch, or non-integer tuple id. Caveat
+  /// a malformed header, arity mismatch, or non-integer tuple id, and with
+  /// OutOfRange when the StringPool is exhausted. Caveat
   /// shared with data/csv.h's relation format: a value whose *text* equals
   /// the null token (the two characters `\N`) is indistinguishable from null
   /// in the serialization and reads back as null.

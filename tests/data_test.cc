@@ -219,20 +219,57 @@ TEST(CsvTest, InferCsvSchemaReadsLogicalHeaderRecord) {
   EXPECT_EQ((*schema)->attribute_name(1), "city");
 }
 
-TEST(CsvTest, HeaderMismatchIsCorruption) {
+TEST(CsvTest, ReaderAcceptsTheHeaderItsSchemaWasInferredFrom) {
+  // InferCsvSchema trims header names and the reader skips blank records,
+  // so the reader must compare trimmed names and InferCsvSchema must skip
+  // blank records too, or a file is rejected against its own schema.
+  for (const char* text : {"name, city ,\tzip\nann,paris,75001\n",
+                           "\nname,city,zip\nann,paris,75001\n"}) {
+    std::string path = ::testing::TempDir() + "/inferred_header.csv";
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    auto schema = InferCsvSchema(path, "t");
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    ASSERT_EQ((*schema)->arity(), 3) << text;
+    EXPECT_EQ((*schema)->attribute_name(1), "city");
+    auto r = ReadCsvFile(path, *schema);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->size(), 1);
+    EXPECT_EQ(r->tuple(0).value(1), Value("paris"));
+  }
+}
+
+TEST(CsvTest, InferCsvSchemaRejectsRepeatedColumnNames) {
+  // A repeated name (after trimming) must be an error, not a CHECK-abort in
+  // MakeSchema.
+  for (const char* header : {"a,a\n", "a,b, a\n"}) {
+    std::string path = ::testing::TempDir() + "/repeated_header.csv";
+    {
+      std::ofstream out(path);
+      out << header << "1,2,3\n";
+    }
+    auto schema = InferCsvSchema(path, "t");
+    ASSERT_FALSE(schema.ok()) << header;
+    EXPECT_EQ(schema.status().code(), StatusCode::kInvalidArgument) << header;
+  }
+}
+
+TEST(CsvTest, HeaderMismatchIsInvalidArgument) {
   SchemaPtr schema = MakeSchema("t", {"a", "b"});
   std::istringstream in("a,WRONG\n1,2\n");
   auto r = ReadCsv(in, schema);
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CsvTest, ArityMismatchIsCorruption) {
+TEST(CsvTest, ArityMismatchIsInvalidArgument) {
   SchemaPtr schema = MakeSchema("t", {"a", "b"});
   std::istringstream in("a,b\n1,2,3\n");
   auto r = ReadCsv(in, schema);
   ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CsvTest, UnterminatedQuoteIsCorruption) {
@@ -244,12 +281,11 @@ TEST(CsvTest, UnterminatedQuoteIsCorruption) {
 
 TEST(CsvTest, NoHeaderMode) {
   SchemaPtr schema = MakeSchema("t", {"a", "b"});
-  CsvOptions opts;
-  opts.header = false;
   std::istringstream in("1,2\n3,4\n");
-  auto r = ReadCsv(in, schema, opts);
+  auto r = ReadCsvRows(in, *schema, /*header=*/false);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 2);
+  ASSERT_EQ(r->size(), 2u);
+  EXPECT_EQ((*r)[1].value(0), Value("3"));
 }
 
 TEST(CsvTest, CrLfLineEndingsAccepted) {
@@ -291,6 +327,24 @@ TEST(ConfidenceCsvTest, RejectsConfidenceOutOfRange) {
   std::string path = WriteTempFile("oob_conf.csv", "a,b\n0,0\n0,1.5\n");
   EXPECT_EQ(ReadConfidenceCsvFile(path, &r).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ConfidenceCsvTest, RejectsNaN) {
+  // cf < 0 || cf > 1 is false for NaN; the range check must reject it.
+  for (const char* cell : {"nan", "NAN", "-nan"}) {
+    const std::string text = std::string("a,b\n0.5,") + cell + "\n1,1\n";
+    Relation from_file = TwoColumns(2);
+    EXPECT_EQ(ReadConfidenceCsvFile(WriteTempFile("nan_conf.csv", text),
+                                    &from_file)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << cell;
+    Relation from_text = TwoColumns(2);
+    std::istringstream in(text);
+    EXPECT_EQ(ReadConfidenceCsv(in, &from_text).code(),
+              StatusCode::kInvalidArgument)
+        << cell;
+  }
 }
 
 TEST(ConfidenceCsvTest, RejectsRowCountMismatch) {

@@ -2,17 +2,20 @@
 // CSV, and adversarial random inputs must produce Status errors (or clean
 // parses), never crashes or silent corruption.
 
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "data/csv.h"
 #include "data/schema.h"
+#include "gen/dataset.h"
 #include "rules/parser.h"
 #include "similarity/suffix_tree.h"
-
-#include <sstream>
 
 namespace uniclean {
 namespace {
@@ -79,6 +82,103 @@ TEST(CsvRobustness, RandomBytesNeverCrashTheReader) {
       for (const auto& tuple : result->tuples()) {
         EXPECT_EQ(tuple.arity(), 2);
       }
+    }
+  }
+}
+
+TEST(CsvRobustness, MutatedHospHeadersNeverCrashTheLoader) {
+  // Seeded mutations of a real HOSP header, each run through the CLI's load
+  // path (InferCsvSchema + ReadCsvFile). A repeated column used to abort in
+  // MakeSchema, a padded name to fail against its own inferred schema.
+  gen::GeneratorConfig config;
+  config.num_tuples = 20;
+  config.master_size = 10;
+  config.seed = 5;
+  const gen::Dataset ds = gen::GenerateHosp(config);
+  std::ostringstream csv;
+  ASSERT_TRUE(data::WriteCsv(csv, ds.dirty).ok());
+  const std::string text = csv.str();
+  const size_t eol = text.find('\n');
+  const std::vector<std::string> names = Split(text.substr(0, eol), ',');
+  const std::string rows = text.substr(eol);
+  const std::string path = ::testing::TempDir() + "/mutated_header.csv";
+  Rng rng(17);
+  for (int i = 0; i < 120; ++i) {
+    std::vector<std::string> header = names;
+    const size_t col = rng.Index(header.size());
+    const int kind = static_cast<int>(rng.Index(4));
+    switch (kind) {
+      case 0: {  // duplicate a column
+        const std::string name = header[col];
+        header.insert(header.begin() + static_cast<long>(
+                                           rng.Index(header.size() + 1)),
+                      name);
+        break;
+      }
+      case 1:  // pad a name
+        header[col] = " " + header[col] + "\t ";
+        break;
+      case 2:  // quote a name
+        header[col] = "\"" + header[col] + "\"";
+        break;
+      default:  // drop a column
+        header.erase(header.begin() + static_cast<long>(col));
+        break;
+    }
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << Join(header, ",") << rows;
+    }
+    auto schema = data::InferCsvSchema(path, "data");
+    if (kind == 0) {
+      ASSERT_FALSE(schema.ok());
+      EXPECT_EQ(schema.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    auto relation = data::ReadCsvFile(path, *schema);
+    if (kind == 3) {
+      ASSERT_FALSE(relation.ok());
+      EXPECT_EQ(relation.status().code(), StatusCode::kInvalidArgument);
+    } else {
+      ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+      EXPECT_EQ(relation->size(), ds.dirty.size());
+    }
+  }
+}
+
+TEST(CsvRobustness, RandomConfidenceCellsAreInRangeOrAnError) {
+  Rng rng(19);
+  auto schema = MakeSchema("t", {"a", "b"});
+  const std::vector<std::string> kCells = {
+      "0",    "1",    "0.5",  "1.0000001", "-0",      "-0.1", "nan", "-nan",
+      "NAN",  "inf",  "-inf", "1e-400",    "1e400",   "0x1p-1", "",  "\\N",
+      " 0.5", "0.5 ", "abc",  "\"0.25\"",  "\"0.2", ".",     "+0.5"};
+  static const char kChars[] = "0123456789.eE+-naifNAIF x,\"";
+  for (int i = 0; i < 300; ++i) {
+    std::string cells[2];
+    for (std::string& cell : cells) {
+      if (rng.Bernoulli(0.5)) {
+        cell = rng.Choice(kCells);
+      } else {
+        for (size_t len = rng.Index(7); len > 0; --len) {
+          cell.push_back(kChars[rng.Index(sizeof(kChars) - 1)]);
+        }
+      }
+    }
+    data::Relation relation(schema);
+    relation.AddRow({"x", "y"});
+    std::istringstream in("a,b\n" + cells[0] + "," + cells[1] + "\n");
+    const Status status = data::ReadConfidenceCsv(in, &relation);
+    if (status.ok()) {
+      for (int a = 0; a < 2; ++a) {
+        const double cf = relation.tuple(0).confidence(a);
+        EXPECT_TRUE(cf >= 0.0 && cf <= 1.0) << cells[0] << "," << cells[1];
+      }
+    } else {
+      EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument ||
+                  status.code() == StatusCode::kCorruption)
+          << status.ToString();
     }
   }
 }

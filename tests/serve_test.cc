@@ -27,7 +27,6 @@
 #include "data/csv.h"
 #include "gen/dataset.h"
 #include "serve/client.h"
-#include "serve/safe_csv.h"
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "snapshot/snapshot.h"
@@ -237,11 +236,12 @@ TEST(ServeTest, TrackedDeltaCanonicalJournalByteIdentical) {
   Session session = w->reference->NewTrackedSession();
   ASSERT_TRUE(session.Run(&*relation).ok());
   Delta delta;
-  auto inserts = ParseTupleRows(inserts_csv, schema, /*expect_header=*/true);
+  std::istringstream inserts_in(inserts_csv);
+  auto inserts = data::ReadCsvRows(inserts_in, *schema, /*header=*/true);
   ASSERT_TRUE(inserts.ok()) << inserts.status().ToString();
   delta.inserts = std::move(inserts).value();
-  auto update_row = ParseTupleRows(updates_csv, schema,
-                                   /*expect_header=*/false);
+  std::istringstream updates_in(updates_csv);
+  auto update_row = data::ReadCsvRows(updates_in, *schema, /*header=*/false);
   ASSERT_TRUE(update_row.ok());
   delta.updates.emplace_back(0, std::move(update_row->front()));
   delta.deletes.push_back(2);
@@ -389,6 +389,106 @@ TEST(ServeTest, MalformedCsvIsInvalidArgumentNotACrash) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+/// Malformed CLEAN bodies, built from a valid two-row sample of the served
+/// data. data/csv.h is the only CSV reader, so each must fail with the same
+/// code through the file reader (the CLI's load path) and a wire CLEAN.
+enum class MalformedCsv {
+  kBadHeader,
+  kArity,
+  kEmpty,
+  kUnterminatedQuote,
+  kNanConfidence,
+  kConfidenceHeader,
+};
+
+struct MalformedInput {
+  std::string data_csv;
+  std::string confidence_csv;  // empty: none
+  StatusCode code;
+};
+
+MalformedInput MakeMalformed(MalformedCsv kind) {
+  ServeWorld* w = ServeWorld::Get();
+  std::istringstream dirty(w->dirty_csv);
+  std::string header, row0, row1;
+  std::getline(dirty, header);
+  std::getline(dirty, row0);
+  std::getline(dirty, row1);
+  const std::string sample = header + "\n" + row0 + "\n" + row1 + "\n";
+  // The header with its first name replaced: right arity, wrong name.
+  const std::string wrong_header = "WRONG" + header.substr(header.find(','));
+  const int arity = w->reference->rules().data_schema().arity();
+  // Two confidence rows, first cell `cell`, every other cell 1.
+  const auto confidences = [arity](const std::string& conf_header,
+                                   const std::string& cell) {
+    std::string row = cell;
+    for (int a = 1; a < arity; ++a) row += ",1";
+    return conf_header + "\n" + row + "\n" + row + "\n";
+  };
+  switch (kind) {
+    case MalformedCsv::kBadHeader:
+      return {wrong_header + "\n" + row0 + "\n", "",
+              StatusCode::kInvalidArgument};
+    case MalformedCsv::kArity:
+      return {sample + row0 + ",extra\n", "", StatusCode::kInvalidArgument};
+    case MalformedCsv::kEmpty:
+      return {"", "", StatusCode::kInvalidArgument};
+    case MalformedCsv::kUnterminatedQuote:
+      return {sample + "\"unterminated", "", StatusCode::kCorruption};
+    case MalformedCsv::kNanConfidence:
+      return {sample, confidences(header, "nan"),
+              StatusCode::kInvalidArgument};
+    case MalformedCsv::kConfidenceHeader:
+      return {sample, confidences(wrong_header, "1"),
+              StatusCode::kInvalidArgument};
+  }
+  return {};
+}
+
+class MalformedCsvTest : public ::testing::TestWithParam<MalformedCsv> {};
+
+TEST_P(MalformedCsvTest, FileReaderAndWireCleanReturnTheSameCode) {
+  ServeWorld* w = ServeWorld::Get();
+  const MalformedInput input = MakeMalformed(GetParam());
+
+  const std::string data_path = w->dir + "/malformed.csv";
+  const std::string confidence_path = w->dir + "/malformed_confidence.csv";
+  std::ofstream(data_path, std::ios::binary) << input.data_csv;
+  std::ofstream(confidence_path, std::ios::binary) << input.confidence_csv;
+  auto relation =
+      data::ReadCsvFile(data_path, w->reference->rules().data_schema_ptr());
+  Status file_status = relation.status();
+  if (relation.ok() && !input.confidence_csv.empty()) {
+    file_status = data::ReadConfidenceCsvFile(confidence_path, &*relation);
+  }
+  EXPECT_EQ(file_status.code(), input.code) << file_status.ToString();
+
+  Client client = w->Connect();
+  CleanRequest request;
+  request.data_csv = input.data_csv;
+  request.confidence_csv = input.confidence_csv;
+  auto reply = client.Clean(request);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), input.code) << reply.status().ToString();
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+std::string MalformedCsvName(
+    const ::testing::TestParamInfo<MalformedCsv>& info) {
+  static const char* const kNames[] = {
+      "BadHeader",         "Arity",         "Empty",
+      "UnterminatedQuote", "NanConfidence", "ConfidenceHeader"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, MalformedCsvTest,
+    ::testing::Values(MalformedCsv::kBadHeader, MalformedCsv::kArity,
+                      MalformedCsv::kEmpty, MalformedCsv::kUnterminatedQuote,
+                      MalformedCsv::kNanConfidence,
+                      MalformedCsv::kConfidenceHeader),
+    MalformedCsvName);
+
 TEST(ServeTest, GarbageOpcodeGetsErrorResponseAndConnectionSurvives) {
   ServeWorld* w = ServeWorld::Get();
   auto fd = ConnectTcp("127.0.0.1", w->daemon->port());
@@ -522,6 +622,56 @@ Client ConnectTo(const Daemon& daemon) {
   auto client = Client::Connect("127.0.0.1", daemon.port());
   EXPECT_TRUE(client.ok()) << client.status().ToString();
   return std::move(client).value();
+}
+
+TEST(ServeTest, ReloadOfADuplicateColumnMasterFailsAndTheOldEngineServes) {
+  // A master file that gains a repeated column must fail the RELOAD with
+  // InvalidArgument, not abort the daemon, and leave the old engine up.
+  ServeWorld* w = ServeWorld::Get();
+  const std::string master = w->dir + "/reload_master.csv";
+  {
+    std::ifstream in(w->dir + "/master.csv", std::ios::binary);
+    std::ofstream out(master, std::ios::binary);
+    out << in.rdbuf();
+  }
+  RulesetConfig cfg;
+  cfg.name = "hosp";
+  cfg.master_csv = master;
+  cfg.rules_file = w->dir + "/rules.txt";
+  cfg.schema_csv = w->dirty_path;
+  DaemonOptions options;
+  options.port = 0;
+  Daemon daemon(options, std::vector<RulesetConfig>{cfg});
+  Status started = daemon.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  Client client = ConnectTo(daemon);
+  auto before = client.PingEx();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  std::string header, rest;
+  {
+    std::ifstream in(master, std::ios::binary);
+    std::getline(in, header);
+    std::ostringstream body;
+    body << in.rdbuf();
+    rest = body.str();
+  }
+  std::ofstream(master, std::ios::binary)
+      << header << ',' << header.substr(0, header.find(',')) << '\n'
+      << rest;
+  auto reload = client.Reload("hosp");
+  ASSERT_FALSE(reload.ok());
+  EXPECT_EQ(reload.status().code(), StatusCode::kInvalidArgument)
+      << reload.status().ToString();
+
+  CleanRequest request;
+  request.data_csv = w->dirty_csv;
+  auto reply = client.Clean(request);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->journal_csv, w->reference_journal);
+  auto after = client.PingEx();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->rulesets, before->rulesets);
 }
 
 /// Fault hook stalling the first `n` CLEANs at "clean.before_run" until
