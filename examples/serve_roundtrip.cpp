@@ -145,11 +145,11 @@ int main() {
 
   // 4. Observability: the STATS document and the shutdown summary.
   auto stats = client.Stats();
-  if (!stats.ok() || stats->find("\"CLEAN\"") == std::string::npos) {
+  if (!stats.ok() || stats->requests[serve::Op::kClean].count == 0) {
     std::printf("FAIL: stats missing request metrics\n");
     return 1;
   }
-  std::printf("stats: %zu bytes of JSON\n", stats->size());
+  std::printf("stats: %zu bytes of JSON\n", serve::StatsJson(*stats).size());
 
   client.Close();
   daemon.Shutdown();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/latency_histogram.h"
-
 namespace uniclean {
 namespace cluster {
 
@@ -209,151 +207,57 @@ std::vector<std::string> ClusterClient::ConnectedReplicas() const {
 // STATS fan-out + merge
 // ---------------------------------------------------------------------------
 
-Result<std::string> StatsOpSection(const std::string& stats_json,
-                                   const std::string& op) {
-  const size_t requests = stats_json.find("\"requests\"");
-  if (requests == std::string::npos) {
-    return Status::Corruption("stats: no \"requests\" object");
-  }
-  const std::string needle = "\"" + op + "\": {";
-  const size_t at = stats_json.find(needle, requests);
-  if (at == std::string::npos) {
-    return Status::NotFound("stats: no section for op " + op);
-  }
-  // Brace-balance from the section's opening brace; the requests object
-  // holds only counters and encoded-histogram tokens, no brace-bearing
-  // strings.
-  size_t pos = at + needle.size() - 1;
-  int depth = 0;
-  for (size_t i = pos; i < stats_json.size(); ++i) {
-    if (stats_json[i] == '{') ++depth;
-    if (stats_json[i] == '}' && --depth == 0) {
-      return stats_json.substr(pos, i - pos + 1);
-    }
-  }
-  return Status::Corruption("stats: unbalanced braces in op section " + op);
-}
-
-Result<uint64_t> StatsOpCounter(const std::string& stats_json,
-                                const std::string& op,
-                                const std::string& key) {
-  UC_ASSIGN_OR_RETURN(std::string section, StatsOpSection(stats_json, op));
-  const std::string needle = "\"" + key + "\": ";
-  const size_t at = section.find(needle);
-  if (at == std::string::npos) {
-    return Status::NotFound("stats: op " + op + " has no key " + key);
-  }
-  uint64_t v = 0;
-  size_t i = at + needle.size();
-  if (i >= section.size() || section[i] < '0' || section[i] > '9') {
-    return Status::Corruption("stats: non-numeric value for " + op + "." + key);
-  }
-  for (; i < section.size() && section[i] >= '0' && section[i] <= '9'; ++i) {
-    v = v * 10 + static_cast<uint64_t>(section[i] - '0');
-  }
-  return v;
-}
-
-Result<std::string> StatsOpHist(const std::string& stats_json,
-                                const std::string& op) {
-  UC_ASSIGN_OR_RETURN(std::string section, StatsOpSection(stats_json, op));
-  const std::string needle = "\"hist\": \"";
-  const size_t at = section.find(needle);
-  if (at == std::string::npos) {
-    return Status::NotFound("stats: op " + op + " has no hist field");
-  }
-  const size_t start = at + needle.size();
-  const size_t end = section.find('"', start);
-  if (end == std::string::npos) {
-    return Status::Corruption("stats: unterminated hist string for op " + op);
-  }
-  return section.substr(start, end - start);
-}
-
-Result<std::string> ClusterClient::Stats() {
-  struct PerReplica {
-    std::string name;
-    Health health;
-    std::string json;  // empty = unreachable
-  };
-  std::vector<PerReplica> replicas;
-  int responding = 0;
+ClusterStats ClusterClient::Stats() {
+  ClusterStats merged;
   for (const ReplicaStatus& status : membership_->Snapshot()) {
-    PerReplica pr;
-    pr.name = status.name;
-    pr.health = status.health;
+    ReplicaStats replica;
+    replica.name = status.name;
+    replica.health = status.health;
     if (status.health != Health::kDown) {
       Result<serve::Client*> conn = Conn(status.name);
-      if (conn.ok()) {
-        Result<std::string> json = conn.value()->Stats();
-        if (json.ok()) {
-          pr.json = std::move(json).value();
-          membership_->ReportSuccess(status.name);
-          ++responding;
-        } else if (IsReplicaFailure(json.status())) {
-          membership_->ReportFailure(status.name);
-          DropConn(status.name);
-        }
-      } else {
+      if (!conn.ok()) {
         membership_->ReportFailure(status.name);
+      } else if (Result<serve::StatsSnapshot> stats = conn.value()->Stats();
+                 stats.ok()) {
+        membership_->ReportSuccess(status.name);
+        for (int i = 0; i < serve::kNumRequestOps; ++i) {
+          merged.requests.ops[i].Merge(stats->requests.ops[i]);
+        }
+        replica.stats = std::move(stats).value();
+      } else if (IsReplicaFailure(stats.status())) {
+        membership_->ReportFailure(status.name);
+        DropConn(status.name);
       }
     }
-    replicas.push_back(std::move(pr));
+    merged.replicas.push_back(std::move(replica));
   }
+  return merged;
+}
 
-  static const char* kKeys[] = {"count", "errors", "rejected", "cancelled",
-                                "deadline_exceeded"};
+std::string ClusterStatsJson(const ClusterStats& stats) {
+  const auto responding =
+      std::count_if(stats.replicas.begin(), stats.replicas.end(),
+                    [](const ReplicaStats& r) { return r.stats.has_value(); });
   std::string out = "{\n";
-  out += "  \"cluster\": {\"replicas\": " + std::to_string(replicas.size()) +
+  out += "  \"cluster\": {\"replicas\": " +
+         std::to_string(stats.replicas.size()) +
          ", \"responding\": " + std::to_string(responding) + "},\n";
-  out += "  \"requests\": {";
-  bool first_op = true;
-  for (int op = static_cast<int>(serve::Op::kPing);
-       op <= static_cast<int>(serve::Op::kCancel); ++op) {
-    const char* op_name = serve::OpName(static_cast<serve::Op>(op));
-    uint64_t sums[5] = {0, 0, 0, 0, 0};
-    LatencyHistogram merged;
-    for (const PerReplica& pr : replicas) {
-      if (pr.json.empty()) continue;
-      for (int k = 0; k < 5; ++k) {
-        Result<uint64_t> v = StatsOpCounter(pr.json, op_name, kKeys[k]);
-        if (v.ok()) sums[k] += v.value();
-      }
-      Result<std::string> hist = StatsOpHist(pr.json, op_name);
-      if (hist.ok()) merged.MergeEncoded(hist.value());
-    }
-    if (!first_op) out += ',';
-    first_op = false;
-    out += "\n    \"" + std::string(op_name) + "\": {";
-    for (int k = 0; k < 5; ++k) {
-      out += std::string(k == 0 ? "" : ", ") + "\"" + kKeys[k] +
-             "\": " + std::to_string(sums[k]);
-    }
-    out += ", \"latency_us\": {\"mean\": " + std::to_string(merged.mean()) +
-           ", \"p50\": " + std::to_string(merged.p50()) +
-           ", \"p95\": " + std::to_string(merged.p95()) +
-           ", \"p99\": " + std::to_string(merged.p99()) +
-           ", \"max\": " + std::to_string(merged.max()) + "}";
-    out += ", \"hist\": \"" + merged.Encode() + "\"}";
-  }
-  out += "\n  },\n";
+  serve::AppendRequestsJson(stats.requests, &out);
   out += "  \"replicas\": [";
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    const PerReplica& pr = replicas[i];
+  for (size_t i = 0; i < stats.replicas.size(); ++i) {
+    const ReplicaStats& replica = stats.replicas[i];
     if (i > 0) out += ',';
-    out += "\n    {\"name\": \"" + pr.name + "\", \"health\": \"" +
-           HealthName(pr.health) + "\", \"responding\": " +
-           (pr.json.empty() ? "false" : "true") + ", \"stats\": ";
-    if (pr.json.empty()) {
-      out += "null";
+    out += "\n    {\"name\": \"" + serve::JsonEscape(replica.name) +
+           "\", \"health\": \"" + HealthName(replica.health) +
+           "\", \"responding\": " + (replica.stats ? "true" : "false") +
+           ", \"stats\": ";
+    if (replica.stats) {
+      // Embed the replica's document without its trailing newline.
+      std::string doc = serve::StatsJson(*replica.stats);
+      doc.pop_back();
+      out += doc;
     } else {
-      // The per-replica document is verbatim JSON; strip its trailing
-      // newline so the embedding stays tidy.
-      std::string body = pr.json;
-      while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-        body.pop_back();
-      }
-      out += body;
+      out += "null";
     }
     out += "}";
   }

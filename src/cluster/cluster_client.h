@@ -30,10 +30,10 @@
 //    carries an id from this client's own space, mapped internally to
 //    (replica, remote id).
 //
-//  * STATS fans out to every non-down replica and merges: counters sum,
-//    latency histograms merge bucket-wise through the encoded form
-//    (common/latency_histogram.h), so the cluster p99 is exactly what one
-//    daemon serving all the traffic would have reported.
+//  * STATS fans out to every non-down replica and merges typed snapshots
+//    (serve/stats.h): OpStats::Merge sums each opcode's counters and merges
+//    its latency histograms bucket-wise, so the cluster p99 is exactly what
+//    one daemon serving all the traffic would have reported.
 //
 // Like serve::Client, a ClusterClient is driven by one thread; the
 // Membership it shares may be probed concurrently from its own thread.
@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,7 @@
 #include "cluster/ring.h"
 #include "common/result.h"
 #include "serve/client.h"
+#include "serve/stats.h"
 
 namespace uniclean {
 namespace cluster {
@@ -66,6 +68,26 @@ struct ClusterClientOptions {
   /// Default deadline stamped on requests whose own deadline_ms is 0.
   uint32_t default_deadline_ms = 0;
 };
+
+/// One replica's part of a fleet STATS.
+struct ReplicaStats {
+  std::string name;
+  Health health = Health::kHealthy;
+  /// The replica's snapshot; empty when it was down, unreachable or sent a
+  /// reply this build cannot decode.
+  std::optional<serve::StatsSnapshot> stats;
+};
+
+/// A fleet's STATS: per-opcode stats merged over the replicas that
+/// answered, plus every replica's own snapshot in membership order.
+struct ClusterStats {
+  serve::RequestStats requests;
+  std::vector<ReplicaStats> replicas;
+};
+
+/// The merged STATS document `unicleanctl stats` prints: a "cluster"
+/// envelope, the merged "requests" and each replica's StatsJson().
+std::string ClusterStatsJson(const ClusterStats& stats);
 
 class ClusterClient {
  public:
@@ -87,8 +109,8 @@ class ClusterClient {
 
   Status CloseSession(uint64_t session_id);
 
-  /// Fans STATS out to every non-down replica; returns the merged document.
-  Result<std::string> Stats();
+  /// Fans STATS out to every non-down replica and merges the answers.
+  ClusterStats Stats();
 
   const Ring& ring() const { return ring_; }
   Membership& membership() { return *membership_; }
@@ -124,19 +146,6 @@ class ClusterClient {
   uint64_t next_session_ = 1;
   uint64_t failovers_ = 0;
 };
-
-// --- STATS-merge helpers (exposed for tests) -------------------------------
-
-/// The brace-balanced `{...}` text of `"<op>": {...}` inside the document's
-/// "requests" object.
-Result<std::string> StatsOpSection(const std::string& stats_json,
-                                   const std::string& op);
-/// An integer counter (e.g. "count", "errors") from an op's section.
-Result<uint64_t> StatsOpCounter(const std::string& stats_json,
-                                const std::string& op, const std::string& key);
-/// The encoded latency histogram ("hist") from an op's section.
-Result<std::string> StatsOpHist(const std::string& stats_json,
-                                const std::string& op);
 
 }  // namespace cluster
 }  // namespace uniclean

@@ -113,9 +113,10 @@ class LatencyHistogram {
 
   /// Serializes the complete bucket state as a compact ASCII token,
   /// "v1,<count>,<sum>,<max>,<bucket>=<n>,..." (sparse: only non-empty
-  /// buckets appear). The alphabet is [0-9a-z,=] so the token embeds in a
-  /// JSON string with no escaping — this is how per-replica histograms
-  /// travel inside the STATS document so the cluster client can merge them.
+  /// buckets appear). The token rides inside the binary STATS body
+  /// (serve/stats.h), which is how per-replica histograms reach the cluster
+  /// client to be merged; its alphabet [0-9v,=] also embeds in a JSON
+  /// string with no escaping.
   std::string Encode() const {
     std::string out = "v1," + std::to_string(count()) + ',' +
                       std::to_string(sum_.load(std::memory_order_relaxed)) +

@@ -260,12 +260,12 @@ Result<DeltaReply> Client::AwaitDelta(uint32_t tag) {
   return reply;
 }
 
-Result<std::string> Client::Stats() {
+Result<StatsSnapshot> Client::Stats() {
   const uint32_t tag = next_tag_++;
   UC_RETURN_IF_ERROR(Send(tag, Op::kStats, ""));
   UC_ASSIGN_OR_RETURN(Frame frame,
                       ReadTerminal(tag, Op::kStatsReply, nullptr, nullptr));
-  return frame.body;
+  return DecodeStats(frame.body);
 }
 
 Result<uint32_t> Client::SendReload(const std::string& ruleset) {

@@ -36,6 +36,7 @@
 
 #include "common/result.h"
 #include "data/relation.h"
+#include "serve/stats.h"
 #include "serve/wire.h"
 
 namespace uniclean {
@@ -136,8 +137,9 @@ class Client {
   Result<PingInfo> PingEx();
   Result<CleanReply> Clean(const CleanRequest& request);
   Result<DeltaReply> Delta(const DeltaRequest& request);
-  /// The daemon's STATS JSON document.
-  Result<std::string> Stats();
+  /// The daemon's STATS, decoded (StatsJson() renders the JSON document).
+  /// A reply this build cannot decode fails as Corruption.
+  Result<StatsSnapshot> Stats();
   /// Hot-reloads the named ruleset ("" = all). Returns the daemon's
   /// per-ruleset fingerprint report.
   Result<std::string> Reload(const std::string& ruleset = "");

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -57,53 +56,6 @@ Result<std::vector<data::TupleId>> ParseIdList(const std::string& text) {
     ids.push_back(static_cast<data::TupleId>(v));
   }
   return ids;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string HistogramJson(const LatencyHistogram& h) {
-  return "{\"mean\": " + std::to_string(h.mean()) +
-         ", \"p50\": " + std::to_string(h.p50()) +
-         ", \"p95\": " + std::to_string(h.p95()) +
-         ", \"p99\": " + std::to_string(h.p99()) +
-         ", \"max\": " + std::to_string(h.max()) + "}";
-}
-
-std::string FingerprintHex(uint64_t fp) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, fp);
-  return buf;
 }
 
 }  // namespace
@@ -855,7 +807,7 @@ Status Daemon::HandleDelta(Work& work) {
 }
 
 Status Daemon::HandleStats(Work& work) {
-  return WriteFinalFrame(work, Op::kStatsReply, StatsJson());
+  return WriteFinalFrame(work, Op::kStatsReply, EncodeStats(Stats()));
 }
 
 Status Daemon::HandleReload(Work& work) {
@@ -1011,137 +963,49 @@ void Daemon::LogRequest(const Work& work, uint64_t run_us,
 // Observability
 // ---------------------------------------------------------------------------
 
-std::string Daemon::StatsJson() const {
-  std::string out = "{\n";
-  out += "  \"uptime_s\": " +
-         std::to_string(running_.load() ? NowS() - start_time_s_ : 0.0) +
-         ",\n";
-  out += "  \"connections\": {\"live\": " +
-         std::to_string(conns_open_.load()) + ", \"accepted\": " +
-         std::to_string(conns_accepted_.load()) + "},\n";
-  out += "  \"sessions\": {\"live\": " + std::to_string(sessions_open_.load()) +
-         ", \"opened\": " + std::to_string(sessions_opened_total_.load()) +
-         "},\n";
-  out += "  \"protocol_errors\": " + std::to_string(protocol_errors_.load()) +
-         ",\n";
-  out += "  \"overload\": {\"rejected\": " + std::to_string(
-             rejected_total_.load()) +
-         ", \"cancelled\": " + std::to_string(cancelled_total_.load()) +
-         ", \"deadline_exceeded\": " + std::to_string(deadline_total_.load()) +
-         "},\n";
-  out += "  \"requests\": {";
-  bool first = true;
-  for (int op = static_cast<int>(Op::kPing);
-       op <= static_cast<int>(Op::kCancel); ++op) {
-    const OpMetrics& m = op_metrics_[op];
-    if (!first) out += ',';
-    first = false;
-    out += "\n    \"" + std::string(OpName(static_cast<Op>(op))) +
-           "\": {\"count\": " + std::to_string(m.requests.load()) +
-           ", \"errors\": " + std::to_string(m.errors.load()) +
-           ", \"rejected\": " + std::to_string(m.rejected.load()) +
-           ", \"cancelled\": " + std::to_string(m.cancelled.load()) +
-           ", \"deadline_exceeded\": " +
-           std::to_string(m.deadline_exceeded.load()) +
-           ", \"latency_us\": " + HistogramJson(m.latency_us) +
-           ", \"hist\": \"" + m.latency_us.Encode() + "\"}";
-  }
-  out += "\n  },\n";
-  out += "  \"rulesets\": [";
-  core::MemoStats memo_total;
-  int snapshot_warmed = 0;
-  for (size_t i = 0; i < engines_.size(); ++i) {
-    const EngineEntry& entry = *engines_[i];
-    std::shared_ptr<CleanEngine> engine = entry.Get();
-    if (i > 0) out += ',';
-    const core::MemoStats memo = engine->MemoStats();
-    memo_total += memo;
-    if (!engine->snapshot_source().empty()) ++snapshot_warmed;
-    out += "\n    {\"name\": \"" + JsonEscape(entry.cfg.name) +
-           "\", \"fingerprint\": \"" + FingerprintHex(engine->Fingerprint()) +
-           "\", \"reloads\": " + std::to_string(entry.reloads.load()) +
-           ", \"master_tuples\": " + std::to_string(engine->master().size()) +
-           ", \"cfds\": " + std::to_string(engine->rules().cfds().size()) +
-           ", \"mds\": " + std::to_string(engine->rules().mds().size()) +
-           ", \"snapshot\": {\"source\": \"" +
-           JsonEscape(engine->snapshot_source()) + "\", \"load_s\": " +
-           std::to_string(engine->snapshot_load_seconds()) + "}" +
-           ", \"memo\": {\"entries\": " + std::to_string(memo.entries) +
-           ", \"bytes\": " + std::to_string(memo.bytes) +
-           ", \"hits\": " + std::to_string(memo.hits) +
-           ", \"misses\": " + std::to_string(memo.misses) +
-           ", \"evictions\": " + std::to_string(memo.evictions) + "}}";
-  }
-  out += "\n  ],\n";
-  const data::StringPoolStats pool = data::StringPool::Global().Stats();
-  // The warm-state footprint rollup: everything a restart would have to
-  // rebuild (or a snapshot restores) in one place.
-  out += "  \"engine_memory\": {\"string_pool\": {\"interned\": " +
-         std::to_string(pool.interned) +
-         ", \"chunks\": " + std::to_string(pool.chunks) +
-         ", \"string_bytes\": " + std::to_string(pool.string_bytes) +
-         "}, \"memo\": {\"entries\": " + std::to_string(memo_total.entries) +
-         ", \"bytes\": " + std::to_string(memo_total.bytes) +
-         "}, \"snapshot_warmed_engines\": " + std::to_string(snapshot_warmed) +
-         "},\n";
-  out += "  \"string_pool\": {\"interned\": " + std::to_string(pool.interned) +
-         ", \"remaining\": " + std::to_string(pool.remaining) +
-         ", \"string_bytes\": " + std::to_string(pool.string_bytes) + "}\n";
-  out += "}\n";
-  return out;
-}
-
-std::string Daemon::SummaryText() const {
-  std::string out = "unicleand summary: " +
-                    std::to_string(conns_accepted_.load()) +
-                    " connection(s), " +
-                    std::to_string(sessions_opened_total_.load()) +
-                    " tracked session(s), " +
-                    std::to_string(protocol_errors_.load()) +
-                    " protocol error(s)\n";
-  out += "  overload: " + std::to_string(rejected_total_.load()) +
-         " rejected, " + std::to_string(cancelled_total_.load()) +
-         " cancelled, " + std::to_string(deadline_total_.load()) +
-         " deadline-exceeded\n";
-  for (int op = static_cast<int>(Op::kPing);
-       op <= static_cast<int>(Op::kCancel); ++op) {
-    const OpMetrics& m = op_metrics_[op];
-    if (m.requests.load() == 0 && m.rejected.load() == 0) continue;
-    out += "  " + std::string(OpName(static_cast<Op>(op))) + ": " +
-           std::to_string(m.requests.load()) + " request(s), " +
-           std::to_string(m.errors.load()) + " error(s)";
-    if (m.rejected.load() != 0) {
-      out += ", " + std::to_string(m.rejected.load()) + " rejected";
-    }
-    if (m.cancelled.load() != 0) {
-      out += ", " + std::to_string(m.cancelled.load()) + " cancelled";
-    }
-    if (m.deadline_exceeded.load() != 0) {
-      out += ", " + std::to_string(m.deadline_exceeded.load()) +
-             " deadline-exceeded";
-    }
-    out += ", latency_us " + m.latency_us.Summary() + "\n";
+StatsSnapshot Daemon::Stats() const {
+  StatsSnapshot stats;
+  stats.uptime_s = running_.load() ? NowS() - start_time_s_ : 0.0;
+  stats.connections_live = conns_open_.load();
+  stats.connections_accepted = conns_accepted_.load();
+  stats.sessions_live = sessions_open_.load();
+  stats.sessions_opened = sessions_opened_total_.load();
+  stats.protocol_errors = protocol_errors_.load();
+  stats.rejected = rejected_total_.load();
+  stats.cancelled = cancelled_total_.load();
+  stats.deadline_exceeded = deadline_total_.load();
+  for (int i = 0; i < kNumRequestOps; ++i) {
+    const OpMetrics& m = op_metrics_[i + 1];
+    OpStats& op = stats.requests.ops[i];
+    op.count = m.requests.load();
+    op.errors = m.errors.load();
+    op.rejected = m.rejected.load();
+    op.cancelled = m.cancelled.load();
+    op.deadline_exceeded = m.deadline_exceeded.load();
+    op.hist = m.latency_us.Encode();
   }
   for (const auto& entry : engines_) {
-    std::shared_ptr<CleanEngine> engine = entry->Get();
-    const core::MemoStats memo = engine->MemoStats();
-    const uint64_t lookups = memo.hits + memo.misses;
-    out += "  ruleset " + entry->cfg.name + ": " +
-           std::to_string(entry->reloads.load()) + " reload(s), memo hit "
-           "rate " +
-           std::to_string(lookups == 0 ? 0.0
-                                       : 100.0 * static_cast<double>(memo.hits) /
-                                             static_cast<double>(lookups)) +
-           "% (" + std::to_string(memo.hits) + "/" + std::to_string(lookups) +
-           ")";
-    if (!engine->snapshot_source().empty()) {
-      out += ", warm-started from snapshot in " +
-             std::to_string(engine->snapshot_load_seconds()) + "s";
+    RulesetStats r;
+    r.name = entry->cfg.name;
+    r.reloads = entry->reloads.load();
+    if (std::shared_ptr<CleanEngine> engine = entry->Get()) {
+      r.fingerprint = engine->Fingerprint();
+      r.master_tuples = engine->master().size();
+      r.cfds = engine->rules().cfds().size();
+      r.mds = engine->rules().mds().size();
+      r.snapshot_source = engine->snapshot_source();
+      r.snapshot_load_s = engine->snapshot_load_seconds();
+      r.memo = engine->MemoStats();
     }
-    out += "\n";
+    stats.rulesets.push_back(std::move(r));
   }
-  return out;
+  stats.string_pool = data::StringPool::Global().Stats();
+  return stats;
 }
+
+std::string Daemon::StatsJson() const { return serve::StatsJson(Stats()); }
+
+std::string Daemon::SummaryText() const { return StatsSummary(Stats()); }
 
 }  // namespace serve
 }  // namespace uniclean

@@ -40,9 +40,10 @@
 //  * Observability — per-opcode request/error/rejected/cancelled/
 //    deadline-exceeded counters and microsecond LatencyHistograms
 //    (common/latency_histogram.h), engine MemoStats, fingerprints and
-//    reload counts, StringPool occupancy; all exposed as the STATS JSON
-//    document and rendered once more as the shutdown summary. Optional
-//    per-request JSON log (request_log_path).
+//    reload counts, StringPool occupancy; Stats() reads them into one
+//    typed StatsSnapshot (serve/stats.h), which STATS sends in binary and
+//    from which the STATS JSON document and the shutdown summary are
+//    rendered. Optional per-request JSON log (request_log_path).
 //
 // Shutdown() is a graceful drain: stop accepting, EOF every reader, finish
 // the queued work, then join — except that after drain_grace_ms every
@@ -71,6 +72,7 @@
 #include "common/cancellation.h"
 #include "common/latency_histogram.h"
 #include "common/result.h"
+#include "serve/stats.h"
 #include "serve/wire.h"
 #include "uniclean/engine.h"
 
@@ -175,28 +177,23 @@ class Daemon {
   /// session. Idempotent; also invoked by the destructor.
   void Shutdown();
 
-  /// The STATS JSON document (also served over the wire). Safe while
-  /// requests are running.
+  /// What STATS serves: every counter and histogram, each read once. Safe
+  /// while requests are running.
+  StatsSnapshot Stats() const;
+
+  /// StatsJson(Stats()): the STATS JSON document.
   std::string StatsJson() const;
 
-  /// Human-readable per-opcode latency/error summary for the shutdown log.
+  /// StatsSummary(Stats()): the per-opcode summary for the shutdown log.
   std::string SummaryText() const;
 
-  // --- test / metrics accessors -------------------------------------------
-  /// Tracked sessions currently alive across all connections.
-  uint64_t live_sessions() const { return sessions_open_.load(); }
-  /// Connections currently alive.
-  uint64_t live_connections() const { return conns_open_.load(); }
+  // --- metrics accessors ----------------------------------------------------
   /// Frames that failed protocol decoding (bad header, garbage opcode,
   /// malformed body).
   uint64_t protocol_errors() const { return protocol_errors_.load(); }
   /// Requests refused at admission (full queue / per-ruleset cap), i.e.
   /// answered kUnavailable without any work.
   uint64_t requests_rejected() const { return rejected_total_.load(); }
-  /// Requests that unwound with kCancelled (CANCEL opcode or shutdown).
-  uint64_t requests_cancelled() const { return cancelled_total_.load(); }
-  /// Requests that unwound with kDeadlineExceeded.
-  uint64_t deadlines_exceeded() const { return deadline_total_.load(); }
 
   /// Test-only fault injection: when set (before Start), handlers invoke the
   /// hook at named points ("clean.before_run", "delta.before_apply") with
@@ -309,21 +306,17 @@ class Daemon {
   FaultHook fault_hook_;
 
   // Metrics.
+  /// The live counterpart of OpStats (serve/stats.h), field for field.
   struct OpMetrics {
-    /// Dispatched to a worker (== accepted; rejected requests never count
-    /// here).
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
-    /// Refused at admission with kUnavailable (full queue / ruleset cap).
     std::atomic<uint64_t> rejected{0};
-    /// Unwound with kCancelled (CANCEL opcode, client gone, or shutdown).
     std::atomic<uint64_t> cancelled{0};
-    /// Unwound with kDeadlineExceeded.
     std::atomic<uint64_t> deadline_exceeded{0};
     LatencyHistogram latency_us;
   };
-  static constexpr int kNumRequestOps = static_cast<int>(Op::kCancel) + 1;
-  OpMetrics op_metrics_[kNumRequestOps];
+  /// Indexed by opcode; slot 0 is unused.
+  OpMetrics op_metrics_[kNumRequestOps + 1];
   std::atomic<uint64_t> conns_accepted_{0};
   std::atomic<uint64_t> conns_open_{0};
   std::atomic<uint64_t> sessions_open_{0};

@@ -55,7 +55,18 @@
 //               u32 journal entries, lp phase summary text
 //   kDeltaDone  u32 generation, u32 affected tuples, u32 refinement rounds,
 //               u32 fixes
-//   kStatsReply JSON text (see server.h for the document shape)
+//   kStatsReply the binary StatsSnapshot (serve/stats.h); f64 = a double's
+//               IEEE-754 bits as a u64. u8 version (1), f64 uptime, u64
+//               connections live + accepted, sessions live + opened,
+//               protocol errors, rejected, cancelled, deadline-exceeded;
+//               per request opcode (kPing..kCancel): u64 count, errors,
+//               rejected, cancelled, deadline-exceeded, lp histogram token
+//               (LatencyHistogram::Encode, "" = empty); u32 n, then n
+//               rulesets: lp name, u64 fingerprint, reloads, master tuples,
+//               cfds, mds, lp snapshot source, f64 load seconds, u64 memo
+//               entries, bytes, hits, misses, evictions; u64 string-pool
+//               interned, capacity, remaining, chunks, string bytes. Any
+//               other version is Corruption: there is no fallback
 //   kOk         lp message
 //   kError      u8 wire error code (the numeric StatusCode: 1 =
 //               InvalidArgument, 2 = NotFound, 3 = Corruption, 4 =

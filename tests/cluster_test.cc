@@ -14,6 +14,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -204,6 +205,73 @@ TEST(EncodedHistogramTest, RejectsMalformedTokens) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_TRUE(h.MergeEncoded("v1,0,0,0"));  // empty histogram is valid
   EXPECT_EQ(h.count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Merged STATS document
+// ---------------------------------------------------------------------------
+
+TEST(ClusterStatsTest, JsonMatchesTheGoldenDocument) {
+  // One replica answered and one is down: the merged "requests" equal the
+  // responder's, and its own STATS document is embedded verbatim.
+  serve::StatsSnapshot r1;
+  r1.uptime_s = 1.0;
+  LatencyHistogram latency;
+  latency.Record(1500);
+  r1.requests[serve::Op::kClean].count = 1;
+  r1.requests[serve::Op::kClean].hist = latency.Encode();
+  ClusterStats stats;
+  stats.requests[serve::Op::kClean].Merge(r1.requests[serve::Op::kClean]);
+  stats.replicas.push_back({"r1", Health::kHealthy, r1});
+  stats.replicas.push_back({"r2", Health::kDown, std::nullopt});
+  const std::string expected = R"json({
+  "cluster": {"replicas": 2, "responding": 1},
+  "requests": {
+    "PING": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "CLEAN": {"count": 1, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 1500, "p50": 1500, "p95": 1500, "p99": 1500, "max": 1500}, "hist": "v1,1,1500,1500,67=1"},
+    "DELTA": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "STATS": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "RELOAD": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "CLOSE_SESSION": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "CANCEL": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"}
+  },
+  "replicas": [
+    {"name": "r1", "health": "healthy", "responding": true, "stats": {
+  "uptime_s": 1.000000,
+  "connections": {"live": 0, "accepted": 0},
+  "sessions": {"live": 0, "opened": 0},
+  "protocol_errors": 0,
+  "overload": {"rejected": 0, "cancelled": 0, "deadline_exceeded": 0},
+  "requests": {
+    "PING": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "CLEAN": {"count": 1, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 1500, "p50": 1500, "p95": 1500, "p99": 1500, "max": 1500}, "hist": "v1,1,1500,1500,67=1"},
+    "DELTA": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "STATS": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "RELOAD": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "CLOSE_SESSION": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"},
+    "CANCEL": {"count": 0, "errors": 0, "rejected": 0, "cancelled": 0, "deadline_exceeded": 0, "latency_us": {"mean": 0, "p50": 0, "p95": 0, "p99": 0, "max": 0}, "hist": "v1,0,0,0"}
+  },
+  "rulesets": [
+  ],
+  "engine_memory": {"string_pool": {"interned": 0, "chunks": 0, "string_bytes": 0}, "memo": {"entries": 0, "bytes": 0}, "snapshot_warmed_engines": 0},
+  "string_pool": {"interned": 0, "remaining": 0, "string_bytes": 0}
+}},
+    {"name": "r2", "health": "down", "responding": false, "stats": null}
+  ]
+}
+)json";
+  EXPECT_EQ(ClusterStatsJson(stats), expected);
+}
+
+TEST(ClusterStatsTest, ReplicaNamesAreEscaped) {
+  // The spec parser accepts any whitespace-free word as a replica name.
+  ClusterStats stats;
+  stats.replicas.push_back({"r\"1", Health::kSuspect, std::nullopt});
+  stats.replicas.push_back({"back\\slash", Health::kDown, std::nullopt});
+  const std::string json = ClusterStatsJson(stats);
+  EXPECT_NE(json.find("\"name\": \"r\\\"1\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\": \"back\\\\slash\""), std::string::npos)
+      << json;
 }
 
 // ---------------------------------------------------------------------------
@@ -552,39 +620,29 @@ TEST(ClusterRoutingTest, MergedStatsSumPerReplicaCounters) {
   request.ruleset = "hosp_alt";
   ASSERT_TRUE(client->Clean(request).ok());
 
-  auto merged = client->Stats();
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const ClusterStats merged = client->Stats();
 
-  // Daemon::StatsJson() reads the metrics in-process — no wire STATS, so
+  // Daemon::Stats() reads the metrics in-process — no wire STATS, so
   // collecting the per-replica truth does not perturb any counter.
-  uint64_t expect_count = 0, expect_errors = 0;
-  LatencyHistogram expect_hist;
+  serve::OpStats expect;
   for (const auto& daemon : w->daemons) {
-    const std::string doc = daemon->StatsJson();
-    auto count = StatsOpCounter(doc, "CLEAN", "count");
-    ASSERT_TRUE(count.ok()) << count.status().ToString();
-    expect_count += *count;
-    auto errors = StatsOpCounter(doc, "CLEAN", "errors");
-    ASSERT_TRUE(errors.ok());
-    expect_errors += *errors;
-    auto hist = StatsOpHist(doc, "CLEAN");
-    ASSERT_TRUE(hist.ok());
-    ASSERT_TRUE(expect_hist.MergeEncoded(*hist));
+    expect.Merge(daemon->Stats().requests[serve::Op::kClean]);
   }
-  ASSERT_GE(expect_count, 4u);
+  ASSERT_GE(expect.count, 4u);
 
-  auto merged_count = StatsOpCounter(*merged, "CLEAN", "count");
-  ASSERT_TRUE(merged_count.ok()) << merged_count.status().ToString();
-  EXPECT_EQ(*merged_count, expect_count);
-  auto merged_errors = StatsOpCounter(*merged, "CLEAN", "errors");
-  ASSERT_TRUE(merged_errors.ok());
-  EXPECT_EQ(*merged_errors, expect_errors);
-  auto merged_hist = StatsOpHist(*merged, "CLEAN");
-  ASSERT_TRUE(merged_hist.ok());
-  EXPECT_EQ(*merged_hist, expect_hist.Encode());
-  // The cluster envelope reports the fleet.
-  EXPECT_NE(merged->find("\"cluster\""), std::string::npos);
-  EXPECT_NE(merged->find("\"replicas\": 3"), std::string::npos);
+  const serve::OpStats& clean = merged.requests[serve::Op::kClean];
+  EXPECT_EQ(clean.count, expect.count);
+  EXPECT_EQ(clean.errors, expect.errors);
+  EXPECT_EQ(clean.hist, expect.hist);
+  // The cluster envelope reports the fleet, and the merge is the sum of
+  // the per-replica snapshots it carries.
+  ASSERT_EQ(merged.replicas.size(), 3u);
+  uint64_t replica_cleans = 0;
+  for (const ReplicaStats& replica : merged.replicas) {
+    ASSERT_TRUE(replica.stats.has_value()) << replica.name;
+    replica_cleans += replica.stats->requests[serve::Op::kClean].count;
+  }
+  EXPECT_EQ(replica_cleans, clean.count);
 }
 
 TEST(ClusterRoutingTest, RollingReloadKeepsServing) {

@@ -2,8 +2,9 @@
 # End-to-end daemon smoke test: start unicleand on a generated HOSP sample,
 # run a batch clean plus one streaming DELTA through uniclean_client, assert
 # both journals are byte-identical to in-process uniclean_cli runs on the
-# same inputs, then SIGTERM the daemon and assert a graceful drain (exit 0
-# with the shutdown summary). A --snapshot-dir daemon then demonstrates the
+# same inputs, read the daemon's STATS through `uniclean_client --stats`,
+# then SIGTERM the daemon and assert a graceful drain (exit 0 with the
+# shutdown summary). A --snapshot-dir daemon then demonstrates the
 # crash path: its cold start persists a snapshot, kill -9 simulates a crash,
 # and the restarted daemon warm-starts from the file with a byte-identical
 # journal. A second daemon with a tiny --max-queue then
@@ -63,6 +64,13 @@ cmp -s cli_batch.csv wire_batch.csv \
   || fail "batch journal differs from the in-process run"
 cmp -s cli_delta.csv wire_delta.csv \
   || fail "delta canonical journal differs from the in-process run"
+
+# STATS across processes: the client decodes the binary reply and renders
+# the JSON document, which counts the one CLEAN above.
+"$CLIENT" --port-file port.txt --stats > stats.json || fail "client --stats"
+grep -q '"CLEAN": {"count": 1,' stats.json \
+  || fail "--stats does not count the batch CLEAN"
+grep -q '"rulesets": \[' stats.json || fail "--stats has no rulesets"
 
 kill -TERM "$DAEMON_PID" || fail "SIGTERM"
 DRAIN_OK=

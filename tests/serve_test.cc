@@ -280,6 +280,8 @@ TEST(ServeTest, ReloadMidStreamKeepsInFlightRequestsIntact) {
   // The acceptance pin: RELOADs racing a stream of CLEANs must neither
   // drop nor corrupt them — every journal stays byte-identical.
   ServeWorld* w = ServeWorld::Get();
+  const StatsSnapshot before = w->daemon->Stats();
+  ASSERT_EQ(before.rulesets.size(), 1u);
   std::atomic<int> failures{0};
   std::vector<std::thread> cleaners;
   for (int t = 0; t < 2; ++t) {
@@ -309,8 +311,10 @@ TEST(ServeTest, ReloadMidStreamKeepsInFlightRequestsIntact) {
   // Same files on disk -> the swapped-in engine has the same fingerprint.
   Client probe = w->Connect();
   auto stats = probe.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"reloads\": "), std::string::npos);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->rulesets.size(), 1u);
+  EXPECT_EQ(stats->rulesets[0].reloads, before.rulesets[0].reloads + 3);
+  EXPECT_EQ(stats->rulesets[0].fingerprint, before.rulesets[0].fingerprint);
 }
 
 TEST(ServeTest, PipelinedCleanAndReloadShareOneConnection) {
@@ -333,17 +337,17 @@ TEST(ServeTest, PipelinedCleanAndReloadShareOneConnection) {
 
 TEST(ServeTest, TrackedSessionReclaimedOnDisconnect) {
   ServeWorld* w = ServeWorld::Get();
-  const uint64_t baseline = w->daemon->live_sessions();
+  const uint64_t baseline = w->daemon->Stats().sessions_live;
   Client client = w->Connect();
   CleanRequest request;
   request.data_csv = w->dirty_csv;
   request.track = true;
   auto reply = client.Clean(request);
   ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(w->daemon->live_sessions(), baseline + 1);
+  EXPECT_EQ(w->daemon->Stats().sessions_live, baseline + 1);
   client.Close();  // abrupt disconnect, no CLOSE_SESSION
   EXPECT_TRUE(Eventually(
-      [&] { return w->daemon->live_sessions() == baseline; }));
+      [&] { return w->daemon->Stats().sessions_live == baseline; }));
 }
 
 TEST(ServeTest, CloseSessionThenDeltaFails) {
@@ -568,14 +572,114 @@ TEST(ServeTest, StatsReportsServingCounters) {
   ServeWorld* w = ServeWorld::Get();
   Client client = w->Connect();
   ASSERT_TRUE(client.Ping().ok());
-  auto json = client.Stats();
-  ASSERT_TRUE(json.ok());
-  EXPECT_NE(json->find("\"CLEAN\""), std::string::npos);
-  EXPECT_NE(json->find("\"latency_us\""), std::string::npos);
-  EXPECT_NE(json->find("\"fingerprint\""), std::string::npos);
-  EXPECT_NE(json->find("\"memo\""), std::string::npos);
-  EXPECT_NE(json->find("\"string_pool\""), std::string::npos);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // The PING above replied, so its latency is already recorded.
+  const OpStats& ping = stats->requests[Op::kPing];
+  EXPECT_GE(ping.count, 1u);
+  LatencyHistogram ping_latency;
+  ASSERT_TRUE(ping_latency.MergeEncoded(ping.hist));
+  EXPECT_GE(ping_latency.count(), 1u);
+  EXPECT_GE(stats->requests[Op::kStats].count, 1u);
+  EXPECT_GE(stats->connections_live, 1u);
+  ASSERT_EQ(stats->rulesets.size(), 1u);
+  const RulesetStats& hosp = stats->rulesets[0];
+  EXPECT_EQ(hosp.name, "hosp");
+  EXPECT_EQ(hosp.fingerprint, w->daemon->Stats().rulesets[0].fingerprint);
+  EXPECT_NE(hosp.fingerprint, 0u);
+  EXPECT_EQ(hosp.master_tuples, 60u);
+  EXPECT_GT(hosp.cfds + hosp.mds, 0u);
+  EXPECT_GT(stats->string_pool.interned, 0u);
+  EXPECT_GT(stats->string_pool.remaining, 0u);
   EXPECT_FALSE(w->daemon->SummaryText().empty());
+}
+
+/// True when no cumulative counter in `now` is below its value in `before`.
+bool CountersNeverDecrease(const StatsSnapshot& before,
+                           const StatsSnapshot& now) {
+  auto hist_count = [](const OpStats& op) {
+    LatencyHistogram h;
+    h.MergeEncoded(op.hist);
+    return h.count();
+  };
+  bool ok = now.connections_accepted >= before.connections_accepted &&
+            now.sessions_opened >= before.sessions_opened &&
+            now.protocol_errors >= before.protocol_errors &&
+            now.rejected >= before.rejected &&
+            now.cancelled >= before.cancelled &&
+            now.deadline_exceeded >= before.deadline_exceeded &&
+            now.rulesets.size() == before.rulesets.size();
+  for (int i = 0; ok && i < kNumRequestOps; ++i) {
+    const OpStats& a = before.requests.ops[i];
+    const OpStats& b = now.requests.ops[i];
+    ok = b.count >= a.count && b.errors >= a.errors &&
+         b.rejected >= a.rejected && b.cancelled >= a.cancelled &&
+         b.deadline_exceeded >= a.deadline_exceeded &&
+         hist_count(b) >= hist_count(a);
+  }
+  for (size_t i = 0; ok && i < now.rulesets.size(); ++i) {
+    const RulesetStats& a = before.rulesets[i];
+    const RulesetStats& b = now.rulesets[i];
+    ok = b.reloads >= a.reloads && b.memo.hits >= a.memo.hits &&
+         b.memo.misses >= a.memo.misses;
+  }
+  return ok;
+}
+
+TEST(ServeTest, StatsWhileCleansRunNeverGoesBackwards) {
+  // server.h promises Stats() is safe while requests run: one thread polls
+  // it while four clients CLEAN. No counter ever decreases, and once the
+  // clients are done every CLEAN is counted and timed exactly once.
+  ServeWorld* w = ServeWorld::Get();
+  constexpr int kClients = 4;
+  constexpr int kCleansEach = 3;
+  const StatsSnapshot baseline = w->daemon->Stats();
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  int polls = 0;
+  int regressions = 0;
+  std::thread poller([&] {
+    StatsSnapshot previous = w->daemon->Stats();
+    while (!done.load()) {
+      StatsSnapshot now = w->daemon->Stats();
+      if (!CountersNeverDecrease(previous, now)) ++regressions;
+      previous = std::move(now);
+      ++polls;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::thread> cleaners;
+  for (int t = 0; t < kClients; ++t) {
+    cleaners.emplace_back([w, &failures] {
+      Client client = w->Connect();
+      for (int i = 0; i < kCleansEach; ++i) {
+        CleanRequest request;
+        request.data_csv = w->dirty_csv;
+        auto reply = client.Clean(request);
+        if (!reply.ok() || reply->journal_csv != w->reference_journal) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : cleaners) t.join();
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(polls, 0);
+  EXPECT_EQ(regressions, 0);
+
+  const StatsSnapshot after = w->daemon->Stats();
+  EXPECT_TRUE(CountersNeverDecrease(baseline, after));
+  const uint64_t sent = kClients * kCleansEach;
+  EXPECT_EQ(after.requests[Op::kClean].count,
+            baseline.requests[Op::kClean].count + sent);
+  EXPECT_EQ(after.requests[Op::kClean].errors,
+            baseline.requests[Op::kClean].errors);
+  LatencyHistogram timed_before, timed_after;
+  ASSERT_TRUE(timed_before.MergeEncoded(baseline.requests[Op::kClean].hist));
+  ASSERT_TRUE(timed_after.MergeEncoded(after.requests[Op::kClean].hist));
+  EXPECT_EQ(timed_after.count(), timed_before.count() + sent);
 }
 
 TEST(ServeTest, PoolExhaustionTravelsAsResourceExhausted) {
@@ -728,7 +832,7 @@ TEST(FaultInjectionTest, StalledWorkerDeadlineFiresWithinBound) {
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded)
       << reply.status().ToString();
   EXPECT_LT(elapsed_ms, 1000);
-  EXPECT_EQ(daemon->deadlines_exceeded(), 1u);
+  EXPECT_EQ(daemon->Stats().deadline_exceeded, 1u);
 
   CleanRequest again;
   again.data_csv = w->dirty_csv;
@@ -753,7 +857,7 @@ TEST(FaultInjectionTest, ExpiredServerDefaultDeadlineAppliesWithoutClientOptIn) 
   auto reply = client.Clean(request);
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(daemon->deadlines_exceeded(), 1u);
+  EXPECT_EQ(daemon->Stats().deadline_exceeded, 1u);
 }
 
 TEST(FaultInjectionTest, FullQueueRejectsImmediatelyWithRetryAfter) {
@@ -821,7 +925,7 @@ TEST(FaultInjectionTest, CancelReachesAStalledRequestAndReclaimsTheWorker) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kCancelled)
       << reply.status().ToString();
-  EXPECT_EQ(daemon->requests_cancelled(), 1u);
+  EXPECT_EQ(daemon->Stats().cancelled, 1u);
 
   auto again = client.Clean(request);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
@@ -855,7 +959,7 @@ TEST(FaultInjectionTest, ShutdownDrainCancelsWedgedRequests) {
   const auto t0 = std::chrono::steady_clock::now();
   daemon->Shutdown();
   EXPECT_LT(MsSince(t0), 5000);
-  EXPECT_GE(daemon->requests_cancelled(), 1u);
+  EXPECT_GE(daemon->Stats().cancelled, 1u);
   EXPECT_NE(daemon->SummaryText().find("cancelled"), std::string::npos);
 }
 
@@ -961,9 +1065,11 @@ TEST(OverloadTest, SixteenClientsBackoffToByteIdenticalSuccess) {
   // rest were refused at admission and later retried their way in.
   EXPECT_GT(daemon->requests_rejected(), 0u);
   EXPECT_GT(retries.load(), 0u);
-  const std::string stats = daemon->StatsJson();
-  EXPECT_NE(stats.find("\"overload\""), std::string::npos);
-  EXPECT_NE(stats.find("\"rejected\""), std::string::npos);
+  // Every refusal was a CLEAN, so the overload rollup and the CLEAN
+  // counter agree.
+  const StatsSnapshot stats = daemon->Stats();
+  EXPECT_EQ(stats.rejected, daemon->requests_rejected());
+  EXPECT_EQ(stats.requests[Op::kClean].rejected, stats.rejected);
 }
 
 TEST(FaultInjectionTest, RequestLogRecordsOneJsonLinePerRequest) {
@@ -1061,9 +1167,10 @@ TEST(SnapshotServeTest, ColdStartWritesSnapshotAndRestartWarmStartsFromIt) {
     Client client = ConnectTo(*daemon);
     auto stats = client.Stats();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_NE(stats->find("\"snapshot_warmed_engines\": 0"),
-              std::string::npos);
-    EXPECT_NE(stats->find("\"engine_memory\""), std::string::npos);
+    ASSERT_EQ(stats->rulesets.size(), 1u);
+    EXPECT_EQ(stats->rulesets[0].snapshot_source, "");  // a cold build
+    EXPECT_GT(stats->string_pool.interned, 0u);
+    EXPECT_GT(stats->string_pool.string_bytes, 0u);
   }
   // "Restart": a second daemon over the same files and snapshot dir must
   // warm-start from the file and serve byte-identical journals.
@@ -1071,8 +1178,9 @@ TEST(SnapshotServeTest, ColdStartWritesSnapshotAndRestartWarmStartsFromIt) {
   Client client = ConnectTo(*daemon);
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_NE(stats->find("\"snapshot_warmed_engines\": 1"), std::string::npos);
-  EXPECT_NE(stats->find(snap_path), std::string::npos);
+  ASSERT_EQ(stats->rulesets.size(), 1u);
+  EXPECT_EQ(stats->rulesets[0].snapshot_source, snap_path);
+  EXPECT_GT(stats->rulesets[0].snapshot_load_s, 0.0);
   CleanRequest request;
   request.data_csv = w->dirty_csv;
   auto reply = client.Clean(request);
@@ -1109,7 +1217,8 @@ TEST(SnapshotServeTest, CorruptSnapshotFallsBackToColdBuildAndRewrites) {
   Client client = ConnectTo(*daemon);
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_NE(stats->find("\"snapshot_warmed_engines\": 0"), std::string::npos);
+  ASSERT_EQ(stats->rulesets.size(), 1u);
+  EXPECT_EQ(stats->rulesets[0].snapshot_source, "");  // a cold build
   // The cold build overwrote the bad file; journals are unaffected.
   EXPECT_TRUE(snapshot::Verify(snap_path).ok());
   CleanRequest request;

@@ -322,13 +322,13 @@ int main(int argc, char** argv) {
   }
 
   if (cli.stats) {
-    Result<std::string> json = client.Stats();
-    if (!json.ok()) {
+    Result<serve::StatsSnapshot> stats = client.Stats();
+    if (!stats.ok()) {
       std::fprintf(stderr, "stats failed: %s\n",
-                   json.status().ToString().c_str());
+                   stats.status().ToString().c_str());
       return 3;
     }
-    std::fputs(json->c_str(), stdout);
+    std::fputs(serve::StatsJson(*stats).c_str(), stdout);
   }
   return 0;
 }

@@ -337,13 +337,7 @@ int CmdStats(const cluster::ClusterSpec& spec) {
   auto membership = MakeMembership(spec);
   membership->ProbeAll();
   cluster::ClusterClient client(spec.BuildRing(), membership, {});
-  Result<std::string> merged = client.Stats();
-  if (!merged.ok()) {
-    std::fprintf(stderr, "unicleanctl stats: %s\n",
-                 merged.status().ToString().c_str());
-    return 3;
-  }
-  std::fputs(merged->c_str(), stdout);
+  std::fputs(cluster::ClusterStatsJson(client.Stats()).c_str(), stdout);
   return 0;
 }
 
