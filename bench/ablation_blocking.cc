@@ -1,4 +1,4 @@
-// Ablation (§5.2's claim): MD matching with the suffix-tree blocking index
+// Ablation (§5.2's claim): MD matching with the suffix-array blocking index
 // vs brute-force scanning of the master relation. The paper reports that
 // without blocking, a 20K-tuple run took more than 5 hours while the full
 // pipeline with blocking ran in minutes; here we reproduce the shape — the
@@ -13,7 +13,7 @@
 using namespace uniclean;  // NOLINT
 
 int main() {
-  bench::Header("Ablation: suffix-tree blocking (§5.2)",
+  bench::Header("Ablation: suffix-array blocking (§5.2)",
                 "Match time per probe should stay near-flat with blocking "
                 "and grow linearly without.");
   std::printf("%8s %16s %16s %10s\n", "|Dm|", "blocking (ms)",
@@ -24,7 +24,7 @@ int main() {
     config.master_size = dm_size * bench::Scale();
     config.seed = 600 + static_cast<uint64_t>(dm_size);
     gen::Dataset ds = gen::GenerateHosp(config);
-    // md3 is the similarity-only MD (suffix-tree path).
+    // md3 is the similarity-only MD (suffix-array path).
     const rules::Md& md = ds.rules.mds().back();
 
     core::MdMatcherOptions with;

@@ -952,7 +952,7 @@ void ClusterPoint(const std::string& dataset, int num_tuples,
 }
 #endif  // UNICLEAN_HAVE_SERVE
 
-/// The §5.2 blocking ablation: per-probe match cost with the suffix-tree
+/// The §5.2 blocking ablation: per-probe match cost with the suffix-array
 /// index vs a brute-force master scan.
 void AblationPoint(int master_size, bool use_blocking) {
   gen::GeneratorConfig config;

@@ -5,7 +5,7 @@
 //   14(h)      time vs |Γ|   on TPCH,
 // each reporting the three cumulative stages cRepair, cRepair+eRepair and
 // the full pipeline (Uni), as the paper's curves do. Expected shape: near-
-// linear growth in |D| and |Dm| (suffix-tree blocking), linear in |Σ|, |Γ|.
+// linear growth in |D| and |Dm| (suffix-array blocking), linear in |Σ|, |Γ|.
 
 #include <benchmark/benchmark.h>
 

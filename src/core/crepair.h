@@ -60,7 +60,7 @@ struct CRepairStats {
 /// marks them deterministic. Returns statistics. Tombstoned tuples
 /// (data::Relation::EraseTuple) are skipped. Borrows the shared match
 /// environment (master relation, rules, warm MD indexes and memos); its
-/// options govern MD candidate retrieval (suffix-tree blocking, §5.2).
+/// options govern MD candidate retrieval (suffix-array blocking, §5.2).
 CRepairStats CRepair(data::Relation* d, const MatchEnvironment& env,
                      const CRepairOptions& options = {});
 

@@ -2,7 +2,7 @@
 // cleaning phase. The paper's unified framework interleaves matching and
 // repairing, so cRepair (§5), eRepair (§6) and hRepair (§7) all probe the
 // same MDs against the same static master relation — yet historically each
-// engine built its own MdMatcher (suffix tree + equality index) and re-warmed
+// engine built its own MdMatcher (suffix array + equality index) and re-warmed
 // its own memo caches per run, paying the §5.2 index cost three times per
 // pipeline. A MatchEnvironment is scoped to a (rule set, master relation)
 // pair instead: it builds each MD's matcher exactly once and owns the
@@ -75,7 +75,7 @@ class MatchEnvironment {
 
   /// Folds master tuples appended since construction (or the previous
   /// refresh) into every matcher's indexes (see MdMatcher::AppendMaster):
-  /// equality indexes and all-master lists grow incrementally, suffix trees
+  /// equality indexes and all-master lists grow incrementally, suffix arrays
   /// are rebuilt, match/blocking memos are dropped, similarity memos
   /// survive. Requires exclusive access — no Session may be running against
   /// this environment and no references into its memos may be live. The

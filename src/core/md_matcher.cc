@@ -60,13 +60,27 @@ thread_local std::unordered_map<const void*, std::vector<data::TupleId>>
 
 MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
                      const MdMatcherOptions& options)
+    : MdMatcher(md, dm, options, RestoreTag{}) {
+  g_constructed_count.fetch_add(1, std::memory_order_relaxed);
+  if (!options_.use_blocking) return;
+  if (!equality_clauses_.empty()) {
+    IndexEqualityRange(0, dm_.size());
+  } else if (blocking_clause_ >= 0) {
+    RebuildSuffixArray();
+  }
+}
+
+MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
+                     const MdMatcherOptions& options, RestoreTag)
     : md_(md),
       dm_(dm),
       options_(options),
       blocking_cache_(options.memo_capacity),
       match_cache_(options.memo_capacity),
       indexed_masters_(dm.size()) {
-  g_constructed_count.fetch_add(1, std::memory_order_relaxed);
+  // Everything but the index: clause roles, memo shapes and the
+  // materialized all-masters list. The public constructor builds the index
+  // afterwards; a snapshot restore has snapshot::Codec install it instead.
   UC_CHECK(md_.normalized()) << "MdMatcher requires a normalized MD";
   // Matches() keys its memo on the full premise projection; enforce the
   // GroupKey width limit here for matchers built outside RuleSet::Make.
@@ -93,49 +107,6 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
       all_masters_[static_cast<size_t>(s)] = s;
     }
   }
-  if (!options_.use_blocking) return;
-  if (!equality_clauses_.empty()) {
-    IndexEqualityRange(0, dm_.size());
-    return;
-  }
-  if (blocking_clause_ >= 0) RebuildSuffixTree();
-}
-
-MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
-                     const MdMatcherOptions& options, RestoreTag)
-    : md_(md),
-      dm_(dm),
-      options_(options),
-      blocking_cache_(options.memo_capacity),
-      match_cache_(options.memo_capacity),
-      indexed_masters_(dm.size()) {
-  // The snapshot restore path: identical derived state (clause roles,
-  // memo shapes, the materialized all-masters list) but no index build —
-  // snapshot::Codec installs the deserialized equality index / suffix tree
-  // afterwards — and no ConstructedCount() bump, so tests can assert that a
-  // snapshot-warmed engine paid zero index builds.
-  UC_CHECK(md_.normalized()) << "MdMatcher requires a normalized MD";
-  UC_CHECK_LE(md_.premise().size(), data::GroupKey::kMaxParts)
-      << "MdMatcher: MD " << md_.name() << " premise too wide";
-  for (size_t i = 0; i < md_.premise().size(); ++i) {
-    sim_cache_.emplace_back(options.memo_capacity);
-  }
-  if (options_.use_blocking) {
-    for (size_t i = 0; i < md_.premise().size(); ++i) {
-      if (md_.premise()[i].predicate.is_equality()) {
-        equality_clauses_.push_back(i);
-      } else if (blocking_clause_ < 0) {
-        blocking_clause_ = static_cast<int>(i);
-      }
-    }
-  }
-  if (!options_.use_blocking ||
-      (equality_clauses_.empty() && blocking_clause_ < 0)) {
-    all_masters_.resize(static_cast<size_t>(dm_.size()));
-    for (data::TupleId s = 0; s < dm_.size(); ++s) {
-      all_masters_[static_cast<size_t>(s)] = s;
-    }
-  }
 }
 
 void MdMatcher::IndexEqualityRange(data::TupleId begin, data::TupleId end) {
@@ -154,12 +125,7 @@ void MdMatcher::IndexEqualityRange(data::TupleId begin, data::TupleId end) {
   }
 }
 
-void MdMatcher::RebuildSuffixTree() {
-  // Index the distinct master values of the blocking clause's attribute.
-  // Ukkonen's build is one-shot (AddString then a single Build), so a
-  // master append rebuilds the tree from scratch.
-  tree_ = similarity::GeneralizedSuffixTree();
-  value_owners_.clear();
+void MdMatcher::CollectBlockingValues() {
   const data::AttributeId attr =
       md_.premise()[static_cast<size_t>(blocking_clause_)].master_attr;
   std::unordered_map<data::ValueId, int> value_to_string_id;
@@ -169,12 +135,20 @@ void MdMatcher::RebuildSuffixTree() {
     auto [it, inserted] = value_to_string_id.emplace(
         v.id(), static_cast<int>(value_owners_.size()));
     if (inserted) {
-      tree_.AddString(v.view());
+      suffix_array_.AddString(v.view());
       value_owners_.emplace_back();
     }
     value_owners_[static_cast<size_t>(it->second)].push_back(s);
   }
-  tree_.Build();
+}
+
+void MdMatcher::RebuildSuffixArray() {
+  // The build sorts every suffix at once, so a master append rebuilds the
+  // array from scratch.
+  suffix_array_ = similarity::GeneralizedSuffixArray();
+  value_owners_.clear();
+  CollectBlockingValues();
+  suffix_array_.Build();
 }
 
 int MdMatcher::AppendMaster() {
@@ -194,7 +168,7 @@ int MdMatcher::AppendMaster() {
     if (!equality_clauses_.empty()) {
       IndexEqualityRange(old_size, dm_.size());
     } else if (blocking_clause_ >= 0) {
-      RebuildSuffixTree();
+      RebuildSuffixArray();
     }
   }
   // Match lists and blocking candidates were computed against the smaller
@@ -254,7 +228,8 @@ const std::vector<data::TupleId>& MdMatcher::Candidates(
     static thread_local std::vector<similarity::BlockingCandidate> top;
     std::vector<data::TupleId>& candidates =
         ScratchFor(this, t_candidate_scratch);
-    tree_.TopL(v.view(), options_.top_l, /*max_leaves_per_probe=*/64, &top);
+    suffix_array_.TopL(v.view(), options_.top_l, /*max_leaves_per_probe=*/64,
+                       &top);
     candidates.clear();
     for (const similarity::BlockingCandidate& cand : top) {
       for (data::TupleId s :

@@ -1,7 +1,7 @@
 // MdMatcher: finds the master tuples whose MD premise holds with a data
 // tuple. Equality clauses use a hash index on the master projection (keyed
 // on interned value ids); when an MD has only similarity clauses, the §5.2
-// suffix-tree blocking retrieves the top-l master values by longest common
+// suffix-array blocking retrieves the top-l master values by longest common
 // substring and only those candidates are verified — reducing the per-tuple
 // cost from O(|Dm|) to O(l). Similarity clause outcomes are memoized per
 // (data id, master id) pair, so a value pair is scored at most once per
@@ -33,7 +33,7 @@
 #include "data/relation.h"
 #include "data/string_pool.h"
 #include "rules/md.h"
-#include "similarity/suffix_tree.h"
+#include "similarity/suffix_array.h"
 
 namespace uniclean {
 namespace snapshot {
@@ -105,9 +105,9 @@ class MdMatcher {
 
   /// Folds master tuples appended since construction (or the previous call)
   /// into the indexes: the equality index and the materialized all-masters
-  /// list grow incrementally; the suffix tree is rebuilt (Ukkonen's build is
-  /// one-shot). The match-list and blocking memos are dropped — their
-  /// entries were computed against the smaller master — while the
+  /// list grow incrementally; the suffix array is rebuilt (its build sorts
+  /// every suffix at once). The match-list and blocking memos are dropped —
+  /// their entries were computed against the smaller master — while the
   /// per-clause similarity memos survive: a similarity outcome is a pure
   /// function of the two value ids, independent of the master's extent.
   /// Returns the number of newly indexed master tuples.
@@ -120,10 +120,10 @@ class MdMatcher {
 
  private:
   // snapshot::Codec restores a matcher from a snapshot section: the restore
-  // constructor below does everything the public one does *except* the
-  // index build (the codec installs the deserialized equality index or
-  // suffix tree afterwards) and except bumping ConstructedCount() — a
-  // snapshot-warmed engine deliberately reports zero index builds.
+  // constructor below sets up everything but the index (the codec installs
+  // the deserialized equality index or suffix array afterwards) and does not
+  // bump ConstructedCount() — a snapshot-warmed engine deliberately reports
+  // zero index builds. The public constructor delegates to it, then builds.
   friend class ::uniclean::snapshot::Codec;
   struct RestoreTag {};
   MdMatcher(const rules::Md& md, const data::Relation& dm,
@@ -132,7 +132,12 @@ class MdMatcher {
   const std::vector<data::TupleId>& Candidates(const data::Tuple& t) const;
   bool Verify(const data::Tuple& t, data::TupleId s) const;
   void IndexEqualityRange(data::TupleId begin, data::TupleId end);
-  void RebuildSuffixTree();
+  /// Adds each distinct non-null master value of the blocking clause to
+  /// suffix_array_, in tuple order, and records its owners in
+  /// value_owners_ — the half of the index a cold build and a snapshot
+  /// restore both derive from the master.
+  void CollectBlockingValues();
+  void RebuildSuffixArray();
 
   const rules::Md& md_;
   const data::Relation& dm_;
@@ -145,11 +150,11 @@ class MdMatcher {
                      data::GroupKeyHash>
       equality_index_;
 
-  // Similarity blocking (used when no equality clause exists): suffix tree
+  // Similarity blocking (used when no equality clause exists): suffix array
   // over the distinct master values of the first similarity clause.
   // Immutable after construction.
   int blocking_clause_ = -1;
-  similarity::GeneralizedSuffixTree tree_;
+  similarity::GeneralizedSuffixArray suffix_array_;
   std::vector<std::vector<data::TupleId>> value_owners_;  // per string id
 
   // Per-premise-clause memo of similarity outcomes keyed on
@@ -157,7 +162,7 @@ class MdMatcher {
   // sharded memos own mutexes and never move.
   std::deque<ShardedMemo<uint64_t, bool>> sim_cache_;
 
-  // Memo of suffix-tree blocking results per probed value id: TopL over the
+  // Memo of suffix-array blocking results per probed value id: TopL over the
   // static master index is a pure function of the probe string, and dirty
   // data re-probes the same (often duplicated) values constantly.
   ShardedMemo<data::ValueId, std::vector<data::TupleId>> blocking_cache_;

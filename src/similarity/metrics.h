@@ -51,7 +51,7 @@ void QGramIdProfile(std::string_view s, int q, std::vector<uint64_t>* grams);
 double QGramJaccard(std::string_view a, std::string_view b, int q = 2);
 
 /// Length of the longest common substring (contiguous). O(|a|*|b|); used as
-/// the blocking score oracle for the suffix-tree index (§5.2).
+/// the blocking score oracle for the suffix-array index (§5.2).
 int LongestCommonSubstring(std::string_view a, std::string_view b);
 
 /// Normalized dissimilarity dis(v,v')/max(|v|,|v'|) in [0, 1] used by the

@@ -1,7 +1,6 @@
 #include "similarity/predicate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "similarity/metrics.h"
@@ -21,22 +20,6 @@ const char* PredicateKindToString(PredicateKind kind) {
       return "qgram_jaccard";
   }
   return "unknown";
-}
-
-int SimilarityPredicate::BlockingEditBound(size_t value_length) const {
-  switch (kind_) {
-    case PredicateKind::kEquals:
-      return 0;
-    case PredicateKind::kEditDistance:
-      return static_cast<int>(threshold_);
-    case PredicateKind::kJaroWinkler:
-    case PredicateKind::kQGramJaccard: {
-      // Heuristic: a similarity of s roughly tolerates (1-s)*len edits.
-      double slack = (1.0 - threshold_) * static_cast<double>(value_length);
-      return std::max(1, static_cast<int>(std::ceil(slack)) + 1);
-    }
-  }
-  return 1;
 }
 
 bool SimilarityPredicate::Evaluate(std::string_view a,

@@ -47,12 +47,6 @@ class SimilarityPredicate {
   double threshold() const { return threshold_; }
   int qgram_size() const { return qgram_size_; }
 
-  /// Maximum edit distance this predicate can tolerate; for fuzzy predicates
-  /// other than edit distance this is a conservative blocking bound used by
-  /// the suffix-tree index (strings further apart can still be verified,
-  /// blocking only needs a candidate superset heuristic).
-  int BlockingEditBound(size_t value_length) const;
-
   /// True when the predicate is plain equality.
   bool is_equality() const { return kind_ == PredicateKind::kEquals; }
 

@@ -15,9 +15,9 @@ namespace snapshot {
 namespace {
 
 /// Matcher payload `kind` byte: which index the matcher carries.
-constexpr uint8_t kKindNone = 0;      // brute force / empty premise
-constexpr uint8_t kKindEquality = 1;  // equality_index_
-constexpr uint8_t kKindTree = 2;      // suffix tree + leaf slices
+constexpr uint8_t kKindNone = 0;         // brute force / empty premise
+constexpr uint8_t kKindEquality = 1;     // equality_index_
+constexpr uint8_t kKindSuffixArray = 2;  // suffix order of the blocking values
 
 Status Inconsistent(const std::string& what) {
   return Status::DataLoss("snapshot section inconsistent: " + what);
@@ -30,43 +30,28 @@ constexpr bool kHostLittleEndian = false;
 constexpr bool kHostLittleEndian = true;
 #endif
 
-/// Bulk little-endian array transfer for trivially copyable element types
-/// made of 4-byte words (int32 scalars, the suffix tree's 3-word Node, the
-/// 2-word leaf-range pair). On little-endian hosts the serialized bytes ARE
-/// the in-memory layout, so a restore is one bounds check plus a memcpy —
-/// the difference between a millisecond warm start and paying a Result
-/// round-trip per 4-byte field. Big-endian hosts take a word-swap pass.
-template <typename T>
-void AppendWords(std::string* out, const std::vector<T>& v) {
-  static_assert(sizeof(T) % 4 == 0, "element must be whole 4-byte words");
-  if (v.empty()) return;
+/// Bulk little-endian transfer of an int array. On little-endian hosts the
+/// serialized bytes ARE the in-memory layout, so a restore is one bounds
+/// check plus a memcpy instead of a Result round-trip per 4-byte entry.
+/// Big-endian hosts take a word-swap pass.
+void AppendWords(std::string* out, const std::vector<int>& v) {
+  static_assert(sizeof(int) == 4, "codec assumes 32-bit int");
   if (kHostLittleEndian) {
-    out->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+    out->append(reinterpret_cast<const char*>(v.data()), v.size() * 4);
     return;
   }
-  const auto* words = reinterpret_cast<const uint32_t*>(v.data());
-  for (size_t i = 0; i < v.size() * (sizeof(T) / 4); ++i) {
-    PutU32(out, words[i]);
-  }
+  for (int w : v) PutU32(out, static_cast<uint32_t>(w));
 }
 
-template <typename T>
-Status ReadWords(Reader* r, size_t count, std::vector<T>* out) {
-  static_assert(sizeof(T) % 4 == 0, "element must be whole 4-byte words");
-  if (count == 0) {
-    out->clear();
-    return Status::OK();
-  }
-  const size_t bytes = count * sizeof(T);
-  UC_ASSIGN_OR_RETURN(const char* p, r->Raw(bytes));
+Status ReadWords(Reader* r, size_t count, std::vector<int>* out) {
+  UC_ASSIGN_OR_RETURN(const char* p, r->Raw(count * 4));
   out->resize(count);
-  std::memcpy(out->data(), p, bytes);
+  if (count != 0) std::memcpy(out->data(), p, count * 4);
   if (!kHostLittleEndian) {
-    auto* words = reinterpret_cast<uint32_t*>(out->data());
-    for (size_t i = 0; i < bytes / 4; ++i) {
-      const uint32_t w = words[i];
-      words[i] = (w >> 24) | ((w >> 8) & 0xFF00u) | ((w << 8) & 0xFF0000u) |
-                 (w << 24);
+    for (int& word : *out) {
+      const uint32_t w = static_cast<uint32_t>(word);
+      word = static_cast<int>((w >> 24) | ((w >> 8) & 0xFF00u) |
+                              ((w << 8) & 0xFF0000u) | (w << 24));
     }
   }
   return Status::OK();
@@ -145,29 +130,11 @@ void Codec::AppendEnvironment(const core::MatchEnvironment& env,
   PutU32(out, static_cast<uint32_t>(env.master().size()));
 }
 
-void Codec::AppendTree(const similarity::GeneralizedSuffixTree& tree,
-                       std::string* out) {
-  // The planar layouts below mirror the tree's in-memory arrays exactly
-  // (see AppendWords); these asserts pin the assumption.
-  static_assert(sizeof(int) == 4, "codec assumes 32-bit int");
-  static_assert(sizeof(similarity::GeneralizedSuffixTree::Node) == 12,
-                "Node must be exactly {start, end, link}");
-  static_assert(
-      sizeof(similarity::GeneralizedSuffixTree::LeafRange) == 8,
-      "LeafRange must pack to two words");
-  PutU32(out, static_cast<uint32_t>(tree.num_strings()));
-  PutU32(out, static_cast<uint32_t>(tree.nodes_.size()));
-  AppendWords(out, tree.nodes_);
-  // Frozen CSR children: FreezeChildren() sorted each node's slice by
-  // symbol, so identical engines write identical bytes and a loaded tree
-  // binary-searches the same arrays a cold-built one does.
-  AppendWords(out, tree.child_begin_);
-  AppendWords(out, tree.child_symbols_);
-  AppendWords(out, tree.child_nodes_);
-  AppendWords(out, tree.suffix_start_);
-  PutU32(out, static_cast<uint32_t>(tree.leaf_starts_.size()));
-  AppendWords(out, tree.leaf_starts_);
-  AppendWords(out, tree.leaf_range_);
+void Codec::AppendSuffixArray(const similarity::GeneralizedSuffixArray& index,
+                              std::string* out) {
+  PutU32(out, static_cast<uint32_t>(index.num_strings()));
+  PutU32(out, static_cast<uint32_t>(index.order_.size()));
+  AppendWords(out, index.order_);
 }
 
 void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
@@ -195,8 +162,8 @@ void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
     return;
   }
   if (matcher.blocking_clause_ >= 0) {
-    PutU8(out, kKindTree);
-    AppendTree(matcher.tree_, out);
+    PutU8(out, kKindSuffixArray);
+    AppendSuffixArray(matcher.suffix_array_, out);
     return;
   }
   PutU8(out, kKindNone);
@@ -256,165 +223,48 @@ void Codec::AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
 // Read side
 // ---------------------------------------------------------------------------
 
-Status Codec::RestoreTree(core::MdMatcher* matcher, Reader* r) {
-  core::MdMatcher& m = *matcher;
-  similarity::GeneralizedSuffixTree& tree = m.tree_;
-  // Re-derive the cheap half exactly as RebuildSuffixTree does — the
-  // indexed strings, their owners and the concatenated text come from the
-  // master relation in tuple order — then install the serialized expensive
-  // half (nodes + leaf slices) instead of running Ukkonen's build.
-  const data::AttributeId attr =
-      m.md_.premise()[static_cast<size_t>(m.blocking_clause_)].master_attr;
-  std::unordered_map<data::ValueId, int> value_to_string_id;
-  value_to_string_id.reserve(m.dm_.size());
-  m.value_owners_.reserve(m.dm_.size());
-  for (data::TupleId s = 0; s < m.dm_.size(); ++s) {
-    const data::Value& v = m.dm_.tuple(s).value(attr);
-    if (v.is_null()) continue;
-    auto [it, inserted] = value_to_string_id.emplace(
-        v.id(), static_cast<int>(m.value_owners_.size()));
-    if (inserted) {
-      tree.AddString(v.view());
-      m.value_owners_.emplace_back();
-    }
-    m.value_owners_[static_cast<size_t>(it->second)].push_back(s);
-  }
-  const int text_size = static_cast<int>(tree.text_.size());
-
+Status Codec::RestoreSuffixArray(core::MdMatcher* matcher, Reader* r) {
+  // The indexed strings, their owners and the text come from the master
+  // exactly as a cold build derives them; only the suffix order is read.
+  matcher->CollectBlockingValues();
+  similarity::GeneralizedSuffixArray& index = matcher->suffix_array_;
+  const std::vector<int32_t>& text = index.text_;
+  const size_t n = text.size();
   UC_ASSIGN_OR_RETURN(uint32_t num_strings, r->U32());
-  if (num_strings != static_cast<uint32_t>(tree.num_strings())) {
-    return Inconsistent("suffix tree string count does not match the master");
+  if (num_strings != static_cast<uint32_t>(index.num_strings())) {
+    return Inconsistent("suffix array string count does not match the master");
   }
-  UC_ASSIGN_OR_RETURN(uint32_t node_count, r->U32());
-  // A suffix tree over n symbols has at most 2n internal+leaf nodes plus
-  // the root; a forged count past that cannot be a real tree.
-  if (node_count < 1 ||
-      node_count > 2 * static_cast<uint32_t>(text_size) + 2) {
-    return Inconsistent("suffix tree node count out of range");
+  UC_ASSIGN_OR_RETURN(uint32_t length, r->U32());
+  if (length != n) {
+    return Inconsistent("suffix array length does not match the master");
   }
-  // Every array lands as a bulk copy first, then a tight validation pass —
-  // after the copies, every index the query paths will ever follow is
-  // checked against the live extents, so a forged payload that passed its
-  // CRC still cannot plant an out-of-range access.
-  UC_RETURN_IF_ERROR(ReadWords(r, node_count, &tree.nodes_));
-  // Root carries no edge label.
-  if (tree.nodes_[0].start != -1 || tree.nodes_[0].end != -1) {
-    return Inconsistent("root node carries an edge label");
-  }
-  {
-    int link_bad = 0;
-    int edge_bad = 0;
-    for (uint32_t i = 0; i < node_count; ++i) {
-      const auto& node = tree.nodes_[i];
-      link_bad |= static_cast<int>(static_cast<uint32_t>(node.link) >=
-                                   node_count);
-      if (i == 0) continue;
-      // Edge bounds must keep every text_[start..EdgeEnd) access in range.
-      const int edge_end = node.end == -1 ? text_size : node.end;
-      edge_bad |= static_cast<int>(node.start < 0) |
-                  static_cast<int>(node.end < -1) |
-                  static_cast<int>(edge_end > text_size) |
-                  static_cast<int>(edge_end < node.start);
+  std::vector<int> order;
+  UC_RETURN_IF_ERROR(ReadWords(r, n, &order));
+  // Prove in O(n) that `order` is the one Build() makes (Burkhardt &
+  // Kärkkäinen's checker): a permutation of the text positions in which
+  // every adjacent pair (a, b) has (text[a], rank[a + 1]) < (text[b],
+  // rank[b + 1]). Equal symbols are never separators, because each string
+  // has its own; the loop checks that too, since it is what keeps a + 1 and
+  // b + 1 in range. A proven order keeps every text[s + depth] that TopL
+  // reads in range as well.
+  std::vector<int> rank(n, -1);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t s = static_cast<uint32_t>(order[k]);
+    if (s >= n || rank[s] >= 0) {
+      return Inconsistent("suffix array is not a permutation of the text");
     }
-    if (link_bad != 0) return Inconsistent("suffix link out of range");
-    if (edge_bad != 0) return Inconsistent("node edge label out of range");
+    rank[s] = static_cast<int>(k);
   }
-  UC_RETURN_IF_ERROR(
-      ReadWords(r, static_cast<size_t>(node_count) + 1, &tree.child_begin_));
-  // In any rooted tree every node except the root enters through exactly
-  // one parent edge, so the CSR must carry node_count - 1 edges.
-  if (tree.child_begin_[0] != 0 ||
-      tree.child_begin_[node_count] != static_cast<int>(node_count) - 1) {
-    return Inconsistent("child slice table does not cover node_count - 1 "
-                        "edges");
-  }
-  {
-    int bad = 0;
-    for (uint32_t i = 0; i < node_count; ++i) {
-      bad |= static_cast<int>(tree.child_begin_[i] > tree.child_begin_[i + 1]);
-    }
-    if (bad != 0) return Inconsistent("child slice table not monotone");
-  }
-  const size_t edge_count = static_cast<size_t>(node_count) - 1;
-  UC_RETURN_IF_ERROR(ReadWords(r, edge_count, &tree.child_symbols_));
-  for (uint32_t i = 0; i < node_count; ++i) {
-    // Strictly ascending symbols within each node's slice: what
-    // FreezeChildren wrote, what FindChild's binary search requires, and a
-    // free duplicate-symbol rejection.
-    for (int c = tree.child_begin_[i] + 1; c < tree.child_begin_[i + 1];
-         ++c) {
-      if (tree.child_symbols_[static_cast<size_t>(c) - 1] >=
-          tree.child_symbols_[static_cast<size_t>(c)]) {
-        return Inconsistent("child symbols not ascending");
-      }
+  for (size_t k = 1; k < n; ++k) {
+    const size_t a = static_cast<size_t>(order[k - 1]);
+    const size_t b = static_cast<size_t>(order[k]);
+    if (text[a] < text[b]) continue;
+    if (text[a] > text[b] || text[a] < 0 || rank[a + 1] >= rank[b + 1]) {
+      return Inconsistent("suffix array is not in suffix order");
     }
   }
-  UC_RETURN_IF_ERROR(ReadWords(r, edge_count, &tree.child_nodes_));
-  {
-    std::vector<uint8_t> seen(node_count, 0);
-    for (const int child : tree.child_nodes_) {
-      if (child <= 0 || static_cast<uint32_t>(child) >= node_count) {
-        return Inconsistent("child node index out of range");
-      }
-      if (seen[static_cast<size_t>(child)] != 0) {
-        return Inconsistent("node is a child of two parents");
-      }
-      seen[static_cast<size_t>(child)] = 1;
-    }
-  }
-  // The range checks below fold the whole array into min/max (or an OR of
-  // violation bits) and test once — branchless loops the compiler
-  // vectorizes, which matters at half a million elements per tree.
-  UC_RETURN_IF_ERROR(ReadWords(r, node_count, &tree.suffix_start_));
-  {
-    int lo = 0;
-    int hi = -1;
-    for (const int s : tree.suffix_start_) {
-      lo = std::min(lo, s);
-      hi = std::max(hi, s);
-    }
-    if (lo < -1 || hi >= text_size) {
-      return Inconsistent("suffix start out of range");
-    }
-  }
-  UC_ASSIGN_OR_RETURN(uint32_t leaf_count, r->U32());
-  if (leaf_count > static_cast<uint32_t>(text_size)) {
-    return Inconsistent("more leaves than text positions");
-  }
-  UC_RETURN_IF_ERROR(ReadWords(r, leaf_count, &tree.leaf_starts_));
-  {
-    // TopL indexes the position -> string-id map with leaf starts
-    // unchecked; refuse an out-of-range one here.
-    int lo = 0;
-    int hi = -1;
-    for (const int s : tree.leaf_starts_) {
-      lo = std::min(lo, s);
-      hi = std::max(hi, s);
-    }
-    if (lo < 0 || hi >= text_size) {
-      return Inconsistent("leaf start out of range");
-    }
-  }
-  UC_RETURN_IF_ERROR(ReadWords(r, node_count, &tree.leaf_range_));
-  {
-    int bad = 0;
-    for (const auto& [begin, end] : tree.leaf_range_) {
-      bad |= static_cast<int>(begin < 0) | static_cast<int>(end < begin) |
-             static_cast<int>(end > static_cast<int>(leaf_count));
-    }
-    if (bad != 0) return Inconsistent("leaf slice out of range");
-  }
-  // The O(1) position -> string-id map is derivable; rebuild it like
-  // Build()'s tail does.
-  tree.pos_string_id_.assign(static_cast<size_t>(text_size), -1);
-  for (size_t id = 0; id < tree.boundaries_.size(); ++id) {
-    const int begin = tree.boundaries_[id];
-    for (int k = 0; k < tree.string_length_[id]; ++k) {
-      tree.pos_string_id_[static_cast<size_t>(begin + k)] =
-          static_cast<int>(id);
-    }
-  }
-  tree.built_ = true;
+  index.order_ = std::move(order);
+  index.Index();
   return Status::OK();
 }
 
@@ -435,7 +285,7 @@ Status Codec::RestoreMatcher(core::MdMatcher* matcher,
     if (!m.equality_clauses_.empty()) {
       expected = kKindEquality;
     } else if (m.blocking_clause_ >= 0) {
-      expected = kKindTree;
+      expected = kKindSuffixArray;
     }
   }
   if (kind != expected) return Inconsistent("matcher index kind mismatch");
@@ -459,8 +309,8 @@ Status Codec::RestoreMatcher(core::MdMatcher* matcher,
         return Inconsistent("duplicate equality index key");
       }
     }
-  } else if (kind == kKindTree) {
-    UC_RETURN_IF_ERROR(RestoreTree(matcher, &r));
+  } else if (kind == kKindSuffixArray) {
+    UC_RETURN_IF_ERROR(RestoreSuffixArray(matcher, &r));
   }
   if (!r.done()) return Inconsistent("trailing bytes in matcher section");
   return Status::OK();
@@ -555,7 +405,7 @@ Result<std::unique_ptr<core::MatchEnvironment>> Codec::RestoreEnvironment(
   // One work item per MD rule: construct the shell, install the serialized
   // index, then the rule's memos. Items are independent — each touches only
   // its own matcher and reads shared immutable state (rules, master, string
-  // pool) — so they restore in parallel; the two suffix-tree payloads
+  // pool) — so they restore in parallel; the suffix-array payloads
   // dominate the wall clock and overlap instead of queueing.
   struct Item {
     rules::RuleId rule;

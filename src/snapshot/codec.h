@@ -1,28 +1,24 @@
 // snapshot::Codec: the (de)serialization of engine internals — the one
 // class the data/similarity/core layers befriend so their private built
-// state (equality indexes, the Ukkonen suffix tree with its precomputed
-// leaf slices, memo contents) can round-trip through a snapshot file
-// without widening their public APIs.
+// state (equality indexes, the generalized suffix array's suffix order,
+// memo contents) can round-trip through a snapshot file without widening
+// their public APIs.
 //
 // Split of labor with snapshot.h: the codec knows *payload layouts* and the
 // engine's internals; snapshot.h owns the container (header, section table,
 // CRCs) and policy (what mismatch refuses a load). On the read side every
-// codec function revalidates what it installs — node/child indices, tuple
-// ids, value ids, slice bounds — against the live engine's extents, so a
-// forged payload that passed its CRC still cannot plant an out-of-range
-// index that a later probe would walk off (the UC_CHECKs in the hot paths
-// would abort; the codec returns kDataLoss instead).
+// codec function revalidates what it installs — tuple ids, value ids, the
+// suffix order — against the live engine, so a forged payload that passed
+// its CRC still cannot plant an out-of-range index that a later probe would
+// walk off (the UC_CHECKs in the hot paths would abort; the codec returns
+// kDataLoss instead).
 //
 // What is NOT serialized is deliberate: everything cheaply derivable from
 // the engine's sources re-derives on load (clause roles, value_owners_, the
-// tree's text/boundaries from the master relation), which both shrinks the
-// file and shrinks the forgeable surface. What IS serialized verbatim is
-// exactly the state whose recomputation is either expensive (tree nodes) or
-// order-sensitive in a way recomputation cannot reproduce: the preorder
-// leaf arrays fix the candidate order TopL's truncation sees, and that
-// order came from unordered_map iteration during the original build — a
-// re-run DFS over deserialized maps could legally pick different leaves and
-// silently change journals.
+// suffix array's text from the master relation), which both shrinks the
+// file and shrinks the forgeable surface. A suffix-array matcher persists
+// only its suffix order (`u32 strings | u32 n | n x u32`); the loader
+// proves in O(n) that it is the sorted order Build() makes.
 
 #ifndef UNICLEAN_SNAPSHOT_CODEC_H_
 #define UNICLEAN_SNAPSHOT_CODEC_H_
@@ -54,8 +50,8 @@ class Codec {
   static void AppendEnvironment(const core::MatchEnvironment& env,
                                 std::string* out);
 
-  /// One matcher's built index: the equality index, or the suffix tree with
-  /// its leaf slices, or nothing (brute-force / empty premise). Entries are
+  /// One matcher's built index: the equality index, or the suffix array's
+  /// suffix order, or nothing (brute-force / empty premise). Entries are
   /// emitted in sorted order so identical engines write identical bytes.
   static void AppendMatcher(const core::MdMatcher& matcher, std::string* out);
 
@@ -82,11 +78,11 @@ class Codec {
       const std::vector<RuleSection>& memo_sections);
 
  private:
-  static void AppendTree(const similarity::GeneralizedSuffixTree& tree,
-                         std::string* out);
+  static void AppendSuffixArray(
+      const similarity::GeneralizedSuffixArray& index, std::string* out);
   static Status RestoreMatcher(core::MdMatcher* matcher,
                                std::string_view payload);
-  static Status RestoreTree(core::MdMatcher* matcher, Reader* reader);
+  static Status RestoreSuffixArray(core::MdMatcher* matcher, Reader* reader);
   static Status RestoreMemos(core::MdMatcher* matcher,
                              std::string_view payload);
 };

@@ -42,7 +42,9 @@ namespace uniclean {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'U', 'C', 'S', 'N', 'A', 'P', 'S', 'H'};
-inline constexpr uint32_t kFormatVersion = 1;
+/// Version 2 persists a blocking index as its suffix order (codec.h). A
+/// version-1 file (suffix-tree nodes) is refused like any other version.
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kSectionHeaderBytes = 20;
 

@@ -1,7 +1,7 @@
 // src/snapshot/: persistent, versioned engine snapshots for warm starts.
 //
 // A CleanEngine's startup cost is dominated by the §5.2 index build (one
-// suffix tree / equality index per MD over the master relation) plus the
+// suffix array / equality index per MD over the master relation) plus the
 // memo warm-up a serving process accumulates. A snapshot serializes exactly
 // that warm half — the string pool prefix the engine's ids live in, every
 // matcher's built index, optionally the hot memo contents — into one

@@ -82,7 +82,7 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
     return RunBatch(relations.data(), relations.size(), n_threads);
   }
 
-  /// The engine's match environment (MD suffix-tree / equality indexes +
+  /// The engine's match environment (MD suffix-array / equality indexes +
   /// sharded memos), built on first use — by the first Run, or by Warmup().
   /// Valid for the engine's lifetime.
   const core::MatchEnvironment& environment() const;
@@ -99,7 +99,7 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
 
   /// Folds master tuples the caller appended (only possible with a
   /// caller-owned master: WithMaster(const data::Relation*)) into the warm
-  /// match environment — equality indexes and suffix trees catch up, stale
+  /// match environment — equality indexes and suffix arrays catch up, stale
   /// match/blocking memos are dropped, similarity memos survive (see
   /// core::MatchEnvironment::RefreshMasterAppend). Returns the number of
   /// newly indexed master tuples. NOT safe while any Session is running:

@@ -34,7 +34,7 @@ struct PipelineConfig {
   int delta1 = 5;
   /// Entropy threshold δ2 (§6), in [0, 1].
   double delta2 = 0.8;
-  /// Suffix-tree blocking configuration for MD matching (§5.2).
+  /// Suffix-array blocking configuration for MD matching (§5.2).
   core::MdMatcherOptions matcher;
 };
 

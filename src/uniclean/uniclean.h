@@ -71,7 +71,7 @@
 #include "rules/violation.h"
 #include "similarity/metrics.h"
 #include "similarity/predicate.h"
-#include "similarity/suffix_tree.h"
+#include "similarity/suffix_array.h"
 #include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 #include "uniclean/fix_journal.h"

@@ -1,20 +1,20 @@
 // Cross-version pin of the fix journal at scale. The checked-in journal
 // golden cleans a 60-tuple HOSP sample against a 30-tuple master. These runs
-// clean HOSP, DBLP and TPC-H data against |Dm| = 1000, where suffix-tree
-// blocking cuts probes at 64 leaves and keeps l candidates out of hundreds,
-// and the similarity predicates judge far more pairs. Each compares an
-// FNV-1a-64 digest of the journal CSV with a recorded value.
+// clean HOSP, DBLP and TPC-H data against |Dm| = 1000, where suffix-array
+// blocking cuts probes at 64 suffixes and keeps l candidates out of
+// hundreds, and the similarity predicates judge far more pairs. Each
+// compares an FNV-1a-64 digest of the journal CSV with a recorded value.
 //
-// The digests were recorded before the early-exit TopL and the multiset
-// Jaro-Winkler bound went in; both must leave every journal byte-identical.
-// A Jaro-Winkler pre-filter that forgets the Winkler prefix bonus changes a
+// The digests were recorded before the early-exit TopL, the multiset
+// Jaro-Winkler bound and the suffix array (which replaced a suffix tree)
+// went in; all three must leave every journal byte-identical. A
+// Jaro-Winkler pre-filter that forgets the Winkler prefix bonus changes a
 // digest here but not the golden. TopL's choice among tied candidates rarely
 // reaches a journal, because the MD thresholds keep only near-identical
-// values; suffix_tree_test pins that choice directly.
+// values; suffix_array_test pins that choice directly.
 //
-// The digests hold for libstdc++ builds: the suffix tree takes its leaf
-// order from unordered_map iteration, so another standard library may
-// produce other, equally valid, journals.
+// The blocking index takes no order from a hash map: a capped probe meets
+// its suffixes in suffix order, which the indexed values alone fix.
 
 #include <cinttypes>
 #include <cstdio>

@@ -4,7 +4,7 @@
 //   * deterministic fixes are always correct w.r.t. ground truth (the §5
 //     accuracy claim under correct confidences),
 //   * deterministic fixes survive the later phases untouched,
-//   * suffix-tree blocking never changes the result, only the speed,
+//   * suffix-array blocking never changes the result, only the speed,
 //   * cRepair's outcome is invariant to the order rules are listed in.
 
 #include <algorithm>

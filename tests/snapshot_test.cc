@@ -7,10 +7,10 @@
 //     DELTA journals on HOSP/DBLP/TPCH, zero MdMatcher constructions during
 //     the load, memo contents carried across when asked for.
 //  2. Hostile-file hardening — truncations, bit flips, forged lengths, wrong
-//     magic, future versions and configuration mismatches must surface as
-//     the structured codes snapshot.h promises (kDataLoss vs
-//     kFailedPrecondition vs kNotFound), never an abort or a half-restored
-//     engine.
+//     magic, future versions, a forged suffix array behind a valid CRC and
+//     configuration mismatches must surface as the structured codes
+//     snapshot.h promises (kDataLoss vs kFailedPrecondition vs kNotFound),
+//     never an abort or a half-restored engine.
 //
 // Both halves run under ScopedStringPool so each cold/warm run replays the
 // same deterministic intern sequence a fresh process would.
@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -522,6 +523,70 @@ TEST_F(SnapshotHardening, UnknownSectionIsSkipped) {
   const Status s = TryLoadBytes(bytes);
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(snapshot::Verify(mutated_path_).ok());
+}
+
+TEST_F(SnapshotHardening, ForgedSuffixArrayIsDataLoss) {
+  // Find a suffix-array matcher section. Its payload is u32 indexed masters
+  // | u8 kind (2) | u32 strings | u32 n | n x u32 suffix order.
+  size_t section = 0;
+  for (size_t offset = snapshot::kHeaderBytes; offset < good_.size();) {
+    auto header = snapshot::DecodeSectionHeader(good_, offset);
+    ASSERT_TRUE(header.ok()) << header.status().ToString();
+    const size_t payload = offset + snapshot::kSectionHeaderBytes;
+    if (header->id == static_cast<uint32_t>(snapshot::SectionId::kMatcher) &&
+        good_[payload + 4] == 2) {
+      section = offset;
+      break;
+    }
+    offset = payload + header->length;
+  }
+  ASSERT_NE(section, 0u) << "no suffix-array matcher section";
+  const size_t payload = section + snapshot::kSectionHeaderBytes;
+  const size_t length_offset = payload + 9;
+  const size_t entries = payload + 13;
+  const auto read_u32 = [](const std::string& bytes, size_t offset) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  const uint32_t n = read_u32(good_, length_offset);
+  ASSERT_GT(n, 2u);
+  const size_t mid = entries + 4 * (n / 2);
+
+  // Each mutation keeps the payload length; the section CRC and the header
+  // are re-sealed so the bytes reach the codec's suffix-order check.
+  const std::vector<std::pair<const char*, std::function<void(std::string*)>>>
+      mutations = {
+          {"swap two adjacent entries",
+           [&](std::string* b) {
+             const uint32_t a = read_u32(*b, mid);
+             PatchU32(b, mid, read_u32(*b, mid + 4));
+             PatchU32(b, mid + 4, a);
+           }},
+          {"duplicate an entry",
+           [&](std::string* b) { PatchU32(b, mid + 4, read_u32(*b, mid)); }},
+          {"entry set to n", [&](std::string* b) { PatchU32(b, mid, n); }},
+          {"entry set to -1",
+           [&](std::string* b) { PatchU32(b, mid, 0xFFFFFFFFu); }},
+          {"n declared one short",
+           [&](std::string* b) { PatchU32(b, length_offset, n - 1); }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    std::string bytes = good_;
+    mutate(&bytes);
+    const auto header = snapshot::DecodeSectionHeader(bytes, section);
+    ASSERT_TRUE(header.ok());
+    PatchU32(&bytes, section + 16,
+             snapshot::Crc32(bytes.data() + payload, header->length));
+    ResealHeader(&bytes);
+    const Status s = TryLoadBytes(bytes);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << what << ": " << s.ToString();
+    EXPECT_NE(s.message().find("suffix array"), std::string::npos)
+        << what << ": " << s.ToString();
+  }
 }
 
 }  // namespace
