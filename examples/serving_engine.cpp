@@ -38,7 +38,8 @@ int main() {
     return 1;
   }
   (*engine)->Warmup();  // pay the MD index build up front, once
-  std::printf("engine ready: %zu CFDs, %zu MDs, %d match indexes\n",
+  std::printf("engine ready: %zu CFDs, %zu MDs, %d distinct MD premises "
+              "(one match index each)\n",
               (*engine)->rules().cfds().size(),
               (*engine)->rules().mds().size(),
               (*engine)->environment().num_matchers());

@@ -5,11 +5,18 @@
 // engine built its own MdMatcher (suffix array + equality index) and re-warmed
 // its own memo caches per run, paying the §5.2 index cost three times per
 // pipeline. A MatchEnvironment is scoped to a (rule set, master relation)
-// pair instead: it builds each MD's matcher exactly once and owns the
+// pair instead: it builds each matcher exactly once and owns the
 // similarity / blocking / match memos, which — because cell values are
 // interned ids in the process-wide StringPool — stay valid across phases
 // *and* across successive data relations cleaned against the same master
 // (the warm serving scenario; see uniclean::Session::Run).
+//
+// One matcher per distinct premise, not per rule: §2.2 normalization splits
+// an MD into one MD per action, and a matcher reads only its MD's premise,
+// so the normalized MDs whose premises are equal clause by clause (in
+// order; rules::MdClause::operator==) share one matcher — one index, one
+// set of memos. A match list is a pure function of the premise projection,
+// so sharing cannot change a result.
 //
 // Lifetime: the environment borrows `rules` and `master`; both must outlive
 // it. The rules must never be mutated; the master may only grow by appends,
@@ -41,9 +48,9 @@ namespace core {
 
 class MatchEnvironment {
  public:
-  /// Builds one MdMatcher per MD rule of `rules` over `master`, eagerly, so
-  /// construction time is the whole index-build cost (benches report it
-  /// separately from repair time). CFD rule ids get no matcher.
+  /// Builds one MdMatcher per distinct MD premise of `rules` over `master`,
+  /// eagerly, so construction time is the whole index-build cost (benches
+  /// report it separately from repair time). CFD rule ids get no matcher.
   MatchEnvironment(const rules::RuleSet& rules, const data::Relation& master,
                    const MdMatcherOptions& options = {});
 
@@ -58,15 +65,18 @@ class MatchEnvironment {
   const data::Relation& master() const { return *master_; }
   const MdMatcherOptions& matcher_options() const { return options_; }
 
-  /// The shared matcher of an MD rule, or null when `rule` is a CFD. The
-  /// returned matcher is owned by the environment and stays valid for the
-  /// environment's lifetime.
+  /// The shared matcher of an MD rule, or null when `rule` is a CFD.
+  /// matcher(a) == matcher(b) exactly when MD rules a and b have equal
+  /// premises. The returned matcher is owned by the environment and stays
+  /// valid for the environment's lifetime.
   const MdMatcher* matcher(rules::RuleId rule) const {
-    return matchers_[static_cast<size_t>(rule)].get();
+    const int slot = matcher_slot_[static_cast<size_t>(rule)];
+    return slot < 0 ? nullptr : matchers_[static_cast<size_t>(slot)].get();
   }
 
-  /// Number of matchers this environment built (== number of MD rules).
-  int num_matchers() const { return num_matchers_; }
+  /// Number of distinct matchers: one per distinct MD premise, so at most
+  /// the number of MD rules.
+  int num_matchers() const { return static_cast<int>(matchers_.size()); }
 
   /// Master tuples covered by the matchers' indexes: master().size() at
   /// construction, catching up on RefreshMasterAppend(). Falls behind when
@@ -74,7 +84,7 @@ class MatchEnvironment {
   int indexed_master_size() const { return indexed_master_size_; }
 
   /// Folds master tuples appended since construction (or the previous
-  /// refresh) into every matcher's indexes (see MdMatcher::AppendMaster):
+  /// refresh) into each matcher's indexes (see MdMatcher::AppendMaster):
   /// equality indexes and all-master lists grow incrementally, suffix arrays
   /// are rebuilt, match/blocking memos are dropped, similarity memos
   /// survive. Requires exclusive access — no Session may be running against
@@ -83,7 +93,8 @@ class MatchEnvironment {
   /// unchanged. Returns the number of newly indexed master tuples.
   int RefreshMasterAppend();
 
-  /// Aggregated memo statistics across every matcher of the environment:
+  /// Aggregated memo statistics across the environment's matchers, each
+  /// counted once however many rules share it:
   /// resident entries, a bytes estimate, hit/miss counters and the number
   /// of results refused admission past MdMatcherOptions::memo_capacity.
   /// Safe to call while sessions are running (counters are atomics; the
@@ -92,24 +103,26 @@ class MatchEnvironment {
 
  private:
   // snapshot::Codec restores an environment from a snapshot: the tag
-  // constructor binds rules/master/options without building any matcher;
-  // the codec then installs one deserialized matcher per MD section.
+  // constructor binds rules/master/options and groups the rules without
+  // building any matcher; the codec then installs one deserialized matcher
+  // per slot, from the sections filed under the slot's owner.
   friend class ::uniclean::snapshot::Codec;
   struct RestoreTag {};
   MatchEnvironment(const rules::RuleSet& rules, const data::Relation& master,
-                   const MdMatcherOptions& options, RestoreTag)
-      : rules_(&rules),
-        master_(&master),
-        options_(options),
-        indexed_master_size_(master.size()) {
-    matchers_.resize(static_cast<size_t>(rules.num_rules()));
-  }
+                   const MdMatcherOptions& options, RestoreTag);
+
+  // The one place that decides which MD rules share a matcher: rules with
+  // equal premises do. Fills matcher_slot_ and owners_, and sizes
+  // matchers_ to one empty slot per distinct premise. Both constructors
+  // call it, so a cold build and a snapshot restore cannot disagree.
+  void GroupRulesByPremise();
 
   const rules::RuleSet* rules_;
   const data::Relation* master_;
   MdMatcherOptions options_;
-  std::vector<std::unique_ptr<MdMatcher>> matchers_;  // indexed by rule id
-  int num_matchers_ = 0;
+  std::vector<std::unique_ptr<MdMatcher>> matchers_;  // one per premise
+  std::vector<int> matcher_slot_;  // by rule id: index into matchers_, or -1
+  std::vector<rules::RuleId> owners_;  // by slot: lowest rule id of the group
   int indexed_master_size_ = 0;  // see RefreshMasterAppend()
 };
 

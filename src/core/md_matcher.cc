@@ -36,7 +36,8 @@ namespace {
 /// (use_memos = false, or admission refused past memo_capacity). Keyed by
 /// matcher so a reference handed out by one matcher survives the same
 /// thread probing *another* matcher — the guarantee user phases iterating
-/// several MD rules rely on (a plain shared thread_local would alias them).
+/// MD rules with different premises rely on (a plain shared thread_local
+/// would alias them; rules with equal premises share one matcher).
 /// Entries for destroyed matchers linger (the key is never dereferenced);
 /// so a long-lived worker thread in a server that keeps rebuilding engines
 /// does not accumulate them forever, the map is emptied whenever it

@@ -19,7 +19,10 @@
 // returned by Matches() stay valid for the matcher's lifetime when they
 // point into a memo; results that were refused admission (capacity cap, or
 // use_memos = false) live in per-(thread, matcher) scratch valid until the
-// same thread's next probe of the same matcher.
+// same thread's next probe of the same matcher. A core::MatchEnvironment
+// hands one matcher to every MD rule with the same premise, so "the same
+// matcher" covers every such rule: env.matcher(a) == env.matcher(b)
+// exactly when the premises of rules a and b are equal.
 
 #ifndef UNICLEAN_CORE_MD_MATCHER_H_
 #define UNICLEAN_CORE_MD_MATCHER_H_
@@ -76,8 +79,9 @@ class MdMatcher {
   /// the matcher's memo and stays valid until the matcher is destroyed —
   /// except with use_memos = false or past the memo capacity cap, where it
   /// points at per-(thread, matcher) scratch overwritten by the calling
-  /// thread's next probe of *this* matcher (probing other matchers leaves
-  /// it intact). Safe to call from any number of threads concurrently.
+  /// thread's next probe of *this* matcher, whichever rule it was fetched
+  /// for (probing other matchers leaves it intact). Safe to call from any
+  /// number of threads concurrently.
   const std::vector<data::TupleId>& Matches(const data::Tuple& t) const;
 
   /// Copying wrapper around Matches() (compatibility).
@@ -86,6 +90,9 @@ class MdMatcher {
   /// First matching master tuple id, or -1.
   data::TupleId FindFirstMatch(const data::Tuple& t) const;
 
+  /// The MD this matcher was built for. Only its premise is read, so a
+  /// core::MatchEnvironment shares the matcher among every normalized MD
+  /// with that premise; md() is the one with the lowest rule id.
   const rules::Md& md() const { return md_; }
 
   /// Aggregated statistics of this matcher's memos (match lists, blocking

@@ -29,28 +29,12 @@ std::vector<Md> Md::Normalize() const {
   return out;
 }
 
-bool Md::PremiseHolds(const data::Tuple& t, const data::Tuple& s,
-                      ClauseMemo* memo) const {
-  if (memo == nullptr) {
-    return PremiseHoldsWith(
-        t, s,
-        [](size_t, const MdClause& c, const data::Value& dv,
-           const data::Value& mv) {
-          return c.predicate.Evaluate(dv.view(), mv.view());
-        });
-  }
+bool Md::PremiseHolds(const data::Tuple& t, const data::Tuple& s) const {
   return PremiseHoldsWith(
       t, s,
-      [memo](size_t i, const MdClause& c, const data::Value& dv,
-             const data::Value& mv) {
-        const uint64_t pair_key =
-            (static_cast<uint64_t>(dv.id()) << 32) | mv.id();
-        std::unordered_map<uint64_t, bool>& cache = (*memo)[i];
-        auto it = cache.find(pair_key);
-        if (it != cache.end()) return it->second;
-        const bool holds = c.predicate.Evaluate(dv.view(), mv.view());
-        cache.emplace(pair_key, holds);
-        return holds;
+      [](size_t, const MdClause& c, const data::Value& dv,
+         const data::Value& mv) {
+        return c.predicate.Evaluate(dv.view(), mv.view());
       });
 }
 

@@ -5,9 +5,7 @@
 #ifndef UNICLEAN_RULES_MD_H_
 #define UNICLEAN_RULES_MD_H_
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/relation.h"
@@ -22,13 +20,15 @@ struct MdClause {
   data::AttributeId data_attr;
   data::AttributeId master_attr;
   similarity::SimilarityPredicate predicate;
-};
 
-/// Per-premise-clause memo of fuzzy predicate outcomes, keyed by
-/// (data value id << 32 | master value id). Equality clauses and identical
-/// ids never consult it. Owned by callers that probe the same value pairs
-/// repeatedly (MdMatcher); size() must equal the premise size.
-using ClauseMemo = std::vector<std::unordered_map<uint64_t, bool>>;
+  /// Same data attribute, same master attribute and the same predicate
+  /// (kind, threshold and q). Normalized MDs whose premises are equal clause
+  /// by clause, in order, share one core::MdMatcher.
+  bool operator==(const MdClause& o) const {
+    return data_attr == o.data_attr && master_attr == o.master_attr &&
+           predicate == o.predicate;
+  }
+};
 
 /// One identification action R[E] ⇋ Rm[F]: the cleaning rule writes the
 /// master value s[F] into t[E] (§3.1).
@@ -60,20 +60,17 @@ class Md {
 
   /// Whether the premise holds between data tuple t and master tuple s.
   /// A null on either side fails the clause (§7 semantics: rules only apply
-  /// to tuples that precisely match). When `memo` is non-null (one map per
-  /// premise clause), fuzzy-predicate outcomes are looked up / recorded
-  /// there. Implemented on PremiseHoldsWith, the single premise-evaluation
-  /// code path shared by the reference checkers and the memoizing MdMatcher.
-  bool PremiseHolds(const data::Tuple& t, const data::Tuple& s,
-                    ClauseMemo* memo = nullptr) const;
+  /// to tuples that precisely match). Implemented on PremiseHoldsWith, the
+  /// single premise-evaluation code path shared by the reference checkers
+  /// and the memoizing MdMatcher.
+  bool PremiseHolds(const data::Tuple& t, const data::Tuple& s) const;
 
   /// Generic premise evaluation with the same null / identical-id /
   /// equality-clause semantics as PremiseHolds, delegating only the fuzzy
   /// predicate outcome: `eval(clause_index, clause, data_value,
   /// master_value) -> bool` is invoked solely for distinct, non-null value
-  /// pairs on a non-equality clause. Memoizing callers (MdMatcher's sharded
-  /// concurrent memo, the ClauseMemo overload above) plug their cache in
-  /// here so the premise semantics exist exactly once.
+  /// pairs on a non-equality clause. MdMatcher plugs its sharded
+  /// concurrent memo in here so the premise semantics exist exactly once.
   template <typename EvalFn>
   bool PremiseHoldsWith(const data::Tuple& t, const data::Tuple& s,
                         EvalFn&& eval) const {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "data/string_pool.h"
@@ -377,87 +376,81 @@ Result<std::unique_ptr<core::MatchEnvironment>> Codec::RestoreEnvironment(
   if (master_size != static_cast<uint32_t>(master.size())) {
     return Inconsistent("master size does not match the engine");
   }
+  // The tag constructor groups the rules by premise exactly as a cold
+  // build does, so the rule -> matcher map is derived, never read: the
+  // engine fingerprint already pins the rule set.
   std::unique_ptr<core::MatchEnvironment> env(new core::MatchEnvironment(
       rules, master, options, core::MatchEnvironment::RestoreTag{}));
-  // One matcher section per MD rule id, no dups, no strays.
-  std::unordered_map<uint32_t, std::string_view> by_rule;
-  for (const RuleSection& section : matcher_sections) {
-    if (section.rule_id >= num_rules ||
-        rules.IsCfd(static_cast<rules::RuleId>(section.rule_id))) {
-      return Inconsistent("matcher section for a non-MD rule id");
-    }
-    if (!by_rule.emplace(section.rule_id, section.payload).second) {
-      return Inconsistent("duplicate matcher section");
-    }
+  const size_t num_slots = env->matchers_.size();
+  if (num_matchers != num_slots) {
+    return Inconsistent("matcher count does not match the rule set");
   }
-  // Memo sections are validated against the table up front so the parallel
-  // phase below only sees well-attributed payloads.
-  std::unordered_map<uint32_t, std::string_view> memo_by_rule;
-  for (const RuleSection& section : memo_sections) {
-    if (by_rule.count(section.rule_id) == 0) {
-      return Inconsistent("memo section without a matcher");
+  // Files each section under its matcher's slot. Sections are filed under
+  // the slot's owner, the lowest rule id of its premise group; one filed
+  // under any other id (a CFD, an MD that shares a lower id's matcher, or
+  // out of range), or a second one for a slot, is DataLoss.
+  const auto by_slot = [&](const std::vector<RuleSection>& sections,
+                           const std::string& kind,
+                           std::vector<const RuleSection*>* out) -> Status {
+    out->assign(num_slots, nullptr);
+    for (const RuleSection& section : sections) {
+      const int slot = section.rule_id < num_rules
+                           ? env->matcher_slot_[section.rule_id]
+                           : -1;
+      if (slot < 0 || env->owners_[static_cast<size_t>(slot)] !=
+                          static_cast<rules::RuleId>(section.rule_id)) {
+        return Inconsistent(kind + " section filed under rule id " +
+                            std::to_string(section.rule_id) +
+                            ", which owns no matcher");
+      }
+      const RuleSection*& filed = (*out)[static_cast<size_t>(slot)];
+      if (filed != nullptr) {
+        return Inconsistent("duplicate " + kind + " section");
+      }
+      filed = &section;
     }
-    if (!memo_by_rule.emplace(section.rule_id, section.payload).second) {
-      return Inconsistent("duplicate memo section");
-    }
-  }
-
-  // One work item per MD rule: construct the shell, install the serialized
-  // index, then the rule's memos. Items are independent — each touches only
-  // its own matcher and reads shared immutable state (rules, master, string
-  // pool) — so they restore in parallel; the suffix-array payloads
-  // dominate the wall clock and overlap instead of queueing.
-  struct Item {
-    rules::RuleId rule;
-    std::string_view matcher_payload;
-    std::string_view memo_payload;  // empty when the rule carried no memos
-    bool has_memos = false;
+    return Status::OK();
   };
-  std::vector<Item> items;
-  for (rules::RuleId rule = 0; rule < rules.num_rules(); ++rule) {
-    if (rules.IsCfd(rule)) continue;
-    auto it = by_rule.find(static_cast<uint32_t>(rule));
-    if (it == by_rule.end()) {
+  std::vector<const RuleSection*> matcher_of;
+  std::vector<const RuleSection*> memos_of;
+  UC_RETURN_IF_ERROR(by_slot(matcher_sections, "matcher", &matcher_of));
+  UC_RETURN_IF_ERROR(by_slot(memo_sections, "memo", &memos_of));
+  for (size_t slot = 0; slot < num_slots; ++slot) {
+    if (matcher_of[slot] == nullptr) {
       return Inconsistent("missing matcher section for rule " +
-                          rules.rule_name(rule));
+                          rules.rule_name(env->owners_[slot]));
     }
-    Item item;
-    item.rule = rule;
-    item.matcher_payload = it->second;
-    auto memo_it = memo_by_rule.find(static_cast<uint32_t>(rule));
-    if (memo_it != memo_by_rule.end()) {
-      item.memo_payload = memo_it->second;
-      item.has_memos = true;
-    }
-    items.push_back(item);
   }
 
-  std::vector<Status> results(items.size(), Status::OK());
-  const auto restore_item = [&](size_t idx) {
-    const Item& item = items[idx];
-    std::unique_ptr<core::MdMatcher> matcher(new core::MdMatcher(
-        rules.md(item.rule), master, options, core::MdMatcher::RestoreTag{}));
-    Status status = RestoreMatcher(matcher.get(), item.matcher_payload);
-    if (status.ok() && item.has_memos) {
-      status = RestoreMemos(matcher.get(), item.memo_payload);
+  // One work item per matcher slot: construct the shell, install the
+  // serialized index, then the memos. Items are independent — each touches
+  // only its own matcher and reads shared immutable state (rules, master,
+  // string pool) — so they restore in parallel; the suffix-array payloads
+  // dominate the wall clock and overlap instead of queueing. The rules
+  // sharing a slot see its matcher through the environment's slot map.
+  std::vector<Status> results(num_slots, Status::OK());
+  const auto restore_item = [&](size_t slot) {
+    std::unique_ptr<core::MdMatcher> matcher(
+        new core::MdMatcher(rules.md(env->owners_[slot]), master, options,
+                            core::MdMatcher::RestoreTag{}));
+    Status status = RestoreMatcher(matcher.get(), matcher_of[slot]->payload);
+    if (status.ok() && memos_of[slot] != nullptr) {
+      status = RestoreMemos(matcher.get(), memos_of[slot]->payload);
     }
-    if (status.ok()) {
-      env->matchers_[static_cast<size_t>(item.rule)] = std::move(matcher);
-    }
-    results[idx] = std::move(status);
+    if (status.ok()) env->matchers_[slot] = std::move(matcher);
+    results[slot] = std::move(status);
   };
   const size_t n_threads = std::min<size_t>(
-      items.size(),
-      std::max<size_t>(1, std::thread::hardware_concurrency()));
+      num_slots, std::max<size_t>(1, std::thread::hardware_concurrency()));
   if (n_threads <= 1) {
-    for (size_t i = 0; i < items.size(); ++i) restore_item(i);
+    for (size_t i = 0; i < num_slots; ++i) restore_item(i);
   } else {
     std::atomic<size_t> next{0};
     std::vector<std::thread> workers;
     workers.reserve(n_threads);
     for (size_t t = 0; t < n_threads; ++t) {
       workers.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < items.size();
+        for (size_t i = next.fetch_add(1); i < num_slots;
              i = next.fetch_add(1)) {
           restore_item(i);
         }
@@ -465,14 +458,10 @@ Result<std::unique_ptr<core::MatchEnvironment>> Codec::RestoreEnvironment(
     }
     for (std::thread& w : workers) w.join();
   }
-  // First failure in rule order, so a hostile file yields the same
-  // diagnostic regardless of thread scheduling.
+  // First failure in slot (owner rule id) order, so a hostile file yields
+  // the same diagnostic regardless of thread scheduling.
   for (Status& status : results) {
     if (!status.ok()) return std::move(status);
-  }
-  env->num_matchers_ = static_cast<int>(items.size());
-  if (num_matchers != static_cast<uint32_t>(env->num_matchers_)) {
-    return Inconsistent("matcher count does not match the section table");
   }
   return env;
 }

@@ -36,7 +36,8 @@
 namespace uniclean {
 namespace snapshot {
 
-/// A matcher or memo section paired with the MD rule id it belongs to.
+/// A matcher or memo section paired with the rule id it is filed under:
+/// the owner of its matcher, i.e. the lowest MD rule id with that premise.
 struct RuleSection {
   uint32_t rule_id = 0;
   std::string_view payload;
@@ -46,7 +47,8 @@ class Codec {
  public:
   // --- write side (engine must be warm and quiesced) ------------------------
 
-  /// Environment-level counts: rule count, matcher count, master size.
+  /// Environment-level counts: rule count, distinct matcher count, master
+  /// size.
   static void AppendEnvironment(const core::MatchEnvironment& env,
                                 std::string* out);
 
@@ -68,9 +70,12 @@ class Codec {
 
   /// Rebuilds a MatchEnvironment from parsed snapshot sections against an
   /// engine's live rules/master (the string pool must already hold the
-  /// snapshot's generation — see snapshot.h load order). Returns kDataLoss
-  /// when a payload is structurally inconsistent with the engine (missing
-  /// or surplus matcher sections, out-of-range indices, count mismatches).
+  /// snapshot's generation — see snapshot.h load order). Which rules share
+  /// a matcher is derived from `rules`, as a cold build derives it, so each
+  /// matcher (and memo) section must be filed under its matcher's owner.
+  /// Returns kDataLoss when a payload is structurally inconsistent with the
+  /// engine (a missing owner section, a section filed under any other rule
+  /// id, duplicates, out-of-range indices, count mismatches).
   static Result<std::unique_ptr<core::MatchEnvironment>> RestoreEnvironment(
       const rules::RuleSet& rules, const data::Relation& master,
       const core::MdMatcherOptions& options, std::string_view env_payload,

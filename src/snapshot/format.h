@@ -42,9 +42,12 @@ namespace uniclean {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'U', 'C', 'S', 'N', 'A', 'P', 'S', 'H'};
-/// Version 2 persists a blocking index as its suffix order (codec.h). A
-/// version-1 file (suffix-tree nodes) is refused like any other version.
-inline constexpr uint32_t kFormatVersion = 2;
+/// Version 3 persists one matcher (and one memo section) per distinct MD
+/// premise, filed under the lowest rule id with that premise; a blocking
+/// index is its suffix order (codec.h). Files of earlier versions — v2 (one
+/// matcher per MD rule) and v1 (suffix-tree nodes) — are refused like any
+/// other version.
+inline constexpr uint32_t kFormatVersion = 3;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kSectionHeaderBytes = 20;
 
@@ -60,8 +63,8 @@ inline constexpr uint32_t kMatcherUseMemos = 1u << 1;
 enum class SectionId : uint32_t {
   kStringPool = 1,   // one per file; must precede use of any interned id
   kEnvironment = 2,  // one per file: environment-level counts
-  kMatcher = 3,      // one per MD rule id
-  kMemos = 4,        // optional, one per MD rule id (kFlagHasMemos)
+  kMatcher = 3,      // one per distinct MD premise, under its owner rule id
+  kMemos = 4,        // optional, one per kMatcher section (kFlagHasMemos)
 };
 
 /// `rule_id` value for sections not owned by a rule.

@@ -348,10 +348,14 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
   Codec::AppendEnvironment(env, &env_section.payload);
   sections.push_back(std::move(env_section));
 
+  // One matcher section (plus its memos) per distinct matcher, filed under
+  // its owner: the lowest rule id with that premise, whose MD the matcher
+  // holds (MdMatcher::md()). The loader re-derives which rules share it.
   const rules::RuleSet& rules = engine.rules();
   for (rules::RuleId rule = 0; rule < rules.num_rules(); ++rule) {
     if (rules.IsCfd(rule)) continue;
     const core::MdMatcher* matcher = env.matcher(rule);
+    if (&matcher->md() != &rules.md(rule)) continue;
     PendingSection section{SectionId::kMatcher,
                            static_cast<uint32_t>(rule), {}};
     Codec::AppendMatcher(*matcher, &section.payload);

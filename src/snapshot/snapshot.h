@@ -1,13 +1,13 @@
 // src/snapshot/: persistent, versioned engine snapshots for warm starts.
 //
 // A CleanEngine's startup cost is dominated by the §5.2 index build (one
-// suffix array / equality index per MD over the master relation) plus the
-// memo warm-up a serving process accumulates. A snapshot serializes exactly
-// that warm half — the string pool prefix the engine's ids live in, every
-// matcher's built index, optionally the hot memo contents — into one
-// checksummed file, so a restarted daemon loads indexes in milliseconds
-// instead of rebuilding them (unicleand --snapshot-dir) and journals stay
-// byte-identical to a cold-built engine's.
+// suffix array / equality index per distinct MD premise over the master
+// relation) plus the memo warm-up a serving process accumulates. A snapshot
+// serializes exactly that warm half — the string pool prefix the engine's
+// ids live in, every matcher's built index, optionally the hot memo
+// contents — into one checksummed file, so a restarted daemon loads indexes
+// in milliseconds instead of rebuilding them (unicleand --snapshot-dir) and
+// journals stay byte-identical to a cold-built engine's.
 //
 // File layout and integrity checking live in format.h; payload
 // (de)serialization in codec.h; this header is the policy layer: what gets

@@ -49,10 +49,13 @@ struct PipelineContext {
   /// during a Session::Run().
   FixJournal* journal = nullptr;
   /// The engine's shared match environment: one warm MdMatcher (index +
-  /// memos) per MD rule, scoped to (rules, master). Never null during a
-  /// Session::Run() — built once per engine lifetime and reused by every
-  /// phase of every session, so user phases should probe MDs through
+  /// memos) per distinct MD premise, scoped to (rules, master). Never null
+  /// during a Session::Run() — built once per engine lifetime and reused by
+  /// every phase of every session, so user phases should probe MDs through
   /// `match_env->matcher(rule)` rather than constructing their own matcher.
+  /// Rules with equal premises get the same matcher, so a capped or
+  /// memo-less Matches() reference fetched for one of them is overwritten by
+  /// the same thread's next probe for any of them (see MdMatcher::Matches).
   const core::MatchEnvironment* match_env = nullptr;
   /// Optional cooperative-cancellation token (null = uncancellable). The
   /// executor polls it between phases; the built-in phases forward it into

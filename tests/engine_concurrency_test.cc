@@ -9,6 +9,7 @@
 //     entries (admission-controlled eviction), counts evictions, and never
 //     changes results.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -18,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/match_environment.h"
+#include "core/md_matcher.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
 #include "uniclean/builtin_phases.h"
@@ -52,6 +55,33 @@ std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds,
                     .BuildEngine();
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
+}
+
+/// The environment's distinct matchers: rules with equal premises share
+/// one, so a per-rule walk would count it once per rule.
+std::vector<const core::MdMatcher*> DistinctMatchers(
+    const core::MatchEnvironment& env) {
+  std::vector<const core::MdMatcher*> matchers;
+  for (rules::RuleId rule = 0; rule < env.rules().num_rules(); ++rule) {
+    const core::MdMatcher* matcher = env.matcher(rule);
+    if (matcher != nullptr &&
+        std::find(matchers.begin(), matchers.end(), matcher) ==
+            matchers.end()) {
+      matchers.push_back(matcher);
+    }
+  }
+  return matchers;
+}
+
+/// The memo maps an environment caps independently: per distinct matcher,
+/// the match and blocking memos plus one similarity memo per premise
+/// clause.
+size_t MemoMaps(const core::MatchEnvironment& env) {
+  size_t memo_maps = 0;
+  for (const core::MdMatcher* matcher : DistinctMatchers(env)) {
+    memo_maps += 2 + matcher->md().premise().size();
+  }
+  return memo_maps;
 }
 
 /// Journal (text + CSV) and repaired relation, as comparable strings.
@@ -213,12 +243,7 @@ TEST(MemoCapTest, CapBoundsEntriesCountsEvictionsAndKeepsResults) {
   EXPECT_GT(stats.evictions, 0u) << "cap never engaged";
   // Each memo map (match, blocking, per-clause similarity) is capped
   // independently; bound the total by kCap times the number of memo maps.
-  size_t memo_maps = 0;
-  for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
-    if (ds.rules.IsCfd(rule)) continue;
-    memo_maps += 2 + ds.rules.md(rule).premise().size();
-  }
-  EXPECT_LE(stats.entries, kCap * memo_maps);
+  EXPECT_LE(stats.entries, kCap * MemoMaps(capped->environment()));
   EXPECT_LT(stats.entries, uncapped.entries);
 }
 
@@ -233,29 +258,23 @@ TEST(MemoCapTest, CapHoldsUnderConcurrentAdmission) {
   std::vector<Result<CleanResult>> results = engine->RunBatch(ptrs, 4);
   for (const auto& r : results) ASSERT_TRUE(r.ok());
 
-  size_t memo_maps = 0;
-  for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
-    if (ds.rules.IsCfd(rule)) continue;
-    memo_maps += 2 + ds.rules.md(rule).premise().size();
-  }
   const core::MemoStats stats = engine->MemoStats();
-  EXPECT_LE(stats.entries, kCap * memo_maps)
+  EXPECT_LE(stats.entries, kCap * MemoMaps(engine->environment()))
       << "concurrent admission overshot the cap";
 }
 
 TEST(MemoCapTest, CappedMatchesReferencesSurviveProbingOtherMatchers) {
   // Past the cap, Matches() hands out per-(thread, matcher) scratch: the
   // reference must stay intact while the same thread probes a *different*
-  // matcher (user phases iterate all MD rules this way).
+  // matcher (user phases iterate all MD rules this way). Rules with equal
+  // premises share a matcher, and so its scratch; only distinct matchers
+  // are probed here.
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/67);
   core::MdMatcherOptions options;
   options.memo_capacity = 1;  // everything after the first entry is refused
   core::MatchEnvironment env(ds.rules, ds.master, options);
-  std::vector<const core::MdMatcher*> matchers;
-  for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
-    if (env.matcher(rule) != nullptr) matchers.push_back(env.matcher(rule));
-  }
-  ASSERT_GE(matchers.size(), 2u);
+  const std::vector<const core::MdMatcher*> matchers = DistinctMatchers(env);
+  ASSERT_EQ(matchers.size(), 3u);  // HOSP: 7 normalized MDs, 3 premises
   for (data::TupleId t = 0; t < 20; ++t) {
     const std::vector<data::TupleId>& first =
         matchers[0]->Matches(ds.dirty.tuple(t));

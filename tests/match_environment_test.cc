@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -142,18 +143,106 @@ TEST_P(MatchEnvironmentParity, SharedEnvironmentMatchesPerPhaseBaseline) {
 INSTANTIATE_TEST_SUITE_P(Datasets, MatchEnvironmentParity,
                          ::testing::Values("HOSP", "DBLP", "TPCH"));
 
-TEST(MatchEnvironmentTest, MatchersExistExactlyForMdRules) {
-  gen::Dataset ds = MakeDataset("HOSP", 23);
-  core::MatchEnvironment env(ds.rules, ds.master);
-  EXPECT_EQ(env.num_matchers(), static_cast<int>(ds.rules.mds().size()));
-  for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
-    if (ds.rules.IsCfd(rule)) {
-      EXPECT_EQ(env.matcher(rule), nullptr);
-    } else {
-      ASSERT_NE(env.matcher(rule), nullptr);
-      EXPECT_EQ(&env.matcher(rule)->md(), &ds.rules.md(rule));
+TEST(MatchEnvironmentTest, MatchersAreSharedExactlyBetweenEqualPremises) {
+  // §2.2 normalization splits an MD into one MD per action; the MDs that
+  // end up with equal premises share one matcher, across source MDs too
+  // (TPCH's m1 and m8 both read c_custkey=c_custkey).
+  const std::vector<std::pair<const char*, int>> cases = {
+      {"HOSP", 3}, {"DBLP", 3}, {"TPCH", 9}};
+  for (const auto& [name, distinct_premises] : cases) {
+    SCOPED_TRACE(name);
+    gen::Dataset ds = MakeDataset(name, 23);
+    core::MatchEnvironment env(ds.rules, ds.master);
+    EXPECT_EQ(env.num_matchers(), distinct_premises);
+    for (rules::RuleId a = 0; a < ds.rules.num_rules(); ++a) {
+      if (ds.rules.IsCfd(a)) {
+        EXPECT_EQ(env.matcher(a), nullptr);
+        continue;
+      }
+      ASSERT_NE(env.matcher(a), nullptr);
+      EXPECT_EQ(env.matcher(a)->md().premise(), ds.rules.md(a).premise());
+      for (rules::RuleId b = 0; b < ds.rules.num_rules(); ++b) {
+        if (ds.rules.IsCfd(b)) continue;
+        EXPECT_EQ(env.matcher(a) == env.matcher(b),
+                  ds.rules.md(a).premise() == ds.rules.md(b).premise())
+            << ds.rules.rule_name(a) << " vs " << ds.rules.rule_name(b);
+      }
     }
   }
+}
+
+TEST(MatchEnvironmentTest, OnlyIdenticalPremisesShareAMatcher) {
+  using rules::MdAction;
+  using rules::MdClause;
+  using similarity::SimilarityPredicate;
+  const std::vector<std::string> attrs = {"name",  "city", "zip",
+                                          "phone", "gd",   "email"};
+  data::SchemaPtr schema = data::MakeSchema("r", attrs);
+  data::SchemaPtr master_schema = data::MakeSchema("m", attrs);
+  const auto clause = [](data::AttributeId attr, SimilarityPredicate p) {
+    return MdClause{attr, attr, p};
+  };
+  const auto action = [](data::AttributeId attr) {
+    return MdAction{attr, attr};
+  };
+  const data::AttributeId kName = 0, kCity = 1, kZip = 2, kPhone = 3,
+                          kGd = 4, kEmail = 5;
+  const MdClause name_jw = clause(kName, SimilarityPredicate::JaroWinkler(0.8));
+  const MdClause city_eq = clause(kCity, SimilarityPredicate::Equals());
+  std::vector<rules::Md> mds;
+  // a.0 and a.1 (siblings) and b (another source MD) have one premise.
+  mds.push_back(rules::Md::Make("a", {name_jw, city_eq},
+                                {action(kZip), action(kPhone)}));
+  mds.push_back(rules::Md::Make("b", {name_jw, city_eq}, {action(kGd)}));
+  // Only the threshold differs from a's premise.
+  mds.push_back(rules::Md::Make(
+      "threshold",
+      {clause(kName, SimilarityPredicate::JaroWinkler(0.7)), city_eq},
+      {action(kZip)}));
+  // Only the clause order differs from a's premise.
+  mds.push_back(rules::Md::Make("order", {city_eq, name_jw}, {action(kZip)}));
+  // Only q differs between q2 and q3.
+  mds.push_back(rules::Md::Make(
+      "q2", {clause(kName, SimilarityPredicate::QGram(0.5, 2))},
+      {action(kCity)}));
+  mds.push_back(rules::Md::Make(
+      "q3", {clause(kName, SimilarityPredicate::QGram(0.5, 3))},
+      {action(kCity)}));
+  // The negative MD embeds gd=gd into neg's email action only (Prop. 2.6).
+  mds.push_back(rules::Md::Make("neg",
+                                {clause(kZip, SimilarityPredicate::Equals())},
+                                {action(kName), action(kEmail)}));
+  std::vector<rules::NegativeMd> negatives = {
+      rules::NegativeMd::Make("n", {{kGd, kGd}}, {action(kEmail)})};
+  auto made = rules::RuleSet::Make(schema, master_schema, {}, std::move(mds),
+                                   std::move(negatives));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const rules::RuleSet& rs = *made;
+
+  data::Relation master(master_schema);
+  master.AddRow({"Anna Smith", "Edi", "EH8", "555", "f", "a@x"});
+  master.AddRow({"Bob Brown", "Ldn", "W1", "556", "m", "b@x"});
+  core::MatchEnvironment env(rs, master);
+  const auto rule = [&](const std::string& rule_name) {
+    for (rules::RuleId id = 0; id < rs.num_rules(); ++id) {
+      if (rs.rule_name(id) == rule_name) return id;
+    }
+    ADD_FAILURE() << "no rule named " << rule_name;
+    return rules::RuleId{0};
+  };
+  const core::MdMatcher* shared = env.matcher(rule("a.0"));
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(env.matcher(rule("a.1")), shared);
+  EXPECT_EQ(env.matcher(rule("b")), shared);
+  // A shared matcher holds the lowest-id MD of its group.
+  EXPECT_EQ(&shared->md(), &rs.md(rule("a.0")));
+  EXPECT_NE(env.matcher(rule("threshold")), shared);
+  EXPECT_NE(env.matcher(rule("order")), shared);
+  EXPECT_NE(env.matcher(rule("q2")), env.matcher(rule("q3")));
+  EXPECT_NE(env.matcher(rule("neg.0")), env.matcher(rule("neg.1+neg")));
+  // a.0/a.1/b, threshold, order, q2, q3, neg.0, neg.1+neg.
+  EXPECT_EQ(env.num_matchers(), 7);
+  EXPECT_EQ(rs.mds().size(), 9u);
 }
 
 /// An engine over the dataset's master and rules (η = 1).
@@ -175,7 +264,9 @@ TEST(MatchEnvironmentTest, EngineBuildsIndexesAtMostOncePerLifetime) {
   const uint64_t before = core::MdMatcher::ConstructedCount();
   engine->Warmup();
   const uint64_t after_warmup = core::MdMatcher::ConstructedCount();
-  EXPECT_EQ(after_warmup - before, ds.rules.mds().size());
+  // One build per distinct premise (DBLP: 7 normalized MDs over 3).
+  EXPECT_EQ(after_warmup - before, 3u);
+  EXPECT_EQ(engine->environment().num_matchers(), 3);
 
   // Every run — a session run twice, then a second session — reuses the
   // warm environment: the build counter must not move again.

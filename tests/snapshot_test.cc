@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -141,6 +142,37 @@ void PatchU32(std::string* bytes, size_t offset, uint32_t v) {
 void ResealHeader(std::string* bytes) {
   PatchU32(bytes, snapshot::kHeaderBytes - 4,
            snapshot::Crc32(bytes->data(), snapshot::kHeaderBytes - 4));
+}
+
+/// A section header and where it starts in the file.
+struct SectionAt {
+  size_t offset = 0;
+  snapshot::SectionHeader header;
+  size_t payload() const { return offset + snapshot::kSectionHeaderBytes; }
+};
+
+/// Walks the section table of a well-formed snapshot.
+std::vector<SectionAt> Sections(const std::string& bytes) {
+  std::vector<SectionAt> sections;
+  for (size_t offset = snapshot::kHeaderBytes; offset < bytes.size();) {
+    auto header = snapshot::DecodeSectionHeader(bytes, offset);
+    if (!header.ok()) {
+      ADD_FAILURE() << header.status().ToString();
+      break;
+    }
+    sections.push_back({offset, *header});
+    offset += snapshot::kSectionHeaderBytes + header->length;
+  }
+  return sections;
+}
+
+/// The first section of kind `id`.
+SectionAt FirstSection(const std::string& bytes, snapshot::SectionId id) {
+  for (const SectionAt& section : Sections(bytes)) {
+    if (section.header.id == static_cast<uint32_t>(id)) return section;
+  }
+  ADD_FAILURE() << "no section with id " << static_cast<uint32_t>(id);
+  return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -379,6 +411,16 @@ class SnapshotHardening : public ::testing::Test {
     ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path_).ok());
     good_ = ReadFileBytes(path_);
     ASSERT_GT(good_.size(), snapshot::kHeaderBytes);
+    // An MD rule that shares a lower rule id's matcher: the snapshot files
+    // no section under it.
+    const core::MatchEnvironment& env = (*engine)->environment();
+    for (rules::RuleId rule = 0; rule < ds.rules.num_rules(); ++rule) {
+      const core::MdMatcher* matcher = env.matcher(rule);
+      if (matcher != nullptr && &matcher->md() != &ds.rules.md(rule)) {
+        non_owner_rule_ = static_cast<uint32_t>(rule);
+        break;
+      }
+    }
   }
 
   /// Attempts a warm start of `path` under the standard configuration;
@@ -404,9 +446,19 @@ class SnapshotHardening : public ::testing::Test {
     return TryLoad(mutated_path_);
   }
 
+  /// good_ with the first section of kind `id` re-filed under
+  /// non_owner_rule_. Section headers carry no CRC, so nothing is re-sealed.
+  std::string RefiledUnderNonOwner(snapshot::SectionId id) const {
+    std::string bytes = good_;
+    const SectionAt section = FirstSection(bytes, id);
+    PatchU32(&bytes, section.offset + 4, non_owner_rule_);
+    return bytes;
+  }
+
   std::string path_;
   std::string mutated_path_;
   std::string good_;
+  uint32_t non_owner_rule_ = snapshot::kNoRule;
 };
 
 TEST_F(SnapshotHardening, GoodFileLoadsAndVerifies) {
@@ -587,6 +639,134 @@ TEST_F(SnapshotHardening, ForgedSuffixArrayIsDataLoss) {
     EXPECT_NE(s.message().find("suffix array"), std::string::npos)
         << what << ": " << s.ToString();
   }
+}
+
+TEST_F(SnapshotHardening, Version2IsFailedPrecondition) {
+  // A v2 file (one matcher section per MD rule) is refused like any other
+  // version: the loader has no v2 reader, and a daemon cold-builds instead.
+  std::string bytes = good_;
+  PatchU32(&bytes, 8, 2);
+  ResealHeader(&bytes);
+  const Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("version 2"), std::string::npos) << s.ToString();
+}
+
+TEST_F(SnapshotHardening, MatcherSectionUnderNonOwnerRuleIsDataLoss) {
+  ASSERT_NE(non_owner_rule_, snapshot::kNoRule) << "no MD shares a matcher";
+  const Status s =
+      TryLoadBytes(RefiledUnderNonOwner(snapshot::SectionId::kMatcher));
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("owns no matcher"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SnapshotHardening, MemoSectionUnderNonOwnerRuleIsDataLoss) {
+  ASSERT_NE(non_owner_rule_, snapshot::kNoRule) << "no MD shares a matcher";
+  const Status s =
+      TryLoadBytes(RefiledUnderNonOwner(snapshot::SectionId::kMemos));
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("owns no matcher"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SnapshotHardening, MissingOwnerSectionIsDataLoss) {
+  // Drop the first matcher section and re-seal the header's section count:
+  // the rules that share its matcher have nothing to restore from.
+  std::string bytes = good_;
+  const SectionAt section =
+      FirstSection(bytes, snapshot::SectionId::kMatcher);
+  bytes.erase(section.offset,
+              snapshot::kSectionHeaderBytes + section.header.length);
+  auto info = snapshot::Inspect(path_);
+  ASSERT_TRUE(info.ok());
+  PatchU32(&bytes, 56, info->header.section_count - 1);
+  ResealHeader(&bytes);
+  const Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("missing matcher section"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
+  // Every matcher and memo section of a snapshot with memos, mutated by
+  // seeded 1-4-byte overwrites and 1-8-byte truncations (length patched),
+  // then re-sealed, so the bytes reach the decoders. Each load must return
+  // a Status — OK or DataLoss, since only codec payloads change — and never
+  // abort or trip a sanitizer.
+  const std::string path = ::testing::TempDir() + "ucsnap_mutation_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".ucsnap";
+  {
+    data::ScopedStringPool scoped;
+    gen::Dataset ds = Generate("HOSP", 11);
+    auto engine = Configure(ds).BuildEngine();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    RunJournal(*engine, ds);
+    ASSERT_GT((*engine)->environment().MemoStats().entries, 0u);
+    ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path).ok());
+  }
+  const std::string good = ReadFileBytes(path);
+  // One pool and one dataset serve every load: the pool section is never
+  // mutated, so each load re-finds the same prefix.
+  data::ScopedStringPool scoped;
+  gen::Dataset ds = Generate("HOSP", 11);
+  const auto load = [&](const std::string& bytes) {
+    WriteFileBytes(mutated_path_, bytes);
+    (void)snapshot::Verify(mutated_path_);
+    (void)snapshot::Inspect(mutated_path_);
+    return Configure(ds).FromSnapshot(mutated_path_).status();
+  };
+  ASSERT_TRUE(load(good).ok());
+
+  std::mt19937 rng(0x5eed);
+  int loads = 0;
+  int refused = 0;
+  for (const SectionAt& section : Sections(good)) {
+    const bool matcher = section.header.id ==
+                         static_cast<uint32_t>(snapshot::SectionId::kMatcher);
+    const bool memos = section.header.id ==
+                       static_cast<uint32_t>(snapshot::SectionId::kMemos);
+    if (!matcher && !memos) continue;
+    const size_t length = static_cast<size_t>(section.header.length);
+    ASSERT_GT(length, 8u);
+    std::vector<std::pair<std::string, std::string>> mutants;
+    for (int i = 0; i < 12; ++i) {
+      const size_t width = 1 + rng() % 4;
+      const size_t at = rng() % (length - width + 1);
+      std::string bytes = good;
+      for (size_t k = 0; k < width; ++k) {
+        bytes[section.payload() + at + k] = static_cast<char>(rng() & 0xFF);
+      }
+      mutants.emplace_back("overwrite " + std::to_string(width) + " at " +
+                               std::to_string(at),
+                           std::move(bytes));
+    }
+    for (size_t cut = 1; cut <= 8; ++cut) {
+      std::string bytes = good;
+      bytes.erase(section.payload() + length - cut, cut);
+      PatchU32(&bytes, section.offset + 8,
+               static_cast<uint32_t>(length - cut));
+      mutants.emplace_back("truncate " + std::to_string(cut),
+                           std::move(bytes));
+    }
+    for (auto& [what, bytes] : mutants) {
+      const uint64_t mutated_length =
+          snapshot::DecodeSectionHeader(bytes, section.offset)->length;
+      PatchU32(&bytes, section.offset + 16,
+               snapshot::Crc32(bytes.data() + section.payload(),
+                               static_cast<size_t>(mutated_length)));
+      ResealHeader(&bytes);
+      const Status s = load(bytes);
+      EXPECT_TRUE(s.ok() || s.code() == StatusCode::kDataLoss)
+          << (matcher ? "matcher" : "memo") << " section of rule "
+          << section.header.rule_id << ", " << what << ": " << s.ToString();
+      ++loads;
+      if (!s.ok()) ++refused;
+    }
+  }
+  EXPECT_EQ(loads, 6 * 20);  // HOSP: 3 matcher + 3 memo sections
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace
