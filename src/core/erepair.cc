@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "core/avl_tree.h"
-#include "data/group_key.h"
+#include "core/vcfd_groups.h"
 #include "reasoning/dependency_graph.h"
 
 namespace uniclean {
@@ -19,8 +16,6 @@ namespace {
 
 using data::AttributeId;
 using data::FixMark;
-using data::GroupKey;
-using data::GroupKeyHash;
 using data::Relation;
 using data::TupleId;
 using data::Value;
@@ -37,7 +32,8 @@ class ERepairRun {
         env_(env),
         dm_(env.master()),
         ruleset_(env.rules()),
-        options_(options) {
+        options_(options),
+        groups_(*d, env.rules()) {
     change_count_.assign(static_cast<size_t>(d_.size()) *
                              static_cast<size_t>(d_.schema().arity()),
                          0);
@@ -48,12 +44,11 @@ class ERepairRun {
     // topological order, out/in-degree ratio within SCCs).
     reasoning::DependencyGraph graph(ruleset_);
     std::vector<RuleId> order = graph.ApplicationOrder();
-    touched_prev_.assign(static_cast<size_t>(d_.size()), 1);  // pass 1: all
-    touched_cur_.assign(static_cast<size_t>(d_.size()), 0);
     bool changed = true;
     while (changed) {
       changed = false;
       ++stats_.passes;
+      groups_.BeginPass();
       for (RuleId rule : order) {
         // Polled between rule resolutions — every fix applied so far has
         // already been observed, so an interrupted run is never torn.
@@ -75,8 +70,6 @@ class ERepairRun {
         }
         if (stats_.reliable_fixes != before) changed = true;
       }
-      std::swap(touched_prev_, touched_cur_);
-      touched_cur_.assign(touched_cur_.size(), 0);
     }
     return stats_;
   }
@@ -105,53 +98,44 @@ class ERepairRun {
     tuple.set_mark(a, FixMark::kReliable);
     ++change_count_[CellIndex(t, a)];
     ++stats_.reliable_fixes;
-    touched_cur_[static_cast<size_t>(t)] = 1;
+    groups_.Touch(t);
   }
 
-  /// Procedure vCFDReslove (§6.2) backed by the 2-in-1 structure of §6.3:
-  /// a hash table from group key to the group's member list and value
-  /// counts, plus an AVL tree keyed by entropy for the ascending walk.
+  /// Procedure vCFDReslove (§6.2). §6.3 keeps the conflict groups in a
+  /// "2-in-1" structure, a hash table from group key to members plus an
+  /// AVL tree ordered by entropy, so both survive as fixes land. Here the
+  /// hash half is groups_, which lives for the whole run and refiles only
+  /// touched tuples. The ordered half is a sort: only groups with a changed
+  /// member (dirty) can change entropy, so each call sorts just those and
+  /// resolves them in ascending entropy below δ2. A clean group would
+  /// resolve to nothing; it only adds its last tally to the counters.
   void VCfdResolve(RuleId rule) {
     const Cfd& cfd = ruleset_.cfd(rule);
     const AttributeId b = cfd.rhs()[0];
-    struct Group {
-      std::vector<TupleId> members;
-      std::unordered_map<data::ValueId, int> value_counts;
-    };
-    std::unordered_map<GroupKey, Group, GroupKeyHash> table;  // HTab (Fig. 9)
-    // First-encounter group order: iteration must not depend on the hash of
-    // the (id-valued) keys, or fix order would vary with id assignment.
-    std::vector<const Group*> group_order;
-    for (TupleId t = 0; t < d_.size(); ++t) {
-      if (!d_.live(t)) continue;
+    groups_.Open(rule, [this, &cfd, b](TupleId t) {
       const data::Tuple& tuple = d_.tuple(t);
-      if (!cfd.MatchesLhs(tuple)) continue;
-      if (tuple.value(b).is_null()) continue;  // satisfies trivially (§7)
-      auto [it, inserted] =
-          table.try_emplace(GroupKey::Project(tuple, cfd.lhs()));
-      Group& g = it->second;
-      if (inserted) group_order.push_back(&g);
-      g.members.push_back(t);
-      ++g.value_counts[tuple.value(b).id()];
-    }
-    // AVL tree T of Fig. 9: only groups with nonzero entropy appear. The
-    // majority target is picked here, while the counts are already sorted,
-    // so resolution does not re-sort.
+      // A null RHS satisfies the rule trivially (§7).
+      return cfd.MatchesLhs(tuple) && !tuple.value(b).is_null()
+                 ? VcfdGroups::Slot::kValued
+                 : VcfdGroups::Slot::kNone;
+    });
+    // Only groups with nonzero entropy take part. The majority target is
+    // picked here, while the counts are already sorted.
     struct Resolvable {
-      const Group* group;
+      double entropy;
+      VcfdGroups::GroupId group;
       data::ValueId target;
     };
-    AvlTree<double, Resolvable> tree;
-    for (const Group* group_ptr : group_order) {
-      const Group& group = *group_ptr;
-      if (group.value_counts.size() <= 1) continue;
+    std::vector<Resolvable> resolvable;
+    for (VcfdGroups::GroupId g; (g = groups_.Next()) >= 0;) {
       // Accumulate in lexicographic value order: keeps the floating-point
       // sum (and thus the entropy threshold decision) identical to the
       // pre-interning std::map<std::string> iteration. The same order makes
       // the first strict maximum the lexicographically-smallest majority
       // value (deterministic tie-break).
-      std::vector<std::pair<data::ValueId, int>> items =
-          SortedValueCounts(group.value_counts);
+      const std::vector<std::pair<data::ValueId, int>> items =
+          SortedValueCounts(g, b);
+      if (items.size() <= 1) continue;
       std::vector<int> counts;
       counts.reserve(items.size());
       for (const auto& [id, c] : items) counts.push_back(c);
@@ -163,45 +147,61 @@ class ERepairRun {
           best_count = count;
         }
       }
-      tree.Insert(GroupEntropy(counts), Resolvable{&group, best});
+      const double entropy = GroupEntropy(counts);
+      VcfdGroups::Tally tally;
+      if (entropy < options_.delta2) {
+        tally.resolved = 1;
+        resolvable.push_back(Resolvable{entropy, g, best});
+      } else {
+        tally.skipped = 1;
+      }
+      groups_.SetTally(g, tally);
     }
-    int skipped = tree.size();
-    tree.VisitBelow(
-        options_.delta2,
-        [this, b, rule](double entropy, const Resolvable& entry) {
-          (void)entropy;
-          ResolveGroup(entry.group->members, Value::FromId(entry.target), b,
-                       rule);
-          return true;
-        });
-    // Everything not visited had entropy >= δ2.
-    stats_.groups_skipped_high_entropy += skipped - resolved_this_call_;
-    stats_.groups_resolved += resolved_this_call_;
-    resolved_this_call_ = 0;
+    // Ascending entropy; Next() yielded the groups by first member, which
+    // breaks ties.
+    std::stable_sort(resolvable.begin(), resolvable.end(),
+                     [](const Resolvable& x, const Resolvable& y) {
+                       return x.entropy < y.entropy;
+                     });
+    // A fix rewrites B of a member of the group being resolved only, so no
+    // other group of this rule changes (or is queued) meanwhile.
+    for (const Resolvable& entry : resolvable) {
+      ResolveGroup(entry.group, Value::FromId(entry.target), b, rule);
+    }
+    stats_.groups_resolved += groups_.tally_sum().resolved;
+    stats_.groups_skipped_high_entropy += groups_.tally_sum().skipped;
+    groups_.Close();
   }
 
-  /// The group's (value id, count) pairs sorted lexicographically by the
-  /// resolved strings — the iteration order the pre-interning
-  /// std::map<std::string, int> provided for free.
-  static std::vector<std::pair<data::ValueId, int>> SortedValueCounts(
-      const std::unordered_map<data::ValueId, int>& value_counts) {
-    std::vector<std::pair<data::ValueId, int>> items(value_counts.begin(),
-                                                     value_counts.end());
+  /// Group `g`'s (value id, count) pairs of attribute `b`, sorted
+  /// lexicographically by the resolved strings — the iteration order the
+  /// pre-interning std::map<std::string, int> provided for free.
+  std::vector<std::pair<data::ValueId, int>> SortedValueCounts(
+      VcfdGroups::GroupId g, AttributeId b) {
+    value_ids_.clear();
+    for (TupleId t = groups_.first_valued(g); t >= 0; t = groups_.next(t)) {
+      value_ids_.push_back(d_.tuple(t).value(b).id());
+    }
+    std::sort(value_ids_.begin(), value_ids_.end());
+    std::vector<std::pair<data::ValueId, int>> items;
+    for (data::ValueId id : value_ids_) {
+      if (items.empty() || items.back().first != id) items.emplace_back(id, 0);
+      ++items.back().second;
+    }
     std::sort(items.begin(), items.end(),
-              [](const std::pair<data::ValueId, int>& a,
-                 const std::pair<data::ValueId, int>& b) {
-                return Value::FromId(a.first).view() <
-                       Value::FromId(b.first).view();
+              [](const std::pair<data::ValueId, int>& x,
+                 const std::pair<data::ValueId, int>& y) {
+                return Value::FromId(x.first).view() <
+                       Value::FromId(y.first).view();
               });
     return items;
   }
 
-  /// Rewrites every changeable member that disagrees with the group's
+  /// Rewrites every changeable member of group `g` that disagrees with its
   /// (pre-computed) majority value.
-  void ResolveGroup(const std::vector<TupleId>& members, const Value& target,
-                    AttributeId b, RuleId rule) {
-    ++resolved_this_call_;
-    for (TupleId t : members) {
+  void ResolveGroup(VcfdGroups::GroupId g, const Value& target, AttributeId b,
+                    RuleId rule) {
+    for (TupleId t = groups_.first_valued(g); t >= 0; t = groups_.next(t)) {
       if (d_.tuple(t).value(b) == target) continue;
       if (!Changeable(t, b)) continue;
       ApplyFix(t, b, target, rule);
@@ -232,10 +232,7 @@ class ERepairRun {
       if (!d_.live(t)) continue;
       // MD premises depend only on this tuple and the static master data:
       // skip tuples untouched since the previous pass.
-      if (!touched_prev_[static_cast<size_t>(t)] &&
-          !touched_cur_[static_cast<size_t>(t)]) {
-        continue;
-      }
+      if (!groups_.TouchedSincePreviousPass(t)) continue;
       TupleId s = matcher.FindFirstMatch(d_.tuple(t));
       if (s < 0) continue;
       stats_.md_matches.emplace_back(t, s);
@@ -258,11 +255,10 @@ class ERepairRun {
   const RuleSet& ruleset_;
   const ERepairOptions& options_;
   ERepairStats stats_;
-  int resolved_this_call_ = 0;
+  VcfdGroups groups_;  // the vCFD groups; tracks touched tuples too
 
   std::vector<int> change_count_;  // per cell
-  std::vector<uint8_t> touched_prev_;  // tuples changed in the last pass
-  std::vector<uint8_t> touched_cur_;   // tuples changed in this pass
+  std::vector<data::ValueId> value_ids_;  // SortedValueCounts scratch
 };
 
 }  // namespace

@@ -5,6 +5,13 @@
 // rewritten at most δ1 times ("update threshold"), which bounds oscillation
 // and guarantees termination. Deterministic fixes from cRepair are never
 // overwritten, and neither are asserted cells (cf >= η).
+//
+// What a pass re-examines: every tuple for a constant CFD; for an MD, the
+// tuples fixed in this pass or the previous one; for a variable CFD, only
+// the groups whose members changed since the rule last ran (the groups live
+// in a core::VcfdGroups index for the whole run). A group that stayed clean
+// would resolve to nothing, so the pass only counts it again, as resolved
+// or as skipped, exactly as a full re-examination would.
 
 #ifndef UNICLEAN_CORE_EREPAIR_H_
 #define UNICLEAN_CORE_EREPAIR_H_
@@ -42,9 +49,12 @@ struct ERepairStats {
   std::vector<std::pair<data::TupleId, data::TupleId>> md_matches;
   /// Cells rewritten and marked FixMark::kReliable.
   int reliable_fixes = 0;
-  /// Variable-CFD groups resolved via entropy.
+  /// Variable-CFD groups resolved via entropy, counted once per pass in
+  /// which the group had conflicting values and entropy < δ2 (whether or not
+  /// a cell was still changeable).
   int groups_resolved = 0;
-  /// Groups left alone because their entropy was >= δ2.
+  /// Groups left alone because their entropy was >= δ2, counted once per
+  /// pass as well.
   int groups_skipped_high_entropy = 0;
   /// Full passes over the rule order until fixpoint.
   int passes = 0;

@@ -1,7 +1,7 @@
 #include "core/hrepair.h"
 
+#include <algorithm>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -9,7 +9,7 @@
 #include "common/check.h"
 #include "core/cost_model.h"
 #include "core/equivalence.h"
-#include "data/group_key.h"
+#include "core/vcfd_groups.h"
 
 namespace uniclean {
 namespace core {
@@ -28,9 +28,6 @@ using rules::RuleSet;
 
 constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
-using data::GroupKey;
-using data::GroupKeyHash;
-
 class HRepairRun {
  public:
   HRepairRun(Relation* d, const MatchEnvironment& env,
@@ -42,6 +39,7 @@ class HRepairRun {
         ruleset_(env.rules()),
         options_(options),
         eq_(d->size(), d->schema().arity()),
+        groups_(*d, env.rules()),
         last_rule_(static_cast<size_t>(d->size()) *
                        static_cast<size_t>(d->schema().arity()),
                    -1) {
@@ -59,12 +57,11 @@ class HRepairRun {
   }
 
   HRepairStats Run() {
-    touched_prev_.assign(static_cast<size_t>(view_.size()), 1);  // pass 1: all
-    touched_cur_.assign(static_cast<size_t>(view_.size()), 0);
     bool changed = true;
     while (changed) {
       changed = false;
       ++stats_.passes;
+      groups_.BeginPass();
       for (RuleId rule = 0; rule < ruleset_.num_rules(); ++rule) {
         // hRepair only observes fixes after the fixpoint below, so a
         // cancelled run rolls the view back to the phase entry state
@@ -87,8 +84,6 @@ class HRepairRun {
             break;
         }
       }
-      std::swap(touched_prev_, touched_cur_);
-      touched_cur_.assign(touched_cur_.size(), 0);
     }
     // Mark every cell whose value changed in this phase as a possible fix.
     for (TupleId t = 0; t < view_.size(); ++t) {
@@ -109,8 +104,9 @@ class HRepairRun {
   }
 
  private:
-  /// Pushes the class target of `cell`'s class into the view and marks the
-  /// affected tuples for re-probing in the next pass.
+  /// Pushes the class target of `cell`'s class into the view and touches
+  /// the affected tuples: MDs re-probe them, and their vCFD groups turn
+  /// dirty (or are queued, in the rule being resolved).
   void SyncClass(CellId cell) {
     CellId root = eq_.Find(cell);
     TargetKind kind = eq_.target_kind(root);
@@ -121,7 +117,7 @@ class HRepairRun {
       data::TupleId t = eq_.TupleOf(member);
       view_.mutable_tuple(t).set_value(eq_.AttrOf(member), v);
       last_rule_[static_cast<size_t>(member)] = current_rule_;
-      touched_cur_[static_cast<size_t>(t)] = 1;
+      groups_.Touch(t);
     }
   }
 
@@ -224,53 +220,36 @@ class HRepairRun {
   /// Resolves all current violations of a variable CFD pairwise within each
   /// conflicting group, then enriches original nulls from the group
   /// consensus (Example 1.1 step (d): t4[St] is filled from t3 once the
-  /// group agrees).
+  /// group agrees). Only the dirty groups are examined, by first member, as
+  /// the groups were when the call began; a merge that rewrites a member of
+  /// a later, clean group queues that group too. A clean group's conflicts
+  /// are all anomalies, and only its anomaly count is added again.
   bool ResolveVariableCfd(RuleId rule) {
     const Cfd& cfd = ruleset_.cfd(rule);
     const AttributeId b = cfd.rhs()[0];
-    std::unordered_map<GroupKey, std::vector<TupleId>, GroupKeyHash> groups;
-    std::unordered_map<GroupKey, std::vector<TupleId>, GroupKeyHash>
-        null_members;
-    // First-encounter iteration order: resolution and enrichment order must
-    // not depend on the hash of the (id-valued) group keys, or the repair
-    // trace would vary with id assignment. Pointers into the node-stable
-    // maps avoid re-hashing the keys at iteration time.
-    std::vector<const std::vector<TupleId>*> group_order;
-    std::vector<std::pair<GroupKey, const std::vector<TupleId>*>> null_order;
-    for (TupleId t = 0; t < view_.size(); ++t) {
-      if (!view_.live(t)) continue;
+    groups_.Open(rule, [this, &cfd, b](TupleId t) {
       const data::Tuple& tuple = view_.tuple(t);
-      if (!cfd.MatchesLhs(tuple)) continue;
-      if (tuple.value(b).is_null()) {
-        // Only cells that were null in the input are enrichable; nulls this
-        // phase introduced are final (lattice top).
-        if (eq_.target_kind(eq_.Cell(t, b)) == TargetKind::kUnfixed) {
-          auto [it, inserted] = null_members.try_emplace(
-              GroupKey::Project(tuple, cfd.lhs()));
-          if (inserted) null_order.emplace_back(it->first, &it->second);
-          it->second.push_back(t);
-        }
-        continue;
-      }
-      auto [it, inserted] =
-          groups.try_emplace(GroupKey::Project(tuple, cfd.lhs()));
-      if (inserted) group_order.push_back(&it->second);
-      it->second.push_back(t);
-    }
+      if (!cfd.MatchesLhs(tuple)) return VcfdGroups::Slot::kNone;
+      if (!tuple.value(b).is_null()) return VcfdGroups::Slot::kValued;
+      // Only cells that were null in the input are enrichable; nulls this
+      // phase introduced are final (lattice top).
+      return eq_.target_kind(eq_.Cell(t, b)) == TargetKind::kUnfixed
+                 ? VcfdGroups::Slot::kNull
+                 : VcfdGroups::Slot::kNone;
+    });
     bool changed = false;
-    for (const std::vector<TupleId>* members_ptr : group_order) {
-      const std::vector<TupleId>& members = *members_ptr;
-      if (members.size() < 2) continue;
+    for (VcfdGroups::GroupId g; (g = groups_.Next()) >= 0;) {
+      const TupleId anchor = groups_.first_valued(g);
+      if (groups_.next(anchor) < 0) continue;  // one member cannot conflict
       // Frequency of each RHS value within the group: on cost ties the
       // majority value wins (with zero-confidence cells every change is
       // free, and majority is by far the better heuristic).
       std::unordered_map<data::ValueId, int> value_votes;
-      for (TupleId t : members) {
+      for (TupleId t = anchor; t >= 0; t = groups_.next(t)) {
         ++value_votes[view_.tuple(t).value(b).id()];
       }
-      TupleId anchor = members[0];
-      for (size_t i = 1; i < members.size(); ++i) {
-        TupleId t = members[i];
+      VcfdGroups::Tally tally;
+      for (TupleId t = groups_.next(anchor); t >= 0; t = groups_.next(t)) {
         // Re-validate on the live view: earlier resolutions may have fixed
         // this pair or nulled its cells already.
         if (!cfd.MatchesLhs(view_.tuple(anchor)) ||
@@ -285,27 +264,42 @@ class HRepairRun {
                              view_.tuple(t).value(b))) {
           continue;
         }
-        changed |= ResolveVariablePair(cfd, anchor, t, b, value_votes);
+        if (ResolveVariablePair(cfd, anchor, t, b, value_votes)) {
+          changed = true;
+        } else {
+          ++tally.anomalies;
+        }
+      }
+      groups_.SetTally(g, tally);
+    }
+    stats_.anomalies += groups_.tally_sum().anomalies;
+    // Enrichment: a null cell joins its group's consensus value, in order
+    // of the groups' first null member. Enriching touches only the null's
+    // own tuple (an unfixed class is a singleton), so no group is dirtied
+    // from here on.
+    std::vector<std::pair<TupleId, VcfdGroups::GroupId>> enrich;
+    for (VcfdGroups::GroupId g : groups_.visited()) {
+      const TupleId first_null = groups_.first_null(g);
+      if (first_null >= 0 && groups_.first_valued(g) >= 0) {
+        enrich.emplace_back(first_null, g);
       }
     }
-    // Enrichment: a null cell joins its group's consensus value.
-    for (const auto& [key, nulls_ptr] : null_order) {
-      const std::vector<TupleId>& nulls = *nulls_ptr;
-      auto it = groups.find(key);
-      if (it == groups.end()) continue;
+    std::sort(enrich.begin(), enrich.end());
+    for (const auto& [first_null, g] : enrich) {
       // The conflict resolution above ran first; use the (possibly updated)
       // live value of the group's anchor and require group agreement.
-      const Value consensus = view_.tuple(it->second[0]).value(b);
+      const TupleId anchor = groups_.first_valued(g);
+      const Value consensus = view_.tuple(anchor).value(b);
       if (consensus.is_null()) continue;
       bool agrees = true;
-      for (TupleId t : it->second) {
+      for (TupleId t = anchor; t >= 0; t = groups_.next(t)) {
         if (!Value::SqlEquals(view_.tuple(t).value(b), consensus)) {
           agrees = false;
           break;
         }
       }
       if (!agrees) continue;
-      for (TupleId t : nulls) {
+      for (TupleId t = first_null; t >= 0; t = groups_.next(t)) {
         CellId cell = eq_.Cell(t, b);
         if (eq_.target_kind(cell) != TargetKind::kUnfixed) continue;
         if (!view_.tuple(t).value(b).is_null()) continue;
@@ -313,9 +307,12 @@ class HRepairRun {
         changed = true;
       }
     }
+    groups_.Close();
     return changed;
   }
 
+  /// Resolves one violating pair by a merge or by nulling an LHS cell,
+  /// whichever costs less; false when neither is feasible (an anomaly).
   bool ResolveVariablePair(
       const Cfd& cfd, TupleId t1, TupleId t2, AttributeId b,
       const std::unordered_map<data::ValueId, int>& value_votes) {
@@ -358,10 +355,7 @@ class HRepairRun {
     double break_cost = std::min(break1_cost, break2_cost);
     CellId break_cell = break1_cost <= break2_cost ? break1 : break2;
 
-    if (merge_cost == kInfeasible && break_cost == kInfeasible) {
-      ++stats_.anomalies;
-      return false;
-    }
+    if (merge_cost == kInfeasible && break_cost == kInfeasible) return false;
     if (merge_cost <= break_cost) {
       if (f1 || f2) {
         // Equalize against a frozen class WITHOUT union: unioning would
@@ -400,10 +394,7 @@ class HRepairRun {
       if (!view_.live(t)) continue;
       // MD premises depend only on this tuple's values and the (static)
       // master data: skip tuples untouched since the last pass.
-      if (!touched_prev_[static_cast<size_t>(t)] &&
-          !touched_cur_[static_cast<size_t>(t)]) {
-        continue;
-      }
+      if (!groups_.TouchedSincePreviousPass(t)) continue;
       bool tuple_changed = true;
       while (tuple_changed) {
         tuple_changed = false;
@@ -452,11 +443,10 @@ class HRepairRun {
   const RuleSet& ruleset_;
   const HRepairOptions& options_;
   EquivalenceClasses eq_;
+  VcfdGroups groups_;  // the vCFD groups; tracks touched tuples too
   HRepairStats stats_;
   RuleId current_rule_ = -1;         // rule whose violations are being fixed
   std::vector<RuleId> last_rule_;    // per cell: last rule that rewrote it
-  std::vector<uint8_t> touched_prev_;  // tuples changed in the last pass
-  std::vector<uint8_t> touched_cur_;   // tuples changed in this pass
 };
 
 }  // namespace

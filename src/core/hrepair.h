@@ -13,6 +13,14 @@
 // Targets only ever move up the lattice unfixed -> constant -> null and
 // merges reduce the class count, so the process terminates (§7), with
 // Dr |= Σ and (Dr, Dm) |= Γ under the §7 null semantics.
+//
+// What a pass re-examines: every tuple for a constant CFD; for an MD, the
+// tuples whose classes changed in this pass or the previous one; for a
+// variable CFD, only the groups with a member whose class changed since the
+// rule last ran, plus any later group a merge in the same call rewrites
+// (the groups live in a core::VcfdGroups index for the whole run). A group
+// that stayed clean holds only conflicts no option can resolve, and the
+// pass counts them as anomalies again, as a full re-examination would.
 
 #ifndef UNICLEAN_CORE_HREPAIR_H_
 #define UNICLEAN_CORE_HREPAIR_H_
@@ -54,7 +62,8 @@ struct HRepairStats {
   /// Passes over the rule set until no violations remained.
   int passes = 0;
   /// Violations that could not be resolved (conflicting frozen classes —
-  /// indicates contradictory deterministic fixes; 0 for consistent input).
+  /// indicates contradictory deterministic fixes; 0 for consistent input),
+  /// counted once per pass in which they were found.
   int anomalies = 0;
   /// OK for a completed run; DeadlineExceeded/Cancelled when
   /// HRepairOptions::cancel tripped (the relation was rolled back to the

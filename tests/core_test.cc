@@ -367,6 +367,31 @@ TEST(ERepairTest, MdResolveFixesUnassertedCellsFromMaster) {
             FixMark::kReliable);
 }
 
+TEST(ERepairTest, GroupResolvesOnceAnotherRulesFixLowersItsEntropy) {
+  // Group K='k' holds V = a, a, a, b, c: entropy 0.865 >= δ2 = 0.8, so
+  // pass 1 leaves it alone. The constant CFD, which the §6.2 order applies
+  // after fd, then rewrites t4[V] from c to a, and in pass 2 the group
+  // (a x4, b) has entropy 0.722 and resolves.
+  auto schema = MakeSchema("R", {"K", "V", "W"});
+  auto master = MakeSchema("m", {"X"});
+  auto rs = MakeRules("CFD fix: W='z' -> V='a'\nCFD fd: K -> V\n", schema,
+                      master);
+  Relation d(schema);
+  d.AddRow({"k", "a", "n"});
+  d.AddRow({"k", "a", "n"});
+  d.AddRow({"k", "a", "n"});
+  d.AddRow({"k", "b", "n"});
+  d.AddRow({"k", "c", "z"});
+  Relation dm(master);
+  ERepairStats stats = TestERepair(&d, dm, rs, {});
+  EXPECT_EQ(d.tuple(3).value(1), Value("a"));
+  EXPECT_EQ(d.tuple(4).value(1), Value("a"));
+  EXPECT_EQ(stats.reliable_fixes, 2);
+  EXPECT_EQ(stats.groups_skipped_high_entropy, 1);
+  EXPECT_EQ(stats.groups_resolved, 1);
+  EXPECT_EQ(stats.passes, 3);
+}
+
 // ---------------------------------------------------------------------------
 // hRepair (§7) — Example 7.2 and repair guarantees
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 // fix-vs-break decisions, null introduction, majority tie-breaking, null
 // enrichment, and frozen-class interactions.
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/crepair.h"
@@ -179,6 +182,91 @@ TEST_F(HRepairUnit, MergingWithFrozenClassDoesNotFreezeTheOtherCell) {
   EXPECT_EQ(stats.anomalies, 0);
   EXPECT_EQ(d.tuple(0).value(1), Value("det-value"));
   EXPECT_EQ(rules::CountViolations(d, dm_, rs), 0u);
+}
+
+// The next three cases need several passes. They pin what hRepair's
+// violation groups must keep between passes: a group that stayed clean
+// still counts its anomalies, a group whose members moved is refiled, and a
+// group dirtied in the middle of a rule's call is still resolved in that
+// call.
+
+TEST(HRepairPasses, FrozenConflictCountsAnAnomalyOnEveryPass) {
+  // t0 and t1 agree on A but carry different deterministic B values, and
+  // their A cells are frozen too: no merge and no premise break is legal.
+  // The constant CFDs form a chain listed against hRepair's rule order, so
+  // each pass enables exactly one more fix and the run takes 4 passes.
+  SchemaPtr schema = MakeSchema("r", {"A", "B", "C", "D", "E", "F"});
+  SchemaPtr master = MakeSchema("m", {"X"});
+  auto rs = MakeRules(
+      "CFD fd: A -> B\nCFD k1: E='3' -> F='4'\nCFD k2: D='2' -> E='3'\n"
+      "CFD k3: C='1' -> D='2'\n",
+      schema, master);
+  Relation d(schema);
+  AddRow(&d, {"g", "x", "0", "0", "0", "0"}, {0, 0, 0, 0, 0, 0});
+  AddRow(&d, {"g", "y", "0", "0", "0", "0"}, {0, 0, 0, 0, 0, 0});
+  AddRow(&d, {"h", "z", "1", "0", "0", "0"}, {0, 0, 1, 0, 0, 0});
+  for (data::TupleId t : {0, 1}) {
+    d.mutable_tuple(t).set_mark(0, FixMark::kDeterministic);
+    d.mutable_tuple(t).set_mark(1, FixMark::kDeterministic);
+  }
+  Relation dm(master);
+  HRepairStats stats = TestHRepair(&d, dm, rs, {});
+  EXPECT_EQ(stats.passes, 4);
+  EXPECT_EQ(stats.anomalies, 4);  // once per pass
+  EXPECT_EQ(d.tuple(0).value(1), Value("x"));
+  EXPECT_EQ(d.tuple(1).value(1), Value("y"));
+  EXPECT_EQ(d.tuple(2).value(5), Value("4"));
+}
+
+TEST(HRepairPasses, NullIsEnrichedOnceItsGroupConvergesInALaterPass) {
+  // Pass 1 breaks the t0/t1 conflict by nulling t1[A] (free) rather than
+  // merging the expensive B cells. Enrichment in that call still sees t1's
+  // B disagree, so t2[B] stays null. Pass 2 refiles t1 out of the group,
+  // which then agrees, and t2[B] takes its value.
+  SchemaPtr schema = MakeSchema("r", {"A", "B", "C"});
+  SchemaPtr master = MakeSchema("m", {"X"});
+  auto rs = MakeRules("CFD fd: A -> B\n", schema, master);
+  Relation d(schema);
+  AddRow(&d, {"g", "x", "c"}, {1.0, 1.0, 0.0});
+  AddRow(&d, {"g", "y", "c"}, {0.0, 1.0, 0.0});
+  data::Tuple t(3);
+  t.set_value(0, Value("g"));
+  t.set_value(1, Value::Null());
+  t.set_value(2, Value("c"));
+  d.AddTuple(std::move(t));
+  Relation dm(master);
+  HRepairStats stats = TestHRepair(&d, dm, rs, {});
+  EXPECT_EQ(stats.passes, 3);
+  EXPECT_EQ(stats.nulls_introduced, 1);
+  EXPECT_TRUE(d.tuple(1).value(0).is_null());
+  EXPECT_EQ(d.tuple(2).value(1), Value("x"));
+}
+
+TEST(HRepairPasses, MergeRewritesAMemberOfALaterGroupInTheSameCall) {
+  // Pass 1: rule s merges t0[B] and t3[B] (same C) and rule t writes 'w'
+  // into t1[B] and t2[B]. Pass 2: rule r finds group A='a1' outvoted by 'w'
+  // and merges t0's class, which rewrites t3[B] in group A='a2'. That group
+  // was clean when the call began; the same call must still resolve it, or
+  // the run needs a fourth pass.
+  SchemaPtr schema = MakeSchema("r", {"A", "B", "C", "D"});
+  SchemaPtr master = MakeSchema("m", {"X"});
+  auto rs = MakeRules(
+      "CFD s: C -> B\nCFD r: A -> B\nCFD t: D='trig' -> B='w'\n", schema,
+      master);
+  Relation d(schema);
+  const std::vector<double> cf = {1.0, 0.0, 1.0, 1.0};
+  AddRow(&d, {"a1", "p", "c1", "n"}, cf);
+  AddRow(&d, {"a1", "p", "c2", "trig"}, cf);
+  AddRow(&d, {"a1", "p", "c3", "trig"}, cf);
+  AddRow(&d, {"a2", "q", "c1", "n"}, cf);
+  AddRow(&d, {"a2", "p", "c4", "n"}, cf);
+  Relation dm(master);
+  HRepairStats stats = TestHRepair(&d, dm, rs, {});
+  EXPECT_EQ(stats.passes, 3);
+  EXPECT_EQ(stats.merges, 3);
+  for (data::TupleId t = 0; t < d.size(); ++t) {
+    EXPECT_EQ(d.tuple(t).value(1), Value("w")) << "tuple " << t;
+  }
 }
 
 }  // namespace

@@ -20,10 +20,12 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -767,6 +769,118 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
   }
   EXPECT_EQ(loads, 6 * 20);  // HOSP: 3 matcher + 3 memo sections
   EXPECT_GT(refused, 0);
+}
+
+/// The string count and StringPool::PrefixHash of a pool-section payload,
+/// or nothing when the payload does not parse.
+std::optional<std::pair<uint64_t, uint64_t>> PoolCountAndHash(
+    std::string_view payload) {
+  snapshot::Reader r(payload);
+  auto count = r.U64();
+  if (!count.ok() || *count > payload.size()) return std::nullopt;
+  uint64_t hash = 0x243f6a8885a308d3ULL;
+  for (uint64_t i = 0; i < *count; ++i) {
+    auto s = r.Bytes();
+    if (!s.ok()) return std::nullopt;
+    hash = data::MixU64(hash ^ s->size());
+    for (char c : *s) {
+      hash = data::MixU64(hash ^ static_cast<uint64_t>(
+                                     static_cast<uint8_t>(c)));
+    }
+  }
+  if (!r.done()) return std::nullopt;
+  return std::make_pair(*count, hash);
+}
+
+TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
+  // The string-pool section, mutated by seeded 1-4-byte overwrites and
+  // 1-8-byte truncations and re-sealed. Each mutant loads twice: once with
+  // only the section CRC re-sealed (the pool decoder sees the bytes), and,
+  // when the payload still parses, once more with the header's pool count
+  // and hash re-derived from it, so the strings reach the live-pool prefix
+  // check. Every load must return a Status and never abort.
+  const std::string pid = std::to_string(static_cast<long>(::getpid()));
+  const std::string path =
+      ::testing::TempDir() + "ucsnap_pool_mutation_" + pid + ".ucsnap";
+  {
+    data::ScopedStringPool scoped;
+    gen::Dataset ds = Generate("HOSP", 11);
+    auto engine = Configure(ds).BuildEngine();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    RunJournal(*engine, ds);
+    ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path).ok());
+  }
+  const std::string good = ReadFileBytes(path);
+  // Mutated strings never enter the pool: the live prefix (the dataset's
+  // strings) covers the whole section, so a changed string is refused at
+  // the prefix check before anything is interned.
+  data::ScopedStringPool scoped;
+  gen::Dataset ds = Generate("HOSP", 11);
+  const auto load = [&](const std::string& bytes) {
+    WriteFileBytes(mutated_path_, bytes);
+    (void)snapshot::Verify(mutated_path_);
+    (void)snapshot::Inspect(mutated_path_);
+    return Configure(ds).FromSnapshot(mutated_path_).status();
+  };
+  ASSERT_TRUE(load(good).ok());
+
+  const SectionAt section =
+      FirstSection(good, snapshot::SectionId::kStringPool);
+  const size_t length = static_cast<size_t>(section.header.length);
+  ASSERT_GT(length, 8u);
+  std::vector<std::pair<std::string, std::string>> mutants;
+  std::mt19937 rng(0x9001);
+  for (int i = 0; i < 24; ++i) {
+    const size_t width = 1 + rng() % 4;
+    const size_t at = rng() % (length - width + 1);
+    std::string bytes = good;
+    for (size_t k = 0; k < width; ++k) {
+      bytes[section.payload() + at + k] = static_cast<char>(rng() & 0xFF);
+    }
+    mutants.emplace_back(
+        "overwrite " + std::to_string(width) + " at " + std::to_string(at),
+        std::move(bytes));
+  }
+  for (size_t cut = 1; cut <= 8; ++cut) {
+    std::string bytes = good;
+    bytes.erase(section.payload() + length - cut, cut);
+    PatchU32(&bytes, section.offset + 8, static_cast<uint32_t>(length - cut));
+    mutants.emplace_back("truncate " + std::to_string(cut), std::move(bytes));
+  }
+  int loads = 0;
+  int prefix_checked = 0;
+  for (auto& [what, bytes] : mutants) {
+    const size_t mutated_length = static_cast<size_t>(
+        snapshot::DecodeSectionHeader(bytes, section.offset)->length);
+    const std::string_view payload(bytes.data() + section.payload(),
+                                   mutated_length);
+    PatchU32(&bytes, section.offset + 16, snapshot::Crc32(payload));
+    const Status s = load(bytes);
+    EXPECT_TRUE(s.ok() || s.code() == StatusCode::kDataLoss)
+        << what << ": " << s.ToString();
+    ++loads;
+    const auto count_and_hash = PoolCountAndHash(payload);
+    if (!count_and_hash.has_value()) continue;
+    // Header bytes 40 and 48: the pool's string count and PrefixHash.
+    std::string resealed = bytes;
+    for (int i = 0; i < 8; ++i) {
+      resealed[40 + static_cast<size_t>(i)] =
+          static_cast<char>((count_and_hash->first >> (8 * i)) & 0xFF);
+      resealed[48 + static_cast<size_t>(i)] =
+          static_cast<char>((count_and_hash->second >> (8 * i)) & 0xFF);
+    }
+    ResealHeader(&resealed);
+    const Status deep = load(resealed);
+    EXPECT_TRUE(deep.ok() || deep.code() == StatusCode::kDataLoss ||
+                deep.code() == StatusCode::kFailedPrecondition)
+        << what << ", header re-derived: " << deep.ToString();
+    ++loads;
+    if (deep.code() == StatusCode::kFailedPrecondition) ++prefix_checked;
+  }
+  EXPECT_GE(loads, 32);
+  EXPECT_GT(prefix_checked, 0);
+  // The live pool is as the good load left it.
+  EXPECT_TRUE(load(good).ok());
 }
 
 }  // namespace
