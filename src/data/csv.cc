@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <vector>
@@ -175,10 +176,36 @@ Result<Tuple> RowToTuple(const std::vector<std::string_view>& fields) {
   return t;
 }
 
-/// One confidence cell; `buf` gives strtod its terminating NUL.
+/// True when `field`, which std::from_chars read as zero, has no nonzero
+/// digit before its exponent: an exact zero, which strtod reads without
+/// ERANGE. A nonzero mantissa that underflowed to zero is not.
+bool IsExactZero(std::string_view field) {
+  for (char c : field) {
+    if (c == 'e' || c == 'E') return true;
+    if (c >= '1' && c <= '9') return false;
+  }
+  return true;
+}
+
+/// One confidence cell. The accepted set and every value are strtod's in the
+/// C locale. std::from_chars reads the common case without copying: the
+/// whole field as an exact zero or a normal double in (DBL_MIN, 1]. Both
+/// round correctly, so a field they both read whole gets the same bits, and
+/// strtod reports no ERANGE on such a value. Everything else (a subnormal
+/// or underflowed value, a sign, a space, hex, inf, nan, junk, a value out
+/// of range) goes to strtod, so every verdict and message is strtod's;
+/// `buf` gives strtod its terminating NUL.
 Result<double> ParseConfidence(std::string_view field, int line_no,
                                std::string* buf) {
   if (field.empty() || field == kNullToken) return 0.0;
+  double value = 0.0;
+  const char* last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, value);
+  if (ec == std::errc() && ptr == last && value <= 1.0 &&
+      (value > std::numeric_limits<double>::min() ||
+       (value == 0.0 && IsExactZero(field)))) {
+    return value;
+  }
   buf->assign(field);
   errno = 0;
   char* end = nullptr;

@@ -13,8 +13,9 @@
 //    which the wire reports as ResourceExhausted;
 //  * a file that cannot be opened -> NotFound.
 // Cells are interned through StringPool::TryIntern, so no input reaches a
-// CHECK-abort. Blank records are skipped; a header-only input is an empty
-// relation.
+// CHECK-abort; a cell already in the pool is found without a lock, so
+// concurrent readers (the daemon's workers) do not serialize on it. Blank
+// records are skipped; a header-only input is an empty relation.
 
 #ifndef UNICLEAN_DATA_CSV_H_
 #define UNICLEAN_DATA_CSV_H_
@@ -88,8 +89,14 @@ Result<SchemaPtr> InferCsvSchema(const std::string& path,
 
 /// Loads per-cell confidences into `*relation` from a CSV with the same
 /// shape: a header row naming the relation's attributes, then one row per
-/// tuple. Cells must parse as numbers in [0, 1]; empty cells and nulls
-/// count as 0.
+/// tuple. Empty cells and nulls count as 0. Any other cell must be a number
+/// in [0, 1] as std::strtod reads it in the C locale (the process never
+/// changes locale): strtod must consume the whole cell without ERANGE. So a
+/// leading space, a '+' and hex ("0x1p-1" is 0.5) are accepted; a trailing
+/// space, inf, nan and a value that underflows (ERANGE: subnormal, or below
+/// DBL_MIN before rounding) are not. The accepted set and every value are
+/// strtod's; the common decimal cell is parsed by std::from_chars, which
+/// gives the same bits without a copy.
 Status ReadConfidenceCsv(std::istream& in, Relation* relation);
 
 /// ReadConfidenceCsv over a file path.

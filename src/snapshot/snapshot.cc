@@ -244,6 +244,28 @@ Result<std::vector<std::string_view>> DecodePoolStrings(
   return strings;
 }
 
+/// kDataLoss when a decoded pool section holds some string twice. A pool
+/// holds each string once, so such a section matches no pool: interning it
+/// would mint one id too few and leave a prefix no snapshot can load into.
+/// One pass over a flat open-addressing table at most half full, keyed by
+/// the pool's own string hash.
+Status CheckNoRepeats(const std::vector<std::string_view>& strings) {
+  size_t slots = 16;
+  while (slots < 2 * strings.size()) slots *= 2;
+  std::vector<uint32_t> table(slots, 0);  // index + 1; 0 is empty
+  for (size_t i = 0; i < strings.size(); ++i) {
+    size_t at = data::HashBytes(strings[i]) & (slots - 1);
+    for (; table[at] != 0; at = (at + 1) & (slots - 1)) {
+      if (strings[table[at] - 1] == strings[i]) {
+        return Status::DataLoss("pool section repeats a string at id " +
+                                std::to_string(i));
+      }
+    }
+    table[at] = static_cast<uint32_t>(i + 1);
+  }
+  return Status::OK();
+}
+
 /// Replays the snapshot's pool prefix into the live global pool, BEFORE the
 /// engine's sources are parsed, so every id the serialized indexes and
 /// memos refer to resolves to the writer's characters — and so the CSV /
@@ -265,6 +287,9 @@ Status LoadPoolSection(const Header& header, std::string_view payload) {
     }
   }
   if (live < strings.size()) {
+    // Checked only here: a section the live pool already covers equals the
+    // pool's own prefix, whose strings are distinct by construction.
+    UC_RETURN_IF_ERROR(CheckNoRepeats(strings));
     const size_t n = strings.size() - live;
     std::vector<data::ValueId> ids(n);
     UC_RETURN_IF_ERROR(pool.TryInternBatch(&strings[live], n, ids.data()));
@@ -409,8 +434,9 @@ Status Verify(const std::string& path) {
   // The pool payload is self-describing, so its structure and content hash
   // are checkable without an engine (unlike the codec sections, whose
   // consistency is defined relative to live rules/master).
-  UC_RETURN_IF_ERROR(DecodePoolStrings(snap.header, snap.pool).status());
-  return Status::OK();
+  UC_ASSIGN_OR_RETURN(std::vector<std::string_view> strings,
+                      DecodePoolStrings(snap.header, snap.pool));
+  return CheckNoRepeats(strings);
 }
 
 }  // namespace snapshot

@@ -16,7 +16,8 @@
 //
 //   kDataLoss            — the file cannot be trusted: bad magic, CRC
 //                          mismatch, truncation, forged lengths, indices
-//                          out of range. Discard the file and cold-build.
+//                          out of range, a pool section that repeats a
+//                          string. Discard the file and cold-build.
 //   kFailedPrecondition  — the file may be fine but does not belong to this
 //                          configuration: unsupported format version, engine
 //                          fingerprint mismatch (rules/master/thresholds
@@ -81,9 +82,10 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
 Result<SnapshotInfo> Inspect(const std::string& path);
 
 /// Full container validation: header CRC, section table structure, every
-/// payload CRC, string-pool payload structure and content hash. Does not
-/// need (and cannot check against) an engine; codec-level consistency is
-/// only checkable at FromSnapshot time. OK means the bytes are intact.
+/// payload CRC, string-pool payload structure, content hash and distinct
+/// strings. Does not need (and cannot check against) an engine; codec-level
+/// consistency is only checkable at FromSnapshot time. OK means the bytes
+/// are intact.
 Status Verify(const std::string& path);
 
 }  // namespace snapshot

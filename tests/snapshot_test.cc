@@ -32,6 +32,7 @@
 
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
+#include "data/csv.h"
 #include "data/relation.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
@@ -406,8 +407,13 @@ class SnapshotHardening : public ::testing::Test {
     path_ = ::testing::TempDir() + "ucsnap_hardening_" + pid + ".ucsnap";
     mutated_path_ =
         ::testing::TempDir() + "ucsnap_hardening_mut_" + pid + ".ucsnap";
+    master_path_ = ::testing::TempDir() + "ucsnap_hardening_master_" + pid +
+                   ".csv";
     data::ScopedStringPool scoped;
     gen::Dataset ds = Generate("HOSP", 11);
+    data_schema_ = ds.dirty.schema_ptr();
+    rule_text_ = ds.rule_text;
+    ASSERT_TRUE(data::WriteCsvFile(master_path_, ds.master).ok());
     auto engine = Configure(ds).BuildEngine();
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path_).ok());
@@ -448,6 +454,20 @@ class SnapshotHardening : public ::testing::Test {
     return TryLoad(mutated_path_);
   }
 
+  /// Attempts a warm start of `bytes` the way a daemon's cold start does:
+  /// the master CSV and the rule text are read only after the pool section.
+  /// Into a fresh pool (the caller installs one), the section's strings go
+  /// through StringPool::TryInternBatch.
+  Status TryLoadFromFiles(const std::string& bytes) {
+    WriteFileBytes(mutated_path_, bytes);
+    EngineBuilder builder;
+    builder.WithDataSchema(data_schema_)
+        .WithMasterCsv(master_path_)
+        .WithRuleText(rule_text_)
+        .WithEta(1.0);
+    return builder.FromSnapshot(mutated_path_).status();
+  }
+
   /// good_ with the first section of kind `id` re-filed under
   /// non_owner_rule_. Section headers carry no CRC, so nothing is re-sealed.
   std::string RefiledUnderNonOwner(snapshot::SectionId id) const {
@@ -459,6 +479,9 @@ class SnapshotHardening : public ::testing::Test {
 
   std::string path_;
   std::string mutated_path_;
+  std::string master_path_;
+  data::SchemaPtr data_schema_;
+  std::string rule_text_;
   std::string good_;
   uint32_t non_owner_rule_ = snapshot::kNoRule;
 };
@@ -771,25 +794,110 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
   EXPECT_GT(refused, 0);
 }
 
-/// The string count and StringPool::PrefixHash of a pool-section payload,
-/// or nothing when the payload does not parse.
-std::optional<std::pair<uint64_t, uint64_t>> PoolCountAndHash(
+/// The strings of a pool-section payload, or nothing when the payload does
+/// not parse.
+std::optional<std::vector<std::string_view>> PoolStrings(
     std::string_view payload) {
   snapshot::Reader r(payload);
   auto count = r.U64();
   if (!count.ok() || *count > payload.size()) return std::nullopt;
-  uint64_t hash = 0x243f6a8885a308d3ULL;
+  std::vector<std::string_view> strings;
   for (uint64_t i = 0; i < *count; ++i) {
     auto s = r.Bytes();
     if (!s.ok()) return std::nullopt;
-    hash = data::MixU64(hash ^ s->size());
-    for (char c : *s) {
+    strings.push_back(*s);
+  }
+  if (!r.done()) return std::nullopt;
+  return strings;
+}
+
+/// StringPool::PrefixHash over `strings`, in order.
+uint64_t PoolHash(const std::vector<std::string_view>& strings) {
+  uint64_t hash = 0x243f6a8885a308d3ULL;
+  for (std::string_view s : strings) {
+    hash = data::MixU64(hash ^ s.size());
+    for (char c : s) {
       hash = data::MixU64(hash ^ static_cast<uint64_t>(
                                      static_cast<uint8_t>(c)));
     }
   }
-  if (!r.done()) return std::nullopt;
-  return std::make_pair(*count, hash);
+  return hash;
+}
+
+/// The string count and StringPool::PrefixHash of a pool-section payload,
+/// or nothing when the payload does not parse.
+std::optional<std::pair<uint64_t, uint64_t>> PoolCountAndHash(
+    std::string_view payload) {
+  const auto strings = PoolStrings(payload);
+  if (!strings.has_value()) return std::nullopt;
+  return std::make_pair(static_cast<uint64_t>(strings->size()),
+                        PoolHash(*strings));
+}
+
+/// Sets the header's pool generation (bytes 40 and 48: the string count and
+/// StringPool::PrefixHash) and re-seals the header.
+void SetPoolGeneration(std::string* bytes, uint64_t count, uint64_t hash) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[40 + static_cast<size_t>(i)] =
+        static_cast<char>((count >> (8 * i)) & 0xFF);
+    (*bytes)[48 + static_cast<size_t>(i)] =
+        static_cast<char>((hash >> (8 * i)) & 0xFF);
+  }
+  ResealHeader(bytes);
+}
+
+/// `bytes` with its pool section re-encoded to hold `strings`: the section's
+/// length and CRC and the header's pool generation re-derived, so the
+/// strings reach the loader past every check of the container.
+std::string WithPoolStrings(const std::string& bytes,
+                            const std::vector<std::string>& strings) {
+  const SectionAt section =
+      FirstSection(bytes, snapshot::SectionId::kStringPool);
+  std::string payload;
+  snapshot::PutU64(&payload, strings.size());
+  for (const std::string& s : strings) snapshot::PutBytes(&payload, s);
+  std::string out = bytes.substr(0, section.offset);
+  snapshot::SectionHeader header = section.header;
+  header.length = payload.size();
+  header.crc = snapshot::Crc32(payload);
+  snapshot::EncodeSectionHeader(header, &out);
+  out += payload;
+  out += bytes.substr(section.payload() +
+                      static_cast<size_t>(section.header.length));
+  const std::vector<std::string_view> views(strings.begin(), strings.end());
+  SetPoolGeneration(&out, strings.size(), PoolHash(views));
+  return out;
+}
+
+TEST_F(SnapshotHardening,
+       RepeatedPoolStringIsDataLossBeforeAnythingIsInterned) {
+  // Pool string 100 set to string 50, behind a re-derived count and hash
+  // and re-sealed CRCs. Interned into a fresh pool, the repeat used to mint
+  // one id too few: the load failed only at the id check ("grew
+  // concurrently"), left about 1,700 strings in the pool, and a good file
+  // then failed in the same pool ("diverged ... at id 100").
+  const SectionAt section =
+      FirstSection(good_, snapshot::SectionId::kStringPool);
+  const auto views = PoolStrings(std::string_view(good_).substr(
+      section.payload(), static_cast<size_t>(section.header.length)));
+  ASSERT_TRUE(views.has_value());
+  ASSERT_GT(views->size(), 100u);
+  std::vector<std::string> strings(views->begin(), views->end());
+  strings[100] = strings[50];
+  const std::string bytes = WithPoolStrings(good_, strings);
+  WriteFileBytes(mutated_path_, bytes);
+  const Status verified = snapshot::Verify(mutated_path_);
+  EXPECT_EQ(verified.code(), StatusCode::kDataLoss) << verified.ToString();
+
+  data::ScopedStringPool fresh;
+  const Status s = TryLoadFromFiles(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("repeats a string at id 100"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(fresh.pool().size(), 1u);
+  const Status good = TryLoadFromFiles(good_);
+  EXPECT_TRUE(good.ok()) << good.ToString();
+  EXPECT_EQ(fresh.pool().size(), views->size());
 }
 
 TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
@@ -798,7 +906,10 @@ TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
   // only the section CRC re-sealed (the pool decoder sees the bytes), and,
   // when the payload still parses, once more with the header's pool count
   // and hash re-derived from it, so the strings reach the live-pool prefix
-  // check. Every load must return a Status and never abort.
+  // check. The re-derived mutant also loads into a fresh pool, as a
+  // daemon's cold start would, so its strings go through
+  // StringPool::TryInternBatch into the pool's index. Every load must
+  // return a Status and never abort.
   const std::string pid = std::to_string(static_cast<long>(::getpid()));
   const std::string path =
       ::testing::TempDir() + "ucsnap_pool_mutation_" + pid + ".ucsnap";
@@ -849,6 +960,7 @@ TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
   }
   int loads = 0;
   int prefix_checked = 0;
+  int interned = 0;  // fresh-pool loads whose strings reached the pool
   for (auto& [what, bytes] : mutants) {
     const size_t mutated_length = static_cast<size_t>(
         snapshot::DecodeSectionHeader(bytes, section.offset)->length);
@@ -861,24 +973,28 @@ TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
     ++loads;
     const auto count_and_hash = PoolCountAndHash(payload);
     if (!count_and_hash.has_value()) continue;
-    // Header bytes 40 and 48: the pool's string count and PrefixHash.
     std::string resealed = bytes;
-    for (int i = 0; i < 8; ++i) {
-      resealed[40 + static_cast<size_t>(i)] =
-          static_cast<char>((count_and_hash->first >> (8 * i)) & 0xFF);
-      resealed[48 + static_cast<size_t>(i)] =
-          static_cast<char>((count_and_hash->second >> (8 * i)) & 0xFF);
-    }
-    ResealHeader(&resealed);
+    SetPoolGeneration(&resealed, count_and_hash->first,
+                      count_and_hash->second);
     const Status deep = load(resealed);
     EXPECT_TRUE(deep.ok() || deep.code() == StatusCode::kDataLoss ||
                 deep.code() == StatusCode::kFailedPrecondition)
         << what << ", header re-derived: " << deep.ToString();
     ++loads;
     if (deep.code() == StatusCode::kFailedPrecondition) ++prefix_checked;
+    {
+      data::ScopedStringPool fresh;
+      const Status cold = TryLoadFromFiles(resealed);
+      EXPECT_TRUE(cold.ok() || cold.code() == StatusCode::kDataLoss ||
+                  cold.code() == StatusCode::kFailedPrecondition)
+          << what << ", into a fresh pool: " << cold.ToString();
+      ++loads;
+      if (fresh.pool().size() > 1) ++interned;
+    }
   }
   EXPECT_GE(loads, 32);
   EXPECT_GT(prefix_checked, 0);
+  EXPECT_GT(interned, 0);
   // The live pool is as the good load left it.
   EXPECT_TRUE(load(good).ok());
 }

@@ -1,8 +1,13 @@
 // Tests for the interning layer: StringPool round-trip / dedup / null
-// sentinel, the interned data::Value semantics, and the GroupKey integer
-// keys the repair engines hash on.
+// sentinel, its flat index (growth, memory bound, batches), concurrent
+// interning (StringPoolConcurrency, run under TSan in CI), the interned
+// data::Value semantics, and the GroupKey integer keys the repair engines
+// hash on.
 
+#include <atomic>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -84,6 +89,181 @@ TEST(StringPoolTest, TryInternMatchesInternAndDedups) {
   // Exhaustion is not reachable in-test (2^28 ids); the failure contract —
   // Status::OutOfRange instead of a silently aliased id — is enforced by
   // the capacity guard TryIntern shares with Intern.
+}
+
+TEST(StringPoolTest, IndexGrowsAndStaysUnderTwiceTheLiveTable) {
+  StringPool pool;
+  const size_t initial_slots = pool.IndexSlots();
+  std::vector<ValueId> ids;
+  for (int i = 0; i < 20000; ++i) {
+    ids.push_back(pool.Intern("cell-" + std::to_string(i)));
+    EXPECT_EQ(ids.back(), static_cast<ValueId>(i + 1));  // first-seen order
+  }
+  EXPECT_GE(pool.IndexSlots(), initial_slots << 5);
+  // Retired tables are smaller powers of two than the live one.
+  const size_t live_bytes = pool.IndexSlots() * 8;
+  EXPECT_LT(pool.IndexBytes(), 2 * live_bytes);
+  // At most 3/4 full: about 10.7 to 21.3 bytes a string live, under 43 in
+  // all, against ~56 for a node-based hash map.
+  EXPECT_LE(pool.size() * 4, pool.IndexSlots() * 3);
+  EXPECT_LT(pool.IndexBytes(), 43 * pool.size());
+  for (int i = 0; i < 20000; ++i) {
+    const std::string s = "cell-" + std::to_string(i);
+    EXPECT_EQ(pool.Intern(s), ids[static_cast<size_t>(i)]);
+    EXPECT_EQ(pool.str(ids[static_cast<size_t>(i)]), s);
+  }
+  EXPECT_EQ(pool.size(), 20001u);
+}
+
+TEST(StringPoolTest, CollidingPrefixesAndEmbeddedNulsStayDistinct) {
+  // Strings that share 8-byte words, differ only in a tail byte or in
+  // length, or hold NULs must each get their own id.
+  StringPool pool;
+  const std::vector<std::string> strings = {
+      std::string("abcdefgh"),         std::string("abcdefgh\0", 9),
+      std::string("abcdefgh\0\0", 10), std::string("abcdefghi"),
+      std::string("abcdefghabcdefgh"), std::string("\0", 1),
+      std::string("\0\0", 2),          std::string("abcdefg"),
+  };
+  std::unordered_set<ValueId> ids;
+  for (const std::string& s : strings) ids.insert(pool.Intern(s));
+  EXPECT_EQ(ids.size(), strings.size());
+  for (const std::string& s : strings) {
+    EXPECT_EQ(pool.str(pool.Intern(s)), s);
+  }
+  EXPECT_EQ(pool.size(), strings.size() + 1);
+}
+
+TEST(StringPoolTest, BatchMatchesBackToBackTryIntern) {
+  // Repeats inside the batch and strings already in the pool get the ids
+  // that one TryIntern call after another would give.
+  std::vector<std::string> owned = {"x", "y", "x", "", "z", "y", "w"};
+  for (int i = 0; i < 500; ++i) owned.push_back("b" + std::to_string(i % 300));
+  const std::vector<std::string_view> strings(owned.begin(), owned.end());
+  StringPool batched;
+  StringPool sequential;
+  batched.Intern("y");
+  sequential.Intern("y");
+  std::vector<ValueId> ids(strings.size());
+  ASSERT_TRUE(
+      batched.TryInternBatch(strings.data(), strings.size(), ids.data()).ok());
+  for (size_t i = 0; i < strings.size(); ++i) {
+    Result<ValueId> id = sequential.TryIntern(strings[i]);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(ids[i], *id) << strings[i];
+  }
+  EXPECT_EQ(batched.size(), sequential.size());
+  EXPECT_EQ(batched.Generation(), sequential.Generation());
+}
+
+TEST(StringPoolConcurrency,
+     FourThreadsInternOverlappingStringsWhileTheIndexGrows) {
+  // Each string is interned by three of four threads, each thread in its
+  // own shuffled order, from a fresh pool: the index grows many times
+  // under the writers while the other threads' lookups run lock-free.
+  constexpr int kStrings = 20000;
+  constexpr int kThreads = 4;
+  std::vector<std::string> strings;
+  for (int i = 0; i < kStrings; ++i) {
+    strings.push_back("v" + std::to_string(i * 7919 % 100003));
+  }
+  StringPool pool;
+  const size_t initial_slots = pool.IndexSlots();
+  std::vector<std::vector<ValueId>> ids(
+      kThreads, std::vector<ValueId>(kStrings, StringPool::kNullId));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      std::vector<int> order;
+      for (int i = 0; i < kStrings; ++i) {
+        if ((i + k) % kThreads != 0) order.push_back(i);
+      }
+      Rng rng(static_cast<uint64_t>(100 + k));
+      rng.Shuffle(&order);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i : order) {
+        Result<ValueId> id = pool.TryIntern(strings[static_cast<size_t>(i)]);
+        if (id.ok()) ids[static_cast<size_t>(k)][static_cast<size_t>(i)] = *id;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_GE(pool.IndexSlots(), initial_slots << 5);
+  ASSERT_EQ(pool.size(), static_cast<size_t>(kStrings) + 1);
+  std::vector<bool> taken(pool.size(), false);
+  taken[StringPool::kEmptyId] = true;
+  for (int i = 0; i < kStrings; ++i) {
+    ValueId id = StringPool::kNullId;
+    for (int k = 0; k < kThreads; ++k) {
+      if ((i + k) % kThreads == 0) continue;  // thread k skipped string i
+      const ValueId got = ids[static_cast<size_t>(k)][static_cast<size_t>(i)];
+      ASSERT_NE(got, StringPool::kNullId) << "thread " << k << ", string " << i;
+      if (id == StringPool::kNullId) id = got;
+      ASSERT_EQ(got, id) << "string " << i << " got two ids";
+    }
+    ASSERT_LT(id, pool.size());
+    ASSERT_FALSE(taken[id]) << "id " << id << " minted twice";
+    taken[id] = true;
+    EXPECT_EQ(pool.str(id), strings[static_cast<size_t>(i)]);
+    EXPECT_EQ(pool.Intern(strings[static_cast<size_t>(i)]), id);
+  }
+}
+
+TEST(StringPoolConcurrency, BatchRacingTryInternMintsConsecutiveIds) {
+  // One thread interns batches of fresh strings while two others intern
+  // their own strings one at a time and look up already-interned ones. A
+  // batch holds the writer mutex throughout, so each gets consecutive ids.
+  constexpr int kBatches = 40;
+  constexpr int kBatchSize = 250;
+  StringPool pool;
+  std::atomic<bool> done{false};
+  std::vector<std::vector<ValueId>> batch_ids(kBatches);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<std::string> owned;
+      for (int i = 0; i < kBatchSize; ++i) {
+        owned.push_back("batch-" + std::to_string(b) + "-" + std::to_string(i));
+      }
+      const std::vector<std::string_view> views(owned.begin(), owned.end());
+      batch_ids[static_cast<size_t>(b)].resize(views.size());
+      EXPECT_TRUE(pool.TryInternBatch(views.data(), views.size(),
+                                      batch_ids[static_cast<size_t>(b)].data())
+                      .ok());
+    }
+    done.store(true);
+  });
+  std::vector<int> singles(2, 0);
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      int& n = singles[static_cast<size_t>(t)];
+      while (!done.load() || n < 1000) {
+        const std::string s =
+            "single-" + std::to_string(t) + "-" + std::to_string(n++);
+        const ValueId id = pool.Intern(s);
+        EXPECT_EQ(pool.str(id), s);
+        EXPECT_EQ(pool.Intern("single-" + std::to_string(t) + "-0"),
+                  pool.Intern("single-" + std::to_string(t) + "-0"));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int b = 0; b < kBatches; ++b) {
+    const std::vector<ValueId>& ids = batch_ids[static_cast<size_t>(b)];
+    for (int i = 0; i < kBatchSize; ++i) {
+      ASSERT_EQ(ids[static_cast<size_t>(i)], ids[0] + static_cast<ValueId>(i))
+          << "batch " << b << " was interleaved at " << i;
+      EXPECT_EQ(pool.str(ids[static_cast<size_t>(i)]),
+                "batch-" + std::to_string(b) + "-" + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(pool.size(), 1 + static_cast<size_t>(kBatches * kBatchSize) +
+                             static_cast<size_t>(singles[0] + singles[1]));
 }
 
 TEST(StringPoolTest, ScopedPoolInstallsAndRestores) {
