@@ -45,7 +45,7 @@ uint32_t VcfdGroups::OpenRule(rules::RuleId rule) {
     r.slot.assign(n, Slot::kNone);
     r.next.assign(n, -1);
     r.prev.assign(n, -1);
-    r.table.assign(16, -1);
+    r.keys = GroupKeyTable(r.lhs.size());
   }
   const uint32_t since = r.opened_at;
   r.opened_at = ++clock_;
@@ -60,8 +60,13 @@ void VcfdGroups::Refile(TupleId t, Slot slot) {
   const GroupId old_group = r.group_of[ti];
   GroupId new_group = -1;
   if (slot != Slot::kNone) {
-    new_group = old_group >= 0 && KeyEquals(old_group, t) ? old_group
-                                                          : FindOrAdd(t);
+    const data::GroupKey key = data::GroupKey::Project(d_.tuple(t), r.lhs);
+    new_group = old_group >= 0 && r.keys.KeyEquals(old_group, key)
+                    ? old_group
+                    : r.keys.FindOrAdd(key);
+    if (new_group == static_cast<GroupId>(r.groups.size())) {
+      r.groups.emplace_back();
+    }
   }
   if (new_group != old_group || slot != r.slot[ti]) {
     if (old_group >= 0) {
@@ -114,55 +119,6 @@ void VcfdGroups::MarkVisited(GroupId g) {
   if (grp.visited) return;
   grp.visited = true;
   visited_.push_back(g);
-}
-
-bool VcfdGroups::KeyEquals(GroupId g, TupleId t) const {
-  const RuleGroups& r = *open_;
-  const data::Tuple& tuple = d_.tuple(t);
-  const size_t base = static_cast<size_t>(g) * r.lhs.size();
-  for (size_t i = 0; i < r.lhs.size(); ++i) {
-    if (r.keys[base + i] != tuple.value(r.lhs[i]).id()) return false;
-  }
-  return true;
-}
-
-VcfdGroups::GroupId VcfdGroups::FindOrAdd(TupleId t) {
-  RuleGroups& r = *open_;
-  const data::GroupKey key = data::GroupKey::Project(d_.tuple(t), r.lhs);
-  const size_t mask = r.table.size() - 1;
-  for (size_t i = data::GroupKeyHash()(key) & mask;; i = (i + 1) & mask) {
-    const GroupId g = r.table[i];
-    if (g < 0) break;
-    if (KeyEquals(g, t)) return g;
-  }
-  const GroupId g = static_cast<GroupId>(r.groups.size());
-  r.groups.emplace_back();
-  r.keys.insert(r.keys.end(), key.parts, key.parts + key.size);
-  // Keep the table at most half full.
-  if (r.groups.size() * 2 > r.table.size()) {
-    Grow();
-  } else {
-    size_t i = data::GroupKeyHash()(key) & mask;
-    while (r.table[i] >= 0) i = (i + 1) & mask;
-    r.table[i] = g;
-  }
-  return g;
-}
-
-void VcfdGroups::Grow() {
-  RuleGroups& r = *open_;
-  r.table.assign(r.table.size() * 2, -1);
-  const size_t mask = r.table.size() - 1;
-  const size_t width = r.lhs.size();
-  for (GroupId g = 0; g < static_cast<GroupId>(r.groups.size()); ++g) {
-    data::GroupKey key;
-    for (size_t i = 0; i < width; ++i) {
-      key.Append(r.keys[static_cast<size_t>(g) * width + i]);
-    }
-    size_t i = data::GroupKeyHash()(key) & mask;
-    while (r.table[i] >= 0) i = (i + 1) & mask;
-    r.table[i] = g;
-  }
 }
 
 void VcfdGroups::Link(TupleId t, GroupId g, Slot slot) {

@@ -17,8 +17,8 @@
 // contribution (its Tally) instead.
 //
 // Everything is flat arrays over tuple ids and dense group ids, freed with
-// the run: an open-addressing table from LHS key to group id, and intrusive
-// doubly linked member lists.
+// the run: a GroupKeyTable from LHS key to group id, and intrusive doubly
+// linked member lists.
 
 #ifndef UNICLEAN_CORE_VCFD_GROUPS_H_
 #define UNICLEAN_CORE_VCFD_GROUPS_H_
@@ -29,8 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/group_key_table.h"
 #include "data/relation.h"
-#include "data/string_pool.h"
 #include "rules/ruleset.h"
 
 namespace uniclean {
@@ -38,7 +38,7 @@ namespace core {
 
 class VcfdGroups {
  public:
-  using GroupId = int32_t;
+  using GroupId = GroupKeyTable::GroupId;
 
   /// Which member list of its LHS group a tuple belongs to under one vCFD.
   enum class Slot : uint8_t { kNone, kValued, kNull };
@@ -136,11 +136,9 @@ class VcfdGroups {
     std::vector<Slot> slot;
     std::vector<data::TupleId> next;
     std::vector<data::TupleId> prev;
-    // Per group: the LHS value ids (lhs.size() each) and the lists.
-    std::vector<data::ValueId> keys;
+    // Per group: the LHS key, and the lists.
+    GroupKeyTable keys;
     std::vector<Group> groups;
-    // Open addressing over group ids, -1 when free; a power of two long.
-    std::vector<GroupId> table;
     Tally tally_sum;
   };
 
@@ -155,10 +153,6 @@ class VcfdGroups {
   void QueueVisited();
   /// Lists `g` in visited() unless it already is.
   void MarkVisited(GroupId g);
-  /// The group whose key is t's LHS projection, added when new.
-  GroupId FindOrAdd(data::TupleId t);
-  bool KeyEquals(GroupId g, data::TupleId t) const;
-  void Grow();
   void Link(data::TupleId t, GroupId g, Slot slot);
   void Unlink(data::TupleId t);
 

@@ -65,7 +65,9 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// Run() snapshots pristine state and builds violation-group indexes, and
   /// Session::ApplyDelta then folds incremental inserts/updates/deletes in
   /// without re-cleaning the whole relation (see session.h). Tracking costs
-  /// a clone of the cleaned relation plus O(|D|) index ids.
+  /// a clone of the cleaned relation plus a flat violation-group index of
+  /// 24 bytes per tuple and variable CFD, plus each group's key (see
+  /// Session::EnableDeltaTracking).
   Session NewTrackedSession() const;
 
   /// Cleans every relation of the batch, each in its own Session, using a

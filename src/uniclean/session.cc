@@ -8,6 +8,9 @@
 
 namespace uniclean {
 
+using GroupId = core::VcfdPeerIndex::GroupId;
+using Side = core::VcfdPeerIndex::Side;
+
 // ---------------------------------------------------------------------------
 // CleanResult
 // ---------------------------------------------------------------------------
@@ -149,6 +152,7 @@ Result<CleanResult> Session::Run(data::Relation* data) {
     tracked_ = data;
     pristine_ = std::move(pristine);
     AdoptFullRun(result.journal);
+    BuildGroupIndex();
     known_master_size_ = engine_->environment().indexed_master_size();
   }
   return result;
@@ -160,13 +164,21 @@ void Session::AdoptFullRun(const FixJournal& journal) {
     entry.generation = generation_;
     journal_.Append(std::move(entry));
   }
-  BuildGroupIndex();
 }
 
 Status Session::FullRerun(DeltaResult* result) {
   data::Relation rerun = pristine_->Clone();
   FixJournal journal;
   UC_ASSIGN_OR_RETURN(result->phases, ExecutePipeline(&rerun, &journal));
+  // The re-run repairs every tuple from the same pristine values the
+  // committed repairs started from, so it moves the group keys of only a
+  // few tuples; refile those.
+  for (data::TupleId t = 0; t < rerun.size(); ++t) {
+    const data::Tuple& after = rerun.tuple(t);
+    if (rerun.live(t) && !groups_.SameKeys(after, tracked_->tuple(t))) {
+      groups_.File(t, after, pristine_->tuple(t));
+    }
+  }
   *tracked_ = std::move(rerun);
   AdoptFullRun(journal);
   result->delta_journal = journal_;
@@ -175,46 +187,8 @@ Status Session::FullRerun(DeltaResult* result) {
   return Status::OK();
 }
 
-void Session::FileTuple(data::TupleId t) {
-  const rules::RuleSet& rules = engine_->rules();
-  for (size_t i = 0; i < vcfd_rules_.size(); ++i) {
-    const std::vector<data::AttributeId>& lhs =
-        rules.cfd(vcfd_rules_[i]).lhs();
-    const data::GroupKey current =
-        data::GroupKey::Project(tracked_->tuple(t), lhs);
-    group_index_[i][current].push_back(t);
-    filed_[static_cast<size_t>(t)].emplace_back(i, current);
-    const data::GroupKey pristine =
-        data::GroupKey::Project(pristine_->tuple(t), lhs);
-    if (pristine != current) {
-      group_index_[i][pristine].push_back(t);
-      filed_[static_cast<size_t>(t)].emplace_back(i, pristine);
-    }
-  }
-}
-
-void Session::UnfileTuple(data::TupleId t) {
-  for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-    auto it = group_index_[i].find(key);
-    if (it == group_index_[i].end()) continue;
-    std::vector<data::TupleId>& members = it->second;
-    members.erase(std::remove(members.begin(), members.end(), t),
-                  members.end());
-    if (members.empty()) group_index_[i].erase(it);
-  }
-  filed_[static_cast<size_t>(t)].clear();
-}
-
 void Session::BuildGroupIndex() {
-  const rules::RuleSet& rules = engine_->rules();
-  vcfd_rules_.clear();
-  for (rules::RuleId rule = 0; rule < rules.num_rules(); ++rule) {
-    if (rules.kind(rule) == rules::RuleKind::kVariableCfd) {
-      vcfd_rules_.push_back(rule);
-    }
-  }
-  group_index_.assign(vcfd_rules_.size(), GroupIndex());
-  filed_.assign(static_cast<size_t>(tracked_->size()), {});
+  groups_ = core::VcfdPeerIndex(engine_->rules());
   for (data::TupleId t = 0; t < tracked_->size(); ++t) {
     if (tracked_->live(t)) FileTuple(t);
   }
@@ -322,46 +296,41 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     in_closure[static_cast<size_t>(t)] = 1;
     return true;
   };
-  // Every tuple sharing a bucket with `t` repaired against it; seed them.
+  // Every tuple sharing a group with `t` repaired against it; seed them.
   auto seed_neighbors = [&](data::TupleId t) {
-    for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-      auto it = group_index_[i].find(key);
-      if (it == group_index_[i].end()) continue;
-      for (data::TupleId u : it->second) {
+    groups_.ForEachGroupOf(t, [&](size_t i, GroupId g) {
+      for (data::TupleId u : groups_.members(i, g)) {
         if (u != t) seed(u);
       }
-    }
+    });
   };
-  // Members of t's buckets whose committed RHS disagrees with t's raw value
+  // Members of t's groups whose committed RHS disagrees with t's raw value
   // — the groups t's arrival can actually re-vote.
   auto seed_disagreeing_neighbors = [&](data::TupleId t) {
     const data::Tuple& raw = tracked_->tuple(t);
-    for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-      const rules::Cfd& cfd = rules.cfd(vcfd_rules_[i]);
-      if (!cfd.MatchesLhs(raw)) continue;
+    groups_.ForEachGroupOf(t, [&](size_t i, GroupId g) {
+      const rules::Cfd& cfd = rules.cfd(groups_.rule(i));
+      if (!cfd.MatchesLhs(raw)) return;
       const data::AttributeId b = cfd.rhs()[0];
-      auto it = group_index_[i].find(key);
-      if (it == group_index_[i].end()) continue;
       bool disagrees = false;
-      for (data::TupleId u : it->second) {
+      for (data::TupleId u : groups_.members(i, g)) {
         if (u != t && tracked_->live(u) &&
             tracked_->tuple(u).value(b) != raw.value(b)) {
           disagrees = true;
           break;
         }
       }
-      if (!disagrees) continue;
-      for (data::TupleId u : it->second) {
+      if (!disagrees) return;
+      for (data::TupleId u : groups_.members(i, g)) {
         if (u != t) seed(u);
       }
-    }
+    });
   };
 
   // Updates: re-point the tuple's pristine state at the new content. Old
   // group members lose a peer — seed them; new group members gain one.
   for (const auto& [t, tup] : delta.updates) {
     seed_neighbors(t);  // old-key peers
-    UnfileTuple(t);
     tracked_->mutable_tuple(t) = tup;
     pristine_->mutable_tuple(t) = tup;
     FileTuple(t);
@@ -370,12 +339,16 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     edited[static_cast<size_t>(t)] = 1;
   }
   // Deletes: tombstone in both relations; former peers repaired against the
-  // deleted tuple and must be re-derived without it.
+  // deleted tuple and must be re-derived without it. An update earlier in
+  // this delta may have seeded the tuple itself; a dead tuple re-cleans
+  // nothing.
   for (data::TupleId t : delta.deletes) {
     seed_neighbors(t);
-    UnfileTuple(t);
+    groups_.Unfile(t);
     tracked_->EraseTuple(t);
     pristine_->EraseTuple(t);
+    in_closure[static_cast<size_t>(t)] = 0;
+    edited[static_cast<size_t>(t)] = 0;
   }
   if (!delta.deletes.empty()) {
     journal_.RemoveIf(
@@ -386,7 +359,6 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     const data::TupleId t = tracked_->AddTuple(tup);
     const data::TupleId shadow = pristine_->AddTuple(tup);
     UC_CHECK_EQ(t, shadow);
-    filed_.emplace_back();
     in_closure.push_back(0);
     edited.push_back(1);
     FileTuple(t);
@@ -471,15 +443,13 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
     // present members in the same relative order the batch run saw.
     std::vector<uint8_t> in_ring(in_closure.size(), 0);
     for (data::TupleId t : closure) {
-      for (const auto& [i, key] : filed_[static_cast<size_t>(t)]) {
-        auto it = group_index_[i].find(key);
-        if (it == group_index_[i].end()) continue;
-        for (data::TupleId u : it->second) {
+      groups_.ForEachGroupOf(t, [&](size_t i, GroupId g) {
+        for (data::TupleId u : groups_.members(i, g)) {
           if (tracked_->live(u) && !in_closure[static_cast<size_t>(u)]) {
             in_ring[static_cast<size_t>(u)] = 1;
           }
         }
-      }
+      });
     }
     const int scratch_size =
         static_cast<int>(closure.size()) +
@@ -567,18 +537,16 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
         auto value_changed = [&](data::AttributeId a) {
           return after.value(a) != committed.value(a);
         };
-        // Seed only the bucket members whose committed RHS disagrees with
+        // Seed only the group members whose committed RHS disagrees with
         // the re-cleaned outcome: agreeing peers are already at the value
         // the group would resolve to, so pulling them in can change
         // nothing. This is the same gate the insert seeding applies, and it
         // is what stops expansion chains at clean tuples instead of
         // flooding the key-sharing component.
-        auto seed_bucket = [&](size_t i, const data::GroupKey& key,
-                               data::AttributeId b) {
-          auto it = group_index_[i].find(key);
-          if (it == group_index_[i].end()) return;
+        auto seed_bucket = [&](size_t i, GroupId g, data::AttributeId b) {
+          if (g < 0) return;
           bool disagrees = false;
-          for (data::TupleId u : it->second) {
+          for (data::TupleId u : groups_.members(i, g)) {
             if (u != t && tracked_->live(u) &&
                 tracked_->tuple(u).value(b) != after.value(b)) {
               disagrees = true;
@@ -586,13 +554,13 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
             }
           }
           if (!disagrees) return;
-          for (data::TupleId u : it->second) {
+          for (data::TupleId u : groups_.members(i, g)) {
             if (u != t && seed(u)) expanded = true;
           }
         };
         const bool was_edited = edited[static_cast<size_t>(t)] != 0;
-        for (size_t i = 0; i < vcfd_rules_.size(); ++i) {
-          const rules::Cfd& cfd = rules.cfd(vcfd_rules_[i]);
+        for (size_t i = 0; i < groups_.num_vcfds(); ++i) {
+          const rules::Cfd& cfd = rules.cfd(groups_.rule(i));
           if (!was_edited) {
             bool touched = value_changed(cfd.rhs()[0]);
             for (data::AttributeId a : cfd.lhs()) {
@@ -600,8 +568,8 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
               touched = value_changed(a);
             }
             if (!touched) continue;
-            for (const auto& [ri, key] : filed_[static_cast<size_t>(t)]) {
-              if (ri == i) seed_bucket(i, key, cfd.rhs()[0]);
+            for (Side side : {Side::kCurrent, Side::kPristine}) {
+              seed_bucket(i, groups_.group_of(i, t, side), cfd.rhs()[0]);
             }
           }
           if (!cfd.MatchesLhs(after)) continue;
@@ -610,8 +578,8 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
           // pinned in the ring) can disagree with the repaired outcome —
           // the disagreement gate in seed_bucket catches exactly the
           // buckets where that happened and no others.
-          seed_bucket(i, data::GroupKey::Project(after, cfd.lhs()),
-                      cfd.rhs()[0]);
+          const data::GroupKey key = data::GroupKey::Project(after, cfd.lhs());
+          seed_bucket(i, groups_.Find(i, key), cfd.rhs()[0]);
         }
       } else {
         // Drift probe: a ring tuple whose re-run moved a VALUE off its
@@ -663,7 +631,6 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
       commits[j] = 1;
       superseded[static_cast<size_t>(t)] = 1;
       tracked_->mutable_tuple(t) = after;
-      UnfileTuple(t);
       FileTuple(t);
     }
     journal_.RemoveIf([&](const FixEntry& entry) {

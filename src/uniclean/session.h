@@ -30,8 +30,10 @@
 // violation groups are pulled in and the round repeats, so cross-group
 // effects propagate exactly as far as they reach and no further. When the
 // next round would cost about as much as re-cleaning everything, it instead
-// re-cleans the whole relation once from pristine values. Either way the
-// resulting fixes are journaled under a fresh delta generation:
+// re-cleans the whole relation once from pristine values; the group index
+// survives that re-run, which refiles only the tuples whose LHS keys it
+// moved (a handful of a thousand). Either way the resulting fixes are
+// journaled under a fresh delta generation:
 //
 //   uniclean::Session session = engine->NewTrackedSession();
 //   auto initial = session.Run(&d);              // generation 0
@@ -46,13 +48,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/result.h"
-#include "data/group_key.h"
+#include "core/vcfd_peer_index.h"
 #include "data/relation.h"
 #include "rules/ruleset.h"
 #include "uniclean/fix_journal.h"
@@ -92,6 +93,8 @@ struct Delta {
   /// (existing tuple id, replacement content) pairs. The id must be live.
   std::vector<std::pair<data::TupleId, data::Tuple>> updates;
   /// Tuple ids to tombstone (data::Relation::EraseTuple — ids never shift).
+  /// A tuple both updated and deleted ends deleted: it is not re-cleaned,
+  /// counted in DeltaResult::affected or journaled.
   std::vector<data::TupleId> deletes;
 
   bool empty() const {
@@ -159,7 +162,11 @@ class Session {
   /// Arms delta tracking for the next Run (see ApplyDelta). Must be called
   /// before Run; prefer CleanEngine::NewTrackedSession, which returns a
   /// session with tracking already armed. Tracking costs one pristine clone
-  /// of the relation plus the group indexes (O(|D|) ids).
+  /// of the relation plus the violation-group index (core::VcfdPeerIndex):
+  /// per variable CFD, 24 bytes per tuple id and each group's key in a
+  /// half-full table, about 0.57 MB for a 1,000-tuple HOSP relation under
+  /// its 15 vCFDs. Run builds the index; ApplyDelta and its full re-runs
+  /// refile only the tuples whose LHS keys moved.
   void EnableDeltaTracking() { track_deltas_ = true; }
 
   /// Incrementally folds `delta` into the tracked relation: applies the
@@ -261,21 +268,22 @@ class Session {
                                                   FixJournal* journal);
 
   /// Adopts `journal`, a pipeline run over the whole tracked relation, as
-  /// the covering journal under the current generation, and refiles every
-  /// tuple. The shared tail of a tracked Run and of a full re-run.
+  /// the covering journal under the current generation. The shared tail of
+  /// a tracked Run and of a full re-run.
   void AdoptFullRun(const FixJournal& journal);
   /// ApplyDelta's crossover: re-cleans a copy of the pristine relation and,
-  /// on success, moves it into the tracked one. On failure nothing changes.
+  /// on success, moves it into the tracked one, refiling only the tuples
+  /// whose group keys the re-run moved. On failure nothing changes.
   Status FullRerun(DeltaResult* result);
 
-  /// Files tuple `t` in every variable-CFD group index, under both its
-  /// current and its pristine LHS key (repair coupling can flow through
-  /// either: the batch pipeline groups on pristine values early and on
-  /// repaired values late).
-  void FileTuple(data::TupleId t);
-  /// Removes `t` from every bucket filed_[t] points at.
-  void UnfileTuple(data::TupleId t);
-  /// Rebuilds vcfd_rules_/group_index_/filed_ from the tracked relation.
+  /// Files tuple `t` in every variable-CFD group, under both its current
+  /// and its pristine LHS key (repair coupling can flow through either: the
+  /// batch pipeline groups on pristine values early and on repaired values
+  /// late). Relinks only the filings whose keys moved.
+  void FileTuple(data::TupleId t) {
+    groups_.File(t, tracked_->tuple(t), pristine_->tuple(t));
+  }
+  /// Rebuilds groups_ from the tracked relation.
   void BuildGroupIndex();
 
   std::shared_ptr<const CleanEngine> engine_;
@@ -284,19 +292,13 @@ class Session {
   std::shared_ptr<const common::CancelToken> cancel_;
 
   // --- delta-tracking state (unused unless track_deltas_) ------------------
-  using GroupIndex =
-      std::unordered_map<data::GroupKey, std::vector<data::TupleId>,
-                         data::GroupKeyHash>;
   bool track_deltas_ = false;
   data::Relation* tracked_ = nullptr;         // borrowed; bound by Run
   std::unique_ptr<data::Relation> pristine_;  // pre-cleaning snapshot
   FixJournal journal_;                        // covering entries only
   int generation_ = 0;
   int known_master_size_ = 0;  // master extent already accounted for
-  std::vector<rules::RuleId> vcfd_rules_;
-  std::vector<GroupIndex> group_index_;  // parallel to vcfd_rules_
-  // Per tuple: the (vcfd index, key) buckets it is filed under.
-  std::vector<std::vector<std::pair<size_t, data::GroupKey>>> filed_;
+  core::VcfdPeerIndex groups_;  // every live tuple's violation groups
 };
 
 }  // namespace uniclean

@@ -20,8 +20,10 @@
 #include "common/cancellation.h"
 #include "data/csv.h"
 #include "data/relation.h"
+#include "data/schema.h"
 #include "data/value.h"
 #include "gen/dataset.h"
+#include "rules/parser.h"
 #include "uniclean/engine.h"
 #include "uniclean/session.h"
 
@@ -395,6 +397,84 @@ TEST(DeltaTest, DeleteThenReinsertConvergesToBatch) {
   const std::string batch_csv = BatchFixSetCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
   EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+}
+
+// A DELTA may update a tuple and delete it too: edits apply in the order
+// updates, deletes, inserts, so the tuple ends dead. Its update seeded it
+// into the closure, but a dead tuple has nothing to re-clean, and fixes
+// journaled for it would cover a tuple no batch run sees.
+int EntriesFor(const FixJournal& journal, data::TupleId t) {
+  int n = 0;
+  for (const FixEntry& entry : journal.entries()) n += entry.tuple == t;
+  return n;
+}
+
+TEST(DeltaTest, UpdatedAndDeletedTupleLeavesNoJournalEntries) {
+  gen::GeneratorConfig config;
+  config.num_tuples = 400;
+  config.master_size = 300;
+  config.seed = 1;
+  gen::Dataset ds = gen::GenerateHosp(config);
+  auto engine = MakeEngine(ds);
+  data::Relation incremental(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < 300; ++t) {
+    incremental.AddTuple(ds.dirty.tuple(t));
+  }
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  const data::TupleId victim = 0;
+  Delta delta;
+  delta.updates.emplace_back(victim, ds.dirty.tuple(300));
+  delta.deletes.push_back(victim);
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_FALSE(incremental.live(victim));
+  EXPECT_FALSE(dr->full_rerun);
+  EXPECT_LT(dr->affected, incremental.live_size());
+  EXPECT_EQ(EntriesFor(dr->delta_journal, victim), 0);
+  EXPECT_EQ(EntriesFor(session.journal(), victim), 0);
+}
+
+TEST(DeltaTest, UpdatedAndDeletedLoneTupleIsNotAffected) {
+  // fd: A -> B over five tuples in five groups: once tuple 0 is gone, no
+  // live tuple shares a group with its old or its new content.
+  auto schema = data::MakeSchema("r", {"A", "B"});
+  auto master_schema = data::MakeSchema("m", {"X"});
+  auto rules = rules::ParseRuleSet("CFD fd: A -> B\n", schema, master_schema);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  data::Relation master(master_schema);
+  data::Tuple m(1);
+  m.set_value(0, data::Value("m"));
+  master.AddTuple(std::move(m));
+  auto engine = EngineBuilder()
+                    .WithDataSchema(schema)
+                    .WithMaster(&master)
+                    .WithRules(&rules.value())
+                    .BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto row = [](const std::string& a, const std::string& b) {
+    data::Tuple t(2);
+    t.set_value(0, data::Value(a));
+    t.set_value(1, data::Value(b));
+    return t;
+  };
+  data::Relation d(schema);
+  for (int i = 0; i < 5; ++i) {
+    d.AddTuple(row("a" + std::to_string(i), "b" + std::to_string(i)));
+  }
+  Session session = (*engine)->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&d).ok());
+
+  Delta delta;
+  delta.updates.emplace_back(0, row("a9", "b9"));
+  delta.deletes.push_back(0);
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_FALSE(d.live(0));
+  EXPECT_EQ(dr->affected, 0);
+  EXPECT_EQ(dr->refinement_rounds, 0);
+  EXPECT_FALSE(dr->full_rerun);
 }
 
 // --- Fresh violation group ------------------------------------------------

@@ -24,6 +24,7 @@
 // passes there) and the DeltaStreamPin digests were recorded before that
 // index went in, from the engines that rebuilt every group on every pass.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -248,6 +249,119 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<DeltaPinCase>& info) {
       return std::string(info.param.dataset) + "_seed" +
              std::to_string(info.param.seed);
+    });
+
+// A stream shaped like perfbench's serve_delta: 1,000 tracked HOSP tuples
+// against |Dm| = 1000, about 70% of DELTAs with one edit and 30% with
+// sixteen, mixing updates, inserts and deletes while |D| stays near 1,000.
+// No DELTA edits one tuple twice. Most DELTAs fall back to a full re-run,
+// and a DELTA that stays incremental right after one seeds its closure
+// through the violation groups that re-run refiled. The digests were
+// recorded from a session that rebuilt its group index on every re-run.
+struct DeltaBatchPinCase {
+  uint64_t seed;
+  uint64_t digest;  // running FNV-1a-64 over every DELTA's outcome
+};
+
+void PrintTo(const DeltaBatchPinCase& pin, std::ostream* os) {
+  *os << "HOSP seed " << pin.seed;
+}
+
+class DeltaBatchPin : public ::testing::TestWithParam<DeltaBatchPinCase> {};
+
+TEST_P(DeltaBatchPin, BatchedStreamOutcomesAreUnchanged) {
+  constexpr int kStanding = 1000;
+  constexpr int kHeldOut = 250;
+  constexpr int kBatches = 40;
+  constexpr int kLargeK = 16;
+  const DeltaBatchPinCase& pin = GetParam();
+  data::ScopedStringPool pool;
+  gen::GeneratorConfig config;
+  config.num_tuples = kStanding + kHeldOut;
+  config.master_size = 1000;
+  config.noise_rate = 0.06;
+  config.dup_rate = 0.4;
+  config.seed = pin.seed;
+  gen::Dataset ds = gen::GenerateHosp(config);
+  auto engine = BuildEngine(ds);
+  ASSERT_NE(engine, nullptr);
+
+  data::Relation tracked(ds.dirty.schema_ptr());
+  std::vector<data::TupleId> live;
+  for (data::TupleId t = 0; t < kStanding; ++t) {
+    live.push_back(tracked.AddTuple(ds.dirty.tuple(t)));
+  }
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&tracked).ok());
+
+  Rng rng(pin.seed * 7919 + 23);
+  int cursor = 0;  // next held-out tuple, wrapping
+  auto next_content = [&] {
+    return ds.dirty.tuple(kStanding + cursor++ % kHeldOut);
+  };
+  uint64_t digest = kFnvOffset;
+  int full_reruns = 0;
+  int incremental_after_rerun = 0;
+  bool previous_full = false;
+  for (int b = 0; b < kBatches; ++b) {
+    const int k = rng.Uniform(0, 9) < 3 ? kLargeK : 1;
+    Delta delta;
+    std::vector<data::TupleId> used;
+    auto pick_unused_live = [&] {
+      for (;;) {
+        const data::TupleId t = live[rng.Index(live.size())];
+        if (std::find(used.begin(), used.end(), t) == used.end()) {
+          used.push_back(t);
+          return t;
+        }
+      }
+    };
+    int size = static_cast<int>(live.size());
+    for (int e = 0; e < k; ++e) {
+      if (rng.Uniform(0, 1) == 0) {
+        const data::TupleId t = pick_unused_live();
+        delta.updates.emplace_back(t, next_content());
+      } else if (size < kStanding ||
+                 (size == kStanding && rng.Uniform(0, 1) == 0)) {
+        delta.inserts.push_back(next_content());
+        ++size;
+      } else {
+        delta.deletes.push_back(pick_unused_live());
+        --size;
+      }
+    }
+    auto dr = session.ApplyDelta(delta);
+    ASSERT_TRUE(dr.ok()) << "DELTA " << b << ": " << dr.status().ToString();
+    full_reruns += dr->full_rerun ? 1 : 0;
+    incremental_after_rerun += previous_full && !dr->full_rerun ? 1 : 0;
+    previous_full = dr->full_rerun;
+    std::ostringstream step;
+    step << "delta " << b << " affected=" << dr->affected
+         << " rounds=" << dr->refinement_rounds
+         << " full=" << dr->full_rerun << " ids=";
+    for (data::TupleId t : dr->inserted_ids) step << t << ",";
+    step << "\n";
+    ASSERT_TRUE(dr->delta_journal.WriteCsv(step).ok());
+    ASSERT_TRUE(session.CanonicalJournal().WriteCsv(step).ok());
+    digest = Fnv1a64(step.str(), digest);
+
+    for (data::TupleId t : delta.deletes) {
+      live.erase(std::find(live.begin(), live.end(), t));
+    }
+    live.insert(live.end(), dr->inserted_ids.begin(), dr->inserted_ids.end());
+  }
+  EXPECT_EQ(Hex(digest), Hex(pin.digest))
+      << full_reruns << " full re-runs, " << incremental_after_rerun
+      << " incremental DELTAs right after one";
+  EXPECT_GT(incremental_after_rerun, 0) << full_reruns << " full re-runs";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Hosp, DeltaBatchPin,
+    ::testing::Values(DeltaBatchPinCase{1, 0x4e09fedb701839c0ull},
+                      DeltaBatchPinCase{3, 0x57df62dcd6d96982ull}),
+    [](const ::testing::TestParamInfo<DeltaBatchPinCase>& info) {
+      return "HOSP_seed" + std::to_string(info.param.seed);
     });
 
 }  // namespace
