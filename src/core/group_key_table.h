@@ -6,9 +6,8 @@
 //
 // Open addressing with linear probing over group ids, kept at most half
 // full and doubled when it would pass that; a probe compares stored value
-// ids, and growing re-hashes the stored keys. Both the per-phase index of
-// eRepair and hRepair (VcfdGroups) and a tracked session's index
-// (VcfdPeerIndex) keep their keys here.
+// ids, and growing re-hashes the stored keys. The per-phase violation-group
+// index of eRepair and hRepair (VcfdGroups) keeps its keys here.
 
 #ifndef UNICLEAN_CORE_GROUP_KEY_TABLE_H_
 #define UNICLEAN_CORE_GROUP_KEY_TABLE_H_

@@ -62,12 +62,10 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   Session NewSession() const;
 
   /// Like NewSession(), but with delta tracking armed: the session's one
-  /// Run() snapshots pristine state and builds violation-group indexes, and
-  /// Session::ApplyDelta then folds incremental inserts/updates/deletes in
-  /// without re-cleaning the whole relation (see session.h). Tracking costs
-  /// a clone of the cleaned relation plus a flat violation-group index of
-  /// 24 bytes per tuple and variable CFD, plus each group's key (see
-  /// Session::EnableDeltaTracking).
+  /// Run() snapshots pristine state, and Session::ApplyDelta then folds
+  /// inserts/updates/deletes in and re-cleans the edited relation once from
+  /// pristine values (see session.h). Tracking costs one clone of the
+  /// relation.
   Session NewTrackedSession() const;
 
   /// Cleans every relation of the batch, each in its own Session, using a

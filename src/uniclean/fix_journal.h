@@ -36,10 +36,9 @@ struct FixEntry {
   /// Name of the justifying rule; empty when no single rule is attributable.
   std::string rule;
   /// Delta generation that produced this entry: 0 for the initial
-  /// Session::Run, g for the g-th Session::ApplyDelta. A tuple re-repaired
-  /// by a delta gets a fresh full set of generation-g entries, which
-  /// replace its earlier ones in the session's journal (see
-  /// Session::journal).
+  /// Session::Run, g for the g-th Session::ApplyDelta. Each ApplyDelta
+  /// re-cleans the whole relation, so its generation-g entries replace the
+  /// session's journal wholesale (see Session::journal).
   int generation = 0;
 };
 
@@ -78,13 +77,10 @@ class FixJournal {
   /// The canonical fix set rendered as CSV WITHOUT the provenance columns:
   /// header `tuple,attribute,old,new`, one row per Canonicalized() entry.
   /// Which pipeline phase lands the final write for a cell depends on the
-  /// evaluation trajectory — e.g. a fix eRepair derives in a batch run may
-  /// fall through to hRepair in an incremental re-run whose sibling cells
-  /// took a different intermediate path — so provenance is not comparable
-  /// across runs. This rendering is the trajectory-independent invariant:
-  /// two journals that repaired the same cells to the same values produce
-  /// byte-identical strings, and it is what Session::ApplyDelta's
-  /// convergence guarantee pins.
+  /// evaluation trajectory (phase order, thresholds), so provenance is not
+  /// comparable across pipelines that take different paths. This rendering
+  /// is the trajectory-independent view: two journals that repaired the
+  /// same cells to the same values produce byte-identical strings.
   std::string CanonicalFixSetCsv() const;
 
   /// (phase, count) pairs in order of each phase's first appearance.

@@ -26,11 +26,11 @@
 // (Every call above returns a Status or Result; check it — bad paths,
 // malformed rules or CSVs and out-of-range thresholds are reported there.)
 //
-// Incremental cleaning rides on the same pair — a tracked session re-cleans
-// only the tuples an edit can affect:
+// Incremental cleaning rides on the same pair — a tracked session applies
+// edits and re-cleans the edited relation once from its pristine values:
 //
 //   Session session = (*engine)->NewTrackedSession();
-//   session.Run(&d);                           // batch clean + group indexes
+//   session.Run(&d);                           // batch clean + pristine copy
 //   Delta delta;
 //   delta.updates.emplace_back(tuple_id, edited_tuple);
 //   auto dr = session.ApplyDelta(delta);       // Result<DeltaResult>

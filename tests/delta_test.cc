@@ -1,11 +1,12 @@
 // Incremental cleaning (Session::ApplyDelta): the convergence contract —
 // streaming edits through a tracked session yields the same repaired cells
-// and the same canonical fix set as one cold batch run over the final
-// relation — plus the edge cases around it: batched edits, updates,
-// deletes/tombstones, fresh violation groups, master growth, no-op deltas,
-// validation atomicity, both sides of the full re-run crossover, the
-// covering journal's bound, and concurrent tracked sessions (the TSan
-// target).
+// and the same canonical journal, provenance included, as one cold batch
+// run over the final relation — plus the edge cases around it: batched
+// edits, updates, deletes/tombstones, fresh violation groups, master
+// growth, no-op deltas, validation atomicity, the journal's bound, the
+// re-run's phase statistics and progress events, repeated tracked runs,
+// cancellation and concurrent tracked sessions (the TSan target). Seeded
+// random edit streams are swept in delta_sweep_test.
 
 #include <memory>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "gen/dataset.h"
 #include "rules/parser.h"
 #include "uniclean/engine.h"
+#include "uniclean/phase.h"
 #include "uniclean/session.h"
 
 namespace uniclean {
@@ -57,10 +59,8 @@ std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds,
   return std::move(engine).value();
 }
 
-/// Full canonical CSV including phase/rule provenance. Only comparable
-/// between journals that took the SAME derivation path (no-op deltas,
-/// replayed streams); cross-run convergence pins use CanonicalFixSetCsv,
-/// because which phase lands the final write is trajectory-dependent.
+/// Full canonical CSV including phase/rule provenance: ApplyDelta re-runs
+/// the batch pipeline, so its journal matches a batch run's byte for byte.
 std::string CanonicalCsv(const FixJournal& journal) {
   std::ostringstream out;
   EXPECT_TRUE(journal.Canonicalized().WriteCsv(out).ok());
@@ -84,13 +84,13 @@ int LiveCellDiff(const data::Relation& a, const data::Relation& b) {
 }
 
 /// Batch-cleans `relation` in place with a fresh tracked session and
-/// returns the canonical fix-set CSV (the convergence invariant).
-std::string BatchFixSetCsv(const std::shared_ptr<CleanEngine>& engine,
-                           data::Relation* relation) {
+/// returns its canonical journal CSV (the convergence invariant).
+std::string BatchCanonicalCsv(const std::shared_ptr<CleanEngine>& engine,
+                              data::Relation* relation) {
   Session session = engine->NewTrackedSession();
   auto run = session.Run(relation);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
-  return session.CanonicalJournal().CanonicalFixSetCsv();
+  return CanonicalCsv(session.CanonicalJournal());
 }
 
 // --- The convergence pin: N single-tuple inserts == one batch run. --------
@@ -126,9 +126,9 @@ TEST_P(DeltaConvergenceTest, StreamedInsertsConvergeToBatch) {
   EXPECT_EQ(session.generation(), kHeld);
 
   data::Relation batch = ds.dirty.Clone();
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 TEST_P(DeltaConvergenceTest, OneBatchedDeltaConvergesToBatch) {
@@ -154,53 +154,110 @@ TEST_P(DeltaConvergenceTest, OneBatchedDeltaConvergesToBatch) {
   EXPECT_EQ(dr->inserted_ids.size(), static_cast<size_t>(kHeld));
 
   data::Relation batch = ds.dirty.Clone();
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
+}
+
+// A DELTA's per-phase statistics are the batch run's over the edited
+// relation: the same phases, fixes, matches and counters.
+TEST_P(DeltaConvergenceTest, DeltaStatsAreTheBatchRunsStats) {
+  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/17);
+  auto engine = MakeEngine(ds);
+
+  constexpr int kHeld = 4;
+  data::Relation incremental(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < ds.dirty.size() - kHeld; ++t) {
+    incremental.AddTuple(ds.dirty.tuple(t));
+  }
+  data::Relation batch = incremental.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  Delta delta;
+  delta.updates.emplace_back(5, ds.dirty.tuple(6));
+  delta.deletes.push_back(9);
+  for (int k = 0; k < kHeld; ++k) {
+    delta.inserts.push_back(ds.dirty.tuple(ds.dirty.size() - kHeld + k));
+  }
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+
+  batch.mutable_tuple(5) = ds.dirty.tuple(6);
+  batch.EraseTuple(9);
+  for (const data::Tuple& tup : delta.inserts) batch.AddTuple(tup);
+  Session batch_session = engine->NewSession();
+  auto run = batch_session.Run(&batch);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  ASSERT_EQ(dr->phases.size(), run->phases.size());
+  for (size_t i = 0; i < run->phases.size(); ++i) {
+    SCOPED_TRACE(run->phases[i].phase);
+    EXPECT_EQ(dr->phases[i].phase, run->phases[i].phase);
+    EXPECT_EQ(dr->phases[i].fixes, run->phases[i].fixes);
+    EXPECT_EQ(dr->phases[i].matches, run->phases[i].matches);
+    EXPECT_EQ(dr->phases[i].counters, run->phases[i].counters);
+  }
+  EXPECT_EQ(dr->total_fixes(), run->total_fixes());
+  EXPECT_EQ(session.journal().size(), run->journal.size());
+  EXPECT_EQ(session.journal().CountForGeneration(dr->generation),
+            static_cast<int>(session.journal().size()));
+}
+
+// A cancelled DELTA leaves its raw edits applied but uncleaned. The next
+// DELTA re-cleans them even when it is empty, so the session still reaches
+// the batch run over the edited relation.
+TEST_P(DeltaConvergenceTest, EmptyDeltaAfterACancelledDeltaConverges) {
+  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/13);
+  auto engine = MakeEngine(ds);
+
+  constexpr int kHeld = 10;
+  data::Relation incremental(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < ds.dirty.size() - kHeld; ++t) {
+    incremental.AddTuple(ds.dirty.tuple(t));
+  }
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  Delta delta;
+  for (int k = 0; k < kHeld; ++k) {
+    delta.inserts.push_back(ds.dirty.tuple(ds.dirty.size() - kHeld + k));
+  }
+  // Three polls pass ApplyDelta's entry check, so the token trips inside
+  // the re-run, after the edits were applied.
+  auto token = std::make_shared<common::CancelToken>();
+  token->CancelAfterChecksForTest(3);
+  session.set_cancel_token(token);
+  auto cancelled = session.ApplyDelta(delta);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  ASSERT_EQ(incremental.size(), ds.dirty.size());
+
+  session.set_cancel_token(nullptr);
+  auto dr = session.ApplyDelta(Delta{});
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->affected, incremental.live_size());
+  EXPECT_EQ(dr->refinement_rounds, 1);
+  EXPECT_EQ(dr->generation, session.generation());
+
+  data::Relation batch = ds.dirty.Clone();
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
+
+  // Once cleaned, an empty delta is a no-op again.
+  auto noop = session.ApplyDelta(Delta{});
+  ASSERT_TRUE(noop.ok()) << noop.status().ToString();
+  EXPECT_EQ(noop->generation, dr->generation);
+  EXPECT_EQ(noop->refinement_rounds, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DeltaConvergenceTest,
                          ::testing::Values("HOSP", "DBLP", "TPCH"));
 
-// --- The crossover: both sides converge to the batch run. ------------------
-//
-// ApplyDelta re-cleans the whole relation once instead of running a scoped
-// round whose scratch (closure plus ring) holds at least half the live
-// tuples. These pin one delta on each side per dataset, so the convergence
-// pins above cannot silently cover only one path.
+// --- A large batch: one re-run, the batch run by construction. ------------
 
 class DeltaCrossoverTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(DeltaCrossoverTest, FreshInsertStaysIncremental) {
-  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/31);
-  auto engine = MakeEngine(ds);
-
-  data::Relation incremental = ds.dirty.Clone();
-  Session session = engine->NewTrackedSession();
-  ASSERT_TRUE(session.Run(&incremental).ok());
-
-  // Every cell a brand-new string: no shared violation group, no master
-  // match, so the closure is the insert alone.
-  data::Tuple alien = ds.dirty.tuple(0);
-  for (data::AttributeId a = 0; a < alien.arity(); ++a) {
-    alien.set_value(a, data::Value("zz-fresh-" + std::to_string(a)));
-    alien.set_confidence(a, 0.0);
-    alien.set_mark(a, data::FixMark::kNone);
-  }
-  Delta delta;
-  delta.inserts.push_back(alien);
-  auto dr = session.ApplyDelta(delta);
-  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  EXPECT_FALSE(dr->full_rerun);
-  EXPECT_EQ(dr->affected, 1);
-  EXPECT_EQ(dr->refinement_rounds, 1);
-
-  data::Relation batch = ds.dirty.Clone();
-  batch.AddTuple(alien);
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
-  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
-}
 
 TEST_P(DeltaCrossoverTest, LargeBatchFallsBackToOneFullRerun) {
   gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/7);
@@ -221,12 +278,11 @@ TEST_P(DeltaCrossoverTest, LargeBatchFallsBackToOneFullRerun) {
   delta.deletes.push_back(3);
   auto dr = session.ApplyDelta(delta);
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  EXPECT_TRUE(dr->full_rerun);
   EXPECT_EQ(dr->affected, incremental.live_size());
   EXPECT_GE(dr->refinement_rounds, 1);
   EXPECT_EQ(dr->generation, 1);
-  EXPECT_EQ(dr->delta_journal.CountForGeneration(1),
-            static_cast<int>(dr->delta_journal.size()));
+  EXPECT_EQ(session.journal().CountForGeneration(1),
+            static_cast<int>(session.journal().size()));
 
   data::Relation batch = ds.dirty.Clone();
   batch.EraseTuple(3);
@@ -234,12 +290,50 @@ TEST_P(DeltaCrossoverTest, LargeBatchFallsBackToOneFullRerun) {
   auto batch_run = batch_session.Run(&batch);
   ASSERT_TRUE(batch_run.ok()) << batch_run.status().ToString();
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(),
-            batch_session.CanonicalJournal().CanonicalFixSetCsv());
-  // A full re-run IS the batch run, provenance included.
+  // The re-run IS the batch run, provenance included.
   EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()),
             CanonicalCsv(batch_session.CanonicalJournal()));
   EXPECT_EQ(session.journal().size(), batch_run->journal.size());
+}
+
+// Every cell of the insert is a brand-new string: it shares no violation
+// group and matches no master record. The re-run re-cleans every live
+// tuple, yet the fixes of the others stay as they were: the batch run over
+// the edited relation only adds the insert's own.
+TEST_P(DeltaCrossoverTest, FreshInsertStaysIncremental) {
+  gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/31);
+  auto engine = MakeEngine(ds);
+
+  data::Relation incremental = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+  const std::string before = CanonicalCsv(session.CanonicalJournal());
+
+  data::Tuple alien = ds.dirty.tuple(0);
+  for (data::AttributeId a = 0; a < alien.arity(); ++a) {
+    alien.set_value(a, data::Value("zz-fresh-" + std::to_string(a)));
+    alien.set_confidence(a, 0.0);
+    alien.set_mark(a, data::FixMark::kNone);
+  }
+  Delta delta;
+  delta.inserts.push_back(alien);
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  ASSERT_EQ(dr->inserted_ids.size(), 1u);
+  EXPECT_EQ(dr->affected, incremental.live_size());
+  EXPECT_EQ(dr->refinement_rounds, 1);
+
+  FixJournal others = session.CanonicalJournal();
+  others.RemoveIf([&](const FixEntry& entry) {
+    return entry.tuple == dr->inserted_ids[0];
+  });
+  EXPECT_EQ(CanonicalCsv(others), before);
+
+  data::Relation batch = ds.dirty.Clone();
+  batch.AddTuple(alien);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DeltaCrossoverTest,
@@ -253,8 +347,7 @@ TEST(DeltaTest, IncrementalDeltasKeepOnlyCoveringEntries) {
   Session session = engine->NewTrackedSession();
   ASSERT_TRUE(session.Run(&incremental).ok());
   const size_t entries_before = session.journal().size();
-  const std::string fixes_before =
-      session.CanonicalJournal().CanonicalFixSetCsv();
+  const std::string fixes_before = CanonicalCsv(session.CanonicalJournal());
   const data::TupleId target = 4;
   auto count_entries = [&] {
     int n = 0;
@@ -273,15 +366,13 @@ TEST(DeltaTest, IncrementalDeltasKeepOnlyCoveringEntries) {
     delta.updates.emplace_back(target, ds.dirty.tuple(target));
     auto dr = session.ApplyDelta(delta);
     ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-    ASSERT_FALSE(dr->full_rerun);
-    ASSERT_GT(dr->delta_journal.size(), 0u);
     EXPECT_EQ(session.journal().size(), entries_before);
     for (const FixEntry& entry : session.journal().entries()) {
       if (entry.tuple == target) {
         EXPECT_EQ(entry.generation, 1);
       }
     }
-    EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), fixes_before);
+    EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), fixes_before);
   }
   // Deleting it drops its entries.
   {
@@ -289,15 +380,14 @@ TEST(DeltaTest, IncrementalDeltasKeepOnlyCoveringEntries) {
     delta.deletes.push_back(target);
     auto dr = session.ApplyDelta(delta);
     ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-    ASSERT_FALSE(dr->full_rerun);
     EXPECT_EQ(count_entries(), 0);
   }
 
   data::Relation batch = ds.dirty.Clone();
   batch.EraseTuple(target);
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 TEST(DeltaTest, FallbackKeepsTheJournalBounded) {
@@ -322,10 +412,9 @@ TEST(DeltaTest, FallbackKeepsTheJournalBounded) {
     }
     auto dr = session.ApplyDelta(delta);
     ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-    ASSERT_TRUE(dr->full_rerun) << "delta " << g;
   }
 
-  // Each fallback replaced the journal wholesale: it holds one batch run's
+  // Each re-run replaced the journal wholesale: it holds one batch run's
   // entries, not one per delta.
   data::Relation batch = ds.dirty.Clone();
   Session batch_session = engine->NewSession();
@@ -357,9 +446,9 @@ TEST(DeltaTest, ResolvingUpdateConvergesToBatch) {
 
   data::Relation batch = ds.dirty.Clone();
   batch.mutable_tuple(target) = ds.clean.tuple(target);
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 // --- Deletes and tombstones ----------------------------------------------
@@ -394,15 +483,15 @@ TEST(DeltaTest, DeleteThenReinsertConvergesToBatch) {
   data::Relation batch = ds.dirty.Clone();
   batch.EraseTuple(victim);
   batch.AddTuple(ds.dirty.tuple(victim));
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 // A DELTA may update a tuple and delete it too: edits apply in the order
-// updates, deletes, inserts, so the tuple ends dead. Its update seeded it
-// into the closure, but a dead tuple has nothing to re-clean, and fixes
-// journaled for it would cover a tuple no batch run sees.
+// updates, deletes, inserts, so the tuple ends dead. A dead tuple has
+// nothing to re-clean, and fixes journaled for it would cover a tuple no
+// batch run sees.
 int EntriesFor(const FixJournal& journal, data::TupleId t) {
   int n = 0;
   for (const FixEntry& entry : journal.entries()) n += entry.tuple == t;
@@ -430,9 +519,6 @@ TEST(DeltaTest, UpdatedAndDeletedTupleLeavesNoJournalEntries) {
   auto dr = session.ApplyDelta(delta);
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
   EXPECT_FALSE(incremental.live(victim));
-  EXPECT_FALSE(dr->full_rerun);
-  EXPECT_LT(dr->affected, incremental.live_size());
-  EXPECT_EQ(EntriesFor(dr->delta_journal, victim), 0);
   EXPECT_EQ(EntriesFor(session.journal(), victim), 0);
 }
 
@@ -472,9 +558,8 @@ TEST(DeltaTest, UpdatedAndDeletedLoneTupleIsNotAffected) {
   auto dr = session.ApplyDelta(delta);
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
   EXPECT_FALSE(d.live(0));
-  EXPECT_EQ(dr->affected, 0);
-  EXPECT_EQ(dr->refinement_rounds, 0);
-  EXPECT_FALSE(dr->full_rerun);
+  EXPECT_EQ(dr->affected, d.live_size());  // the dead tuple is not counted
+  EXPECT_EQ(EntriesFor(session.journal(), 0), 0);
 }
 
 // --- Fresh violation group ------------------------------------------------
@@ -488,7 +573,8 @@ TEST(DeltaTest, InsertIntoFreshViolationGroupStaysScoped) {
   ASSERT_TRUE(session.Run(&incremental).ok());
 
   // A tuple whose every cell is a brand-new string shares no violation
-  // group (and matches no master record), so the re-clean must not spread.
+  // group and matches no master record. The re-run still re-cleans every
+  // live tuple, and its result is the batch run's.
   data::Tuple alien = ds.dirty.tuple(0);
   for (data::AttributeId a = 0; a < alien.arity(); ++a) {
     alien.set_value(a, data::Value("zz-unique-" + std::to_string(a)));
@@ -499,14 +585,14 @@ TEST(DeltaTest, InsertIntoFreshViolationGroupStaysScoped) {
   delta.inserts.push_back(alien);
   auto dr = session.ApplyDelta(delta);
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  EXPECT_GE(dr->affected, 1);
-  EXPECT_LT(dr->affected, incremental.size() / 4);
+  EXPECT_EQ(dr->affected, incremental.live_size());
+  EXPECT_EQ(dr->refinement_rounds, 1);
 
   data::Relation batch = ds.dirty.Clone();
   batch.AddTuple(alien);
-  const std::string batch_csv = BatchFixSetCsv(engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 // --- Master growth --------------------------------------------------------
@@ -534,8 +620,8 @@ TEST(DeltaTest, MasterGrowthRecleansMatchingTuples) {
   const int appended = engine->RefreshMasterIndexes();
   EXPECT_EQ(appended, kHeldMaster);
 
-  // An empty delta after master growth re-cleans exactly the tuples the
-  // new master rows can reach.
+  // An empty delta after master growth is not a no-op: it re-cleans the
+  // relation against the grown master.
   auto dr = session.ApplyDelta(Delta{});
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
   EXPECT_EQ(dr->generation, 1);
@@ -543,9 +629,9 @@ TEST(DeltaTest, MasterGrowthRecleansMatchingTuples) {
   // Convergence reference: a fresh engine built over the grown master.
   auto full_engine = MakeEngine(ds, &growing_master);
   data::Relation batch = ds.dirty.Clone();
-  const std::string batch_csv = BatchFixSetCsv(full_engine, &batch);
+  const std::string batch_csv = BatchCanonicalCsv(full_engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), batch_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 // --- No-op and validation -------------------------------------------------
@@ -827,7 +913,7 @@ TEST(CancellationTest, TrackedSessionUsableAfterCancelledRun) {
   Session reference = engine->NewTrackedSession();
   ASSERT_TRUE(reference.Run(&ref_relation).ok());
   ASSERT_TRUE(reference.ApplyDelta(insert_last).ok());
-  const std::string ref_fixes = reference.CanonicalJournal().CanonicalFixSetCsv();
+  const std::string ref_fixes = CanonicalCsv(reference.CanonicalJournal());
 
   // A token tripped before the first poll cancels the tracked run...
   data::Relation relation = initial.Clone();
@@ -849,7 +935,7 @@ TEST(CancellationTest, TrackedSessionUsableAfterCancelledRun) {
   auto rerun = session.Run(&relation);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
   ASSERT_TRUE(session.ApplyDelta(insert_last).ok());
-  EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(), ref_fixes);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), ref_fixes);
   EXPECT_EQ(LiveCellDiff(relation, ref_relation), 0);
 }
 
@@ -886,12 +972,10 @@ TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
     auto dr = session.ApplyDelta(delta);
     if (dr.ok()) {
       saw_success = true;
-      // No scoped round ran first, so every cancel above hit the re-run.
-      EXPECT_TRUE(dr->full_rerun) << "polls=" << polls;
       EXPECT_EQ(dr->refinement_rounds, 1) << "polls=" << polls;
       data::Relation batch = ds.dirty.Clone();
-      EXPECT_EQ(session.CanonicalJournal().CanonicalFixSetCsv(),
-                BatchFixSetCsv(engine, &batch))
+      EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()),
+                BatchCanonicalCsv(engine, &batch))
           << "polls=" << polls;
     } else {
       saw_cancel = true;
@@ -906,6 +990,141 @@ TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
   }
   EXPECT_TRUE(saw_cancel);
   EXPECT_TRUE(saw_success);
+}
+
+// A cancelled empty DELTA after master growth applies nothing. The growth
+// stays pending, so the next empty DELTA re-cleans against the grown master.
+TEST(CancellationTest, MasterGrowthStaysPendingAfterACancelledDelta) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/5);
+
+  constexpr int kHeldMaster = 15;
+  data::Relation growing_master(ds.master.schema_ptr());
+  for (data::TupleId t = 0; t < ds.master.size() - kHeldMaster; ++t) {
+    growing_master.AddTuple(ds.master.tuple(t));
+  }
+  auto engine = MakeEngine(ds, &growing_master);
+
+  data::Relation incremental = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+  const std::string cleaned_csv = RelationCsv(incremental);
+  const std::string journal_before = CanonicalCsv(session.CanonicalJournal());
+
+  for (data::TupleId t = ds.master.size() - kHeldMaster;
+       t < ds.master.size(); ++t) {
+    growing_master.AddTuple(ds.master.tuple(t));
+  }
+  ASSERT_EQ(engine->RefreshMasterIndexes(), kHeldMaster);
+
+  auto token = std::make_shared<common::CancelToken>();
+  token->CancelAfterChecksForTest(3);
+  session.set_cancel_token(token);
+  auto cancelled = session.ApplyDelta(Delta{});
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(RelationCsv(incremental), cleaned_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), journal_before);
+
+  session.set_cancel_token(nullptr);
+  auto dr = session.ApplyDelta(Delta{});
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->refinement_rounds, 1);
+
+  auto full_engine = MakeEngine(ds, &growing_master);
+  data::Relation batch = ds.dirty.Clone();
+  const std::string batch_csv = BatchCanonicalCsv(full_engine, &batch);
+  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
+}
+
+// --- Progress and repeated runs --------------------------------------------
+
+// ApplyDelta's re-run reports every phase to the progress observer, on the
+// scratch copy it cleans; the tracked relation ends as that copy did. A
+// no-op delta runs no phase.
+TEST(DeltaTest, ProgressCallbackObservesTheRerun) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/3, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+
+  data::Relation incremental = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&incremental).ok());
+
+  std::vector<std::string> seen;
+  std::string last_finished_csv;
+  bool saw_tracked = false;
+  session.set_progress_callback([&](const PhaseEvent& event) {
+    const bool started = event.kind == PhaseEvent::Kind::kPhaseStarted;
+    seen.push_back((started ? "start " : "finish ") +
+                   std::string(event.phase));
+    EXPECT_EQ(event.total, static_cast<int>(session.PhaseNames().size()));
+    EXPECT_EQ(event.stats == nullptr, started);
+    saw_tracked = saw_tracked || event.data == &incremental;
+    if (!started) last_finished_csv = RelationCsv(*event.data);
+  });
+
+  Delta delta;
+  delta.updates.emplace_back(0, ds.dirty.tuple(1));
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+
+  std::vector<std::string> expected;
+  for (const std::string& name : session.PhaseNames()) {
+    expected.push_back("start " + name);
+    expected.push_back("finish " + name);
+  }
+  EXPECT_EQ(seen, expected);
+  EXPECT_FALSE(saw_tracked);
+  EXPECT_EQ(RelationCsv(incremental), last_finished_csv);
+
+  seen.clear();
+  ASSERT_TRUE(session.ApplyDelta(Delta{}).ok());
+  EXPECT_TRUE(seen.empty());
+}
+
+// A repeated tracked Run restarts tracking on its own relation: generation
+// 0 and the batch journal, and later DELTAs edit that relation only.
+TEST(DeltaTest, RepeatedRunRestartsTracking) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/19, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+
+  constexpr int kHalf = 60;
+  data::Relation first(ds.dirty.schema_ptr());
+  data::Relation second(ds.dirty.schema_ptr());
+  for (data::TupleId t = 0; t < ds.dirty.size(); ++t) {
+    (t < kHalf ? first : second).AddTuple(ds.dirty.tuple(t));
+  }
+  const data::Relation second_dirty = second.Clone();
+
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&first).ok());
+  Delta erase;
+  erase.deletes.push_back(0);
+  ASSERT_TRUE(session.ApplyDelta(erase).ok());
+  EXPECT_EQ(session.generation(), 1);
+  const std::string first_csv = RelationCsv(first);
+
+  ASSERT_TRUE(session.Run(&second).ok());
+  EXPECT_EQ(session.generation(), 0);
+  data::Relation second_batch = second_dirty.Clone();
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()),
+            BatchCanonicalCsv(engine, &second_batch));
+
+  Delta insert;
+  insert.inserts.push_back(ds.dirty.tuple(0));
+  auto dr = session.ApplyDelta(insert);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->generation, 1);
+  EXPECT_EQ(dr->inserted_ids,
+            std::vector<data::TupleId>{static_cast<data::TupleId>(
+                ds.dirty.size() - kHalf)});
+  EXPECT_EQ(RelationCsv(first), first_csv);
+
+  data::Relation batch = second_dirty.Clone();
+  batch.AddTuple(ds.dirty.tuple(0));
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
+  EXPECT_EQ(LiveCellDiff(second, batch), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
 }  // namespace

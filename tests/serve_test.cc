@@ -276,6 +276,49 @@ TEST(ServeTest, TrackedDeltaCanonicalJournalByteIdentical) {
                                        reference_delta->inserted_ids.end()));
 }
 
+// Every DELTA is one re-run of the whole relation: DELTA_DONE reports the
+// live tuple count as `affected`, one refinement round and the re-run's fix
+// total. An empty DELTA is a no-op that reports zero for both.
+TEST(ServeTest, DeltaDoneCountsEveryLiveTupleAndOneRound) {
+  ServeWorld* w = ServeWorld::Get();
+
+  auto relation = w->LoadDirty();
+  ASSERT_TRUE(relation.ok());
+  Session session = w->reference->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&*relation).ok());
+  Delta delta;
+  delta.deletes.push_back(2);
+  auto reference_delta = session.ApplyDelta(delta);
+  ASSERT_TRUE(reference_delta.ok()) << reference_delta.status().ToString();
+
+  Client client = w->Connect();
+  CleanRequest clean;
+  clean.data_csv = w->dirty_csv;
+  clean.track = true;
+  auto cleaned = client.Clean(clean);
+  ASSERT_TRUE(cleaned.ok()) << cleaned.status().ToString();
+  DeltaRequest request;
+  request.session_id = cleaned->session_id;
+  request.delete_ids = {2};
+  auto reply = client.Delta(request);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->generation, 1u);
+  EXPECT_EQ(reply->affected, static_cast<uint32_t>(relation->live_size()));
+  EXPECT_EQ(reply->refinement_rounds, 1u);
+  EXPECT_EQ(reply->total_fixes,
+            static_cast<uint32_t>(reference_delta->total_fixes()));
+
+  DeltaRequest empty;
+  empty.session_id = cleaned->session_id;
+  auto noop = client.Delta(empty);
+  ASSERT_TRUE(noop.ok()) << noop.status().ToString();
+  EXPECT_EQ(noop->generation, 1u);
+  EXPECT_EQ(noop->affected, 0u);
+  EXPECT_EQ(noop->refinement_rounds, 0u);
+  EXPECT_EQ(noop->journal_csv, reply->journal_csv);
+  EXPECT_TRUE(client.CloseSession(cleaned->session_id).ok());
+}
+
 TEST(ServeTest, ReloadMidStreamKeepsInFlightRequestsIntact) {
   // The acceptance pin: RELOADs racing a stream of CLEANs must neither
   // drop nor corrupt them — every journal stays byte-identical.

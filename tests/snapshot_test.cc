@@ -95,7 +95,7 @@ std::string RunJournal(const std::shared_ptr<CleanEngine>& engine,
 }
 
 /// Runs a tracked session, applies one delta (an insert and a delete), and
-/// returns the delta journal's CSV serialization.
+/// returns the session journal's CSV serialization.
 std::string RunDeltaJournal(const std::shared_ptr<CleanEngine>& engine,
                             const gen::Dataset& ds) {
   data::Relation d = ds.dirty.Clone();
@@ -114,7 +114,7 @@ std::string RunDeltaJournal(const std::shared_ptr<CleanEngine>& engine,
     return {};
   }
   std::ostringstream csv;
-  EXPECT_TRUE(dr->delta_journal.WriteCsv(csv).ok());
+  EXPECT_TRUE(session.journal().WriteCsv(csv).ok());
   return csv.str();
 }
 

@@ -3,8 +3,10 @@
 // member order, refiling of touched tuples, the order of dirty groups,
 // queueing during a resolution and the replay of clean groups' tallies.
 // Small relations are checked by hand; seeded random edits are checked
-// against a brute-force regrouping.
+// against a brute-force regrouping. The index keeps its keys in a
+// core::GroupKeyTable, tested at the end.
 
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -15,7 +17,9 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/group_key_table.h"
 #include "core/vcfd_groups.h"
+#include "data/group_key.h"
 #include "data/relation.h"
 #include "data/schema.h"
 #include "rules/parser.h"
@@ -544,6 +548,52 @@ TEST_P(VcfdGroupsRandomOps, MatchesABruteForceRegrouping) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VcfdGroupsRandomOps,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 13));
+
+// --- GroupKeyTable ---------------------------------------------------------
+
+data::GroupKey Key(std::initializer_list<data::ValueId> parts) {
+  data::GroupKey key;
+  for (data::ValueId id : parts) key.Append(id);
+  return key;
+}
+
+TEST(GroupKeyTableTest, NumbersKeysDenselyInOrderOfFirstAdd) {
+  GroupKeyTable table(2);
+  EXPECT_EQ(table.size(), 0);
+  EXPECT_EQ(table.Find(Key({1, 2})), -1);
+  EXPECT_EQ(table.FindOrAdd(Key({1, 2})), 0);
+  EXPECT_EQ(table.FindOrAdd(Key({2, 1})), 1);
+  EXPECT_EQ(table.FindOrAdd(Key({1, 2})), 0);
+  EXPECT_EQ(table.Find(Key({2, 1})), 1);
+  EXPECT_EQ(table.Find(Key({2, 2})), -1);
+  EXPECT_EQ(table.size(), 2);
+  EXPECT_TRUE(table.KeyEquals(1, Key({2, 1})));
+  EXPECT_FALSE(table.KeyEquals(1, Key({1, 2})));
+  EXPECT_EQ(table.key(0), Key({1, 2}));
+}
+
+TEST(GroupKeyTableTest, GrowingKeepsEveryKeysGroup) {
+  GroupKeyTable table(3);
+  constexpr int kKeys = 5000;  // many doublings past the initial 16 slots
+  for (int i = 0; i < kKeys; ++i) {
+    const auto id = static_cast<data::ValueId>(i);
+    ASSERT_EQ(table.FindOrAdd(Key({id % 7, id, id / 3})), i);
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    const auto id = static_cast<data::ValueId>(i);
+    EXPECT_EQ(table.Find(Key({id % 7, id, id / 3})), i);
+    EXPECT_EQ(table.key(i), Key({id % 7, id, id / 3}));
+  }
+  EXPECT_EQ(table.Find(Key({0, 1, 2})), -1);
+}
+
+TEST(GroupKeyTableTest, AnEmptyWidthHasOneKey) {
+  GroupKeyTable table(0);
+  EXPECT_EQ(table.Find(data::GroupKey{}), -1);
+  EXPECT_EQ(table.FindOrAdd(data::GroupKey{}), 0);
+  EXPECT_EQ(table.FindOrAdd(data::GroupKey{}), 0);
+  EXPECT_EQ(table.size(), 1);
+}
 
 }  // namespace
 }  // namespace core

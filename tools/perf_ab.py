@@ -69,6 +69,11 @@ def run(tree, args, seed):
     # run.py joins $CARGO_TARGET_DIR onto its own checkout; an absolute one
     # would make both trees share a build.
     env = {k: v for k, v in os.environ.items() if k != "CARGO_TARGET_DIR"}
+    # run.py stamps a run with `git rev-parse HEAD` when that succeeds, which
+    # in the change's working tree names the parent's commit. With no
+    # repository to find, each side is stamped with a hash of its own
+    # sources.
+    env["GIT_DIR"] = os.devnull
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]

@@ -17,10 +17,9 @@
 // the engine's match-memo statistics after the run; --memo-cap bounds each
 // memo map's resident entries (0 = unbounded), the long-lived-serving knob.
 // --delta names a CSV (same header as the data file) whose rows are applied
-// as *inserts* after the batch clean, through Session::ApplyDelta — only the
-// tuples they can affect are re-cleaned (or, when that would cost as much,
-// the whole relation once: the summary line then says "(full re-run)"), and
-// the journal written afterwards is the canonical (batch-equivalent) one.
+// as *inserts* after the batch clean, through Session::ApplyDelta, which
+// re-cleans the grown relation once from its pristine values; the journal
+// written afterwards is the canonical (batch-equivalent) one.
 
 #include <cerrno>
 #include <chrono>
@@ -268,8 +267,8 @@ int Run(const CliOptions& opts) {
   auto t0 = Clock::now();
   (*engine)->Warmup();
   auto t1 = Clock::now();
-  // A tracked session keeps the violation-group indexes the incremental
-  // path needs; without --delta the plain session skips that bookkeeping.
+  // A tracked session keeps the pristine copy ApplyDelta re-cleans from;
+  // without --delta the plain session skips that clone.
   Session session = opts.delta_path.empty() ? (*engine)->NewSession()
                                             : (*engine)->NewTrackedSession();
   session.set_progress_callback([](const PhaseEvent& event) {
@@ -310,12 +309,9 @@ int Run(const CliOptions& opts) {
     for (const data::Tuple& tuple : delta.inserts) {
       original.AddTuple(tuple);
     }
-    std::printf(
-        "delta: %zu inserts, %d tuples re-cleaned in %d round(s)%s, "
-        "%d fixes, %.3fs\n",
-        delta.inserts.size(), dr->affected, dr->refinement_rounds,
-        dr->full_rerun ? " (full re-run)" : "", dr->total_fixes(),
-        std::chrono::duration<double>(t4 - t3).count());
+    std::printf("delta: %zu inserts, %d tuples re-cleaned, %d fixes, %.3fs\n",
+                delta.inserts.size(), dr->affected, dr->total_fixes(),
+                std::chrono::duration<double>(t4 - t3).count());
   }
 
   for (const PhaseStats& stats : result->phases) {
