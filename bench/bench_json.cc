@@ -972,7 +972,7 @@ void AblationPoint(int master_size, bool use_blocking) {
           [&]() -> long long {
             long long found = 0;
             for (data::TupleId t = 0; t < ds.dirty.size(); ++t) {
-              found += matcher.FindMatches(ds.dirty.tuple(t)).empty() ? 0 : 1;
+              found += matcher.Matches(ds.dirty.tuple(t)).empty() ? 0 : 1;
             }
             return found;
           });

@@ -68,9 +68,9 @@ int main() {
     return 1;
   }
   std::printf("cleaned: %d deterministic, %d reliable, %d possible fixes\n",
-              result->journal.CountForPhase(CRepairPhase::kName),
-              result->journal.CountForPhase(ERepairPhase::kName),
-              result->journal.CountForPhase(HRepairPhase::kName));
+              result->journal.CountForPhase(PhaseName(Phase::kCRepair)),
+              result->journal.CountForPhase(PhaseName(Phase::kERepair)),
+              result->journal.CountForPhase(PhaseName(Phase::kHRepair)));
 
   // Export the repaired relation and the structured fix provenance.
   s = data::WriteCsvFile(dir + "/repaired.csv", *dirty);

@@ -131,9 +131,9 @@ MD psi: LN=LN & city=city & St=St & post=zip & FN ~jw:0.6 FN -> FN:=FN, phn:=tel
 
   std::printf(
       "\nfixes: %d deterministic (*), %d reliable (+), %d possible (?)\n\n",
-      result->journal.CountForPhase(CRepairPhase::kName),
-      result->journal.CountForPhase(ERepairPhase::kName),
-      result->journal.CountForPhase(HRepairPhase::kName));
+      result->journal.CountForPhase(PhaseName(Phase::kCRepair)),
+      result->journal.CountForPhase(PhaseName(Phase::kERepair)),
+      result->journal.CountForPhase(PhaseName(Phase::kHRepair)));
   PrintRelation("== Repaired transactions ==", d);
 
   // The structured journal records every fix with its justifying rule.

@@ -78,7 +78,7 @@ std::vector<MatchPair> FindAllMatches(const data::Relation& d,
     for (const rules::Md& md : raw.Normalize()) {
       core::MdMatcher matcher(md, dm);
       for (data::TupleId t = 0; t < d.size(); ++t) {
-        for (data::TupleId s : matcher.FindMatches(d.tuple(t))) {
+        for (data::TupleId s : matcher.Matches(d.tuple(t))) {
           matches.emplace_back(t, s);
         }
       }

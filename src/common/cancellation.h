@@ -116,7 +116,7 @@ class CancelToken {
 
 /// Polls `token` (which may be null) and returns its non-OK status if it
 /// has tripped. The standard guard at phase boundaries and in hot loops:
-///   UC_RETURN_IF_ERROR(common::PollCancel(ctx->cancel));
+///   UC_RETURN_IF_ERROR(common::PollCancel(cancel));
 inline Status PollCancel(const CancelToken* token) {
   if (token != nullptr && token->IsCancelled()) return token->status();
   return Status::OK();

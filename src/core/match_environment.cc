@@ -17,10 +17,7 @@ MatchEnvironment::MatchEnvironment(const rules::RuleSet& rules,
                                    const data::Relation& master,
                                    const MdMatcherOptions& options,
                                    RestoreTag)
-    : rules_(&rules),
-      master_(&master),
-      options_(options),
-      indexed_master_size_(master.size()) {
+    : rules_(&rules), master_(&master), options_(options) {
   GroupRulesByPremise();
 }
 
@@ -44,13 +41,6 @@ void MatchEnvironment::GroupRulesByPremise() {
     matcher_slot_[static_cast<size_t>(rule)] = static_cast<int>(slot);
   }
   matchers_.resize(owners_.size());
-}
-
-int MatchEnvironment::RefreshMasterAppend() {
-  for (auto& matcher : matchers_) matcher->AppendMaster();
-  const int newly_indexed = master_->size() - indexed_master_size_;
-  indexed_master_size_ = master_->size();
-  return newly_indexed;
 }
 
 core::MemoStats MatchEnvironment::MemoStats() const {

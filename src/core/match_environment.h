@@ -19,10 +19,8 @@
 // so sharing cannot change a result.
 //
 // Lifetime: the environment borrows `rules` and `master`; both must outlive
-// it. The rules must never be mutated; the master may only grow by appends,
-// and only while no session runs — after appending, call
-// RefreshMasterAppend() (with exclusive access) to fold the new tuples into
-// the indexes. Until then probes see the master as of the last refresh.
+// it and must not change while it lives — the indexes and memos are built
+// once over the master as it stood at construction.
 //
 // Thread safety: after construction the environment is an immutable
 // artifact plus internally synchronized memos — matcher() and every
@@ -78,21 +76,6 @@ class MatchEnvironment {
   /// the number of MD rules.
   int num_matchers() const { return static_cast<int>(matchers_.size()); }
 
-  /// Master tuples covered by the matchers' indexes: master().size() at
-  /// construction, catching up on RefreshMasterAppend(). Falls behind when
-  /// the caller appends tuples to the (caller-owned) master relation.
-  int indexed_master_size() const { return indexed_master_size_; }
-
-  /// Folds master tuples appended since construction (or the previous
-  /// refresh) into each matcher's indexes (see MdMatcher::AppendMaster):
-  /// equality indexes and all-master lists grow incrementally, suffix arrays
-  /// are rebuilt, match/blocking memos are dropped, similarity memos
-  /// survive. Requires exclusive access — no Session may be running against
-  /// this environment and no references into its memos may be live. The
-  /// master must only have grown by appends; indexed tuples must be
-  /// unchanged. Returns the number of newly indexed master tuples.
-  int RefreshMasterAppend();
-
   /// Aggregated memo statistics across the environment's matchers, each
   /// counted once however many rules share it:
   /// resident entries, a bytes estimate, hit/miss counters and the number
@@ -123,7 +106,6 @@ class MatchEnvironment {
   std::vector<std::unique_ptr<MdMatcher>> matchers_;  // one per premise
   std::vector<int> matcher_slot_;  // by rule id: index into matchers_, or -1
   std::vector<rules::RuleId> owners_;  // by slot: lowest rule id of the group
-  int indexed_master_size_ = 0;  // see RefreshMasterAppend()
 };
 
 }  // namespace core

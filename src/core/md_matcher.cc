@@ -35,8 +35,8 @@ namespace {
 /// Per-(thread, matcher) scratch for results that bypass the memos
 /// (use_memos = false, or admission refused past memo_capacity). Keyed by
 /// matcher so a reference handed out by one matcher survives the same
-/// thread probing *another* matcher — the guarantee user phases iterating
-/// MD rules with different premises rely on (a plain shared thread_local
+/// thread probing *another* matcher — the guarantee a caller iterating MD
+/// rules with different premises relies on (a plain shared thread_local
 /// would alias them; rules with equal premises share one matcher).
 /// Entries for destroyed matchers linger (the key is never dereferenced);
 /// so a long-lived worker thread in a server that keeps rebuilding engines
@@ -65,9 +65,22 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
   g_constructed_count.fetch_add(1, std::memory_order_relaxed);
   if (!options_.use_blocking) return;
   if (!equality_clauses_.empty()) {
-    IndexEqualityRange(0, dm_.size());
+    for (data::TupleId s = 0; s < dm_.size(); ++s) {
+      bool has_null = false;
+      for (size_t i : equality_clauses_) {
+        if (dm_.tuple(s).value(md_.premise()[i].master_attr).is_null()) {
+          has_null = true;
+          break;
+        }
+      }
+      if (has_null) continue;  // null never satisfies a premise clause
+      equality_index_[EqualityKey(equality_clauses_, md_, dm_.tuple(s),
+                                  /*master_side=*/true)]
+          .push_back(s);
+    }
   } else if (blocking_clause_ >= 0) {
-    RebuildSuffixArray();
+    CollectBlockingValues();
+    suffix_array_.Build();
   }
 }
 
@@ -77,8 +90,7 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
       dm_(dm),
       options_(options),
       blocking_cache_(options.memo_capacity),
-      match_cache_(options.memo_capacity),
-      indexed_masters_(dm.size()) {
+      match_cache_(options.memo_capacity) {
   // Everything but the index: clause roles, memo shapes and the
   // materialized all-masters list. The public constructor builds the index
   // afterwards; a snapshot restore has snapshot::Codec install it instead.
@@ -110,22 +122,6 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
   }
 }
 
-void MdMatcher::IndexEqualityRange(data::TupleId begin, data::TupleId end) {
-  for (data::TupleId s = begin; s < end; ++s) {
-    bool has_null = false;
-    for (size_t i : equality_clauses_) {
-      if (dm_.tuple(s).value(md_.premise()[i].master_attr).is_null()) {
-        has_null = true;
-        break;
-      }
-    }
-    if (has_null) continue;  // null never satisfies a premise clause
-    equality_index_[EqualityKey(equality_clauses_, md_, dm_.tuple(s),
-                                /*master_side=*/true)]
-        .push_back(s);
-  }
-}
-
 void MdMatcher::CollectBlockingValues() {
   const data::AttributeId attr =
       md_.premise()[static_cast<size_t>(blocking_clause_)].master_attr;
@@ -141,44 +137,6 @@ void MdMatcher::CollectBlockingValues() {
     }
     value_owners_[static_cast<size_t>(it->second)].push_back(s);
   }
-}
-
-void MdMatcher::RebuildSuffixArray() {
-  // The build sorts every suffix at once, so a master append rebuilds the
-  // array from scratch.
-  suffix_array_ = similarity::GeneralizedSuffixArray();
-  value_owners_.clear();
-  CollectBlockingValues();
-  suffix_array_.Build();
-}
-
-int MdMatcher::AppendMaster() {
-  const data::TupleId old_size = indexed_masters_;
-  if (dm_.size() == old_size) return 0;
-  UC_CHECK_GT(dm_.size(), old_size)
-      << "MdMatcher::AppendMaster: master relation shrank (append-only "
-         "growth is required)";
-  // Paths that materialize every master id extend incrementally.
-  if (!options_.use_blocking ||
-      (equality_clauses_.empty() && blocking_clause_ < 0)) {
-    for (data::TupleId s = old_size; s < dm_.size(); ++s) {
-      all_masters_.push_back(s);
-    }
-  }
-  if (options_.use_blocking) {
-    if (!equality_clauses_.empty()) {
-      IndexEqualityRange(old_size, dm_.size());
-    } else if (blocking_clause_ >= 0) {
-      RebuildSuffixArray();
-    }
-  }
-  // Match lists and blocking candidates were computed against the smaller
-  // master and may be missing the new tuples; drop them. Similarity
-  // outcomes are per (data value, master value) pair and stay valid.
-  match_cache_.Clear();
-  blocking_cache_.Clear();
-  indexed_masters_ = dm_.size();
-  return dm_.size() - old_size;
 }
 
 bool MdMatcher::Verify(const data::Tuple& t, data::TupleId s) const {
@@ -294,10 +252,6 @@ const std::vector<data::TupleId>& MdMatcher::Matches(
       ScratchFor(this, t_match_scratch);
   scratch_matches = std::move(matches);
   return scratch_matches;
-}
-
-std::vector<data::TupleId> MdMatcher::FindMatches(const data::Tuple& t) const {
-  return Matches(t);
 }
 
 data::TupleId MdMatcher::FindFirstMatch(const data::Tuple& t) const {

@@ -8,21 +8,21 @@
 // clause over the whole cleaning run. A brute-force mode exists for the
 // blocking ablation bench.
 //
-// Thread safety: after construction the indexes are immutable and the memos
-// are sharded behind striped locks (see core/sharded_memo.h), so any number
-// of threads may call Matches / FindMatches / FindFirstMatch concurrently —
-// the engine entry point concurrent uniclean::Session runs rely on. Every
-// memoized result is a pure function of its key over the static master
-// data, so cache sharing across threads cannot change outcomes. The one
-// mutating operation is AppendMaster() (master-data growth), which
-// requires exclusive access. References
-// returned by Matches() stay valid for the matcher's lifetime when they
-// point into a memo; results that were refused admission (capacity cap, or
-// use_memos = false) live in per-(thread, matcher) scratch valid until the
-// same thread's next probe of the same matcher. A core::MatchEnvironment
-// hands one matcher to every MD rule with the same premise, so "the same
-// matcher" covers every such rule: env.matcher(a) == env.matcher(b)
-// exactly when the premises of rules a and b are equal.
+// Thread safety: the matcher has no mutating operation. After construction
+// the indexes are immutable and the memos are sharded behind striped locks
+// (see core/sharded_memo.h), so any number of threads may call Matches /
+// FindFirstMatch concurrently — the engine entry point concurrent
+// uniclean::Session runs rely on. The master relation must not change while
+// the matcher lives: every memoized result is a pure function of its key
+// over that static master data, so cache sharing across threads cannot
+// change outcomes. References returned by Matches() stay valid for the
+// matcher's lifetime when they point into a memo; results that were refused
+// admission (capacity cap, or use_memos = false) live in per-(thread,
+// matcher) scratch valid until the same thread's next probe of the same
+// matcher. A core::MatchEnvironment hands one matcher to every MD rule with
+// the same premise, so "the same matcher" covers every such rule:
+// env.matcher(a) == env.matcher(b) exactly when the premises of rules a and
+// b are equal.
 
 #ifndef UNICLEAN_CORE_MD_MATCHER_H_
 #define UNICLEAN_CORE_MD_MATCHER_H_
@@ -84,9 +84,6 @@ class MdMatcher {
   /// number of threads concurrently.
   const std::vector<data::TupleId>& Matches(const data::Tuple& t) const;
 
-  /// Copying wrapper around Matches() (compatibility).
-  std::vector<data::TupleId> FindMatches(const data::Tuple& t) const;
-
   /// First matching master tuple id, or -1.
   data::TupleId FindFirstMatch(const data::Tuple& t) const;
 
@@ -105,26 +102,6 @@ class MdMatcher {
   /// warm Session re-run must not move this counter.
   static uint64_t ConstructedCount();
 
-  /// Master tuples covered by the indexes: dm.size() at construction and
-  /// after every AppendMaster() call; falls behind when the caller appends
-  /// tuples to the master relation.
-  int indexed_masters() const { return indexed_masters_; }
-
-  /// Folds master tuples appended since construction (or the previous call)
-  /// into the indexes: the equality index and the materialized all-masters
-  /// list grow incrementally; the suffix array is rebuilt (its build sorts
-  /// every suffix at once). The match-list and blocking memos are dropped —
-  /// their entries were computed against the smaller master — while the
-  /// per-clause similarity memos survive: a similarity outcome is a pure
-  /// function of the two value ids, independent of the master's extent.
-  /// Returns the number of newly indexed master tuples.
-  ///
-  /// NOT thread-safe: requires exclusive access to the matcher (no
-  /// concurrent probes, no live references into the dropped memos). The
-  /// master relation must only have grown by appends since the last index;
-  /// already-indexed tuples must be unchanged.
-  int AppendMaster();
-
  private:
   // snapshot::Codec restores a matcher from a snapshot section: the restore
   // constructor below sets up everything but the index (the codec installs
@@ -138,13 +115,11 @@ class MdMatcher {
 
   const std::vector<data::TupleId>& Candidates(const data::Tuple& t) const;
   bool Verify(const data::Tuple& t, data::TupleId s) const;
-  void IndexEqualityRange(data::TupleId begin, data::TupleId end);
   /// Adds each distinct non-null master value of the blocking clause to
   /// suffix_array_, in tuple order, and records its owners in
   /// value_owners_ — the half of the index a cold build and a snapshot
   /// restore both derive from the master.
   void CollectBlockingValues();
-  void RebuildSuffixArray();
 
   const rules::Md& md_;
   const data::Relation& dm_;
@@ -183,9 +158,6 @@ class MdMatcher {
   // Materialized 0..|Dm|-1 (brute force / empty premise paths); built in
   // the constructor when one of those paths is configured, immutable after.
   std::vector<data::TupleId> all_masters_;
-
-  // Master tuples covered by the indexes above; see AppendMaster().
-  int indexed_masters_ = 0;
 };
 
 }  // namespace core

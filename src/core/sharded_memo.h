@@ -8,14 +8,15 @@
 // concurrent probes of different keys rarely contend and the critical
 // section is a single hash lookup or insert.
 //
-// Entries are never erased: handed-out pointers stay valid for the memo's
-// lifetime (unordered_map node stability). Growth is bounded by an optional
-// capacity cap enforced by *admission control* — once `entries() ==
-// capacity`, new results are still computed but refused admission (counted
-// in MemoStats::evictions) instead of evicting a resident entry, which
-// would dangle references. This is the eviction policy the long-lived
-// serving scenario needs: the memo converges on the first `capacity`
-// distinct keys and stops growing.
+// Entries are never erased or cleared — the master data they are computed
+// over is static for the memo's whole life, so no entry goes stale — and
+// handed-out pointers stay valid for the memo's lifetime (unordered_map
+// node stability). Growth is bounded by an optional capacity cap enforced
+// by *admission control* — once `entries() == capacity`, new results are
+// still computed but refused admission (counted in MemoStats::evictions)
+// instead of evicting a resident entry, which would dangle references.
+// This is the eviction policy the long-lived serving scenario needs: the
+// memo converges on the first `capacity` distinct keys and stops growing.
 
 #ifndef UNICLEAN_CORE_SHARDED_MEMO_H_
 #define UNICLEAN_CORE_SHARDED_MEMO_H_
@@ -117,19 +118,6 @@ class ShardedMemo {
     return static_cast<size_t>(entries_.load(std::memory_order_relaxed));
   }
   size_t capacity() const { return capacity_; }
-
-  /// Drops every resident entry and resets the entry count, invalidating
-  /// all pointers ever handed out by Find/Insert/InsertWith. The caller
-  /// must guarantee exclusive access: no concurrent probes and no live
-  /// references (e.g. a master-data refresh performed while no Session is
-  /// running). Hit/miss/eviction counters are preserved.
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-    }
-    entries_.store(0, std::memory_order_relaxed);
-  }
 
   /// Visits every resident entry as `fn(key, mapped)`, one shard at a time
   /// under that shard's lock (keep `fn` cheap and lock-free). Entry order is

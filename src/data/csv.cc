@@ -90,6 +90,95 @@ class CsvScanner {
   bool field_empty_ = true;
 };
 
+/// Reads one *logical* CSV record from the stream into `*record`: physical
+/// lines are joined with '\n' while an RFC-4180 quoted field is still open,
+/// so values containing newlines round-trip. A trailing '\r' is stripped
+/// per physical line outside quoted fields only. Returns false at end of
+/// stream with nothing read; `*lines_read` (optional) receives the number of
+/// physical lines consumed.
+bool ReadCsvRecord(std::istream& in, std::string* record,
+                   int* lines_read = nullptr) {
+  record->clear();
+  int lines = 0;
+  std::string line;
+  CsvScanner scanner;
+  while (std::getline(in, line)) {
+    ++lines;
+    if (lines > 1) {
+      scanner.Scan("\n");  // the joined newline is content of the open field
+      record->push_back('\n');
+    }
+    // A line with no quote character cannot change the quote state, so the
+    // per-character scan is skippable — the common case for machine-written
+    // CSV, and a measured win on the engine-warmup path that re-reads the
+    // master file.
+    const bool has_quote = line.find('"') != std::string::npos;
+    if (has_quote || scanner.in_quotes()) {
+      scanner.Scan(line);
+    }
+    // Strip a CRLF's '\r' only outside an open quoted field — inside one it
+    // is field *content* (a value holding "\r\n" must round-trip exactly).
+    if (!scanner.in_quotes() && !line.empty() && line.back() == '\r') {
+      line.pop_back();
+    }
+    record->append(line);
+    if (!scanner.in_quotes()) break;
+  }
+  if (lines_read != nullptr) *lines_read = lines;
+  return lines > 0;
+}
+
+/// Splits one logical CSV record into its fields, honoring RFC-4180
+/// double-quote escaping. Fails with Corruption on an unterminated quote.
+Result<std::vector<std::string>> ParseCsvRecord(const std::string& line) {
+  std::vector<std::string> fields;
+  std::string field;
+  CsvScanner scanner;
+  size_t i = 0;
+  while (i < line.size()) {
+    CsvStep step;
+    const size_t at = i;
+    i += scanner.Step(line, i, &step);
+    switch (step) {
+      case CsvStep::kContent:
+        field.push_back(line[at]);
+        break;
+      case CsvStep::kEscapedQuote:
+        field.push_back('"');
+        break;
+      case CsvStep::kDelimiter:
+        fields.push_back(std::move(field));
+        field.clear();
+        break;
+      case CsvStep::kQuoteOpen:
+      case CsvStep::kQuoteClose:
+        break;
+    }
+  }
+  if (scanner.in_quotes()) {
+    // An unterminated quote makes ReadCsvRecord slurp physical lines to EOF,
+    // so the offending "record" can be the whole rest of the file — echo
+    // only its head in the diagnostic.
+    constexpr size_t kMaxEcho = 160;
+    return Status::Corruption(
+        "unterminated quote in CSV record: " +
+        (line.size() <= kMaxEcho ? line
+                                 : line.substr(0, kMaxEcho) + "... (" +
+                                       std::to_string(line.size()) +
+                                       " bytes)"));
+  }
+  fields.push_back(std::move(field));
+  return fields;
+}
+
+/// Interns one CSV cell: kNullToken is SQL null, anything else goes through
+/// StringPool::TryIntern (OutOfRange when the id space is exhausted).
+Result<Value> ParseCsvCell(std::string_view field) {
+  if (field == kNullToken) return Value::Null();
+  UC_ASSIGN_OR_RETURN(ValueId id, StringPool::Global().TryIntern(field));
+  return Value::FromId(id);
+}
+
 /// The one header check: arity, then names compared trimmed — the way
 /// InferCsvSchema builds a schema from a header.
 Status CheckHeader(const std::vector<std::string_view>& fields,
@@ -229,84 +318,6 @@ void WriteHeader(std::ostream& out, const Schema& schema) {
 }
 
 }  // namespace
-
-bool ReadCsvRecord(std::istream& in, std::string* record, int* lines_read) {
-  record->clear();
-  int lines = 0;
-  std::string line;
-  CsvScanner scanner;
-  while (std::getline(in, line)) {
-    ++lines;
-    if (lines > 1) {
-      scanner.Scan("\n");  // the joined newline is content of the open field
-      record->push_back('\n');
-    }
-    // A line with no quote character cannot change the quote state, so the
-    // per-character scan is skippable — the common case for machine-written
-    // CSV, and a measured win on the engine-warmup path that re-reads the
-    // master file.
-    const bool has_quote = line.find('"') != std::string::npos;
-    if (has_quote || scanner.in_quotes()) {
-      scanner.Scan(line);
-    }
-    // Strip a CRLF's '\r' only outside an open quoted field — inside one it
-    // is field *content* (a value holding "\r\n" must round-trip exactly).
-    if (!scanner.in_quotes() && !line.empty() && line.back() == '\r') {
-      line.pop_back();
-    }
-    record->append(line);
-    if (!scanner.in_quotes()) break;
-  }
-  if (lines_read != nullptr) *lines_read = lines;
-  return lines > 0;
-}
-
-Result<std::vector<std::string>> ParseCsvRecord(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  CsvScanner scanner;
-  size_t i = 0;
-  while (i < line.size()) {
-    CsvStep step;
-    const size_t at = i;
-    i += scanner.Step(line, i, &step);
-    switch (step) {
-      case CsvStep::kContent:
-        field.push_back(line[at]);
-        break;
-      case CsvStep::kEscapedQuote:
-        field.push_back('"');
-        break;
-      case CsvStep::kDelimiter:
-        fields.push_back(std::move(field));
-        field.clear();
-        break;
-      case CsvStep::kQuoteOpen:
-      case CsvStep::kQuoteClose:
-        break;
-    }
-  }
-  if (scanner.in_quotes()) {
-    // An unterminated quote makes ReadCsvRecord slurp physical lines to EOF,
-    // so the offending "record" can be the whole rest of the file — echo
-    // only its head in the diagnostic.
-    constexpr size_t kMaxEcho = 160;
-    return Status::Corruption(
-        "unterminated quote in CSV record: " +
-        (line.size() <= kMaxEcho ? line
-                                 : line.substr(0, kMaxEcho) + "... (" +
-                                       std::to_string(line.size()) +
-                                       " bytes)"));
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-Result<Value> ParseCsvCell(std::string_view field) {
-  if (field == kNullToken) return Value::Null();
-  UC_ASSIGN_OR_RETURN(ValueId id, StringPool::Global().TryIntern(field));
-  return Value::FromId(id);
-}
 
 std::string CsvQuote(const std::string& field) {
   if (!NeedsQuoting(field)) return field;

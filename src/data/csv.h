@@ -40,27 +40,6 @@ inline constexpr std::string_view kNullToken = "\\N";
 /// (e.g. the FixJournal) quote identically to WriteCsv.
 std::string CsvQuote(const std::string& field);
 
-/// Reads one *logical* CSV record from the stream into `*record`: physical
-/// lines are joined with '\n' while an RFC-4180 quoted field is still open,
-/// so values containing newlines round-trip. Quote state is tracked with the
-/// same lenient rules as ParseCsvRecord (mid-field quotes are literal). A
-/// trailing '\r' is stripped per physical line outside quoted fields only.
-/// Returns false at end of stream with nothing read; `*lines_read`
-/// (optional) receives the number of physical lines consumed. Exposed so
-/// other CSV consumers (e.g. the FixJournal reader) parse identically to
-/// ReadCsv.
-bool ReadCsvRecord(std::istream& in, std::string* record,
-                   int* lines_read = nullptr);
-
-/// Splits one logical CSV record into its fields, honoring RFC-4180
-/// double-quote escaping. Fails with Corruption on an unterminated quote.
-Result<std::vector<std::string>> ParseCsvRecord(const std::string& record);
-
-/// Interns one CSV cell: kNullToken is SQL null, anything else goes through
-/// StringPool::TryIntern (OutOfRange when the id space is exhausted).
-/// Exposed so the FixJournal reader interns cells identically.
-Result<Value> ParseCsvCell(std::string_view field);
-
 /// Parses a relation with the given schema from a stream. The first record
 /// is the header row, validated against the schema.
 Result<Relation> ReadCsv(std::istream& in, SchemaPtr schema);

@@ -67,9 +67,13 @@ Result<std::vector<data::TupleId>> ParseIdList(const std::string& text) {
 /// One tracked session and the relation it cleans (the Session borrows the
 /// relation, so the daemon owns both with the same lifetime). `mu`
 /// serializes DELTA requests — a Session must not run from two threads.
+/// `entry` is the ruleset the session was opened on: every DELTA re-cleans
+/// the whole relation, so it takes one of that ruleset's in-flight slots as
+/// a CLEAN does.
 struct Daemon::ServeSession {
   std::unique_ptr<data::Relation> relation;
   Session session;
+  EngineEntry* entry = nullptr;
   std::mutex mu;
 };
 
@@ -103,7 +107,8 @@ struct Daemon::EngineEntry {
   mutable std::mutex mu;
   std::shared_ptr<CleanEngine> engine;
   std::atomic<uint64_t> reloads{0};
-  /// CLEANs currently running against this ruleset (admission cap).
+  /// CLEANs and DELTAs currently running against this ruleset (admission
+  /// cap).
   std::atomic<int> inflight{0};
 
   std::shared_ptr<CleanEngine> Get() const {
@@ -624,11 +629,29 @@ namespace {
 
 /// Releases a per-ruleset in-flight slot on every exit path.
 struct InflightGuard {
-  std::atomic<int>* counter;
+  std::atomic<int>* counter = nullptr;
   ~InflightGuard() {
     if (counter != nullptr) counter->fetch_sub(1, std::memory_order_acq_rel);
   }
 };
+
+/// Per-ruleset admission for CLEAN and DELTA: one hot ruleset must not
+/// occupy every worker. Takes one of the ruleset's `cap` in-flight slots
+/// into `*guard`, or refuses with kUnavailable; cap <= 0 admits everything.
+/// fetch_add-then-check keeps the cap exact under concurrent requests.
+Status TakeInflightSlot(std::atomic<int>* inflight, int cap,
+                        const std::string& ruleset, InflightGuard* guard) {
+  if (cap <= 0) return Status::OK();
+  if (inflight->fetch_add(1, std::memory_order_acq_rel) >= cap) {
+    inflight->fetch_sub(1, std::memory_order_acq_rel);
+    return Status::Unavailable("ruleset '" + ruleset +
+                               "' is at its in-flight request cap (" +
+                               std::to_string(cap) +
+                               "); retry after the hinted backoff");
+  }
+  guard->counter = inflight;
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -643,21 +666,10 @@ Status Daemon::HandleClean(Work& work) {
 
   UC_ASSIGN_OR_RETURN(EngineEntry * entry, FindRuleset(ruleset));
   work.ruleset = entry->cfg.name;
-
-  // Per-ruleset admission: one hot ruleset must not occupy every worker.
-  // fetch_add-then-check keeps the cap exact under concurrent CLEANs.
-  InflightGuard inflight{nullptr};
-  if (options_.max_inflight_per_ruleset > 0) {
-    if (entry->inflight.fetch_add(1, std::memory_order_acq_rel) >=
-        options_.max_inflight_per_ruleset) {
-      entry->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      return Status::Unavailable(
-          "ruleset '" + entry->cfg.name + "' is at its in-flight CLEAN cap (" +
-          std::to_string(options_.max_inflight_per_ruleset) +
-          "); retry after the hinted backoff");
-    }
-    inflight.counter = &entry->inflight;
-  }
+  InflightGuard inflight;
+  UC_RETURN_IF_ERROR(TakeInflightSlot(&entry->inflight,
+                                      options_.max_inflight_per_ruleset,
+                                      entry->cfg.name, &inflight));
 
   std::shared_ptr<CleanEngine> engine = entry->Get();
 
@@ -666,6 +678,7 @@ Status Daemon::HandleClean(Work& work) {
   }
 
   auto session = std::make_shared<ServeSession>();
+  session->entry = entry;
   {
     std::istringstream in(data_csv);
     UC_ASSIGN_OR_RETURN(
@@ -746,6 +759,15 @@ Status Daemon::HandleDelta(Work& work) {
     }
     session = it->second;
   }
+  // Every DELTA re-cleans the whole tracked relation, so it counts against
+  // the ruleset's in-flight cap like a CLEAN. As for a CLEAN, the slot is
+  // taken before the body is parsed, so a refused DELTA did no work; and
+  // before the session lock, so a refusal answers at once instead of after
+  // another DELTA of this session.
+  InflightGuard inflight;
+  UC_RETURN_IF_ERROR(TakeInflightSlot(&session->entry->inflight,
+                                      options_.max_inflight_per_ruleset,
+                                      session->entry->cfg.name, &inflight));
   const data::Schema& schema = session->relation->schema();
 
   Delta delta;

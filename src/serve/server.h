@@ -25,11 +25,12 @@
 //    CHECK-abort of the daemon.
 //
 //  * Overload control — the work queue is bounded (DaemonOptions::
-//    max_queue) and each ruleset caps its concurrently running CLEANs
-//    (max_inflight_per_ruleset); a request over either limit is refused
-//    *immediately* with kUnavailable plus a retry-after-ms hint, on the
-//    reader thread, so overload degrades into fast rejections instead of
-//    unbounded queue growth. Every admitted request carries a
+//    max_queue) and each ruleset caps its concurrently running CLEANs and
+//    DELTAs (max_inflight_per_ruleset); a request over the queue bound is
+//    refused *immediately* on the reader thread, one over the ruleset cap
+//    as soon as a worker picks it up, both with kUnavailable plus a
+//    retry-after-ms hint, so overload degrades into fast rejections
+//    instead of unbounded queue growth. Every admitted request carries a
 //    common::CancelToken armed from its wire deadline (or the
 //    request_timeout_ms default); the repair engines poll it between
 //    committed fixes, so an expired or CANCELled request unwinds with
@@ -121,9 +122,11 @@ struct DaemonOptions {
   /// a retry-after-ms hint instead of queueing unboundedly. 0 = unbounded
   /// (the pre-admission-control behaviour).
   int max_queue = 0;
-  /// Per-ruleset cap on concurrently *running* CLEANs: one hot ruleset
-  /// cannot occupy every worker. Excess CLEANs get kUnavailable +
-  /// retry-after. 0 = uncapped.
+  /// Per-ruleset cap on concurrently *running* requests that clean: CLEANs,
+  /// and DELTAs on the tracked sessions the ruleset's CLEANs opened (each
+  /// DELTA re-cleans its whole tracked relation). One hot ruleset cannot
+  /// occupy every worker. Excess requests get kUnavailable + retry-after.
+  /// 0 = uncapped.
   int max_inflight_per_ruleset = 0;
   /// Default per-request deadline, applied when the request frame's
   /// deadline_ms field is 0. Enforced cooperatively: the repair engines

@@ -137,7 +137,7 @@ void Codec::AppendSuffixArray(const similarity::GeneralizedSuffixArray& index,
 }
 
 void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(matcher.indexed_masters()));
+  PutU32(out, static_cast<uint32_t>(matcher.dm_.size()));
   if (!matcher.options_.use_blocking) {
     PutU8(out, kKindNone);
     return;

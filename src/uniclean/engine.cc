@@ -8,7 +8,6 @@
 #include "data/schema.h"
 #include "reasoning/consistency.h"
 #include "rules/parser.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/detail.h"
 
 namespace uniclean {
@@ -29,12 +28,7 @@ const core::MatchEnvironment& CleanEngine::environment() const {
 }
 
 Session CleanEngine::NewSession() const {
-  std::vector<std::unique_ptr<Phase>> phases;
-  phases.reserve(phase_factories_.size());
-  for (const PhaseFactory& factory : phase_factories_) {
-    phases.push_back(factory());
-  }
-  return Session(shared_from_this(), std::move(phases));
+  return Session(shared_from_this());
 }
 
 Session CleanEngine::NewTrackedSession() const {
@@ -65,21 +59,6 @@ uint64_t CleanEngine::Fingerprint() const {
   fold(static_cast<uint64_t>(config_.delta1));
   fold(static_cast<uint64_t>(config_.delta2 * 1e9));
   return h;
-}
-
-int CleanEngine::RefreshMasterIndexes() const {
-  environment();  // ensure built; past the call_once, env_ is stable
-  return env_->RefreshMasterAppend();
-}
-
-std::vector<std::string> CleanEngine::PhaseNames() const {
-  // Factories are the source of truth; instantiate transiently for names.
-  std::vector<std::string> names;
-  names.reserve(phase_factories_.size());
-  for (const PhaseFactory& factory : phase_factories_) {
-    names.emplace_back(factory()->name());
-  }
-  return names;
 }
 
 std::vector<Result<CleanResult>> CleanEngine::RunBatch(
@@ -204,23 +183,10 @@ EngineBuilder& EngineBuilder::WithMatcherOptions(
 
 EngineBuilder& EngineBuilder::WithDefaultPhases(bool crepair, bool erepair,
                                                 bool hrepair) {
-  run_crepair_ = crepair;
-  run_erepair_ = erepair;
-  run_hrepair_ = hrepair;
-  factory_pipeline_ = false;
-  factories_.clear();
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::WithPhaseFactories(
-    std::vector<PhaseFactory> factories) {
-  factories_ = std::move(factories);
-  factory_pipeline_ = true;
-  return *this;
-}
-
-EngineBuilder& EngineBuilder::AddPhaseFactory(PhaseFactory factory) {
-  extra_factories_.push_back(std::move(factory));
+  phases_.clear();
+  if (crepair) phases_.push_back(Phase::kCRepair);
+  if (erepair) phases_.push_back(Phase::kERepair);
+  if (hrepair) phases_.push_back(Phase::kHRepair);
   return *this;
 }
 
@@ -259,6 +225,7 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngine() {
   // shared_ptr with a private ctor: wrap the raw allocation.
   std::shared_ptr<CleanEngine> engine(new CleanEngine());
   engine->config_ = config_;
+  engine->phases_ = phases_;
 
   // Master relation Dm.
   if (!master_csv_.empty()) {
@@ -336,16 +303,6 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::BuildEngine() {
     }
   }
 
-  // The engine keeps factories so NewSession() can stamp out fresh phase
-  // instances forever.
-  engine->phase_factories_ =
-      factory_pipeline_ ? std::move(factories_)
-                        : MakeDefaultPhaseFactories(run_crepair_, run_erepair_,
-                                                    run_hrepair_);
-  for (PhaseFactory& factory : extra_factories_) {
-    engine->phase_factories_.push_back(std::move(factory));
-  }
-  extra_factories_.clear();
   return engine;
 }
 

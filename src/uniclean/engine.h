@@ -1,11 +1,14 @@
 // CleanEngine + Session: the library's run API. An engine owns everything
 // immutable and expensive — the rule set, the master relation, the warm
 // core::MatchEnvironment (MD indexes + sharded memos) and the validated
-// pipeline configuration — and stamps out cheap per-run Session handles
-// (session.h) that carry only mutable run state. This is the engine/session
-// split HoloClean makes between its compiled signal model and per-cell
-// scoring, applied to the paper's unified cleaning framework: pay the §5.2
-// index build once, then answer many cheap repair runs, concurrently.
+// pipeline configuration (thresholds and the selected phases of phase.h) —
+// and stamps out cheap per-run Session handles (session.h) that carry only
+// mutable run state. The master is static for the engine's whole life: a
+// changed master means a new engine (unicleand's RELOAD builds one). This is
+// the engine/session split HoloClean makes between its compiled signal model
+// and per-cell scoring, applied to the paper's unified cleaning framework:
+// pay the §5.2 index build once, then answer many cheap repair runs,
+// concurrently.
 //
 //   auto engine = EngineBuilder()
 //                     .WithMasterCsv("master.csv")
@@ -57,8 +60,8 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   CleanEngine(const CleanEngine&) = delete;
   CleanEngine& operator=(const CleanEngine&) = delete;
 
-  /// A fresh per-run handle: new phase instances, no data bound yet. Cheap
-  /// (a few small allocations); call per request in a serving loop.
+  /// A fresh per-run handle, no data bound yet. Cheap (no allocation beyond
+  /// the handle); call per request in a serving loop.
   Session NewSession() const;
 
   /// Like NewSession(), but with delta tracking armed: the session's one
@@ -97,17 +100,6 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// sessions are running.
   core::MemoStats MemoStats() const { return environment().MemoStats(); }
 
-  /// Folds master tuples the caller appended (only possible with a
-  /// caller-owned master: WithMaster(const data::Relation*)) into the warm
-  /// match environment — equality indexes and suffix arrays catch up, stale
-  /// match/blocking memos are dropped, similarity memos survive (see
-  /// core::MatchEnvironment::RefreshMasterAppend). Returns the number of
-  /// newly indexed master tuples. NOT safe while any Session is running:
-  /// callers must quiesce sessions first (the refresh invalidates memo
-  /// references and rewrites the indexes in place). Tracked sessions pick
-  /// the growth up on their next ApplyDelta.
-  int RefreshMasterIndexes() const;
-
   const data::Relation& master() const { return *master_; }
   const rules::RuleSet& rules() const { return *rules_; }
   const PipelineConfig& config() const { return config_; }
@@ -118,13 +110,11 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// master contents and thresholds report the same fingerprint; serving
   /// deployments (unicleand RELOAD) compare fingerprints across an engine
   /// swap to tell a no-op reload from a real one. O(master cells) per call;
-  /// safe while sessions run (master data is immutable post-build — a
-  /// caller-owned master grown for RefreshMasterIndexes changes the
-  /// fingerprint, which is the point).
+  /// safe while sessions run (the master is static for the engine's life).
   uint64_t Fingerprint() const;
 
-  /// Phase names a NewSession() pipeline will run, in order.
-  std::vector<std::string> PhaseNames() const;
+  /// The phases every session of this engine runs, in paper order.
+  const std::vector<Phase>& phases() const { return phases_; }
 
   /// Path of the snapshot this engine's match environment was loaded from
   /// (EngineBuilder::FromSnapshot), or empty for a cold-built environment.
@@ -143,7 +133,7 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   const data::Relation* master_ = nullptr;
   const rules::RuleSet* rules_ = nullptr;
   PipelineConfig config_;
-  std::vector<PhaseFactory> phase_factories_;
+  std::vector<Phase> phases_;
   // Lazily built, then immutable; call_once makes the build thread-safe
   // (two racing first Runs construct it exactly once). FromSnapshot installs
   // env_ before the engine escapes the builder; environment()'s lambda
@@ -169,7 +159,8 @@ class EngineBuilder {
 
   // --- master relation Dm --------------------------------------------------
   EngineBuilder& WithMaster(data::Relation master);
-  /// Non-owning; the relation must outlive the engine.
+  /// Non-owning; the relation must outlive the engine and must not change
+  /// while the engine lives (the match environment indexes it once).
   EngineBuilder& WithMaster(const data::Relation* master);
   EngineBuilder& WithMasterCsv(std::string path);
 
@@ -190,15 +181,9 @@ class EngineBuilder {
   EngineBuilder& WithMatcherOptions(core::MdMatcherOptions matcher);
 
   // --- pipeline ------------------------------------------------------------
-  /// Selects which built-in phases sessions run (all three by default, in
-  /// paper order).
+  /// Selects which of the paper's phases sessions run (all three by
+  /// default); the selected ones always run in paper order.
   EngineBuilder& WithDefaultPhases(bool crepair, bool erepair, bool hrepair);
-  /// Replaces the whole pipeline with per-session phase factories — each
-  /// NewSession() invokes every factory once, so phase state never crosses
-  /// sessions.
-  EngineBuilder& WithPhaseFactories(std::vector<PhaseFactory> factories);
-  /// Appends a per-session phase factory after the current pipeline.
-  EngineBuilder& AddPhaseFactory(PhaseFactory factory);
 
   // --- diagnostics ---------------------------------------------------------
   /// Verifies at build that the rules are consistent (§4.1); an
@@ -238,12 +223,8 @@ class EngineBuilder {
   std::string rules_file_;
 
   PipelineConfig config_;
-  bool run_crepair_ = true;
-  bool run_erepair_ = true;
-  bool run_hrepair_ = true;
-  bool factory_pipeline_ = false;
-  std::vector<PhaseFactory> factories_;
-  std::vector<PhaseFactory> extra_factories_;
+  std::vector<Phase> phases_ = {Phase::kCRepair, Phase::kERepair,
+                                Phase::kHRepair};
   bool check_consistency_ = false;
 };
 

@@ -1,11 +1,7 @@
 #include "uniclean/fix_journal.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <fstream>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -150,75 +146,6 @@ Status FixJournal::WriteCsv(std::ostream& out) const {
   }
   if (!out.good()) return Status::Internal("fix journal write failed");
   return Status::OK();
-}
-
-Result<FixJournal> FixJournal::ReadCsv(std::istream& in) {
-  constexpr char kExpectedHeader[] = "tuple,attribute,old,new,phase,rule";
-  constexpr char kGenerationHeader[] =
-      "tuple,attribute,old,new,phase,rule,generation";
-  FixJournal journal;
-  std::string record;
-  bool saw_header = false;
-  size_t arity = 6;
-  while (data::ReadCsvRecord(in, &record)) {
-    if (record.empty()) continue;
-    if (!saw_header) {
-      saw_header = true;
-      if (record == kGenerationHeader) {
-        arity = 7;
-      } else if (record != kExpectedHeader) {
-        return Status::Corruption("fix journal CSV header mismatch: got '" +
-                                  record + "'");
-      }
-      continue;
-    }
-    UC_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                        data::ParseCsvRecord(record));
-    if (fields.size() != arity) {
-      return Status::Corruption(
-          "fix journal CSV record must have " + std::to_string(arity) +
-          " fields, got " + std::to_string(fields.size()) + ": " + record);
-    }
-    FixEntry entry;
-    errno = 0;
-    char* end = nullptr;
-    long tuple = std::strtol(fields[0].c_str(), &end, 10);
-    if (end == fields[0].c_str() || *end != '\0' || errno == ERANGE ||
-        tuple < 0 || tuple > INT_MAX) {
-      return Status::Corruption("fix journal CSV: bad tuple id '" +
-                                fields[0] + "'");
-    }
-    entry.tuple = static_cast<data::TupleId>(tuple);
-    entry.attribute = std::move(fields[1]);
-    UC_ASSIGN_OR_RETURN(entry.old_value, data::ParseCsvCell(fields[2]));
-    UC_ASSIGN_OR_RETURN(entry.new_value, data::ParseCsvCell(fields[3]));
-    entry.phase = std::move(fields[4]);
-    entry.rule = std::move(fields[5]);
-    if (arity == 7) {
-      errno = 0;
-      end = nullptr;
-      long generation = std::strtol(fields[6].c_str(), &end, 10);
-      if (end == fields[6].c_str() || *end != '\0' || errno == ERANGE ||
-          generation < 0 || generation > INT_MAX) {
-        return Status::Corruption("fix journal CSV: bad generation '" +
-                                  fields[6] + "'");
-      }
-      entry.generation = static_cast<int>(generation);
-    }
-    journal.Append(std::move(entry));
-  }
-  if (!saw_header) {
-    return Status::Corruption("fix journal CSV is empty (missing header)");
-  }
-  return journal;
-}
-
-Result<FixJournal> FixJournal::ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::NotFound("cannot open fix journal CSV: " + path);
-  }
-  return ReadCsv(in);
 }
 
 Status FixJournal::WriteTextFile(const std::string& path) const {

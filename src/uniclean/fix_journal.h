@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 #include "data/relation.h"
 #include "data/value.h"
@@ -93,25 +92,15 @@ class FixJournal {
 
   /// RFC-4180 CSV with header `tuple,attribute,old,new,phase,rule`; nulls
   /// are rendered as \N like data/csv.h. Values containing commas, quotes or
-  /// newlines are quoted and round-trip exactly through ReadCsv. When any
+  /// newlines are quoted, so data/csv.h's reader reads the 6-column form
+  /// back over a schema of those six names (a value whose *text* is the
+  /// null token `\N` reads back as null, as in any relation CSV). When any
   /// entry carries a nonzero delta generation, a seventh `generation` column
   /// is emitted (header `tuple,attribute,old,new,phase,rule,generation`);
   /// journals from plain batch runs keep the historic 6-column format, so
   /// existing golden files and downstream parsers are unaffected.
   Status WriteCsv(std::ostream& out) const;
   Status WriteCsvFile(const std::string& path) const;
-
-  /// Parses a journal previously serialized by WriteCsv (either header
-  /// variant; generation reads back as 0 for 6-column journals). The CSV
-  /// stores the attribute by *name* only, so `attr` is -1 on every parsed
-  /// entry (resolve it against a schema if needed). Fails with Corruption on
-  /// a malformed header, arity mismatch, or non-integer tuple id, and with
-  /// OutOfRange when the StringPool is exhausted. Caveat
-  /// shared with data/csv.h's relation format: a value whose *text* equals
-  /// the null token (the two characters `\N`) is indistinguishable from null
-  /// in the serialization and reads back as null.
-  static Result<FixJournal> ReadCsv(std::istream& in);
-  static Result<FixJournal> ReadCsvFile(const std::string& path);
 
  private:
   std::vector<FixEntry> entries_;

@@ -1,28 +1,27 @@
-// Phase: the pluggable unit of a Session's pipeline. The paper's Fig. 2
-// phases (cRepair / eRepair / hRepair, see builtin_phases.h) are the
-// default implementations; additional phases — a probabilistic repair pass,
-// a rule-discovery preprocessor, a custom validator — implement the same
-// two-method interface and are registered as per-session factories through
-// EngineBuilder::WithPhaseFactories / AddPhaseFactory.
+// The phases of the paper's UniClean pipeline (Fig. 2):
+//   1. cRepair  — deterministic fixes from confidence + master data (§5),
+//   2. eRepair  — reliable fixes from entropy (§6),
+//   3. hRepair  — possible fixes from heuristics, yielding a repair with
+//                 Dr |= Σ and (Dr, Dm) |= Γ (§7).
+// A session runs the engine's selected phases once each, in this order: no
+// iteration between phases is needed (the Remark at the end of §3.2).
+// EngineBuilder::WithDefaultPhases selects the subset; every modified cell
+// carries a FixMark naming the phase that produced it, and every fix is
+// journaled with its justifying rule. This header holds what the pipeline
+// reports: per-phase statistics and the progress events.
 
 #ifndef UNICLEAN_UNICLEAN_PHASE_H_
 #define UNICLEAN_UNICLEAN_PHASE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/result.h"
-#include "core/match_environment.h"
 #include "core/md_matcher.h"
 #include "data/relation.h"
-#include "rules/ruleset.h"
-#include "uniclean/fix_journal.h"
 
 namespace uniclean {
 
@@ -38,43 +37,33 @@ struct PipelineConfig {
   core::MdMatcherOptions matcher;
 };
 
-/// Everything a phase may read or mutate during one Session::Run(). The
-/// relations and rules outlive the run; `data` is cleaned in place.
-struct PipelineContext {
-  data::Relation* data = nullptr;
-  const data::Relation* master = nullptr;
-  const rules::RuleSet* rules = nullptr;
-  PipelineConfig config;
-  /// Fix provenance sink; phases append one entry per fix. Never null
-  /// during a Session::Run().
-  FixJournal* journal = nullptr;
-  /// The engine's shared match environment: one warm MdMatcher (index +
-  /// memos) per distinct MD premise, scoped to (rules, master). Never null
-  /// during a Session::Run() — built once per engine lifetime and reused by
-  /// every phase of every session, so user phases should probe MDs through
-  /// `match_env->matcher(rule)` rather than constructing their own matcher.
-  /// Rules with equal premises get the same matcher, so a capped or
-  /// memo-less Matches() reference fetched for one of them is overwritten by
-  /// the same thread's next probe for any of them (see MdMatcher::Matches).
-  const core::MatchEnvironment* match_env = nullptr;
-  /// Optional cooperative-cancellation token (null = uncancellable). The
-  /// executor polls it between phases; the built-in phases forward it into
-  /// the repair engines, which poll between committed fixes. User phases
-  /// should honour it too: `UC_RETURN_IF_ERROR(common::PollCancel(cancel))`
-  /// at convenient safe points.
-  const common::CancelToken* cancel = nullptr;
-};
+/// One phase of the pipeline, in paper order.
+enum class Phase { kCRepair, kERepair, kHRepair };
+
+/// The phase's display name, also recorded in journal entries and
+/// PhaseStats::phase: "cRepair", "eRepair" or "hRepair".
+constexpr std::string_view PhaseName(Phase phase) {
+  switch (phase) {
+    case Phase::kCRepair:
+      return "cRepair";
+    case Phase::kERepair:
+      return "eRepair";
+    case Phase::kHRepair:
+      return "hRepair";
+  }
+  return "";
+}
 
 /// What one phase did. Session::Run() collects one per executed phase.
 struct PhaseStats {
-  /// Phase name; filled in by the Session from Phase::name().
+  /// Phase name (PhaseName).
   std::string phase;
   /// Cells this phase changed (fix events; matches the phase's journal
-  /// entry count for the built-in phases).
+  /// entry count).
   int fixes = 0;
   /// Record matches identified while cleaning: (data tuple, master tuple).
-  /// The built-in phases list each distinct pair once, sorted, however
-  /// often they matched it.
+  /// Each distinct pair is listed once, sorted, however often the phase
+  /// matched it.
   std::vector<std::pair<data::TupleId, data::TupleId>> matches;
   /// Phase-specific diagnostic counters, e.g. ("conflicts", 2).
   std::vector<std::pair<std::string, int64_t>> counters;
@@ -86,21 +75,6 @@ struct PhaseStats {
     }
     return 0;
   }
-};
-
-/// One pipeline stage. Implementations must tolerate any data state their
-/// predecessors may leave (phases are user-orderable) and report expected
-/// failures through the returned Result rather than aborting.
-class Phase {
- public:
-  virtual ~Phase() = default;
-
-  /// Stable display name, e.g. "cRepair". Also recorded in journal entries.
-  virtual std::string_view name() const = 0;
-
-  /// Executes the phase against `ctx->data`. A non-OK status aborts the
-  /// pipeline and propagates out of Session::Run().
-  virtual Result<PhaseStats> Run(PipelineContext* ctx) = 0;
 };
 
 /// Progress notification delivered to Session::set_progress_callback's
@@ -119,13 +93,6 @@ struct PhaseEvent {
 };
 
 using ProgressCallback = std::function<void(const PhaseEvent&)>;
-
-/// Creates one fresh Phase instance. A CleanEngine stores factories rather
-/// than phase objects so every NewSession() gets its own instances and
-/// stateful phases never race across concurrent sessions. Factories must be
-/// callable from any thread (NewSession is thread-safe) and must not share
-/// mutable state between the phases they create.
-using PhaseFactory = std::function<std::unique_ptr<Phase>()>;
 
 }  // namespace uniclean
 

@@ -1,12 +1,121 @@
 #include "uniclean/session.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "core/crepair.h"
+#include "core/erepair.h"
+#include "core/hrepair.h"
 #include "uniclean/detail.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
+
+namespace {
+
+/// A FixObserver that appends journal entries under the given phase name,
+/// resolving rule ids to names against the run's rule set.
+core::FixObserver JournalObserver(FixJournal* journal,
+                                  const rules::RuleSet* rules,
+                                  const data::Relation* data,
+                                  std::string_view phase) {
+  return [journal, rules, data, phase](data::TupleId t, data::AttributeId a,
+                                       const data::Value& old_value,
+                                       const data::Value& new_value,
+                                       rules::RuleId rule) {
+    FixEntry entry;
+    entry.tuple = t;
+    entry.attr = a;
+    entry.attribute = data->schema().attribute_name(a);
+    entry.old_value = old_value;
+    entry.new_value = new_value;
+    entry.phase = std::string(phase);
+    if (rule >= 0 && rule < rules->num_rules()) {
+      entry.rule = rules->rule_name(rule);
+    }
+    journal->Append(std::move(entry));
+  };
+}
+
+/// The distinct pairs of an engine's match log, sorted. The engines log a
+/// pair once per pass and per MD that matched it, so the log can be many
+/// times longer than the matches it records.
+std::vector<std::pair<data::TupleId, data::TupleId>> DistinctMatches(
+    const std::vector<std::pair<data::TupleId, data::TupleId>>& log) {
+  std::vector<std::pair<data::TupleId, data::TupleId>> distinct = log;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  distinct.shrink_to_fit();
+  return distinct;
+}
+
+/// Runs one phase's core engine over `data`, journaling every fix, and
+/// reports its fixes, distinct matches and counters. An interrupted engine
+/// (cancelled, expired) returns its interrupt status.
+Result<PhaseStats> RunPhase(Phase phase, data::Relation* data,
+                            const CleanEngine& engine, FixJournal* journal,
+                            const common::CancelToken* cancel) {
+  const core::MatchEnvironment& env = engine.environment();
+  const PipelineConfig& config = engine.config();
+  core::FixObserver on_fix =
+      JournalObserver(journal, &engine.rules(), data, PhaseName(phase));
+  PhaseStats out;
+  switch (phase) {
+    case Phase::kCRepair: {
+      core::CRepairOptions opts;
+      opts.eta = config.eta;
+      opts.on_fix = std::move(on_fix);
+      opts.cancel = cancel;
+      const core::CRepairStats stats = core::CRepair(data, env, opts);
+      UC_RETURN_IF_ERROR(stats.interrupt);
+      out.fixes = stats.deterministic_fixes;
+      out.matches = DistinctMatches(stats.md_matches);
+      out.counters = {{"confidence_upgrades", stats.confidence_upgrades},
+                      {"rule_applications", stats.rule_applications},
+                      {"conflicts", stats.conflicts}};
+      break;
+    }
+    case Phase::kERepair: {
+      core::ERepairOptions opts;
+      opts.delta1 = config.delta1;
+      opts.delta2 = config.delta2;
+      opts.eta = config.eta;
+      opts.on_fix = std::move(on_fix);
+      opts.cancel = cancel;
+      const core::ERepairStats stats = core::ERepair(data, env, opts);
+      UC_RETURN_IF_ERROR(stats.interrupt);
+      out.fixes = stats.reliable_fixes;
+      out.matches = DistinctMatches(stats.md_matches);
+      out.counters = {
+          {"groups_resolved", stats.groups_resolved},
+          {"groups_skipped_high_entropy", stats.groups_skipped_high_entropy},
+          {"passes", stats.passes}};
+      break;
+    }
+    case Phase::kHRepair: {
+      core::HRepairOptions opts;
+      opts.on_fix = std::move(on_fix);
+      opts.cancel = cancel;
+      const core::HRepairStats stats = core::HRepair(data, env, opts);
+      UC_RETURN_IF_ERROR(stats.interrupt);
+      out.fixes = stats.possible_fixes;
+      out.matches = DistinctMatches(stats.md_matches);
+      out.counters = {{"merges", stats.merges},
+                      {"nulls_introduced", stats.nulls_introduced},
+                      {"passes", stats.passes},
+                      {"anomalies", stats.anomalies}};
+      break;
+    }
+  }
+  out.phase = std::string(PhaseName(phase));
+  return out;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // CleanResult
@@ -52,44 +161,35 @@ int DeltaResult::total_fixes() const {
 
 Result<std::vector<PhaseStats>> Session::ExecutePipeline(data::Relation* data,
                                                          FixJournal* journal) {
+  const std::vector<Phase>& phases = engine_->phases();
+  const common::CancelToken* cancel = cancel_.get();
   std::vector<PhaseStats> executed;
-  PipelineContext ctx;
-  ctx.data = data;
-  ctx.master = &engine_->master();
-  ctx.rules = &engine_->rules();
-  ctx.config = engine_->config();
-  ctx.journal = journal;
-  ctx.match_env = &engine_->environment();
-  ctx.cancel = cancel_.get();
-
-  const int total = static_cast<int>(phases_.size());
+  const int total = static_cast<int>(phases.size());
   executed.reserve(static_cast<size_t>(total));
   for (int i = 0; i < total; ++i) {
-    UC_RETURN_IF_ERROR(common::PollCancel(ctx.cancel));
-    Phase& phase = *phases_[static_cast<size_t>(i)];
+    UC_RETURN_IF_ERROR(common::PollCancel(cancel));
+    const Phase phase = phases[static_cast<size_t>(i)];
     if (progress_) {
       PhaseEvent event;
       event.kind = PhaseEvent::Kind::kPhaseStarted;
       event.index = i;
       event.total = total;
-      event.phase = phase.name();
+      event.phase = PhaseName(phase);
       event.data = data;
       progress_(event);
     }
-    Result<PhaseStats> stats = phase.Run(&ctx);
+    Result<PhaseStats> stats = RunPhase(phase, data, *engine_, journal, cancel);
     if (!stats.ok()) {
-      return internal::Annotate(stats.status(),
-                                "phase '" + std::string(phase.name()) + "': ");
+      return internal::Annotate(
+          stats.status(), "phase '" + std::string(PhaseName(phase)) + "': ");
     }
-    PhaseStats phase_stats = std::move(stats).value();
-    phase_stats.phase = std::string(phase.name());
-    executed.push_back(std::move(phase_stats));
+    executed.push_back(std::move(stats).value());
     if (progress_) {
       PhaseEvent event;
       event.kind = PhaseEvent::Kind::kPhaseFinished;
       event.index = i;
       event.total = total;
-      event.phase = phase.name();
+      event.phase = PhaseName(phase);
       event.stats = &executed.back();
       event.data = data;
       progress_(event);
@@ -149,7 +249,6 @@ Result<CleanResult> Session::Run(data::Relation* data) {
     tracked_ = data;
     pristine_ = std::move(pristine);
     AdoptFullRun(result.journal);
-    known_master_size_ = engine_->environment().indexed_master_size();
     rerun_pending_ = false;
   }
   return result;
@@ -189,13 +288,11 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
   // Polled again by the pipeline; this entry check makes an already-expired
   // deadline fail before any edit is applied.
   UC_RETURN_IF_ERROR(common::PollCancel(cancel_.get()));
-  const core::MatchEnvironment& env = engine_->environment();
-  const bool master_grew = env.indexed_master_size() > known_master_size_;
 
   DeltaResult result;
-  if (delta.empty() && !master_grew && !rerun_pending_) {
-    // True no-op: no edits, no master growth, no edits of a failed DELTA
-    // left uncleaned — the covering repairs stand.
+  if (delta.empty() && !rerun_pending_) {
+    // True no-op: no edits, and no edits of a failed DELTA left uncleaned —
+    // the covering repairs stand (the engine's master never changes).
     result.generation = generation_;
     return result;
   }
@@ -270,8 +367,8 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
   }
 
   // On failure the raw edits stay applied and the journal still covers the
-  // pre-delta repairs of the live tuples; master growth and the re-run stay
-  // pending, so the next DELTA re-cleans even when it is empty.
+  // pre-delta repairs of the live tuples; the re-run stays pending, so the
+  // next DELTA re-cleans even when it is empty.
   Status rerun = FullRerun(&result);
   if (!rerun.ok()) {
     rerun_pending_ = true;
@@ -279,15 +376,7 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
         rerun, "ApplyDelta generation " + std::to_string(generation_) + ": ");
   }
   rerun_pending_ = false;
-  known_master_size_ = env.indexed_master_size();
   return result;
-}
-
-std::vector<std::string> Session::PhaseNames() const {
-  std::vector<std::string> names;
-  names.reserve(phases_.size());
-  for (const auto& phase : phases_) names.emplace_back(phase->name());
-  return names;
 }
 
 }  // namespace uniclean

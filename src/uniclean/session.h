@@ -1,11 +1,11 @@
 // Session: the cheap, per-run handle of the engine/session split. A
 // CleanEngine (engine.h) owns everything immutable and expensive — rules,
-// master data, the warm core::MatchEnvironment and its memos — while a
-// Session carries only the per-run mutable state: the phase instances, the
-// progress callback, and (per Run call) the data relation being cleaned and
-// the journal being written. Sessions are move-only, cost a few phase
-// allocations to create, and hold their engine alive through a shared_ptr,
-// so the serving loop is:
+// master data, the selected phases, the warm core::MatchEnvironment and its
+// memos — while a Session carries only the per-run mutable state: the
+// progress callback, the cancel token, and (per Run call) the data relation
+// being cleaned and the journal being written. Sessions are move-only, cost
+// no allocation to create, and hold their engine alive through a
+// shared_ptr, so the serving loop is:
 //
 //   uniclean::Session session = engine->NewSession();
 //   auto result = session.Run(&batch);   // warm indexes, shared memos
@@ -111,8 +111,7 @@ struct DeltaResult {
 };
 
 /// A per-run cleaning handle obtained from CleanEngine::NewSession().
-/// Move-only. Holds its engine alive; owns its phase instances (created
-/// fresh per session, so stateful phases never race across sessions).
+/// Move-only. Holds its engine alive and runs the engine's phases.
 class Session {
  public:
   /// An empty session; Run() fails with FailedPrecondition until a real
@@ -146,19 +145,18 @@ class Session {
 
   /// Folds `delta` into the tracked relation: applies the edits to it and
   /// to its pristine copy, then re-cleans a clone of the pristine copy with
-  /// the full phase pipeline against the warm match environment (which
-  /// also picks up master data appended since the last call — see
-  /// CleanEngine::RefreshMasterIndexes) and moves it into the tracked
-  /// relation. The fixes replace the journal wholesale, under a fresh
-  /// generation. So the tracked relation and CanonicalJournal() equal a
-  /// batch run's over the edited relation, provenance included (pinned by
-  /// tests/delta_sweep_test.cc after every DELTA of seeded edit streams).
+  /// the full phase pipeline against the warm match environment and moves
+  /// it into the tracked relation. The fixes replace the journal wholesale,
+  /// under a fresh generation. So the tracked relation and
+  /// CanonicalJournal() equal a batch run's over the edited relation,
+  /// provenance included (pinned by tests/delta_sweep_test.cc after every
+  /// DELTA of seeded edit streams).
   ///
   /// Fails with FailedPrecondition before a tracked Run() and with
   /// InvalidArgument on bad edits (unknown or dead tuple ids, a tuple
   /// deleted twice, arity mismatches), in which case nothing was applied.
-  /// An empty delta is a no-op unless the master grew or an earlier DELTA
-  /// failed after applying its edits.
+  /// An empty delta is a no-op (the engine's master never changes) unless
+  /// an earlier DELTA failed after applying its edits: then it re-runs.
   Result<DeltaResult> ApplyDelta(const Delta& delta);
 
   /// The fix set of a tracked session, canonicalized (sorted by (tuple,
@@ -184,7 +182,7 @@ class Session {
 
   /// Arms cooperative cancellation for subsequent Run/ApplyDelta calls
   /// (null disarms). The token is polled at phase boundaries and, inside
-  /// the built-in phases, between committed fixes. Semantics when it trips:
+  /// the repair engines, between committed fixes. Semantics when it trips:
   ///
   ///  * Run() becomes all-or-nothing: the pipeline executes over a scratch
   ///    copy that is swapped into the caller's relation only on success, so
@@ -202,18 +200,14 @@ class Session {
     cancel_ = std::move(token);
   }
 
-  /// Phase names in pipeline order.
-  std::vector<std::string> PhaseNames() const;
-
   /// The engine this session runs against; null for an empty session.
   const CleanEngine* engine() const { return engine_.get(); }
 
  private:
   friend class CleanEngine;
 
-  Session(std::shared_ptr<const CleanEngine> engine,
-          std::vector<std::unique_ptr<Phase>> phases)
-      : engine_(std::move(engine)), phases_(std::move(phases)) {}
+  explicit Session(std::shared_ptr<const CleanEngine> engine)
+      : engine_(std::move(engine)) {}
 
   /// The shared pipeline executor behind Run and ApplyDelta's re-run.
   Result<std::vector<PhaseStats>> ExecutePipeline(data::Relation* data,
@@ -228,7 +222,6 @@ class Session {
   Status FullRerun(DeltaResult* result);
 
   std::shared_ptr<const CleanEngine> engine_;
-  std::vector<std::unique_ptr<Phase>> phases_;
   ProgressCallback progress_;
   std::shared_ptr<const common::CancelToken> cancel_;
 
@@ -238,7 +231,6 @@ class Session {
   std::unique_ptr<data::Relation> pristine_;  // pre-cleaning snapshot
   FixJournal journal_;                        // the last run's fixes
   int generation_ = 0;
-  int known_master_size_ = 0;  // master extent already accounted for
   bool rerun_pending_ = false;  // a failed DELTA left its edits uncleaned
 };
 

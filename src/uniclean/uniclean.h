@@ -23,6 +23,9 @@
 //   // *d is now consistent; result->journal records every repaired cell
 //   // with its phase and justifying rule.
 //
+// The session runs the paper's phases cRepair → eRepair → hRepair once each
+// (uniclean/phase.h); EngineBuilder::WithDefaultPhases selects a subset.
+//
 // (Every call above returns a Status or Result; check it — bad paths,
 // malformed rules or CSVs and out-of-range thresholds are reported there.)
 //
@@ -72,7 +75,6 @@
 #include "similarity/metrics.h"
 #include "similarity/predicate.h"
 #include "similarity/suffix_array.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 #include "uniclean/fix_journal.h"
 #include "uniclean/phase.h"

@@ -92,7 +92,7 @@ TEST(MdMatcherTest, EqualityBlockingFindsExactMatches) {
   d.mutable_tuple(0).set_value(schema->MustFindAttribute("city"),
                                Value("Edi"));
   EXPECT_EQ(matcher.FindFirstMatch(d.tuple(0)), 0);
-  EXPECT_EQ(matcher.FindMatches(d.tuple(0)), std::vector<data::TupleId>{0});
+  EXPECT_EQ(matcher.Matches(d.tuple(0)), std::vector<data::TupleId>{0});
 }
 
 TEST(MdMatcherTest, BlockingAgreesWithBruteForce) {
@@ -121,8 +121,8 @@ TEST(MdMatcherTest, BlockingAgreesWithBruteForce) {
     d.AddRow({name, "?"});
   }
   for (int t = 0; t < d.size(); ++t) {
-    auto expected = brute.FindMatches(d.tuple(t));
-    auto got = fast.FindMatches(d.tuple(t));
+    const std::vector<data::TupleId> expected = brute.Matches(d.tuple(t));
+    const std::vector<data::TupleId> got = fast.Matches(d.tuple(t));
     EXPECT_EQ(got, expected) << "tuple " << t;
   }
 }

@@ -2,8 +2,8 @@
 // streaming edits through a tracked session yields the same repaired cells
 // and the same canonical journal, provenance included, as one cold batch
 // run over the final relation — plus the edge cases around it: batched
-// edits, updates, deletes/tombstones, fresh violation groups, master
-// growth, no-op deltas, validation atomicity, the journal's bound, the
+// edits, updates, deletes/tombstones, fresh violation groups, no-op
+// deltas, validation atomicity, the journal's bound, the
 // re-run's phase statistics and progress events, repeated tracked runs,
 // cancellation and concurrent tracked sessions (the TSan target). Seeded
 // random edit streams are swept in delta_sweep_test.
@@ -46,12 +46,10 @@ gen::Dataset MakeDataset(const std::string& name, uint64_t seed,
   return gen::GenerateTpch(config);
 }
 
-std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds,
-                                        const data::Relation* master =
-                                            nullptr) {
+std::shared_ptr<CleanEngine> MakeEngine(const gen::Dataset& ds) {
   auto engine = EngineBuilder()
                     .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(master != nullptr ? master : &ds.master)
+                    .WithMaster(&ds.master)
                     .WithRules(&ds.rules)
                     .WithEta(1.0)
                     .BuildEngine();
@@ -595,45 +593,6 @@ TEST(DeltaTest, InsertIntoFreshViolationGroupStaysScoped) {
   EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
-// --- Master growth --------------------------------------------------------
-
-TEST(DeltaTest, MasterGrowthRecleansMatchingTuples) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/5);
-
-  // Start the engine on a prefix of the master; the held-out rows arrive
-  // later through the append-only growth path.
-  constexpr int kHeldMaster = 15;
-  data::Relation growing_master(ds.master.schema_ptr());
-  for (data::TupleId t = 0; t < ds.master.size() - kHeldMaster; ++t) {
-    growing_master.AddTuple(ds.master.tuple(t));
-  }
-  auto engine = MakeEngine(ds, &growing_master);
-
-  data::Relation incremental = ds.dirty.Clone();
-  Session session = engine->NewTrackedSession();
-  ASSERT_TRUE(session.Run(&incremental).ok());
-
-  for (data::TupleId t = ds.master.size() - kHeldMaster;
-       t < ds.master.size(); ++t) {
-    growing_master.AddTuple(ds.master.tuple(t));
-  }
-  const int appended = engine->RefreshMasterIndexes();
-  EXPECT_EQ(appended, kHeldMaster);
-
-  // An empty delta after master growth is not a no-op: it re-cleans the
-  // relation against the grown master.
-  auto dr = session.ApplyDelta(Delta{});
-  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  EXPECT_EQ(dr->generation, 1);
-
-  // Convergence reference: a fresh engine built over the grown master.
-  auto full_engine = MakeEngine(ds, &growing_master);
-  data::Relation batch = ds.dirty.Clone();
-  const std::string batch_csv = BatchCanonicalCsv(full_engine, &batch);
-  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
-}
-
 // --- No-op and validation -------------------------------------------------
 
 TEST(DeltaTest, EmptyDeltaIsANoOp) {
@@ -749,36 +708,6 @@ TEST(DeltaTest, ApplyDeltaRequiresATrackedRun) {
     auto dr = session.ApplyDelta(Delta{});
     EXPECT_EQ(dr.status().code(), StatusCode::kFailedPrecondition);
   }
-}
-
-TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
-  class FailingPhase : public Phase {
-   public:
-    std::string_view name() const override { return "failing"; }
-    Result<PhaseStats> Run(PipelineContext*) override {
-      return Status::Unimplemented("not today");
-    }
-  };
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/3, /*num_tuples=*/120);
-  auto engine = EngineBuilder()
-                    .WithDataSchema(ds.dirty.schema_ptr())
-                    .WithMaster(&ds.master)
-                    .WithRules(&ds.rules)
-                    .AddPhaseFactory(
-                        [] { return std::make_unique<FailingPhase>(); })
-                    .BuildEngine();
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  // Without a cancel token the pipeline cleans in place; a failure there
-  // must still leave no half-built tracking state for ApplyDelta to use.
-  data::Relation d = ds.dirty.Clone();
-  Session session = (*engine)->NewTrackedSession();
-  EXPECT_EQ(session.Run(&d).status().code(), StatusCode::kUnimplemented);
-  Delta delta;
-  delta.inserts.push_back(ds.dirty.tuple(0));
-  EXPECT_EQ(session.ApplyDelta(delta).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(session.journal().empty());
 }
 
 // --- Concurrency (the TSan target) ---------------------------------------
@@ -939,6 +868,61 @@ TEST(CancellationTest, TrackedSessionUsableAfterCancelledRun) {
   EXPECT_EQ(LiveCellDiff(relation, ref_relation), 0);
 }
 
+// A repeated tracked Run that fails part-way leaves the session unrun: the
+// earlier run's tracking state, journal and generation are gone, so
+// ApplyDelta refuses until a Run succeeds, and the relation tracked before
+// is never touched again.
+TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/3, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+
+  data::Relation first = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&first).ok());
+  Delta erase;
+  erase.deletes.push_back(0);
+  ASSERT_TRUE(session.ApplyDelta(erase).ok());
+  ASSERT_EQ(session.generation(), 1);
+  const std::string first_csv = RelationCsv(first);
+
+  // The token trips as eRepair starts, after cRepair has cleaned the
+  // run's scratch copy of the second relation.
+  auto token = std::make_shared<common::CancelToken>();
+  session.set_cancel_token(token);
+  session.set_progress_callback([&](const PhaseEvent& event) {
+    if (event.kind == PhaseEvent::Kind::kPhaseStarted &&
+        event.phase == PhaseName(Phase::kERepair)) {
+      token->Cancel("stop at eRepair");
+    }
+  });
+  data::Relation second = ds.dirty.Clone();
+  auto failed = session.Run(&second);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(RelationCsv(second), RelationCsv(ds.dirty));
+
+  session.set_cancel_token(nullptr);
+  session.set_progress_callback(nullptr);
+  Delta insert;
+  insert.inserts.push_back(ds.dirty.tuple(0));
+  EXPECT_EQ(session.ApplyDelta(insert).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.ApplyDelta(Delta{}).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(session.journal().empty());
+  EXPECT_EQ(session.generation(), 0);
+  EXPECT_EQ(RelationCsv(first), first_csv);
+
+  // A Run that succeeds tracks again.
+  ASSERT_TRUE(session.Run(&second).ok());
+  ASSERT_TRUE(session.ApplyDelta(insert).ok());
+  data::Relation batch = ds.dirty.Clone();
+  batch.AddTuple(ds.dirty.tuple(0));
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
+  EXPECT_EQ(LiveCellDiff(second, batch), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
+}
+
 TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/7);
   auto engine = MakeEngine(ds);
@@ -992,51 +976,6 @@ TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
   EXPECT_TRUE(saw_success);
 }
 
-// A cancelled empty DELTA after master growth applies nothing. The growth
-// stays pending, so the next empty DELTA re-cleans against the grown master.
-TEST(CancellationTest, MasterGrowthStaysPendingAfterACancelledDelta) {
-  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/5);
-
-  constexpr int kHeldMaster = 15;
-  data::Relation growing_master(ds.master.schema_ptr());
-  for (data::TupleId t = 0; t < ds.master.size() - kHeldMaster; ++t) {
-    growing_master.AddTuple(ds.master.tuple(t));
-  }
-  auto engine = MakeEngine(ds, &growing_master);
-
-  data::Relation incremental = ds.dirty.Clone();
-  Session session = engine->NewTrackedSession();
-  ASSERT_TRUE(session.Run(&incremental).ok());
-  const std::string cleaned_csv = RelationCsv(incremental);
-  const std::string journal_before = CanonicalCsv(session.CanonicalJournal());
-
-  for (data::TupleId t = ds.master.size() - kHeldMaster;
-       t < ds.master.size(); ++t) {
-    growing_master.AddTuple(ds.master.tuple(t));
-  }
-  ASSERT_EQ(engine->RefreshMasterIndexes(), kHeldMaster);
-
-  auto token = std::make_shared<common::CancelToken>();
-  token->CancelAfterChecksForTest(3);
-  session.set_cancel_token(token);
-  auto cancelled = session.ApplyDelta(Delta{});
-  ASSERT_FALSE(cancelled.ok());
-  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(RelationCsv(incremental), cleaned_csv);
-  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), journal_before);
-
-  session.set_cancel_token(nullptr);
-  auto dr = session.ApplyDelta(Delta{});
-  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  EXPECT_EQ(dr->refinement_rounds, 1);
-
-  auto full_engine = MakeEngine(ds, &growing_master);
-  data::Relation batch = ds.dirty.Clone();
-  const std::string batch_csv = BatchCanonicalCsv(full_engine, &batch);
-  EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
-  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
-}
-
 // --- Progress and repeated runs --------------------------------------------
 
 // ApplyDelta's re-run reports every phase to the progress observer, on the
@@ -1057,7 +996,7 @@ TEST(DeltaTest, ProgressCallbackObservesTheRerun) {
     const bool started = event.kind == PhaseEvent::Kind::kPhaseStarted;
     seen.push_back((started ? "start " : "finish ") +
                    std::string(event.phase));
-    EXPECT_EQ(event.total, static_cast<int>(session.PhaseNames().size()));
+    EXPECT_EQ(event.total, static_cast<int>(engine->phases().size()));
     EXPECT_EQ(event.stats == nullptr, started);
     saw_tracked = saw_tracked || event.data == &incremental;
     if (!started) last_finished_csv = RelationCsv(*event.data);
@@ -1069,7 +1008,8 @@ TEST(DeltaTest, ProgressCallbackObservesTheRerun) {
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
 
   std::vector<std::string> expected;
-  for (const std::string& name : session.PhaseNames()) {
+  for (Phase phase : engine->phases()) {
+    const std::string name(PhaseName(phase));
     expected.push_back("start " + name);
     expected.push_back("finish " + name);
   }

@@ -23,7 +23,6 @@
 #include "core/md_matcher.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -266,7 +265,7 @@ TEST(MemoCapTest, CapHoldsUnderConcurrentAdmission) {
 TEST(MemoCapTest, CappedMatchesReferencesSurviveProbingOtherMatchers) {
   // Past the cap, Matches() hands out per-(thread, matcher) scratch: the
   // reference must stay intact while the same thread probes a *different*
-  // matcher (user phases iterate all MD rules this way). Rules with equal
+  // matcher (a caller iterating all MD rules does this). Rules with equal
   // premises share a matcher, and so its scratch; only distinct matchers
   // are probed here.
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/67);
@@ -317,21 +316,19 @@ TEST(EngineBuilderTest, RuleTextWithoutSchemaFailsEngineBuild) {
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EngineBuilderTest, PhaseFactoriesDriveEngineSessions) {
+TEST(EngineBuilderTest, DefaultPhaseSubsetDrivesEngineSessions) {
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/59);
   auto engine = EngineBuilder()
                     .WithDataSchema(ds.dirty.schema_ptr())
                     .WithMaster(&ds.master)
                     .WithRules(&ds.rules)
                     .WithEta(1.0)
-                    .WithPhaseFactories(MakeDefaultPhaseFactories(
-                        /*crepair=*/true, /*erepair=*/false,
-                        /*hrepair=*/false))
+                    .WithDefaultPhases(/*crepair=*/true, /*erepair=*/false,
+                                       /*hrepair=*/false)
                     .BuildEngine();
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ((*engine)->PhaseNames(), std::vector<std::string>{"cRepair"});
+  EXPECT_EQ((*engine)->phases(), std::vector<Phase>{Phase::kCRepair});
   Session session = (*engine)->NewSession();
-  EXPECT_EQ(session.PhaseNames(), std::vector<std::string>{"cRepair"});
   data::Relation d = ds.dirty.Clone();
   auto result = session.Run(&d);
   ASSERT_TRUE(result.ok());

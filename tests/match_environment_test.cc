@@ -24,7 +24,6 @@
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
 #include "gen/dataset.h"
-#include "uniclean/builtin_phases.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -103,18 +102,18 @@ TEST_P(MatchEnvironmentParity, SharedEnvironmentMatchesPerPhaseBaseline) {
   core::CRepairOptions copts;
   copts.eta = eta;
   copts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
-                            CRepairPhase::kName);
+                            PhaseName(Phase::kCRepair));
   core::CRepair(&baseline_data, core::MatchEnvironment(ds.rules, ds.master),
                 copts);
   core::ERepairOptions eopts;
   eopts.eta = eta;
   eopts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
-                            ERepairPhase::kName);
+                            PhaseName(Phase::kERepair));
   core::ERepair(&baseline_data, core::MatchEnvironment(ds.rules, ds.master),
                 eopts);
   core::HRepairOptions hopts;
   hopts.on_fix = Journaling(&baseline_journal, &baseline_data, &ds.rules,
-                            HRepairPhase::kName);
+                            PhaseName(Phase::kHRepair));
   core::HRepair(&baseline_data, core::MatchEnvironment(ds.rules, ds.master),
                 hopts);
   Outcome baseline = Materialize(baseline_journal, baseline_data);

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -821,19 +822,22 @@ TEST(ServeTest, ReloadOfADuplicateColumnMasterFailsAndTheOldEngineServes) {
   EXPECT_EQ(after->rulesets, before->rulesets);
 }
 
-/// Fault hook stalling the first `n` CLEANs at "clean.before_run" until
-/// either the test flips `release` or the request's cancel token trips — a
-/// model of a wedged worker that still honours cooperative cancellation.
+/// Fault hook stalling the first `n` requests that reach `point` (CLEANs at
+/// "clean.before_run" by default) until either the test flips `release` or
+/// the request's cancel token trips — a model of a wedged worker that still
+/// honours cooperative cancellation.
 struct Stall {
   std::atomic<int> remaining;
   std::atomic<int> entered{0};
   std::atomic<bool> release{false};
+  const std::string point;
 
-  explicit Stall(int n) : remaining(n) {}
+  explicit Stall(int n, std::string stall_point = "clean.before_run")
+      : remaining(n), point(std::move(stall_point)) {}
 
   Daemon::FaultHook Hook() {
-    return [this](std::string_view point, const common::CancelToken* token) {
-      if (point != "clean.before_run") return Status::OK();
+    return [this](std::string_view at, const common::CancelToken* token) {
+      if (at != point) return Status::OK();
       if (remaining.fetch_sub(1) <= 0) return Status::OK();
       entered.fetch_add(1);
       while (!release.load() &&
@@ -1052,6 +1056,209 @@ TEST(FaultInjectionTest, PerRulesetInflightCapRefusesThenBackoffSucceeds) {
   auto held = holder.AwaitClean(*tag);
   ASSERT_TRUE(held.ok()) << held.status().ToString();
   EXPECT_EQ(held->journal_csv, w->reference_journal);
+}
+
+TEST(FaultInjectionTest, PerRulesetInflightCapCountsDeltas) {
+  // Every DELTA re-cleans its whole tracked relation, so it holds one of
+  // its ruleset's in-flight slots: with a cap of 1, a CLEAN on the same
+  // ruleset is refused while a DELTA runs (wedged at "delta.before_apply"),
+  // and served once the DELTA has finished.
+  ServeWorld* w = ServeWorld::Get();
+  Stall stall(1, "delta.before_apply");
+  DaemonOptions options;
+  options.n_workers = 2;
+  options.max_inflight_per_ruleset = 1;
+  auto daemon = StartFaultDaemon(options, stall.Hook());
+
+  Client holder = ConnectTo(*daemon);
+  CleanRequest track;
+  track.data_csv = w->dirty_csv;
+  track.track = true;
+  auto opened = holder.Clean(track);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  // The tracked CLEAN's worker frees its slot just after the reply, so the
+  // DELTA may meet one refusal; backoff carries it through.
+  RetryPolicy holder_policy;
+  holder_policy.max_retries = 100;
+  holder_policy.base_backoff_ms = 5;
+  holder_policy.max_backoff_ms = 50;
+  holder_policy.jitter_seed = 5;
+  holder.set_retry_policy(holder_policy);
+  DeltaRequest delta;
+  delta.session_id = opened->session_id;
+  delta.delete_ids = {2};
+  Result<DeltaReply> delta_reply = Status::Internal("DELTA not answered");
+  std::thread delta_thread([&] { delta_reply = holder.Delta(delta); });
+  // Lift the stall and join the DELTA on every path, a failed ASSERT too.
+  struct ReleaseAndJoin {
+    Stall* stall;
+    std::thread* thread;
+    ~ReleaseAndJoin() {
+      stall->release.store(true);
+      if (thread->joinable()) thread->join();
+    }
+  } release_and_join{&stall, &delta_thread};
+  ASSERT_TRUE(Eventually([&] { return stall.entered.load() == 1; }));
+
+  // No retries: the refusal itself is observable.
+  Client probe = ConnectTo(*daemon);
+  CleanRequest request;
+  request.data_csv = w->dirty_csv;
+  auto refused = probe.Clean(request);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable)
+      << refused.status().ToString();
+  EXPECT_GT(probe.last_retry_after_ms(), 0u);
+
+  stall.release.store(true);
+  delta_thread.join();
+  ASSERT_TRUE(delta_reply.ok()) << delta_reply.status().ToString();
+  // The DELTA's worker frees the slot just after its reply, so the CLEAN
+  // may meet one more refusal; backoff carries it through.
+  RetryPolicy policy;
+  policy.max_retries = 100;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = 50;
+  policy.jitter_seed = 7;
+  probe.set_retry_policy(policy);
+  auto served = probe.Clean(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->journal_csv, w->reference_journal);
+}
+
+TEST(FaultInjectionTest, DeltaRefusedAtTheCapAppliesNothing) {
+  // The other direction: while a CLEAN holds the ruleset's one slot, a
+  // DELTA on a tracked session of that ruleset is refused before it applies
+  // an edit. Retried once the slot is free, the same DELTA is the session's
+  // first (generation 1) and answers as the in-process session does.
+  ServeWorld* w = ServeWorld::Get();
+  auto relation = w->LoadDirty();
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  Session reference = w->reference->NewTrackedSession();
+  ASSERT_TRUE(reference.Run(&*relation).ok());
+  Delta erase;
+  erase.deletes.push_back(2);
+  ASSERT_TRUE(reference.ApplyDelta(erase).ok());
+  std::ostringstream reference_journal;
+  ASSERT_TRUE(reference.CanonicalJournal().WriteCsv(reference_journal).ok());
+
+  // The tracked CLEAN passes the stall point unstalled; the next CLEAN
+  // stalls there holding the slot.
+  Stall stall(0);
+  DaemonOptions options;
+  options.n_workers = 2;
+  options.max_inflight_per_ruleset = 1;
+  auto daemon = StartFaultDaemon(options, stall.Hook());
+  Client tracker = ConnectTo(*daemon);
+  CleanRequest track;
+  track.data_csv = w->dirty_csv;
+  track.track = true;
+  auto opened = tracker.Clean(track);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  // The tracked CLEAN's worker frees its slot just after the reply, so the
+  // holder's CLEAN may meet one refusal; backoff carries it through.
+  RetryPolicy policy;
+  policy.max_retries = 100;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = 50;
+  policy.jitter_seed = 11;
+  stall.remaining.store(1);
+  Client holder = ConnectTo(*daemon);
+  holder.set_retry_policy(policy);
+  CleanRequest request;
+  request.data_csv = w->dirty_csv;
+  Result<CleanReply> held = Status::Internal("CLEAN not answered");
+  std::thread holder_thread([&] { held = holder.Clean(request); });
+  // Lift the stall and join the CLEAN on every path, a failed ASSERT too.
+  struct ReleaseAndJoin {
+    Stall* stall;
+    std::thread* thread;
+    ~ReleaseAndJoin() {
+      stall->release.store(true);
+      if (thread->joinable()) thread->join();
+    }
+  } release_and_join{&stall, &holder_thread};
+  ASSERT_TRUE(Eventually([&] { return stall.entered.load() == 1; }));
+
+  // No retries: the refusal itself is observable.
+  DeltaRequest delta;
+  delta.session_id = opened->session_id;
+  delta.delete_ids = {2};
+  auto refused = tracker.Delta(delta);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable)
+      << refused.status().ToString();
+  EXPECT_GT(tracker.last_retry_after_ms(), 0u);
+
+  stall.release.store(true);
+  holder_thread.join();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(held->journal_csv, w->reference_journal);
+
+  // Had the refused DELTA deleted tuple 2, this one would fail as a delete
+  // of a deleted tuple, at generation 2.
+  tracker.set_retry_policy(policy);
+  auto applied = tracker.Delta(delta);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->generation, 1u);
+  EXPECT_EQ(applied->journal_csv, reference_journal.str());
+  EXPECT_TRUE(tracker.CloseSession(opened->session_id).ok());
+}
+
+TEST(FaultInjectionTest, FailedDeltaReleasesItsInflightSlot) {
+  // A DELTA takes its slot before its body is parsed, so a DELTA that then
+  // fails must give the slot back: with a cap of 1, a leaked slot would
+  // refuse every later request on the ruleset.
+  ServeWorld* w = ServeWorld::Get();
+  DaemonOptions options;
+  options.n_workers = 2;
+  options.max_inflight_per_ruleset = 1;
+  auto daemon = StartFaultDaemon(options);
+  Client client = ConnectTo(*daemon);
+  // The worker frees a slot just after its reply, so a request sent right
+  // after may meet one refusal; backoff carries it through, and a leaked
+  // slot exhausts the retries.
+  RetryPolicy policy;
+  policy.max_retries = 40;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = 50;
+  policy.jitter_seed = 13;
+  client.set_retry_policy(policy);
+  CleanRequest track;
+  track.data_csv = w->dirty_csv;
+  track.track = true;
+  auto opened = client.Clean(track);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  DeltaRequest unknown_tuple;
+  unknown_tuple.session_id = opened->session_id;
+  unknown_tuple.delete_ids = {1000000};
+  auto rejected = client.Delta(unknown_tuple);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  DeltaRequest short_row;
+  short_row.session_id = opened->session_id;
+  short_row.update_ids = {0};
+  short_row.updates_csv = "x\n";
+  auto malformed = client.Delta(short_row);
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.status().code(), StatusCode::kInvalidArgument)
+      << malformed.status().ToString();
+
+  DeltaRequest erase;
+  erase.session_id = opened->session_id;
+  erase.delete_ids = {2};
+  auto applied = client.Delta(erase);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->generation, 1u);
+  CleanRequest request;
+  request.data_csv = w->dirty_csv;
+  auto served = client.Clean(request);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->journal_csv, w->reference_journal);
+  EXPECT_TRUE(client.CloseSession(opened->session_id).ok());
 }
 
 TEST(OverloadTest, SixteenClientsBackoffToByteIdenticalSuccess) {

@@ -713,6 +713,50 @@ TEST_F(SnapshotHardening, MissingOwnerSectionIsDataLoss) {
       << s.ToString();
 }
 
+TEST_F(SnapshotHardening, MatcherSectionsRecordTheWholeMaster) {
+  // An engine's master never changes, so each matcher section opens with
+  // the master's full size as its indexed count. A count that disagrees,
+  // behind a valid CRC, is refused rather than trusted.
+  uint32_t master_size = 0;
+  {
+    data::ScopedStringPool scoped;
+    master_size = static_cast<uint32_t>(Generate("HOSP", 11).master.size());
+  }
+  ASSERT_GT(master_size, 0u);
+  const auto read_u32 = [](const std::string& bytes, size_t offset) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  int matchers = 0;
+  for (const SectionAt& section : Sections(good_)) {
+    if (section.header.id !=
+        static_cast<uint32_t>(snapshot::SectionId::kMatcher)) {
+      continue;
+    }
+    ++matchers;
+    EXPECT_EQ(read_u32(good_, section.payload()), master_size)
+        << "matcher section at " << section.offset;
+  }
+  ASSERT_GT(matchers, 0);
+
+  std::string bytes = good_;
+  const SectionAt section =
+      FirstSection(bytes, snapshot::SectionId::kMatcher);
+  PatchU32(&bytes, section.payload(), master_size - 1);
+  PatchU32(&bytes, section.offset + 16,
+           snapshot::Crc32(bytes.data() + section.payload(),
+                           section.header.length));
+  ResealHeader(&bytes);
+  const Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("different master size"), std::string::npos)
+      << s.ToString();
+}
+
 TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
   // Every matcher and memo section of a snapshot with memos, mutated by
   // seeded 1-4-byte overwrites and 1-8-byte truncations (length patched),

@@ -338,7 +338,7 @@ int Run(const CliOptions& opts) {
         static_cast<unsigned long long>(stats.evictions),
         opts.memo_cap > 0 ? " (capped)" : "");
   }
-  if (const PhaseStats* h = result->phase(HRepairPhase::kName)) {
+  if (const PhaseStats* h = result->phase(PhaseName(Phase::kHRepair))) {
     int64_t anomalies = h->counter("anomalies");
     if (anomalies > 0) {
       std::fprintf(stderr,

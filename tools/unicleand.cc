@@ -74,7 +74,8 @@ void Usage(const char* argv0) {
       "  [--no-warmup]             skip building match indexes at startup\n"
       "  [--max-queue N]           refuse requests beyond N queued "
       "(0 = unbounded)\n"
-      "  [--max-inflight-per-ruleset N]   cap concurrent CLEANs per ruleset\n"
+      "  [--max-inflight-per-ruleset N]   cap concurrent CLEANs + DELTAs "
+      "per ruleset\n"
       "  [--request-timeout-ms N]  default per-request deadline "
       "(0 = none)\n"
       "  [--drain-grace-ms N]      shutdown drain budget before requests "
