@@ -8,18 +8,6 @@
 namespace uniclean {
 namespace rules {
 
-const char* RuleKindToString(RuleKind kind) {
-  switch (kind) {
-    case RuleKind::kConstantCfd:
-      return "constant-cfd";
-    case RuleKind::kVariableCfd:
-      return "variable-cfd";
-    case RuleKind::kMd:
-      return "md";
-  }
-  return "unknown";
-}
-
 namespace {
 
 Status ValidateAttr(const data::Schema& schema, data::AttributeId id,

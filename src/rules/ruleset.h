@@ -25,8 +25,6 @@ enum class RuleKind {
   kMd,           ///< copies the RHS value from a matching master tuple
 };
 
-const char* RuleKindToString(RuleKind kind);
-
 /// Identifier of a rule within a RuleSet: 0..num_rules()-1. CFDs come first,
 /// then MDs.
 using RuleId = int;

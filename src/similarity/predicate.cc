@@ -8,20 +8,6 @@
 namespace uniclean {
 namespace similarity {
 
-const char* PredicateKindToString(PredicateKind kind) {
-  switch (kind) {
-    case PredicateKind::kEquals:
-      return "equals";
-    case PredicateKind::kEditDistance:
-      return "edit";
-    case PredicateKind::kJaroWinkler:
-      return "jaro_winkler";
-    case PredicateKind::kQGramJaccard:
-      return "qgram_jaccard";
-  }
-  return "unknown";
-}
-
 bool SimilarityPredicate::Evaluate(std::string_view a,
                                    std::string_view b) const {
   switch (kind_) {

@@ -19,8 +19,6 @@ enum class PredicateKind {
   kQGramJaccard,  ///< q-gram Jaccard similarity >= threshold in [0,1]
 };
 
-const char* PredicateKindToString(PredicateKind kind);
-
 /// A concrete similarity predicate with its threshold.
 class SimilarityPredicate {
  public:

@@ -33,7 +33,7 @@ Session CleanEngine::NewSession() const {
 
 Session CleanEngine::NewTrackedSession() const {
   Session session = NewSession();
-  session.EnableDeltaTracking();
+  session.track_deltas_ = true;
   return session;
 }
 

@@ -21,8 +21,8 @@
 //   uniclean::Session session = (*engine)->NewSession();
 //   auto result = session.Run(&batch);
 //
-// The engine binds no data: each Run cleans a caller-owned relation in
-// place, so a one-shot job loads D itself (data::ReadCsvFile, plus
+// The engine binds no data: each Run repairs a caller-owned relation, so a
+// one-shot job loads D itself (data::ReadCsvFile, plus
 // data::ReadConfidenceCsvFile for per-cell confidences) and runs one
 // session over it.
 //
@@ -65,10 +65,11 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   Session NewSession() const;
 
   /// Like NewSession(), but with delta tracking armed: the session's one
-  /// Run() snapshots pristine state, and Session::ApplyDelta then folds
-  /// inserts/updates/deletes in and re-cleans the edited relation once from
-  /// pristine values (see session.h). Tracking costs one clone of the
-  /// relation.
+  /// Run() keeps the relation's pristine state, and Session::ApplyDelta then
+  /// folds inserts/updates/deletes in and re-cleans the edited relation once
+  /// from pristine values (see session.h). Run moves the caller's
+  /// pre-cleaning relation into the session, so tracking costs no extra
+  /// clone.
   Session NewTrackedSession() const;
 
   /// Cleans every relation of the batch, each in its own Session, using a

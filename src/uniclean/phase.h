@@ -88,7 +88,7 @@ struct PhaseEvent {
   std::string_view phase;
   /// Stats of the finished phase; null for kPhaseStarted.
   const PhaseStats* stats = nullptr;
-  /// The pipeline's data relation in its current state.
+  /// The run's working copy of the data relation, in its current state.
   const data::Relation* data = nullptr;
 };
 

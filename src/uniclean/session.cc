@@ -216,41 +216,33 @@ Result<CleanResult> Session::Run(data::Relation* data) {
         internal::DescribeSchema(engine_->rules().data_schema()));
   }
 
-  std::unique_ptr<data::Relation> pristine;
   if (track_deltas_) {
-    // Snapshot the pre-cleaning state first: ApplyDelta re-cleans from
-    // these values, exactly as a batch run over the edited relation would.
     // A repeated Run restarts tracking from scratch, and until it succeeds
     // the session is in the not-yet-run state (a failed Run leaves it
     // usable for a fresh one).
-    pristine = std::make_unique<data::Relation>(data->Clone());
     tracked_ = nullptr;
     pristine_.reset();
     journal_ = FixJournal();
     generation_ = 0;
   }
 
+  // All-or-nothing: the phases clean a copy that replaces the caller's
+  // relation only on success, so a failed, cancelled or expired run applies
+  // no fix — never a partially repaired relation.
   CleanResult result;
-  if (cancel_ != nullptr) {
-    // All-or-nothing under cancellation: clean a scratch copy and swap it
-    // into the caller's relation only on success, so a cancelled or expired
-    // run applies ZERO fixes — never a partially repaired relation. The
-    // tokenless path below stays the historical clean-in-place one (no copy).
-    data::Relation scratch = data->Clone();
-    UC_ASSIGN_OR_RETURN(result.phases,
-                        ExecutePipeline(&scratch, &result.journal));
-    *data = std::move(scratch);
-  } else {
-    UC_ASSIGN_OR_RETURN(result.phases,
-                        ExecutePipeline(data, &result.journal));
-  }
-
+  data::Relation scratch = data->Clone();
+  UC_ASSIGN_OR_RETURN(result.phases,
+                      ExecutePipeline(&scratch, &result.journal));
   if (track_deltas_) {
+    // The caller's pre-cleaning relation becomes the pristine copy that
+    // ApplyDelta re-cleans from, exactly as a batch run over the edited
+    // relation would.
+    pristine_ = std::make_unique<data::Relation>(std::move(*data));
     tracked_ = data;
-    pristine_ = std::move(pristine);
     AdoptFullRun(result.journal);
     rerun_pending_ = false;
   }
+  *data = std::move(scratch);
   return result;
 }
 

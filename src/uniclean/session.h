@@ -121,7 +121,7 @@ class Session {
   Session(Session&&) = default;
   Session& operator=(Session&&) = default;
 
-  /// Cleans `data` in place against the engine's master, rules and warm
+  /// Cleans `data` against the engine's master, rules and warm
   /// match environment. The relation's schema must match the rule set's
   /// data schema; its cell values must be interned in the same StringPool
   /// as the engine's master (always true outside ScopedStringPool test
@@ -129,19 +129,17 @@ class Session {
   /// called repeatedly, over the same or different relations; every call
   /// reuses the engine's warm indexes and memos.
   ///
-  /// On a tracked session (EnableDeltaTracking /
-  /// CleanEngine::NewTrackedSession) a Run additionally snapshots the
-  /// relation's pristine state and keeps the journal; the relation must then
-  /// outlive the session's delta use, and a repeated Run restarts tracking
-  /// from scratch (generation 0) on its relation. A failed tracked Run
-  /// leaves the session in the not-yet-run state.
+  /// The run is all-or-nothing: the phases clean a copy of `data`, which
+  /// replaces it only on success. A failed, cancelled or expired run
+  /// returns its error and leaves `data` as it was.
+  ///
+  /// On a tracked session (CleanEngine::NewTrackedSession) a successful Run
+  /// additionally keeps the relation's pristine (pre-cleaning) state and the
+  /// journal; the relation must then outlive the session's delta use, and a
+  /// repeated Run restarts tracking from scratch (generation 0) on its
+  /// relation. A failed tracked Run leaves the session in the not-yet-run
+  /// state.
   Result<CleanResult> Run(data::Relation* data);
-
-  /// Arms delta tracking for the next Run (see ApplyDelta). Must be called
-  /// before Run; prefer CleanEngine::NewTrackedSession, which returns a
-  /// session with tracking already armed. Tracking costs one pristine clone
-  /// of the relation.
-  void EnableDeltaTracking() { track_deltas_ = true; }
 
   /// Folds `delta` into the tracked relation: applies the edits to it and
   /// to its pristine copy, then re-cleans a clone of the pristine copy with
@@ -174,8 +172,8 @@ class Session {
   int generation() const { return generation_; }
 
   /// Observer invoked before and after every phase of Run() and of
-  /// ApplyDelta's re-run (where the event's data pointer is the re-run's
-  /// scratch copy of the pristine relation, not the tracked one).
+  /// ApplyDelta's re-run. The event's data pointer is the run's working
+  /// copy, never the caller's or the tracked relation.
   void set_progress_callback(ProgressCallback callback) {
     progress_ = std::move(callback);
   }
@@ -184,14 +182,10 @@ class Session {
   /// (null disarms). The token is polled at phase boundaries and, inside
   /// the repair engines, between committed fixes. Semantics when it trips:
   ///
-  ///  * Run() becomes all-or-nothing: the pipeline executes over a scratch
-  ///    copy that is swapped into the caller's relation only on success, so
-  ///    a cancelled/expired run returns kCancelled/kDeadlineExceeded with
-  ///    ZERO fixes applied and no journal — never a partially repaired
-  ///    relation. (Without a token the historical clean-in-place path is
-  ///    unchanged and costs no copy.) A tracked session whose Run was
-  ///    cancelled resets to the not-yet-run state and stays usable for a
-  ///    fresh Run().
+  ///  * Run() returns kCancelled/kDeadlineExceeded and, like every failed
+  ///    Run, applies ZERO fixes and returns no journal — never a partially
+  ///    repaired relation. A tracked session whose Run was cancelled resets
+  ///    to the not-yet-run state and stays usable for a fresh Run().
   ///  * ApplyDelta keeps its existing failure contract: the raw edits are
   ///    applied, the re-run's copy is discarded, the journal still covers
   ///    the pre-delta repairs of the live tuples, and the session remains

@@ -21,7 +21,8 @@
 //   Session session = (*engine)->NewSession();
 //   auto result = session.Run(&*d);              // Result<CleanResult>
 //   // *d is now consistent; result->journal records every repaired cell
-//   // with its phase and justifying rule.
+//   // with its phase and justifying rule. The run is all-or-nothing: on an
+//   // error *d is left as it was.
 //
 // The session runs the paper's phases cRepair → eRepair → hRepair once each
 // (uniclean/phase.h); EngineBuilder::WithDefaultPhases selects a subset.
@@ -33,7 +34,7 @@
 // edits and re-cleans the edited relation once from its pristine values:
 //
 //   Session session = (*engine)->NewTrackedSession();
-//   session.Run(&d);                           // batch clean + pristine copy
+//   session.Run(&d);                           // batch clean; keeps pristine d
 //   Delta delta;
 //   delta.updates.emplace_back(tuple_id, edited_tuple);
 //   auto dr = session.ApplyDelta(delta);       // Result<DeltaResult>
@@ -57,16 +58,12 @@
 #include "data/relation.h"
 #include "data/schema.h"
 #include "data/value.h"
-#include "discovery/cfd_discovery.h"
-#include "discovery/fd_discovery.h"
-#include "discovery/md_calibration.h"
 #include "eval/metrics.h"
 #include "gen/corrupt.h"
 #include "gen/dataset.h"
 #include "reasoning/chase.h"
 #include "reasoning/consistency.h"
 #include "reasoning/dependency_graph.h"
-#include "reasoning/minimal_cover.h"
 #include "rules/cfd.h"
 #include "rules/md.h"
 #include "rules/parser.h"

@@ -237,7 +237,7 @@ TEST(SessionPipelineTest, ProgressCallbackSeesEveryPhaseInOrder) {
                                       "start:hRepair", "finish:hRepair"}));
 }
 
-TEST(SessionPipelineTest, InPlaceDataIsRepairedInTheCallersRelation) {
+TEST(SessionPipelineTest, PhasesCleanACopyThatReplacesTheCallersRelation) {
   auto engine = PaperBuilder().BuildEngine();
   ASSERT_TRUE(engine.ok());
   Session session = (*engine)->NewSession();
@@ -245,24 +245,75 @@ TEST(SessionPipelineTest, InPlaceDataIsRepairedInTheCallersRelation) {
   session.set_progress_callback(
       [&](const PhaseEvent& event) { seen.push_back(event.data); });
 
-  // Without a cancel token every phase cleans the caller's relation itself,
-  // and Example 1.1's first deterministic fix lands there.
+  // Without a cancel token the phases clean a copy, which replaces the
+  // caller's relation on success: Example 1.1's first deterministic fix
+  // lands there.
   Relation d = uniclean::testing::TranDirty();
   ASSERT_TRUE(session.Run(&d).ok());
   ASSERT_FALSE(seen.empty());
-  for (const Relation* data : seen) EXPECT_EQ(data, &d);
+  for (const Relation* data : seen) EXPECT_NE(data, &d);
   data::AttributeId city = d.schema().MustFindAttribute("city");
   EXPECT_EQ(d.tuple(0).value(city), Value("Edi"));
 
-  // With a token armed the phases clean a scratch copy, which is swapped
-  // into the caller's relation on success.
+  // With a token armed the run takes the same path and repairs the same
+  // cells.
   seen.clear();
   session.set_cancel_token(std::make_shared<common::CancelToken>());
   Relation guarded = uniclean::testing::TranDirty();
   ASSERT_TRUE(session.Run(&guarded).ok());
   ASSERT_FALSE(seen.empty());
   for (const Relation* data : seen) EXPECT_NE(data, &guarded);
+  EXPECT_EQ(guarded.tuple(0).value(city), Value("Edi"));
   EXPECT_EQ(guarded.CellDiffCount(d), 0);
+}
+
+// Every progress event of one run reports the same working copy, with or
+// without a cancel token.
+TEST(SessionPipelineTest, EveryEventOfARunSeesOneWorkingCopy) {
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  std::vector<const Relation*> seen;
+  session.set_progress_callback(
+      [&](const PhaseEvent& event) { seen.push_back(event.data); });
+  for (bool guarded : {false, true}) {
+    SCOPED_TRACE(guarded ? "with a token" : "without a token");
+    if (guarded) {
+      session.set_cancel_token(std::make_shared<common::CancelToken>());
+    }
+    seen.clear();
+    Relation d = uniclean::testing::TranDirty();
+    ASSERT_TRUE(session.Run(&d).ok());
+    ASSERT_EQ(seen.size(), 6u);
+    for (const Relation* data : seen) EXPECT_EQ(data, seen.front());
+    EXPECT_NE(seen.front(), &d);
+  }
+}
+
+// The caller's relation changes only when the run succeeds: while the
+// phases run, the working copy already carries cRepair's fix of t1's city
+// and the caller's relation still holds the dirty value.
+TEST(SessionPipelineTest, CallersRelationChangesOnlyWhenTheRunSucceeds) {
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  Relation d = uniclean::testing::TranDirty();
+  const data::AttributeId city = d.schema().MustFindAttribute("city");
+  std::vector<Value> working;
+  std::vector<Value> callers;
+  session.set_progress_callback([&](const PhaseEvent& event) {
+    if (event.kind != PhaseEvent::Kind::kPhaseFinished) return;
+    working.push_back(event.data->tuple(0).value(city));
+    callers.push_back(d.tuple(0).value(city));
+  });
+  ASSERT_TRUE(session.Run(&d).ok());
+  ASSERT_EQ(working.size(), 3u);
+  ASSERT_EQ(callers.size(), 3u);
+  for (size_t i = 0; i < working.size(); ++i) {
+    EXPECT_EQ(working[i], Value("Edi")) << "after phase " << i;
+    EXPECT_EQ(callers[i], Value("Ldn")) << "after phase " << i;
+  }
+  EXPECT_EQ(d.tuple(0).value(city), Value("Edi"));
 }
 
 TEST(SessionPipelineTest, JournalPhaseCountsMatchCorePhaseStatsOnHospSample) {
@@ -384,6 +435,40 @@ TEST(SessionPipelineTest, FailingPhaseAbortsAndAnnotatesStatus) {
   EXPECT_NE(result.status().message().find("phase 'eRepair'"),
             std::string::npos)
       << result.status().ToString();
+}
+
+// A failed run applies no fix: the token trips as eRepair starts, after
+// cRepair has fixed t1's city in the working copy, and the caller's relation
+// keeps every dirty value. The session then cleans it as a fresh one would.
+TEST(SessionPipelineTest, FailedRunLeavesTheCallersRelationAsItWas) {
+  auto engine = PaperBuilder().BuildEngine();
+  ASSERT_TRUE(engine.ok());
+  Session session = (*engine)->NewSession();
+  auto token = std::make_shared<common::CancelToken>();
+  session.set_cancel_token(token);
+  Relation d = uniclean::testing::TranDirty();
+  const data::AttributeId city = d.schema().MustFindAttribute("city");
+  Value working_city;
+  session.set_progress_callback([&](const PhaseEvent& event) {
+    if (event.kind == PhaseEvent::Kind::kPhaseStarted &&
+        event.phase == PhaseName(Phase::kERepair)) {
+      working_city = event.data->tuple(0).value(city);
+      token->Cancel("stop at eRepair");
+    }
+  });
+  auto failed = session.Run(&d);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(working_city, Value("Edi"));
+  EXPECT_EQ(d.CellDiffCount(uniclean::testing::TranDirty()), 0);
+
+  session.set_cancel_token(nullptr);
+  session.set_progress_callback(nullptr);
+  ASSERT_TRUE(session.Run(&d).ok());
+  Relation fresh = uniclean::testing::TranDirty();
+  ASSERT_TRUE((*engine)->NewSession().Run(&fresh).ok());
+  EXPECT_GT(fresh.CellDiffCount(uniclean::testing::TranDirty()), 0);
+  EXPECT_EQ(d.CellDiffCount(fresh), 0);
 }
 
 // The pipeline polls the token between phases: a token tripped once

@@ -1022,6 +1022,67 @@ TEST(DeltaTest, ProgressCallbackObservesTheRerun) {
   EXPECT_TRUE(seen.empty());
 }
 
+// Tracking changes what a Run keeps, not what it repairs: a tracked and an
+// untracked Run over the same relation end with the same cells and fixes.
+TEST(DeltaTest, TrackedAndUntrackedRunsRepairAlike) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/13, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+
+  data::Relation tracked = ds.dirty.Clone();
+  Session tracked_session = engine->NewTrackedSession();
+  auto tracked_run = tracked_session.Run(&tracked);
+  ASSERT_TRUE(tracked_run.ok()) << tracked_run.status().ToString();
+  data::Relation plain = ds.dirty.Clone();
+  Session plain_session = engine->NewSession();
+  auto plain_run = plain_session.Run(&plain);
+  ASSERT_TRUE(plain_run.ok()) << plain_run.status().ToString();
+
+  EXPECT_NE(RelationCsv(plain), RelationCsv(ds.dirty));
+  EXPECT_EQ(RelationCsv(tracked), RelationCsv(plain));
+  std::ostringstream tracked_journal;
+  std::ostringstream plain_journal;
+  ASSERT_TRUE(tracked_run->journal.WriteCsv(tracked_journal).ok());
+  ASSERT_TRUE(plain_run->journal.WriteCsv(plain_journal).ok());
+  EXPECT_EQ(tracked_journal.str(), plain_journal.str());
+  EXPECT_EQ(CanonicalCsv(tracked_session.CanonicalJournal()),
+            CanonicalCsv(plain_run->journal));
+  EXPECT_TRUE(plain_session.journal().empty());
+}
+
+// A tracked Run keeps the caller's pre-cleaning relation as the pristine
+// copy that ApplyDelta re-cleans from: re-submitting a repaired tuple's
+// original content changes nothing, so the re-run reproduces the Run's
+// repaired relation and journal.
+TEST(DeltaTest, TrackedRunReCleansFromThePreCleaningValues) {
+  gen::Dataset ds = MakeDataset("HOSP", /*seed=*/5, /*num_tuples=*/120);
+  auto engine = MakeEngine(ds);
+
+  data::Relation relation = ds.dirty.Clone();
+  Session session = engine->NewTrackedSession();
+  ASSERT_TRUE(session.Run(&relation).ok());
+  const std::string run_csv = RelationCsv(relation);
+  const std::string run_fixes = CanonicalCsv(session.CanonicalJournal());
+
+  data::TupleId repaired = -1;
+  for (data::TupleId t = 0; t < relation.size() && repaired < 0; ++t) {
+    for (data::AttributeId a = 0; a < relation.schema().arity(); ++a) {
+      if (relation.tuple(t).value(a) != ds.dirty.tuple(t).value(a)) {
+        repaired = t;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(repaired, 0) << "the run repaired no tuple";
+
+  Delta delta;
+  delta.updates.emplace_back(repaired, ds.dirty.tuple(repaired));
+  auto dr = session.ApplyDelta(delta);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->generation, 1);
+  EXPECT_EQ(RelationCsv(relation), run_csv);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), run_fixes);
+}
+
 // A repeated tracked Run restarts tracking on its own relation: generation
 // 0 and the batch journal, and later DELTAs edit that relation only.
 TEST(DeltaTest, RepeatedRunRestartsTracking) {

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -24,14 +26,13 @@ GeneratorConfig SmallConfig(uint64_t seed) {
 }
 
 class GeneratorSuite
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {
  protected:
   Dataset Generate() {
     auto [name, seed] = GetParam();
     GeneratorConfig config = SmallConfig(seed);
-    std::string n = name;
-    if (n == "HOSP") return GenerateHosp(config);
-    if (n == "DBLP") return GenerateDblp(config);
+    if (name == "HOSP") return GenerateHosp(config);
+    if (name == "DBLP") return GenerateDblp(config);
     return GenerateTpch(config);
   }
 };
@@ -117,7 +118,11 @@ TEST_P(GeneratorSuite, DeterministicForSameSeed) {
 INSTANTIATE_TEST_SUITE_P(
     Datasets, GeneratorSuite,
     ::testing::Combine(::testing::Values("HOSP", "DBLP", "TPCH"),
-                       ::testing::Values<uint64_t>(1, 7, 42)));
+                       ::testing::Values<uint64_t>(1, 7, 42)),
+    [](const ::testing::TestParamInfo<GeneratorSuite::ParamType>& info) {
+      return std::get<0>(info.param) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(GeneratorRuleCounts, MatchThePaper) {
   GeneratorConfig config = SmallConfig(3);

@@ -31,7 +31,7 @@ struct RunOutcome {
 };
 
 class InterningParity
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {
  protected:
   gen::Dataset Generate() {
     auto [name, seed] = GetParam();
@@ -42,9 +42,8 @@ class InterningParity
     config.dup_rate = 0.4;
     config.asserted_rate = 0.4;
     config.seed = seed;
-    std::string n = name;
-    if (n == "HOSP") return gen::GenerateHosp(config);
-    if (n == "DBLP") return gen::GenerateDblp(config);
+    if (name == "HOSP") return gen::GenerateHosp(config);
+    if (name == "DBLP") return gen::GenerateDblp(config);
     return gen::GenerateTpch(config);
   }
 
@@ -115,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("HOSP", "DBLP", "TPCH"),
                        ::testing::Values(11u, 29u)),
     [](const ::testing::TestParamInfo<InterningParity::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_seed" +
+      return std::get<0>(info.param) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -8,6 +8,7 @@
 //   * cRepair's outcome is invariant to the order rules are listed in.
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -29,7 +30,7 @@ using data::FixMark;
 using data::Relation;
 
 class PipelineProperties
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {
  protected:
   gen::Dataset Generate() {
     auto [name, seed] = GetParam();
@@ -40,9 +41,8 @@ class PipelineProperties
     config.dup_rate = 0.4;
     config.asserted_rate = 0.4;
     config.seed = seed;
-    std::string n = name;
-    if (n == "HOSP") return gen::GenerateHosp(config);
-    if (n == "DBLP") return gen::GenerateDblp(config);
+    if (name == "HOSP") return gen::GenerateHosp(config);
+    if (name == "DBLP") return gen::GenerateDblp(config);
     return gen::GenerateTpch(config);
   }
 
@@ -165,7 +165,11 @@ TEST_P(PipelineProperties, PipelineNeverHurtsBelowDirtyBaseline) {
 INSTANTIATE_TEST_SUITE_P(
     AllDatasets, PipelineProperties,
     ::testing::Combine(::testing::Values("HOSP", "DBLP", "TPCH"),
-                       ::testing::Values<uint64_t>(11, 22, 33)));
+                       ::testing::Values<uint64_t>(11, 22, 33)),
+    [](const ::testing::TestParamInfo<PipelineProperties::ParamType>& info) {
+      return std::get<0>(info.param) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace uniclean

@@ -108,6 +108,18 @@ TEST(DependencyGraphTest, WithinSccSortedByDegreeRatio) {
   EXPECT_EQ(order, (std::vector<RuleId>{0, 1, 2}));
 }
 
+TEST(DependencyGraphTest, MdFeedsTheCfdsThatReadItsRhs) {
+  // CFDs take the low rule ids, MDs follow: r1 is 0 and m1 is 1.
+  auto schema = MakeSchema("r", {"A", "B", "C"});
+  auto master = MakeSchema("m", {"X", "Y"});
+  auto rs = MakeRules("CFD r1: B -> C\nMD m1: A=X -> B:=Y\n", schema, master);
+  DependencyGraph g(rs);
+  ASSERT_EQ(g.num_nodes(), 2);
+  EXPECT_TRUE(g.HasEdge(1, 0));   // m1 writes B, r1 reads B
+  EXPECT_FALSE(g.HasEdge(0, 1));  // r1 writes C, m1 reads A
+  EXPECT_EQ(g.ApplicationOrder(), (std::vector<RuleId>{1, 0}));
+}
+
 // ---------------------------------------------------------------------------
 // Consistency (Thm 4.1)
 // ---------------------------------------------------------------------------
@@ -182,6 +194,34 @@ TEST(ConsistencyTest, EmptyRuleSetConsistent) {
   EXPECT_TRUE(result.value());
 }
 
+TEST(ConsistencyTest, ChainedConstantCfdsCanBeInconsistent) {
+  // c1 forces A='1' on every tuple, so c2 forces B='x', which c3 forbids.
+  auto schema = MakeSchema("r", {"A", "B"});
+  Relation dm(MakeSchema("m", {"X"}));
+  auto rs = MakeRules(
+      "CFD c1: -> A='1'\nCFD c2: A='1' -> B='x'\nCFD c3: -> B='y'\n",
+      schema, schema);
+  auto result = IsConsistent(rs, dm);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value());
+  // Without c1 a tuple avoiding A='1' satisfies the other two.
+  auto open = MakeRules("CFD c2: A='1' -> B='x'\nCFD c3: -> B='y'\n", schema,
+                        schema);
+  auto result2 = IsConsistent(open, dm);
+  ASSERT_TRUE(result2.ok()) << result2.status().ToString();
+  EXPECT_TRUE(result2.value());
+}
+
+TEST(ConsistencyTest, BudgetExhaustionReportsOutOfRange) {
+  auto rs = uniclean::testing::PaperRuleSet();
+  Relation dm = uniclean::testing::CardMaster();
+  AnalysisOptions opts;
+  opts.max_search_nodes = 1;
+  auto result = IsConsistent(rs, dm, opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
 // ---------------------------------------------------------------------------
 // Implication (Thm 4.2)
 // ---------------------------------------------------------------------------
@@ -227,6 +267,12 @@ TEST_F(ImplicationTest, ConstantChaining) {
   auto result2 = Implies(rs, dm_, target2.cfds()[0]);
   ASSERT_TRUE(result2.ok());
   EXPECT_FALSE(result2.value());
+  // An unconditional constant CFD implies each conditional restriction.
+  auto unconditional = MakeRules("CFD c: -> B='2'\n", schema_, master_);
+  auto restricted = MakeRules("CFD t: A='1' -> B='2'\n", schema_, master_);
+  auto result3 = Implies(unconditional, dm_, restricted.cfds()[0]);
+  ASSERT_TRUE(result3.ok()) << result3.status().ToString();
+  EXPECT_TRUE(result3.value());
 }
 
 TEST_F(ImplicationTest, WeakerMdIsImplied) {
@@ -262,6 +308,89 @@ TEST_F(ImplicationTest, BudgetExhaustionReportsOutOfRange) {
   AnalysisOptions opts;
   opts.max_search_nodes = 1;
   auto result = Implies(rs, dm_, target.cfds()[0], opts);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST_F(ImplicationTest, IndependentFdsDoNotImplyEachOther) {
+  auto ab = MakeRules("CFD f1: A -> B\n", schema_, master_);
+  auto bc = MakeRules("CFD f2: B -> C\n", schema_, master_);
+  auto forward = Implies(ab, dm_, bc.cfds()[0]);
+  ASSERT_TRUE(forward.ok()) << forward.status().ToString();
+  EXPECT_FALSE(forward.value());
+  auto backward = Implies(bc, dm_, ab.cfds()[0]);
+  ASSERT_TRUE(backward.ok()) << backward.status().ToString();
+  EXPECT_FALSE(backward.value());
+}
+
+TEST_F(ImplicationTest, FdAugmentation) {
+  // A wider LHS only narrows the tuple pairs the FD constrains.
+  auto rs = MakeRules("CFD f: A -> B\n", schema_, master_);
+  auto target = MakeRules("CFD t: A, C -> B\n", schema_, master_);
+  auto result = Implies(rs, dm_, target.cfds()[0]);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.value());
+}
+
+TEST_F(ImplicationTest, FdDoesNotImplyItsReducedLhs) {
+  auto rs = MakeRules("CFD f: A, B -> C\n", schema_, master_);
+  auto target = MakeRules("CFD t: A -> C\n", schema_, master_);
+  auto result = Implies(rs, dm_, target.cfds()[0]);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value());
+}
+
+TEST_F(ImplicationTest, ConstantRhsImpliesEveryFdIntoThatAttribute) {
+  // Every tuple has B='2', so any two tuples agree on B.
+  auto rs = MakeRules("CFD c: -> B='2'\n", schema_, master_);
+  auto target = MakeRules("CFD t: C -> B\n", schema_, master_);
+  auto result = Implies(rs, dm_, target.cfds()[0]);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result.value());
+}
+
+TEST_F(ImplicationTest, ConstantCfdDoesNotImplyAConflictingConstant) {
+  // The tuple (A='1', B='2') satisfies c and violates t.
+  auto rs = MakeRules("CFD c: -> B='2'\n", schema_, master_);
+  auto target = MakeRules("CFD t: A='1' -> B='3'\n", schema_, master_);
+  auto result = Implies(rs, dm_, target.cfds()[0]);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value());
+}
+
+TEST_F(ImplicationTest, InconsistentRulesImplyEveryRule) {
+  // No nonempty instance satisfies Θ, so no counterexample exists.
+  dm_.AddRow({"x", "f"});
+  auto rs = MakeRules("CFD c1: -> B='1'\nCFD c2: -> B='2'\n", schema_,
+                      master_);
+  auto cfd = MakeRules("CFD t: A -> C\n", schema_, master_);
+  auto cfd_result = Implies(rs, dm_, cfd.cfds()[0]);
+  ASSERT_TRUE(cfd_result.ok()) << cfd_result.status().ToString();
+  EXPECT_TRUE(cfd_result.value());
+  auto md = MakeRules("MD t: A=X -> C:=Y\n", schema_, master_);
+  auto md_result = Implies(rs, dm_, md.mds()[0]);
+  ASSERT_TRUE(md_result.ok()) << md_result.status().ToString();
+  EXPECT_TRUE(md_result.value());
+}
+
+TEST_F(ImplicationTest, FdDoesNotImplyAnMdOverTheSameAttributes) {
+  // The tuple (A='x', B='g') satisfies f, matches the master tuple
+  // (X='x', Y='f') and keeps B != 'f'.
+  dm_.AddRow({"x", "f"});
+  auto rs = MakeRules("CFD f: A -> B\n", schema_, master_);
+  auto target = MakeRules("MD t: A=X -> B:=Y\n", schema_, master_);
+  auto result = Implies(rs, dm_, target.mds()[0]);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result.value());
+}
+
+TEST_F(ImplicationTest, MdBudgetExhaustionReportsOutOfRange) {
+  dm_.AddRow({"x", "f"});
+  auto rs = MakeRules("MD m1: A=X -> B:=Y\n", schema_, master_);
+  auto target = MakeRules("MD t: A=X & C=Y -> B:=Y\n", schema_, master_);
+  AnalysisOptions opts;
+  opts.max_search_nodes = 1;
+  auto result = Implies(rs, dm_, target.mds()[0], opts);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }
@@ -345,6 +474,58 @@ TEST(ChaseTest, DeterminismAnalysisDetectsOrderSensitivity) {
   EXPECT_TRUE(report.all_terminated);
   EXPECT_FALSE(report.deterministic);
   EXPECT_GT(report.distinct_fixpoints, 1);
+}
+
+TEST(ChaseTest, EmptyRuleSetIsAnImmediateFixpoint) {
+  auto schema = MakeSchema("r", {"A", "B"});
+  auto master = MakeSchema("m", {"X"});
+  auto rs = rules::RuleSet::Make(schema, master, {}, {});
+  ASSERT_TRUE(rs.ok());
+  Relation d(schema);
+  d.AddRow({"a", "b"});
+  d.AddRow({"a", "c"});
+  Relation dm(master);
+  ChaseResult result = RunChase(d, dm, rs.value(), {});
+  EXPECT_TRUE(result.terminated);
+  EXPECT_EQ(result.steps, 0);
+  EXPECT_EQ(result.fixpoint.CellDiffCount(d), 0);
+}
+
+TEST(ChaseTest, MdCopiesTheMasterValueIntoMatchingTuples) {
+  auto schema = MakeSchema("r", {"A", "B"});
+  auto master = MakeSchema("m", {"X", "Y"});
+  auto rs = MakeRules("MD m: A=X -> B:=Y\n", schema, master);
+  Relation d(schema);
+  d.AddRow({"x", "?"});  // matches the master tuple
+  d.AddRow({"z", "?"});  // matches nothing
+  Relation dm(master);
+  dm.AddRow({"x", "f"});
+  ChaseResult result = RunChase(d, dm, rs, {});
+  ASSERT_TRUE(result.terminated);
+  EXPECT_EQ(result.steps, 1);
+  const data::AttributeId b = schema->MustFindAttribute("B");
+  EXPECT_EQ(result.fixpoint.tuple(0).value(b), data::Value("f"));
+  EXPECT_EQ(result.fixpoint.tuple(1).value(b), data::Value("?"));
+}
+
+TEST(ChaseTest, DeterminismAnalysisReportsNonTermination) {
+  // Example 4.6's oscillating pair never reaches a fixpoint in any order,
+  // so no run can vouch for determinism.
+  auto schema = uniclean::testing::TranSchema();
+  auto rs = MakeRules(
+      "CFD phi1: AC='131' -> city='Edi'\n"
+      "CFD phi5: post='EH8 9AB' -> city='Ldn'\n",
+      schema, uniclean::testing::CardSchema());
+  Relation d(schema);
+  d.AddTuple(uniclean::testing::TranDirty().tuple(1));  // t2
+  Relation dm = uniclean::testing::CardMaster();
+  ChaseOptions opts;
+  opts.max_steps = 1000;
+  auto report = AnalyzeDeterminism(d, dm, rs, 3, opts);
+  EXPECT_EQ(report.runs, 3);
+  EXPECT_FALSE(report.all_terminated);
+  EXPECT_FALSE(report.deterministic);
+  EXPECT_EQ(report.distinct_fixpoints, 0);
 }
 
 }  // namespace

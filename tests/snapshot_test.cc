@@ -183,7 +183,7 @@ SectionAt FirstSection(const std::string& bytes, snapshot::SectionId id) {
 // ---------------------------------------------------------------------------
 
 class SnapshotParity
-    : public ::testing::TestWithParam<std::tuple<const char*, uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, uint64_t>> {
  protected:
   std::string Name() const { return std::get<0>(GetParam()); }
   uint64_t Seed() const { return std::get<1>(GetParam()); }
@@ -245,7 +245,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("HOSP", "DBLP", "TPCH"),
                        ::testing::Values(11u, 29u)),
     [](const ::testing::TestParamInfo<SnapshotParity::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_seed" +
+      return std::get<0>(info.param) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
 
