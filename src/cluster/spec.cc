@@ -23,11 +23,13 @@ std::vector<std::string> SplitWords(const std::string& line) {
 }
 
 bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
+  // Digits only, up to the token's end: strtoull alone would also take a
+  // sign (reading "-1" as 2^64 - 1) and stop at an embedded NUL.
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
   errno = 0;
   char* end = nullptr;
   const uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+  if (end != s.c_str() + s.size() || errno == ERANGE) return false;
   *out = v;
   return true;
 }
@@ -63,8 +65,10 @@ Result<ClusterSpec> ClusterSpec::Parse(const std::string& text) {
     } else if (key == "vnodes") {
       if (words.size() != 2 ||
           !ParseInt(words[1], &spec.ring.vnodes_per_replica) ||
-          spec.ring.vnodes_per_replica < 1) {
-        return fail("vnodes expects a positive integer");
+          spec.ring.vnodes_per_replica < 1 ||
+          spec.ring.vnodes_per_replica > kMaxVnodes) {
+        return fail("vnodes expects an integer in [1, " +
+                    std::to_string(kMaxVnodes) + "]");
       }
     } else if (key == "seed") {
       if (words.size() != 2 || !ParseU64(words[1], &spec.ring.seed)) {
@@ -75,8 +79,9 @@ Result<ClusterSpec> ClusterSpec::Parse(const std::string& text) {
       spec.snapshot_dir = words[1];
     } else if (key == "workers") {
       if (words.size() != 2 || !ParseInt(words[1], &spec.workers) ||
-          spec.workers < 1) {
-        return fail("workers expects a positive integer");
+          spec.workers < 1 || spec.workers > kMaxWorkers) {
+        return fail("workers expects an integer in [1, " +
+                    std::to_string(kMaxWorkers) + "]");
       }
     } else if (key == "replica") {
       if (words.size() != 3) return fail("replica expects NAME ADDRESS");

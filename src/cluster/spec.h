@@ -9,10 +9,10 @@
 // Line-oriented text, '#' comments, blank lines ignored:
 //
 //   replication 2
-//   vnodes 64
+//   vnodes 64                       # 1..kMaxVnodes
 //   seed 8457659301994554734        # optional; default RingOptions::seed
 //   snapshot-dir /var/lib/uniclean  # optional; shared warm-start snapshots
-//   workers 2                       # optional; per-daemon worker threads
+//   workers 2                       # optional; 1..kMaxWorkers per daemon
 //   replica r1 unix:/tmp/uc-r1.sock
 //   replica r2 127.0.0.1:7701
 //   ruleset hosp master.csv rules.txt schema.csv
@@ -31,6 +31,14 @@
 
 namespace uniclean {
 namespace cluster {
+
+/// Caps on the spec's size parameters. A spec is read from a file, and
+/// each value sizes an allocation or a thread count: a ring reserves
+/// replicas x vnodes 16-byte vnodes, and `unicleanctl spawn` passes
+/// `workers` to every daemon it starts, which runs one thread per worker.
+/// Parse refuses a larger value with InvalidArgument.
+inline constexpr int kMaxVnodes = 65536;
+inline constexpr int kMaxWorkers = 1024;
 
 struct ReplicaSpec {
   std::string name;

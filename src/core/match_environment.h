@@ -5,11 +5,11 @@
 // engine built its own MdMatcher (suffix array + equality index) and re-warmed
 // its own memo caches per run, paying the §5.2 index cost three times per
 // pipeline. A MatchEnvironment is scoped to a (rule set, master relation)
-// pair instead: it builds each matcher exactly once and owns the
-// similarity / blocking / match memos, which — because cell values are
-// interned ids in the process-wide StringPool — stay valid across phases
-// *and* across successive data relations cleaned against the same master
-// (the warm serving scenario; see uniclean::Session::Run).
+// pair instead: it builds each matcher exactly once and owns the blocking
+// and match-list memos, which — because cell values are interned ids in the
+// process-wide StringPool — stay valid across phases *and* across
+// successive data relations cleaned against the same master (the warm
+// serving scenario; see uniclean::Session::Run).
 //
 // One matcher per distinct premise, not per rule: §2.2 normalization splits
 // an MD into one MD per action, and a matcher reads only its MD's premise,

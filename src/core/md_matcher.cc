@@ -91,7 +91,7 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
       options_(options),
       blocking_cache_(options.memo_capacity),
       match_cache_(options.memo_capacity) {
-  // Everything but the index: clause roles, memo shapes and the
+  // Everything but the index: clause roles, the empty memos and the
   // materialized all-masters list. The public constructor builds the index
   // afterwards; a snapshot restore has snapshot::Codec install it instead.
   UC_CHECK(md_.normalized()) << "MdMatcher requires a normalized MD";
@@ -99,9 +99,6 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
   // GroupKey width limit here for matchers built outside RuleSet::Make.
   UC_CHECK_LE(md_.premise().size(), data::GroupKey::kMaxParts)
       << "MdMatcher: MD " << md_.name() << " premise too wide";
-  for (size_t i = 0; i < md_.premise().size(); ++i) {
-    sim_cache_.emplace_back(options.memo_capacity);
-  }
   if (options_.use_blocking) {
     for (size_t i = 0; i < md_.premise().size(); ++i) {
       if (md_.premise()[i].predicate.is_equality()) {
@@ -137,30 +134,6 @@ void MdMatcher::CollectBlockingValues() {
     }
     value_owners_[static_cast<size_t>(it->second)].push_back(s);
   }
-}
-
-bool MdMatcher::Verify(const data::Tuple& t, data::TupleId s) const {
-  const data::Tuple& m = dm_.tuple(s);
-  if (!options_.use_memos) {
-    return md_.PremiseHoldsWith(
-        t, m,
-        [](size_t, const rules::MdClause& c, const data::Value& dv,
-           const data::Value& mv) {
-          return c.predicate.Evaluate(dv.view(), mv.view());
-        });
-  }
-  return md_.PremiseHoldsWith(
-      t, m,
-      [this](size_t i, const rules::MdClause& c, const data::Value& dv,
-             const data::Value& mv) {
-        const uint64_t pair_key =
-            (static_cast<uint64_t>(dv.id()) << 32) | mv.id();
-        const ShardedMemo<uint64_t, bool>& cache = sim_cache_[i];
-        if (const bool* hit = cache.Find(pair_key)) return *hit;
-        bool holds = c.predicate.Evaluate(dv.view(), mv.view());
-        cache.Insert(pair_key, std::move(holds));
-        return holds;
-      });
 }
 
 const std::vector<data::TupleId>& MdMatcher::Candidates(
@@ -227,7 +200,7 @@ const std::vector<data::TupleId>& MdMatcher::Matches(
     const std::vector<data::TupleId>& candidates = Candidates(t);
     scratch_matches.clear();
     for (data::TupleId s : candidates) {
-      if (Verify(t, s)) scratch_matches.push_back(s);
+      if (md_.PremiseHolds(t, dm_.tuple(s))) scratch_matches.push_back(s);
     }
     return scratch_matches;
   }
@@ -241,7 +214,7 @@ const std::vector<data::TupleId>& MdMatcher::Matches(
   // whichever landed first.
   std::vector<data::TupleId> matches;
   for (data::TupleId s : Candidates(t)) {
-    if (Verify(t, s)) matches.push_back(s);
+    if (md_.PremiseHolds(t, dm_.tuple(s))) matches.push_back(s);
   }
   if (const auto* resident = match_cache_.Insert(key, std::move(matches))) {
     return *resident;
@@ -258,7 +231,7 @@ data::TupleId MdMatcher::FindFirstMatch(const data::Tuple& t) const {
   if (!options_.use_memos) {
     // No cache to amortize a full match list: keep the early exit.
     for (data::TupleId s : Candidates(t)) {
-      if (Verify(t, s)) return s;
+      if (md_.PremiseHolds(t, dm_.tuple(s))) return s;
     }
     return -1;
   }
@@ -274,10 +247,6 @@ MemoStats MdMatcher::memo_stats() const {
   };
   total += match_cache_.Stats(list_bytes);
   total += blocking_cache_.Stats(list_bytes);
-  for (const ShardedMemo<uint64_t, bool>& clause_cache : sim_cache_) {
-    total += clause_cache.Stats(
-        [](uint64_t, bool) { return sizeof(uint64_t) + sizeof(bool); });
-  }
   return total;
 }
 

@@ -3,9 +3,10 @@
 // on interned value ids); when an MD has only similarity clauses, the §5.2
 // suffix-array blocking retrieves the top-l master values by longest common
 // substring and only those candidates are verified — reducing the per-tuple
-// cost from O(|Dm|) to O(l). Similarity clause outcomes are memoized per
-// (data id, master id) pair, so a value pair is scored at most once per
-// clause over the whole cleaning run. A brute-force mode exists for the
+// cost from O(|Dm|) to O(l). Each candidate is verified with
+// rules::Md::PremiseHolds; what is memoized is the outcome of a whole probe
+// (the blocking candidates per probed value, the match list per premise
+// projection), not of a single predicate. A brute-force mode exists for the
 // blocking ablation bench.
 //
 // Thread safety: the matcher has no mutating operation. After construction
@@ -28,7 +29,6 @@
 #define UNICLEAN_CORE_MD_MATCHER_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/sharded_memo.h"
@@ -50,16 +50,16 @@ struct MdMatcherOptions {
   int top_l = 20;
   /// When false, every master tuple is verified (ablation baseline).
   bool use_blocking = true;
-  /// When false, the blocking / similarity / match memos are bypassed and
-  /// every probe pays its full cost. Only the ablation benches turn this
-  /// off, so they measure per-probe match cost rather than cache hits.
+  /// When false, the blocking and match-list memos are bypassed and every
+  /// probe pays its full cost. Only the ablation benches turn this off, so
+  /// they measure per-probe match cost rather than cache hits.
   bool use_memos = true;
-  /// Caps the resident entries of each memo map (the match-list memo, the
-  /// blocking memo, and each premise clause's similarity memo are capped
-  /// independently); 0 = unbounded. Past the cap new results are still
-  /// computed but refused admission (counted as MemoStats::evictions), so
-  /// handed-out references never dangle and a long-lived serving session's
-  /// memory stops growing. See ROADMAP "memo growth in long-lived sessions".
+  /// Caps the resident entries of each memo map (the match-list memo and
+  /// the blocking memo are capped independently); 0 = unbounded. Past the
+  /// cap new results are still computed but refused admission (counted as
+  /// MemoStats::evictions), so handed-out references never dangle and a
+  /// long-lived serving session's memory stops growing. See ROADMAP "memo
+  /// growth in long-lived sessions".
   size_t memo_capacity = 0;
 };
 
@@ -92,9 +92,9 @@ class MdMatcher {
   /// with that premise; md() is the one with the lowest rule id.
   const rules::Md& md() const { return md_; }
 
-  /// Aggregated statistics of this matcher's memos (match lists, blocking
-  /// candidates, per-clause similarity outcomes). Counters are live atomics;
-  /// the entry/byte figures briefly lock each memo shard in turn.
+  /// Aggregated statistics of this matcher's two memos (match lists and
+  /// blocking candidates). Counters are live atomics; the entry/byte figures
+  /// briefly lock each memo shard in turn.
   MemoStats memo_stats() const;
 
   /// Process-wide count of MdMatcher constructions (each construction pays
@@ -114,7 +114,6 @@ class MdMatcher {
             const MdMatcherOptions& options, RestoreTag);
 
   const std::vector<data::TupleId>& Candidates(const data::Tuple& t) const;
-  bool Verify(const data::Tuple& t, data::TupleId s) const;
   /// Adds each distinct non-null master value of the blocking clause to
   /// suffix_array_, in tuple order, and records its owners in
   /// value_owners_ — the half of the index a cold build and a snapshot
@@ -138,11 +137,6 @@ class MdMatcher {
   int blocking_clause_ = -1;
   similarity::GeneralizedSuffixArray suffix_array_;
   std::vector<std::vector<data::TupleId>> value_owners_;  // per string id
-
-  // Per-premise-clause memo of similarity outcomes keyed on
-  // (data id << 32 | master id), lazily filled during Verify. deque: the
-  // sharded memos own mutexes and never move.
-  std::deque<ShardedMemo<uint64_t, bool>> sim_cache_;
 
   // Memo of suffix-array blocking results per probed value id: TopL over the
   // static master index is a pure function of the probe string, and dirty

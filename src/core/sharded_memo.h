@@ -1,12 +1,12 @@
 // ShardedMemo: the concurrency primitive behind the MdMatcher memos. A
-// memo entry is the result of a pure function of its key (a similarity
-// outcome, a blocking candidate list, a full match list over the static
-// master data), so the only thing a shared cache must guarantee under
-// concurrent Session runs is data-race freedom — any interleaving of hits
-// and inserts yields the same values. The map is split into kShards
-// mutex-guarded shards keyed on a mixed hash of the interned-id key, so
-// concurrent probes of different keys rarely contend and the critical
-// section is a single hash lookup or insert.
+// memo entry is the result of a pure function of its key (a blocking
+// candidate list or a full match list over the static master data), so the
+// only thing a shared cache must guarantee under concurrent Session runs is
+// data-race freedom — any interleaving of hits and inserts yields the same
+// values. The map is split into kShards mutex-guarded shards keyed on a
+// mixed hash of the interned-id key, so concurrent probes of different keys
+// rarely contend and the critical section is a single hash lookup or
+// insert.
 //
 // Entries are never erased or cleared — the master data they are computed
 // over is static for the memo's whole life, so no entry goes stale — and

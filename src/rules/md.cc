@@ -30,12 +30,17 @@ std::vector<Md> Md::Normalize() const {
 }
 
 bool Md::PremiseHolds(const data::Tuple& t, const data::Tuple& s) const {
-  return PremiseHoldsWith(
-      t, s,
-      [](size_t, const MdClause& c, const data::Value& dv,
-         const data::Value& mv) {
-        return c.predicate.Evaluate(dv.view(), mv.view());
-      });
+  for (const MdClause& c : premise_) {
+    const data::Value& dv = t.value(c.data_attr);
+    const data::Value& mv = s.value(c.master_attr);
+    if (dv.is_null() || mv.is_null()) return false;
+    // Identical interned ids satisfy any similarity predicate (distance 0 /
+    // similarity 1); only distinct strings need the metric.
+    if (dv == mv) continue;
+    if (c.predicate.is_equality()) return false;
+    if (!c.predicate.Evaluate(dv.view(), mv.view())) return false;
+  }
+  return true;
 }
 
 Md Md::WithExtraEqualities(const std::vector<MdClause>& extra,

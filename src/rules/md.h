@@ -60,33 +60,9 @@ class Md {
 
   /// Whether the premise holds between data tuple t and master tuple s.
   /// A null on either side fails the clause (§7 semantics: rules only apply
-  /// to tuples that precisely match). Implemented on PremiseHoldsWith, the
-  /// single premise-evaluation code path shared by the reference checkers
-  /// and the memoizing MdMatcher.
+  /// to tuples that precisely match). The one premise-evaluation code path:
+  /// the reference checkers and core::MdMatcher's verification all call it.
   bool PremiseHolds(const data::Tuple& t, const data::Tuple& s) const;
-
-  /// Generic premise evaluation with the same null / identical-id /
-  /// equality-clause semantics as PremiseHolds, delegating only the fuzzy
-  /// predicate outcome: `eval(clause_index, clause, data_value,
-  /// master_value) -> bool` is invoked solely for distinct, non-null value
-  /// pairs on a non-equality clause. MdMatcher plugs its sharded
-  /// concurrent memo in here so the premise semantics exist exactly once.
-  template <typename EvalFn>
-  bool PremiseHoldsWith(const data::Tuple& t, const data::Tuple& s,
-                        EvalFn&& eval) const {
-    for (size_t i = 0; i < premise_.size(); ++i) {
-      const MdClause& c = premise_[i];
-      const data::Value& dv = t.value(c.data_attr);
-      const data::Value& mv = s.value(c.master_attr);
-      if (dv.is_null() || mv.is_null()) return false;
-      // Identical interned ids satisfy any similarity predicate (distance 0
-      // / similarity 1); only distinct strings need the metric.
-      if (dv == mv) continue;
-      if (c.predicate.is_equality()) return false;
-      if (!eval(i, c, dv, mv)) return false;
-    }
-    return true;
-  }
 
   /// Returns a copy with extra equality clauses prepended (used by the
   /// negative-MD embedding of Prop. 2.6).

@@ -322,9 +322,9 @@ void Daemon::Shutdown() {
     conns_.clear();
   }
   // 5. The drain left every engine quiescent; refresh the snapshots so the
-  //    memo heat this process earned (match lists, blocking candidates,
-  //    similarity outcomes) survives into the next start. A kill -9 skips
-  //    this and the replacement falls back to the build-time snapshot.
+  //    memo heat this process earned (match lists and blocking candidates)
+  //    survives into the next start. A kill -9 skips this and the
+  //    replacement falls back to the build-time snapshot.
   for (const auto& entry : engines_) {
     if (std::shared_ptr<CleanEngine> engine = entry->Get()) {
       MaybeWriteSnapshot(entry->cfg, *engine);

@@ -170,26 +170,10 @@ void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
 
 void Codec::AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
                         std::string* out) {
-  PutU32(out, static_cast<uint32_t>(matcher.sim_cache_.size()));
   // Each family is buffered so the count prefix reflects post-filter
   // entries (ids interned after the header's pool generation was captured
   // cannot be resolved by a loader and are skipped).
   std::string entries;
-  for (const auto& clause_cache : matcher.sim_cache_) {
-    entries.clear();
-    uint64_t count = 0;
-    clause_cache.ForEach([&](uint64_t key, bool holds) {
-      if ((key >> 32) >= pool_limit || (key & 0xFFFFFFFFull) >= pool_limit) {
-        return;
-      }
-      PutU64(&entries, key);
-      PutU8(&entries, holds ? 1 : 0);
-      ++count;
-    });
-    PutU64(out, count);
-    out->append(entries);
-  }
-  entries.clear();
   uint64_t count = 0;
   matcher.blocking_cache_.ForEach(
       [&](data::ValueId value, const std::vector<data::TupleId>& ids) {
@@ -321,23 +305,6 @@ Status Codec::RestoreMemos(core::MdMatcher* matcher,
   const uint64_t pool_size = data::StringPool::Global().size();
   const uint32_t master_size = static_cast<uint32_t>(m.dm_.size());
   Reader r(payload);
-  UC_ASSIGN_OR_RETURN(uint32_t n_clauses, r.U32());
-  if (n_clauses != m.sim_cache_.size()) {
-    return Inconsistent("similarity memo clause count mismatch");
-  }
-  for (uint32_t c = 0; c < n_clauses; ++c) {
-    UC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-    for (uint64_t i = 0; i < count; ++i) {
-      UC_ASSIGN_OR_RETURN(uint64_t key, r.U64());
-      UC_ASSIGN_OR_RETURN(uint8_t value, r.U8());
-      if ((key >> 32) >= pool_size || (key & 0xFFFFFFFFull) >= pool_size ||
-          value > 1) {
-        return Inconsistent("similarity memo entry out of range");
-      }
-      bool holds = value != 0;
-      m.sim_cache_[c].Insert(key, std::move(holds));
-    }
-  }
   UC_ASSIGN_OR_RETURN(uint64_t blocking_count, r.U64());
   for (uint64_t i = 0; i < blocking_count; ++i) {
     UC_ASSIGN_OR_RETURN(uint32_t value, r.U32());

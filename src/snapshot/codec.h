@@ -57,12 +57,13 @@ class Codec {
   /// emitted in sorted order so identical engines write identical bytes.
   static void AppendMatcher(const core::MdMatcher& matcher, std::string* out);
 
-  /// One matcher's memo contents (match lists, blocking candidates,
-  /// per-clause similarity outcomes). Entries referencing value ids >=
-  /// `pool_limit` (interned after the header's generation was captured) are
-  /// skipped — they could not be resolved by a loader. Entry order is
-  /// unspecified (sharded maps), so memo sections are the one part of a
-  /// snapshot whose bytes are not deterministic.
+  /// One matcher's memo contents: `u64 n | n x (u32 value id | tuple ids)`
+  /// blocking candidates, then `u64 n | n x (group key | tuple ids)` match
+  /// lists. Entries referencing value ids >= `pool_limit` (interned after
+  /// the header's generation was captured) are skipped — they could not be
+  /// resolved by a loader. Entry order is unspecified (sharded maps), so
+  /// memo sections are the one part of a snapshot whose bytes are not
+  /// deterministic.
   static void AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
                           std::string* out);
 

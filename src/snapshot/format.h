@@ -42,12 +42,14 @@ namespace uniclean {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'U', 'C', 'S', 'N', 'A', 'P', 'S', 'H'};
-/// Version 3 persists one matcher (and one memo section) per distinct MD
+/// Version 4 persists one matcher (and one memo section) per distinct MD
 /// premise, filed under the lowest rule id with that premise; a blocking
-/// index is its suffix order (codec.h). Files of earlier versions — v2 (one
-/// matcher per MD rule) and v1 (suffix-tree nodes) — are refused like any
-/// other version.
-inline constexpr uint32_t kFormatVersion = 3;
+/// index is its suffix order, and a memo section holds blocking candidates
+/// and match lists only (codec.h). Files of earlier versions — v3 (memo
+/// sections that also held per-clause similarity outcomes), v2 (one matcher
+/// per MD rule) and v1 (suffix-tree nodes) — are refused like any other
+/// version.
+inline constexpr uint32_t kFormatVersion = 4;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kSectionHeaderBytes = 20;
 

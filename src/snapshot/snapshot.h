@@ -43,10 +43,10 @@ class CleanEngine;
 namespace snapshot {
 
 struct SnapshotWriteOptions {
-  /// Also persist the memo contents (match lists, blocking candidates,
-  /// per-clause similarity outcomes) so a restarted server begins with the
-  /// hit rates the previous process earned. Entries referencing strings
-  /// interned after the snapshot's pool generation are skipped.
+  /// Also persist the memo contents (match lists and blocking candidates)
+  /// so a restarted server begins with the hit rates the previous process
+  /// earned. Entries referencing strings interned after the snapshot's pool
+  /// generation are skipped.
   bool include_memos = true;
 };
 

@@ -28,6 +28,7 @@
 #include "cluster/ring.h"
 #include "cluster/spec.h"
 #include "common/latency_histogram.h"
+#include "common/rng.h"
 #include "data/csv.h"
 #include "gen/dataset.h"
 #include "serve/client.h"
@@ -384,6 +385,98 @@ TEST(SpecTest, RejectsMalformedSpecs) {
       ClusterSpec::Parse("replication 5\nreplica r1 a\nruleset h m r s\n");
   ASSERT_TRUE(clamped.ok());
   EXPECT_EQ(clamped->replication, 1);
+  // vnodes and workers are capped: a ring reserves replicas x vnodes
+  // entries, and each daemon starts one thread per worker. A sign is not
+  // part of an unsigned number.
+  const std::string members = "replica r1 a\nruleset h m r s\n";
+  for (const char* line :
+       {"vnodes 0\n", "vnodes 65537\n", "vnodes 2147483647\n",
+        "vnodes 4294967296\n", "workers 0\n", "workers 1025\n",
+        "workers 2147483647\n", "seed -1\n", "seed +1\n", "vnodes +8\n"}) {
+    const auto spec = ClusterSpec::Parse(line + members);
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  auto at_caps = ClusterSpec::Parse("vnodes 65536\nworkers 1024\n" + members);
+  ASSERT_TRUE(at_caps.ok()) << at_caps.status().ToString();
+  EXPECT_EQ(at_caps->ring.vnodes_per_replica, kMaxVnodes);
+  EXPECT_EQ(at_caps->workers, kMaxWorkers);
+}
+
+TEST(SpecTest, SeededMutationsParseOrFailCleanly) {
+  // Seeded byte edits and number-token swaps of a valid spec. Parse returns
+  // InvalidArgument or a spec within the caps, and an accepted spec builds
+  // its ring and answers ownership queries consistently.
+  const std::string valid =
+      "replication 2\n"
+      "vnodes 32\n"
+      "seed 42\n"
+      "workers 3\n"
+      "replica r1 unix:/tmp/r1.sock\n"
+      "replica r2 127.0.0.1:7701\n"
+      "replica r3 unix:/tmp/r3.sock\n"
+      "ruleset hosp m.csv r.txt s.csv\n"
+      "ruleset flights m2.csv r2.txt s2.csv\n";
+  const std::vector<std::string> numbers = {"0", "-1", "2147483647",
+                                            "4294967296"};
+  Rng rng(2027);
+  int accepted = 0;
+  int vnodes_refused = 0;
+  int workers_refused = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = valid;
+    for (size_t edits = 1 + rng.Index(3); edits > 0; --edits) {
+      const size_t at = rng.Index(text.size());
+      switch (rng.Index(4)) {
+        case 0:
+          text[at] = static_cast<char>(rng.Uniform(0, 255));
+          break;
+        case 1:
+          text.erase(at, 1);
+          break;
+        case 2:
+          text.insert(at, 1, static_cast<char>(rng.Uniform(0, 255)));
+          break;
+        default: {
+          // Swap the digit run at or after `at` for a boundary number.
+          const size_t begin = text.find_first_of("0123456789", at);
+          if (begin == std::string::npos) break;
+          const size_t end = text.find_first_not_of("0123456789", begin);
+          text.replace(begin, end - begin, rng.Choice(numbers));
+          break;
+        }
+      }
+    }
+    const auto spec = ClusterSpec::Parse(text);
+    if (!spec.ok()) {
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << text;
+      const std::string& why = spec.status().message();
+      vnodes_refused += why.find("vnodes expects") != std::string::npos;
+      workers_refused += why.find("workers expects") != std::string::npos;
+      continue;
+    }
+    ++accepted;
+    ASSERT_GE(spec->ring.vnodes_per_replica, 1) << text;
+    ASSERT_LE(spec->ring.vnodes_per_replica, kMaxVnodes) << text;
+    EXPECT_GE(spec->workers, 1) << text;
+    EXPECT_LE(spec->workers, kMaxWorkers) << text;
+    const Ring ring = spec->BuildRing();
+    EXPECT_EQ(ring.size(), static_cast<int>(spec->replicas.size())) << text;
+    for (const RulesetSpec& rs : spec->rulesets) {
+      const std::vector<std::string> owners = spec->OwnersOf(rs.name);
+      EXPECT_EQ(owners.size(), static_cast<size_t>(spec->replication))
+          << text;
+      for (const std::string& owner : owners) {
+        const std::vector<std::string> owned = spec->RulesetsOwnedBy(owner);
+        EXPECT_NE(std::find(owned.begin(), owned.end(), rs.name),
+                  owned.end())
+            << text;
+      }
+    }
+  }
+  // Mutants reached both outcomes, and both capped directives.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(vnodes_refused, 0);
+  EXPECT_GT(workers_refused, 0);
 }
 
 // ---------------------------------------------------------------------------

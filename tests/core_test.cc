@@ -136,6 +136,33 @@ TEST(MdMatcherTest, NullPremiseNeverMatches) {
   EXPECT_EQ(matcher.FindFirstMatch(d.tuple(3)), -1);
 }
 
+TEST(MdMatcherTest, MemosHoldMatchListsAndBlockingListsOnly) {
+  // Two similarity clauses, `name` the blocking one. Both probes share the
+  // name "alphx", which equals no master name but has blocking candidates,
+  // so both clauses are scored against master values. The memos keep one
+  // match list per premise projection and one blocking list per probed
+  // name, and no predicate outcome.
+  auto schema = MakeSchema("r", {"name", "city", "val"});
+  auto master = MakeSchema("m", {"name", "city", "val"});
+  auto rs = MakeRules(
+      "MD m1: name ~edit:1 name & city ~edit:1 city -> val:=val\n", schema,
+      master);
+  Relation dm(master);
+  dm.AddRow({"alpha", "paris", "v0"});
+  dm.AddRow({"alpine", "rome", "v1"});
+  dm.AddRow({"zulu", "oslo", "v2"});
+  MdMatcher matcher(rs.mds()[0], dm);
+  Relation d(schema);
+  d.AddRow({"alphx", "parix", "?"});
+  d.AddRow({"alphx", "berlin", "?"});
+  EXPECT_EQ(matcher.Matches(d.tuple(0)), std::vector<data::TupleId>{0});
+  EXPECT_TRUE(matcher.Matches(d.tuple(1)).empty());
+  const MemoStats stats = matcher.memo_stats();
+  EXPECT_EQ(stats.entries, 3u);  // two match lists, one blocking list
+  EXPECT_EQ(stats.misses, 3u);   // each computed once
+  EXPECT_EQ(stats.hits, 1u);     // the second probe's blocking list
+}
+
 // ---------------------------------------------------------------------------
 // Cost model (§3.1)
 // ---------------------------------------------------------------------------

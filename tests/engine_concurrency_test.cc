@@ -73,14 +73,9 @@ std::vector<const core::MdMatcher*> DistinctMatchers(
 }
 
 /// The memo maps an environment caps independently: per distinct matcher,
-/// the match and blocking memos plus one similarity memo per premise
-/// clause.
+/// the match-list memo and the blocking memo.
 size_t MemoMaps(const core::MatchEnvironment& env) {
-  size_t memo_maps = 0;
-  for (const core::MdMatcher* matcher : DistinctMatchers(env)) {
-    memo_maps += 2 + matcher->md().premise().size();
-  }
-  return memo_maps;
+  return 2 * DistinctMatchers(env).size();
 }
 
 /// Journal (text + CSV) and repaired relation, as comparable strings.
@@ -240,8 +235,8 @@ TEST(MemoCapTest, CapBoundsEntriesCountsEvictionsAndKeepsResults) {
 
   const core::MemoStats stats = capped->MemoStats();
   EXPECT_GT(stats.evictions, 0u) << "cap never engaged";
-  // Each memo map (match, blocking, per-clause similarity) is capped
-  // independently; bound the total by kCap times the number of memo maps.
+  // Each memo map (match list, blocking) is capped independently; bound
+  // the total by kCap times the number of memo maps.
   EXPECT_LE(stats.entries, kCap * MemoMaps(capped->environment()));
   EXPECT_LT(stats.entries, uncapped.entries);
 }

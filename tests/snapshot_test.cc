@@ -269,7 +269,7 @@ TEST_F(SnapshotHosp, MemoContentsRoundTrip) {
     gen::Dataset ds = Generate("HOSP", 11);
     auto engine = Configure(ds).BuildEngine();
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    // A run populates the match/blocking/similarity memos; the snapshot
+    // A run populates the match-list and blocking memos; the snapshot
     // should carry exactly those entries across.
     RunJournal(*engine, ds);
     entries_before = (*engine)->environment().MemoStats().entries;
@@ -675,6 +675,18 @@ TEST_F(SnapshotHardening, Version2IsFailedPrecondition) {
   const Status s = TryLoadBytes(bytes);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
   EXPECT_NE(s.message().find("version 2"), std::string::npos) << s.ToString();
+}
+
+TEST_F(SnapshotHardening, Version3IsFailedPrecondition) {
+  // A v3 file's memo sections also hold per-clause similarity outcomes,
+  // which this build keeps no memo for. It is refused like v2, and a daemon
+  // cold-builds and rewrites it.
+  std::string bytes = good_;
+  PatchU32(&bytes, 8, 3);
+  ResealHeader(&bytes);
+  const Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("version 3"), std::string::npos) << s.ToString();
 }
 
 TEST_F(SnapshotHardening, MatcherSectionUnderNonOwnerRuleIsDataLoss) {
