@@ -830,10 +830,11 @@ void ClusterPoint(const std::string& dataset, int num_tuples,
     return o;
   };
 
-  cluster::Ring ring;
+  Result<cluster::Ring> built = cluster::Ring::Make(names);
+  if (!built.ok()) std::exit(2);
+  const cluster::Ring ring = std::move(built).value();
   std::map<std::string, std::unique_ptr<serve::Daemon>> daemons;
   for (const std::string& name : names) {
-    if (!ring.AddReplica(name).ok()) std::exit(2);
     daemons[name] = std::make_unique<serve::Daemon>(
         daemon_options(name, /*with_snapshots=*/true),
         std::vector<serve::RulesetConfig>{ruleset});

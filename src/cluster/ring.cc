@@ -1,6 +1,7 @@
 #include "cluster/ring.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace uniclean {
 namespace cluster {
@@ -23,60 +24,44 @@ uint64_t HashKey(std::string_view key, uint64_t seed) {
   return SplitMix64(h ^ seed);
 }
 
-Ring::Ring(RingOptions options) : options_(options) {
-  if (options_.vnodes_per_replica < 1) options_.vnodes_per_replica = 1;
-}
-
-Status Ring::AddReplica(const std::string& name) {
-  if (name.empty()) {
-    return Status::InvalidArgument("ring: replica name must be non-empty");
+Result<Ring> Ring::Make(std::vector<std::string> names, RingOptions options) {
+  std::sort(names.begin(), names.end());
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i].empty()) {
+      return Status::InvalidArgument("ring: replica name must be non-empty");
+    }
+    if (i > 0 && names[i] == names[i - 1]) {
+      return Status::InvalidArgument("ring: duplicate replica '" + names[i] +
+                                     "'");
+    }
   }
-  if (Contains(name)) {
-    return Status::InvalidArgument("ring: duplicate replica '" + name + "'");
+  Ring ring;
+  ring.options_ = options;
+  if (ring.options_.vnodes_per_replica < 1) {
+    ring.options_.vnodes_per_replica = 1;
   }
-  names_.push_back(name);
-  std::sort(names_.begin(), names_.end());
-  Rebuild();
-  return Status::OK();
-}
-
-Status Ring::RemoveReplica(const std::string& name) {
-  auto it = std::find(names_.begin(), names_.end(), name);
-  if (it == names_.end()) {
-    return Status::NotFound("ring: unknown replica '" + name + "'");
-  }
-  names_.erase(it);
-  Rebuild();
-  return Status::OK();
-}
-
-bool Ring::Contains(const std::string& name) const {
-  return std::find(names_.begin(), names_.end(), name) != names_.end();
-}
-
-std::vector<std::string> Ring::replicas() const { return names_; }
-
-void Ring::Rebuild() {
-  vnodes_.clear();
-  vnodes_.reserve(names_.size() *
-                  static_cast<size_t>(options_.vnodes_per_replica));
-  for (uint32_t r = 0; r < names_.size(); ++r) {
+  ring.names_ = std::move(names);
+  const int vnodes = ring.options_.vnodes_per_replica;
+  ring.vnodes_.reserve(ring.names_.size() * static_cast<size_t>(vnodes));
+  for (uint32_t r = 0; r < ring.names_.size(); ++r) {
     // A vnode's point depends only on (seed, replica name, vnode index) —
-    // never on the replica's position in names_ — so membership changes
-    // leave every surviving vnode exactly where it was.
-    const uint64_t base = HashKey(names_[r], options_.seed);
-    for (int v = 0; v < options_.vnodes_per_replica; ++v) {
-      vnodes_.push_back(
+    // never on the replica's position in names_ — so a ring with one more
+    // or one fewer replica keeps every other vnode exactly where it was.
+    const uint64_t base = HashKey(ring.names_[r], ring.options_.seed);
+    for (int v = 0; v < vnodes; ++v) {
+      ring.vnodes_.push_back(
           {SplitMix64(base ^ (0x9e3779b97f4a7c15ull *
                               static_cast<uint64_t>(v + 1))),
            r});
     }
   }
-  std::sort(vnodes_.begin(), vnodes_.end(),
-            [&](const VNode& a, const VNode& b) {
+  // Ties break by replica index, which is name order: names_ is sorted.
+  std::sort(ring.vnodes_.begin(), ring.vnodes_.end(),
+            [](const VNode& a, const VNode& b) {
               if (a.point != b.point) return a.point < b.point;
-              return names_[a.replica] < names_[b.replica];  // tie-break
+              return a.replica < b.replica;
             });
+  return ring;
 }
 
 std::vector<std::string> Ring::Owners(std::string_view key, int count) const {

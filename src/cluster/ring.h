@@ -6,23 +6,23 @@
 // the cluster relies on (pinned in cluster_test):
 //
 //  * Determinism — two Ring instances built from the same options and
-//    membership answer every ownership query identically, on any host.
-//    unicleanctl, the routing client and the tests all rebuild the ring
-//    independently and must agree.
+//    replica names, in any order, answer every ownership query
+//    identically, on any host. unicleanctl, the routing client and the
+//    tests all build the ring independently and must agree.
 //
-//  * Minimal movement — adding a replica to an N-replica ring reassigns
-//    only ~1/(N+1) of the keyspace (the slices the new replica's vnodes
-//    claim); removing one reassigns only the removed replica's share.
-//    Everything else keeps its owner, which is what makes membership
-//    changes cheap for a fleet of warm engines.
+//  * Minimal movement — a ring over N + 1 replicas assigns only ~1/(N+1)
+//    of the keyspace differently from the ring over N of them (the slices
+//    the extra replica's vnodes claim). Everything else keeps its owner,
+//    which is what makes membership changes cheap for a fleet of warm
+//    engines.
 //
 //  * Failover order — Owners(key, R) returns R distinct replicas; entry 0
 //    is the primary, entries 1.. are the failover order the routing client
 //    walks when the primary is down. The order is a pure function of the
 //    key, so every client agrees on who takes over.
 //
-// The ring is a value type (copyable, no locking): clients rebuild or copy
-// it on membership changes rather than mutating a shared instance.
+// The ring is an immutable value type (copyable, no locking), built once
+// from its whole replica list: a membership change builds a new ring.
 
 #ifndef UNICLEAN_CLUSTER_RING_H_
 #define UNICLEAN_CLUSTER_RING_H_
@@ -46,7 +46,8 @@ uint64_t HashKey(std::string_view key, uint64_t seed);
 
 struct RingOptions {
   /// Virtual nodes per replica. More vnodes = smoother balance and finer
-  /// movement granularity at O(vnodes log vnodes) rebuild cost.
+  /// movement granularity at O(V log V) build cost, V = replicas x
+  /// vnodes.
   int vnodes_per_replica = 64;
   /// Hash seed. All parties of one cluster must agree on it.
   uint64_t seed = 0x756e69636c65616eull;  // "uniclean"
@@ -54,16 +55,17 @@ struct RingOptions {
 
 class Ring {
  public:
-  explicit Ring(RingOptions options = {});
+  /// The ring over `names`, given in any order: the names are sorted once
+  /// and every vnode is hashed and sorted once. InvalidArgument on an empty
+  /// or repeated name.
+  static Result<Ring> Make(std::vector<std::string> names,
+                           RingOptions options = {});
 
-  /// Adds a replica's vnodes. InvalidArgument on duplicate/empty name.
-  Status AddReplica(const std::string& name);
-  /// Removes a replica and its vnodes. NotFound when absent.
-  Status RemoveReplica(const std::string& name);
-  bool Contains(const std::string& name) const;
+  /// An empty ring: Owners() returns nothing.
+  Ring() = default;
 
   /// Replica names, sorted (not ring order).
-  std::vector<std::string> replicas() const;
+  const std::vector<std::string>& replicas() const { return names_; }
   int size() const { return static_cast<int>(names_.size()); }
   const RingOptions& options() const { return options_; }
 
@@ -80,8 +82,6 @@ class Ring {
     uint64_t point;
     uint32_t replica;  // index into names_
   };
-
-  void Rebuild();
 
   RingOptions options_;
   std::vector<std::string> names_;  // sorted; indexes are VNode::replica

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace uniclean {
 namespace cluster {
@@ -127,23 +128,15 @@ Result<ClusterSpec> ClusterSpec::Load(const std::string& path) {
   return Parse(buf.str());
 }
 
-Ring ClusterSpec::BuildRing() const {
-  Ring ring(this->ring);
-  for (const ReplicaSpec& r : replicas) {
-    // Names were deduplicated at parse time; AddReplica cannot fail here.
-    (void)ring.AddReplica(r.name);
-  }
-  return ring;
-}
-
-std::vector<std::string> ClusterSpec::OwnersOf(
-    const std::string& ruleset) const {
-  return BuildRing().Owners(ruleset, replication);
+Result<Ring> ClusterSpec::BuildRing() const {
+  std::vector<std::string> names;
+  names.reserve(replicas.size());
+  for (const ReplicaSpec& r : replicas) names.push_back(r.name);
+  return Ring::Make(std::move(names), ring);
 }
 
 std::vector<std::string> ClusterSpec::RulesetsOwnedBy(
-    const std::string& replica) const {
-  const Ring ring = BuildRing();
+    const Ring& ring, const std::string& replica) const {
   std::vector<std::string> owned;
   for (const RulesetSpec& rs : rulesets) {
     const std::vector<std::string> owners =

@@ -63,13 +63,14 @@ struct ClusterSpec {
   static Result<ClusterSpec> Parse(const std::string& text);
   static Result<ClusterSpec> Load(const std::string& path);
 
-  /// The ring this spec describes (every replica added).
-  Ring BuildRing() const;
-  /// Owners(ruleset, replication) on the spec's ring.
-  std::vector<std::string> OwnersOf(const std::string& ruleset) const;
-  /// Rulesets whose owner list includes `replica` — what that replica's
-  /// daemon is configured to serve.
-  std::vector<std::string> RulesetsOwnedBy(const std::string& replica) const;
+  /// The ring this spec describes: every replica, built once. Ownership of
+  /// a ruleset is ring.Owners(name, replication). InvalidArgument only for
+  /// an empty or repeated replica name, which Parse already refuses.
+  Result<Ring> BuildRing() const;
+  /// Rulesets whose owner list on `ring` (this spec's BuildRing()) includes
+  /// `replica` — what that replica's daemon is configured to serve.
+  std::vector<std::string> RulesetsOwnedBy(const Ring& ring,
+                                           const std::string& replica) const;
   /// NotFound when the name is absent.
   Result<ReplicaSpec> FindReplica(const std::string& name) const;
   Result<RulesetSpec> FindRuleset(const std::string& name) const;

@@ -65,22 +65,26 @@ MdMatcher::MdMatcher(const rules::Md& md, const data::Relation& dm,
   g_constructed_count.fetch_add(1, std::memory_order_relaxed);
   if (!options_.use_blocking) return;
   if (!equality_clauses_.empty()) {
-    for (data::TupleId s = 0; s < dm_.size(); ++s) {
-      bool has_null = false;
-      for (size_t i : equality_clauses_) {
-        if (dm_.tuple(s).value(md_.premise()[i].master_attr).is_null()) {
-          has_null = true;
-          break;
-        }
-      }
-      if (has_null) continue;  // null never satisfies a premise clause
-      equality_index_[EqualityKey(equality_clauses_, md_, dm_.tuple(s),
-                                  /*master_side=*/true)]
-          .push_back(s);
-    }
+    BuildEqualityIndex();
   } else if (blocking_clause_ >= 0) {
     CollectBlockingValues();
     suffix_array_.Build();
+  }
+}
+
+void MdMatcher::BuildEqualityIndex() {
+  for (data::TupleId s = 0; s < dm_.size(); ++s) {
+    bool has_null = false;
+    for (size_t i : equality_clauses_) {
+      if (dm_.tuple(s).value(md_.premise()[i].master_attr).is_null()) {
+        has_null = true;
+        break;
+      }
+    }
+    if (has_null) continue;  // null never satisfies a premise clause
+    equality_index_[EqualityKey(equality_clauses_, md_, dm_.tuple(s),
+                                /*master_side=*/true)]
+        .push_back(s);
   }
 }
 
@@ -160,7 +164,7 @@ const std::vector<data::TupleId>& MdMatcher::Candidates(
     static thread_local std::vector<similarity::BlockingCandidate> top;
     std::vector<data::TupleId>& candidates =
         ScratchFor(this, t_candidate_scratch);
-    suffix_array_.TopL(v.view(), options_.top_l, /*max_leaves_per_probe=*/64,
+    suffix_array_.TopL(v.view(), kTopL, /*max_leaves_per_probe=*/64,
                        &top);
     candidates.clear();
     for (const similarity::BlockingCandidate& cand : top) {

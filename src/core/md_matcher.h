@@ -2,12 +2,12 @@
 // tuple. Equality clauses use a hash index on the master projection (keyed
 // on interned value ids); when an MD has only similarity clauses, the §5.2
 // suffix-array blocking retrieves the top-l master values by longest common
-// substring and only those candidates are verified — reducing the per-tuple
-// cost from O(|Dm|) to O(l). Each candidate is verified with
-// rules::Md::PremiseHolds; what is memoized is the outcome of a whole probe
-// (the blocking candidates per probed value, the match list per premise
-// projection), not of a single predicate. A brute-force mode exists for the
-// blocking ablation bench.
+// substring (l = kTopL, the paper's constant) and only those candidates are
+// verified — reducing the per-tuple cost from O(|Dm|) to O(l). Each
+// candidate is verified with rules::Md::PremiseHolds; what is memoized is
+// the outcome of a whole probe (the blocking candidates per probed value,
+// the match list per premise projection), not of a single predicate. A
+// brute-force mode exists for the blocking ablation bench.
 //
 // Thread safety: the matcher has no mutating operation. After construction
 // the indexes are immutable and the memos are sharded behind striped locks
@@ -44,10 +44,11 @@ class Codec;  // snapshot/codec.h: persists the matcher's built indexes
 }  // namespace snapshot
 namespace core {
 
+/// Candidates retrieved per similarity probe: "we find that l <= 20
+/// typically suffices" (§5.2).
+inline constexpr int kTopL = 20;
+
 struct MdMatcherOptions {
-  /// Candidates retrieved per similarity probe ("we find that l <= 20
-  /// typically suffices", §5.2).
-  int top_l = 20;
   /// When false, every master tuple is verified (ablation baseline).
   bool use_blocking = true;
   /// When false, the blocking and match-list memos are bypassed and every
@@ -104,16 +105,21 @@ class MdMatcher {
 
  private:
   // snapshot::Codec restores a matcher from a snapshot section: the restore
-  // constructor below sets up everything but the index (the codec installs
-  // the deserialized equality index or suffix array afterwards) and does not
-  // bump ConstructedCount() — a snapshot-warmed engine deliberately reports
-  // zero index builds. The public constructor delegates to it, then builds.
+  // constructor below sets up everything but the index (the codec then
+  // re-derives the equality index or installs the deserialized suffix
+  // order) and does not bump ConstructedCount() — a snapshot-warmed engine
+  // deliberately reports zero index builds. The public constructor
+  // delegates to it, then builds.
   friend class ::uniclean::snapshot::Codec;
   struct RestoreTag {};
   MdMatcher(const rules::Md& md, const data::Relation& dm,
             const MdMatcherOptions& options, RestoreTag);
 
   const std::vector<data::TupleId>& Candidates(const data::Tuple& t) const;
+  /// Files every master tuple with no null equality-clause value under its
+  /// equality-clause projection, in tuple order: O(|Dm|), so a cold build
+  /// and a snapshot restore both derive the index from the master.
+  void BuildEqualityIndex();
   /// Adds each distinct non-null master value of the blocking clause to
   /// suffix_array_, in tuple order, and records its owners in
   /// value_owners_ — the half of the index a cold build and a snapshot

@@ -31,6 +31,14 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Corruption when a reply body carries bytes past its last field.
+Status ExpectEnd(const BodyReader& body, const char* what) {
+  if (body.remaining() == 0) return Status::OK();
+  return Status::Corruption(std::string(what) + " reply carries " +
+                            std::to_string(body.remaining()) +
+                            " trailing bytes");
+}
+
 }  // namespace
 
 Result<Client> Client::Connect(const std::string& host, int port) {
@@ -122,10 +130,8 @@ Result<Frame> Client::ReadTerminal(uint32_t tag, Op expect,
         BodyReader body(frame.body);
         UC_ASSIGN_OR_RETURN(uint8_t code, body.U8());
         UC_ASSIGN_OR_RETURN(std::string message, body.Lp());
-        // Optional trailer (absent in pre-deadline daemons): the backoff
-        // hint for kUnavailable rejections.
-        last_retry_after_ms_ =
-            body.remaining() >= 4 ? body.U32().value() : 0;
+        UC_ASSIGN_OR_RETURN(last_retry_after_ms_, body.U32());
+        UC_RETURN_IF_ERROR(ExpectEnd(body, "error"));
         return StatusFromWire(code, std::move(message));
       }
       default:
@@ -139,14 +145,7 @@ Result<Frame> Client::ReadTerminal(uint32_t tag, Op expect,
   }
 }
 
-Status Client::Ping() {
-  const uint32_t tag = next_tag_++;
-  UC_RETURN_IF_ERROR(Send(tag, Op::kPing, "unicleand?"));
-  UC_ASSIGN_OR_RETURN(Frame frame,
-                      ReadTerminal(tag, Op::kPong, nullptr, nullptr));
-  (void)frame;
-  return Status::OK();
-}
+Status Client::Ping() { return PingEx().status(); }
 
 Result<PingInfo> Client::PingEx() {
   const uint32_t tag = next_tag_++;
@@ -154,25 +153,17 @@ Result<PingInfo> Client::PingEx() {
   UC_ASSIGN_OR_RETURN(Frame frame,
                       ReadTerminal(tag, Op::kPong, nullptr, nullptr));
   PingInfo info;
-  // Best-effort trailer parse: a pre-trailer daemon echoes the raw payload,
-  // which won't decode as the structured layout — that is still a healthy
-  // pong, just without load/fingerprint data.
   BodyReader body(frame.body);
-  Result<std::string> echo = body.Lp();
-  if (!echo.ok()) return info;
-  Result<uint32_t> inflight = body.U32();
-  Result<uint32_t> queued = inflight.ok() ? body.U32() : inflight;
-  Result<uint32_t> count = queued.ok() ? body.U32() : queued;
-  if (!count.ok()) return info;
-  info.inflight = inflight.value();
-  info.queued = queued.value();
-  for (uint32_t i = 0; i < count.value(); ++i) {
-    Result<std::string> name = body.Lp();
-    if (!name.ok()) break;
-    Result<uint64_t> fingerprint = body.U64();
-    if (!fingerprint.ok()) break;
-    info.rulesets.emplace_back(std::move(name).value(), fingerprint.value());
+  UC_ASSIGN_OR_RETURN(std::string echo, body.Lp());
+  UC_ASSIGN_OR_RETURN(info.inflight, body.U32());
+  UC_ASSIGN_OR_RETURN(info.queued, body.U32());
+  UC_ASSIGN_OR_RETURN(uint32_t count, body.U32());
+  for (uint32_t i = 0; i < count; ++i) {
+    UC_ASSIGN_OR_RETURN(std::string name, body.Lp());
+    UC_ASSIGN_OR_RETURN(uint64_t fingerprint, body.U64());
+    info.rulesets.emplace_back(std::move(name), fingerprint);
   }
+  UC_RETURN_IF_ERROR(ExpectEnd(body, "pong"));
   return info;
 }
 

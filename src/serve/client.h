@@ -130,10 +130,11 @@ class Client {
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 
-  /// Round-trips an opaque payload through kPing/kPong.
+  /// Round-trips an opaque payload through kPing/kPong; PingEx's result
+  /// without the trailer.
   Status Ping();
-  /// Ping, returning the daemon's load + fingerprint trailer. A pre-trailer
-  /// daemon (plain echo) yields a default PingInfo rather than an error.
+  /// Ping, returning the daemon's load + fingerprint trailer. A pong whose
+  /// trailer is short or over-long is Corruption.
   Result<PingInfo> PingEx();
   Result<CleanReply> Clean(const CleanRequest& request);
   Result<DeltaReply> Delta(const DeltaRequest& request);

@@ -95,7 +95,6 @@ struct Daemon::Conn {
   std::mutex write_mu;
   std::mutex sessions_mu;
   std::unordered_map<uint64_t, std::shared_ptr<ServeSession>> sessions;
-  std::atomic<bool> closing{false};
 };
 
 /// One served ruleset: the rebuild recipe plus the hot-swappable engine.
@@ -449,7 +448,9 @@ void Daemon::ReadLoop(std::shared_ptr<Conn> conn) {
     }
     queue_cv_.notify_one();
   }
-  conn->closing.store(true);
+  // Requests already admitted keep the connection open until they are
+  // answered: a client that half-closes after its last request still reads
+  // the replies, and one that closed outright makes their writes fail.
   const uint64_t id = conn->id;
   // Drop the reference before the count falls: ~Conn writes daemon
   // counters, and once live_readers_ reaches 0 Shutdown may return and the
@@ -495,10 +496,7 @@ void Daemon::Dispatch(Work& work) {
   OpMetrics& metrics = op_metrics_[op_index];
   metrics.requests.fetch_add(1, std::memory_order_relaxed);
   Status status = Status::OK();
-  if (conn.closing.load()) {
-    // The client is gone; don't spend a clean on a response nobody reads.
-    metrics.errors.fetch_add(1, std::memory_order_relaxed);
-  } else if (work.token != nullptr && work.token->IsCancelled()) {
+  if (work.token != nullptr && work.token->IsCancelled()) {
     // Expired (or cancelled) while queued: answer without running the
     // handler — the deadline covers queue wait, not just execution.
     status = work.token->status();
@@ -560,15 +558,10 @@ void Daemon::Dispatch(Work& work) {
       metrics.rejected.fetch_add(1, std::memory_order_relaxed);
       rejected_total_.fetch_add(1, std::memory_order_relaxed);
     }
-    // The counters record the unwind either way; the response is only
-    // worth writing while someone is still reading (shutdown-drain
-    // cancellations typically race the reader's exit).
-    if (!conn.closing.load()) {
-      RecordLatency(work);
-      WriteError(conn, work.frame.tag, status,
-                 status.code() == StatusCode::kUnavailable ? RetryAfterMsHint()
-                                                           : 0);
-    }
+    RecordLatency(work);
+    WriteError(conn, work.frame.tag, status,
+               status.code() == StatusCode::kUnavailable ? RetryAfterMsHint()
+                                                         : 0);
   }
   UnregisterToken(conn.id, work.frame.tag);
   RecordLatency(work);
@@ -716,12 +709,10 @@ Status Daemon::HandleClean(Work& work) {
   uint64_t session_id = 0;
   if (track) {
     std::lock_guard<std::mutex> lock(conn.sessions_mu);
-    if (!conn.closing.load()) {
-      session_id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-      conn.sessions.emplace(session_id, std::move(session));
-      sessions_open_.fetch_add(1, std::memory_order_relaxed);
-      sessions_opened_total_.fetch_add(1, std::memory_order_relaxed);
-    }
+    session_id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
+    conn.sessions.emplace(session_id, std::move(session));
+    sessions_open_.fetch_add(1, std::memory_order_relaxed);
+    sessions_opened_total_.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::string summary;

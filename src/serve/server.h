@@ -15,7 +15,9 @@
 //    per-connection registry and returns its id; DELTA requests stream
 //    edits into it via Session::ApplyDelta. Sessions die with an explicit
 //    CLOSE_SESSION or with their connection — a client that disconnects
-//    mid-stream leaks nothing.
+//    mid-stream leaks nothing. A connection closes once every request it
+//    sent is answered, so a client may half-close after its last request
+//    and still read the replies.
 //
 //  * Hardened ingestion — wire bodies decode through BodyReader and
 //    client CSV through data/csv.h, the one CSV reader the CLI and the

@@ -48,8 +48,7 @@
 //               u32 queued requests, u32 ruleset count, then per ruleset
 //               lp name + u64 engine fingerprint. The trailer is what lets
 //               the cluster layer health-probe and fingerprint replicas
-//               with a single cheap opcode; readers facing a pre-cluster
-//               daemon fall back to treating the whole body as the echo
+//               with a single cheap opcode
 //   kJournalChunk / kDataChunk  raw CSV bytes (concatenate per tag)
 //   kCleanDone  u64 session id (0 = untracked), u32 total fixes,
 //               u32 journal entries, lp phase summary text
@@ -75,9 +74,10 @@
 //               10 = Cancelled, 11 = Unavailable, 12 = DataLoss),
 //               lp message,
 //               u32 retry_after_ms (backoff hint; non-zero only with
-//               Unavailable — wait at least this long before retrying.
-//               Absent in pre-deadline peers; readers treat a missing
-//               trailer as 0)
+//               Unavailable — wait at least this long before retrying)
+//
+// Replies decode exactly: a kPong or kError body that is short or carries
+// bytes past its last field is Corruption.
 //
 // Everything here is transport plumbing shared by the daemon and the
 // client; policy (what CLEAN does) lives in server.h.

@@ -13,9 +13,9 @@ namespace snapshot {
 
 namespace {
 
-/// Matcher payload `kind` byte: which index the matcher carries.
+/// Matcher payload `kind` byte: which index the matcher uses.
 constexpr uint8_t kKindNone = 0;         // brute force / empty premise
-constexpr uint8_t kKindEquality = 1;     // equality_index_
+constexpr uint8_t kKindEquality = 1;     // equality_index_, re-derived
 constexpr uint8_t kKindSuffixArray = 2;  // suffix order of the blocking values
 
 Status Inconsistent(const std::string& what) {
@@ -57,8 +57,8 @@ Status ReadWords(Reader* r, size_t count, std::vector<int>* out) {
 }
 
 /// Reads a u32-counted ascending tuple-id list bounded by `master_size`.
-/// Ascending-strict matches what every cold build produces (equality index
-/// buckets, match lists, blocking candidates are all sorted unique), so
+/// Ascending-strict matches what every cold build produces (match lists
+/// and blocking candidates are sorted unique), so
 /// enforcing it here both validates and pins cold/warm parity.
 Status ReadTupleIdList(Reader* r, uint32_t master_size,
                        std::vector<data::TupleId>* out) {
@@ -81,14 +81,6 @@ Status ReadTupleIdList(Reader* r, uint32_t master_size,
 void PutTupleIdList(std::string* out, const std::vector<data::TupleId>& ids) {
   PutU32(out, static_cast<uint32_t>(ids.size()));
   for (data::TupleId id : ids) PutU32(out, static_cast<uint32_t>(id));
-}
-
-bool GroupKeyLess(const data::GroupKey& a, const data::GroupKey& b) {
-  if (a.size != b.size) return a.size < b.size;
-  for (uint32_t i = 0; i < a.size; ++i) {
-    if (a.parts[i] != b.parts[i]) return a.parts[i] < b.parts[i];
-  }
-  return false;
 }
 
 void PutGroupKey(std::string* out, const data::GroupKey& key) {
@@ -144,20 +136,6 @@ void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
   }
   if (!matcher.equality_clauses_.empty()) {
     PutU8(out, kKindEquality);
-    std::vector<const std::pair<const data::GroupKey,
-                                std::vector<data::TupleId>>*>
-        entries;
-    entries.reserve(matcher.equality_index_.size());
-    for (const auto& entry : matcher.equality_index_) entries.push_back(&entry);
-    std::sort(entries.begin(), entries.end(),
-              [](const auto* a, const auto* b) {
-                return GroupKeyLess(a->first, b->first);
-              });
-    PutU64(out, entries.size());
-    for (const auto* entry : entries) {
-      PutGroupKey(out, entry->first);
-      PutTupleIdList(out, entry->second);
-    }
     return;
   }
   if (matcher.blocking_clause_ >= 0) {
@@ -272,30 +250,11 @@ Status Codec::RestoreMatcher(core::MdMatcher* matcher,
     }
   }
   if (kind != expected) return Inconsistent("matcher index kind mismatch");
-  if (kind == kKindEquality) {
-    const uint64_t pool_size = data::StringPool::Global().size();
-    UC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-    // A real index has at most one group per master tuple; reserve for that
-    // case only, so a forged count cannot pre-allocate beyond the master's
-    // own size (an oversized count fails below, at worst at end-of-payload).
-    if (count <= static_cast<uint64_t>(m.dm_.size())) {
-      m.equality_index_.reserve(static_cast<size_t>(count));
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      UC_ASSIGN_OR_RETURN(
-          data::GroupKey key,
-          ReadGroupKey(&r, m.equality_clauses_.size(), pool_size));
-      std::vector<data::TupleId> ids;
-      UC_RETURN_IF_ERROR(
-          ReadTupleIdList(&r, static_cast<uint32_t>(m.dm_.size()), &ids));
-      if (!m.equality_index_.emplace(key, std::move(ids)).second) {
-        return Inconsistent("duplicate equality index key");
-      }
-    }
-  } else if (kind == kKindSuffixArray) {
+  if (kind == kKindSuffixArray) {
     UC_RETURN_IF_ERROR(RestoreSuffixArray(matcher, &r));
   }
   if (!r.done()) return Inconsistent("trailing bytes in matcher section");
+  if (kind == kKindEquality) m.BuildEqualityIndex();
   return Status::OK();
 }
 

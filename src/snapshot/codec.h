@@ -1,8 +1,7 @@
 // snapshot::Codec: the (de)serialization of engine internals — the one
 // class the data/similarity/core layers befriend so their private built
-// state (equality indexes, the generalized suffix array's suffix order,
-// memo contents) can round-trip through a snapshot file without widening
-// their public APIs.
+// state (the generalized suffix array's suffix order, memo contents) can
+// round-trip through a snapshot file without widening their public APIs.
 //
 // Split of labor with snapshot.h: the codec knows *payload layouts* and the
 // engine's internals; snapshot.h owns the container (header, section table,
@@ -13,12 +12,17 @@
 // walk off (the UC_CHECKs in the hot paths would abort; the codec returns
 // kDataLoss instead).
 //
-// What is NOT serialized is deliberate: everything cheaply derivable from
-// the engine's sources re-derives on load (clause roles, value_owners_, the
-// suffix array's text from the master relation), which both shrinks the
-// file and shrinks the forgeable surface. A suffix-array matcher persists
-// only its suffix order (`u32 strings | u32 n | n x u32`); the loader
-// proves in O(n) that it is the sorted order Build() makes.
+// What is NOT serialized is deliberate: everything derivable from the
+// engine's sources in O(|Dm|) re-derives on load (clause roles, equality
+// indexes, value_owners_, the suffix array's text from the master
+// relation), which both shrinks the file and shrinks the forgeable surface.
+// A matcher section is `u32 indexed master size | u8 kind`, and a
+// suffix-array matcher appends only its suffix order (`u32 strings | u32 n
+// | n x u32`); the loader proves in O(n) that it is the sorted order
+// Build() makes. The kind byte is not a configuration check (the engine
+// fingerprint covers use_blocking and every premise): it is a structural
+// one, so a forged section cannot make the loader read a suffix order for
+// a matcher that has none, or skip one that needs it.
 
 #ifndef UNICLEAN_SNAPSHOT_CODEC_H_
 #define UNICLEAN_SNAPSHOT_CODEC_H_
@@ -52,9 +56,9 @@ class Codec {
   static void AppendEnvironment(const core::MatchEnvironment& env,
                                 std::string* out);
 
-  /// One matcher's built index: the equality index, or the suffix array's
-  /// suffix order, or nothing (brute-force / empty premise). Entries are
-  /// emitted in sorted order so identical engines write identical bytes.
+  /// One matcher's master size and index kind, plus the suffix array's
+  /// suffix order for a suffix-array matcher. Identical engines write
+  /// identical bytes.
   static void AppendMatcher(const core::MdMatcher& matcher, std::string* out);
 
   /// One matcher's memo contents: `u64 n | n x (u32 value id | tuple ids)`
@@ -74,9 +78,11 @@ class Codec {
   /// snapshot's generation — see snapshot.h load order). Which rules share
   /// a matcher is derived from `rules`, as a cold build derives it, so each
   /// matcher (and memo) section must be filed under its matcher's owner.
-  /// Returns kDataLoss when a payload is structurally inconsistent with the
-  /// engine (a missing owner section, a section filed under any other rule
-  /// id, duplicates, out-of-range indices, count mismatches).
+  /// Equality indexes are re-derived from the master. Returns kDataLoss
+  /// when a payload is structurally inconsistent with the engine (a missing
+  /// owner section, a section filed under any other rule id, duplicates,
+  /// a kind byte the matcher's premise does not have, out-of-range
+  /// indices, a suffix order that is not sorted, count mismatches).
   static Result<std::unique_ptr<core::MatchEnvironment>> RestoreEnvironment(
       const rules::RuleSet& rules, const data::Relation& master,
       const core::MdMatcherOptions& options, std::string_view env_payload,

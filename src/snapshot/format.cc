@@ -85,6 +85,9 @@ __attribute__((target("sse4.2"))) uint32_t Crc32Hardware(const void* data,
 }
 #endif
 
+/// Header length of formats v1-v4, whose CRC sat in the last 4 of 64 bytes.
+constexpr size_t kV4HeaderBytes = 64;
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n) {
@@ -101,11 +104,7 @@ void EncodeHeader(const Header& header, std::string* out) {
   const size_t base = out->size();
   out->append(kMagic, sizeof(kMagic));
   PutU32(out, header.version);
-  PutU32(out, header.flags);
   PutU64(out, header.engine_fingerprint);
-  PutU32(out, header.matcher_top_l);
-  PutU32(out, header.matcher_flags);
-  PutU64(out, header.memo_capacity);
   PutU64(out, header.pool_count);
   PutU64(out, header.pool_hash);
   PutU32(out, header.section_count);
@@ -123,26 +122,28 @@ Result<Header> DecodeHeader(std::string_view file) {
   Reader r(file.substr(sizeof(kMagic), kHeaderBytes - sizeof(kMagic)));
   Header h;
   UC_ASSIGN_OR_RETURN(h.version, r.U32());
-  UC_ASSIGN_OR_RETURN(h.flags, r.U32());
   UC_ASSIGN_OR_RETURN(h.engine_fingerprint, r.U64());
-  UC_ASSIGN_OR_RETURN(h.matcher_top_l, r.U32());
-  UC_ASSIGN_OR_RETURN(h.matcher_flags, r.U32());
-  UC_ASSIGN_OR_RETURN(h.memo_capacity, r.U64());
   UC_ASSIGN_OR_RETURN(h.pool_count, r.U64());
   UC_ASSIGN_OR_RETURN(h.pool_hash, r.U64());
   UC_ASSIGN_OR_RETURN(h.section_count, r.U32());
   UC_ASSIGN_OR_RETURN(uint32_t crc, r.U32());
-  if (crc != Crc32(file.data(), kHeaderBytes - 4)) {
-    return Status::DataLoss("snapshot header CRC mismatch");
+  const bool sealed = crc == Crc32(file.data(), kHeaderBytes - 4);
+  // The version word sits at offset 8 in every format, but v1-v4 sealed a
+  // 64-byte header. A header intact under either seal that names another
+  // version may be a fine file this build cannot read; one intact under
+  // neither is corruption, even when the flipped bit is in the version.
+  bool sealed_as_v4 = false;
+  if (!sealed && file.size() >= kV4HeaderBytes) {
+    Reader v4(file.substr(kV4HeaderBytes - 4, 4));
+    sealed_as_v4 = v4.U32().value() == Crc32(file.data(), kV4HeaderBytes - 4);
   }
-  // Version after CRC: a corrupt version field should read as corruption,
-  // not as an unsupported future format.
-  if (h.version != kFormatVersion) {
+  if (h.version != kFormatVersion && (sealed || sealed_as_v4)) {
     return Status::FailedPrecondition(
         "snapshot format version " + std::to_string(h.version) +
         " is not supported (this build reads version " +
         std::to_string(kFormatVersion) + ")");
   }
+  if (!sealed) return Status::DataLoss("snapshot header CRC mismatch");
   return h;
 }
 

@@ -1,18 +1,16 @@
 // The uniclean snapshot container format (".ucsnap"): the byte-level half
 // of src/snapshot/. A snapshot is one file:
 //
-//   header (64 bytes, CRC-protected)
+//   header (44 bytes, CRC-protected)
 //     0   8   magic "UCSNAPSH"
 //     8   u32 format version (kFormatVersion)
-//     12  u32 flags (kFlagHasMemos)
-//     16  u64 CleanEngine::Fingerprint() of the writing engine
-//     24  u32 MdMatcherOptions::top_l
-//     28  u32 matcher flags (kMatcherUseBlocking | kMatcherUseMemos)
-//     32  u64 MdMatcherOptions::memo_capacity
-//     40  u64 string-pool generation count (ids serialized)
-//     48  u64 string-pool generation hash (StringPool::PrefixHash)
-//     56  u32 section count
-//     60  u32 CRC-32C of bytes [0, 60)
+//     12  u64 CleanEngine::Fingerprint() of the writing engine: the file's
+//             one configuration check (rules, master, thresholds,
+//             use_blocking)
+//     20  u64 string-pool generation count (ids serialized)
+//     28  u64 string-pool generation hash (StringPool::PrefixHash)
+//     36  u32 section count
+//     40  u32 CRC-32C of bytes [0, 40)
 //   sections, back to back, each:
 //     u32 section id (SectionId)
 //     u32 rule id the section belongs to, or kNoRule
@@ -42,22 +40,19 @@ namespace uniclean {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'U', 'C', 'S', 'N', 'A', 'P', 'S', 'H'};
-/// Version 4 persists one matcher (and one memo section) per distinct MD
+/// Version 5 persists one matcher (and one memo section) per distinct MD
 /// premise, filed under the lowest rule id with that premise; a blocking
-/// index is its suffix order, and a memo section holds blocking candidates
-/// and match lists only (codec.h). Files of earlier versions — v3 (memo
-/// sections that also held per-clause similarity outcomes), v2 (one matcher
-/// per MD rule) and v1 (suffix-tree nodes) — are refused like any other
-/// version.
-inline constexpr uint32_t kFormatVersion = 4;
-inline constexpr size_t kHeaderBytes = 64;
+/// index is its suffix order, an equality index is re-derived from the
+/// master, and a memo section holds blocking candidates and match lists
+/// (codec.h). Its header carries no matcher options: the engine
+/// fingerprint covers what decides a match list. Files of earlier
+/// versions — v4 (a header with matcher options and persisted equality
+/// indexes), v3 (memo sections that also held per-clause similarity
+/// outcomes), v2 (one matcher per MD rule) and v1 (suffix-tree nodes) —
+/// are refused like any other version.
+inline constexpr uint32_t kFormatVersion = 5;
+inline constexpr size_t kHeaderBytes = 44;
 inline constexpr size_t kSectionHeaderBytes = 20;
-
-/// Header flags.
-inline constexpr uint32_t kFlagHasMemos = 1u << 0;
-/// Matcher-option flags (header offset 28).
-inline constexpr uint32_t kMatcherUseBlocking = 1u << 0;
-inline constexpr uint32_t kMatcherUseMemos = 1u << 1;
 
 /// Section ids. A reader skips unknown ids (forward compatibility: a newer
 /// writer may append new section kinds), but unknown *required* state can
@@ -66,7 +61,7 @@ enum class SectionId : uint32_t {
   kStringPool = 1,   // one per file; must precede use of any interned id
   kEnvironment = 2,  // one per file: environment-level counts
   kMatcher = 3,      // one per distinct MD premise, under its owner rule id
-  kMemos = 4,        // optional, one per kMatcher section (kFlagHasMemos)
+  kMemos = 4,        // optional, at most one per kMatcher section
 };
 
 /// `rule_id` value for sections not owned by a rule.
@@ -93,9 +88,6 @@ inline void PutU64(std::string* out, uint64_t v) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
   }
 }
-inline void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
 /// u32 length + raw bytes.
 inline void PutBytes(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
@@ -106,22 +98,20 @@ inline void PutBytes(std::string* out, std::string_view s) {
 
 struct Header {
   uint32_t version = kFormatVersion;
-  uint32_t flags = 0;
   uint64_t engine_fingerprint = 0;
-  uint32_t matcher_top_l = 0;
-  uint32_t matcher_flags = 0;
-  uint64_t memo_capacity = 0;
   uint64_t pool_count = 0;
   uint64_t pool_hash = 0;
   uint32_t section_count = 0;
 };
 
-/// Appends the encoded 64-byte header (with its CRC) to `out`.
+/// Appends the encoded 44-byte header (with its CRC) to `out`.
 void EncodeHeader(const Header& header, std::string* out);
 
 /// Decodes and validates the header at the start of `file`: size, magic
-/// (kDataLoss), header CRC (kDataLoss), then version (kFailedPrecondition —
-/// the file may be fine, this build just cannot read it).
+/// (kDataLoss), then version (kFailedPrecondition when the header is sealed
+/// by its CRC, as this format or as the 64-byte header of v1-v4 — the file
+/// may be fine, this build just cannot read it), then the header CRC
+/// (kDataLoss).
 Result<Header> DecodeHeader(std::string_view file);
 
 // --- sections ---------------------------------------------------------------
@@ -176,10 +166,6 @@ class Reader {
     }
     pos_ += 8;
     return v;
-  }
-  Result<int32_t> I32() {
-    UC_ASSIGN_OR_RETURN(uint32_t v, U32());
-    return static_cast<int32_t>(v);
   }
   /// u32 length + raw bytes; the view aliases the payload buffer.
   Result<std::string_view> Bytes() {

@@ -326,31 +326,22 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   return Status::OK();
 }
 
-uint32_t MatcherFlags(const core::MdMatcherOptions& options) {
-  return (options.use_blocking ? kMatcherUseBlocking : 0) |
-         (options.use_memos ? kMatcherUseMemos : 0);
-}
-
 }  // namespace
 
 Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
                      const SnapshotWriteOptions& options) {
   engine.Warmup();
   const core::MatchEnvironment& env = engine.environment();
-  const core::MdMatcherOptions& mopts = engine.config().matcher;
   const data::StringPool& pool = data::StringPool::Global();
   // Capture the pool generation FIRST: concurrent sessions may intern while
   // we serialize, and everything written below must stay within this
   // prefix (memo entries referencing later ids are filtered out).
   const data::StringPoolGeneration gen = pool.Generation();
 
-  const bool write_memos = options.include_memos && mopts.use_memos;
+  const bool write_memos =
+      options.include_memos && engine.config().matcher.use_memos;
   Header header;
-  header.flags = write_memos ? kFlagHasMemos : 0;
   header.engine_fingerprint = engine.Fingerprint();
-  header.matcher_top_l = static_cast<uint32_t>(mopts.top_l);
-  header.matcher_flags = MatcherFlags(mopts);
-  header.memo_capacity = mopts.memo_capacity;
   header.pool_count = gen.count;
   header.pool_hash = gen.hash;
 
@@ -423,7 +414,7 @@ Result<SnapshotInfo> Inspect(const std::string& path) {
                               " overruns the file");
     }
     offset += sh.length;
-    info.sections.push_back({sh.id, sh.rule_id, sh.length, sh.crc});
+    info.sections.push_back(sh);
   }
   return info;
 }
@@ -461,22 +452,13 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::FromSnapshot(
         "snapshot was written by a different engine (fingerprint " +
         std::to_string(snap.header.engine_fingerprint) + ", this engine " +
         std::to_string(fingerprint) +
-        ") — rules, master data or thresholds changed");
+        ") — rules, master data, thresholds or blocking changed");
   }
-  const core::MdMatcherOptions& mopts = engine->config().matcher;
-  if (snap.header.matcher_top_l != static_cast<uint32_t>(mopts.top_l) ||
-      snap.header.matcher_flags != snapshot::MatcherFlags(mopts) ||
-      snap.header.memo_capacity != mopts.memo_capacity) {
-    return Status::FailedPrecondition(
-        "snapshot was written under different matcher options");
-  }
-  const bool has_memos = (snap.header.flags & snapshot::kFlagHasMemos) != 0;
-  UC_ASSIGN_OR_RETURN(
-      std::unique_ptr<core::MatchEnvironment> env,
-      snapshot::Codec::RestoreEnvironment(
-          engine->rules(), engine->master(), mopts, snap.environment,
-          snap.matchers,
-          has_memos ? snap.memos : std::vector<snapshot::RuleSection>{}));
+  UC_ASSIGN_OR_RETURN(std::unique_ptr<core::MatchEnvironment> env,
+                      snapshot::Codec::RestoreEnvironment(
+                          engine->rules(), engine->master(),
+                          engine->config().matcher, snap.environment,
+                          snap.matchers, snap.memos));
   engine->env_ = std::move(env);
   engine->snapshot_source_ = path;
   engine->snapshot_load_s_ =

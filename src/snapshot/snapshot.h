@@ -4,10 +4,11 @@
 // suffix array / equality index per distinct MD premise over the master
 // relation) plus the memo warm-up a serving process accumulates. A snapshot
 // serializes exactly that warm half — the string pool prefix the engine's
-// ids live in, every matcher's built index, optionally the hot memo
-// contents — into one checksummed file, so a restarted daemon loads indexes
-// in milliseconds instead of rebuilding them (unicleand --snapshot-dir) and
-// journals stay byte-identical to a cold-built engine's.
+// ids live in, every suffix-array matcher's suffix order, optionally the
+// hot memo contents — into one checksummed file, so a restarted daemon
+// loads indexes in milliseconds instead of rebuilding them (unicleand
+// --snapshot-dir) and journals stay byte-identical to a cold-built
+// engine's.
 //
 // File layout and integrity checking live in format.h; payload
 // (de)serialization in codec.h; this header is the policy layer: what gets
@@ -19,10 +20,16 @@
 //                          out of range, a pool section that repeats a
 //                          string. Discard the file and cold-build.
 //   kFailedPrecondition  — the file may be fine but does not belong to this
-//                          configuration: unsupported format version, engine
-//                          fingerprint mismatch (rules/master/thresholds
-//                          changed), matcher-option mismatch, string-pool
-//                          divergence. Cold-build; overwrite the snapshot.
+//                          build or configuration: unsupported format
+//                          version, engine fingerprint mismatch (a rule's
+//                          content, the master, a threshold or use_blocking
+//                          changed — CleanEngine::Fingerprint, the one
+//                          configuration check), string-pool divergence.
+//                          Cold-build; overwrite the snapshot.
+//
+// Options that change no match list (phase selection, use_memos,
+// memo_capacity) are outside the fingerprint, so a file loads across them;
+// a memo restored under a smaller memo_capacity keeps the entries that fit.
 //
 // Loads never abort and never return a half-restored engine: every failure
 // path surfaces before EngineBuilder::FromSnapshot hands out the engine.
@@ -50,18 +57,10 @@ struct SnapshotWriteOptions {
   bool include_memos = true;
 };
 
-/// One section table entry, as reported by Inspect().
-struct SectionInfo {
-  uint32_t id = 0;
-  uint32_t rule_id = kNoRule;
-  uint64_t length = 0;
-  uint32_t crc = 0;
-};
-
 /// What Inspect() reports about a snapshot file without restoring it.
 struct SnapshotInfo {
   Header header;
-  std::vector<SectionInfo> sections;
+  std::vector<SectionHeader> sections;
   uint64_t file_bytes = 0;
 };
 

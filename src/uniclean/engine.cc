@@ -1,6 +1,7 @@
 #include "uniclean/engine.h"
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -44,8 +45,49 @@ uint64_t CleanEngine::Fingerprint() const {
     fold(s.size());
     for (char c : s) fold(static_cast<uint64_t>(static_cast<uint8_t>(c)));
   };
-  for (const rules::Cfd& cfd : rules_->cfds()) fold_str(cfd.name());
-  for (const rules::Md& md : rules_->mds()) fold_str(md.name());
+  auto fold_attrs = [&](const std::vector<data::AttributeId>& attrs) {
+    fold(attrs.size());
+    for (data::AttributeId a : attrs) fold(static_cast<uint64_t>(a));
+  };
+  auto fold_pattern = [&](const std::vector<rules::PatternValue>& pattern) {
+    for (const rules::PatternValue& p : pattern) {
+      fold(p.is_wildcard() ? 0 : 1);
+      if (!p.is_wildcard()) fold_str(p.constant());
+    }
+  };
+  // Every normalized rule's content, in rule-id order: the predicates and
+  // thresholds decide which master tuples match, so a snapshot's match
+  // lists are valid only for the exact rules they were computed under.
+  for (rules::RuleId id = 0; id < rules_->num_rules(); ++id) {
+    fold(static_cast<uint64_t>(rules_->kind(id)));
+    fold_str(rules_->rule_name(id));
+    if (rules_->IsCfd(id)) {
+      const rules::Cfd& cfd = rules_->cfd(id);
+      fold_attrs(cfd.lhs());
+      fold_pattern(cfd.lhs_pattern());
+      fold_attrs(cfd.rhs());
+      fold_pattern(cfd.rhs_pattern());
+      continue;
+    }
+    const rules::Md& md = rules_->md(id);
+    fold(md.premise().size());
+    for (const rules::MdClause& clause : md.premise()) {
+      fold(static_cast<uint64_t>(clause.data_attr));
+      fold(static_cast<uint64_t>(clause.master_attr));
+      fold(static_cast<uint64_t>(clause.predicate.kind()));
+      const double threshold = clause.predicate.threshold();
+      uint64_t bits = 0;
+      std::memcpy(&bits, &threshold, sizeof(bits));
+      fold(bits);
+      fold(static_cast<uint64_t>(clause.predicate.qgram_size()));
+    }
+    fold(md.actions().size());
+    for (const rules::MdAction& action : md.actions()) {
+      fold(static_cast<uint64_t>(action.data_attr));
+      fold(static_cast<uint64_t>(action.master_attr));
+    }
+  }
+  fold(config_.matcher.use_blocking ? 1 : 0);
   fold(static_cast<uint64_t>(master_->live_size()));
   for (data::TupleId t = 0; t < master_->size(); ++t) {
     if (!master_->live(t)) continue;

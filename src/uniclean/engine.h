@@ -105,13 +105,19 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   const rules::RuleSet& rules() const { return *rules_; }
   const PipelineConfig& config() const { return config_; }
 
-  /// A cheap content fingerprint of the engine's static inputs: rule names,
-  /// master cell ids (live tuples only) and the pipeline thresholds, folded
-  /// through the splitmix64 mixer. Two engines built from the same rules,
-  /// master contents and thresholds report the same fingerprint; serving
-  /// deployments (unicleand RELOAD) compare fingerprints across an engine
-  /// swap to tell a no-op reload from a real one. O(master cells) per call;
-  /// safe while sessions run (the master is static for the engine's life).
+  /// A cheap content fingerprint of everything that decides a repair,
+  /// folded through the splitmix64 mixer: every normalized rule in rule-id
+  /// order (kind, name, attribute ids, pattern constants as strings with a
+  /// mark for wildcards, each MD clause's predicate kind, exact threshold
+  /// bits and q, the MD actions), MdMatcherOptions::use_blocking, the
+  /// master's live cells as strings and the pipeline thresholds. Phase
+  /// selection, use_memos and memo_capacity change no match list and stay
+  /// out. Two engines built from the same rules, master contents and
+  /// thresholds report the same fingerprint. It is a snapshot's one
+  /// identity check (FromSnapshot), and unicleand RELOAD compares it
+  /// across an engine swap to tell a no-op reload from a real one.
+  /// O(master cells) per call; safe while sessions run (the master is
+  /// static for the engine's life).
   uint64_t Fingerprint() const;
 
   /// The phases every session of this engine runs, in paper order.
@@ -202,9 +208,10 @@ class EngineBuilder {
   /// verified against the live pool) *before* the configured sources are
   /// read, so interned ids — and therefore journals — are byte-identical to
   /// a cold-built engine. Refuses with kDataLoss on a corrupt file (bad
-  /// magic/CRC/truncation), kFailedPrecondition when the snapshot's engine
-  /// fingerprint, matcher options or pool generation do not match this
-  /// configuration; in both cases no engine is returned and the caller
+  /// magic/CRC/truncation), kFailedPrecondition when the snapshot's format
+  /// version, engine fingerprint (Fingerprint()) or pool generation do not
+  /// match this build and configuration; in both cases no engine is
+  /// returned and the caller
   /// should fall back to BuildEngine() against the same sources (the
   /// builder is left consumed — reconfigure a fresh one). Defined in the
   /// uniclean::snapshot library (snapshot/snapshot.cc): link

@@ -36,14 +36,6 @@ int FixJournal::CountForPhase(std::string_view phase) const {
   return count;
 }
 
-int FixJournal::CountForGeneration(int generation) const {
-  int count = 0;
-  for (const FixEntry& e : entries_) {
-    if (e.generation == generation) ++count;
-  }
-  return count;
-}
-
 FixJournal FixJournal::Canonicalized() const {
   // Chain the entries per cell in append order, keeping one net entry from
   // the first old value to the last new value, attributed to the final
@@ -77,7 +69,6 @@ FixJournal FixJournal::Canonicalized() const {
                      if (a.tuple != b.tuple) return a.tuple < b.tuple;
                      return a.attribute < b.attribute;
                    });
-  for (FixEntry& e : canonical.entries_) e.generation = 0;
   return canonical;
 }
 
@@ -118,9 +109,6 @@ Status FixJournal::WriteText(std::ostream& out) const {
         << e.old_value.ToString() << "' -> '" << e.new_value.ToString()
         << "' [" << e.phase;
     if (!e.rule.empty()) out << ' ' << e.rule;
-    // Batch entries keep the historic line format; only delta entries grow
-    // the generation marker.
-    if (e.generation != 0) out << " gen " << e.generation;
     out << "]\n";
   }
   if (!out.good()) return Status::Internal("fix journal write failed");
@@ -128,21 +116,11 @@ Status FixJournal::WriteText(std::ostream& out) const {
 }
 
 Status FixJournal::WriteCsv(std::ostream& out) const {
-  bool with_generation = false;
-  for (const FixEntry& e : entries_) {
-    if (e.generation != 0) {
-      with_generation = true;
-      break;
-    }
-  }
-  out << (with_generation ? "tuple,attribute,old,new,phase,rule,generation\n"
-                          : "tuple,attribute,old,new,phase,rule\n");
+  out << "tuple,attribute,old,new,phase,rule\n";
   for (const FixEntry& e : entries_) {
     out << e.tuple << ',' << data::CsvQuote(e.attribute) << ','
         << CsvValue(e.old_value) << ',' << CsvValue(e.new_value) << ','
-        << data::CsvQuote(e.phase) << ',' << data::CsvQuote(e.rule);
-    if (with_generation) out << ',' << e.generation;
-    out << '\n';
+        << data::CsvQuote(e.phase) << ',' << data::CsvQuote(e.rule) << '\n';
   }
   if (!out.good()) return Status::Internal("fix journal write failed");
   return Status::OK();

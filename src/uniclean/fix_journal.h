@@ -34,11 +34,6 @@ struct FixEntry {
   std::string phase;
   /// Name of the justifying rule; empty when no single rule is attributable.
   std::string rule;
-  /// Delta generation that produced this entry: 0 for the initial
-  /// Session::Run, g for the g-th Session::ApplyDelta. Each ApplyDelta
-  /// re-cleans the whole relation, so its generation-g entries replace the
-  /// session's journal wholesale (see Session::journal).
-  int generation = 0;
 };
 
 class FixJournal {
@@ -59,11 +54,8 @@ class FixJournal {
   /// Number of entries recorded by the named phase.
   int CountForPhase(std::string_view phase) const;
 
-  /// Number of entries carrying the given delta generation.
-  int CountForGeneration(int generation) const;
-
   /// The canonical fix set: the NET repair per cell, sorted by (tuple,
-  /// attr) with the generation normalized to 0. A cell rewritten several
+  /// attr). A cell rewritten several
   /// times collapses to one entry from its first old value to its last new
   /// value, attributed to the phase/rule that wrote the final value; a cell
   /// whose chain nets to no change (churn a later entry undid) drops out
@@ -94,11 +86,7 @@ class FixJournal {
   /// are rendered as \N like data/csv.h. Values containing commas, quotes or
   /// newlines are quoted, so data/csv.h's reader reads the 6-column form
   /// back over a schema of those six names (a value whose *text* is the
-  /// null token `\N` reads back as null, as in any relation CSV). When any
-  /// entry carries a nonzero delta generation, a seventh `generation` column
-  /// is emitted (header `tuple,attribute,old,new,phase,rule,generation`);
-  /// journals from plain batch runs keep the historic 6-column format, so
-  /// existing golden files and downstream parsers are unaffected.
+  /// null token `\N` reads back as null, as in any relation CSV).
   Status WriteCsv(std::ostream& out) const;
   Status WriteCsvFile(const std::string& path) const;
 

@@ -239,19 +239,11 @@ Result<CleanResult> Session::Run(data::Relation* data) {
     // relation would.
     pristine_ = std::make_unique<data::Relation>(std::move(*data));
     tracked_ = data;
-    AdoptFullRun(result.journal);
+    journal_ = result.journal;
     rerun_pending_ = false;
   }
   *data = std::move(scratch);
   return result;
-}
-
-void Session::AdoptFullRun(const FixJournal& journal) {
-  journal_ = FixJournal();
-  for (FixEntry entry : journal.entries()) {
-    entry.generation = generation_;
-    journal_.Append(std::move(entry));
-  }
 }
 
 Status Session::FullRerun(DeltaResult* result) {
@@ -259,7 +251,7 @@ Status Session::FullRerun(DeltaResult* result) {
   FixJournal journal;
   UC_ASSIGN_OR_RETURN(result->phases, ExecutePipeline(&rerun, &journal));
   *tracked_ = std::move(rerun);
-  AdoptFullRun(journal);
+  journal_ = std::move(journal);
   result->affected = tracked_->live_size();
   result->refinement_rounds = 1;
   return Status::OK();

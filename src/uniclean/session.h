@@ -22,8 +22,8 @@
 // inserts/updates/deletes to both the tracked relation and that pristine
 // copy, and re-cleans the whole relation once from the pristine values
 // against the engine's warm match environment. Its result is therefore the
-// batch run over the edited relation by construction, provenance included,
-// journaled under a fresh delta generation:
+// batch run over the edited relation by construction, provenance included;
+// each applied delta counts as one more generation:
 //
 //   uniclean::Session session = engine->NewTrackedSession();
 //   auto initial = session.Run(&d);              // generation 0
@@ -93,8 +93,8 @@ struct Delta {
 
 /// The outcome of one Session::ApplyDelta.
 struct DeltaResult {
-  /// Generation this delta was journaled under (1 for the first delta after
-  /// Run, then monotonically increasing; unchanged by a no-op delta).
+  /// This delta's generation (1 for the first delta after Run, then
+  /// monotonically increasing; unchanged by a no-op delta).
   int generation = 0;
   /// Ids minted for Delta::inserts, index-matched to the input.
   std::vector<data::TupleId> inserted_ids;
@@ -145,7 +145,7 @@ class Session {
   /// to its pristine copy, then re-cleans a clone of the pristine copy with
   /// the full phase pipeline against the warm match environment and moves
   /// it into the tracked relation. The fixes replace the journal wholesale,
-  /// under a fresh generation. So the tracked relation and
+  /// and the generation advances. So the tracked relation and
   /// CanonicalJournal() equal a batch run's over the edited relation,
   /// provenance included (pinned by tests/delta_sweep_test.cc after every
   /// DELTA of seeded edit streams).
@@ -158,14 +158,14 @@ class Session {
   Result<DeltaResult> ApplyDelta(const Delta& delta);
 
   /// The fix set of a tracked session, canonicalized (sorted by (tuple,
-  /// attr), generations zeroed — see FixJournal::Canonicalized). After a
+  /// attr) — see FixJournal::Canonicalized). After a
   /// successful Run or ApplyDelta it is byte-equal, provenance included, to
   /// a batch run's over the tracked relation. Empty before a tracked Run().
   FixJournal CanonicalJournal() const { return journal_.Canonicalized(); }
 
   /// The fixes of a tracked session's last successful Run or ApplyDelta,
-  /// in append order, stamped with that generation. After a failed
-  /// ApplyDelta it still holds the earlier fixes of the live tuples.
+  /// in append order. After a failed ApplyDelta it still holds the earlier
+  /// fixes of the live tuples.
   const FixJournal& journal() const { return journal_; }
 
   /// Delta generations applied since the tracked Run() (0 right after it).
@@ -207,10 +207,6 @@ class Session {
   Result<std::vector<PhaseStats>> ExecutePipeline(data::Relation* data,
                                                   FixJournal* journal);
 
-  /// Adopts `journal`, a pipeline run over the whole tracked relation, as
-  /// the session's journal under the current generation. The shared tail of
-  /// a tracked Run and of ApplyDelta's re-run.
-  void AdoptFullRun(const FixJournal& journal);
   /// ApplyDelta's re-run: re-cleans a copy of the pristine relation and,
   /// on success, moves it into the tracked one. On failure nothing changes.
   Status FullRerun(DeltaResult* result);

@@ -6,9 +6,12 @@
 // per-replica counters, unix-socket parity, and retry-seed determinism.
 // Also the TSan target for the prober + routing threads.
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -33,6 +36,7 @@
 #include "gen/dataset.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "serve/wire.h"
 #include "uniclean/engine.h"
 #include "uniclean/session.h"
 
@@ -51,25 +55,26 @@ std::vector<std::string> TestKeys(int n) {
   return keys;
 }
 
+/// The ring over `names` with default options; fails the test on a bad
+/// name list.
+Ring MakeRing(const std::vector<std::string>& names) {
+  Result<Ring> ring = Ring::Make(names);
+  EXPECT_TRUE(ring.ok()) << ring.status().ToString();
+  return ring.ok() ? std::move(ring).value() : Ring();
+}
+
 TEST(RingTest, DeterministicAcrossInstances) {
-  Ring a, b;
-  for (const char* name : {"r1", "r2", "r3", "r4"}) {
-    ASSERT_TRUE(a.AddReplica(name).ok());
-  }
-  // Insertion order must not matter.
-  for (const char* name : {"r4", "r2", "r1", "r3"}) {
-    ASSERT_TRUE(b.AddReplica(name).ok());
-  }
+  // Name order must not matter.
+  const Ring a = MakeRing({"r1", "r2", "r3", "r4"});
+  const Ring b = MakeRing({"r4", "r2", "r1", "r3"});
+  EXPECT_EQ(a.replicas(), b.replicas());
   for (const std::string& key : TestKeys(500)) {
     EXPECT_EQ(a.Owners(key, 3), b.Owners(key, 3)) << key;
   }
 }
 
 TEST(RingTest, OwnersAreDistinctAndOrdered) {
-  Ring ring;
-  for (const char* name : {"r1", "r2", "r3", "r4", "r5"}) {
-    ASSERT_TRUE(ring.AddReplica(name).ok());
-  }
+  const Ring ring = MakeRing({"r1", "r2", "r3", "r4", "r5"});
   for (const std::string& key : TestKeys(200)) {
     const std::vector<std::string> owners = ring.Owners(key, 3);
     ASSERT_EQ(owners.size(), 3u);
@@ -81,19 +86,13 @@ TEST(RingTest, OwnersAreDistinctAndOrdered) {
 }
 
 TEST(RingTest, MinimalMovementOnAdd) {
-  Ring ring;
-  for (const char* name : {"r1", "r2", "r3", "r4"}) {
-    ASSERT_TRUE(ring.AddReplica(name).ok());
-  }
+  const Ring before = MakeRing({"r1", "r2", "r3", "r4"});
+  const Ring after = MakeRing({"r1", "r2", "r3", "r4", "r5"});
   const std::vector<std::string> keys = TestKeys(2000);
-  std::map<std::string, std::string> before;
-  for (const std::string& key : keys) before[key] = ring.PrimaryOwner(key);
-
-  ASSERT_TRUE(ring.AddReplica("r5").ok());
   int moved = 0;
   for (const std::string& key : keys) {
-    const std::string now = ring.PrimaryOwner(key);
-    if (now != before[key]) {
+    const std::string now = after.PrimaryOwner(key);
+    if (now != before.PrimaryOwner(key)) {
       ++moved;
       // Every move must be a capture by the new replica, never a reshuffle
       // between survivors.
@@ -107,58 +106,53 @@ TEST(RingTest, MinimalMovementOnAdd) {
 }
 
 TEST(RingTest, MinimalMovementOnRemove) {
-  Ring ring;
-  for (const char* name : {"r1", "r2", "r3", "r4", "r5"}) {
-    ASSERT_TRUE(ring.AddReplica(name).ok());
-  }
-  const std::vector<std::string> keys = TestKeys(2000);
-  std::map<std::string, std::string> before;
-  for (const std::string& key : keys) before[key] = ring.PrimaryOwner(key);
-
-  ASSERT_TRUE(ring.RemoveReplica("r3").ok());
-  for (const std::string& key : keys) {
-    if (before[key] != "r3") {
+  const Ring before = MakeRing({"r1", "r2", "r3", "r4", "r5"});
+  const Ring after = MakeRing({"r1", "r2", "r4", "r5"});
+  for (const std::string& key : TestKeys(2000)) {
+    if (before.PrimaryOwner(key) != "r3") {
       // Only the removed replica's keys may move.
-      EXPECT_EQ(ring.PrimaryOwner(key), before[key]) << key;
+      EXPECT_EQ(after.PrimaryOwner(key), before.PrimaryOwner(key)) << key;
     } else {
-      EXPECT_NE(ring.PrimaryOwner(key), "r3") << key;
+      EXPECT_NE(after.PrimaryOwner(key), "r3") << key;
     }
   }
 }
 
 TEST(RingTest, FailoverOrderIsTheSuccessorAfterRemoval) {
-  Ring ring;
-  for (const char* name : {"r1", "r2", "r3", "r4"}) {
-    ASSERT_TRUE(ring.AddReplica(name).ok());
-  }
-  // The replica that takes over when the primary is removed is exactly the
-  // second entry of Owners(key, 2) — what the routing client fails over to.
+  const std::vector<std::string> names = {"r1", "r2", "r3", "r4"};
+  const Ring ring = MakeRing(names);
+  // The replica that takes over when the primary leaves the ring is exactly
+  // the second entry of Owners(key, 2) — what the routing client fails
+  // over to.
   for (const std::string& key : TestKeys(300)) {
     const std::vector<std::string> owners = ring.Owners(key, 2);
     ASSERT_EQ(owners.size(), 2u);
-    Ring without = ring;
-    ASSERT_TRUE(without.RemoveReplica(owners[0]).ok());
-    EXPECT_EQ(without.PrimaryOwner(key), owners[1]) << key;
+    std::vector<std::string> survivors;
+    for (const std::string& name : names) {
+      if (name != owners[0]) survivors.push_back(name);
+    }
+    EXPECT_EQ(MakeRing(survivors).PrimaryOwner(key), owners[1]) << key;
   }
 }
 
 TEST(RingTest, RejectsDuplicateAndEmptyNames) {
-  Ring ring;
-  EXPECT_FALSE(ring.AddReplica("").ok());
-  ASSERT_TRUE(ring.AddReplica("r1").ok());
-  EXPECT_FALSE(ring.AddReplica("r1").ok());
-  EXPECT_FALSE(ring.RemoveReplica("r2").ok());
-  EXPECT_TRUE(ring.Owners("key", 1).size() == 1);
-  ASSERT_TRUE(ring.RemoveReplica("r1").ok());
-  EXPECT_TRUE(ring.Owners("key", 1).empty());
-  EXPECT_EQ(ring.PrimaryOwner("key"), "");
+  EXPECT_EQ(Ring::Make({""}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Ring::Make({"r1", ""}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Ring::Make({"r1", "r2", "r1"}).status().code(),
+            StatusCode::kInvalidArgument);
+  const Ring one = MakeRing({"r1"});
+  EXPECT_EQ(one.Owners("key", 1), std::vector<std::string>{"r1"});
+  // No replicas: an empty ring owns nothing.
+  for (const Ring& empty : {Ring(), MakeRing({})}) {
+    EXPECT_EQ(empty.size(), 0);
+    EXPECT_TRUE(empty.Owners("key", 1).empty());
+    EXPECT_EQ(empty.PrimaryOwner("key"), "");
+  }
 }
 
 TEST(RingTest, BalanceIsReasonable) {
-  Ring ring;
-  for (const char* name : {"r1", "r2", "r3", "r4"}) {
-    ASSERT_TRUE(ring.AddReplica(name).ok());
-  }
+  const Ring ring = MakeRing({"r1", "r2", "r3", "r4"});
   std::map<std::string, int> load;
   const int kKeys = 4000;
   for (const std::string& key : TestKeys(kKeys)) {
@@ -327,6 +321,155 @@ TEST(MembershipTest, ProbeFailsAgainstNothing) {
   EXPECT_EQ(membership.health("no-such-replica"), Health::kDown);
 }
 
+/// A peer on a unix socket that answers every request frame with one fixed
+/// reply (`op`, `body`) under the request's tag, one connection at a time,
+/// until destroyed: a daemon stand-in that can send malformed replies.
+class FakePeer {
+ public:
+  FakePeer(serve::Op op, std::string body)
+      : op_(op), body_(std::move(body)) {
+    static int next = 0;
+    path_ = "/tmp/uc_fake_peer_" + std::to_string(::getpid()) + "_" +
+            std::to_string(next++) + ".sock";
+    auto fd = serve::ListenUnix(path_);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    fd_ = fd.ok() ? *fd : -1;
+    thread_ = std::thread([this] { Serve(); });
+  }
+  FakePeer(const FakePeer&) = delete;
+  FakePeer& operator=(const FakePeer&) = delete;
+  ~FakePeer() {
+    stop_ = true;
+    thread_.join();
+    if (fd_ >= 0) ::close(fd_);
+    ::unlink(path_.c_str());
+  }
+
+  std::string address() const { return "unix:" + path_; }
+
+ private:
+  void Serve() {
+    while (!stop_ && fd_ >= 0) {
+      pollfd pfd{};
+      pfd.fd = fd_;
+      pfd.events = POLLIN;
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const int conn = ::accept(fd_, nullptr, nullptr);
+      if (conn < 0) continue;
+      serve::FrameChannel channel(conn);  // owns + closes the fd
+      for (;;) {
+        Result<serve::Frame> frame = channel.ReadFrame();
+        if (!frame.ok()) break;
+        if (!channel.WriteFrame(frame->tag, op_, body_).ok()) break;
+      }
+    }
+  }
+
+  const serve::Op op_;
+  const std::string body_;
+  std::string path_;
+  int fd_ = -1;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// A well-formed kPong body: echo, 1 in flight, 2 queued, one ruleset.
+std::string GoodPong() {
+  std::string body;
+  serve::PutLp(&body, "unicleand?");
+  serve::PutU32(&body, 1);
+  serve::PutU32(&body, 2);
+  serve::PutU32(&body, 1);
+  serve::PutLp(&body, "hosp");
+  serve::PutU64(&body, 42);
+  return body;
+}
+
+TEST(ServeClientTest, PongAndErrorTrailersDecodeExactly) {
+  const auto connect = [](const FakePeer& peer) {
+    auto client = serve::Client::ConnectAddress(peer.address());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return std::move(client).value();
+  };
+  const std::string pong = GoodPong();
+  {
+    FakePeer peer(serve::Op::kPong, pong);
+    serve::Client client = connect(peer);
+    auto info = client.PingEx();
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->inflight, 1u);
+    EXPECT_EQ(info->queued, 2u);
+    ASSERT_EQ(info->rulesets.size(), 1u);
+    EXPECT_EQ(info->rulesets[0].first, "hosp");
+    EXPECT_EQ(info->rulesets[0].second, 42u);
+  }
+  // A pong of only the echo (a pre-cluster daemon's), one cut inside the
+  // trailer, and one with a byte past its last field.
+  std::string echo_only;
+  serve::PutLp(&echo_only, "unicleand?");
+  for (const std::string& bad :
+       {echo_only, pong.substr(0, pong.size() - 1), pong + "x"}) {
+    FakePeer peer(serve::Op::kPong, bad);
+    serve::Client client = connect(peer);
+    EXPECT_EQ(client.PingEx().status().code(), StatusCode::kCorruption)
+        << bad.size() << " bytes";
+    EXPECT_EQ(client.Ping().code(), StatusCode::kCorruption);
+  }
+
+  std::string error;
+  serve::PutU8(&error, serve::WireErrorCode(Status::Unavailable("")));
+  serve::PutLp(&error, "work queue full");
+  serve::PutU32(&error, 250);
+  {
+    FakePeer peer(serve::Op::kError, error);
+    serve::Client client = connect(peer);
+    const Status status = client.Ping();
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+    EXPECT_EQ(status.message(), "work queue full");
+    EXPECT_EQ(client.last_retry_after_ms(), 250u);
+  }
+  // A kError without its retry-after trailer, one cut inside it, and one
+  // with a byte past it.
+  for (const std::string& bad : {error.substr(0, error.size() - 4),
+                                 error.substr(0, error.size() - 1),
+                                 error + "x"}) {
+    FakePeer peer(serve::Op::kError, bad);
+    serve::Client client = connect(peer);
+    EXPECT_EQ(client.Ping().code(), StatusCode::kCorruption)
+        << bad.size() << " bytes";
+  }
+}
+
+TEST(MembershipTest, MalformedPongIsAFailedProbe) {
+  FakePeer good(serve::Op::kPong, GoodPong());
+  std::string truncated;
+  serve::PutLp(&truncated, "unicleand?");
+  serve::PutU32(&truncated, 0);
+  FakePeer bad(serve::Op::kPong, truncated);
+  MembershipOptions options;
+  options.suspect_after = 1;
+  options.down_after = 2;
+  options.probe_timeout_ms = 2000;
+  Membership membership(options);
+  ASSERT_TRUE(membership.AddReplica("good", good.address()).ok());
+  ASSERT_TRUE(membership.AddReplica("bad", bad.address()).ok());
+
+  EXPECT_TRUE(membership.ProbeOne("good"));
+  EXPECT_EQ(membership.health("good"), Health::kHealthy);
+  const auto good_status = membership.status("good");
+  ASSERT_TRUE(good_status.ok());
+  ASSERT_EQ(good_status->rulesets.size(), 1u);
+  EXPECT_EQ(good_status->rulesets[0].second, 42u);
+
+  // The bad peer answers, but with a pong that does not decode: a failed
+  // probe, not a healthy replica with no load and no rulesets.
+  EXPECT_FALSE(membership.ProbeOne("bad"));
+  EXPECT_EQ(membership.health("bad"), Health::kSuspect);
+  const auto bad_status = membership.status("bad");
+  ASSERT_TRUE(bad_status.ok());
+  EXPECT_EQ(bad_status->failures, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Spec
 // ---------------------------------------------------------------------------
@@ -353,12 +496,19 @@ TEST(SpecTest, ParsesAndComputesOwnership) {
   EXPECT_EQ(spec->replicas[1].address, "127.0.0.1:7701");
   ASSERT_EQ(spec->rulesets.size(), 2u);
 
-  // Ownership agrees between OwnersOf and RulesetsOwnedBy.
+  // Ownership agrees between the ring's owners and RulesetsOwnedBy.
+  auto ring = spec->BuildRing();
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  EXPECT_EQ(ring->replicas(),
+            (std::vector<std::string>{"r1", "r2", "r3"}));
+  EXPECT_EQ(ring->options().vnodes_per_replica, 32);
   for (const RulesetSpec& rs : spec->rulesets) {
-    const std::vector<std::string> owners = spec->OwnersOf(rs.name);
+    const std::vector<std::string> owners =
+        ring->Owners(rs.name, spec->replication);
     ASSERT_EQ(owners.size(), 2u);
     for (const std::string& owner : owners) {
-      const std::vector<std::string> owned = spec->RulesetsOwnedBy(owner);
+      const std::vector<std::string> owned =
+          spec->RulesetsOwnedBy(*ring, owner);
       EXPECT_NE(std::find(owned.begin(), owned.end(), rs.name), owned.end());
     }
   }
@@ -459,14 +609,17 @@ TEST(SpecTest, SeededMutationsParseOrFailCleanly) {
     ASSERT_LE(spec->ring.vnodes_per_replica, kMaxVnodes) << text;
     EXPECT_GE(spec->workers, 1) << text;
     EXPECT_LE(spec->workers, kMaxWorkers) << text;
-    const Ring ring = spec->BuildRing();
-    EXPECT_EQ(ring.size(), static_cast<int>(spec->replicas.size())) << text;
+    const auto ring = spec->BuildRing();
+    ASSERT_TRUE(ring.ok()) << ring.status().ToString() << "\n" << text;
+    EXPECT_EQ(ring->size(), static_cast<int>(spec->replicas.size())) << text;
     for (const RulesetSpec& rs : spec->rulesets) {
-      const std::vector<std::string> owners = spec->OwnersOf(rs.name);
+      const std::vector<std::string> owners =
+          ring->Owners(rs.name, spec->replication);
       EXPECT_EQ(owners.size(), static_cast<size_t>(spec->replication))
           << text;
       for (const std::string& owner : owners) {
-        const std::vector<std::string> owned = spec->RulesetsOwnedBy(owner);
+        const std::vector<std::string> owned =
+            spec->RulesetsOwnedBy(*ring, owner);
         EXPECT_NE(std::find(owned.begin(), owned.end(), rs.name),
                   owned.end())
             << text;
@@ -537,8 +690,10 @@ struct ClusterWorld {
 
     for (int i = 1; i <= kReplicas; ++i) {
       names.push_back("r" + std::to_string(i));
-      ASSERT_TRUE(ring.AddReplica(names.back()).ok());
     }
+    auto built = Ring::Make(names);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ring = std::move(built).value();
 
     // Each replica serves exactly the rulesets the ring assigns it — the
     // same sharding unicleanctl spawn computes from a spec.

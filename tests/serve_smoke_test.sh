@@ -7,6 +7,8 @@
 # shutdown summary). A --snapshot-dir daemon then demonstrates the
 # crash path: its cold start persists a snapshot, kill -9 simulates a crash,
 # and the restarted daemon warm-starts from the file with a byte-identical
+# journal; restarted once more over rules whose md3 thresholds were edited
+# (names kept), it refuses the snapshot and serves the edited rules'
 # journal. A second daemon with a tiny --max-queue then
 # takes concurrent clients: the excess are rejected kUnavailable with a
 # retry-after hint and --max-retries backoff drives every one of them to a
@@ -142,6 +144,51 @@ STATUS=$?
 DAEMON_PID=
 [ "$STATUS" -eq 0 ] || fail "snapshot daemon exited $STATUS after SIGTERM"
 
+# --- Rules-edit restart: md3's thresholds change, every rule name kept.
+# The snapshot's match lists were computed under the old predicates, so the
+# restarted daemon must refuse it through the engine fingerprint, cold-build
+# and serve exactly what uniclean_cli writes over the edited rules.
+cp rules.txt rules_orig.txt
+sed -e '/^MD md3:/s/~jw:[0-9.]*/~jw:0.60/' \
+  -e '/^MD md3:/s/~edit:[0-9]*/~edit:12/' rules_orig.txt > rules.txt
+cmp -s rules.txt rules_orig.txt && fail "the md3 edit changed nothing"
+"$CLI" --data dirty.csv --master master.csv --rules rules.txt \
+  --confidence confidence.csv --journal cli_edited.csv --out /dev/null \
+  >/dev/null 2>&1 || fail "uniclean_cli run over the edited rules"
+cmp -s cli_batch.csv cli_edited.csv \
+  && fail "the md3 edit changed no repair of the sample"
+rm -f port.txt
+"$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
+  --port 0 --port-file port.txt --workers 2 --snapshot-dir snapshots \
+  >snap_daemon3.log 2>&1 &
+DAEMON_PID=$!
+for _ in $(seq 1 300); do
+  [ -f port.txt ] && break
+  kill -0 "$DAEMON_PID" 2>/dev/null || fail "rules-edit daemon died at startup"
+  sleep 0.2
+done
+[ -f port.txt ] || fail "rules-edit daemon never wrote the port file"
+grep -q "snapshot snapshots/default.ucsnap rejected (FailedPrecondition" \
+  snap_daemon3.log \
+  || fail "the daemon did not refuse the snapshot of the pre-edit rules"
+"$CLIENT" --port-file port.txt --clean dirty.csv \
+  --confidence confidence.csv --journal snap_batch3.csv >/dev/null \
+  || fail "clean against the rules-edit daemon"
+cmp -s cli_edited.csv snap_batch3.csv \
+  || fail "rules-edit daemon journal differs from the in-process run"
+kill -TERM "$DAEMON_PID" || fail "SIGTERM (rules-edit daemon)"
+DRAIN_OK=
+for _ in $(seq 1 300); do
+  if ! kill -0 "$DAEMON_PID" 2>/dev/null; then DRAIN_OK=1; break; fi
+  sleep 0.2
+done
+[ -n "$DRAIN_OK" ] || { kill -9 "$DAEMON_PID"; fail "rules-edit daemon hung"; }
+wait "$DAEMON_PID"
+STATUS=$?
+DAEMON_PID=
+[ "$STATUS" -eq 0 ] || fail "rules-edit daemon exited $STATUS after SIGTERM"
+mv rules_orig.txt rules.txt
+
 # --- Overload scenario: tiny queue, concurrent clients, backoff to success.
 rm -f port.txt
 "$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
@@ -195,5 +242,6 @@ grep -q '"status": "OK"' requests.log \
   || fail "request log has no successful request line"
 
 echo "serve_smoke_test: PASS (journals byte-identical, graceful drain," \
-     "snapshot warm restart, overload rejected + retried to success)"
+     "snapshot warm restart, stale snapshot refused after a rules edit," \
+     "overload rejected + retried to success)"
 exit 0

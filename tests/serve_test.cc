@@ -3,20 +3,24 @@
 // hot reload against in-flight requests (the acceptance pin), tracked
 // session lifecycle (explicit close, reclaim on disconnect), and framing
 // robustness — truncated frames, oversized declared lengths, garbage
-// opcodes, malformed CSV, mid-stream disconnects — all of which must yield
-// a clean error response or connection close, never a daemon crash. Runs
+// opcodes, malformed CSV, mid-stream disconnects, seeded mutations of every
+// request opcode's frame — all of which must yield a clean error response
+// or connection close, never a daemon crash. Runs
 // an in-process Daemon on an ephemeral port; also the ASan/TSan target for
 // the serving threads.
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1507,6 +1511,267 @@ TEST(WireDeadlineTest, NewErrorCodesRoundTripUnchanged) {
     EXPECT_EQ(round_tripped.code(), status.code());
     EXPECT_EQ(round_tripped.message(), status.message());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded wire mutations
+// ---------------------------------------------------------------------------
+
+/// Request frame header: u32 payload length | u32 tag | u8 opcode | u32
+/// deadline_ms (wire.h).
+constexpr size_t kFrameHeaderBytes = 13;
+
+void SetU32At(std::string* bytes, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[at + static_cast<size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+/// One request frame as it travels, built field by field, with the offsets
+/// of its body's lp length fields.
+struct WireFrame {
+  std::string bytes;
+  std::vector<size_t> lp_offsets;
+
+  WireFrame(uint32_t tag, Op op) {
+    PutU32(&bytes, 0);  // payload length, set by Done()
+    PutU32(&bytes, tag);
+    PutU8(&bytes, static_cast<uint8_t>(op));
+    PutU32(&bytes, 0);  // deadline_ms: the server default
+  }
+  WireFrame& Lp(std::string_view s) {
+    lp_offsets.push_back(bytes.size());
+    PutLp(&bytes, s);
+    return *this;
+  }
+  WireFrame& Done() {
+    SetU32At(&bytes, 0, static_cast<uint32_t>(bytes.size() - 4));
+    return *this;
+  }
+};
+
+/// One seeded edit of a frame: a 1-4-byte overwrite, a truncation with the
+/// length field patched, or an lp length swapped for a boundary value.
+struct WireMutation {
+  enum Kind { kOverwrite, kTruncate, kLpLength } kind = kOverwrite;
+  size_t at = 0;  // overwrite start, or the lp length field
+  std::string bytes;
+  size_t cut = 0;
+  uint32_t value = 0;
+
+  std::string Apply(std::string frame) const {
+    switch (kind) {
+      case kOverwrite:
+        frame.replace(at, bytes.size(), bytes);
+        break;
+      case kTruncate:
+        frame.resize(frame.size() - cut);
+        SetU32At(&frame, 0, static_cast<uint32_t>(frame.size() - 4));
+        break;
+      case kLpLength:
+        SetU32At(&frame, at, value);
+        break;
+    }
+    return frame;
+  }
+
+  std::string Describe() const {
+    switch (kind) {
+      case kOverwrite:
+        return "overwrite " + std::to_string(bytes.size()) + " at " +
+               std::to_string(at);
+      case kTruncate:
+        return "truncate " + std::to_string(cut);
+      case kLpLength:
+        return "lp length at " + std::to_string(at) + " = " +
+               std::to_string(value);
+    }
+    return "";
+  }
+};
+
+/// `n` seeded mutations of `frame`: every lp length swapped for 0, 2^31 - 1
+/// and 2^32 - 1, 40 truncations (some reach into the header), and
+/// overwrites alternating between the header and the body for the rest.
+std::vector<WireMutation> PlanMutations(const WireFrame& frame,
+                                        std::mt19937* rng, size_t n) {
+  std::vector<WireMutation> plan;
+  for (size_t at : frame.lp_offsets) {
+    for (uint32_t value : {0u, 0x7FFFFFFFu, 0xFFFFFFFFu}) {
+      WireMutation m;
+      m.kind = WireMutation::kLpLength;
+      m.at = at;
+      m.value = value;
+      plan.push_back(m);
+    }
+  }
+  const size_t payload = frame.bytes.size() - 4;
+  for (int i = 0; i < 40; ++i) {
+    WireMutation m;
+    m.kind = WireMutation::kTruncate;
+    m.cut = 1 + (*rng)() % payload;
+    plan.push_back(m);
+  }
+  while (plan.size() < n) {
+    const bool header = plan.size() % 2 == 0 ||
+                        frame.bytes.size() == kFrameHeaderBytes;
+    const size_t lo = header ? 0 : kFrameHeaderBytes;
+    const size_t hi = header ? kFrameHeaderBytes : frame.bytes.size();
+    WireMutation m;
+    m.at = lo + (*rng)() % (hi - lo);
+    const size_t width =
+        std::min<size_t>(1 + (*rng)() % 4, frame.bytes.size() - m.at);
+    for (size_t k = 0; k < width; ++k) {
+      m.bytes.push_back(static_cast<char>((*rng)() & 0xFF));
+    }
+    plan.push_back(m);
+  }
+  return plan;
+}
+
+/// What one mutant's connection saw after sending it.
+struct WireOutcome {
+  int replies = 0;      // frames that came back
+  int successes = 0;    // of those, frames other than kError
+  bool closed = false;  // the daemon closed the connection
+};
+
+/// Sends `frame` on `channel`, half-closes the connection and reads until
+/// the daemon closes it (or a 10 s receive timeout trips).
+WireOutcome SendHalfClosed(FrameChannel* channel, const std::string& frame) {
+  WireOutcome outcome;
+  size_t sent = 0;
+  while (sent < frame.size()) {
+    const ssize_t n = ::send(channel->fd(), frame.data() + sent,
+                             frame.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return outcome;
+    sent += static_cast<size_t>(n);
+  }
+  channel->ShutdownWrite();
+  for (;;) {
+    Result<Frame> reply = channel->ReadFrame();
+    if (!reply.ok()) {
+      outcome.closed = reply.status().code() == StatusCode::kNotFound;
+      return outcome;
+    }
+    ++outcome.replies;
+    outcome.successes += reply->op != Op::kError;
+  }
+}
+
+TEST(ServeWireFuzz, SeededFrameMutationsGetAReplyOrACountedClose) {
+  // At least 200 seeded mutants of each request opcode's valid frame, each
+  // on its own connection, half-closed after sending. Every mutant must be
+  // answered, or its connection closed with protocol_errors counting it;
+  // no mutant may crash or wedge the daemon. DELTA and CLOSE_SESSION name a
+  // tracked session their connection opened first.
+  ServeWorld* w = ServeWorld::Get();
+  DaemonOptions options;
+  options.n_workers = 2;
+  auto daemon = StartFaultDaemon(options);
+
+  // A tiny HOSP slice: the header, three rows to clean, two more for edits.
+  std::vector<std::string> lines;
+  {
+    std::istringstream in(w->dirty_csv);
+    for (std::string line; std::getline(in, line) && lines.size() < 6;) {
+      lines.push_back(line + "\n");
+    }
+  }
+  ASSERT_EQ(lines.size(), 6u);
+  const std::string slice = lines[0] + lines[1] + lines[2] + lines[3];
+
+  const auto clean_frame = [&](uint32_t tag, uint8_t flags) {
+    WireFrame f(tag, Op::kClean);
+    PutU8(&f.bytes, flags);
+    f.Lp("").Lp(slice).Lp("");
+    return f.Done();
+  };
+  const auto delta_frame = [&](uint64_t session) {
+    WireFrame f(2, Op::kDelta);
+    PutU64(&f.bytes, session);
+    f.Lp(lines[0] + lines[4]).Lp("0\n").Lp(lines[5]).Lp("2\n");
+    return f.Done();
+  };
+  const auto close_frame = [](uint64_t session) {
+    WireFrame f(2, Op::kCloseSession);
+    PutU64(&f.bytes, session);
+    return f.Done();
+  };
+  std::vector<std::pair<std::string, WireFrame>> bases = {
+      {"PING", WireFrame(1, Op::kPing)},
+      {"CLEAN", clean_frame(1, 0)},
+      {"DELTA", delta_frame(0)},
+      {"RELOAD", WireFrame(1, Op::kReload)},
+      {"CLOSE_SESSION", close_frame(0)},
+      {"CANCEL", WireFrame(1, Op::kCancel)},
+  };
+  bases[0].second.bytes += "unicleand?";
+  bases[0].second.Done();
+  bases[3].second.Lp("hosp").Done();
+  PutU32(&bases[5].second.bytes, 7);
+  bases[5].second.Done();
+
+  std::mt19937 rng(0x5eed);
+  constexpr size_t kPerOp = 200;
+  int mutants = 0;
+  int answered = 0;
+  for (const auto& [name, base] : bases) {
+    int succeeded = 0;
+    const std::vector<WireMutation> plan = PlanMutations(base, &rng, kPerOp);
+    ASSERT_EQ(plan.size(), kPerOp) << name;
+    for (const WireMutation& mutation : plan) {
+      auto fd = ConnectTcp("127.0.0.1", daemon->port());
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      timeval tv{};
+      tv.tv_sec = 10;
+      ::setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      FrameChannel channel(*fd);
+      std::string frame = base.bytes;
+      if (name == "DELTA" || name == "CLOSE_SESSION") {
+        const WireFrame open = clean_frame(1, kCleanTrack);
+        ASSERT_TRUE(channel
+                        .WriteFrame(1, Op::kClean,
+                                    open.bytes.substr(kFrameHeaderBytes))
+                        .ok());
+        uint64_t session = 0;
+        for (;;) {
+          auto reply = channel.ReadFrame();
+          ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+          if (reply->op == Op::kCleanDone) {
+            BodyReader done(reply->body);
+            session = done.U64().value();
+            break;
+          }
+          ASSERT_EQ(reply->op, Op::kJournalChunk);
+        }
+        ASSERT_NE(session, 0u);
+        frame = (name == "DELTA" ? delta_frame(session) : close_frame(session))
+                    .bytes;
+      }
+      const uint64_t errors_before = daemon->protocol_errors();
+      const WireOutcome outcome =
+          SendHalfClosed(&channel, mutation.Apply(frame));
+      ++mutants;
+      answered += outcome.replies > 0;
+      succeeded += outcome.successes > 0;
+      EXPECT_TRUE(outcome.closed)
+          << name << ", " << mutation.Describe() << ": no close";
+      EXPECT_TRUE(outcome.replies > 0 ||
+                  daemon->protocol_errors() > errors_before)
+          << name << ", " << mutation.Describe()
+          << ": closed without a reply or a protocol error";
+    }
+    // Mutants that kept the request well formed (a new tag, a deadline)
+    // reached the handler and succeeded.
+    EXPECT_GT(succeeded, 0) << name;
+  }
+  EXPECT_EQ(mutants, static_cast<int>(bases.size() * kPerOp));
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(daemon->protocol_errors(), 0u);
+  Client client = ConnectTo(*daemon);
+  EXPECT_TRUE(client.Ping().ok());
 }
 
 }  // namespace

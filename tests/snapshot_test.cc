@@ -17,6 +17,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -140,11 +141,25 @@ void PatchU32(std::string* bytes, size_t offset, uint32_t v) {
   }
 }
 
-/// Re-seals the 64-byte header after a deliberate field edit, so the test
+/// Re-seals the header after a deliberate field edit, so the test
 /// exercises the *semantic* check behind the CRC rather than the CRC itself.
 void ResealHeader(std::string* bytes) {
   PatchU32(bytes, snapshot::kHeaderBytes - 4,
            snapshot::Crc32(bytes->data(), snapshot::kHeaderBytes - 4));
+}
+
+/// Decodes the header of a well-formed snapshot, applies `edit` and writes
+/// it back re-encoded and re-sealed: a field edit without hard-coded
+/// offsets.
+void EditHeader(std::string* bytes,
+                const std::function<void(snapshot::Header*)>& edit) {
+  auto header = snapshot::DecodeHeader(*bytes);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  edit(&*header);
+  std::string encoded;
+  snapshot::EncodeHeader(*header, &encoded);
+  ASSERT_EQ(encoded.size(), snapshot::kHeaderBytes);
+  bytes->replace(0, snapshot::kHeaderBytes, encoded);
 }
 
 /// A section header and where it starts in the file.
@@ -279,7 +294,12 @@ TEST_F(SnapshotHosp, MemoContentsRoundTrip) {
   {
     auto info = snapshot::Inspect(path);
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    EXPECT_NE(info->header.flags & snapshot::kFlagHasMemos, 0u);
+    int memo_sections = 0;
+    for (const auto& section : info->sections) {
+      memo_sections +=
+          section.id == static_cast<uint32_t>(snapshot::SectionId::kMemos);
+    }
+    EXPECT_GT(memo_sections, 0);
   }
   data::ScopedStringPool scoped;
   gen::Dataset ds = Generate("HOSP", 11);
@@ -303,7 +323,6 @@ TEST_F(SnapshotHosp, WithoutMemosLoadsCold) {
   {
     auto info = snapshot::Inspect(path);
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    EXPECT_EQ(info->header.flags & snapshot::kFlagHasMemos, 0u);
     for (const auto& section : info->sections) {
       EXPECT_NE(section.id,
                 static_cast<uint32_t>(snapshot::SectionId::kMemos));
@@ -392,6 +411,66 @@ TEST_F(SnapshotHosp, InspectReportsTheSectionTable) {
   EXPECT_EQ(pools, 1);
   EXPECT_EQ(environments, 1);
   EXPECT_EQ(matchers, num_matchers);
+}
+
+// ---------------------------------------------------------------------------
+// Engine fingerprint: the snapshot's identity check
+// ---------------------------------------------------------------------------
+
+/// Fingerprints of engines built from HOSP seed 11's master and an edited
+/// copy of its rule program.
+class EngineFingerprintTest : public ::testing::Test {
+ protected:
+  uint64_t Fingerprint(const std::string& rule_text,
+                       core::MdMatcherOptions matcher = {}) {
+    EngineBuilder builder;
+    builder.WithDataSchema(ds_.dirty.schema_ptr())
+        .WithMaster(&ds_.master)
+        .WithRuleText(rule_text)
+        .WithMatcherOptions(matcher);
+    auto engine = builder.BuildEngine();
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    return engine.ok() ? (*engine)->Fingerprint() : 0;
+  }
+
+  /// The program with the first occurrence of `from` replaced by `to`.
+  std::string Edited(const std::string& from, const std::string& to) const {
+    std::string text = ds_.rule_text;
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  }
+
+  data::ScopedStringPool scoped_;  // constructed before ds_ interns
+  gen::Dataset ds_ = Generate("HOSP", 11);
+};
+
+TEST_F(EngineFingerprintTest, IdenticalProgramsGetEqualFingerprints) {
+  const uint64_t base = Fingerprint(ds_.rule_text);
+  EXPECT_EQ(Fingerprint(ds_.rule_text), base);
+  // The same threshold spelled differently is the same program.
+  EXPECT_EQ(Fingerprint(Edited("~jw:0.95 ", "~jw:0.950 ")), base);
+  // Options that change no match list stay out.
+  core::MdMatcherOptions matcher;
+  matcher.use_memos = false;
+  matcher.memo_capacity = 7777;
+  EXPECT_EQ(Fingerprint(ds_.rule_text, matcher), base);
+}
+
+TEST_F(EngineFingerprintTest, OneEditedRuleChangesTheFingerprint) {
+  const uint64_t base = Fingerprint(ds_.rule_text);
+  // An MD threshold at the third decimal, with the rule name kept.
+  EXPECT_NE(Fingerprint(Edited("~jw:0.95 ", "~jw:0.951 ")), base);
+  EXPECT_NE(Fingerprint(Edited("~edit:3 ", "~edit:4 ")), base);
+  // One CFD constant.
+  EXPECT_NE(Fingerprint(Edited("City='", "City='X")), base);
+  // One MD action.
+  EXPECT_NE(Fingerprint(Edited("ZIP:=ZIP", "City:=City")), base);
+  // Blocking decides which master tuples a probe verifies.
+  core::MdMatcherOptions matcher;
+  matcher.use_blocking = false;
+  EXPECT_NE(Fingerprint(ds_.rule_text, matcher), base);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,7 +598,7 @@ TEST_F(SnapshotHardening, BitFlipsAreDataLoss) {
   const std::vector<size_t> offsets = {
       9,                                               // header: version
       16,                                              // header: fingerprint
-      57,                                              // header: section count
+      37,                                              // header: section count
       snapshot::kHeaderBytes + 8,                      // section: length
       snapshot::kHeaderBytes + snapshot::kSectionHeaderBytes + 3,  // payload
       good_.size() / 2,
@@ -568,10 +647,46 @@ TEST_F(SnapshotHardening, FingerprintMismatchIsFailedPrecondition) {
 }
 
 TEST_F(SnapshotHardening, MatcherOptionMismatchIsFailedPrecondition) {
+  // Blocking decides which master tuples a probe verifies, so it is part
+  // of the engine fingerprint.
   core::MdMatcherOptions matcher;
-  matcher.memo_capacity = 7777;
+  matcher.use_blocking = false;
   const Status s = TryLoad(path_, /*junk=*/0, /*eta=*/1.0, matcher);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("different engine"), std::string::npos)
+      << s.ToString();
+}
+
+TEST_F(SnapshotHardening, MemoCapacityDifferenceLoadsWithinTheCap) {
+  // memo_capacity changes no match list, only how many stay resident: a
+  // file written without a cap loads under one and keeps what fits.
+  const std::string path = ::testing::TempDir() + "ucsnap_memocap_" +
+                           std::to_string(static_cast<long>(::getpid())) +
+                           ".ucsnap";
+  uint64_t entries = 0;
+  {
+    data::ScopedStringPool scoped;
+    gen::Dataset ds = Generate("HOSP", 11);
+    auto engine = Configure(ds).BuildEngine();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    RunJournal(*engine, ds);
+    entries = (*engine)->environment().MemoStats().entries;
+    ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path).ok());
+  }
+  constexpr size_t kCap = 3;
+  core::MdMatcherOptions capped;
+  capped.memo_capacity = kCap;
+  data::ScopedStringPool scoped;
+  gen::Dataset ds = Generate("HOSP", 11);
+  auto engine = Configure(ds, /*eta=*/1.0, capped).FromSnapshot(path);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const core::MemoStats stats = (*engine)->environment().MemoStats();
+  // Two memo maps per matcher, each holding at most kCap entries.
+  const size_t most =
+      2 * kCap * static_cast<size_t>((*engine)->environment().num_matchers());
+  ASSERT_GT(entries, most);
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_LE(stats.entries, most);
 }
 
 TEST_F(SnapshotHardening, DivergedStringPoolIsFailedPrecondition) {
@@ -593,10 +708,7 @@ TEST_F(SnapshotHardening, UnknownSectionIsSkipped) {
   extra.crc = snapshot::Crc32(payload);
   snapshot::EncodeSectionHeader(extra, &bytes);
   bytes += payload;
-  auto info = snapshot::Inspect(path_);
-  ASSERT_TRUE(info.ok());
-  PatchU32(&bytes, 56, info->header.section_count + 1);
-  ResealHeader(&bytes);
+  EditHeader(&bytes, [](snapshot::Header* h) { ++h->section_count; });
   const Status s = TryLoadBytes(bytes);
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(snapshot::Verify(mutated_path_).ok());
@@ -689,6 +801,80 @@ TEST_F(SnapshotHardening, Version3IsFailedPrecondition) {
   EXPECT_NE(s.message().find("version 3"), std::string::npos) << s.ToString();
 }
 
+TEST_F(SnapshotHardening, Version4IsFailedPrecondition) {
+  // v4 sealed a 64-byte header that also held matcher options and a flags
+  // word, and persisted equality indexes. A v4 file is refused by version,
+  // whether its header is read under this format's seal or under its own.
+  std::string bytes = good_;
+  PatchU32(&bytes, 8, 4);
+  ResealHeader(&bytes);
+  Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("version 4"), std::string::npos) << s.ToString();
+
+  // The v4 layout: magic | u32 version | u32 flags | u64 fingerprint | u32
+  // top_l | u32 matcher flags | u64 memo capacity | u64 pool count | u64
+  // pool hash | u32 section count | u32 CRC of bytes [0, 60).
+  std::string v4(snapshot::kMagic, sizeof(snapshot::kMagic));
+  snapshot::PutU32(&v4, 4);
+  snapshot::PutU32(&v4, 1);
+  snapshot::PutU64(&v4, 0x92fac2a46cea8ed7ull);
+  snapshot::PutU32(&v4, 20);
+  snapshot::PutU32(&v4, 3);
+  snapshot::PutU64(&v4, 0);
+  snapshot::PutU64(&v4, 396);
+  snapshot::PutU64(&v4, 0xd9c66aadd109a646ull);
+  snapshot::PutU32(&v4, 8);
+  snapshot::PutU32(&v4, snapshot::Crc32(v4.data(), v4.size()));
+  ASSERT_EQ(v4.size(), 64u);
+  v4 += good_.substr(snapshot::kHeaderBytes);
+  s = TryLoadBytes(v4);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("format version 4 is not supported"),
+            std::string::npos)
+      << s.ToString();
+  // The same header with one bit flipped is corruption, not a version.
+  v4[24] = static_cast<char>(v4[24] ^ 0x10);
+  s = TryLoadBytes(v4);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
+TEST_F(SnapshotHardening, EditedRulesWithTheSameNamesAreFailedPrecondition) {
+  // md3's thresholds edited with every rule name kept: the match lists the
+  // file holds were computed under the old predicates, so the fingerprint
+  // refuses it, and the engine the edited rules build cleans differently.
+  std::string edited = rule_text_;
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"~jw:0.95 ", "~jw:0.60 "},
+        {"~edit:3 ", "~edit:12 "}}) {
+    const size_t at = edited.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    edited.replace(at, from.size(), to);
+  }
+  data::ScopedStringPool scoped;
+  gen::Dataset ds = Generate("HOSP", 11);
+  EngineBuilder builder;
+  builder.WithDataSchema(data_schema_)
+      .WithMaster(&ds.master)
+      .WithRuleText(edited)
+      .WithEta(1.0);
+  const Status s = builder.FromSnapshot(path_).status();
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("different engine"), std::string::npos)
+      << s.ToString();
+
+  auto cold = Configure(ds).BuildEngine();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EngineBuilder rebuilt;
+  rebuilt.WithDataSchema(data_schema_)
+      .WithMaster(&ds.master)
+      .WithRuleText(edited)
+      .WithEta(1.0);
+  auto edited_engine = rebuilt.BuildEngine();
+  ASSERT_TRUE(edited_engine.ok()) << edited_engine.status().ToString();
+  EXPECT_NE(RunJournal(*edited_engine, ds), RunJournal(*cold, ds));
+}
+
 TEST_F(SnapshotHardening, MatcherSectionUnderNonOwnerRuleIsDataLoss) {
   ASSERT_NE(non_owner_rule_, snapshot::kNoRule) << "no MD shares a matcher";
   const Status s =
@@ -715,10 +901,7 @@ TEST_F(SnapshotHardening, MissingOwnerSectionIsDataLoss) {
       FirstSection(bytes, snapshot::SectionId::kMatcher);
   bytes.erase(section.offset,
               snapshot::kSectionHeaderBytes + section.header.length);
-  auto info = snapshot::Inspect(path_);
-  ASSERT_TRUE(info.ok());
-  PatchU32(&bytes, 56, info->header.section_count - 1);
-  ResealHeader(&bytes);
+  EditHeader(&bytes, [](snapshot::Header* h) { --h->section_count; });
   const Status s = TryLoadBytes(bytes);
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
   EXPECT_NE(s.message().find("missing matcher section"), std::string::npos)
@@ -771,10 +954,10 @@ TEST_F(SnapshotHardening, MatcherSectionsRecordTheWholeMaster) {
 
 TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
   // Every matcher and memo section of a snapshot with memos, mutated by
-  // seeded 1-4-byte overwrites and 1-8-byte truncations (length patched),
-  // then re-sealed, so the bytes reach the decoders. Each load must return
-  // a Status — OK or DataLoss, since only codec payloads change — and never
-  // abort or trip a sanitizer.
+  // seeded 1-4-byte overwrites and truncations of 1 to 8 bytes, at most the
+  // whole payload (length patched), then re-sealed, so the bytes reach the
+  // decoders. Each load must return a Status — OK or DataLoss, since only
+  // codec payloads change — and never abort or trip a sanitizer.
   const std::string path = ::testing::TempDir() + "ucsnap_mutation_" +
                            std::to_string(static_cast<long>(::getpid())) +
                            ".ucsnap";
@@ -810,7 +993,8 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
                        static_cast<uint32_t>(snapshot::SectionId::kMemos);
     if (!matcher && !memos) continue;
     const size_t length = static_cast<size_t>(section.header.length);
-    ASSERT_GT(length, 8u);
+    // An equality matcher's section is its master size and kind byte.
+    ASSERT_GE(length, 5u);
     std::vector<std::pair<std::string, std::string>> mutants;
     for (int i = 0; i < 12; ++i) {
       const size_t width = 1 + rng() % 4;
@@ -823,7 +1007,7 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
                                std::to_string(at),
                            std::move(bytes));
     }
-    for (size_t cut = 1; cut <= 8; ++cut) {
+    for (size_t cut = 1; cut <= std::min<size_t>(8, length); ++cut) {
       std::string bytes = good;
       bytes.erase(section.payload() + length - cut, cut);
       PatchU32(&bytes, section.offset + 8,
@@ -846,7 +1030,9 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
       if (!s.ok()) ++refused;
     }
   }
-  EXPECT_EQ(loads, 6 * 20);  // HOSP: 3 matcher + 3 memo sections
+  // HOSP: two equality matchers (5-byte sections: 12 overwrites and 5
+  // cuts each), one suffix-array matcher and 3 memo sections (20 each).
+  EXPECT_EQ(loads, 2 * 17 + 4 * 20);
   EXPECT_GT(refused, 0);
 }
 
@@ -890,16 +1076,13 @@ std::optional<std::pair<uint64_t, uint64_t>> PoolCountAndHash(
                         PoolHash(*strings));
 }
 
-/// Sets the header's pool generation (bytes 40 and 48: the string count and
+/// Sets the header's pool generation (the string count and
 /// StringPool::PrefixHash) and re-seals the header.
 void SetPoolGeneration(std::string* bytes, uint64_t count, uint64_t hash) {
-  for (int i = 0; i < 8; ++i) {
-    (*bytes)[40 + static_cast<size_t>(i)] =
-        static_cast<char>((count >> (8 * i)) & 0xFF);
-    (*bytes)[48 + static_cast<size_t>(i)] =
-        static_cast<char>((hash >> (8 * i)) & 0xFF);
-  }
-  ResealHeader(bytes);
+  EditHeader(bytes, [&](snapshot::Header* h) {
+    h->pool_count = count;
+    h->pool_hash = hash;
+  });
 }
 
 /// `bytes` with its pool section re-encoded to hold `strings`: the section's

@@ -8,9 +8,11 @@
 //       Full container validation (header CRC, every section CRC, pool
 //       content hash). Exit 0 = intact, 1 = corrupt/unreadable.
 //   uniclean_snapshot write FILE --master M.csv --rules R.txt --schema D.csv
-//       [--eta F] [--delta1 N] [--delta2 F] [--memo-cap N] [--no-memos]
+//       [--eta F] [--delta1 N] [--delta2 F] [--no-memos]
 //       Build + warm an engine from the given sources (the same flags
-//       unicleand takes) and snapshot it to FILE.
+//       unicleand takes) and snapshot it to FILE. A fresh engine's memos
+//       are empty, so its memo sections hold no entries; a daemon's
+//       shutdown snapshot carries the memo heat it earned.
 
 #include <cinttypes>
 #include <cstdio>
@@ -32,8 +34,7 @@ int Usage() {
                "       uniclean_snapshot verify FILE\n"
                "       uniclean_snapshot write FILE --master M.csv "
                "--rules R.txt --schema D.csv\n"
-               "         [--eta F] [--delta1 N] [--delta2 F] [--memo-cap N] "
-               "[--no-memos]\n");
+               "         [--eta F] [--delta1 N] [--delta2 F] [--no-memos]\n");
   return 2;
 }
 
@@ -62,15 +63,10 @@ int Inspect(const std::string& path) {
   std::printf("%s: %" PRIu64 " bytes, format v%u\n", path.c_str(),
               info->file_bytes, h.version);
   std::printf("  engine fingerprint  %016" PRIx64 "\n", h.engine_fingerprint);
-  std::printf("  matcher             top_l=%u flags=%u memo_capacity=%" PRIu64
-              "\n",
-              h.matcher_top_l, h.matcher_flags, h.memo_capacity);
   std::printf("  string pool         %" PRIu64 " ids, hash %016" PRIx64 "\n",
               h.pool_count, h.pool_hash);
-  std::printf("  flags               %s\n",
-              (h.flags & snapshot::kFlagHasMemos) ? "has_memos" : "(none)");
   std::printf("  sections            %u\n", h.section_count);
-  for (const snapshot::SectionInfo& s : info->sections) {
+  for (const snapshot::SectionHeader& s : info->sections) {
     std::printf("    %-12s", SectionName(s.id));
     if (s.rule_id == snapshot::kNoRule) {
       std::printf(" rule=-   ");
@@ -100,7 +96,6 @@ int Write(const std::string& path, int argc, char** argv) {
   double eta = 0.8;
   int delta1 = 5;
   double delta2 = 0.8;
-  int memo_cap = 0;
   snapshot::SnapshotWriteOptions options;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -120,8 +115,6 @@ int Write(const std::string& path, int argc, char** argv) {
       delta1 = std::atoi(v);
     } else if (arg == "--delta2" && (v = next()) != nullptr) {
       delta2 = std::atof(v);
-    } else if (arg == "--memo-cap" && (v = next()) != nullptr) {
-      memo_cap = std::atoi(v);
     } else if (arg == "--no-memos") {
       options.include_memos = false;
     } else {
@@ -142,8 +135,6 @@ int Write(const std::string& path, int argc, char** argv) {
                  schema.status().ToString().c_str());
     return 1;
   }
-  core::MdMatcherOptions matcher;
-  matcher.memo_capacity = static_cast<size_t>(memo_cap);
   Result<std::shared_ptr<CleanEngine>> engine =
       EngineBuilder()
           .WithDataSchema(schema.value())
@@ -152,7 +143,6 @@ int Write(const std::string& path, int argc, char** argv) {
           .WithEta(eta)
           .WithDelta1(delta1)
           .WithDelta2(delta2)
-          .WithMatcherOptions(matcher)
           .BuildEngine();
   if (!engine.ok()) {
     std::fprintf(stderr, "uniclean_snapshot: engine build failed: %s\n",

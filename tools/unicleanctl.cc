@@ -1,6 +1,6 @@
 // unicleanctl: spawn, inspect and drive a local unicleand cluster from one
-// spec file (src/cluster/spec.h). Every command recomputes the ring from
-// the spec, so ownership shown here is exactly what the routing client
+// spec file (src/cluster/spec.h). Every command builds the ring from the
+// spec once, so ownership shown here is exactly what the routing client
 // computes.
 //
 //   unicleanctl COMMAND SPEC [flags]
@@ -112,8 +112,8 @@ std::string PidFilePath(const std::string& state_dir,
   return state_dir + "/" + replica + ".pid";
 }
 
-int CmdSpawn(const cluster::ClusterSpec& spec, const std::string& unicleand,
-             const std::string& state_dir) {
+int CmdSpawn(const cluster::ClusterSpec& spec, const cluster::Ring& ring,
+             const std::string& unicleand, const std::string& state_dir) {
   if (unicleand.empty()) {
     std::fprintf(stderr, "unicleanctl spawn: --unicleand BIN is required\n");
     return 1;
@@ -126,7 +126,7 @@ int CmdSpawn(const cluster::ClusterSpec& spec, const std::string& unicleand,
   std::vector<std::string> spawned;
   for (const cluster::ReplicaSpec& replica : spec.replicas) {
     const std::vector<std::string> owned =
-        spec.RulesetsOwnedBy(replica.name);
+        spec.RulesetsOwnedBy(ring, replica.name);
     if (owned.empty()) {
       // The ring assigned this replica nothing; routing never targets it,
       // so a daemon would only waste an engine build.
@@ -253,8 +253,7 @@ int CmdStop(const cluster::ClusterSpec& spec, const std::string& state_dir) {
 
 // --- inspection ------------------------------------------------------------
 
-int CmdRing(const cluster::ClusterSpec& spec) {
-  const cluster::Ring ring = spec.BuildRing();
+int CmdRing(const cluster::ClusterSpec& spec, const cluster::Ring& ring) {
   std::printf("ring: %d replica(s), %d vnode(s) each, replication %d\n",
               ring.size(), spec.ring.vnodes_per_replica, spec.replication);
   for (const cluster::RulesetSpec& rs : spec.rulesets) {
@@ -268,7 +267,7 @@ int CmdRing(const cluster::ClusterSpec& spec) {
   }
   for (const cluster::ReplicaSpec& replica : spec.replicas) {
     const std::vector<std::string> owned =
-        spec.RulesetsOwnedBy(replica.name);
+        spec.RulesetsOwnedBy(ring, replica.name);
     std::printf("  replica %-16s %-28s serves %zu ruleset(s)",
                 replica.name.c_str(), replica.address.c_str(), owned.size());
     for (const std::string& name : owned) std::printf(" %s", name.c_str());
@@ -298,9 +297,9 @@ int CmdStatus(const cluster::ClusterSpec& spec) {
 
 // --- routed commands -------------------------------------------------------
 
-int CmdClean(const cluster::ClusterSpec& spec, const std::string& ruleset,
-             const std::string& data_path, const std::string& journal_path,
-             const std::string& out_path) {
+int CmdClean(const cluster::ClusterSpec& spec, const cluster::Ring& ring,
+             const std::string& ruleset, const std::string& data_path,
+             const std::string& journal_path, const std::string& out_path) {
   if (ruleset.empty() || data_path.empty()) {
     std::fprintf(stderr,
                  "unicleanctl clean: --ruleset and --data are required\n");
@@ -311,7 +310,7 @@ int CmdClean(const cluster::ClusterSpec& spec, const std::string& ruleset,
   cluster::ClusterClientOptions options;
   options.replication = spec.replication;
   options.retry.max_retries = 3;
-  cluster::ClusterClient client(spec.BuildRing(), membership, options);
+  cluster::ClusterClient client(ring, membership, options);
   serve::CleanRequest request;
   request.ruleset = ruleset;
   request.want_data = !out_path.empty();
@@ -333,21 +332,22 @@ int CmdClean(const cluster::ClusterSpec& spec, const std::string& ruleset,
   return 0;
 }
 
-int CmdStats(const cluster::ClusterSpec& spec) {
+int CmdStats(const cluster::ClusterSpec& spec, const cluster::Ring& ring) {
   auto membership = MakeMembership(spec);
   membership->ProbeAll();
-  cluster::ClusterClient client(spec.BuildRing(), membership, {});
+  cluster::ClusterClient client(ring, membership, {});
   std::fputs(cluster::ClusterStatsJson(client.Stats()).c_str(), stdout);
   return 0;
 }
 
 int CmdRollingReload(const cluster::ClusterSpec& spec,
-                     const std::string& ruleset) {
+                     const cluster::Ring& ring, const std::string& ruleset) {
   // Replica-by-replica: reload one, verify it answers a PING with engine
   // fingerprints again, only then move on — the ring's other owners keep
   // serving each ruleset throughout.
   for (const cluster::ReplicaSpec& replica : spec.replicas) {
-    const std::vector<std::string> owned = spec.RulesetsOwnedBy(replica.name);
+    const std::vector<std::string> owned =
+        spec.RulesetsOwnedBy(ring, replica.name);
     if (owned.empty()) continue;
     // Reloading one ruleset only touches its owners; a RELOAD for a ruleset
     // a replica doesn't serve would just be refused NotFound.
@@ -442,17 +442,28 @@ int main(int argc, char** argv) {
     return 1;
   }
   const cluster::ClusterSpec spec = std::move(loaded).value();
+  Result<cluster::Ring> built = spec.BuildRing();
+  if (!built.ok()) {
+    std::fprintf(stderr, "unicleanctl: %s\n",
+                 built.status().ToString().c_str());
+    return 1;
+  }
+  const cluster::Ring ring = std::move(built).value();
 
   ::signal(SIGPIPE, SIG_IGN);
 
-  if (command == "spawn") return CmdSpawn(spec, unicleand_bin, state_dir);
-  if (command == "ring") return CmdRing(spec);
+  if (command == "spawn") {
+    return CmdSpawn(spec, ring, unicleand_bin, state_dir);
+  }
+  if (command == "ring") return CmdRing(spec, ring);
   if (command == "status") return CmdStatus(spec);
   if (command == "clean") {
-    return CmdClean(spec, ruleset, data_path, journal_path, out_path);
+    return CmdClean(spec, ring, ruleset, data_path, journal_path, out_path);
   }
-  if (command == "stats") return CmdStats(spec);
-  if (command == "rolling-reload") return CmdRollingReload(spec, ruleset);
+  if (command == "stats") return CmdStats(spec, ring);
+  if (command == "rolling-reload") {
+    return CmdRollingReload(spec, ring, ruleset);
+  }
   if (command == "stop") return CmdStop(spec, state_dir);
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   Usage(argv[0]);
