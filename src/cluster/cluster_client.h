@@ -92,7 +92,7 @@ std::string ClusterStatsJson(const ClusterStats& stats);
 class ClusterClient {
  public:
   /// The ring is copied (it is a value type); membership is shared with
-  /// whoever runs the prober.
+  /// whoever probes it.
   ClusterClient(Ring ring, std::shared_ptr<Membership> membership,
                 ClusterClientOptions options = {});
 

@@ -1,7 +1,6 @@
 #include "cluster/membership.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "serve/client.h"
 
@@ -27,8 +26,6 @@ Membership::Membership(MembershipOptions options) : options_(options) {
   }
   if (options_.healthy_after < 1) options_.healthy_after = 1;
 }
-
-Membership::~Membership() { Stop(); }
 
 Status Membership::AddReplica(const std::string& name,
                               const std::string& address) {
@@ -181,40 +178,6 @@ void Membership::ReportSuccess(const std::string& name) {
       Apply(e, true);
       return;
     }
-  }
-}
-
-void Membership::Start() {
-  std::lock_guard<std::mutex> lock(stop_mu_);
-  if (started_) return;
-  stopping_ = false;
-  started_ = true;
-  prober_ = std::thread(&Membership::ProberLoop, this);
-}
-
-void Membership::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (!started_) return;
-    stopping_ = true;
-  }
-  stop_cv_.notify_all();
-  if (prober_.joinable()) prober_.join();
-  std::lock_guard<std::mutex> lock(stop_mu_);
-  started_ = false;
-}
-
-void Membership::ProberLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mu_);
-      if (stop_cv_.wait_for(
-              lock, std::chrono::milliseconds(options_.probe_interval_ms),
-              [&] { return stopping_; })) {
-        return;
-      }
-    }
-    ProbeAll();
   }
 }
 

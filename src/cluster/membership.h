@@ -11,17 +11,11 @@
 // Probes are serve::Client::PingEx round trips under an IO timeout: a
 // single cheap opcode yields liveness, instantaneous load (in-flight +
 // queued) and per-ruleset engine fingerprints (the rolling-reload
-// verification signal). Two probe styles share the same state machine:
-//
-//  * Start()/Stop() run a background prober thread at `probe_interval_ms`
-//    (what unicleanctl status and long-lived routers use);
-//
-//  * ProbeAll()/ProbeOne() probe synchronously on the caller's thread
-//    (what the tests and one-shot tools use);
-//
-// and the routing client feeds request outcomes in through
-// ReportSuccess/ReportFailure, so a replica that dies between probes is
-// marked without waiting for the prober to notice.
+// verification signal). ProbeAll()/ProbeOne() probe synchronously on the
+// caller's thread (unicleanctl probes once per command), and the routing
+// client feeds request outcomes in through ReportSuccess/ReportFailure, so
+// a replica that dies between probes is marked without waiting for the
+// next probe.
 //
 // Thread-safe: all state is behind one mutex; probes themselves run
 // unlocked (a slow replica must not block health reads).
@@ -29,11 +23,9 @@
 #ifndef UNICLEAN_CLUSTER_MEMBERSHIP_H_
 #define UNICLEAN_CLUSTER_MEMBERSHIP_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,9 +40,6 @@ enum class Health { kHealthy, kSuspect, kDown };
 const char* HealthName(Health h);
 
 struct MembershipOptions {
-  /// Background prober cadence (Start()); also the retry cadence for down
-  /// replicas, so recovery is noticed within one interval.
-  int probe_interval_ms = 200;
   /// Per-probe socket budget (connect + ping round trip).
   int probe_timeout_ms = 1000;
   /// Consecutive failures before healthy -> suspect.
@@ -79,8 +68,6 @@ struct ReplicaStatus {
 class Membership {
  public:
   explicit Membership(MembershipOptions options = {});
-  /// Stops the prober thread if running.
-  ~Membership();
 
   Membership(const Membership&) = delete;
   Membership& operator=(const Membership&) = delete;
@@ -97,8 +84,8 @@ class Membership {
   std::vector<ReplicaStatus> Snapshot() const;
   Result<std::string> address(const std::string& name) const;
 
-  /// One synchronous probe of every replica (callers' thread; no prober
-  /// needed). Returns the number of replicas that answered.
+  /// One synchronous probe of every replica, on the caller's thread.
+  /// Returns the number of replicas that answered.
   int ProbeAll();
   /// One synchronous probe of one replica; true = it answered.
   bool ProbeOne(const std::string& name);
@@ -109,11 +96,6 @@ class Membership {
   void ReportFailure(const std::string& name);
   void ReportSuccess(const std::string& name);
 
-  /// Spawns the background prober. Idempotent.
-  void Start();
-  /// Stops and joins the prober. Idempotent; also run by the destructor.
-  void Stop();
-
   const MembershipOptions& options() const { return options_; }
 
  private:
@@ -121,7 +103,6 @@ class Membership {
 
   /// Applies one probe/report outcome to the hysteresis state machine.
   void Apply(Entry& entry, bool ok);
-  void ProberLoop();
 
   struct Entry {
     ReplicaStatus status;
@@ -130,12 +111,6 @@ class Membership {
   MembershipOptions options_;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;  // sorted by name
-
-  std::thread prober_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stopping_ = false;
-  bool started_ = false;
 };
 
 }  // namespace cluster

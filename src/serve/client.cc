@@ -3,9 +3,15 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
+#include <limits>
+#include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 namespace uniclean {
 namespace serve {
@@ -37,6 +43,25 @@ Status ExpectEnd(const BodyReader& body, const char* what) {
   return Status::Corruption(std::string(what) + " reply carries " +
                             std::to_string(body.remaining()) +
                             " trailing bytes");
+}
+
+/// Decodes DELTA_DONE's inserted ids: one newline-terminated line per id,
+/// each all digits and at most INT32_MAX; anything else is Corruption.
+Result<std::vector<data::TupleId>> ParseInsertedIds(std::string_view text) {
+  std::vector<data::TupleId> ids;
+  while (!text.empty()) {
+    const size_t end = std::min(text.find('\n'), text.size());
+    uint32_t id = 0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + end, id);
+    if (end == text.size() || ec != std::errc() || ptr != text.data() + end ||
+        id > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
+      return Status::Corruption("delta done: malformed inserted-id line");
+    }
+    ids.push_back(static_cast<data::TupleId>(id));
+    text.remove_prefix(end + 1);
+  }
+  return ids;
 }
 
 }  // namespace
@@ -121,10 +146,12 @@ Result<Frame> Client::ReadTerminal(uint32_t tag, Op expect,
     UC_ASSIGN_OR_RETURN(Frame frame, ReadFor(tag));
     switch (frame.op) {
       case Op::kJournalChunk:
-        if (journal) *journal += frame.body;
+        if (journal == nullptr) break;
+        *journal += frame.body;
         continue;
       case Op::kDataChunk:
-        if (data) *data += frame.body;
+        if (data == nullptr) break;
+        *data += frame.body;
         continue;
       case Op::kError: {
         BodyReader body(frame.body);
@@ -135,13 +162,13 @@ Result<Frame> Client::ReadTerminal(uint32_t tag, Op expect,
         return StatusFromWire(code, std::move(message));
       }
       default:
-        if (frame.op != expect) {
-          return Status::Corruption(
-              "unexpected reply opcode " + std::string(OpName(frame.op)) +
-              " (wanted " + std::string(OpName(expect)) + ")");
-        }
-        return frame;
+        if (frame.op == expect) return frame;
+        break;
     }
+    // Also a chunk the request cannot receive.
+    return Status::Corruption(
+        "unexpected reply opcode " + std::string(OpName(frame.op)) +
+        " (wanted " + std::string(OpName(expect)) + ")");
   }
 }
 
@@ -191,6 +218,7 @@ Result<CleanReply> Client::AwaitClean(uint32_t tag) {
   UC_ASSIGN_OR_RETURN(reply.total_fixes, body.U32());
   UC_ASSIGN_OR_RETURN(reply.journal_entries, body.U32());
   UC_ASSIGN_OR_RETURN(reply.phase_summary, body.Lp());
+  UC_RETURN_IF_ERROR(ExpectEnd(body, "clean done"));
   return reply;
 }
 
@@ -236,18 +264,8 @@ Result<DeltaReply> Client::AwaitDelta(uint32_t tag) {
   UC_ASSIGN_OR_RETURN(reply.refinement_rounds, done.U32());
   UC_ASSIGN_OR_RETURN(reply.total_fixes, done.U32());
   UC_ASSIGN_OR_RETURN(std::string inserted, done.Lp());
-  std::string line;
-  for (char c : inserted) {
-    if (c == '\n') {
-      if (!line.empty()) {
-        reply.inserted_ids.push_back(
-            static_cast<data::TupleId>(std::stoul(line)));
-      }
-      line.clear();
-    } else {
-      line.push_back(c);
-    }
-  }
+  UC_RETURN_IF_ERROR(ExpectEnd(done, "delta done"));
+  UC_ASSIGN_OR_RETURN(reply.inserted_ids, ParseInsertedIds(inserted));
   return reply;
 }
 

@@ -136,6 +136,9 @@ class Client {
   /// Ping, returning the daemon's load + fingerprint trailer. A pong whose
   /// trailer is short or over-long is Corruption.
   Result<PingInfo> PingEx();
+  /// Clean and Delta fail with Corruption on a reply that does not decode
+  /// exactly (wire.h). A failed DELTA applied nothing, so it may be sent
+  /// again.
   Result<CleanReply> Clean(const CleanRequest& request);
   Result<DeltaReply> Delta(const DeltaRequest& request);
   /// The daemon's STATS, decoded (StatsJson() renders the JSON document).

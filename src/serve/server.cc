@@ -834,18 +834,25 @@ Status Daemon::HandleReload(Work& work) {
     UC_ASSIGN_OR_RETURN(EngineEntry * entry, FindRuleset(name));
     targets.push_back(entry);
   }
-  std::string message;
+  // Build + warm every replacement before touching a served pointer: a
+  // failed rebuild (missing file, bad rules) leaves every old engine up,
+  // uncounted and unpersisted.
+  std::vector<std::shared_ptr<CleanEngine>> rebuilt;
+  rebuilt.reserve(targets.size());
   for (EngineEntry* entry : targets) {
-    // Build + warm the replacement before touching the served pointer: a
-    // failed rebuild (missing file, bad rules) leaves the old engine up.
-    UC_ASSIGN_OR_RETURN(std::shared_ptr<CleanEngine> rebuilt,
+    UC_ASSIGN_OR_RETURN(std::shared_ptr<CleanEngine> engine,
                         BuildEngine(entry->cfg, /*warmup=*/true));
-    const uint64_t new_fp = rebuilt->Fingerprint();
+    rebuilt.push_back(std::move(engine));
+  }
+  std::string message;
+  for (size_t i = 0; i < targets.size(); ++i) {
+    EngineEntry* entry = targets[i];
+    const uint64_t new_fp = rebuilt[i]->Fingerprint();
     uint64_t old_fp = 0;
     {
       std::lock_guard<std::mutex> lock(entry->mu);
       old_fp = entry->engine->Fingerprint();
-      entry->engine = std::move(rebuilt);
+      entry->engine = std::move(rebuilt[i]);
     }
     entry->reloads.fetch_add(1, std::memory_order_relaxed);
     // The reload deliberately did NOT consult the snapshot (its point is

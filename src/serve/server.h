@@ -7,13 +7,15 @@
 //    shared_ptr<CleanEngine> copy, so a RELOAD (which rebuilds the engine
 //    from the configured CSV/rule files, warms it up, then atomically swaps
 //    the pointer) never disturbs in-flight requests: they finish on the old
-//    engine, which dies with its last reference. A failed rebuild leaves
-//    the old engine serving.
+//    engine, which dies with its last reference. A RELOAD of several
+//    rulesets builds every replacement before it swaps any, so a failed
+//    rebuild leaves every old engine serving.
 //
 //  * Tracked sessions — a CLEAN with the kCleanTrack flag keeps the
 //    Session (and the cleaned relation it borrows) alive in a
 //    per-connection registry and returns its id; DELTA requests stream
-//    edits into it via Session::ApplyDelta. Sessions die with an explicit
+//    edits into it via Session::ApplyDelta; a DELTA that fails applied
+//    nothing, so a client may resend it. Sessions die with an explicit
 //    CLOSE_SESSION or with their connection — a client that disconnects
 //    mid-stream leaks nothing. A connection closes once every request it
 //    sent is answered, so a client may half-close after its last request

@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -14,6 +15,9 @@ namespace uniclean {
 namespace serve {
 
 namespace {
+
+/// One recv()'s buffer, and the first step of a frame body's growth.
+constexpr size_t kReadChunk = 64 * 1024;
 
 std::string ErrnoText(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -124,12 +128,6 @@ Result<std::string> BodyReader::Lp() {
   return s;
 }
 
-std::string BodyReader::Rest() {
-  std::string s = body_.substr(pos_);
-  pos_ = body_.size();
-  return s;
-}
-
 // --- framed connection -----------------------------------------------------
 
 FrameChannel::~FrameChannel() {
@@ -151,7 +149,7 @@ Status FrameChannel::ReadExact(char* out, size_t n, bool* clean_eof) {
       have += take;
       continue;
     }
-    rbuf_.resize(64 * 1024);
+    rbuf_.resize(kReadChunk);
     rpos_ = 0;
     ssize_t got = ::recv(fd_, rbuf_.data(), rbuf_.size(), 0);
     if (got < 0) {
@@ -195,15 +193,27 @@ Result<Frame> FrameChannel::ReadFrame() {
                               std::to_string(len) + " bytes, cap " +
                               std::to_string(kMaxFramePayload) + ")");
   }
-  std::string payload(len, '\0');
-  UC_RETURN_IF_ERROR(ReadExact(payload.data(), len, &clean_eof));
+  std::string prefix(kMinFramePayload, '\0');
+  UC_RETURN_IF_ERROR(ReadExact(prefix.data(), prefix.size(), &clean_eof));
   if (clean_eof) return Status::Corruption("connection closed mid-frame");
   Frame frame;
-  BodyReader prefix(payload);
-  frame.tag = prefix.U32().value();  // len >= 9 guarantees these three
-  frame.op = static_cast<Op>(prefix.U8().value());
-  frame.deadline_ms = prefix.U32().value();
-  frame.body = prefix.Rest();
+  BodyReader reader(prefix);
+  frame.tag = reader.U32().value();  // the 9 prefix bytes hold these three
+  frame.op = static_cast<Op>(reader.U8().value());
+  frame.deadline_ms = reader.U32().value();
+  // The body grows as its bytes arrive, doubling from one receive buffer,
+  // so a peer that declares a large payload and stalls holds about twice
+  // what it sent, not what it declared.
+  const size_t body_len = len - kMinFramePayload;
+  size_t have = 0;
+  while (have < body_len) {
+    const size_t next = std::min(body_len, std::max(2 * have, kReadChunk));
+    frame.body.resize(next);
+    UC_RETURN_IF_ERROR(ReadExact(frame.body.data() + have, next - have,
+                                 &clean_eof));
+    if (clean_eof) return Status::Corruption("connection closed mid-frame");
+    have = next;
+  }
   return frame;
 }
 

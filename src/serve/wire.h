@@ -53,7 +53,8 @@
 //   kCleanDone  u64 session id (0 = untracked), u32 total fixes,
 //               u32 journal entries, lp phase summary text
 //   kDeltaDone  u32 generation, u32 affected tuples, u32 refinement rounds,
-//               u32 fixes
+//               u32 fixes, lp inserted ids (one newline-terminated decimal
+//               per insert, in request order)
 //   kStatsReply the binary StatsSnapshot (serve/stats.h); f64 = a double's
 //               IEEE-754 bits as a u64. u8 version (1), f64 uptime, u64
 //               connections live + accepted, sessions live + opened,
@@ -76,8 +77,11 @@
 //               u32 retry_after_ms (backoff hint; non-zero only with
 //               Unavailable — wait at least this long before retrying)
 //
-// Replies decode exactly: a kPong or kError body that is short or carries
-// bytes past its last field is Corruption.
+// Replies decode exactly: a kPong, kCleanDone, kDeltaDone or kError body
+// that is short or carries bytes past its last field is Corruption, as is
+// an inserted id that is not all digits or exceeds INT32_MAX, and a chunk
+// the request cannot receive (a kDataChunk for a DELTA, any chunk for a
+// PING).
 //
 // Everything here is transport plumbing shared by the daemon and the
 // client; policy (what CLEAN does) lives in server.h.
@@ -163,8 +167,6 @@ class BodyReader {
   Result<uint64_t> U64();
   /// Reads a length-prefixed string.
   Result<std::string> Lp();
-  /// The not-yet-consumed tail of the body.
-  std::string Rest();
   size_t remaining() const { return body_.size() - pos_; }
 
  private:
@@ -187,7 +189,9 @@ class FrameChannel {
   FrameChannel(const FrameChannel&) = delete;
   FrameChannel& operator=(const FrameChannel&) = delete;
 
-  /// Reads one complete frame. Fails with:
+  /// Reads one complete frame. The body buffer grows as its bytes arrive,
+  /// so a peer holds about twice what it sent, never the length it
+  /// declared. Fails with:
   ///   NotFound    — clean EOF at a frame boundary (peer closed)
   ///   Corruption  — malformed header (undersized / oversized declared
   ///                 length) or EOF mid-frame (truncated frame)

@@ -39,68 +39,71 @@ Session CleanEngine::NewTrackedSession() const {
 }
 
 uint64_t CleanEngine::Fingerprint() const {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  auto fold = [&h](uint64_t v) { h = data::MixU64(h ^ v); };
-  auto fold_str = [&](const std::string& s) {
-    fold(s.size());
-    for (char c : s) fold(static_cast<uint64_t>(static_cast<uint8_t>(c)));
-  };
-  auto fold_attrs = [&](const std::vector<data::AttributeId>& attrs) {
-    fold(attrs.size());
-    for (data::AttributeId a : attrs) fold(static_cast<uint64_t>(a));
-  };
-  auto fold_pattern = [&](const std::vector<rules::PatternValue>& pattern) {
-    for (const rules::PatternValue& p : pattern) {
-      fold(p.is_wildcard() ? 0 : 1);
-      if (!p.is_wildcard()) fold_str(p.constant());
+  std::call_once(fingerprint_once_, [this] {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    auto fold = [&h](uint64_t v) { h = data::MixU64(h ^ v); };
+    auto fold_str = [&](const std::string& s) {
+      fold(s.size());
+      for (char c : s) fold(static_cast<uint64_t>(static_cast<uint8_t>(c)));
+    };
+    auto fold_attrs = [&](const std::vector<data::AttributeId>& attrs) {
+      fold(attrs.size());
+      for (data::AttributeId a : attrs) fold(static_cast<uint64_t>(a));
+    };
+    auto fold_pattern = [&](const std::vector<rules::PatternValue>& pattern) {
+      for (const rules::PatternValue& p : pattern) {
+        fold(p.is_wildcard() ? 0 : 1);
+        if (!p.is_wildcard()) fold_str(p.constant());
+      }
+    };
+    // Every normalized rule's content, in rule-id order: the predicates and
+    // thresholds decide which master tuples match, so a snapshot's match
+    // lists are valid only for the exact rules they were computed under.
+    for (rules::RuleId id = 0; id < rules_->num_rules(); ++id) {
+      fold(static_cast<uint64_t>(rules_->kind(id)));
+      fold_str(rules_->rule_name(id));
+      if (rules_->IsCfd(id)) {
+        const rules::Cfd& cfd = rules_->cfd(id);
+        fold_attrs(cfd.lhs());
+        fold_pattern(cfd.lhs_pattern());
+        fold_attrs(cfd.rhs());
+        fold_pattern(cfd.rhs_pattern());
+        continue;
+      }
+      const rules::Md& md = rules_->md(id);
+      fold(md.premise().size());
+      for (const rules::MdClause& clause : md.premise()) {
+        fold(static_cast<uint64_t>(clause.data_attr));
+        fold(static_cast<uint64_t>(clause.master_attr));
+        fold(static_cast<uint64_t>(clause.predicate.kind()));
+        const double threshold = clause.predicate.threshold();
+        uint64_t bits = 0;
+        std::memcpy(&bits, &threshold, sizeof(bits));
+        fold(bits);
+        fold(static_cast<uint64_t>(clause.predicate.qgram_size()));
+      }
+      fold(md.actions().size());
+      for (const rules::MdAction& action : md.actions()) {
+        fold(static_cast<uint64_t>(action.data_attr));
+        fold(static_cast<uint64_t>(action.master_attr));
+      }
     }
-  };
-  // Every normalized rule's content, in rule-id order: the predicates and
-  // thresholds decide which master tuples match, so a snapshot's match
-  // lists are valid only for the exact rules they were computed under.
-  for (rules::RuleId id = 0; id < rules_->num_rules(); ++id) {
-    fold(static_cast<uint64_t>(rules_->kind(id)));
-    fold_str(rules_->rule_name(id));
-    if (rules_->IsCfd(id)) {
-      const rules::Cfd& cfd = rules_->cfd(id);
-      fold_attrs(cfd.lhs());
-      fold_pattern(cfd.lhs_pattern());
-      fold_attrs(cfd.rhs());
-      fold_pattern(cfd.rhs_pattern());
-      continue;
+    fold(config_.matcher.use_blocking ? 1 : 0);
+    fold(static_cast<uint64_t>(master_->live_size()));
+    for (data::TupleId t = 0; t < master_->size(); ++t) {
+      if (!master_->live(t)) continue;
+      for (const data::Value& v : master_->tuple(t).values()) {
+        // Hash the characters, not the pool id: ids depend on interning order,
+        // and the fingerprint must survive a daemon restart.
+        fold_str(v.is_null() ? std::string("\\N") : v.str());
+      }
     }
-    const rules::Md& md = rules_->md(id);
-    fold(md.premise().size());
-    for (const rules::MdClause& clause : md.premise()) {
-      fold(static_cast<uint64_t>(clause.data_attr));
-      fold(static_cast<uint64_t>(clause.master_attr));
-      fold(static_cast<uint64_t>(clause.predicate.kind()));
-      const double threshold = clause.predicate.threshold();
-      uint64_t bits = 0;
-      std::memcpy(&bits, &threshold, sizeof(bits));
-      fold(bits);
-      fold(static_cast<uint64_t>(clause.predicate.qgram_size()));
-    }
-    fold(md.actions().size());
-    for (const rules::MdAction& action : md.actions()) {
-      fold(static_cast<uint64_t>(action.data_attr));
-      fold(static_cast<uint64_t>(action.master_attr));
-    }
-  }
-  fold(config_.matcher.use_blocking ? 1 : 0);
-  fold(static_cast<uint64_t>(master_->live_size()));
-  for (data::TupleId t = 0; t < master_->size(); ++t) {
-    if (!master_->live(t)) continue;
-    for (const data::Value& v : master_->tuple(t).values()) {
-      // Hash the characters, not the pool id: ids depend on interning order,
-      // and the fingerprint must survive a daemon restart.
-      fold_str(v.is_null() ? std::string("\\N") : v.str());
-    }
-  }
-  fold(static_cast<uint64_t>(config_.eta * 1e9));
-  fold(static_cast<uint64_t>(config_.delta1));
-  fold(static_cast<uint64_t>(config_.delta2 * 1e9));
-  return h;
+    fold(static_cast<uint64_t>(config_.eta * 1e9));
+    fold(static_cast<uint64_t>(config_.delta1));
+    fold(static_cast<uint64_t>(config_.delta2 * 1e9));
+    fingerprint_ = h;
+  });
+  return fingerprint_;
 }
 
 std::vector<Result<CleanResult>> CleanEngine::RunBatch(

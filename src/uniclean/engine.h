@@ -116,8 +116,8 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   /// thresholds report the same fingerprint. It is a snapshot's one
   /// identity check (FromSnapshot), and unicleand RELOAD compares it
   /// across an engine swap to tell a no-op reload from a real one.
-  /// O(master cells) per call; safe while sessions run (the master is
-  /// static for the engine's life).
+  /// Folded on first use, O(master cells), then kept: the rules and master
+  /// are static for the engine's life. Thread-safe.
   uint64_t Fingerprint() const;
 
   /// The phases every session of this engine runs, in paper order.
@@ -147,6 +147,8 @@ class CleanEngine : public std::enable_shared_from_this<CleanEngine> {
   // checks for it, so a snapshot-warmed engine never cold-builds.
   mutable std::once_flag env_once_;
   mutable std::unique_ptr<core::MatchEnvironment> env_;
+  mutable std::once_flag fingerprint_once_;
+  mutable uint64_t fingerprint_ = 0;
   std::string snapshot_source_;
   double snapshot_load_s_ = 0.0;
 };

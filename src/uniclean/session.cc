@@ -115,6 +115,61 @@ Result<PhaseStats> RunPhase(Phase phase, data::Relation* data,
   return out;
 }
 
+/// Applies `delta` to `relation` in the order updates, deletes, inserts and
+/// returns the ids minted for the inserts. InvalidArgument on an unknown or
+/// dead tuple id, a tuple deleted twice or an arity mismatch, with part of
+/// the edits applied.
+Result<std::vector<data::TupleId>> ApplyEdits(const Delta& delta,
+                                              data::Relation* relation) {
+  const int arity = relation->schema().arity();
+  for (const auto& [t, tup] : delta.updates) {
+    if (t < 0 || t >= relation->size()) {
+      return Status::InvalidArgument("ApplyDelta: update of unknown tuple " +
+                                     std::to_string(t));
+    }
+    if (!relation->live(t)) {
+      return Status::InvalidArgument("ApplyDelta: update of deleted tuple " +
+                                     std::to_string(t));
+    }
+    if (tup.arity() != arity) {
+      return Status::InvalidArgument(
+          "ApplyDelta: update arity " + std::to_string(tup.arity()) +
+          " does not match the data schema arity " + std::to_string(arity));
+    }
+    relation->mutable_tuple(t) = tup;
+  }
+  std::vector<data::TupleId> deletes = delta.deletes;
+  std::sort(deletes.begin(), deletes.end());
+  auto repeated = std::adjacent_find(deletes.begin(), deletes.end());
+  if (repeated != deletes.end()) {
+    return Status::InvalidArgument("ApplyDelta: tuple " +
+                                   std::to_string(*repeated) +
+                                   " is deleted twice");
+  }
+  for (data::TupleId t : delta.deletes) {
+    if (t < 0 || t >= relation->size()) {
+      return Status::InvalidArgument("ApplyDelta: delete of unknown tuple " +
+                                     std::to_string(t));
+    }
+    if (!relation->live(t)) {
+      return Status::InvalidArgument(
+          "ApplyDelta: delete of already-deleted tuple " + std::to_string(t));
+    }
+    relation->EraseTuple(t);
+  }
+  std::vector<data::TupleId> inserted_ids;
+  inserted_ids.reserve(delta.inserts.size());
+  for (const data::Tuple& tup : delta.inserts) {
+    if (tup.arity() != arity) {
+      return Status::InvalidArgument(
+          "ApplyDelta: insert arity " + std::to_string(tup.arity()) +
+          " does not match the data schema arity " + std::to_string(arity));
+    }
+    inserted_ids.push_back(relation->AddTuple(tup));
+  }
+  return inserted_ids;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -216,19 +271,10 @@ Result<CleanResult> Session::Run(data::Relation* data) {
         internal::DescribeSchema(engine_->rules().data_schema()));
   }
 
-  if (track_deltas_) {
-    // A repeated Run restarts tracking from scratch, and until it succeeds
-    // the session is in the not-yet-run state (a failed Run leaves it
-    // usable for a fresh one).
-    tracked_ = nullptr;
-    pristine_.reset();
-    journal_ = FixJournal();
-    generation_ = 0;
-  }
-
   // All-or-nothing: the phases clean a copy that replaces the caller's
   // relation only on success, so a failed, cancelled or expired run applies
-  // no fix — never a partially repaired relation.
+  // no fix — never a partially repaired relation — and a tracked session
+  // keeps its earlier tracking.
   CleanResult result;
   data::Relation scratch = data->Clone();
   UC_ASSIGN_OR_RETURN(result.phases,
@@ -240,21 +286,10 @@ Result<CleanResult> Session::Run(data::Relation* data) {
     pristine_ = std::make_unique<data::Relation>(std::move(*data));
     tracked_ = data;
     journal_ = result.journal;
-    rerun_pending_ = false;
+    generation_ = 0;
   }
   *data = std::move(scratch);
   return result;
-}
-
-Status Session::FullRerun(DeltaResult* result) {
-  data::Relation rerun = pristine_->Clone();
-  FixJournal journal;
-  UC_ASSIGN_OR_RETURN(result->phases, ExecutePipeline(&rerun, &journal));
-  *tracked_ = std::move(rerun);
-  journal_ = std::move(journal);
-  result->affected = tracked_->live_size();
-  result->refinement_rounds = 1;
-  return Status::OK();
 }
 
 Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
@@ -269,97 +304,38 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
         "completed Run (CleanEngine::NewTrackedSession, then Run, then "
         "ApplyDelta)");
   }
-  // Polled again by the pipeline; this entry check makes an already-expired
-  // deadline fail before any edit is applied.
-  UC_RETURN_IF_ERROR(common::PollCancel(cancel_.get()));
 
   DeltaResult result;
-  if (delta.empty() && !rerun_pending_) {
-    // True no-op: no edits, and no edits of a failed DELTA left uncleaned —
-    // the covering repairs stand (the engine's master never changes).
-    result.generation = generation_;
-    return result;
-  }
-
-  // Validate every edit before applying any, so a failed ApplyDelta leaves
-  // the tracked state untouched.
-  const int arity = tracked_->schema().arity();
-  for (const data::Tuple& tup : delta.inserts) {
-    if (tup.arity() != arity) {
-      return Status::InvalidArgument(
-          "ApplyDelta: insert arity " + std::to_string(tup.arity()) +
-          " does not match the data schema arity " + std::to_string(arity));
-    }
-  }
-  for (const auto& [t, tup] : delta.updates) {
-    if (t < 0 || t >= tracked_->size()) {
-      return Status::InvalidArgument("ApplyDelta: update of unknown tuple " +
-                                     std::to_string(t));
-    }
-    if (!tracked_->live(t)) {
-      return Status::InvalidArgument("ApplyDelta: update of deleted tuple " +
-                                     std::to_string(t));
-    }
-    if (tup.arity() != arity) {
-      return Status::InvalidArgument(
-          "ApplyDelta: update arity " + std::to_string(tup.arity()) +
-          " does not match the data schema arity " + std::to_string(arity));
-    }
-  }
-  for (data::TupleId t : delta.deletes) {
-    if (t < 0 || t >= tracked_->size()) {
-      return Status::InvalidArgument("ApplyDelta: delete of unknown tuple " +
-                                     std::to_string(t));
-    }
-    if (!tracked_->live(t)) {
-      return Status::InvalidArgument(
-          "ApplyDelta: delete of already-deleted tuple " + std::to_string(t));
-    }
-  }
-  std::vector<data::TupleId> deletes = delta.deletes;
-  std::sort(deletes.begin(), deletes.end());
-  auto repeated = std::adjacent_find(deletes.begin(), deletes.end());
-  if (repeated != deletes.end()) {
-    return Status::InvalidArgument("ApplyDelta: tuple " +
-                                   std::to_string(*repeated) +
-                                   " is deleted twice");
-  }
-
-  ++generation_;
   result.generation = generation_;
+  // No edits: the covering repairs stand (the engine's master never
+  // changes).
+  if (delta.empty()) return result;
 
-  // Edits apply in the order updates, deletes, inserts, to the tracked
-  // relation and its pristine shadow alike: the re-run below starts from
-  // the pristine values, exactly as a batch run over the edited relation.
-  for (const auto& [t, tup] : delta.updates) {
-    tracked_->mutable_tuple(t) = tup;
-    pristine_->mutable_tuple(t) = tup;
-  }
-  for (data::TupleId t : delta.deletes) {
-    tracked_->EraseTuple(t);
-    pristine_->EraseTuple(t);
-  }
-  if (!delta.deletes.empty()) {
-    journal_.RemoveIf(
-        [&](const FixEntry& entry) { return !tracked_->live(entry.tuple); });
-  }
-  for (const data::Tuple& tup : delta.inserts) {
-    const data::TupleId t = tracked_->AddTuple(tup);
-    const data::TupleId shadow = pristine_->AddTuple(tup);
-    UC_CHECK_EQ(t, shadow);
-    result.inserted_ids.push_back(t);
-  }
-
-  // On failure the raw edits stay applied and the journal still covers the
-  // pre-delta repairs of the live tuples; the re-run stays pending, so the
-  // next DELTA re-cleans even when it is empty.
-  Status rerun = FullRerun(&result);
-  if (!rerun.ok()) {
-    rerun_pending_ = true;
+  // All-or-nothing: the edits go to a copy of the pristine relation, and
+  // the pipeline cleans that copy from the pristine values, exactly as a
+  // batch run over the edited relation. Nothing is committed until it
+  // succeeds.
+  data::Relation rerun = pristine_->Clone();
+  UC_ASSIGN_OR_RETURN(result.inserted_ids, ApplyEdits(delta, &rerun));
+  FixJournal journal;
+  Result<std::vector<PhaseStats>> phases = ExecutePipeline(&rerun, &journal);
+  if (!phases.ok()) {
     return internal::Annotate(
-        rerun, "ApplyDelta generation " + std::to_string(generation_) + ": ");
+        phases.status(),
+        "ApplyDelta generation " + std::to_string(generation_ + 1) + ": ");
   }
-  rerun_pending_ = false;
+
+  // The copy had the pristine relation's ids and tombstones, so the
+  // validated edits replay on it the same way.
+  Result<std::vector<data::TupleId>> replayed =
+      ApplyEdits(delta, pristine_.get());
+  UC_CHECK(replayed.ok() && *replayed == result.inserted_ids);
+  *tracked_ = std::move(rerun);
+  journal_ = std::move(journal);
+  result.generation = ++generation_;
+  result.affected = tracked_->live_size();
+  result.refinement_rounds = 1;
+  result.phases = std::move(phases).value();
   return result;
 }
 

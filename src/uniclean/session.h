@@ -17,13 +17,13 @@
 // two concurrent Runs must not clean the same relation.
 //
 // Incremental cleaning: a *tracked* session (CleanEngine::NewTrackedSession)
-// additionally keeps, across its one Run(), the relation's pristine
+// additionally keeps, after a successful Run(), the relation's pristine
 // (pre-cleaning) state. ApplyDelta(Delta) then applies a batch of
-// inserts/updates/deletes to both the tracked relation and that pristine
-// copy, and re-cleans the whole relation once from the pristine values
-// against the engine's warm match environment. Its result is therefore the
-// batch run over the edited relation by construction, provenance included;
-// each applied delta counts as one more generation:
+// inserts/updates/deletes to a copy of that pristine state and re-cleans the
+// copy once against the engine's warm match environment. Its result is
+// therefore the batch run over the edited relation by construction,
+// provenance included. Each applied delta counts as one more generation,
+// and every Run or ApplyDelta commits whole or changes nothing:
 //
 //   uniclean::Session session = engine->NewTrackedSession();
 //   auto initial = session.Run(&d);              // generation 0
@@ -93,8 +93,9 @@ struct Delta {
 
 /// The outcome of one Session::ApplyDelta.
 struct DeltaResult {
-  /// This delta's generation (1 for the first delta after Run, then
-  /// monotonically increasing; unchanged by a no-op delta).
+  /// The session's generation after this delta: 1 for the first delta
+  /// after Run, then one more per delta; unchanged by a no-op delta. A
+  /// failed delta returns no DeltaResult and advances nothing.
   int generation = 0;
   /// Ids minted for Delta::inserts, index-matched to the input.
   std::vector<data::TupleId> inserted_ids;
@@ -135,26 +136,27 @@ class Session {
   ///
   /// On a tracked session (CleanEngine::NewTrackedSession) a successful Run
   /// additionally keeps the relation's pristine (pre-cleaning) state and the
-  /// journal; the relation must then outlive the session's delta use, and a
-  /// repeated Run restarts tracking from scratch (generation 0) on its
-  /// relation. A failed tracked Run leaves the session in the not-yet-run
-  /// state.
+  /// journal, and (re)starts tracking at generation 0 on its relation; the
+  /// relation must then outlive the session's delta use. A failed Run keeps
+  /// the tracking of the session's last successful Run, if any.
   Result<CleanResult> Run(data::Relation* data);
 
-  /// Folds `delta` into the tracked relation: applies the edits to it and
-  /// to its pristine copy, then re-cleans a clone of the pristine copy with
-  /// the full phase pipeline against the warm match environment and moves
-  /// it into the tracked relation. The fixes replace the journal wholesale,
-  /// and the generation advances. So the tracked relation and
+  /// Folds `delta` into the tracked relation: applies the edits to a copy
+  /// of its pristine state and re-cleans that copy with the full phase
+  /// pipeline against the warm match environment. Only if the pipeline
+  /// succeeds does the session replay the edits on its pristine state, move
+  /// the copy into the tracked relation, replace the journal with the
+  /// re-run's fixes and advance the generation. So the tracked relation and
   /// CanonicalJournal() equal a batch run's over the edited relation,
   /// provenance included (pinned by tests/delta_sweep_test.cc after every
   /// DELTA of seeded edit streams).
   ///
-  /// Fails with FailedPrecondition before a tracked Run() and with
+  /// Fails with FailedPrecondition before a tracked Run(), with
   /// InvalidArgument on bad edits (unknown or dead tuple ids, a tuple
-  /// deleted twice, arity mismatches), in which case nothing was applied.
-  /// An empty delta is a no-op (the engine's master never changes) unless
-  /// an earlier DELTA failed after applying its edits: then it re-runs.
+  /// deleted twice, arity mismatches), and with the pipeline's status when
+  /// the re-run fails (cancelled, expired). A failed delta changes nothing,
+  /// so the caller may send it again. An empty delta is a no-op: the
+  /// engine's master never changes.
   Result<DeltaResult> ApplyDelta(const Delta& delta);
 
   /// The fix set of a tracked session, canonicalized (sorted by (tuple,
@@ -164,11 +166,11 @@ class Session {
   FixJournal CanonicalJournal() const { return journal_.Canonicalized(); }
 
   /// The fixes of a tracked session's last successful Run or ApplyDelta,
-  /// in append order. After a failed ApplyDelta it still holds the earlier
-  /// fixes of the live tuples.
+  /// in append order.
   const FixJournal& journal() const { return journal_; }
 
-  /// Delta generations applied since the tracked Run() (0 right after it).
+  /// Deltas applied since the last successful tracked Run() (0 right after
+  /// it).
   int generation() const { return generation_; }
 
   /// Observer invoked before and after every phase of Run() and of
@@ -184,12 +186,12 @@ class Session {
   ///
   ///  * Run() returns kCancelled/kDeadlineExceeded and, like every failed
   ///    Run, applies ZERO fixes and returns no journal — never a partially
-  ///    repaired relation. A tracked session whose Run was cancelled resets
-  ///    to the not-yet-run state and stays usable for a fresh Run().
-  ///  * ApplyDelta keeps its existing failure contract: the raw edits are
-  ///    applied, the re-run's copy is discarded, the journal still covers
-  ///    the pre-delta repairs of the live tuples, and the session remains
-  ///    usable. The next ApplyDelta re-runs, even with an empty delta.
+  ///    repaired relation. A tracked session keeps the tracking of its last
+  ///    successful Run.
+  ///  * ApplyDelta returns the same status and, like every failed delta,
+  ///    applies no edit: the tracked relation, its pristine state, the
+  ///    journal and the generation stay as they were, and the delta may be
+  ///    sent again.
   void set_cancel_token(std::shared_ptr<const common::CancelToken> token) {
     cancel_ = std::move(token);
   }
@@ -207,10 +209,6 @@ class Session {
   Result<std::vector<PhaseStats>> ExecutePipeline(data::Relation* data,
                                                   FixJournal* journal);
 
-  /// ApplyDelta's re-run: re-cleans a copy of the pristine relation and,
-  /// on success, moves it into the tracked one. On failure nothing changes.
-  Status FullRerun(DeltaResult* result);
-
   std::shared_ptr<const CleanEngine> engine_;
   ProgressCallback progress_;
   std::shared_ptr<const common::CancelToken> cancel_;
@@ -221,7 +219,6 @@ class Session {
   std::unique_ptr<data::Relation> pristine_;  // pre-cleaning snapshot
   FixJournal journal_;                        // the last run's fixes
   int generation_ = 0;
-  bool rerun_pending_ = false;  // a failed DELTA left its edits uncleaned
 };
 
 }  // namespace uniclean

@@ -4,7 +4,7 @@
 // single-daemon run, failover when the primary dies mid-workload, DELTA
 // session pinning (never cross-replica), merged STATS equal to the sum of
 // per-replica counters, unix-socket parity, and retry-seed determinism.
-// Also the TSan target for the prober + routing threads.
+// Also the TSan target for the routing client's and fake peers' threads.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -321,13 +321,18 @@ TEST(MembershipTest, ProbeFailsAgainstNothing) {
   EXPECT_EQ(membership.health("no-such-replica"), Health::kDown);
 }
 
-/// A peer on a unix socket that answers every request frame with one fixed
-/// reply (`op`, `body`) under the request's tag, one connection at a time,
+/// One reply frame of a FakePeer: opcode and body.
+using ReplyFrame = std::pair<serve::Op, std::string>;
+
+/// A peer on a unix socket that answers every request frame with a fixed
+/// list of reply frames under the request's tag, one connection at a time,
 /// until destroyed: a daemon stand-in that can send malformed replies.
 class FakePeer {
  public:
   FakePeer(serve::Op op, std::string body)
-      : op_(op), body_(std::move(body)) {
+      : FakePeer(std::vector<ReplyFrame>{{op, std::move(body)}}) {}
+  explicit FakePeer(std::vector<ReplyFrame> replies)
+      : replies_(std::move(replies)) {
     static int next = 0;
     path_ = "/tmp/uc_fake_peer_" + std::to_string(::getpid()) + "_" +
             std::to_string(next++) + ".sock";
@@ -340,6 +345,9 @@ class FakePeer {
   FakePeer& operator=(const FakePeer&) = delete;
   ~FakePeer() {
     stop_ = true;
+    // A connection that closes at once wakes the accept loop, so the peer
+    // stops without waiting out its poll interval.
+    if (auto wake = serve::ConnectUnix(path_); wake.ok()) ::close(*wake);
     thread_.join();
     if (fd_ >= 0) ::close(fd_);
     ::unlink(path_.c_str());
@@ -360,13 +368,16 @@ class FakePeer {
       for (;;) {
         Result<serve::Frame> frame = channel.ReadFrame();
         if (!frame.ok()) break;
-        if (!channel.WriteFrame(frame->tag, op_, body_).ok()) break;
+        bool written = true;
+        for (const auto& [op, body] : replies_) {
+          written = written && channel.WriteFrame(frame->tag, op, body).ok();
+        }
+        if (!written) break;
       }
     }
   }
 
-  const serve::Op op_;
-  const std::string body_;
+  const std::vector<ReplyFrame> replies_;
   std::string path_;
   int fd_ = -1;
   std::atomic<bool> stop_{false};
@@ -438,6 +449,138 @@ TEST(ServeClientTest, PongAndErrorTrailersDecodeExactly) {
     EXPECT_EQ(client.Ping().code(), StatusCode::kCorruption)
         << bad.size() << " bytes";
   }
+}
+
+TEST(ServeClientTest, SeededReplyMutationsDecodeOrFailCleanly) {
+  // Seeded byte overwrites, truncations and appended bytes of a valid
+  // CLEAN_DONE and DELTA_DONE reply, chunk opcode swaps, and inserted-id
+  // lines swapped for malformed numbers, each answered by its own peer:
+  // every mutant decodes to a reply or fails with a Status.
+  std::string clean_done;
+  serve::PutU64(&clean_done, 7);
+  serve::PutU32(&clean_done, 3);
+  serve::PutU32(&clean_done, 4);
+  serve::PutLp(&clean_done, "cRepair=2 eRepair=1 hRepair=0");
+  const std::vector<ReplyFrame> clean = {
+      {serve::Op::kJournalChunk, "tuple,attribute,old,new,phase,rule\n"},
+      {serve::Op::kJournalChunk, "3,City,Mobil,Mobile,cRepair,f1\n"},
+      {serve::Op::kDataChunk, "ZIP,City\n36601,Mobile\n"},
+      {serve::Op::kCleanDone, clean_done}};
+  const auto delta_done = [](const std::string& ids) {
+    std::string body;
+    serve::PutU32(&body, 2);
+    serve::PutU32(&body, 986);
+    serve::PutU32(&body, 1);
+    serve::PutU32(&body, 5);
+    serve::PutLp(&body, ids);
+    return body;
+  };
+  const std::vector<ReplyFrame> delta = {
+      {serve::Op::kJournalChunk, "tuple,attribute,old,new,phase,rule\n"},
+      {serve::Op::kDeltaDone, delta_done("984\n985\n")}};
+  const auto run = [](const std::vector<ReplyFrame>& frames, bool is_delta,
+                      std::vector<data::TupleId>* ids) {
+    FakePeer peer(frames);
+    auto client = serve::Client::ConnectAddress(peer.address());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    if (!client.ok()) return client.status();
+    if (!is_delta) return client->Clean(serve::CleanRequest{}).status();
+    auto reply = client->Delta(serve::DeltaRequest{});
+    if (reply.ok() && ids != nullptr) *ids = reply->inserted_ids;
+    return reply.status();
+  };
+
+  std::vector<data::TupleId> ids;
+  ASSERT_TRUE(run(clean, false, nullptr).ok());
+  ASSERT_TRUE(run(delta, true, &ids).ok());
+  EXPECT_EQ(ids, (std::vector<data::TupleId>{984, 985}));
+  std::vector<ReplyFrame> at_max = delta;
+  at_max.back().second = delta_done("2147483647\n");
+  ASSERT_TRUE(run(at_max, true, &ids).ok());
+  EXPECT_EQ(ids, (std::vector<data::TupleId>{2147483647}));
+  // Chunks a request cannot receive, bytes past either reply's last field,
+  // and id lines that are not all digits or exceed INT32_MAX.
+  std::vector<ReplyFrame> misrouted = delta;
+  misrouted.front().first = serve::Op::kDataChunk;
+  EXPECT_EQ(run(misrouted, true, nullptr).code(), StatusCode::kCorruption);
+  {
+    FakePeer peer({{serve::Op::kJournalChunk, "x"},
+                   {serve::Op::kPong, GoodPong()}});
+    auto client = serve::Client::ConnectAddress(peer.address());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    EXPECT_EQ(client->Ping().code(), StatusCode::kCorruption);
+  }
+  for (bool is_delta : {false, true}) {
+    std::vector<ReplyFrame> trailing = is_delta ? delta : clean;
+    trailing.back().second += 'x';
+    EXPECT_EQ(run(trailing, is_delta, nullptr).code(),
+              StatusCode::kCorruption);
+  }
+  for (const char* ids_text :
+       {"x\n", "-1\n", "2147483648\n", "99999999999999999999\n", "12x\n",
+        "984\n \n", "984\n\n", "\n", "984"}) {
+    std::vector<ReplyFrame> swapped = delta;
+    swapped.back().second = delta_done(ids_text);
+    EXPECT_EQ(run(swapped, true, nullptr).code(), StatusCode::kCorruption)
+        << ids_text;
+  }
+
+  const std::vector<serve::Op> ops = {
+      serve::Op::kJournalChunk, serve::Op::kDataChunk, serve::Op::kCleanDone,
+      serve::Op::kDeltaDone,    serve::Op::kPong,      serve::Op::kOk,
+      serve::Op::kError};
+  const std::vector<std::string> numbers = {"x", "-1", "2147483648",
+                                            "99999999999999999999"};
+  Rng rng(2029);
+  int accepted = 0;
+  int refused = 0;
+  for (bool is_delta : {false, true}) {
+    for (int i = 0; i < 250; ++i) {
+      std::vector<ReplyFrame> frames = is_delta ? delta : clean;
+      std::string& done = frames.back().second;
+      bool must_fail = false;
+      switch (rng.Index(is_delta ? 5 : 4)) {
+        case 0:  // overwrite 1-4 bytes of the terminal body
+          for (size_t n = 1 + rng.Index(4); n > 0; --n) {
+            done[rng.Index(done.size())] =
+                static_cast<char>(rng.Uniform(0, 255));
+          }
+          break;
+        case 1:  // truncate the terminal body
+          done.resize(rng.Index(done.size()));
+          must_fail = true;
+          break;
+        case 2:  // append 1-8 bytes to the terminal body
+          for (size_t n = 1 + rng.Index(8); n > 0; --n) {
+            done.push_back(static_cast<char>(rng.Uniform(0, 255)));
+          }
+          must_fail = true;
+          break;
+        case 3:  // swap a chunk's opcode; the terminal frame stays terminal
+          frames[rng.Index(frames.size() - 1)].first = rng.Choice(ops);
+          break;
+        default:  // swap an inserted-id line for a malformed number
+          done = delta_done(rng.Bernoulli(0.5)
+                                ? rng.Choice(numbers) + "\n985\n"
+                                : "984\n" + rng.Choice(numbers) + "\n");
+          must_fail = true;
+          break;
+      }
+      const Status status = run(frames, is_delta, nullptr);
+      if (must_fail) {
+        EXPECT_EQ(status.code(), StatusCode::kCorruption)
+            << (is_delta ? "DELTA" : "CLEAN") << " mutant " << i;
+      }
+      if (status.ok()) {
+        ++accepted;
+      } else {
+        ++refused;
+      }
+    }
+  }
+  // The mutants reach both outcomes, or the property pinned nothing.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 TEST(MembershipTest, MalformedPongIsAFailedProbe) {
@@ -833,28 +976,6 @@ TEST(ClusterRoutingTest, MembershipProbesRealDaemons) {
   }
 }
 
-TEST(ClusterRoutingTest, BackgroundProberConvergesAndStops) {
-  ClusterWorld* w = ClusterWorld::Get();
-  MembershipOptions options;
-  options.probe_interval_ms = 20;
-  auto membership = w->MakeMembership(options);
-  membership->Start();
-  membership->Start();  // idempotent
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  bool probed = false;
-  while (std::chrono::steady_clock::now() < deadline && !probed) {
-    probed = true;
-    for (const ReplicaStatus& status : membership->Snapshot()) {
-      if (status.probes == 0) probed = false;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(probed);
-  membership->Stop();
-  membership->Stop();  // idempotent
-}
-
 TEST(ClusterRoutingTest, MergedStatsSumPerReplicaCounters) {
   ClusterWorld* w = ClusterWorld::Get();
   auto client = w->MakeClient();
@@ -1004,7 +1125,7 @@ TEST(ClusterFailoverTest, CleanFailsOverWhenPrimaryDies) {
   EXPECT_NE(std::find(connected.begin(), connected.end(), owners[1]),
             connected.end());
 
-  // Once the prober marks the primary down, fresh routing goes straight to
+  // Once probes mark the primary down, fresh routing goes straight to
   // the survivor without burning a failover.
   MembershipOptions probe_options;
   probe_options.suspect_after = 1;

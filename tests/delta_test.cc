@@ -209,9 +209,9 @@ TEST_P(DeltaConvergenceTest, DeltaStatsAreTheBatchRunsStats) {
   EXPECT_EQ(JournalCsv(session.journal()), JournalCsv(run->journal));
 }
 
-// A cancelled DELTA leaves its raw edits applied but uncleaned. The next
-// DELTA re-cleans them even when it is empty, so the session still reaches
-// the batch run over the edited relation.
+// A cancelled DELTA changes nothing: an empty DELTA after it is a no-op,
+// and the session still equals the batch run over the relation it had. Sent
+// again, the DELTA converges to the batch run over the edited relation.
 TEST_P(DeltaConvergenceTest, EmptyDeltaAfterACancelledDeltaConverges) {
   gen::Dataset ds = MakeDataset(GetParam(), /*seed=*/13);
   auto engine = MakeEngine(ds);
@@ -221,6 +221,8 @@ TEST_P(DeltaConvergenceTest, EmptyDeltaAfterACancelledDeltaConverges) {
   for (data::TupleId t = 0; t < ds.dirty.size() - kHeld; ++t) {
     incremental.AddTuple(ds.dirty.tuple(t));
   }
+  data::Relation standing = incremental.Clone();
+  const std::string standing_csv = BatchCanonicalCsv(engine, &standing);
   Session session = engine->NewTrackedSession();
   ASSERT_TRUE(session.Run(&incremental).ok());
 
@@ -228,33 +230,35 @@ TEST_P(DeltaConvergenceTest, EmptyDeltaAfterACancelledDeltaConverges) {
   for (int k = 0; k < kHeld; ++k) {
     delta.inserts.push_back(ds.dirty.tuple(ds.dirty.size() - kHeld + k));
   }
-  // Three polls pass ApplyDelta's entry check, so the token trips inside
-  // the re-run, after the edits were applied.
+  // The token trips inside the re-run, after the edits were applied to the
+  // copy it cleans.
   auto token = std::make_shared<common::CancelToken>();
   token->CancelAfterChecksForTest(3);
   session.set_cancel_token(token);
   auto cancelled = session.ApplyDelta(delta);
   ASSERT_FALSE(cancelled.ok());
   EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-  ASSERT_EQ(incremental.size(), ds.dirty.size());
+  ASSERT_EQ(incremental.size(), ds.dirty.size() - kHeld);
 
   session.set_cancel_token(nullptr);
-  auto dr = session.ApplyDelta(Delta{});
+  auto noop = session.ApplyDelta(Delta{});
+  ASSERT_TRUE(noop.ok()) << noop.status().ToString();
+  EXPECT_EQ(noop->generation, 0);
+  EXPECT_EQ(noop->affected, 0);
+  EXPECT_EQ(noop->refinement_rounds, 0);
+  EXPECT_EQ(LiveCellDiff(incremental, standing), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), standing_csv);
+
+  auto dr = session.ApplyDelta(delta);
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->generation, 1);
   EXPECT_EQ(dr->affected, incremental.live_size());
   EXPECT_EQ(dr->refinement_rounds, 1);
-  EXPECT_EQ(dr->generation, session.generation());
 
   data::Relation batch = ds.dirty.Clone();
   const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
   EXPECT_EQ(LiveCellDiff(incremental, batch), 0);
   EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
-
-  // Once cleaned, an empty delta is a no-op again.
-  auto noop = session.ApplyDelta(Delta{});
-  ASSERT_TRUE(noop.ok()) << noop.status().ToString();
-  EXPECT_EQ(noop->generation, dr->generation);
-  EXPECT_EQ(noop->refinement_rounds, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, DeltaConvergenceTest,
@@ -865,11 +869,11 @@ TEST(CancellationTest, TrackedSessionUsableAfterCancelledRun) {
   EXPECT_EQ(LiveCellDiff(relation, ref_relation), 0);
 }
 
-// A repeated tracked Run that fails part-way leaves the session unrun: the
-// earlier run's tracking state, journal and generation are gone, so
-// ApplyDelta refuses until a Run succeeds, and the relation tracked before
-// is never touched again.
-TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
+// A repeated tracked Run that fails part-way keeps the earlier tracking:
+// the session still tracks the first relation, with its journal and
+// generation, and a DELTA still lands on it. A Run that succeeds then
+// restarts tracking at generation 0 on its own relation.
+TEST(DeltaTest, FailedTrackedRunKeepsTheEarlierTracking) {
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/3, /*num_tuples=*/120);
   auto engine = MakeEngine(ds);
 
@@ -881,6 +885,7 @@ TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
   ASSERT_TRUE(session.ApplyDelta(erase).ok());
   ASSERT_EQ(session.generation(), 1);
   const std::string first_csv = RelationCsv(first);
+  const std::string journal_before = JournalCsv(session.journal());
 
   // The token trips as eRepair starts, after cRepair has cleaned the
   // run's scratch copy of the second relation.
@@ -900,19 +905,29 @@ TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
 
   session.set_cancel_token(nullptr);
   session.set_progress_callback(nullptr);
-  Delta insert;
-  insert.inserts.push_back(ds.dirty.tuple(0));
-  EXPECT_EQ(session.ApplyDelta(insert).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(session.ApplyDelta(Delta{}).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(session.journal().empty());
-  EXPECT_EQ(session.generation(), 0);
+  EXPECT_EQ(session.generation(), 1);
+  EXPECT_EQ(JournalCsv(session.journal()), journal_before);
   EXPECT_EQ(RelationCsv(first), first_csv);
 
-  // A Run that succeeds tracks again.
+  Delta insert;
+  insert.inserts.push_back(ds.dirty.tuple(0));
+  auto dr = session.ApplyDelta(insert);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->generation, 2);
+  EXPECT_EQ(RelationCsv(second), RelationCsv(ds.dirty));
+  data::Relation first_batch = ds.dirty.Clone();
+  first_batch.EraseTuple(0);
+  first_batch.AddTuple(ds.dirty.tuple(0));
+  const std::string first_batch_csv = BatchCanonicalCsv(engine, &first_batch);
+  EXPECT_EQ(LiveCellDiff(first, first_batch), 0);
+  EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), first_batch_csv);
+
+  // A Run that succeeds tracks its own relation from generation 0.
   ASSERT_TRUE(session.Run(&second).ok());
-  ASSERT_TRUE(session.ApplyDelta(insert).ok());
+  EXPECT_EQ(session.generation(), 0);
+  dr = session.ApplyDelta(insert);
+  ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+  EXPECT_EQ(dr->generation, 1);
   data::Relation batch = ds.dirty.Clone();
   batch.AddTuple(ds.dirty.tuple(0));
   const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
@@ -920,7 +935,32 @@ TEST(DeltaTest, FailedTrackedRunLeavesTheSessionUnrun) {
   EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
 }
 
-TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
+/// Every slot of `r`, tombstones included: "t dead", or t and each cell's
+/// value, confidence and fix mark.
+std::string SlotDump(const data::Relation& r) {
+  std::ostringstream out;
+  for (data::TupleId t = 0; t < r.size(); ++t) {
+    out << t;
+    if (!r.live(t)) {
+      out << " dead\n";
+      continue;
+    }
+    const data::Tuple& tup = r.tuple(t);
+    for (data::AttributeId a = 0; a < tup.arity(); ++a) {
+      out << ' ' << tup.value(a).ToString() << '/' << tup.confidence(a) << '/'
+          << static_cast<int>(tup.mark(a));
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+// A DELTA of updates, deletes and inserts, cancelled at any poll of its
+// re-run, changes nothing: the tracked relation (cells and tombstones),
+// both journal views and the generation stay as they were. Sent again, it
+// mints the ids a session that never failed mints and ends as the batch
+// run over the edited relation.
+TEST(CancellationTest, CancelledDeltaChangesNothing) {
   gen::Dataset ds = MakeDataset("HOSP", /*seed=*/7);
   auto engine = MakeEngine(ds);
 
@@ -931,43 +971,64 @@ TEST(CancellationTest, CancelledFullRerunKeepsOnlyTheRawEdits) {
     initial.AddTuple(ds.dirty.tuple(t));
   }
   Delta delta;
+  delta.updates.emplace_back(5, ds.dirty.tuple(6));
+  delta.updates.emplace_back(9, ds.dirty.tuple(10));
+  delta.deletes = {9, 12};
   for (int k = 0; k < kHeld; ++k) {
     delta.inserts.push_back(ds.dirty.tuple(standing + k));
   }
 
-  // From one poll on, the token passes ApplyDelta's entry check (which
-  // would fail before any edit is applied) and trips inside the re-run.
-  bool saw_cancel = false;
-  bool saw_success = false;
-  for (int64_t polls : {1, 3, 8, 21, 55, 1000000}) {
+  data::Relation batch = initial.Clone();
+  batch.mutable_tuple(5) = ds.dirty.tuple(6);
+  batch.EraseTuple(9);
+  batch.EraseTuple(12);
+  for (const data::Tuple& tup : delta.inserts) batch.AddTuple(tup);
+  const std::string batch_csv = BatchCanonicalCsv(engine, &batch);
+  std::vector<data::TupleId> unfailed_ids;
+  {
     data::Relation relation = initial.Clone();
     Session session = engine->NewTrackedSession();
     ASSERT_TRUE(session.Run(&relation).ok());
-    data::Relation expected = relation.Clone();
-    for (const data::Tuple& tup : delta.inserts) expected.AddTuple(tup);
-    const std::string journal_before = CanonicalCsv(session.CanonicalJournal());
+    auto dr = session.ApplyDelta(delta);
+    ASSERT_TRUE(dr.ok()) << dr.status().ToString();
+    unfailed_ids = dr->inserted_ids;
+  }
+  ASSERT_EQ(unfailed_ids.size(), static_cast<size_t>(kHeld));
+
+  bool saw_cancel = false;
+  bool saw_success = false;
+  for (int64_t polls : {0, 1, 3, 8, 21, 55, 1000000}) {
+    SCOPED_TRACE("polls=" + std::to_string(polls));
+    data::Relation relation = initial.Clone();
+    Session session = engine->NewTrackedSession();
+    ASSERT_TRUE(session.Run(&relation).ok());
+    const std::string slots_before = SlotDump(relation);
+    const std::string canonical_before =
+        CanonicalCsv(session.CanonicalJournal());
+    const std::string journal_before = JournalCsv(session.journal());
 
     auto token = std::make_shared<common::CancelToken>();
     token->CancelAfterChecksForTest(polls);
     session.set_cancel_token(token);
     auto dr = session.ApplyDelta(delta);
+    session.set_cancel_token(nullptr);
     if (dr.ok()) {
       saw_success = true;
-      EXPECT_EQ(dr->refinement_rounds, 1) << "polls=" << polls;
-      data::Relation batch = ds.dirty.Clone();
-      EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()),
-                BatchCanonicalCsv(engine, &batch))
-          << "polls=" << polls;
     } else {
       saw_cancel = true;
       EXPECT_EQ(dr.status().code(), StatusCode::kCancelled)
           << dr.status().ToString();
-      EXPECT_EQ(RelationCsv(relation), RelationCsv(expected))
-          << "cancelled full re-run moved more than the raw edits (polls="
-          << polls << ")";
-      EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), journal_before)
-          << "polls=" << polls;
+      EXPECT_EQ(SlotDump(relation), slots_before);
+      EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), canonical_before);
+      EXPECT_EQ(JournalCsv(session.journal()), journal_before);
+      EXPECT_EQ(session.generation(), 0);
+      dr = session.ApplyDelta(delta);
+      ASSERT_TRUE(dr.ok()) << dr.status().ToString();
     }
+    EXPECT_EQ(dr->generation, 1);
+    EXPECT_EQ(dr->inserted_ids, unfailed_ids);
+    EXPECT_EQ(SlotDump(relation), SlotDump(batch));
+    EXPECT_EQ(CanonicalCsv(session.CanonicalJournal()), batch_csv);
   }
   EXPECT_TRUE(saw_cancel);
   EXPECT_TRUE(saw_success);

@@ -826,6 +826,97 @@ TEST(ServeTest, ReloadOfADuplicateColumnMasterFailsAndTheOldEngineServes) {
   EXPECT_EQ(after->rulesets, before->rulesets);
 }
 
+TEST(ServeTest, ReloadSwapsEveryEngineOrNone) {
+  // RELOAD "" builds every replacement before it swaps any. The first
+  // ruleset's rules change validly and the second's break: the RELOAD fails,
+  // and the first ruleset keeps its engine, fingerprint and reload count.
+  ServeWorld* w = ServeWorld::Get();
+  std::string rules;
+  {
+    std::ifstream in(w->dir + "/rules.txt", std::ios::binary);
+    std::ostringstream body;
+    body << in.rdbuf();
+    rules = body.str();
+  }
+  std::vector<RulesetConfig> configs;
+  for (const char* name : {"first", "second"}) {
+    RulesetConfig cfg;
+    cfg.name = name;
+    cfg.master_csv = w->dir + "/master.csv";
+    cfg.rules_file = w->dir + "/reload_" + cfg.name + "_rules.txt";
+    cfg.schema_csv = w->dirty_path;
+    std::ofstream(cfg.rules_file, std::ios::binary) << rules;
+    configs.push_back(cfg);
+  }
+  DaemonOptions options;
+  options.port = 0;
+  Daemon daemon(options, configs);
+  Status started = daemon.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  Client client = ConnectTo(daemon);
+  auto before = client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->rulesets.size(), 2u);
+
+  std::ofstream(configs[0].rules_file, std::ios::binary)
+      << rules << "CFD reload_probe: ZIP -> County\n";
+  std::ofstream(configs[1].rules_file, std::ios::binary) << "not a rule\n";
+  auto reload = client.Reload("");
+  ASSERT_FALSE(reload.ok());
+  EXPECT_EQ(reload.status().code(), StatusCode::kInvalidArgument)
+      << reload.status().ToString();
+  auto after = client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  for (size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(before->rulesets[i].name);
+    EXPECT_EQ(after->rulesets[i].fingerprint, before->rulesets[i].fingerprint);
+    EXPECT_EQ(after->rulesets[i].reloads, before->rulesets[i].reloads);
+  }
+
+  // Mended, the same RELOAD swaps both.
+  std::ofstream(configs[1].rules_file, std::ios::binary) << rules;
+  reload = client.Reload("");
+  ASSERT_TRUE(reload.ok()) << reload.status().ToString();
+  auto swapped = client.Stats();
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_NE(swapped->rulesets[0].fingerprint, before->rulesets[0].fingerprint);
+  EXPECT_EQ(swapped->rulesets[1].fingerprint, before->rulesets[1].fingerprint);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(swapped->rulesets[i].reloads, before->rulesets[i].reloads + 1);
+  }
+}
+
+/// The process's peak resident set size (VmHWM) in kB, or -1.
+long PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(ServeTest, AStalledFrameHoldsOnlyWhatItSent) {
+  // A header declaring the largest payload, then 100 bytes and EOF: the
+  // reader fails with Corruption, having held about what arrived rather
+  // than the 64 MiB the header declared.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameChannel reader(fds[0]);
+  std::string bytes;
+  PutU32(&bytes, kMaxFramePayload);
+  bytes.append(100, 'x');
+  ASSERT_EQ(::send(fds[1], bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fds[1]);
+  const long before = PeakRssKb();
+  ASSERT_GT(before, 0);
+  auto frame = reader.ReadFrame();
+  EXPECT_EQ(frame.status().code(), StatusCode::kCorruption)
+      << frame.status().ToString();
+  EXPECT_LT(PeakRssKb() - before, 8 * 1024);
+}
+
 /// Fault hook stalling the first `n` requests that reach `point` (CLEANs at
 /// "clean.before_run" by default) until either the test flips `release` or
 /// the request's cancel token trips — a model of a wedged worker that still
