@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -560,6 +561,30 @@ void SnapshotPoint(const std::string& dataset, int num_tuples,
 }
 
 #ifdef UNICLEAN_HAVE_SERVE
+/// A fresh directory `/tmp/<prefix>.XXXXXX`, removed with everything in it
+/// when the object goes out of scope.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix)
+      : path_("/tmp/" + prefix + ".XXXXXX") {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      std::fprintf(stderr, "bench_json: mkdtemp failed\n");
+      std::exit(2);
+    }
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// Full wire round-trips through an in-process unicleand: the generated
 /// sample goes to disk (the daemon builds engines from files), a Daemon
 /// starts on an ephemeral port, and one Client measures a complete CLEAN
@@ -576,12 +601,8 @@ void ServePoint(const std::string& dataset, int num_tuples, int master_size) {
   config.seed = 1;
   gen::Dataset ds = Generate(dataset, config);
 
-  char dir_template[] = "/tmp/uniclean_bench_serve.XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) {
-    std::fprintf(stderr, "bench_json: mkdtemp failed\n");
-    std::exit(2);
-  }
-  const std::string dir = dir_template;
+  const ScratchDir scratch("uniclean_bench_serve");
+  const std::string& dir = scratch.path();
   if (!data::WriteCsvFile(dir + "/dirty.csv", ds.dirty).ok() ||
       !data::WriteCsvFile(dir + "/master.csv", ds.master).ok()) {
     std::fprintf(stderr, "bench_json: cannot write the serve dataset\n");
@@ -654,12 +675,8 @@ void ServeOverloadPoint(const std::string& dataset, int num_tuples,
   config.seed = 1;
   gen::Dataset ds = Generate(dataset, config);
 
-  char dir_template[] = "/tmp/uniclean_bench_overload.XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) {
-    std::fprintf(stderr, "bench_json: mkdtemp failed\n");
-    std::exit(2);
-  }
-  const std::string dir = dir_template;
+  const ScratchDir scratch("uniclean_bench_overload");
+  const std::string& dir = scratch.path();
   if (!data::WriteCsvFile(dir + "/dirty.csv", ds.dirty).ok() ||
       !data::WriteCsvFile(dir + "/master.csv", ds.master).ok()) {
     std::fprintf(stderr, "bench_json: cannot write the overload dataset\n");
@@ -789,12 +806,8 @@ void ClusterPoint(const std::string& dataset, int num_tuples,
   config.seed = 1;
   gen::Dataset ds = Generate(dataset, config);
 
-  char dir_template[] = "/tmp/uniclean_bench_cluster.XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) {
-    std::fprintf(stderr, "bench_json: mkdtemp failed\n");
-    std::exit(2);
-  }
-  const std::string dir = dir_template;
+  const ScratchDir scratch("uniclean_bench_cluster");
+  const std::string& dir = scratch.path();
   if (!data::WriteCsvFile(dir + "/dirty.csv", ds.dirty).ok() ||
       !data::WriteCsvFile(dir + "/master.csv", ds.master).ok()) {
     std::fprintf(stderr, "bench_json: cannot write the cluster dataset\n");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -39,9 +40,9 @@ struct GroupEntry {
 class CRepairRun {
  public:
   CRepairRun(Relation* d, const MatchEnvironment& env,
-             const CRepairOptions& options)
+             const CRepairOptions& options, RunMatchTable& matches)
       : d_(*d),
-        env_(env),
+        matches_(matches),
         dm_(env.master()),
         ruleset_(env.rules()),
         options_(options) {
@@ -238,9 +239,7 @@ class CRepairRun {
   /// Procedure MDInfer (Fig. 5).
   void MdInfer(TupleId t, RuleId rule) {
     const Md& md = ruleset_.md(rule);
-    const MdMatcher* matcher = env_.matcher(rule);
-    UC_CHECK(matcher != nullptr);
-    TupleId s = matcher->FindFirstMatch(d_.tuple(t));
+    TupleId s = matches_.FindFirstMatch(rule, t);
     if (s < 0) return;
     stats_.md_matches.emplace_back(t, s);
     const rules::MdAction& action = md.actions()[0];
@@ -256,7 +255,7 @@ class CRepairRun {
   }
 
   Relation& d_;
-  const MatchEnvironment& env_;
+  RunMatchTable& matches_;
   const Relation& dm_;
   const RuleSet& ruleset_;
   const CRepairOptions& options_;
@@ -276,9 +275,12 @@ class CRepairRun {
 }  // namespace
 
 CRepairStats CRepair(Relation* d, const MatchEnvironment& env,
-                     const CRepairOptions& options) {
+                     const CRepairOptions& options, RunMatchTable* matches) {
   UC_CHECK(d != nullptr);
-  CRepairRun run(d, env, options);
+  std::optional<RunMatchTable> own;
+  if (matches == nullptr) matches = &own.emplace(env, *d);
+  UC_CHECK(&matches->relation() == d && &matches->env() == &env);
+  CRepairRun run(d, env, options, *matches);
   return run.Run();
 }
 

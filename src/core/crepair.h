@@ -61,8 +61,12 @@ struct CRepairStats {
 /// (data::Relation::EraseTuple) are skipped. Borrows the shared match
 /// environment (master relation, rules, warm MD indexes and memos); its
 /// options govern MD candidate retrieval (suffix-array blocking, §5.2).
+/// MD probes go through `matches`, the run's table over `d` and `env`
+/// (uniclean::Session passes one to every phase); when null, the call
+/// builds its own.
 CRepairStats CRepair(data::Relation* d, const MatchEnvironment& env,
-                     const CRepairOptions& options = {});
+                     const CRepairOptions& options = {},
+                     RunMatchTable* matches = nullptr);
 
 }  // namespace core
 }  // namespace uniclean

@@ -11,9 +11,10 @@ EquivalenceClasses::EquivalenceClasses(int num_tuples, int arity)
   parent_.resize(n);
   rank_.assign(n, 0);
   info_.resize(n);
+  next_.assign(n, -1);
   for (CellId c = 0; c < num_classes_; ++c) {
     parent_[static_cast<size_t>(c)] = c;
-    info_[static_cast<size_t>(c)].members.push_back(c);
+    info_[static_cast<size_t>(c)].tail = c;
   }
 }
 
@@ -105,13 +106,12 @@ bool EquivalenceClasses::Merge(CellId a, CellId b, const data::Value& winner) {
   }
   parent_[static_cast<size_t>(child)] = root;
   ClassInfo& rc = info(root);
-  ClassInfo& cc = info(child);
-  merged.members = std::move(rc.members);
-  merged.members.insert(merged.members.end(), cc.members.begin(),
-                        cc.members.end());
-  cc.members.clear();
-  cc.members.shrink_to_fit();
-  rc = std::move(merged);
+  const ClassInfo& cc = info(child);
+  // The child's list begins at the child: append it to the root's.
+  next_[static_cast<size_t>(rc.tail)] = child;
+  merged.tail = cc.tail;
+  merged.size = rc.size + cc.size;
+  rc = merged;
   --num_classes_;
   return true;
 }

@@ -11,6 +11,15 @@
 // Invariant: a class with more than one member always has a constant or
 // null target (merging picks a winner immediately), so the materialized
 // view is always well defined.
+//
+// Members are kept in flat arrays, not one vector per cell: every cell has
+// a next_ link, and a class's list begins at its root (a cell starts as the
+// root of its own one-cell list, and a merge appends the child root's list
+// to the surviving root's). The root's ClassInfo holds the list's tail and
+// size. So Members() yields the cells in the order they joined, root's list
+// first, exactly as concatenating per-class vectors did; hRepair's
+// ClassRetargetCost sums floating-point cell costs in that order, so it must
+// not change.
 
 #ifndef UNICLEAN_CORE_EQUIVALENCE_H_
 #define UNICLEAN_CORE_EQUIVALENCE_H_
@@ -50,9 +59,42 @@ class EquivalenceClasses {
   }
   bool frozen(CellId c) { return info(Find(c)).frozen; }
 
-  /// Cells of the class containing `c`.
-  const std::vector<CellId>& Members(CellId c) {
-    return info(Find(c)).members;
+  /// The cells of one class, as a forward range over the intrusive list.
+  class MemberRange {
+   public:
+    class Iterator {
+     public:
+      Iterator(const std::vector<CellId>& next, CellId cell)
+          : next_(&next), cell_(cell) {}
+      CellId operator*() const { return cell_; }
+      Iterator& operator++() {
+        cell_ = (*next_)[static_cast<size_t>(cell_)];
+        return *this;
+      }
+      bool operator!=(const Iterator& o) const { return cell_ != o.cell_; }
+
+     private:
+      const std::vector<CellId>* next_;
+      CellId cell_;
+    };
+
+    MemberRange(const std::vector<CellId>& next, CellId root, int size)
+        : next_(next), root_(root), size_(size) {}
+    Iterator begin() const { return Iterator(next_, root_); }
+    Iterator end() const { return Iterator(next_, -1); }
+    size_t size() const { return static_cast<size_t>(size_); }
+
+   private:
+    const std::vector<CellId>& next_;
+    CellId root_;
+    int size_;
+  };
+
+  /// Cells of the class containing `c`, in the order they joined it (see
+  /// the file comment). Valid until the next Merge.
+  MemberRange Members(CellId c) {
+    const CellId root = Find(c);
+    return MemberRange(next_, root, info(root).size);
   }
 
   /// Freezes the class of `c` to the constant `v` (deterministic fixes).
@@ -81,7 +123,8 @@ class EquivalenceClasses {
     TargetKind kind = TargetKind::kUnfixed;
     data::Value constant;
     bool frozen = false;
-    std::vector<CellId> members;
+    CellId tail = -1;  // last cell of the member list
+    int size = 1;      // cells in the member list
   };
 
   ClassInfo& info(CellId root) {
@@ -93,6 +136,7 @@ class EquivalenceClasses {
   std::vector<CellId> parent_;
   std::vector<int> rank_;
   std::vector<ClassInfo> info_;  // valid at roots
+  std::vector<CellId> next_;     // per cell: next member of its class, or -1
 };
 
 }  // namespace core

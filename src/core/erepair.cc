@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,9 +29,9 @@ using rules::RuleSet;
 class ERepairRun {
  public:
   ERepairRun(Relation* d, const MatchEnvironment& env,
-             const ERepairOptions& options)
+             const ERepairOptions& options, RunMatchTable& matches)
       : d_(*d),
-        env_(env),
+        matches_(matches),
         dm_(env.master()),
         ruleset_(env.rules()),
         options_(options),
@@ -208,13 +210,17 @@ class ERepairRun {
     }
   }
 
-  /// Procedure cCFDReslove (§6.2).
+  /// Procedure cCFDReslove (§6.2). A tuple untouched since the rule's
+  /// previous scan began is as that scan left it: not violating, or not
+  /// changeable. Touches are read as the loop reaches each tuple.
   void CCfdResolve(RuleId rule) {
     const Cfd& cfd = ruleset_.cfd(rule);
     const AttributeId b = cfd.rhs()[0];
     const Value& target = cfd.rhs_pattern()[0].value();
+    const uint32_t since = groups_.BeginScan(rule);
     for (TupleId t = 0; t < d_.size(); ++t) {
       if (!d_.live(t)) continue;
+      if (!groups_.TouchedSince(t, since)) continue;
       const data::Tuple& tuple = d_.tuple(t);
       if (!cfd.MatchesLhs(tuple)) continue;
       if (cfd.RhsSatisfied(tuple)) continue;
@@ -227,13 +233,12 @@ class ERepairRun {
   void MdResolve(RuleId rule) {
     const Md& md = ruleset_.md(rule);
     const rules::MdAction& action = md.actions()[0];
-    const MdMatcher& matcher = *env_.matcher(rule);
     for (TupleId t = 0; t < d_.size(); ++t) {
       if (!d_.live(t)) continue;
       // MD premises depend only on this tuple and the static master data:
       // skip tuples untouched since the previous pass.
       if (!groups_.TouchedSincePreviousPass(t)) continue;
-      TupleId s = matcher.FindFirstMatch(d_.tuple(t));
+      TupleId s = matches_.FindFirstMatch(rule, t);
       if (s < 0) continue;
       stats_.md_matches.emplace_back(t, s);
       const Value& master_value = dm_.tuple(s).value(action.master_attr);
@@ -250,7 +255,7 @@ class ERepairRun {
   }
 
   Relation& d_;
-  const MatchEnvironment& env_;
+  RunMatchTable& matches_;
   const Relation& dm_;
   const RuleSet& ruleset_;
   const ERepairOptions& options_;
@@ -282,9 +287,12 @@ double GroupEntropy(const std::vector<int>& counts) {
 }
 
 ERepairStats ERepair(Relation* d, const MatchEnvironment& env,
-                     const ERepairOptions& options) {
+                     const ERepairOptions& options, RunMatchTable* matches) {
   UC_CHECK(d != nullptr);
-  ERepairRun run(d, env, options);
+  std::optional<RunMatchTable> own;
+  if (matches == nullptr) matches = &own.emplace(env, *d);
+  UC_CHECK(&matches->relation() == d && &matches->env() == &env);
+  ERepairRun run(d, env, options, *matches);
   return run.Run();
 }
 

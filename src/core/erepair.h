@@ -6,12 +6,18 @@
 // and guarantees termination. Deterministic fixes from cRepair are never
 // overwritten, and neither are asserted cells (cf >= η).
 //
-// What a pass re-examines: every tuple for a constant CFD; for an MD, the
-// tuples fixed in this pass or the previous one; for a variable CFD, only
-// the groups whose members changed since the rule last ran (the groups live
-// in a core::VcfdGroups index for the whole run). A group that stayed clean
-// would resolve to nothing, so the pass only counts it again, as resolved
-// or as skipped, exactly as a full re-examination would.
+// What a pass re-examines: for a constant CFD, the tuples fixed since the
+// rule's previous scan began; for an MD, the tuples fixed in this pass or
+// the previous one; for a variable CFD, only the groups whose members
+// changed since the rule last ran (the groups, and the touch clock all
+// three use, live in a core::VcfdGroups index for the whole run). A
+// constant-CFD violation is a function of its own tuple's cells, marks and
+// rewrite count, and only a fix changes those and touches the tuple, so a
+// tuple the previous scan left alone would be left alone again. A group
+// that stayed clean would resolve to nothing, so the pass only counts it
+// again, as resolved or as skipped, exactly as a full re-examination would.
+// MD probes go through the run's core::RunMatchTable, which answers a tuple
+// whose premise is unchanged without probing the shared memo again.
 
 #ifndef UNICLEAN_CORE_EREPAIR_H_
 #define UNICLEAN_CORE_EREPAIR_H_
@@ -74,8 +80,11 @@ double GroupEntropy(const std::vector<int>& counts);
 /// (data::Relation::EraseTuple) are skipped — they join no group and are
 /// never rewritten. Borrows the shared match environment (master relation,
 /// rules, warm MD indexes and memos) instead of building per-run matchers.
+/// MD probes go through `matches`, the run's table over `d` and `env`; when
+/// null, the call builds its own.
 ERepairStats ERepair(data::Relation* d, const MatchEnvironment& env,
-                     const ERepairOptions& options = {});
+                     const ERepairOptions& options = {},
+                     RunMatchTable* matches = nullptr);
 
 }  // namespace core
 }  // namespace uniclean

@@ -1,8 +1,9 @@
 #include "core/hrepair.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -31,10 +32,10 @@ constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 class HRepairRun {
  public:
   HRepairRun(Relation* d, const MatchEnvironment& env,
-             const HRepairOptions& options)
+             const HRepairOptions& options, RunMatchTable& matches)
       : view_(*d),
         original_(d->Clone()),
-        env_(env),
+        matches_(matches),
         dm_(env.master()),
         ruleset_(env.rules()),
         options_(options),
@@ -42,7 +43,8 @@ class HRepairRun {
         groups_(*d, env.rules()),
         last_rule_(static_cast<size_t>(d->size()) *
                        static_cast<size_t>(d->schema().arity()),
-                   -1) {
+                   -1),
+        scan_anomalies_(static_cast<size_t>(env.rules().num_rules())) {
     // Corollary 7.1: deterministic fixes are preserved — freeze them.
     // Tombstoned tuples stay out of the class structure entirely: their
     // cells are never frozen, probed or retargeted.
@@ -187,14 +189,25 @@ class HRepairRun {
   }
 
   /// Resolves all current violations of a constant CFD; returns whether any
-  /// change was made.
+  /// change was made. Only tuples touched since the rule's previous scan
+  /// began are examined, as the loop reaches them; an untouched one is as
+  /// that scan left it, and its anomaly, if it was one, is counted again.
   bool ResolveConstantCfd(RuleId rule) {
     const Cfd& cfd = ruleset_.cfd(rule);
     const AttributeId b = cfd.rhs()[0];
     const Value& target = cfd.rhs_pattern()[0].value();
+    const uint32_t since = groups_.BeginScan(rule);
+    ScanAnomalies& anomalies = scan_anomalies_[static_cast<size_t>(rule)];
+    if (since == 0) {
+      anomalies.of_tuple.assign(static_cast<size_t>(view_.size()), 0);
+    }
     bool changed = false;
     for (TupleId t = 0; t < view_.size(); ++t) {
       if (!view_.live(t)) continue;
+      if (!groups_.TouchedSince(t, since)) continue;
+      uint8_t& anomalous = anomalies.of_tuple[static_cast<size_t>(t)];
+      anomalies.count -= anomalous;
+      anomalous = 0;
       if (!cfd.MatchesLhs(view_.tuple(t))) continue;
       if (cfd.RhsSatisfied(view_.tuple(t))) continue;
       // Option 1: fix the RHS (to the constant, or upgrade to null).
@@ -204,7 +217,8 @@ class HRepairRun {
       double break_cost;
       CellId break_cell = CheapestNullableCell(t, cfd.lhs(), &break_cost);
       if (fix_cost == kInfeasible && break_cost == kInfeasible) {
-        ++stats_.anomalies;
+        anomalous = 1;
+        ++anomalies.count;
         continue;
       }
       if (fix_cost <= break_cost) {
@@ -214,6 +228,7 @@ class HRepairRun {
       }
       changed = true;
     }
+    stats_.anomalies += anomalies.count;
     return changed;
   }
 
@@ -241,13 +256,15 @@ class HRepairRun {
     for (VcfdGroups::GroupId g; (g = groups_.Next()) >= 0;) {
       const TupleId anchor = groups_.first_valued(g);
       if (groups_.next(anchor) < 0) continue;  // one member cannot conflict
-      // Frequency of each RHS value within the group: on cost ties the
-      // majority value wins (with zero-confidence cells every change is
-      // free, and majority is by far the better heuristic).
-      std::unordered_map<data::ValueId, int> value_votes;
+      // Frequency of each RHS value within the group, as the members' value
+      // ids sorted: on cost ties the majority value wins (with
+      // zero-confidence cells every change is free, and majority is by far
+      // the better heuristic). Counted once, before any pair is resolved.
+      votes_.clear();
       for (TupleId t = anchor; t >= 0; t = groups_.next(t)) {
-        ++value_votes[view_.tuple(t).value(b).id()];
+        votes_.push_back(view_.tuple(t).value(b).id());
       }
+      std::sort(votes_.begin(), votes_.end());
       VcfdGroups::Tally tally;
       for (TupleId t = groups_.next(anchor); t >= 0; t = groups_.next(t)) {
         // Re-validate on the live view: earlier resolutions may have fixed
@@ -264,7 +281,7 @@ class HRepairRun {
                              view_.tuple(t).value(b))) {
           continue;
         }
-        if (ResolveVariablePair(cfd, anchor, t, b, value_votes)) {
+        if (ResolveVariablePair(cfd, anchor, t, b)) {
           changed = true;
         } else {
           ++tally.anomalies;
@@ -313,9 +330,9 @@ class HRepairRun {
 
   /// Resolves one violating pair by a merge or by nulling an LHS cell,
   /// whichever costs less; false when neither is feasible (an anomaly).
-  bool ResolveVariablePair(
-      const Cfd& cfd, TupleId t1, TupleId t2, AttributeId b,
-      const std::unordered_map<data::ValueId, int>& value_votes) {
+  /// Group majority comes from votes_.
+  bool ResolveVariablePair(const Cfd& cfd, TupleId t1, TupleId t2,
+                           AttributeId b) {
     CellId c1 = eq_.Cell(t1, b);
     CellId c2 = eq_.Cell(t2, b);
     const Value v1 = view_.tuple(t1).value(b);
@@ -334,9 +351,10 @@ class HRepairRun {
     } else {
       double cost1 = ClassRetargetCost(c2, v1) + ClassRetargetCost(c1, v1);
       double cost2 = ClassRetargetCost(c1, v2) + ClassRetargetCost(c2, v2);
-      auto votes = [&value_votes](const Value& v) {
-        auto it = value_votes.find(v.id());
-        return it == value_votes.end() ? 0 : it->second;
+      auto votes = [this](const Value& v) {
+        const auto [first, last] =
+            std::equal_range(votes_.begin(), votes_.end(), v.id());
+        return last - first;
       };
       if (cost1 < cost2) {
         winner = v1;
@@ -383,7 +401,6 @@ class HRepairRun {
   bool ResolveMd(RuleId rule) {
     const Md& md = ruleset_.md(rule);
     const rules::MdAction& action = md.actions()[0];
-    const MdMatcher& matcher = *env_.matcher(rule);
     std::vector<AttributeId> premise_attrs;
     premise_attrs.reserve(md.premise().size());
     for (const rules::MdClause& c : md.premise()) {
@@ -398,7 +415,7 @@ class HRepairRun {
       bool tuple_changed = true;
       while (tuple_changed) {
         tuple_changed = false;
-      for (TupleId s : matcher.Matches(view_.tuple(t))) {
+      for (TupleId s : matches_.Matches(rule, t)) {
         stats_.md_matches.emplace_back(t, s);
         const Value& master_value = dm_.tuple(s).value(action.master_attr);
         if (Value::SqlEquals(view_.tuple(t).value(action.data_attr),
@@ -436,9 +453,16 @@ class HRepairRun {
     return changed;
   }
 
+  /// Per constant CFD: the tuples its last examination of them counted as
+  /// anomalies, and how many there are.
+  struct ScanAnomalies {
+    std::vector<uint8_t> of_tuple;
+    int count = 0;
+  };
+
   Relation& view_;
   Relation original_;
-  const MatchEnvironment& env_;
+  RunMatchTable& matches_;
   const Relation& dm_;
   const RuleSet& ruleset_;
   const HRepairOptions& options_;
@@ -447,14 +471,19 @@ class HRepairRun {
   HRepairStats stats_;
   RuleId current_rule_ = -1;         // rule whose violations are being fixed
   std::vector<RuleId> last_rule_;    // per cell: last rule that rewrote it
+  std::vector<ScanAnomalies> scan_anomalies_;  // by rule id
+  std::vector<data::ValueId> votes_;  // the examined group's RHS ids, sorted
 };
 
 }  // namespace
 
 HRepairStats HRepair(Relation* d, const MatchEnvironment& env,
-                     const HRepairOptions& options) {
+                     const HRepairOptions& options, RunMatchTable* matches) {
   UC_CHECK(d != nullptr);
-  HRepairRun run(d, env, options);
+  std::optional<RunMatchTable> own;
+  if (matches == nullptr) matches = &own.emplace(env, *d);
+  UC_CHECK(&matches->relation() == d && &matches->env() == &env);
+  HRepairRun run(d, env, options, *matches);
   return run.Run();
 }
 

@@ -14,13 +14,25 @@
 // merges reduce the class count, so the process terminates (§7), with
 // Dr |= Σ and (Dr, Dm) |= Γ under the §7 null semantics.
 //
-// What a pass re-examines: every tuple for a constant CFD; for an MD, the
-// tuples whose classes changed in this pass or the previous one; for a
-// variable CFD, only the groups with a member whose class changed since the
-// rule last ran, plus any later group a merge in the same call rewrites
-// (the groups live in a core::VcfdGroups index for the whole run). A group
-// that stayed clean holds only conflicts no option can resolve, and the
-// pass counts them as anomalies again, as a full re-examination would.
+// What a pass re-examines: for a constant CFD, the tuples whose classes
+// changed since the rule's previous scan began; for an MD, the tuples whose
+// classes changed in this pass or the previous one; for a variable CFD, only
+// the groups with a member whose class changed since the rule last ran,
+// plus any later group a merge in the same call rewrites (the groups, and
+// the touch clock all three use, live in a core::VcfdGroups index for the
+// whole run). Every change to a class touches each member's tuple, and a
+// violation's options are priced from its tuples' classes alone. So a tuple
+// or group left untouched holds what its last examination found: no
+// violation, or only conflicts no option can resolve, which the pass counts
+// as anomalies again, as a full re-examination would. A constant CFD keeps
+// which tuples its last scan counted for that.
+//
+// What a run reuses besides: MD probes go through the run's
+// core::RunMatchTable, which answers a tuple whose premise is unchanged
+// without probing the shared memo again; each group's RHS votes are counted
+// in one sorted scratch reused across groups; and core::EquivalenceClasses
+// keeps members in flat intrusive lists whose order is the join order, so
+// the cost sums are added in the same order as ever.
 
 #ifndef UNICLEAN_CORE_HREPAIR_H_
 #define UNICLEAN_CORE_HREPAIR_H_
@@ -75,9 +87,11 @@ struct HRepairStats {
 /// anomalies), the live tuples of `*d` satisfy every CFD and MD of the
 /// environment's rules w.r.t. its master relation (tombstoned tuples are
 /// skipped). Borrows the shared match environment instead of building
-/// per-run matchers.
+/// per-run matchers. MD probes go through `matches`, the run's table over
+/// `d` and `env`; when null, the call builds its own.
 HRepairStats HRepair(data::Relation* d, const MatchEnvironment& env,
-                     const HRepairOptions& options = {});
+                     const HRepairOptions& options = {},
+                     RunMatchTable* matches = nullptr);
 
 }  // namespace core
 }  // namespace uniclean

@@ -1,5 +1,7 @@
 #include "core/match_environment.h"
 
+#include "common/check.h"
+
 namespace uniclean {
 namespace core {
 
@@ -47,6 +49,51 @@ core::MemoStats MatchEnvironment::MemoStats() const {
   core::MemoStats total;
   for (const auto& matcher : matchers_) total += matcher->memo_stats();
   return total;
+}
+
+RunMatchTable::RunMatchTable(const MatchEnvironment& env,
+                             const data::Relation& d)
+    : env_(env), d_(d), rows_(static_cast<size_t>(env.num_matchers())) {}
+
+const std::vector<data::TupleId>& RunMatchTable::Matches(rules::RuleId rule,
+                                                         data::TupleId t) {
+  const int index = env_.matcher_index(rule);
+  UC_CHECK_GE(index, 0) << "RunMatchTable: rule " << rule << " is not an MD";
+  Row& row = rows_[static_cast<size_t>(index)];
+  if (row.matcher == nullptr) {
+    row.matcher = env_.matcher(rule);
+    for (const rules::MdClause& c : row.matcher->md().premise()) {
+      row.attrs.push_back(c.data_attr);
+    }
+    const size_t n = static_cast<size_t>(d_.size());
+    row.ids.assign(n * row.attrs.size(), 0);
+    row.lists.assign(n, nullptr);
+  }
+  const data::Tuple& tuple = d_.tuple(t);
+  const size_t width = row.attrs.size();
+  data::ValueId* ids = row.ids.data() + static_cast<size_t>(t) * width;
+  const std::vector<data::TupleId>*& list = row.lists[static_cast<size_t>(t)];
+  if (list != nullptr) {
+    size_t i = 0;
+    while (i < width && ids[i] == tuple.value(row.attrs[i]).id()) ++i;
+    if (i == width) return *list;
+  }
+  bool resident = false;
+  const std::vector<data::TupleId>& matches =
+      row.matcher->Matches(tuple, &resident);
+  list = resident ? &matches : nullptr;
+  for (size_t i = 0; i < width; ++i) ids[i] = tuple.value(row.attrs[i]).id();
+  return matches;
+}
+
+data::TupleId RunMatchTable::FindFirstMatch(rules::RuleId rule,
+                                            data::TupleId t) {
+  if (!env_.matcher_options().use_memos) {
+    // Nothing is resident to keep; the matcher stops at the first match.
+    return env_.matcher(rule)->FindFirstMatch(d_.tuple(t));
+  }
+  const std::vector<data::TupleId>& matches = Matches(rule, t);
+  return matches.empty() ? -1 : matches.front();
 }
 
 }  // namespace core

@@ -18,6 +18,19 @@
 // set of memos. A match list is a pure function of the premise projection,
 // so sharing cannot change a result.
 //
+// Within one run the phases do not probe the shared memos again for a
+// tuple whose premise has not changed: a core::RunMatchTable, which
+// uniclean::Session builds per pipeline run and hands to cRepair, eRepair
+// and hRepair, keeps per (distinct matcher, data tuple) the premise's value
+// ids at the last probe and the memo-resident list that probe returned, and
+// answers again while the tuple's ids are those ids. The list is a pure
+// function of those ids, and a memo entry is never erased, so the answer is
+// the one the memo would give. A list the matcher served from per-thread
+// scratch (memos off, or admission refused past the cap) is never kept: the
+// next probe of that tuple goes to the matcher again, as it did before the
+// table. The table is per run because a run's fixes keep rewriting premise
+// cells; across runs the shared memo already holds every list.
+//
 // Lifetime: the environment borrows `rules` and `master`; both must outlive
 // it and must not change while it lives — the indexes and memos are built
 // once over the master as it stood at construction.
@@ -68,8 +81,13 @@ class MatchEnvironment {
   /// premises. The returned matcher is owned by the environment and stays
   /// valid for the environment's lifetime.
   const MdMatcher* matcher(rules::RuleId rule) const {
-    const int slot = matcher_slot_[static_cast<size_t>(rule)];
+    const int slot = matcher_index(rule);
     return slot < 0 ? nullptr : matchers_[static_cast<size_t>(slot)].get();
+  }
+
+  /// The index of matcher(rule) in [0, num_matchers()), or -1 for a CFD.
+  int matcher_index(rules::RuleId rule) const {
+    return matcher_slot_[static_cast<size_t>(rule)];
   }
 
   /// Number of distinct matchers: one per distinct MD premise, so at most
@@ -106,6 +124,47 @@ class MatchEnvironment {
   std::vector<std::unique_ptr<MdMatcher>> matchers_;  // one per premise
   std::vector<int> matcher_slot_;  // by rule id: index into matchers_, or -1
   std::vector<rules::RuleId> owners_;  // by slot: lowest rule id of the group
+};
+
+/// The match lists one pipeline run has probed over one data relation (see
+/// the file comment): per (distinct matcher, tuple), the premise's value ids
+/// at the tuple's last probe and the memo-resident list it got back. Flat
+/// arrays, allocated per matcher on its first probe and freed with the run.
+/// Not thread-safe: one run, one thread.
+class RunMatchTable {
+ public:
+  /// An empty table for probing the tuples of `d` against `env`'s matchers.
+  /// Both must outlive the table, and `d` must keep its size; its values
+  /// may change freely.
+  RunMatchTable(const MatchEnvironment& env, const data::Relation& d);
+
+  RunMatchTable(const RunMatchTable&) = delete;
+  RunMatchTable& operator=(const RunMatchTable&) = delete;
+
+  const MatchEnvironment& env() const { return env_; }
+  const data::Relation& relation() const { return d_; }
+
+  /// env().matcher(rule)->Matches(relation().tuple(t)) for an MD rule,
+  /// answered from the table while t's premise ids are unchanged.
+  const std::vector<data::TupleId>& Matches(rules::RuleId rule,
+                                            data::TupleId t);
+
+  /// env().matcher(rule)->FindFirstMatch(relation().tuple(t)).
+  data::TupleId FindFirstMatch(rules::RuleId rule, data::TupleId t);
+
+ private:
+  /// One distinct matcher's probes.
+  struct Row {
+    const MdMatcher* matcher = nullptr;  // null until the first probe
+    std::vector<data::AttributeId> attrs;  // the premise's data attributes
+    std::vector<data::ValueId> ids;        // per tuple: attrs.size() ids
+    // Per tuple: the memo-resident list of its last probe, or null.
+    std::vector<const std::vector<data::TupleId>*> lists;
+  };
+
+  const MatchEnvironment& env_;
+  const data::Relation& d_;
+  std::vector<Row> rows_;  // by matcher index
 };
 
 }  // namespace core

@@ -194,8 +194,9 @@ const std::vector<data::TupleId>& MdMatcher::Candidates(
   return all_masters_;
 }
 
-const std::vector<data::TupleId>& MdMatcher::Matches(
-    const data::Tuple& t) const {
+const std::vector<data::TupleId>& MdMatcher::Matches(const data::Tuple& t,
+                                                    bool* resident) const {
+  if (resident != nullptr) *resident = false;
   // ScratchFor is resolved only on the paths that hand scratch out — the
   // dominant memo-hit path must not pay its map lookup.
   if (!options_.use_memos) {
@@ -212,7 +213,10 @@ const std::vector<data::TupleId>& MdMatcher::Matches(
   for (const rules::MdClause& c : md_.premise()) {
     key.Append(t.value(c.data_attr).id());
   }
-  if (const auto* hit = match_cache_.Find(key)) return *hit;
+  if (const auto* hit = match_cache_.Find(key)) {
+    if (resident != nullptr) *resident = true;
+    return *hit;
+  }
   // Compute outside any shard lock; a concurrent probe of the same
   // projection recomputes the identical list and the insert below keeps
   // whichever landed first.
@@ -220,8 +224,9 @@ const std::vector<data::TupleId>& MdMatcher::Matches(
   for (data::TupleId s : Candidates(t)) {
     if (md_.PremiseHolds(t, dm_.tuple(s))) matches.push_back(s);
   }
-  if (const auto* resident = match_cache_.Insert(key, std::move(matches))) {
-    return *resident;
+  if (const auto* admitted = match_cache_.Insert(key, std::move(matches))) {
+    if (resident != nullptr) *resident = true;
+    return *admitted;
   }
   // Admission refused past the cap. `matches` was not consumed (Insert only
   // moves on success); hand it out via per-(thread, matcher) scratch.

@@ -81,9 +81,12 @@ class MdMatcher {
   /// except with use_memos = false or past the memo capacity cap, where it
   /// points at per-(thread, matcher) scratch overwritten by the calling
   /// thread's next probe of *this* matcher, whichever rule it was fetched
-  /// for (probing other matchers leaves it intact). Safe to call from any
-  /// number of threads concurrently.
-  const std::vector<data::TupleId>& Matches(const data::Tuple& t) const;
+  /// for (probing other matchers leaves it intact). When `resident` is
+  /// given, *resident says whether the list lives in the memo, and so stays
+  /// valid, rather than in scratch. Safe to call from any number of threads
+  /// concurrently.
+  const std::vector<data::TupleId>& Matches(const data::Tuple& t,
+                                            bool* resident = nullptr) const;
 
   /// First matching master tuple id, or -1.
   data::TupleId FindFirstMatch(const data::Tuple& t) const;

@@ -47,10 +47,20 @@ uint32_t VcfdGroups::OpenRule(rules::RuleId rule) {
     r.prev.assign(n, -1);
     r.keys = GroupKeyTable(r.lhs.size());
   }
-  const uint32_t since = r.opened_at;
-  r.opened_at = ++clock_;
   open_ = &r;
   current_ = -1;
+  return Restamp(r);
+}
+
+uint32_t VcfdGroups::BeginScan(rules::RuleId rule) {
+  UC_CHECK(open_ == nullptr);
+  UC_CHECK(rules_.kind(rule) == rules::RuleKind::kConstantCfd);
+  return Restamp(by_rule_[static_cast<size_t>(rule)]);
+}
+
+uint32_t VcfdGroups::Restamp(RuleGroups& r) {
+  const uint32_t since = r.opened_at;
+  r.opened_at = ++clock_;
   return since;
 }
 

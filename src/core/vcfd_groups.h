@@ -16,6 +16,13 @@
 // count the same again: the engines add each clean group's last counter
 // contribution (its Tally) instead.
 //
+// The index also keeps the run's touch clock, which the other rules read
+// too: an MD resolution re-probes only the tuples touched in this pass or
+// the previous one, and a constant-CFD scan (BeginScan) re-examines only the
+// tuples touched since the rule's previous scan began. A constant-CFD
+// violation depends on its own tuple alone, so an untouched tuple would
+// come out of the scan as it did last time.
+//
 // Everything is flat arrays over tuple ids and dense group ids, freed with
 // the run: a GroupKeyTable from LHS key to group id, and intrusive doubly
 // linked member lists.
@@ -69,7 +76,17 @@ class VcfdGroups {
 
   /// Whether `t` was touched in this pass or the previous one.
   bool TouchedSincePreviousPass(data::TupleId t) const {
-    return touched_at_[static_cast<size_t>(t)] >= previous_pass_start_;
+    return TouchedSince(t, previous_pass_start_);
+  }
+
+  /// Starts a scan of constant CFD `rule` and returns the clock at the
+  /// start of its previous scan (0 before the first, when every tuple is
+  /// TouchedSince it). No resolution may be open.
+  uint32_t BeginScan(rules::RuleId rule);
+
+  /// Whether `t` was touched at or after clock `since`.
+  bool TouchedSince(data::TupleId t, uint32_t since) const {
+    return touched_at_[static_cast<size_t>(t)] >= since;
   }
 
   /// Opens a resolution of vCFD `rule`: builds its groups on the first
@@ -81,7 +98,7 @@ class VcfdGroups {
   void Open(rules::RuleId rule, const SlotOf& slot_of) {
     const uint32_t since = OpenRule(rule);
     for (data::TupleId t = 0; t < d_.size(); ++t) {
-      if (touched_at_[static_cast<size_t>(t)] < since) continue;
+      if (!TouchedSince(t, since)) continue;
       Refile(t, d_.live(t) ? slot_of(t) : Slot::kNone);
     }
     QueueVisited();
@@ -130,7 +147,9 @@ class VcfdGroups {
   /// One vCFD's groups.
   struct RuleGroups {
     std::vector<data::AttributeId> lhs;
-    uint32_t opened_at = 0;  // clock at the last Open; 0 before the first
+    // Clock at the last Open (BeginScan for a constant CFD, which uses no
+    // other field); 0 before the first.
+    uint32_t opened_at = 0;
     // Per tuple.
     std::vector<GroupId> group_of;  // -1: in no group
     std::vector<Slot> slot;
@@ -149,6 +168,8 @@ class VcfdGroups {
   /// Starts resolution bookkeeping for `rule` and returns the clock value
   /// at its previous Open (0 on the first: every tuple is filed).
   uint32_t OpenRule(rules::RuleId rule);
+  /// Ticks the clock into `r.opened_at` and returns the value it replaced.
+  uint32_t Restamp(RuleGroups& r);
   void Refile(data::TupleId t, Slot slot);
   void QueueVisited();
   /// Lists `g` in visited() unless it already is.

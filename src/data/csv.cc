@@ -20,11 +20,11 @@ namespace {
 
 constexpr char kDelimiter = ',';
 
-bool NeedsQuoting(const std::string& s) {
-  return s.find(kDelimiter) != std::string::npos ||
-         s.find('"') != std::string::npos ||
-         s.find('\n') != std::string::npos ||
-         s.find('\r') != std::string::npos;
+bool NeedsQuoting(std::string_view s) {
+  return s.find(kDelimiter) != std::string_view::npos ||
+         s.find('"') != std::string_view::npos ||
+         s.find('\n') != std::string_view::npos ||
+         s.find('\r') != std::string_view::npos;
 }
 
 /// How the shared scanner classified one step of input.
@@ -319,15 +319,23 @@ void WriteHeader(std::ostream& out, const Schema& schema) {
 
 }  // namespace
 
-std::string CsvQuote(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
+std::string CsvQuote(std::string_view field) {
+  std::string out;
+  AppendCsvQuoted(&out, field);
   return out;
+}
+
+void AppendCsvQuoted(std::string* out, std::string_view field) {
+  if (!NeedsQuoting(field)) {
+    out->append(field);
+    return;
+  }
+  out->push_back('"');
+  for (char c : field) {
+    if (c == '"') out->push_back('"');
+    out->push_back(c);
+  }
+  out->push_back('"');
 }
 
 Result<Relation> ReadCsv(std::istream& in, SchemaPtr schema) {

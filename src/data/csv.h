@@ -38,7 +38,10 @@ inline constexpr std::string_view kNullToken = "\\N";
 /// quotes) when it contains a comma, a quote, a newline, or a carriage
 /// return; returns it unchanged otherwise. Exposed so other CSV emitters
 /// (e.g. the FixJournal) quote identically to WriteCsv.
-std::string CsvQuote(const std::string& field);
+std::string CsvQuote(std::string_view field);
+
+/// Appends CsvQuote(field) to `*out` without a temporary string.
+void AppendCsvQuoted(std::string* out, std::string_view field);
 
 /// Parses a relation with the given schema from a stream. The first record
 /// is the header row, validated against the schema.

@@ -92,6 +92,13 @@ class Relation {
   /// Appends a tuple; returns its id. The tuple arity must match the schema.
   TupleId AddTuple(Tuple tuple);
 
+  /// Makes room for `n` tuples, so appending up to that many moves no
+  /// tuple and leaves no slack past `n`.
+  void Reserve(int n) {
+    tuples_.reserve(static_cast<size_t>(n));
+    if (!dead_.empty()) dead_.reserve(static_cast<size_t>(n));
+  }
+
   /// Appends a tuple built from string values with a uniform confidence.
   TupleId AddRow(const std::vector<std::string>& values,
                  double confidence = 0.0);

@@ -696,10 +696,8 @@ Status Daemon::HandleClean(Work& work) {
   session->session.set_cancel_token(nullptr);
   if (!result.ok()) return result.status();
 
-  std::ostringstream journal_csv;
-  UC_RETURN_IF_ERROR(result->journal.WriteCsv(journal_csv));
   UC_RETURN_IF_ERROR(
-      StreamChunks(work, Op::kJournalChunk, journal_csv.str()));
+      StreamChunks(work, Op::kJournalChunk, result->journal.ToCsv()));
   if ((flags & kCleanWantData) != 0) {
     std::ostringstream data_out;
     UC_RETURN_IF_ERROR(data::WriteCsv(data_out, *session->relation));
@@ -799,11 +797,8 @@ Status Daemon::HandleDelta(Work& work) {
 
   // The canonical journal is the covering, batch-equivalent view — what the
   // CLI writes after --delta, and the byte-identity anchor for clients.
-  std::ostringstream journal_csv;
-  UC_RETURN_IF_ERROR(
-      session->session.CanonicalJournal().WriteCsv(journal_csv));
-  UC_RETURN_IF_ERROR(
-      StreamChunks(work, Op::kJournalChunk, journal_csv.str()));
+  UC_RETURN_IF_ERROR(StreamChunks(work, Op::kJournalChunk,
+                                  session->session.CanonicalJournal().ToCsv()));
 
   std::string inserted_ids;
   for (data::TupleId t : dr->inserted_ids) {

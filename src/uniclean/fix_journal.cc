@@ -1,8 +1,9 @@
 #include "uniclean/fix_journal.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <map>
+#include <numeric>
 #include <ostream>
 #include <utility>
 
@@ -12,9 +13,13 @@ namespace uniclean {
 
 namespace {
 
-/// Renders a value the way data/csv.cc's writer does.
-std::string CsvValue(const data::Value& v) {
-  return v.is_null() ? std::string(data::kNullToken) : data::CsvQuote(v.str());
+/// Appends a value the way data/csv.cc's writer renders it.
+void AppendCsvValue(std::string* out, const data::Value& v) {
+  if (v.is_null()) {
+    out->append(data::kNullToken);
+  } else {
+    data::AppendCsvQuoted(out, v.view());
+  }
 }
 
 template <typename WriteFn>
@@ -42,33 +47,35 @@ FixJournal FixJournal::Canonicalized() const {
   // writer. Cells whose chain nets to no change drop out: the canonical
   // journal is the set of repairs the journal stands behind, not the
   // derivation trace (two runs that reach the same repairs through
-  // different intermediate rewrites must canonicalize identically).
+  // different intermediate rewrites must canonicalize identically). A
+  // stable sort of entry indices by (tuple, attribute) lines each cell's
+  // chain up in append order, and the cells in output order.
+  std::vector<size_t> order(entries_.size());
+  std::iota(order.begin(), order.end(), 0);
+  const auto cell_less = [this](size_t a, size_t b) {
+    const FixEntry& x = entries_[a];
+    const FixEntry& y = entries_[b];
+    if (x.tuple != y.tuple) return x.tuple < y.tuple;
+    return x.attribute < y.attribute;
+  };
+  std::stable_sort(order.begin(), order.end(), cell_less);
   FixJournal canonical;
-  std::map<std::pair<data::TupleId, std::string>, size_t> cell_entry;
-  for (const FixEntry& e : entries_) {
-    auto [it, inserted] =
-        cell_entry.try_emplace({e.tuple, e.attribute}, canonical.size());
-    if (inserted) {
-      canonical.entries_.push_back(e);
-    } else {
-      FixEntry& net = canonical.entries_[it->second];
-      net.new_value = e.new_value;
-      net.phase = e.phase;
-      net.rule = e.rule;
+  canonical.entries_.reserve(order.size());
+  for (size_t i = 0; i < order.size();) {
+    size_t end = i + 1;
+    while (end < order.size() && !cell_less(order[i], order[end])) ++end;
+    const FixEntry& first = entries_[order[i]];
+    const FixEntry& last = entries_[order[end - 1]];
+    i = end;
+    if (first.old_value == last.new_value ||
+        (first.old_value.is_null() && last.new_value.is_null())) {
+      continue;
     }
+    canonical.entries_.push_back(FixEntry{first.tuple, first.attr,
+                                          first.attribute, first.old_value,
+                                          last.new_value, last.phase,
+                                          last.rule});
   }
-  canonical.entries_.erase(
-      std::remove_if(canonical.entries_.begin(), canonical.entries_.end(),
-                     [](const FixEntry& e) {
-                       return e.old_value == e.new_value ||
-                              (e.old_value.is_null() && e.new_value.is_null());
-                     }),
-      canonical.entries_.end());
-  std::stable_sort(canonical.entries_.begin(), canonical.entries_.end(),
-                   [](const FixEntry& a, const FixEntry& b) {
-                     if (a.tuple != b.tuple) return a.tuple < b.tuple;
-                     return a.attribute < b.attribute;
-                   });
   return canonical;
 }
 
@@ -77,11 +84,11 @@ std::string FixJournal::CanonicalFixSetCsv() const {
   for (const FixEntry& e : Canonicalized().entries_) {
     out += std::to_string(e.tuple);
     out += ',';
-    out += data::CsvQuote(e.attribute);
+    data::AppendCsvQuoted(&out, e.attribute);
     out += ',';
-    out += CsvValue(e.old_value);
+    AppendCsvValue(&out, e.old_value);
     out += ',';
-    out += CsvValue(e.new_value);
+    AppendCsvValue(&out, e.new_value);
     out += '\n';
   }
   return out;
@@ -115,13 +122,40 @@ Status FixJournal::WriteText(std::ostream& out) const {
   return Status::OK();
 }
 
-Status FixJournal::WriteCsv(std::ostream& out) const {
-  out << "tuple,attribute,old,new,phase,rule\n";
+std::string FixJournal::ToCsv() const {
+  static constexpr std::string_view kHeader =
+      "tuple,attribute,old,new,phase,rule\n";
+  // Every field but the tuple id, plus a null token, five commas, the id's
+  // digits and a newline; quoting past that grows the string.
+  size_t bytes = kHeader.size();
   for (const FixEntry& e : entries_) {
-    out << e.tuple << ',' << data::CsvQuote(e.attribute) << ','
-        << CsvValue(e.old_value) << ',' << CsvValue(e.new_value) << ','
-        << data::CsvQuote(e.phase) << ',' << data::CsvQuote(e.rule) << '\n';
+    bytes += e.attribute.size() + e.old_value.size() + e.new_value.size() +
+             e.phase.size() + e.rule.size() + 20;
   }
+  std::string out;
+  out.reserve(bytes);
+  out += kHeader;
+  char digits[16];
+  for (const FixEntry& e : entries_) {
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof(digits), e.tuple).ptr);
+    out += ',';
+    data::AppendCsvQuoted(&out, e.attribute);
+    out += ',';
+    AppendCsvValue(&out, e.old_value);
+    out += ',';
+    AppendCsvValue(&out, e.new_value);
+    out += ',';
+    data::AppendCsvQuoted(&out, e.phase);
+    out += ',';
+    data::AppendCsvQuoted(&out, e.rule);
+    out += '\n';
+  }
+  return out;
+}
+
+Status FixJournal::WriteCsv(std::ostream& out) const {
+  out << ToCsv();
   if (!out.good()) return Status::Internal("fix journal write failed");
   return Status::OK();
 }

@@ -9,7 +9,6 @@
 #ifndef UNICLEAN_UNICLEAN_FIX_JOURNAL_H_
 #define UNICLEAN_UNICLEAN_FIX_JOURNAL_H_
 
-#include <algorithm>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -39,13 +38,6 @@ struct FixEntry {
 class FixJournal {
  public:
   void Append(FixEntry entry) { entries_.push_back(std::move(entry)); }
-
-  /// Drops every entry `pred` holds for, keeping the rest in order.
-  template <typename Pred>
-  void RemoveIf(Pred pred) {
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(), pred),
-                   entries_.end());
-  }
 
   const std::vector<FixEntry>& entries() const { return entries_; }
   size_t size() const { return entries_.size(); }
@@ -87,6 +79,9 @@ class FixJournal {
   /// newlines are quoted, so data/csv.h's reader reads the 6-column form
   /// back over a schema of those six names (a value whose *text* is the
   /// null token `\N` reads back as null, as in any relation CSV).
+  /// Rendered into one string reserved up front.
+  std::string ToCsv() const;
+  /// Writes ToCsv() to `out`.
   Status WriteCsv(std::ostream& out) const;
   Status WriteCsvFile(const std::string& path) const;
 

@@ -9,6 +9,7 @@
 #include "core/crepair.h"
 #include "core/erepair.h"
 #include "core/hrepair.h"
+#include "core/match_environment.h"
 #include "uniclean/detail.h"
 #include "uniclean/engine.h"
 
@@ -55,10 +56,12 @@ std::vector<std::pair<data::TupleId, data::TupleId>> DistinctMatches(
 
 /// Runs one phase's core engine over `data`, journaling every fix, and
 /// reports its fixes, distinct matches and counters. An interrupted engine
-/// (cancelled, expired) returns its interrupt status.
+/// (cancelled, expired) returns its interrupt status. `matches` is the
+/// run's match table over `data`, shared by every phase of the run.
 Result<PhaseStats> RunPhase(Phase phase, data::Relation* data,
                             const CleanEngine& engine, FixJournal* journal,
-                            const common::CancelToken* cancel) {
+                            const common::CancelToken* cancel,
+                            core::RunMatchTable* matches) {
   const core::MatchEnvironment& env = engine.environment();
   const PipelineConfig& config = engine.config();
   core::FixObserver on_fix =
@@ -70,7 +73,7 @@ Result<PhaseStats> RunPhase(Phase phase, data::Relation* data,
       opts.eta = config.eta;
       opts.on_fix = std::move(on_fix);
       opts.cancel = cancel;
-      const core::CRepairStats stats = core::CRepair(data, env, opts);
+      const core::CRepairStats stats = core::CRepair(data, env, opts, matches);
       UC_RETURN_IF_ERROR(stats.interrupt);
       out.fixes = stats.deterministic_fixes;
       out.matches = DistinctMatches(stats.md_matches);
@@ -86,7 +89,7 @@ Result<PhaseStats> RunPhase(Phase phase, data::Relation* data,
       opts.eta = config.eta;
       opts.on_fix = std::move(on_fix);
       opts.cancel = cancel;
-      const core::ERepairStats stats = core::ERepair(data, env, opts);
+      const core::ERepairStats stats = core::ERepair(data, env, opts, matches);
       UC_RETURN_IF_ERROR(stats.interrupt);
       out.fixes = stats.reliable_fixes;
       out.matches = DistinctMatches(stats.md_matches);
@@ -100,7 +103,7 @@ Result<PhaseStats> RunPhase(Phase phase, data::Relation* data,
       core::HRepairOptions opts;
       opts.on_fix = std::move(on_fix);
       opts.cancel = cancel;
-      const core::HRepairStats stats = core::HRepair(data, env, opts);
+      const core::HRepairStats stats = core::HRepair(data, env, opts, matches);
       UC_RETURN_IF_ERROR(stats.interrupt);
       out.fixes = stats.possible_fixes;
       out.matches = DistinctMatches(stats.md_matches);
@@ -218,6 +221,7 @@ Result<std::vector<PhaseStats>> Session::ExecutePipeline(data::Relation* data,
                                                          FixJournal* journal) {
   const std::vector<Phase>& phases = engine_->phases();
   const common::CancelToken* cancel = cancel_.get();
+  core::RunMatchTable matches(engine_->environment(), *data);
   std::vector<PhaseStats> executed;
   const int total = static_cast<int>(phases.size());
   executed.reserve(static_cast<size_t>(total));
@@ -233,7 +237,8 @@ Result<std::vector<PhaseStats>> Session::ExecutePipeline(data::Relation* data,
       event.data = data;
       progress_(event);
     }
-    Result<PhaseStats> stats = RunPhase(phase, data, *engine_, journal, cancel);
+    Result<PhaseStats> stats =
+        RunPhase(phase, data, *engine_, journal, cancel, &matches);
     if (!stats.ok()) {
       return internal::Annotate(
           stats.status(), "phase '" + std::string(PhaseName(phase)) + "': ");
@@ -316,6 +321,9 @@ Result<DeltaResult> Session::ApplyDelta(const Delta& delta) {
   // batch run over the edited relation. Nothing is committed until it
   // succeeds.
   data::Relation rerun = pristine_->Clone();
+  // The copy becomes the tracked relation: sized exactly, with no slack
+  // from growing by the inserts.
+  rerun.Reserve(rerun.size() + static_cast<int>(delta.inserts.size()));
   UC_ASSIGN_OR_RETURN(result.inserted_ids, ApplyEdits(delta, &rerun));
   FixJournal journal;
   Result<std::vector<PhaseStats>> phases = ExecutePipeline(&rerun, &journal);

@@ -4,6 +4,7 @@
 // sequence.
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/cancellation.h"
+#include "common/rng.h"
 #include "core/crepair.h"
 #include "core/erepair.h"
 #include "core/hrepair.h"
@@ -745,6 +747,111 @@ TEST(FixJournalTest, ReadCsvRejectsMalformedInput) {
   EXPECT_EQ(read(text.substr(text.find('\n') + 1), schema).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(read("", schema).status().code(), StatusCode::kInvalidArgument);
+}
+
+// The journal's canonicalization and CSV rendering, checked against the
+// algorithm they replaced, kept here as the oracle: a map from (tuple,
+// attribute name) to each cell's first entry, a stable sort of the net
+// entries, and a stream writer. Seeded journals repeat cells, churn them
+// back to their first value, write nulls and need CSV quoting.
+FixJournal OracleCanonicalized(const FixJournal& journal) {
+  std::vector<FixEntry> net;
+  std::map<std::pair<data::TupleId, std::string>, size_t> cell_entry;
+  for (const FixEntry& e : journal.entries()) {
+    auto [it, inserted] = cell_entry.try_emplace({e.tuple, e.attribute},
+                                                 net.size());
+    if (inserted) {
+      net.push_back(e);
+    } else {
+      net[it->second].new_value = e.new_value;
+      net[it->second].phase = e.phase;
+      net[it->second].rule = e.rule;
+    }
+  }
+  net.erase(std::remove_if(net.begin(), net.end(),
+                           [](const FixEntry& e) {
+                             return e.old_value == e.new_value ||
+                                    (e.old_value.is_null() &&
+                                     e.new_value.is_null());
+                           }),
+            net.end());
+  std::stable_sort(net.begin(), net.end(),
+                   [](const FixEntry& a, const FixEntry& b) {
+                     if (a.tuple != b.tuple) return a.tuple < b.tuple;
+                     return a.attribute < b.attribute;
+                   });
+  FixJournal canonical;
+  for (FixEntry& e : net) canonical.Append(std::move(e));
+  return canonical;
+}
+
+std::string OracleCsv(const FixJournal& journal) {
+  const auto value = [](const Value& v) {
+    return v.is_null() ? std::string(data::kNullToken) : data::CsvQuote(v.str());
+  };
+  std::ostringstream out;
+  out << "tuple,attribute,old,new,phase,rule\n";
+  for (const FixEntry& e : journal.entries()) {
+    out << e.tuple << ',' << data::CsvQuote(e.attribute) << ','
+        << value(e.old_value) << ',' << value(e.new_value) << ','
+        << data::CsvQuote(e.phase) << ',' << data::CsvQuote(e.rule) << '\n';
+  }
+  return out.str();
+}
+
+TEST(FixJournalTest, CanonicalizedAndCsvMatchTheOracleOnSeededJournals) {
+  const std::vector<std::string> attributes = {"zip", "city", "a,b", "q\"x",
+                                               "name"};
+  const std::vector<Value> values = {
+      Value("Edi"),      Value("Ldn"),         Value("x,y"),
+      Value("he said \"hi\""), Value("line1\nline2"), Value(""),
+      Value::Null()};
+  const std::vector<std::string> phases = {"cRepair", "eRepair", "hRepair"};
+  const std::vector<std::string> rule_names = {"phi1", "md,2", "", "r\"3"};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    FixJournal journal;
+    // Per cell, the value its last entry wrote: later entries chain from
+    // it, as a pipeline's do, and often return to an earlier value.
+    std::map<std::pair<data::TupleId, size_t>, Value> current;
+    const int n = static_cast<int>(rng.Uniform(0, 120));
+    for (int i = 0; i < n; ++i) {
+      FixEntry e;
+      e.tuple = static_cast<data::TupleId>(rng.Uniform(0, 9));
+      const size_t a = rng.Index(attributes.size());
+      e.attr = static_cast<data::AttributeId>(a);
+      e.attribute = attributes[a];
+      auto it = current
+                    .try_emplace({e.tuple, a},
+                                 values[rng.Index(values.size())])
+                    .first;
+      e.old_value = it->second;
+      e.new_value = values[rng.Index(values.size())];
+      it->second = e.new_value;
+      e.phase = phases[rng.Index(phases.size())];
+      e.rule = rule_names[rng.Index(rule_names.size())];
+      journal.Append(std::move(e));
+    }
+    const FixJournal canonical = journal.Canonicalized();
+    const FixJournal oracle = OracleCanonicalized(journal);
+    ASSERT_EQ(canonical.size(), oracle.size()) << "seed " << seed;
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      const FixEntry& got = canonical.entries()[i];
+      const FixEntry& want = oracle.entries()[i];
+      EXPECT_EQ(got.tuple, want.tuple) << "seed " << seed << " entry " << i;
+      EXPECT_EQ(got.attr, want.attr) << "seed " << seed << " entry " << i;
+      EXPECT_EQ(got.attribute, want.attribute) << "seed " << seed;
+      EXPECT_EQ(got.old_value, want.old_value) << "seed " << seed;
+      EXPECT_EQ(got.new_value, want.new_value) << "seed " << seed;
+      EXPECT_EQ(got.phase, want.phase) << "seed " << seed;
+      EXPECT_EQ(got.rule, want.rule) << "seed " << seed;
+    }
+    EXPECT_EQ(journal.ToCsv(), OracleCsv(journal)) << "seed " << seed;
+    EXPECT_EQ(canonical.ToCsv(), OracleCsv(oracle)) << "seed " << seed;
+    std::ostringstream written;
+    ASSERT_TRUE(canonical.WriteCsv(written).ok());
+    EXPECT_EQ(written.str(), OracleCsv(oracle)) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include "common/rng.h"
 #include "data/csv.h"
 #include "gen/dataset.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -806,9 +807,9 @@ struct ClusterWorld {
   }
 
   void Init() {
-    char tmpl[] = "/tmp/uniclean_cluster_test.XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    dir = tmpl;
+    // The world lives until the process exits, and so does its directory.
+    static const testing::ScratchDir scratch("uniclean_cluster_test");
+    dir = scratch.path();
 
     gen::GeneratorConfig config;
     config.num_tuples = 100;

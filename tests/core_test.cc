@@ -12,6 +12,7 @@
 #include "data/relation.h"
 #include "data/schema.h"
 #include "paper_example.h"
+#include "reasoning/dependency_graph.h"
 #include "rules/parser.h"
 #include "rules/violation.h"
 #include "uniclean/engine.h"
@@ -416,6 +417,31 @@ TEST(ERepairTest, GroupResolvesOnceAnotherRulesFixLowersItsEntropy) {
   EXPECT_EQ(stats.reliable_fixes, 2);
   EXPECT_EQ(stats.groups_skipped_high_entropy, 1);
   EXPECT_EQ(stats.groups_resolved, 1);
+  EXPECT_EQ(stats.passes, 3);
+}
+
+TEST(ERepairTest, ConstantCfdResolvesATupleALaterRuleMadeViolate) {
+  // c and k feed each other, so the §6.2 order keeps them in one component
+  // and applies c, the lower id, first. In pass 1 c fixes t1 but passes t0
+  // by (A is '0'); k then writes t0[A] = '1'. In pass 2 c must examine t0
+  // again, since it was fixed after c's previous scan began.
+  auto schema = MakeSchema("R", {"A", "B"});
+  auto master = MakeSchema("m", {"X"});
+  auto rs = MakeRules("CFD c: A='1' -> B='x'\nCFD k: B='y' -> A='1'\n",
+                      schema, master);
+  const std::vector<rules::RuleId> order =
+      reasoning::DependencyGraph(rs).ApplicationOrder();
+  ASSERT_EQ(order.size(), 2u);
+  ASSERT_EQ(rs.rule_name(order[0]), "c");
+  Relation d(schema);
+  d.AddRow({"0", "y"});
+  d.AddRow({"1", "y"});
+  Relation dm(master);
+  ERepairStats stats = TestERepair(&d, dm, rs, {});
+  EXPECT_EQ(d.tuple(0).value(0), Value("1"));
+  EXPECT_EQ(d.tuple(0).value(1), Value("x"));
+  EXPECT_EQ(d.tuple(1).value(1), Value("x"));
+  EXPECT_EQ(stats.reliable_fixes, 3);
   EXPECT_EQ(stats.passes, 3);
 }
 

@@ -330,10 +330,11 @@ TEST_P(DeltaCrossoverTest, FreshInsertStaysIncremental) {
   EXPECT_EQ(dr->affected, incremental.live_size());
   EXPECT_EQ(dr->refinement_rounds, 1);
 
-  FixJournal others = session.CanonicalJournal();
-  others.RemoveIf([&](const FixEntry& entry) {
-    return entry.tuple == dr->inserted_ids[0];
-  });
+  const FixJournal canonical = session.CanonicalJournal();
+  FixJournal others;
+  for (const FixEntry& entry : canonical.entries()) {
+    if (entry.tuple != dr->inserted_ids[0]) others.Append(entry);
+  }
   EXPECT_EQ(CanonicalCsv(others), before);
 
   data::Relation batch = ds.dirty.Clone();

@@ -2,7 +2,10 @@
 // (unfixed -> constant -> null), frozen classes, and merge semantics.
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +157,47 @@ TEST(EquivalenceTest, FindUsesPathCompressionConsistently) {
   }
   EXPECT_EQ(eq.num_classes(), 1);
   EXPECT_EQ(eq.Members(root).size(), 8u);
+}
+
+TEST(EquivalenceTest, MembersKeepTheOrderOfAVectorPerClass) {
+  // The reference keeps one vector per class, as the classes once did: a
+  // merge appends the child root's vector to the surviving root's.
+  // hRepair's cost sums run in Members() order, so it must match.
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const int tuples = 12;
+    const int arity = 3;
+    EquivalenceClasses eq(tuples, arity);
+    std::map<CellId, std::vector<CellId>> reference;
+    for (CellId c = 0; c < tuples * arity; ++c) reference[c] = {c};
+    for (int op = 0; op < 50; ++op) {
+      const CellId a = eq.Cell(static_cast<int>(rng.Index(tuples)),
+                               static_cast<int>(rng.Index(arity)));
+      const CellId b = eq.Cell(static_cast<int>(rng.Index(tuples)),
+                               static_cast<int>(rng.Index(arity)));
+      if (rng.Bernoulli(0.1)) eq.Freeze(a, Value("f"));
+      if (rng.Bernoulli(0.1)) eq.SetNull(b);
+      const CellId ra = eq.Find(a);
+      const CellId rb = eq.Find(b);
+      if (!eq.Merge(a, b, Value("v" + std::to_string(op))) || ra == rb) {
+        continue;
+      }
+      const CellId root = eq.Find(a);
+      const CellId child = root == ra ? rb : ra;
+      std::vector<CellId>& kept = reference[root];
+      kept.insert(kept.end(), reference[child].begin(),
+                  reference[child].end());
+      reference.erase(child);
+    }
+    ASSERT_EQ(static_cast<int>(reference.size()), eq.num_classes());
+    for (const auto& [root, expected] : reference) {
+      ASSERT_EQ(eq.Find(root), root) << "seed " << seed;
+      std::vector<CellId> members;
+      for (CellId member : eq.Members(root)) members.push_back(member);
+      EXPECT_EQ(members, expected) << "seed " << seed << " root " << root;
+      EXPECT_EQ(eq.Members(root).size(), expected.size());
+    }
+  }
 }
 
 }  // namespace

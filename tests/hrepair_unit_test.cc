@@ -218,6 +218,32 @@ TEST(HRepairPasses, FrozenConflictCountsAnAnomalyOnEveryPass) {
   EXPECT_EQ(d.tuple(2).value(5), Value("4"));
 }
 
+TEST(HRepairPasses, FrozenConstantCfdConflictCountsAnAnomalyOnEveryPass) {
+  // t0 violates c, and both its cells in c are deterministic fixes: the
+  // RHS cannot take the constant and the LHS cannot be nulled. Nothing
+  // touches t0 again, so later scans of c skip it and must count its
+  // anomaly once per pass all the same. The chain k3 -> k2 -> k1 on t1,
+  // listed against hRepair's rule order, keeps the run going for 4 passes.
+  SchemaPtr schema = MakeSchema("r", {"A", "B", "C", "D", "E", "F"});
+  SchemaPtr master = MakeSchema("m", {"X"});
+  auto rs = MakeRules(
+      "CFD c: A='1' -> B='x'\nCFD k1: E='3' -> F='4'\n"
+      "CFD k2: D='2' -> E='3'\nCFD k3: C='1' -> D='2'\n",
+      schema, master);
+  Relation d(schema);
+  AddRow(&d, {"1", "y", "0", "0", "0", "0"}, {0, 0, 0, 0, 0, 0});
+  AddRow(&d, {"0", "z", "1", "0", "0", "0"}, {0, 0, 1, 0, 0, 0});
+  d.mutable_tuple(0).set_mark(0, FixMark::kDeterministic);
+  d.mutable_tuple(0).set_mark(1, FixMark::kDeterministic);
+  Relation dm(master);
+  HRepairStats stats = TestHRepair(&d, dm, rs, {});
+  EXPECT_EQ(stats.passes, 4);
+  EXPECT_EQ(stats.anomalies, 4);  // once per pass
+  EXPECT_EQ(d.tuple(0).value(0), Value("1"));
+  EXPECT_EQ(d.tuple(0).value(1), Value("y"));
+  EXPECT_EQ(d.tuple(1).value(5), Value("4"));
+}
+
 TEST(HRepairPasses, NullIsEnrichedOnceItsGroupConvergesInALaterPass) {
   // Pass 1 breaks the t0/t1 conflict by nulling t1[A] (free) rather than
   // merging the expensive B cells. Enrichment in that call still sees t1's
@@ -267,6 +293,25 @@ TEST(HRepairPasses, MergeRewritesAMemberOfALaterGroupInTheSameCall) {
   for (data::TupleId t = 0; t < d.size(); ++t) {
     EXPECT_EQ(d.tuple(t).value(1), Value("w")) << "tuple " << t;
   }
+}
+
+TEST(HRepairPasses, AnMdReprobesATupleWhosePremiseAnotherMdRewrote) {
+  // m2 (rule 0) probes t0 in pass 1 while its B is still 'junk' and finds
+  // no match; m1 then writes the master's B. In pass 2 m2 must probe t0
+  // again with the new B, match the master and write C.
+  SchemaPtr schema = MakeSchema("r", {"A", "B", "C"});
+  SchemaPtr master = MakeSchema("m", {"X", "Y", "Z"});
+  auto rs = MakeRules("MD m2: B=Y -> C:=Z\nMD m1: A=X -> B:=Y\n", schema,
+                      master);
+  Relation dm(master);
+  dm.AddRow({"k", "good", "zz"}, 1.0);
+  Relation d(schema);
+  AddRow(&d, {"k", "junk", "c"}, {0.0, 0.0, 0.0});
+  HRepairStats stats = TestHRepair(&d, dm, rs, {});
+  EXPECT_EQ(d.tuple(0).value(1), Value("good"));
+  EXPECT_EQ(d.tuple(0).value(2), Value("zz"));
+  EXPECT_EQ(stats.anomalies, 0);
+  EXPECT_EQ(rules::CountViolations(d, dm, rs), 0u);
 }
 
 }  // namespace

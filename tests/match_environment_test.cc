@@ -24,6 +24,7 @@
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
 #include "gen/dataset.h"
+#include "rules/parser.h"
 #include "uniclean/engine.h"
 
 namespace uniclean {
@@ -314,6 +315,84 @@ TEST(MatchEnvironmentTest, RunOnForeignRelationValidatesArguments) {
   wrong.AddRow({"1", "2"});
   auto mismatch = session.Run(&wrong);
   EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The run's match table keeps only lists that live in a memo, so capping the
+// memo or turning it off (both serve lists from per-thread scratch) changes
+// no journal. Each engine runs twice: the second run meets a full memo.
+TEST(MatchEnvironmentTest, MemoCapAndMemosOffLeaveTheJournalUnchanged) {
+  for (const char* name : {"HOSP", "DBLP", "TPCH"}) {
+    SCOPED_TRACE(name);
+    gen::Dataset ds = MakeDataset(name, 23);
+    core::MdMatcherOptions unbounded;
+    core::MdMatcherOptions capped;
+    capped.memo_capacity = 16;
+    core::MdMatcherOptions off;
+    off.use_memos = false;
+    std::vector<Outcome> outcomes;
+    for (const core::MdMatcherOptions& matcher : {unbounded, capped, off}) {
+      auto engine = EngineBuilder()
+                        .WithDataSchema(ds.dirty.schema_ptr())
+                        .WithMaster(&ds.master)
+                        .WithRules(&ds.rules)
+                        .WithMatcherOptions(matcher)
+                        .BuildEngine();
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      Session session = (*engine)->NewSession();
+      for (int run = 0; run < 2; ++run) {
+        data::Relation d = ds.dirty.Clone();
+        auto result = session.Run(&d);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        outcomes.push_back(Materialize(result->journal, d));
+      }
+    }
+    ASSERT_FALSE(outcomes[0].journal_csv.empty());
+    for (size_t i = 1; i < outcomes.size(); ++i) {
+      EXPECT_EQ(outcomes[i].journal_csv, outcomes[0].journal_csv)
+          << "outcome " << i;
+      EXPECT_EQ(outcomes[i].repaired, outcomes[0].repaired) << "outcome " << i;
+    }
+  }
+}
+
+// A tuple whose premise is unchanged is answered from the table, without a
+// memo lookup; once a premise cell is rewritten it is probed again.
+TEST(RunMatchTableTest, ARewrittenPremiseIsProbedAgain) {
+  data::SchemaPtr schema = data::MakeSchema("r", {"A", "B"});
+  data::SchemaPtr master_schema = data::MakeSchema("m", {"X", "Y"});
+  auto rules = rules::ParseRuleSet("MD m: A=X -> B:=Y\n", schema,
+                                   master_schema);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  data::Relation master(master_schema);
+  master.AddRow({"k1", "m1"});
+  master.AddRow({"k2", "m2"});
+  data::Relation d(schema);
+  d.AddRow({"k1", "b"});
+  core::MatchEnvironment env(*rules, master);
+  core::RunMatchTable table(env, d);
+  const rules::RuleId md = 0;
+  const auto lookups = [&env] {
+    const core::MemoStats stats = env.MemoStats();
+    return stats.hits + stats.misses;
+  };
+  using Matches = std::vector<data::TupleId>;
+
+  EXPECT_EQ(table.Matches(md, 0), Matches{0});
+  const uint64_t first = lookups();
+  EXPECT_EQ(table.Matches(md, 0), Matches{0});
+  EXPECT_EQ(table.FindFirstMatch(md, 0), 0);
+  d.mutable_tuple(0).set_value(1, data::Value("not in the premise"));
+  EXPECT_EQ(table.Matches(md, 0), Matches{0});
+  EXPECT_EQ(lookups(), first);
+
+  d.mutable_tuple(0).set_value(0, data::Value("k2"));
+  EXPECT_EQ(table.Matches(md, 0), Matches{1});
+  EXPECT_EQ(lookups(), first + 1);
+  d.mutable_tuple(0).set_value(0, data::Value("k1"));
+  EXPECT_EQ(table.FindFirstMatch(md, 0), 0);
+  EXPECT_EQ(lookups(), first + 2);
+  EXPECT_EQ(table.Matches(md, 0), Matches{0});
+  EXPECT_EQ(lookups(), first + 2);
 }
 
 }  // namespace

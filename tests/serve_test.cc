@@ -31,6 +31,7 @@
 
 #include "data/csv.h"
 #include "gen/dataset.h"
+#include "scratch_dir.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/wire.h"
@@ -73,9 +74,9 @@ struct ServeWorld {
   }
 
   void Init() {
-    char tmpl[] = "/tmp/uniclean_serve_test.XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    dir = tmpl;
+    // The world lives until the process exits, and so does its directory.
+    static const testing::ScratchDir scratch("uniclean_serve_test");
+    dir = scratch.path();
 
     gen::GeneratorConfig config;
     config.num_tuples = 120;
@@ -1492,15 +1493,10 @@ TEST(WireDeadlineTest, DeadlineFieldRoundTripsThroughAFrame) {
 // Snapshot warm starts
 // ---------------------------------------------------------------------------
 
-std::string MakeSnapshotDir() {
-  char tmpl[] = "/tmp/uniclean_serve_snap.XXXXXX";
-  EXPECT_NE(::mkdtemp(tmpl), nullptr);
-  return tmpl;
-}
-
 TEST(SnapshotServeTest, ColdStartWritesSnapshotAndRestartWarmStartsFromIt) {
   ServeWorld* w = ServeWorld::Get();
-  const std::string snap_dir = MakeSnapshotDir();
+  const testing::ScratchDir scratch("uniclean_serve_snap");
+  const std::string& snap_dir = scratch.path();
   const std::string snap_path = snap_dir + "/hosp.ucsnap";
   DaemonOptions options;
   options.n_workers = 1;
@@ -1535,7 +1531,8 @@ TEST(SnapshotServeTest, ColdStartWritesSnapshotAndRestartWarmStartsFromIt) {
 
 TEST(SnapshotServeTest, CorruptSnapshotFallsBackToColdBuildAndRewrites) {
   ServeWorld* w = ServeWorld::Get();
-  const std::string snap_dir = MakeSnapshotDir();
+  const testing::ScratchDir scratch("uniclean_serve_snap");
+  const std::string& snap_dir = scratch.path();
   const std::string snap_path = snap_dir + "/hosp.ucsnap";
   ASSERT_TRUE(snapshot::WriteSnapshot(*w->reference, snap_path).ok());
   {
@@ -1574,7 +1571,8 @@ TEST(SnapshotServeTest, CorruptSnapshotFallsBackToColdBuildAndRewrites) {
 }
 
 TEST(SnapshotServeTest, ReloadRewritesTheSnapshot) {
-  const std::string snap_dir = MakeSnapshotDir();
+  const testing::ScratchDir scratch("uniclean_serve_snap");
+  const std::string& snap_dir = scratch.path();
   const std::string snap_path = snap_dir + "/hosp.ucsnap";
   DaemonOptions options;
   options.n_workers = 1;
