@@ -532,8 +532,8 @@ void SnapshotPoint(const std::string& dataset, int num_tuples,
   record("serve_" + dataset + "_cold_start", "cold", cold_s, -1);
 
   // Warm start: FromSnapshot, same configuration (the load verifies the
-  // pool prefix, fingerprint and matcher options, restores every index and
-  // hands back a serving-ready engine).
+  // engine fingerprint, restores every index and hands back a
+  // serving-ready engine).
   double warm_s = 1e100;
   for (int i = 0; i < 7; ++i) {
     data::ScopedStringPool scoped;

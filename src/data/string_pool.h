@@ -10,6 +10,9 @@
 // interned ids stay valid (and keep resolving to the same characters) for as
 // long as the pool that produced them is installed. Ids are minted in
 // first-seen order, so the same interning sequence yields the same ids.
+// They are a per-process encoding: no repair decision reads an id's value
+// (tests/interning_parity_test.cc), and nothing written to disk holds one
+// (a snapshot's memo keys name their strings; src/snapshot/codec.h).
 //
 // Thread safety: the pool is safe for concurrent use.
 //  * Resolving an id (str/view/size) is lock-free: storage is a two-level
@@ -45,7 +48,6 @@
 #ifndef UNICLEAN_DATA_STRING_POOL_H_
 #define UNICLEAN_DATA_STRING_POOL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -121,22 +123,6 @@ struct StringPoolStats {
   size_t chunks = 0;
 };
 
-/// Content tag of a pool prefix: `count` interned strings whose *order-
-/// sensitive* content hash is `hash`. Two pools with equal generations
-/// resolve every id below `count` to identical characters — the contract
-/// snapshot files (src/snapshot/) rely on to keep interned ids stable
-/// across a process restart. Unlike CleanEngine::Fingerprint(), which is
-/// deliberately interning-order independent, the generation hash *must*
-/// depend on order: id stability is exactly what it certifies.
-struct StringPoolGeneration {
-  uint64_t count = 0;
-  uint64_t hash = 0;
-
-  bool operator==(const StringPoolGeneration& o) const {
-    return count == o.count && hash == o.hash;
-  }
-};
-
 class StringPool {
  public:
   /// Sentinel id for SQL null (never a valid interned id).
@@ -176,26 +162,6 @@ class StringPool {
     if (hit != kNullId) return hit;
     std::lock_guard<std::mutex> lock(mutex_);
     return InternLocked(s, hash);
-  }
-
-  /// Interns `strings[0..n)` in order, writing each id to `ids[0..n)` —
-  /// semantically identical to n back-to-back TryIntern calls, but under
-  /// one hold of the writer mutex, so no other thread can mint an id in the
-  /// middle of the batch: n fresh strings get n consecutive ids. The index
-  /// is grown once up front to hold the whole batch; lock-free lookups by
-  /// other threads go on meanwhile. The bulk path for snapshot loading,
-  /// where tens of thousands of strings arrive at once.
-  Status TryInternBatch(const std::string_view* strings, size_t n,
-                        ValueId* ids) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Never sized past the id space: a batch that large fails OutOfRange.
-    GrowLocked(std::min<size_t>(size_.load(std::memory_order_relaxed) + n,
-                                kCapacity));
-    for (size_t i = 0; i < n; ++i) {
-      UC_ASSIGN_OR_RETURN(ids[i],
-                          InternLocked(strings[i], HashBytes(strings[i])));
-    }
-    return Status::OK();
   }
 
   /// Like TryIntern but aborts on id-space exhaustion — the convenient form
@@ -251,33 +217,6 @@ class StringPool {
       bytes += (table->mask + 1) * sizeof(std::atomic<uint64_t>);
     }
     return bytes;
-  }
-
-  /// Order-sensitive content hash of ids [0, n): each string's length and
-  /// characters folded through MixU64 in id order. Lock-free (reads through
-  /// str()); requires n <= size(). O(total characters of the prefix).
-  uint64_t PrefixHash(size_t n) const {
-    UC_CHECK_LE(n, size()) << "StringPool::PrefixHash: prefix beyond pool";
-    uint64_t h = 0x243f6a8885a308d3ULL;  // distinct seed from Fingerprint()
-    for (size_t id = 0; id < n; ++id) {
-      const std::string& s = str(static_cast<ValueId>(id));
-      h = MixU64(h ^ s.size());
-      for (char c : s) {
-        h = MixU64(h ^ static_cast<uint64_t>(static_cast<uint8_t>(c)));
-      }
-    }
-    return h;
-  }
-
-  /// The pool's current generation tag: its size and the PrefixHash over
-  /// all of it. Snapshot headers carry the writer's generation; a loader
-  /// accepts a snapshot into a pool whose ids extend (or are a prefix of)
-  /// the writer's — see snapshot::LoadPoolSection.
-  StringPoolGeneration Generation() const {
-    StringPoolGeneration gen;
-    gen.count = size();
-    gen.hash = PrefixHash(static_cast<size_t>(gen.count));
-    return gen;
   }
 
   /// The process-wide pool used by data::Value. All relations, rules and

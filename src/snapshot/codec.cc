@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "data/string_pool.h"
@@ -83,16 +84,30 @@ void PutTupleIdList(std::string* out, const std::vector<data::TupleId>& ids) {
   for (data::TupleId id : ids) PutU32(out, static_cast<uint32_t>(id));
 }
 
-void PutGroupKey(std::string* out, const data::GroupKey& key) {
-  PutU8(out, static_cast<uint8_t>(key.size));
-  for (uint32_t i = 0; i < key.size; ++i) PutU32(out, key.parts[i]);
+/// Reads a memo section's string table and interns every string, so that
+/// index i in the section's keys names the live id (*ids)[i].
+Status InternStringTable(Reader* r, std::vector<data::ValueId>* ids) {
+  UC_ASSIGN_OR_RETURN(uint32_t n, r->U32());
+  // Each string costs at least its 4-byte length, so a forged count past
+  // this bound cannot be satisfied: refuse it before reserving for it.
+  if (n > r->remaining() / 4) {
+    return Inconsistent("string table count exceeds its section");
+  }
+  data::StringPool& pool = data::StringPool::Global();
+  ids->reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    UC_ASSIGN_OR_RETURN(std::string_view s, r->Bytes());
+    UC_ASSIGN_OR_RETURN(data::ValueId id, pool.TryIntern(s));
+    ids->push_back(id);
+  }
+  return Status::OK();
 }
 
-/// Reads a GroupKey of exactly `want_parts` parts; each part must be an id
-/// below `pool_size` or the null sentinel (data-side projections may hold
-/// nulls).
+/// Reads a GroupKey of exactly `want_parts` parts; each part must index
+/// `ids`, the section's interned string table, or be the null sentinel
+/// (data-side projections may hold nulls).
 Result<data::GroupKey> ReadGroupKey(Reader* r, size_t want_parts,
-                                    uint64_t pool_size) {
+                                    const std::vector<data::ValueId>& ids) {
   UC_ASSIGN_OR_RETURN(uint8_t n, r->U8());
   if (n != want_parts || n > data::GroupKey::kMaxParts) {
     return Inconsistent("group key width mismatch");
@@ -100,10 +115,13 @@ Result<data::GroupKey> ReadGroupKey(Reader* r, size_t want_parts,
   data::GroupKey key;
   for (uint8_t i = 0; i < n; ++i) {
     UC_ASSIGN_OR_RETURN(uint32_t part, r->U32());
-    if (part >= pool_size && part != data::StringPool::kNullId) {
-      return Inconsistent("group key holds an unknown value id");
+    if (part == data::StringPool::kNullId) {
+      key.Append(part);
+    } else if (part < ids.size()) {
+      key.Append(ids[part]);
+    } else {
+      return Inconsistent("group key names no string of its table");
     }
-    key.Append(part);
   }
   return key;
 }
@@ -146,38 +164,44 @@ void Codec::AppendMatcher(const core::MdMatcher& matcher, std::string* out) {
   PutU8(out, kKindNone);
 }
 
-void Codec::AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
-                        std::string* out) {
-  // Each family is buffered so the count prefix reflects post-filter
-  // entries (ids interned after the header's pool generation was captured
-  // cannot be resolved by a loader and are skipped).
-  std::string entries;
-  uint64_t count = 0;
+void Codec::AppendMemos(const core::MdMatcher& matcher, std::string* out) {
+  // Entries are buffered so that the string table, which lists each string
+  // the keys use once, in order of first use, can precede them.
+  const data::StringPool& pool = data::StringPool::Global();
+  std::unordered_map<data::ValueId, uint32_t> index_of;
+  std::string table;
+  const auto index = [&](data::ValueId id) -> uint32_t {
+    if (id == data::StringPool::kNullId) return id;
+    const auto [it, inserted] =
+        index_of.emplace(id, static_cast<uint32_t>(index_of.size()));
+    if (inserted) PutBytes(&table, pool.view(id));
+    return it->second;
+  };
+  std::string blocking;
+  uint64_t blocking_count = 0;
   matcher.blocking_cache_.ForEach(
       [&](data::ValueId value, const std::vector<data::TupleId>& ids) {
-        if (value >= pool_limit) return;
-        PutU32(&entries, value);
-        PutTupleIdList(&entries, ids);
-        ++count;
+        PutU32(&blocking, index(value));
+        PutTupleIdList(&blocking, ids);
+        ++blocking_count;
       });
-  PutU64(out, count);
-  out->append(entries);
-  entries.clear();
-  count = 0;
+  std::string matches;
+  uint64_t match_count = 0;
   matcher.match_cache_.ForEach(
       [&](const data::GroupKey& key, const std::vector<data::TupleId>& ids) {
+        PutU8(&matches, static_cast<uint8_t>(key.size));
         for (uint32_t i = 0; i < key.size; ++i) {
-          if (key.parts[i] >= pool_limit &&
-              key.parts[i] != data::StringPool::kNullId) {
-            return;
-          }
+          PutU32(&matches, index(key.parts[i]));
         }
-        PutGroupKey(&entries, key);
-        PutTupleIdList(&entries, ids);
-        ++count;
+        PutTupleIdList(&matches, ids);
+        ++match_count;
       });
-  PutU64(out, count);
-  out->append(entries);
+  PutU32(out, static_cast<uint32_t>(index_of.size()));
+  out->append(table);
+  PutU64(out, blocking_count);
+  out->append(blocking);
+  PutU64(out, match_count);
+  out->append(matches);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,23 +285,24 @@ Status Codec::RestoreMatcher(core::MdMatcher* matcher,
 Status Codec::RestoreMemos(core::MdMatcher* matcher,
                            std::string_view payload) {
   core::MdMatcher& m = *matcher;
-  const uint64_t pool_size = data::StringPool::Global().size();
   const uint32_t master_size = static_cast<uint32_t>(m.dm_.size());
   Reader r(payload);
+  std::vector<data::ValueId> strings;
+  UC_RETURN_IF_ERROR(InternStringTable(&r, &strings));
   UC_ASSIGN_OR_RETURN(uint64_t blocking_count, r.U64());
   for (uint64_t i = 0; i < blocking_count; ++i) {
-    UC_ASSIGN_OR_RETURN(uint32_t value, r.U32());
-    if (value >= pool_size) {
-      return Inconsistent("blocking memo value id out of range");
+    UC_ASSIGN_OR_RETURN(uint32_t index, r.U32());
+    if (index >= strings.size()) {
+      return Inconsistent("blocking memo names no string of its table");
     }
     std::vector<data::TupleId> ids;
     UC_RETURN_IF_ERROR(ReadTupleIdList(&r, master_size, &ids));
-    m.blocking_cache_.Insert(value, std::move(ids));
+    m.blocking_cache_.Insert(strings[index], std::move(ids));
   }
   UC_ASSIGN_OR_RETURN(uint64_t match_count, r.U64());
   for (uint64_t i = 0; i < match_count; ++i) {
     UC_ASSIGN_OR_RETURN(data::GroupKey key,
-                        ReadGroupKey(&r, m.md_.premise().size(), pool_size));
+                        ReadGroupKey(&r, m.md_.premise().size(), strings));
     std::vector<data::TupleId> ids;
     UC_RETURN_IF_ERROR(ReadTupleIdList(&r, master_size, &ids));
     m.match_cache_.Insert(key, std::move(ids));
@@ -350,10 +375,11 @@ Result<std::unique_ptr<core::MatchEnvironment>> Codec::RestoreEnvironment(
 
   // One work item per matcher slot: construct the shell, install the
   // serialized index, then the memos. Items are independent — each touches
-  // only its own matcher and reads shared immutable state (rules, master,
-  // string pool) — so they restore in parallel; the suffix-array payloads
-  // dominate the wall clock and overlap instead of queueing. The rules
-  // sharing a slot see its matcher through the environment's slot map.
+  // only its own matcher, reads shared immutable state (rules, master) and
+  // interns its string tables into the thread-safe pool — so they restore
+  // in parallel; the suffix-array payloads dominate the wall clock and
+  // overlap instead of queueing. The rules sharing a slot see its matcher
+  // through the environment's slot map.
   std::vector<Status> results(num_slots, Status::OK());
   const auto restore_item = [&](size_t slot) {
     std::unique_ptr<core::MdMatcher> matcher(

@@ -6,11 +6,19 @@
 // Split of labor with snapshot.h: the codec knows *payload layouts* and the
 // engine's internals; snapshot.h owns the container (header, section table,
 // CRCs) and policy (what mismatch refuses a load). On the read side every
-// codec function revalidates what it installs — tuple ids, value ids, the
-// suffix order — against the live engine, so a forged payload that passed
-// its CRC still cannot plant an out-of-range index that a later probe would
-// walk off (the UC_CHECKs in the hot paths would abort; the codec returns
-// kDataLoss instead).
+// codec function revalidates what it installs — tuple ids, string-table
+// indices, the suffix order — against the live engine, so a forged payload
+// that passed its CRC still cannot plant an out-of-range index that a
+// later probe would walk off (the UC_CHECKs in the hot paths would abort;
+// the codec returns kDataLoss instead).
+//
+// No interned id is serialized. A memo section opens with its own string
+// table, `u32 n | n x (u32 length | bytes)`: the distinct strings its keys
+// use, in order of first use. Keys hold indices into that table (a match
+// list key part may also be the null sentinel), and the loader interns the
+// table with StringPool::TryIntern and maps each index to a live id, so a
+// file loads into any process whatever that process interned before. A
+// file without memos carries no strings at all.
 //
 // What is NOT serialized is deliberate: everything derivable from the
 // engine's sources in O(|Dm|) re-derives on load (clause roles, equality
@@ -61,28 +69,25 @@ class Codec {
   /// identical bytes.
   static void AppendMatcher(const core::MdMatcher& matcher, std::string* out);
 
-  /// One matcher's memo contents: `u64 n | n x (u32 value id | tuple ids)`
-  /// blocking candidates, then `u64 n | n x (group key | tuple ids)` match
-  /// lists. Entries referencing value ids >= `pool_limit` (interned after
-  /// the header's generation was captured) are skipped — they could not be
-  /// resolved by a loader. Entry order is unspecified (sharded maps), so
-  /// memo sections are the one part of a snapshot whose bytes are not
-  /// deterministic.
-  static void AppendMemos(const core::MdMatcher& matcher, uint64_t pool_limit,
-                          std::string* out);
+  /// One matcher's memo contents: the section's string table, then
+  /// `u64 n | n x (u32 string index | tuple ids)` blocking candidates, then
+  /// `u64 n | n x (u8 parts | parts x u32 string index | tuple ids)` match
+  /// lists. Entry order is unspecified (sharded maps), so memo sections are
+  /// the one part of a snapshot whose bytes are not deterministic.
+  static void AppendMemos(const core::MdMatcher& matcher, std::string* out);
 
   // --- read side ------------------------------------------------------------
 
   /// Rebuilds a MatchEnvironment from parsed snapshot sections against an
-  /// engine's live rules/master (the string pool must already hold the
-  /// snapshot's generation — see snapshot.h load order). Which rules share
-  /// a matcher is derived from `rules`, as a cold build derives it, so each
-  /// matcher (and memo) section must be filed under its matcher's owner.
-  /// Equality indexes are re-derived from the master. Returns kDataLoss
-  /// when a payload is structurally inconsistent with the engine (a missing
-  /// owner section, a section filed under any other rule id, duplicates,
-  /// a kind byte the matcher's premise does not have, out-of-range
-  /// indices, a suffix order that is not sorted, count mismatches).
+  /// engine's live rules/master, interning each memo section's string
+  /// table. Which rules share a matcher is derived from `rules`, as a cold
+  /// build derives it, so each matcher (and memo) section must be filed
+  /// under its matcher's owner. Equality indexes are re-derived from the
+  /// master. Returns kDataLoss when a payload is structurally inconsistent
+  /// with the engine (a missing owner section, a section filed under any
+  /// other rule id, duplicates, a kind byte the matcher's premise does not
+  /// have, out-of-range tuple ids or string indices, a suffix order that is
+  /// not sorted, count mismatches).
   static Result<std::unique_ptr<core::MatchEnvironment>> RestoreEnvironment(
       const rules::RuleSet& rules, const data::Relation& master,
       const core::MdMatcherOptions& options, std::string_view env_payload,

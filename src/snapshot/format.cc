@@ -85,8 +85,17 @@ __attribute__((target("sse4.2"))) uint32_t Crc32Hardware(const void* data,
 }
 #endif
 
-/// Header length of formats v1-v4, whose CRC sat in the last 4 of 64 bytes.
+/// Header lengths of earlier formats, each sealed by a CRC in its last 4
+/// bytes: v5's 44 (which held a string-pool generation) and v1-v4's 64.
+constexpr size_t kV5HeaderBytes = 44;
 constexpr size_t kV4HeaderBytes = 64;
+
+/// Whether the first `n` bytes of `file` end in the CRC of the rest.
+bool SealedAs(std::string_view file, size_t n) {
+  if (file.size() < n) return false;
+  Reader r(file.substr(n - 4, 4));
+  return r.U32().value() == Crc32(file.data(), n - 4);
+}
 
 }  // namespace
 
@@ -105,8 +114,6 @@ void EncodeHeader(const Header& header, std::string* out) {
   out->append(kMagic, sizeof(kMagic));
   PutU32(out, header.version);
   PutU64(out, header.engine_fingerprint);
-  PutU64(out, header.pool_count);
-  PutU64(out, header.pool_hash);
   PutU32(out, header.section_count);
   PutU32(out, Crc32(out->data() + base, kHeaderBytes - 4));
 }
@@ -123,21 +130,16 @@ Result<Header> DecodeHeader(std::string_view file) {
   Header h;
   UC_ASSIGN_OR_RETURN(h.version, r.U32());
   UC_ASSIGN_OR_RETURN(h.engine_fingerprint, r.U64());
-  UC_ASSIGN_OR_RETURN(h.pool_count, r.U64());
-  UC_ASSIGN_OR_RETURN(h.pool_hash, r.U64());
   UC_ASSIGN_OR_RETURN(h.section_count, r.U32());
-  UC_ASSIGN_OR_RETURN(uint32_t crc, r.U32());
-  const bool sealed = crc == Crc32(file.data(), kHeaderBytes - 4);
-  // The version word sits at offset 8 in every format, but v1-v4 sealed a
-  // 64-byte header. A header intact under either seal that names another
-  // version may be a fine file this build cannot read; one intact under
-  // neither is corruption, even when the flipped bit is in the version.
-  bool sealed_as_v4 = false;
-  if (!sealed && file.size() >= kV4HeaderBytes) {
-    Reader v4(file.substr(kV4HeaderBytes - 4, 4));
-    sealed_as_v4 = v4.U32().value() == Crc32(file.data(), kV4HeaderBytes - 4);
-  }
-  if (h.version != kFormatVersion && (sealed || sealed_as_v4)) {
+  // The version word sits at offset 8 in every format, but earlier formats
+  // sealed longer headers. A header intact under any of the seals that
+  // names another version may be a fine file this build cannot read; one
+  // intact under none is corruption, even when the flipped bit is in the
+  // version.
+  const bool sealed = SealedAs(file, kHeaderBytes);
+  const bool sealed_as_old =
+      SealedAs(file, kV5HeaderBytes) || SealedAs(file, kV4HeaderBytes);
+  if (h.version != kFormatVersion && (sealed || sealed_as_old)) {
     return Status::FailedPrecondition(
         "snapshot format version " + std::to_string(h.version) +
         " is not supported (this build reads version " +

@@ -1,16 +1,14 @@
 // The uniclean snapshot container format (".ucsnap"): the byte-level half
 // of src/snapshot/. A snapshot is one file:
 //
-//   header (44 bytes, CRC-protected)
+//   header (28 bytes, CRC-protected)
 //     0   8   magic "UCSNAPSH"
 //     8   u32 format version (kFormatVersion)
 //     12  u64 CleanEngine::Fingerprint() of the writing engine: the file's
 //             one configuration check (rules, master, thresholds,
 //             use_blocking)
-//     20  u64 string-pool generation count (ids serialized)
-//     28  u64 string-pool generation hash (StringPool::PrefixHash)
-//     36  u32 section count
-//     40  u32 CRC-32C of bytes [0, 40)
+//     20  u32 section count
+//     24  u32 CRC-32C of bytes [0, 24)
 //   sections, back to back, each:
 //     u32 section id (SectionId)
 //     u32 rule id the section belongs to, or kNoRule
@@ -40,25 +38,27 @@ namespace uniclean {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'U', 'C', 'S', 'N', 'A', 'P', 'S', 'H'};
-/// Version 5 persists one matcher (and one memo section) per distinct MD
+/// Version 6 persists one matcher (and one memo section) per distinct MD
 /// premise, filed under the lowest rule id with that premise; a blocking
 /// index is its suffix order, an equality index is re-derived from the
 /// master, and a memo section holds blocking candidates and match lists
-/// (codec.h). Its header carries no matcher options: the engine
-/// fingerprint covers what decides a match list. Files of earlier
-/// versions — v4 (a header with matcher options and persisted equality
-/// indexes), v3 (memo sections that also held per-clause similarity
-/// outcomes), v2 (one matcher per MD rule) and v1 (suffix-tree nodes) —
-/// are refused like any other version.
-inline constexpr uint32_t kFormatVersion = 5;
-inline constexpr size_t kHeaderBytes = 44;
+/// whose keys name their values through the section's own string table
+/// (codec.h), so a file loads into a process whatever it interned before.
+/// Its header carries no matcher options (the engine fingerprint covers
+/// what decides a match list) and no string-pool state. Files of earlier
+/// versions — v5 (a 44-byte header with a string-pool generation, and a
+/// pool section whose ids the memo keys held), v4 (a header with matcher
+/// options and persisted equality indexes), v3 (memo sections that also
+/// held per-clause similarity outcomes), v2 (one matcher per MD rule) and
+/// v1 (suffix-tree nodes) — are refused like any other version.
+inline constexpr uint32_t kFormatVersion = 6;
+inline constexpr size_t kHeaderBytes = 28;
 inline constexpr size_t kSectionHeaderBytes = 20;
 
 /// Section ids. A reader skips unknown ids (forward compatibility: a newer
 /// writer may append new section kinds), but unknown *required* state can
-/// only be added with a version bump.
+/// only be added with a version bump. Id 1 held the string pool through v5.
 enum class SectionId : uint32_t {
-  kStringPool = 1,   // one per file; must precede use of any interned id
   kEnvironment = 2,  // one per file: environment-level counts
   kMatcher = 3,      // one per distinct MD premise, under its owner rule id
   kMemos = 4,        // optional, at most one per kMatcher section
@@ -99,19 +99,17 @@ inline void PutBytes(std::string* out, std::string_view s) {
 struct Header {
   uint32_t version = kFormatVersion;
   uint64_t engine_fingerprint = 0;
-  uint64_t pool_count = 0;
-  uint64_t pool_hash = 0;
   uint32_t section_count = 0;
 };
 
-/// Appends the encoded 44-byte header (with its CRC) to `out`.
+/// Appends the encoded 28-byte header (with its CRC) to `out`.
 void EncodeHeader(const Header& header, std::string* out);
 
 /// Decodes and validates the header at the start of `file`: size, magic
 /// (kDataLoss), then version (kFailedPrecondition when the header is sealed
-/// by its CRC, as this format or as the 64-byte header of v1-v4 — the file
-/// may be fine, this build just cannot read it), then the header CRC
-/// (kDataLoss).
+/// by its CRC, as this format, as the 44-byte header of v5 or as the
+/// 64-byte header of v1-v4 — the file may be fine, this build just cannot
+/// read it), then the header CRC (kDataLoss).
 Result<Header> DecodeHeader(std::string_view file);
 
 // --- sections ---------------------------------------------------------------

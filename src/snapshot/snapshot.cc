@@ -1,6 +1,6 @@
 #include "snapshot/snapshot.h"
 
-#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -16,7 +16,6 @@
 #define UNICLEAN_SNAPSHOT_HAS_MMAP 1
 #endif
 
-#include "data/string_pool.h"
 #include "snapshot/codec.h"
 #include "uniclean/engine.h"
 
@@ -127,7 +126,6 @@ Result<FileContents> ReadFile(const std::string& path) {
 /// present exactly once. Views alias the file buffer.
 struct ParsedSnapshot {
   Header header;
-  std::string_view pool;
   std::string_view environment;
   std::vector<RuleSection> matchers;
   std::vector<RuleSection> memos;
@@ -136,7 +134,6 @@ struct ParsedSnapshot {
 Result<ParsedSnapshot> ParseSnapshot(std::string_view file) {
   ParsedSnapshot snap;
   UC_ASSIGN_OR_RETURN(snap.header, DecodeHeader(file));
-  bool have_pool = false;
   bool have_env = false;
   size_t offset = kHeaderBytes;
   for (uint32_t i = 0; i < snap.header.section_count; ++i) {
@@ -158,13 +155,6 @@ Result<ParsedSnapshot> ParseSnapshot(std::string_view file) {
                               ") failed its CRC check");
     }
     switch (static_cast<SectionId>(sh.id)) {
-      case SectionId::kStringPool:
-        if (have_pool || sh.rule_id != kNoRule) {
-          return Status::DataLoss("duplicate or rule-tagged pool section");
-        }
-        have_pool = true;
-        snap.pool = payload;
-        break;
       case SectionId::kEnvironment:
         if (have_env || sh.rule_id != kNoRule) {
           return Status::DataLoss(
@@ -197,116 +187,26 @@ Result<ParsedSnapshot> ParseSnapshot(std::string_view file) {
                             std::to_string(file.size() - offset) +
                             " trailing bytes past the section table");
   }
-  if (!have_pool || !have_env) {
-    return Status::DataLoss("snapshot is missing a required section");
+  if (!have_env) {
+    return Status::DataLoss("snapshot is missing its environment section");
   }
   return snap;
 }
 
-/// Walks a pool payload without touching the live pool: collects the
-/// serialized strings and folds the same order-sensitive hash
-/// StringPool::PrefixHash computes. kDataLoss on structural problems or
-/// when the recomputed hash disagrees with the header (bit flip the
-/// section CRC missed, or a forged header).
-Result<std::vector<std::string_view>> DecodePoolStrings(
-    const Header& header, std::string_view payload) {
-  Reader r(payload);
-  UC_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-  if (count != header.pool_count) {
-    return Status::DataLoss("pool section holds " + std::to_string(count) +
-                            " strings, header declares " +
-                            std::to_string(header.pool_count));
-  }
-  // Each serialized string costs at least its 4-byte length prefix, so a
-  // forged count past this bound cannot be satisfied — refuse before
-  // reserving memory for it.
-  if (count > payload.size() / 4 + 1) {
-    return Status::DataLoss("pool section count exceeds its payload");
-  }
-  std::vector<std::string_view> strings;
-  strings.reserve(static_cast<size_t>(count));
-  uint64_t hash = 0x243f6a8885a308d3ULL;  // StringPool::PrefixHash seed
-  for (uint64_t i = 0; i < count; ++i) {
-    UC_ASSIGN_OR_RETURN(std::string_view s, r.Bytes());
-    hash = data::MixU64(hash ^ s.size());
-    for (char c : s) {
-      hash = data::MixU64(hash ^ static_cast<uint64_t>(
-                                     static_cast<uint8_t>(c)));
-    }
-    strings.push_back(s);
-  }
-  if (!r.done()) {
-    return Status::DataLoss("trailing bytes in pool section");
-  }
-  if (hash != header.pool_hash) {
-    return Status::DataLoss("pool section content hash mismatch");
-  }
-  return strings;
-}
-
-/// kDataLoss when a decoded pool section holds some string twice. A pool
-/// holds each string once, so such a section matches no pool: interning it
-/// would mint one id too few and leave a prefix no snapshot can load into.
-/// One pass over a flat open-addressing table at most half full, keyed by
-/// the pool's own string hash.
-Status CheckNoRepeats(const std::vector<std::string_view>& strings) {
-  size_t slots = 16;
-  while (slots < 2 * strings.size()) slots *= 2;
-  std::vector<uint32_t> table(slots, 0);  // index + 1; 0 is empty
-  for (size_t i = 0; i < strings.size(); ++i) {
-    size_t at = data::HashBytes(strings[i]) & (slots - 1);
-    for (; table[at] != 0; at = (at + 1) & (slots - 1)) {
-      if (strings[table[at] - 1] == strings[i]) {
-        return Status::DataLoss("pool section repeats a string at id " +
-                                std::to_string(i));
-      }
-    }
-    table[at] = static_cast<uint32_t>(i + 1);
-  }
-  return Status::OK();
-}
-
-/// Replays the snapshot's pool prefix into the live global pool, BEFORE the
-/// engine's sources are parsed, so every id the serialized indexes and
-/// memos refer to resolves to the writer's characters — and so the CSV /
-/// rules parse that follows interns into hash hits, keeping ids (and
-/// therefore journals) byte-identical to the writer's process.
-/// kFailedPrecondition when the live pool already diverged (ids are taken
-/// by different strings — some other engine interned first).
-Status LoadPoolSection(const Header& header, std::string_view payload) {
-  UC_ASSIGN_OR_RETURN(std::vector<std::string_view> strings,
-                      DecodePoolStrings(header, payload));
-  data::StringPool& pool = data::StringPool::Global();
-  const size_t live = std::min(pool.size(), strings.size());
-  for (size_t id = 0; id < live; ++id) {
-    if (pool.view(static_cast<data::ValueId>(id)) != strings[id]) {
-      return Status::FailedPrecondition(
-          "live string pool diverged from the snapshot at id " +
-          std::to_string(id) +
-          " — the snapshot belongs to a different interning history");
-    }
-  }
-  if (live < strings.size()) {
-    // Checked only here: a section the live pool already covers equals the
-    // pool's own prefix, whose strings are distinct by construction.
-    UC_RETURN_IF_ERROR(CheckNoRepeats(strings));
-    const size_t n = strings.size() - live;
-    std::vector<data::ValueId> ids(n);
-    UC_RETURN_IF_ERROR(pool.TryInternBatch(&strings[live], n, ids.data()));
-    for (size_t i = 0; i < n; ++i) {
-      if (ids[i] != static_cast<data::ValueId>(live + i)) {
-        // Another thread interned between the prefix check and the batch;
-        // the prefix is no longer ours.
-        return Status::FailedPrecondition(
-            "string pool grew concurrently while loading a snapshot");
-      }
-    }
-  }
-  return Status::OK();
-}
-
+/// Writes `bytes` to a temp file beside `path` and renames it into place.
+/// Each write gets its own temp name (pid and a per-process count), so
+/// writers of one path — a daemon's replicas sharing a snapshot dir, or
+/// threads of one process — never write into each other's file: each
+/// rename installs one whole file.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
+  static std::atomic<uint64_t> writes{0};
+#ifdef UNICLEAN_SNAPSHOT_HAS_MMAP
+  const long pid = static_cast<long>(::getpid());
+#else
+  const long pid = 0;
+#endif
+  const std::string tmp = path + ".tmp." + std::to_string(pid) + "." +
+                          std::to_string(writes.fetch_add(1));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -332,18 +232,10 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
                      const SnapshotWriteOptions& options) {
   engine.Warmup();
   const core::MatchEnvironment& env = engine.environment();
-  const data::StringPool& pool = data::StringPool::Global();
-  // Capture the pool generation FIRST: concurrent sessions may intern while
-  // we serialize, and everything written below must stay within this
-  // prefix (memo entries referencing later ids are filtered out).
-  const data::StringPoolGeneration gen = pool.Generation();
-
   const bool write_memos =
       options.include_memos && engine.config().matcher.use_memos;
   Header header;
   header.engine_fingerprint = engine.Fingerprint();
-  header.pool_count = gen.count;
-  header.pool_hash = gen.hash;
 
   struct PendingSection {
     SectionId id;
@@ -351,14 +243,6 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
     std::string payload;
   };
   std::vector<PendingSection> sections;
-
-  PendingSection pool_section{SectionId::kStringPool, kNoRule, {}};
-  PutU64(&pool_section.payload, gen.count);
-  for (uint64_t id = 0; id < gen.count; ++id) {
-    PutBytes(&pool_section.payload,
-             pool.view(static_cast<data::ValueId>(id)));
-  }
-  sections.push_back(std::move(pool_section));
 
   PendingSection env_section{SectionId::kEnvironment, kNoRule, {}};
   Codec::AppendEnvironment(env, &env_section.payload);
@@ -379,7 +263,7 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
     if (write_memos) {
       PendingSection memos{SectionId::kMemos, static_cast<uint32_t>(rule),
                            {}};
-      Codec::AppendMemos(*matcher, gen.count, &memos.payload);
+      Codec::AppendMemos(*matcher, &memos.payload);
       sections.push_back(std::move(memos));
     }
   }
@@ -421,13 +305,7 @@ Result<SnapshotInfo> Inspect(const std::string& path) {
 
 Status Verify(const std::string& path) {
   UC_ASSIGN_OR_RETURN(FileContents contents, ReadFile(path));
-  UC_ASSIGN_OR_RETURN(ParsedSnapshot snap, ParseSnapshot(contents.view()));
-  // The pool payload is self-describing, so its structure and content hash
-  // are checkable without an engine (unlike the codec sections, whose
-  // consistency is defined relative to live rules/master).
-  UC_ASSIGN_OR_RETURN(std::vector<std::string_view> strings,
-                      DecodePoolStrings(snap.header, snap.pool));
-  return CheckNoRepeats(strings);
+  return ParseSnapshot(contents.view()).status();
 }
 
 }  // namespace snapshot
@@ -441,10 +319,6 @@ Result<std::shared_ptr<CleanEngine>> EngineBuilder::FromSnapshot(
   UC_ASSIGN_OR_RETURN(snapshot::FileContents file, snapshot::ReadFile(path));
   UC_ASSIGN_OR_RETURN(snapshot::ParsedSnapshot snap,
                       snapshot::ParseSnapshot(file.view()));
-  // Pool before sources: the CSV / rules parse below must re-find the
-  // writer's ids. (On any later failure the interned prefix stays behind —
-  // harmless: ids are process-local and journals carry strings.)
-  UC_RETURN_IF_ERROR(snapshot::LoadPoolSection(snap.header, snap.pool));
   UC_ASSIGN_OR_RETURN(std::shared_ptr<CleanEngine> engine, BuildEngine());
   const uint64_t fingerprint = engine->Fingerprint();
   if (fingerprint != snap.header.engine_fingerprint) {

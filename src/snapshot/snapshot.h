@@ -3,29 +3,29 @@
 // A CleanEngine's startup cost is dominated by the §5.2 index build (one
 // suffix array / equality index per distinct MD premise over the master
 // relation) plus the memo warm-up a serving process accumulates. A snapshot
-// serializes exactly that warm half — the string pool prefix the engine's
-// ids live in, every suffix-array matcher's suffix order, optionally the
-// hot memo contents — into one checksummed file, so a restarted daemon
-// loads indexes in milliseconds instead of rebuilding them (unicleand
+// serializes exactly that warm half — every suffix-array matcher's suffix
+// order and optionally the hot memo contents, whose keys name their values
+// by string — into one checksummed file, so a restarted daemon loads
+// indexes in milliseconds instead of rebuilding them (unicleand
 // --snapshot-dir) and journals stay byte-identical to a cold-built
-// engine's.
+// engine's. No interned id is persisted, so a file loads into any process
+// whatever it interned before: replicas and rulesets can share one
+// snapshot dir.
 //
 // File layout and integrity checking live in format.h; payload
 // (de)serialization in codec.h; this header is the policy layer: what gets
-// written, in what order a load must happen (pool before sources), and what
-// mismatch refuses a load with which status code:
+// written, and what mismatch refuses a load with which status code:
 //
 //   kDataLoss            — the file cannot be trusted: bad magic, CRC
 //                          mismatch, truncation, forged lengths, indices
-//                          out of range, a pool section that repeats a
-//                          string. Discard the file and cold-build.
+//                          out of range. Discard the file and cold-build.
 //   kFailedPrecondition  — the file may be fine but does not belong to this
 //                          build or configuration: unsupported format
 //                          version, engine fingerprint mismatch (a rule's
 //                          content, the master, a threshold or use_blocking
 //                          changed — CleanEngine::Fingerprint, the one
-//                          configuration check), string-pool divergence.
-//                          Cold-build; overwrite the snapshot.
+//                          configuration check). Cold-build; overwrite the
+//                          snapshot.
 //
 // Options that change no match list (phase selection, use_memos,
 // memo_capacity) are outside the fingerprint, so a file loads across them;
@@ -52,8 +52,7 @@ namespace snapshot {
 struct SnapshotWriteOptions {
   /// Also persist the memo contents (match lists and blocking candidates)
   /// so a restarted server begins with the hit rates the previous process
-  /// earned. Entries referencing strings interned after the snapshot's pool
-  /// generation are skipped.
+  /// earned.
   bool include_memos = true;
 };
 
@@ -68,10 +67,11 @@ struct SnapshotInfo {
 /// environment must exist to be persisted); the caller should otherwise
 /// quiesce the engine — concurrent sessions are safe but memo entries
 /// admitted during the write may or may not be captured. The file is
-/// written to a temporary sibling and atomically renamed into place, so a
-/// concurrent reader never observes a torn snapshot. Non-memo sections are
-/// byte-deterministic: two writes of the same warm engine at the same pool
-/// generation produce identical files with include_memos = false.
+/// written to a temporary sibling of its own and atomically renamed into
+/// place, so a concurrent reader never observes a torn snapshot, and of
+/// concurrent writers of one path the last rename wins whole. Non-memo
+/// sections are byte-deterministic: two writes of the same warm engine
+/// produce identical files with include_memos = false.
 Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
                      const SnapshotWriteOptions& options = {});
 
@@ -81,10 +81,9 @@ Status WriteSnapshot(const CleanEngine& engine, const std::string& path,
 Result<SnapshotInfo> Inspect(const std::string& path);
 
 /// Full container validation: header CRC, section table structure, every
-/// payload CRC, string-pool payload structure, content hash and distinct
-/// strings. Does not need (and cannot check against) an engine; codec-level
-/// consistency is only checkable at FromSnapshot time. OK means the bytes
-/// are intact.
+/// payload CRC and the required environment section. Does not need (and
+/// cannot check against) an engine; codec-level consistency is only
+/// checkable at FromSnapshot time. OK means the bytes are intact.
 Status Verify(const std::string& path);
 
 }  // namespace snapshot

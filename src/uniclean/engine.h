@@ -206,18 +206,18 @@ class EngineBuilder {
 
   /// Like BuildEngine(), but warm-starts the match environment from a
   /// snapshot file written by snapshot::WriteSnapshot instead of paying the
-  /// cold index build. The snapshot's string-pool section is loaded (and
-  /// verified against the live pool) *before* the configured sources are
-  /// read, so interned ids — and therefore journals — are byte-identical to
-  /// a cold-built engine. Refuses with kDataLoss on a corrupt file (bad
-  /// magic/CRC/truncation), kFailedPrecondition when the snapshot's format
-  /// version, engine fingerprint (Fingerprint()) or pool generation do not
-  /// match this build and configuration; in both cases no engine is
-  /// returned and the caller
-  /// should fall back to BuildEngine() against the same sources (the
-  /// builder is left consumed — reconfigure a fresh one). Defined in the
-  /// uniclean::snapshot library (snapshot/snapshot.cc): link
-  /// uniclean::snapshot to use it.
+  /// cold index build. It reads and checks the file, builds the engine from
+  /// the configured sources, checks the fingerprint and restores the
+  /// matchers; memo keys travel as strings and are interned on load, so the
+  /// file loads whatever this process interned before, and journals are
+  /// byte-identical to a cold-built engine's. Refuses with kDataLoss on a
+  /// corrupt file (bad magic/CRC/truncation, inconsistent payloads),
+  /// kFailedPrecondition when the snapshot's format version or engine
+  /// fingerprint (Fingerprint()) do not match this build and configuration;
+  /// in both cases no engine is returned and the caller should fall back to
+  /// BuildEngine() against the same sources (the builder is left consumed —
+  /// reconfigure a fresh one). Defined in the uniclean::snapshot library
+  /// (snapshot/snapshot.cc): link uniclean::snapshot to use it.
   Result<std::shared_ptr<CleanEngine>> FromSnapshot(const std::string& path);
 
  private:

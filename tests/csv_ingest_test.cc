@@ -2,9 +2,10 @@
 // ReadConfidenceCsv parses, recorded before the string pool's flat index and
 // the from_chars confidence path went in. Both changes must be invisible:
 //  * CsvIngestPin.* reads generated HOSP, DBLP and TPC-H CSVs into a fresh
-//    pool and pins the pool's generation (count and PrefixHash) plus an
-//    FNV-1a-64 digest over every tuple's value ids and confidence bits, so
-//    ids must still be minted in first-seen order;
+//    pool and pins the pool's generation (its size and an order-sensitive
+//    hash of its strings) plus an FNV-1a-64 digest over every tuple's value
+//    ids and confidence bits, so ids must still be minted in first-seen
+//    order;
 //  * CsvIngestPin.ConfidenceParseParity pins the status code, message and
 //    value bits of every cell of a fixed list, 2,000 seeded random cells
 //    and 1,000 seeded decimals, so the accepted set and values must stay
@@ -19,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,13 +114,28 @@ uint64_t RelationDigest(const data::Relation& relation, bool confidences,
   return hash;
 }
 
+/// The pool's size and an order-sensitive hash of its strings: each
+/// string's length and characters folded through data::MixU64 in id order.
+std::pair<uint64_t, uint64_t> PoolGeneration(const data::StringPool& pool) {
+  uint64_t hash = 0x243f6a8885a308d3ULL;
+  for (size_t id = 0; id < pool.size(); ++id) {
+    const std::string_view s = pool.view(static_cast<data::ValueId>(id));
+    hash = data::MixU64(hash ^ s.size());
+    for (char c : s) {
+      hash = data::MixU64(hash ^
+                          static_cast<uint64_t>(static_cast<uint8_t>(c)));
+    }
+  }
+  return {pool.size(), hash};
+}
+
 struct PoolPin {
   const char* dataset;
   int tuples;
   int master;
   uint64_t seed;
   uint64_t count;  ///< pool size after the dataset's three CSVs
-  uint64_t hash;   ///< StringPool::PrefixHash over that size
+  uint64_t hash;   ///< PoolGeneration's hash over that size
   uint64_t digest;
 };
 
@@ -152,11 +169,11 @@ TEST(CsvIngestPin, PoolGenerationAndTupleDigests) {
     ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_EQ(data->size(), static_cast<size_t>(pin.tuples));
 
-    const data::StringPoolGeneration gen = scoped.pool().Generation();
+    const auto [count, hash] = PoolGeneration(scoped.pool());
     const uint64_t digest = RelationDigest(
         *master, false, RelationDigest(*data, true, kFnvOffset));
-    EXPECT_EQ(gen.count, pin.count) << pin.dataset;
-    EXPECT_EQ(Hex(gen.hash), Hex(pin.hash)) << pin.dataset;
+    EXPECT_EQ(count, pin.count) << pin.dataset;
+    EXPECT_EQ(Hex(hash), Hex(pin.hash)) << pin.dataset;
     EXPECT_EQ(Hex(digest), Hex(pin.digest)) << pin.dataset;
   }
 }

@@ -12,7 +12,11 @@
 # journal. A second daemon with a tiny --max-queue then
 # takes concurrent clients: the excess are rejected kUnavailable with a
 # retry-after hint and --max-retries backoff drives every one of them to a
-# byte-identical journal. Driven by CTest and by the CI serve-smoke job.
+# byte-identical journal. Last, two daemons each snapshot one ruleset (of
+# two samples) into one shared --snapshot-dir, and a third daemon serving
+# both rulesets warm-starts each from its file and serves both journals
+# byte-identical to in-process runs. Driven by CTest and by the CI
+# serve-smoke job.
 #
 # usage: serve_smoke_test.sh CLI SAMPLER DAEMON CLIENT WORK_DIR
 set -u
@@ -26,8 +30,39 @@ WORK=$5
 fail() {
   echo "serve_smoke_test: FAIL: $*" >&2
   [ -n "${DAEMON_PID:-}" ] && kill -9 "$DAEMON_PID" 2>/dev/null
-  [ -f "$WORK/daemon.log" ] && sed 's/^/  daemon: /' "$WORK/daemon.log" >&2
+  LOG="$WORK/${DAEMON_LOG:-daemon.log}"
+  [ -f "$LOG" ] && sed 's/^/  daemon: /' "$LOG" >&2
   exit 1
+}
+
+# start_daemon LOG ARGS...: starts unicleand with ARGS on an ephemeral
+# port, logging to LOG, and waits for its port file.
+start_daemon() {
+  DAEMON_LOG=$1
+  shift
+  rm -f port.txt
+  "$DAEMON" "$@" --port 0 --port-file port.txt >"$DAEMON_LOG" 2>&1 &
+  DAEMON_PID=$!
+  for _ in $(seq 1 300); do
+    [ -f port.txt ] && return 0
+    kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died at startup"
+    sleep 0.2
+  done
+  fail "daemon never wrote the port file"
+}
+
+# drain_daemon: SIGTERM the daemon and require a graceful exit 0.
+drain_daemon() {
+  kill -TERM "$DAEMON_PID" || fail "SIGTERM"
+  for _ in $(seq 1 300); do
+    kill -0 "$DAEMON_PID" 2>/dev/null || break
+    sleep 0.2
+  done
+  if kill -0 "$DAEMON_PID" 2>/dev/null; then fail "daemon did not drain"; fi
+  wait "$DAEMON_PID"
+  STATUS=$?
+  DAEMON_PID=
+  [ "$STATUS" -eq 0 ] || fail "daemon exited $STATUS after SIGTERM"
 }
 
 rm -rf "$WORK"
@@ -46,16 +81,8 @@ cd "$WORK" || fail "cannot cd $WORK"
   --confidence confidence.csv --journal cli_delta.csv --out /dev/null \
   --delta edits.csv >/dev/null 2>&1 || fail "uniclean_cli delta run"
 
-"$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
-  --port 0 --port-file port.txt --workers 2 >daemon.log 2>&1 &
-DAEMON_PID=$!
-
-for _ in $(seq 1 300); do
-  [ -f port.txt ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died during startup"
-  sleep 0.2
-done
-[ -f port.txt ] || fail "daemon never wrote the port file"
+start_daemon daemon.log --master master.csv --rules rules.txt \
+  --schema dirty.csv --workers 2
 
 "$CLIENT" --port-file port.txt --ping >/dev/null || fail "ping"
 "$CLIENT" --port-file port.txt --clean dirty.csv --confidence confidence.csv \
@@ -74,34 +101,15 @@ grep -q '"CLEAN": {"count": 1,' stats.json \
   || fail "--stats does not count the batch CLEAN"
 grep -q '"rulesets": \[' stats.json || fail "--stats has no rulesets"
 
-kill -TERM "$DAEMON_PID" || fail "SIGTERM"
-DRAIN_OK=
-for _ in $(seq 1 300); do
-  if ! kill -0 "$DAEMON_PID" 2>/dev/null; then DRAIN_OK=1; break; fi
-  sleep 0.2
-done
-[ -n "$DRAIN_OK" ] || { kill -9 "$DAEMON_PID"; fail "daemon did not drain"; }
-wait "$DAEMON_PID"
-STATUS=$?
-DAEMON_PID=
-[ "$STATUS" -eq 0 ] || fail "daemon exited $STATUS after SIGTERM"
+drain_daemon
 grep -q "unicleand summary" daemon.log || fail "no shutdown summary logged"
 
 # --- Snapshot scenario: cold start persists a snapshot, a kill -9 "crash"
 # loses nothing, and the restarted daemon warm-starts from the file with a
 # byte-identical journal.
 mkdir -p snapshots
-rm -f port.txt
-"$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
-  --port 0 --port-file port.txt --workers 2 --snapshot-dir snapshots \
-  >snap_daemon1.log 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 300); do
-  [ -f port.txt ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "snapshot daemon died at startup"
-  sleep 0.2
-done
-[ -f port.txt ] || fail "snapshot daemon never wrote the port file"
+start_daemon snap_daemon1.log --master master.csv --rules rules.txt \
+  --schema dirty.csv --workers 2 --snapshot-dir snapshots
 [ -s snapshots/default.ucsnap ] || fail "cold start left no snapshot behind"
 grep -q "engine ready in .*cold build" snap_daemon1.log \
   || fail "first snapshot-dir start was not a cold build"
@@ -114,17 +122,8 @@ kill -9 "$DAEMON_PID" 2>/dev/null  # simulated crash: no drain, no cleanup
 wait "$DAEMON_PID" 2>/dev/null
 DAEMON_PID=
 
-rm -f port.txt
-"$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
-  --port 0 --port-file port.txt --workers 2 --snapshot-dir snapshots \
-  >snap_daemon2.log 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 300); do
-  [ -f port.txt ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "restarted daemon died at startup"
-  sleep 0.2
-done
-[ -f port.txt ] || fail "restarted daemon never wrote the port file"
+start_daemon snap_daemon2.log --master master.csv --rules rules.txt \
+  --schema dirty.csv --workers 2 --snapshot-dir snapshots
 grep -q "engine ready in .*snapshot snapshots/default.ucsnap" snap_daemon2.log \
   || fail "restarted daemon did not warm-start from the snapshot"
 "$CLIENT" --port-file port.txt --clean dirty.csv \
@@ -132,17 +131,7 @@ grep -q "engine ready in .*snapshot snapshots/default.ucsnap" snap_daemon2.log \
   || fail "clean against the snapshot-warmed daemon"
 cmp -s cli_batch.csv snap_batch2.csv \
   || fail "snapshot-warmed daemon journal differs from the in-process run"
-kill -TERM "$DAEMON_PID" || fail "SIGTERM (snapshot daemon)"
-DRAIN_OK=
-for _ in $(seq 1 300); do
-  if ! kill -0 "$DAEMON_PID" 2>/dev/null; then DRAIN_OK=1; break; fi
-  sleep 0.2
-done
-[ -n "$DRAIN_OK" ] || { kill -9 "$DAEMON_PID"; fail "snapshot daemon hung"; }
-wait "$DAEMON_PID"
-STATUS=$?
-DAEMON_PID=
-[ "$STATUS" -eq 0 ] || fail "snapshot daemon exited $STATUS after SIGTERM"
+drain_daemon
 
 # --- Rules-edit restart: md3's thresholds change, every rule name kept.
 # The snapshot's match lists were computed under the old predicates, so the
@@ -157,17 +146,8 @@ cmp -s rules.txt rules_orig.txt && fail "the md3 edit changed nothing"
   >/dev/null 2>&1 || fail "uniclean_cli run over the edited rules"
 cmp -s cli_batch.csv cli_edited.csv \
   && fail "the md3 edit changed no repair of the sample"
-rm -f port.txt
-"$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
-  --port 0 --port-file port.txt --workers 2 --snapshot-dir snapshots \
-  >snap_daemon3.log 2>&1 &
-DAEMON_PID=$!
-for _ in $(seq 1 300); do
-  [ -f port.txt ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "rules-edit daemon died at startup"
-  sleep 0.2
-done
-[ -f port.txt ] || fail "rules-edit daemon never wrote the port file"
+start_daemon snap_daemon3.log --master master.csv --rules rules.txt \
+  --schema dirty.csv --workers 2 --snapshot-dir snapshots
 grep -q "snapshot snapshots/default.ucsnap rejected (FailedPrecondition" \
   snap_daemon3.log \
   || fail "the daemon did not refuse the snapshot of the pre-edit rules"
@@ -176,33 +156,13 @@ grep -q "snapshot snapshots/default.ucsnap rejected (FailedPrecondition" \
   || fail "clean against the rules-edit daemon"
 cmp -s cli_edited.csv snap_batch3.csv \
   || fail "rules-edit daemon journal differs from the in-process run"
-kill -TERM "$DAEMON_PID" || fail "SIGTERM (rules-edit daemon)"
-DRAIN_OK=
-for _ in $(seq 1 300); do
-  if ! kill -0 "$DAEMON_PID" 2>/dev/null; then DRAIN_OK=1; break; fi
-  sleep 0.2
-done
-[ -n "$DRAIN_OK" ] || { kill -9 "$DAEMON_PID"; fail "rules-edit daemon hung"; }
-wait "$DAEMON_PID"
-STATUS=$?
-DAEMON_PID=
-[ "$STATUS" -eq 0 ] || fail "rules-edit daemon exited $STATUS after SIGTERM"
+drain_daemon
 mv rules_orig.txt rules.txt
 
 # --- Overload scenario: tiny queue, concurrent clients, backoff to success.
-rm -f port.txt
-"$DAEMON" --master master.csv --rules rules.txt --schema dirty.csv \
-  --port 0 --port-file port.txt --workers 1 --max-queue 1 \
-  --request-timeout-ms 60000 --log-requests requests.log \
-  >daemon.log 2>&1 &
-DAEMON_PID=$!
-
-for _ in $(seq 1 300); do
-  [ -f port.txt ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "overload daemon died at startup"
-  sleep 0.2
-done
-[ -f port.txt ] || fail "overload daemon never wrote the port file"
+start_daemon daemon.log --master master.csv --rules rules.txt \
+  --schema dirty.csv --workers 1 --max-queue 1 \
+  --request-timeout-ms 60000 --log-requests requests.log
 
 N_CLIENTS=8
 CLIENT_PIDS=
@@ -220,17 +180,7 @@ for i in $(seq 1 "$N_CLIENTS"); do
     || fail "overloaded client $i journal differs from the in-process run"
 done
 
-kill -TERM "$DAEMON_PID" || fail "SIGTERM (overload daemon)"
-DRAIN_OK=
-for _ in $(seq 1 300); do
-  if ! kill -0 "$DAEMON_PID" 2>/dev/null; then DRAIN_OK=1; break; fi
-  sleep 0.2
-done
-[ -n "$DRAIN_OK" ] || { kill -9 "$DAEMON_PID"; fail "overload daemon hung"; }
-wait "$DAEMON_PID"
-STATUS=$?
-DAEMON_PID=
-[ "$STATUS" -eq 0 ] || fail "overload daemon exited $STATUS after SIGTERM"
+drain_daemon
 grep -q "overload:" daemon.log || fail "no overload line in the summary"
 # 8 concurrent 1000-tuple cleans against one worker + one queue slot must
 # have refused something; the request log records each refusal too.
@@ -241,7 +191,44 @@ grep -q '"status": "Unavailable"' requests.log \
 grep -q '"status": "OK"' requests.log \
   || fail "request log has no successful request line"
 
+# --- Shared snapshot dir: daemon X snapshots ruleset a, daemon Y ruleset
+# b (a second sample), each in its own process and so its own interning
+# history. Daemon Z serves both and must warm-start each from its file.
+"$SAMPLER" --out-dir b --tuples 200 --master 60 --seed 2 >/dev/null \
+  || fail "make_hosp_sample --seed 2"
+"$CLI" --data b/dirty.csv --master b/master.csv --rules b/rules.txt \
+  --confidence b/confidence.csv --journal cli_b.csv --out /dev/null \
+  >/dev/null 2>&1 || fail "uniclean_cli run over the second sample"
+mkdir -p shared
+start_daemon shared_x.log --name a --master master.csv --rules rules.txt \
+  --schema dirty.csv --workers 2 --snapshot-dir shared
+drain_daemon
+[ -s shared/a.ucsnap ] || fail "daemon X left no shared/a.ucsnap"
+start_daemon shared_y.log --name b --master b/master.csv \
+  --rules b/rules.txt --schema b/dirty.csv --workers 2 --snapshot-dir shared
+drain_daemon
+[ -s shared/b.ucsnap ] || fail "daemon Y left no shared/b.ucsnap"
+start_daemon shared_z.log --name a --master master.csv --rules rules.txt \
+  --schema dirty.csv --ruleset b:b/master.csv:b/rules.txt:b/dirty.csv \
+  --workers 2 --snapshot-dir shared
+for name in a b; do
+  grep -q "ruleset '$name' engine ready in .*(snapshot shared/$name.ucsnap)" \
+    shared_z.log \
+    || fail "daemon Z did not warm-start ruleset $name from shared/$name.ucsnap"
+done
+"$CLIENT" --port-file port.txt --ruleset a --clean dirty.csv \
+  --confidence confidence.csv --journal shared_a.csv >/dev/null \
+  || fail "clean of ruleset a against daemon Z"
+"$CLIENT" --port-file port.txt --ruleset b --clean b/dirty.csv \
+  --confidence b/confidence.csv --journal shared_b.csv >/dev/null \
+  || fail "clean of ruleset b against daemon Z"
+cmp -s cli_batch.csv shared_a.csv \
+  || fail "daemon Z's ruleset a journal differs from the in-process run"
+cmp -s cli_b.csv shared_b.csv \
+  || fail "daemon Z's ruleset b journal differs from the in-process run"
+drain_daemon
+
 echo "serve_smoke_test: PASS (journals byte-identical, graceful drain," \
      "snapshot warm restart, stale snapshot refused after a rules edit," \
-     "overload rejected + retried to success)"
+     "overload rejected + retried to success, shared snapshot dir)"
 exit 0

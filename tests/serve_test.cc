@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "data/csv.h"
+#include "data/string_pool.h"
 #include "gen/dataset.h"
 #include "scratch_dir.h"
 #include "serve/client.h"
@@ -1586,6 +1587,57 @@ TEST(SnapshotServeTest, ReloadRewritesTheSnapshot) {
   auto reload = client.Reload();
   ASSERT_TRUE(reload.ok()) << reload.status().ToString();
   EXPECT_TRUE(snapshot::Verify(snap_path).ok());
+}
+
+TEST(SnapshotServeTest, RulesetsSnapshottedInSeparatePoolsBothWarmStart) {
+  // Two rulesets, each snapshotted into one shared dir by a daemon of its
+  // own running in a string pool of its own, as separate replicas would.
+  // A daemon serving both, in a pool that interned other strings first,
+  // must warm-start each from its file: the files name their strings, not
+  // the writers' pool ids.
+  const testing::ScratchDir scratch("uniclean_serve_snap");
+  const std::string& dir = scratch.path();
+  std::vector<RulesetConfig> rulesets;
+  for (const uint64_t seed : {1u, 2u}) {
+    gen::GeneratorConfig config;
+    config.num_tuples = 120;
+    config.master_size = 60;
+    config.seed = seed;
+    const gen::Dataset ds = gen::GenerateHosp(config);
+    RulesetConfig cfg;
+    cfg.name = seed == 1 ? "a" : "b";
+    cfg.master_csv = dir + "/" + cfg.name + "_master.csv";
+    cfg.rules_file = dir + "/" + cfg.name + "_rules.txt";
+    cfg.schema_csv = dir + "/" + cfg.name + "_dirty.csv";
+    ASSERT_TRUE(data::WriteCsvFile(cfg.schema_csv, ds.dirty).ok());
+    ASSERT_TRUE(data::WriteCsvFile(cfg.master_csv, ds.master).ok());
+    std::ofstream rules(cfg.rules_file);
+    rules << ds.rule_text;
+    ASSERT_TRUE(rules.good());
+    rulesets.push_back(cfg);
+  }
+  DaemonOptions options;
+  options.port = 0;
+  options.n_workers = 1;
+  options.snapshot_dir = dir;
+  for (const RulesetConfig& cfg : rulesets) {
+    data::ScopedStringPool scoped;
+    Daemon writer(options, {cfg});
+    const Status started = writer.Start();
+    ASSERT_TRUE(started.ok()) << started.ToString();
+    writer.Shutdown();
+    ASSERT_TRUE(snapshot::Verify(dir + "/" + cfg.name + ".ucsnap").ok());
+  }
+  Daemon daemon(options, rulesets);
+  const Status started = daemon.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  Client client = ConnectTo(daemon);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->rulesets.size(), 2u);
+  for (const RulesetStats& ruleset : stats->rulesets) {
+    EXPECT_EQ(ruleset.snapshot_source, dir + "/" + ruleset.name + ".ucsnap");
+  }
 }
 
 TEST(WireDeadlineTest, NewErrorCodesRoundTripUnchanged) {

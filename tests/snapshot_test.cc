@@ -4,27 +4,29 @@
 //  1. Round-trip parity — an engine warm-started with
 //     EngineBuilder::FromSnapshot must be observationally identical to the
 //     cold-built engine the snapshot came from: byte-identical CLEAN and
-//     DELTA journals on HOSP/DBLP/TPCH, zero MdMatcher constructions during
+//     DELTA journals on HOSP/DBLP/TPCH, also when the loading process
+//     interned other strings first, zero MdMatcher constructions during
 //     the load, memo contents carried across when asked for.
 //  2. Hostile-file hardening — truncations, bit flips, forged lengths, wrong
-//     magic, future versions, a forged suffix array behind a valid CRC and
-//     configuration mismatches must surface as the structured codes
-//     snapshot.h promises (kDataLoss vs kFailedPrecondition vs kNotFound),
-//     never an abort or a half-restored engine.
+//     magic, older and future versions, a forged suffix array or string
+//     table behind a valid CRC and configuration mismatches must surface as
+//     the structured codes snapshot.h promises (kDataLoss vs
+//     kFailedPrecondition vs kNotFound), never an abort or a half-restored
+//     engine.
 //
-// Both halves run under ScopedStringPool so each cold/warm run replays the
-// same deterministic intern sequence a fresh process would.
-
-#include <unistd.h>
+// Each cold or warm run gets its own ScopedStringPool, as a fresh process
+// would, and every file lives in a ScratchDir removed with the test.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -33,10 +35,10 @@
 
 #include "core/match_environment.h"
 #include "core/md_matcher.h"
-#include "data/csv.h"
 #include "data/relation.h"
 #include "data/string_pool.h"
 #include "gen/dataset.h"
+#include "scratch_dir.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
 #include "uniclean/engine.h"
@@ -193,6 +195,37 @@ SectionAt FirstSection(const std::string& bytes, snapshot::SectionId id) {
   return {};
 }
 
+/// The little-endian u32 at `bytes[offset]`.
+uint32_t ReadU32(const std::string& bytes, size_t offset) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+/// Where the string table of the memo section at `section` ends: its
+/// payload opens with `u32 n | n x (u32 length | bytes)`.
+size_t StringTableEnd(const std::string& bytes, const SectionAt& section) {
+  size_t at = section.payload();
+  const uint32_t n = ReadU32(bytes, at);
+  at += 4;
+  for (uint32_t i = 0; i < n; ++i) at += 4 + ReadU32(bytes, at);
+  return at;
+}
+
+/// Re-seals the CRC of the section at `section` and the header, so edited
+/// payload bytes reach the decoders.
+void ResealSection(std::string* bytes, const SectionAt& section) {
+  const auto header = snapshot::DecodeSectionHeader(*bytes, section.offset);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  PatchU32(bytes, section.offset + 16,
+           snapshot::Crc32(bytes->data() + section.payload(),
+                           static_cast<size_t>(header->length)));
+  ResealHeader(bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Round-trip parity
 // ---------------------------------------------------------------------------
@@ -203,9 +236,10 @@ class SnapshotParity
   std::string Name() const { return std::get<0>(GetParam()); }
   uint64_t Seed() const { return std::get<1>(GetParam()); }
   std::string Path(const char* tag) const {
-    return ::testing::TempDir() + "ucsnap_" + Name() + "_" +
-           std::to_string(Seed()) + "_" + tag + ".ucsnap";
+    return scratch_.path() + "/" + tag + ".ucsnap";
   }
+
+  const testing::ScratchDir scratch_{"uniclean_snapshot_test"};
 };
 
 TEST_P(SnapshotParity, WarmStartJournalsAreByteIdentical) {
@@ -255,6 +289,41 @@ TEST_P(SnapshotParity, TrackedDeltaJournalsAreByteIdentical) {
   EXPECT_EQ(RunDeltaJournal(*engine, ds), cold_delta);
 }
 
+TEST_P(SnapshotParity, LoadIntoAPoolWithOtherIdsKeepsTheJournals) {
+  // The file is written in one pool and loaded into one that interned 500
+  // junk strings first, so every id the load and the runs see differs
+  // from the writer's. The memo keys name their strings, so the load maps
+  // them to the live ids: the warm run hits every memo entry the cold run
+  // left, and its journals are the cold run's.
+  const std::string path = Path("other_ids");
+  std::string cold_journal;
+  std::string cold_delta;
+  {
+    data::ScopedStringPool scoped;
+    gen::Dataset ds = Generate(Name(), Seed());
+    auto engine = Configure(ds).BuildEngine();
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    cold_journal = RunJournal(*engine, ds);
+    ASSERT_GT((*engine)->environment().MemoStats().entries, 0u);
+    ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path).ok());
+    cold_delta = RunDeltaJournal(*engine, ds);
+  }
+  ASSERT_FALSE(cold_journal.empty());
+
+  data::ScopedStringPool scoped;
+  for (int i = 0; i < 500; ++i) {
+    scoped.pool().Intern("junk-" + std::to_string(i));
+  }
+  gen::Dataset ds = Generate(Name(), Seed());
+  const uint64_t constructed_before = core::MdMatcher::ConstructedCount();
+  auto engine = Configure(ds).FromSnapshot(path);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(core::MdMatcher::ConstructedCount(), constructed_before);
+  EXPECT_EQ(RunJournal(*engine, ds), cold_journal);
+  EXPECT_EQ((*engine)->environment().MemoStats().misses, 0u);
+  EXPECT_EQ(RunDeltaJournal(*engine, ds), cold_delta);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Datasets, SnapshotParity,
     ::testing::Combine(::testing::Values("HOSP", "DBLP", "TPCH"),
@@ -271,9 +340,10 @@ INSTANTIATE_TEST_SUITE_P(
 class SnapshotHosp : public ::testing::Test {
  protected:
   std::string Path(const char* tag) const {
-    return ::testing::TempDir() + std::string("ucsnap_hosp_") + tag +
-           ".ucsnap";
+    return scratch_.path() + "/" + tag + ".ucsnap";
   }
+
+  const testing::ScratchDir scratch_{"uniclean_snapshot_test"};
 };
 
 TEST_F(SnapshotHosp, MemoContentsRoundTrip) {
@@ -392,15 +462,11 @@ TEST_F(SnapshotHosp, InspectReportsTheSectionTable) {
   auto info = snapshot::Inspect(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->header.version, snapshot::kFormatVersion);
-  EXPECT_GT(info->header.pool_count, 0u);
   EXPECT_EQ(info->header.section_count, info->sections.size());
   EXPECT_GT(info->file_bytes, snapshot::kHeaderBytes);
-  int pools = 0;
   int environments = 0;
   int matchers = 0;
   for (const auto& section : info->sections) {
-    if (section.id == static_cast<uint32_t>(snapshot::SectionId::kStringPool))
-      ++pools;
     if (section.id == static_cast<uint32_t>(snapshot::SectionId::kEnvironment))
       ++environments;
     if (section.id == static_cast<uint32_t>(snapshot::SectionId::kMatcher)) {
@@ -408,9 +474,45 @@ TEST_F(SnapshotHosp, InspectReportsTheSectionTable) {
       ++matchers;
     }
   }
-  EXPECT_EQ(pools, 1);
   EXPECT_EQ(environments, 1);
   EXPECT_EQ(matchers, num_matchers);
+}
+
+TEST_F(SnapshotHosp, ConcurrentWritersOfOnePathEachInstallAWholeFile) {
+  // Two engines write one path from two threads, 50 times each, as
+  // replicas that own one ruleset write into a shared snapshot dir. Each
+  // write renames its own temp file into place, so every write succeeds,
+  // the file left behind is one of them whole, and no temp file remains.
+  const std::string path = Path("shared");
+  data::ScopedStringPool scoped;
+  const gen::Dataset a = Generate("HOSP", 11);
+  const gen::Dataset b = Generate("HOSP", 29);
+  auto engine_a = Configure(a).BuildEngine();
+  auto engine_b = Configure(b).BuildEngine();
+  ASSERT_TRUE(engine_a.ok()) << engine_a.status().ToString();
+  ASSERT_TRUE(engine_b.ok()) << engine_b.status().ToString();
+  RunJournal(*engine_a, a);
+  RunJournal(*engine_b, b);
+  constexpr int kWrites = 50;
+  std::vector<Status> statuses(2 * kWrites, Status::OK());
+  const auto write = [&](const CleanEngine& engine, size_t first) {
+    for (size_t i = 0; i < kWrites; ++i) {
+      statuses[first + i] = snapshot::WriteSnapshot(engine, path);
+    }
+  };
+  std::thread writer_a(write, std::cref(**engine_a), 0);
+  std::thread writer_b(write, std::cref(**engine_b), kWrites);
+  writer_a.join();
+  writer_b.join();
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  const Status verified = snapshot::Verify(path);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scratch_.path())) {
+    EXPECT_EQ(entry.path().string(), path);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,19 +582,12 @@ TEST_F(EngineFingerprintTest, OneEditedRuleChangesTheFingerprint) {
 class SnapshotHardening : public ::testing::Test {
  protected:
   void SetUp() override {
-    // ctest runs each discovered test as its own process in parallel; the
-    // pid suffix keeps concurrent hardening tests off each other's files.
-    const std::string pid = std::to_string(static_cast<long>(::getpid()));
-    path_ = ::testing::TempDir() + "ucsnap_hardening_" + pid + ".ucsnap";
-    mutated_path_ =
-        ::testing::TempDir() + "ucsnap_hardening_mut_" + pid + ".ucsnap";
-    master_path_ = ::testing::TempDir() + "ucsnap_hardening_master_" + pid +
-                   ".csv";
+    path_ = Path("good");
+    mutated_path_ = Path("mutated");
     data::ScopedStringPool scoped;
     gen::Dataset ds = Generate("HOSP", 11);
     data_schema_ = ds.dirty.schema_ptr();
     rule_text_ = ds.rule_text;
-    ASSERT_TRUE(data::WriteCsvFile(master_path_, ds.master).ok());
     auto engine = Configure(ds).BuildEngine();
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path_).ok());
@@ -510,19 +605,19 @@ class SnapshotHardening : public ::testing::Test {
     }
   }
 
-  /// Attempts a warm start of `path` under the standard configuration;
-  /// `junk` pre-interned strings shift every id the generator would mint.
+  std::string Path(const char* tag) const {
+    return scratch_.path() + "/" + tag + ".ucsnap";
+  }
+
+  /// Attempts a warm start of `path` under the standard configuration.
   /// Also drives Verify() and Inspect() over the same file — hostile bytes
   /// must never crash any entry point.
-  Status TryLoad(const std::string& path, int junk = 0, double eta = 1.0,
+  Status TryLoad(const std::string& path, double eta = 1.0,
                  core::MdMatcherOptions matcher = {}) {
     snapshot::Verify(path).ok();                 // must not crash
     auto info = snapshot::Inspect(path);         // must not crash
     (void)info;
     data::ScopedStringPool scoped;
-    for (int i = 0; i < junk; ++i) {
-      scoped.pool().Intern("junk-" + std::to_string(i));
-    }
     gen::Dataset ds = Generate("HOSP", 11);
     auto engine = Configure(ds, eta, matcher).FromSnapshot(path);
     return engine.status();
@@ -531,20 +626,6 @@ class SnapshotHardening : public ::testing::Test {
   Status TryLoadBytes(const std::string& bytes) {
     WriteFileBytes(mutated_path_, bytes);
     return TryLoad(mutated_path_);
-  }
-
-  /// Attempts a warm start of `bytes` the way a daemon's cold start does:
-  /// the master CSV and the rule text are read only after the pool section.
-  /// Into a fresh pool (the caller installs one), the section's strings go
-  /// through StringPool::TryInternBatch.
-  Status TryLoadFromFiles(const std::string& bytes) {
-    WriteFileBytes(mutated_path_, bytes);
-    EngineBuilder builder;
-    builder.WithDataSchema(data_schema_)
-        .WithMasterCsv(master_path_)
-        .WithRuleText(rule_text_)
-        .WithEta(1.0);
-    return builder.FromSnapshot(mutated_path_).status();
   }
 
   /// good_ with the first section of kind `id` re-filed under
@@ -556,9 +637,9 @@ class SnapshotHardening : public ::testing::Test {
     return bytes;
   }
 
+  const testing::ScratchDir scratch_{"uniclean_snapshot_test"};
   std::string path_;
   std::string mutated_path_;
-  std::string master_path_;
   data::SchemaPtr data_schema_;
   std::string rule_text_;
   std::string good_;
@@ -571,7 +652,7 @@ TEST_F(SnapshotHardening, GoodFileLoadsAndVerifies) {
 }
 
 TEST_F(SnapshotHardening, MissingFileIsNotFound) {
-  const Status s = TryLoad(::testing::TempDir() + "ucsnap_does_not_exist");
+  const Status s = TryLoad(Path("does_not_exist"));
   EXPECT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
 }
 
@@ -598,7 +679,7 @@ TEST_F(SnapshotHardening, BitFlipsAreDataLoss) {
   const std::vector<size_t> offsets = {
       9,                                               // header: version
       16,                                              // header: fingerprint
-      37,                                              // header: section count
+      21,                                              // header: section count
       snapshot::kHeaderBytes + 8,                      // section: length
       snapshot::kHeaderBytes + snapshot::kSectionHeaderBytes + 3,  // payload
       good_.size() / 2,
@@ -642,7 +723,7 @@ TEST_F(SnapshotHardening, ForgedSectionLengthIsDataLoss) {
 
 TEST_F(SnapshotHardening, FingerprintMismatchIsFailedPrecondition) {
   // Same bytes, different engine: a changed eta changes Fingerprint().
-  const Status s = TryLoad(path_, /*junk=*/0, /*eta=*/0.5);
+  const Status s = TryLoad(path_, /*eta=*/0.5);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
 }
 
@@ -651,7 +732,7 @@ TEST_F(SnapshotHardening, MatcherOptionMismatchIsFailedPrecondition) {
   // of the engine fingerprint.
   core::MdMatcherOptions matcher;
   matcher.use_blocking = false;
-  const Status s = TryLoad(path_, /*junk=*/0, /*eta=*/1.0, matcher);
+  const Status s = TryLoad(path_, /*eta=*/1.0, matcher);
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
   EXPECT_NE(s.message().find("different engine"), std::string::npos)
       << s.ToString();
@@ -660,9 +741,7 @@ TEST_F(SnapshotHardening, MatcherOptionMismatchIsFailedPrecondition) {
 TEST_F(SnapshotHardening, MemoCapacityDifferenceLoadsWithinTheCap) {
   // memo_capacity changes no match list, only how many stay resident: a
   // file written without a cap loads under one and keeps what fits.
-  const std::string path = ::testing::TempDir() + "ucsnap_memocap_" +
-                           std::to_string(static_cast<long>(::getpid())) +
-                           ".ucsnap";
+  const std::string path = Path("memocap");
   uint64_t entries = 0;
   {
     data::ScopedStringPool scoped;
@@ -687,13 +766,6 @@ TEST_F(SnapshotHardening, MemoCapacityDifferenceLoadsWithinTheCap) {
   ASSERT_GT(entries, most);
   EXPECT_GT(stats.entries, 0u);
   EXPECT_LE(stats.entries, most);
-}
-
-TEST_F(SnapshotHardening, DivergedStringPoolIsFailedPrecondition) {
-  // Junk interned before the load permutes every id the generator mints, so
-  // the snapshot's pool prefix no longer matches the live pool.
-  const Status s = TryLoad(path_, /*junk=*/500);
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
 }
 
 TEST_F(SnapshotHardening, UnknownSectionIsSkipped) {
@@ -733,15 +805,7 @@ TEST_F(SnapshotHardening, ForgedSuffixArrayIsDataLoss) {
   const size_t payload = section + snapshot::kSectionHeaderBytes;
   const size_t length_offset = payload + 9;
   const size_t entries = payload + 13;
-  const auto read_u32 = [](const std::string& bytes, size_t offset) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + i]))
-           << (8 * i);
-    }
-    return v;
-  };
-  const uint32_t n = read_u32(good_, length_offset);
+  const uint32_t n = ReadU32(good_, length_offset);
   ASSERT_GT(n, 2u);
   const size_t mid = entries + 4 * (n / 2);
 
@@ -751,12 +815,12 @@ TEST_F(SnapshotHardening, ForgedSuffixArrayIsDataLoss) {
       mutations = {
           {"swap two adjacent entries",
            [&](std::string* b) {
-             const uint32_t a = read_u32(*b, mid);
-             PatchU32(b, mid, read_u32(*b, mid + 4));
+             const uint32_t a = ReadU32(*b, mid);
+             PatchU32(b, mid, ReadU32(*b, mid + 4));
              PatchU32(b, mid + 4, a);
            }},
           {"duplicate an entry",
-           [&](std::string* b) { PatchU32(b, mid + 4, read_u32(*b, mid)); }},
+           [&](std::string* b) { PatchU32(b, mid + 4, ReadU32(*b, mid)); }},
           {"entry set to n", [&](std::string* b) { PatchU32(b, mid, n); }},
           {"entry set to -1",
            [&](std::string* b) { PatchU32(b, mid, 0xFFFFFFFFu); }},
@@ -839,6 +903,40 @@ TEST_F(SnapshotHardening, Version4IsFailedPrecondition) {
   EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
 }
 
+TEST_F(SnapshotHardening, Version5IsFailedPrecondition) {
+  // v5 sealed a 44-byte header that also held the writer's string-pool
+  // generation, and its memo keys were that pool's ids. A v5 file is
+  // refused by version, whether its header is read under this format's
+  // seal or under its own.
+  std::string bytes = good_;
+  PatchU32(&bytes, 8, 5);
+  ResealHeader(&bytes);
+  Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("version 5"), std::string::npos) << s.ToString();
+
+  // The v5 layout: magic | u32 version | u64 fingerprint | u64 pool count |
+  // u64 pool hash | u32 section count | u32 CRC of bytes [0, 40).
+  std::string v5(snapshot::kMagic, sizeof(snapshot::kMagic));
+  snapshot::PutU32(&v5, 5);
+  snapshot::PutU64(&v5, 0x92fac2a46cea8ed7ull);
+  snapshot::PutU64(&v5, 396);
+  snapshot::PutU64(&v5, 0xd9c66aadd109a646ull);
+  snapshot::PutU32(&v5, 8);
+  snapshot::PutU32(&v5, snapshot::Crc32(v5.data(), v5.size()));
+  ASSERT_EQ(v5.size(), 44u);
+  v5 += good_.substr(snapshot::kHeaderBytes);
+  s = TryLoadBytes(v5);
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_NE(s.message().find("format version 5 is not supported"),
+            std::string::npos)
+      << s.ToString();
+  // The same header with one bit flipped is corruption, not a version.
+  v5[24] = static_cast<char>(v5[24] ^ 0x10);
+  s = TryLoadBytes(v5);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+}
+
 TEST_F(SnapshotHardening, EditedRulesWithTheSameNamesAreFailedPrecondition) {
   // md3's thresholds edited with every rule name kept: the match lists the
   // file holds were computed under the old predicates, so the fingerprint
@@ -918,14 +1016,6 @@ TEST_F(SnapshotHardening, MatcherSectionsRecordTheWholeMaster) {
     master_size = static_cast<uint32_t>(Generate("HOSP", 11).master.size());
   }
   ASSERT_GT(master_size, 0u);
-  const auto read_u32 = [](const std::string& bytes, size_t offset) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[offset + i]))
-           << (8 * i);
-    }
-    return v;
-  };
   int matchers = 0;
   for (const SectionAt& section : Sections(good_)) {
     if (section.header.id !=
@@ -933,7 +1023,7 @@ TEST_F(SnapshotHardening, MatcherSectionsRecordTheWholeMaster) {
       continue;
     }
     ++matchers;
-    EXPECT_EQ(read_u32(good_, section.payload()), master_size)
+    EXPECT_EQ(ReadU32(good_, section.payload()), master_size)
         << "matcher section at " << section.offset;
   }
   ASSERT_GT(matchers, 0);
@@ -956,11 +1046,10 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
   // Every matcher and memo section of a snapshot with memos, mutated by
   // seeded 1-4-byte overwrites and truncations of 1 to 8 bytes, at most the
   // whole payload (length patched), then re-sealed, so the bytes reach the
-  // decoders. Each load must return a Status — OK or DataLoss, since only
+  // decoders; each memo section also gets overwrites confined to its string
+  // table. Each load must return a Status — OK or DataLoss, since only
   // codec payloads change — and never abort or trip a sanitizer.
-  const std::string path = ::testing::TempDir() + "ucsnap_mutation_" +
-                           std::to_string(static_cast<long>(::getpid())) +
-                           ".ucsnap";
+  const std::string path = Path("mutation");
   {
     data::ScopedStringPool scoped;
     gen::Dataset ds = Generate("HOSP", 11);
@@ -971,8 +1060,8 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
     ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path).ok());
   }
   const std::string good = ReadFileBytes(path);
-  // One pool and one dataset serve every load: the pool section is never
-  // mutated, so each load re-finds the same prefix.
+  // One pool and one dataset serve every load. A mutated string table may
+  // intern strings the dataset never held; no later load depends on them.
   data::ScopedStringPool scoped;
   gen::Dataset ds = Generate("HOSP", 11);
   const auto load = [&](const std::string& bytes) {
@@ -984,8 +1073,12 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
   ASSERT_TRUE(load(good).ok());
 
   std::mt19937 rng(0x5eed);
+  // The string-table mutants draw from their own seed, so the others stay
+  // the mutants they were before memo sections had string tables.
+  std::mt19937 table_rng(0x7ab1e);
   int loads = 0;
   int refused = 0;
+  int in_tables = 0;
   for (const SectionAt& section : Sections(good)) {
     const bool matcher = section.header.id ==
                          static_cast<uint32_t>(snapshot::SectionId::kMatcher);
@@ -1015,13 +1108,28 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
       mutants.emplace_back("truncate " + std::to_string(cut),
                            std::move(bytes));
     }
+    if (memos) {
+      // The table's count, string lengths and characters.
+      const size_t table = StringTableEnd(good, section) - section.payload();
+      ASSERT_GT(table, 4u) << "memo section of rule " << section.header.rule_id
+                           << " names no string";
+      for (int i = 0; i < 8; ++i) {
+        const size_t width = 1 + table_rng() % 4;
+        const size_t at = table_rng() % (table - width + 1);
+        std::string bytes = good;
+        for (size_t k = 0; k < width; ++k) {
+          bytes[section.payload() + at + k] =
+              static_cast<char>(table_rng() & 0xFF);
+        }
+        mutants.emplace_back("string table: overwrite " +
+                                 std::to_string(width) + " at " +
+                                 std::to_string(at),
+                             std::move(bytes));
+        ++in_tables;
+      }
+    }
     for (auto& [what, bytes] : mutants) {
-      const uint64_t mutated_length =
-          snapshot::DecodeSectionHeader(bytes, section.offset)->length;
-      PatchU32(&bytes, section.offset + 16,
-               snapshot::Crc32(bytes.data() + section.payload(),
-                               static_cast<size_t>(mutated_length)));
-      ResealHeader(&bytes);
+      ResealSection(&bytes, section);
       const Status s = load(bytes);
       EXPECT_TRUE(s.ok() || s.code() == StatusCode::kDataLoss)
           << (matcher ? "matcher" : "memo") << " section of rule "
@@ -1031,127 +1139,18 @@ TEST_F(SnapshotHardening, SeededMutationsBehindValidCrcsReturnAStatus) {
     }
   }
   // HOSP: two equality matchers (5-byte sections: 12 overwrites and 5
-  // cuts each), one suffix-array matcher and 3 memo sections (20 each).
-  EXPECT_EQ(loads, 2 * 17 + 4 * 20);
+  // cuts each), one suffix-array matcher and 3 memo sections (20 each),
+  // plus 8 string-table overwrites per memo section.
+  EXPECT_EQ(loads, 2 * 17 + 4 * 20 + 3 * 8);
+  EXPECT_EQ(in_tables, 3 * 8);
   EXPECT_GT(refused, 0);
 }
 
-/// The strings of a pool-section payload, or nothing when the payload does
-/// not parse.
-std::optional<std::vector<std::string_view>> PoolStrings(
-    std::string_view payload) {
-  snapshot::Reader r(payload);
-  auto count = r.U64();
-  if (!count.ok() || *count > payload.size()) return std::nullopt;
-  std::vector<std::string_view> strings;
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto s = r.Bytes();
-    if (!s.ok()) return std::nullopt;
-    strings.push_back(*s);
-  }
-  if (!r.done()) return std::nullopt;
-  return strings;
-}
-
-/// StringPool::PrefixHash over `strings`, in order.
-uint64_t PoolHash(const std::vector<std::string_view>& strings) {
-  uint64_t hash = 0x243f6a8885a308d3ULL;
-  for (std::string_view s : strings) {
-    hash = data::MixU64(hash ^ s.size());
-    for (char c : s) {
-      hash = data::MixU64(hash ^ static_cast<uint64_t>(
-                                     static_cast<uint8_t>(c)));
-    }
-  }
-  return hash;
-}
-
-/// The string count and StringPool::PrefixHash of a pool-section payload,
-/// or nothing when the payload does not parse.
-std::optional<std::pair<uint64_t, uint64_t>> PoolCountAndHash(
-    std::string_view payload) {
-  const auto strings = PoolStrings(payload);
-  if (!strings.has_value()) return std::nullopt;
-  return std::make_pair(static_cast<uint64_t>(strings->size()),
-                        PoolHash(*strings));
-}
-
-/// Sets the header's pool generation (the string count and
-/// StringPool::PrefixHash) and re-seals the header.
-void SetPoolGeneration(std::string* bytes, uint64_t count, uint64_t hash) {
-  EditHeader(bytes, [&](snapshot::Header* h) {
-    h->pool_count = count;
-    h->pool_hash = hash;
-  });
-}
-
-/// `bytes` with its pool section re-encoded to hold `strings`: the section's
-/// length and CRC and the header's pool generation re-derived, so the
-/// strings reach the loader past every check of the container.
-std::string WithPoolStrings(const std::string& bytes,
-                            const std::vector<std::string>& strings) {
-  const SectionAt section =
-      FirstSection(bytes, snapshot::SectionId::kStringPool);
-  std::string payload;
-  snapshot::PutU64(&payload, strings.size());
-  for (const std::string& s : strings) snapshot::PutBytes(&payload, s);
-  std::string out = bytes.substr(0, section.offset);
-  snapshot::SectionHeader header = section.header;
-  header.length = payload.size();
-  header.crc = snapshot::Crc32(payload);
-  snapshot::EncodeSectionHeader(header, &out);
-  out += payload;
-  out += bytes.substr(section.payload() +
-                      static_cast<size_t>(section.header.length));
-  const std::vector<std::string_view> views(strings.begin(), strings.end());
-  SetPoolGeneration(&out, strings.size(), PoolHash(views));
-  return out;
-}
-
-TEST_F(SnapshotHardening,
-       RepeatedPoolStringIsDataLossBeforeAnythingIsInterned) {
-  // Pool string 100 set to string 50, behind a re-derived count and hash
-  // and re-sealed CRCs. Interned into a fresh pool, the repeat used to mint
-  // one id too few: the load failed only at the id check ("grew
-  // concurrently"), left about 1,700 strings in the pool, and a good file
-  // then failed in the same pool ("diverged ... at id 100").
-  const SectionAt section =
-      FirstSection(good_, snapshot::SectionId::kStringPool);
-  const auto views = PoolStrings(std::string_view(good_).substr(
-      section.payload(), static_cast<size_t>(section.header.length)));
-  ASSERT_TRUE(views.has_value());
-  ASSERT_GT(views->size(), 100u);
-  std::vector<std::string> strings(views->begin(), views->end());
-  strings[100] = strings[50];
-  const std::string bytes = WithPoolStrings(good_, strings);
-  WriteFileBytes(mutated_path_, bytes);
-  const Status verified = snapshot::Verify(mutated_path_);
-  EXPECT_EQ(verified.code(), StatusCode::kDataLoss) << verified.ToString();
-
-  data::ScopedStringPool fresh;
-  const Status s = TryLoadFromFiles(bytes);
-  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
-  EXPECT_NE(s.message().find("repeats a string at id 100"), std::string::npos)
-      << s.ToString();
-  EXPECT_EQ(fresh.pool().size(), 1u);
-  const Status good = TryLoadFromFiles(good_);
-  EXPECT_TRUE(good.ok()) << good.ToString();
-  EXPECT_EQ(fresh.pool().size(), views->size());
-}
-
-TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
-  // The string-pool section, mutated by seeded 1-4-byte overwrites and
-  // 1-8-byte truncations and re-sealed. Each mutant loads twice: once with
-  // only the section CRC re-sealed (the pool decoder sees the bytes), and,
-  // when the payload still parses, once more with the header's pool count
-  // and hash re-derived from it, so the strings reach the live-pool prefix
-  // check. The re-derived mutant also loads into a fresh pool, as a
-  // daemon's cold start would, so its strings go through
-  // StringPool::TryInternBatch into the pool's index. Every load must
-  // return a Status and never abort.
-  const std::string pid = std::to_string(static_cast<long>(::getpid()));
-  const std::string path =
-      ::testing::TempDir() + "ucsnap_pool_mutation_" + pid + ".ucsnap";
+TEST_F(SnapshotHardening, MemoKeysOutsideTheirStringTableAreDataLoss) {
+  // A memo key names its value by an index into its section's string
+  // table. An index past the table, or a table count the section cannot
+  // hold, behind re-sealed CRCs, is refused.
+  const std::string path = Path("memos");
   {
     data::ScopedStringPool scoped;
     gen::Dataset ds = Generate("HOSP", 11);
@@ -1161,81 +1160,35 @@ TEST_F(SnapshotHardening, SeededPoolMutationsBehindValidCrcsReturnAStatus) {
     ASSERT_TRUE(snapshot::WriteSnapshot(**engine, path).ok());
   }
   const std::string good = ReadFileBytes(path);
-  // Mutated strings never enter the pool: the live prefix (the dataset's
-  // strings) covers the whole section, so a changed string is refused at
-  // the prefix check before anything is interned.
-  data::ScopedStringPool scoped;
-  gen::Dataset ds = Generate("HOSP", 11);
-  const auto load = [&](const std::string& bytes) {
-    WriteFileBytes(mutated_path_, bytes);
-    (void)snapshot::Verify(mutated_path_);
-    (void)snapshot::Inspect(mutated_path_);
-    return Configure(ds).FromSnapshot(mutated_path_).status();
-  };
-  ASSERT_TRUE(load(good).ok());
+  const SectionAt section = FirstSection(good, snapshot::SectionId::kMemos);
+  const uint32_t strings = ReadU32(good, section.payload());
+  ASSERT_GT(strings, 0u);
+  // After the table: u64 blocking count | entries, each opening with its
+  // key's index, then u64 match count | entries, each opening with u8
+  // parts and the first part's index.
+  const size_t table_end = StringTableEnd(good, section);
+  size_t first_key = table_end + 8;
+  if (ReadU32(good, table_end) == 0) {
+    ASSERT_GT(ReadU32(good, table_end + 8), 0u) << "memo section is empty";
+    first_key = table_end + 8 + 8 + 1;
+  }
+  std::string bytes = good;
+  PatchU32(&bytes, first_key, strings);
+  ResealSection(&bytes, section);
+  Status s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("names no string of its table"),
+            std::string::npos)
+      << s.ToString();
 
-  const SectionAt section =
-      FirstSection(good, snapshot::SectionId::kStringPool);
-  const size_t length = static_cast<size_t>(section.header.length);
-  ASSERT_GT(length, 8u);
-  std::vector<std::pair<std::string, std::string>> mutants;
-  std::mt19937 rng(0x9001);
-  for (int i = 0; i < 24; ++i) {
-    const size_t width = 1 + rng() % 4;
-    const size_t at = rng() % (length - width + 1);
-    std::string bytes = good;
-    for (size_t k = 0; k < width; ++k) {
-      bytes[section.payload() + at + k] = static_cast<char>(rng() & 0xFF);
-    }
-    mutants.emplace_back(
-        "overwrite " + std::to_string(width) + " at " + std::to_string(at),
-        std::move(bytes));
-  }
-  for (size_t cut = 1; cut <= 8; ++cut) {
-    std::string bytes = good;
-    bytes.erase(section.payload() + length - cut, cut);
-    PatchU32(&bytes, section.offset + 8, static_cast<uint32_t>(length - cut));
-    mutants.emplace_back("truncate " + std::to_string(cut), std::move(bytes));
-  }
-  int loads = 0;
-  int prefix_checked = 0;
-  int interned = 0;  // fresh-pool loads whose strings reached the pool
-  for (auto& [what, bytes] : mutants) {
-    const size_t mutated_length = static_cast<size_t>(
-        snapshot::DecodeSectionHeader(bytes, section.offset)->length);
-    const std::string_view payload(bytes.data() + section.payload(),
-                                   mutated_length);
-    PatchU32(&bytes, section.offset + 16, snapshot::Crc32(payload));
-    const Status s = load(bytes);
-    EXPECT_TRUE(s.ok() || s.code() == StatusCode::kDataLoss)
-        << what << ": " << s.ToString();
-    ++loads;
-    const auto count_and_hash = PoolCountAndHash(payload);
-    if (!count_and_hash.has_value()) continue;
-    std::string resealed = bytes;
-    SetPoolGeneration(&resealed, count_and_hash->first,
-                      count_and_hash->second);
-    const Status deep = load(resealed);
-    EXPECT_TRUE(deep.ok() || deep.code() == StatusCode::kDataLoss ||
-                deep.code() == StatusCode::kFailedPrecondition)
-        << what << ", header re-derived: " << deep.ToString();
-    ++loads;
-    if (deep.code() == StatusCode::kFailedPrecondition) ++prefix_checked;
-    {
-      data::ScopedStringPool fresh;
-      const Status cold = TryLoadFromFiles(resealed);
-      EXPECT_TRUE(cold.ok() || cold.code() == StatusCode::kDataLoss ||
-                  cold.code() == StatusCode::kFailedPrecondition)
-          << what << ", into a fresh pool: " << cold.ToString();
-      ++loads;
-      if (fresh.pool().size() > 1) ++interned;
-    }
-  }
-  EXPECT_GE(loads, 32);
-  EXPECT_GT(prefix_checked, 0);
-  EXPECT_GT(interned, 0);
-  // The live pool is as the good load left it.
-  EXPECT_TRUE(load(good).ok());
+  bytes = good;
+  PatchU32(&bytes, section.payload(), 0xFFFFFFFFu);
+  ResealSection(&bytes, section);
+  s = TryLoadBytes(bytes);
+  EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+  EXPECT_NE(s.message().find("string table count exceeds its section"),
+            std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace

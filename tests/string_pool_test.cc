@@ -1,8 +1,7 @@
 // Tests for the interning layer: StringPool round-trip / dedup / null
-// sentinel, its flat index (growth, memory bound, batches), concurrent
-// interning (StringPoolConcurrency, run under TSan in CI), the interned
-// data::Value semantics, and the GroupKey integer keys the repair engines
-// hash on.
+// sentinel, its flat index (growth, memory bound), concurrent interning
+// (StringPoolConcurrency, run under TSan in CI), the interned data::Value
+// semantics, and the GroupKey integer keys the repair engines hash on.
 
 #include <atomic>
 #include <string>
@@ -134,28 +133,6 @@ TEST(StringPoolTest, CollidingPrefixesAndEmbeddedNulsStayDistinct) {
   EXPECT_EQ(pool.size(), strings.size() + 1);
 }
 
-TEST(StringPoolTest, BatchMatchesBackToBackTryIntern) {
-  // Repeats inside the batch and strings already in the pool get the ids
-  // that one TryIntern call after another would give.
-  std::vector<std::string> owned = {"x", "y", "x", "", "z", "y", "w"};
-  for (int i = 0; i < 500; ++i) owned.push_back("b" + std::to_string(i % 300));
-  const std::vector<std::string_view> strings(owned.begin(), owned.end());
-  StringPool batched;
-  StringPool sequential;
-  batched.Intern("y");
-  sequential.Intern("y");
-  std::vector<ValueId> ids(strings.size());
-  ASSERT_TRUE(
-      batched.TryInternBatch(strings.data(), strings.size(), ids.data()).ok());
-  for (size_t i = 0; i < strings.size(); ++i) {
-    Result<ValueId> id = sequential.TryIntern(strings[i]);
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(ids[i], *id) << strings[i];
-  }
-  EXPECT_EQ(batched.size(), sequential.size());
-  EXPECT_EQ(batched.Generation(), sequential.Generation());
-}
-
 TEST(StringPoolConcurrency,
      FourThreadsInternOverlappingStringsWhileTheIndexGrows) {
   // Each string is interned by three of four threads, each thread in its
@@ -211,59 +188,6 @@ TEST(StringPoolConcurrency,
     EXPECT_EQ(pool.str(id), strings[static_cast<size_t>(i)]);
     EXPECT_EQ(pool.Intern(strings[static_cast<size_t>(i)]), id);
   }
-}
-
-TEST(StringPoolConcurrency, BatchRacingTryInternMintsConsecutiveIds) {
-  // One thread interns batches of fresh strings while two others intern
-  // their own strings one at a time and look up already-interned ones. A
-  // batch holds the writer mutex throughout, so each gets consecutive ids.
-  constexpr int kBatches = 40;
-  constexpr int kBatchSize = 250;
-  StringPool pool;
-  std::atomic<bool> done{false};
-  std::vector<std::vector<ValueId>> batch_ids(kBatches);
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    for (int b = 0; b < kBatches; ++b) {
-      std::vector<std::string> owned;
-      for (int i = 0; i < kBatchSize; ++i) {
-        owned.push_back("batch-" + std::to_string(b) + "-" + std::to_string(i));
-      }
-      const std::vector<std::string_view> views(owned.begin(), owned.end());
-      batch_ids[static_cast<size_t>(b)].resize(views.size());
-      EXPECT_TRUE(pool.TryInternBatch(views.data(), views.size(),
-                                      batch_ids[static_cast<size_t>(b)].data())
-                      .ok());
-    }
-    done.store(true);
-  });
-  std::vector<int> singles(2, 0);
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&, t] {
-      int& n = singles[static_cast<size_t>(t)];
-      while (!done.load() || n < 1000) {
-        const std::string s =
-            "single-" + std::to_string(t) + "-" + std::to_string(n++);
-        const ValueId id = pool.Intern(s);
-        EXPECT_EQ(pool.str(id), s);
-        EXPECT_EQ(pool.Intern("single-" + std::to_string(t) + "-0"),
-                  pool.Intern("single-" + std::to_string(t) + "-0"));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  for (int b = 0; b < kBatches; ++b) {
-    const std::vector<ValueId>& ids = batch_ids[static_cast<size_t>(b)];
-    for (int i = 0; i < kBatchSize; ++i) {
-      ASSERT_EQ(ids[static_cast<size_t>(i)], ids[0] + static_cast<ValueId>(i))
-          << "batch " << b << " was interleaved at " << i;
-      EXPECT_EQ(pool.str(ids[static_cast<size_t>(i)]),
-                "batch-" + std::to_string(b) + "-" + std::to_string(i));
-    }
-  }
-  EXPECT_EQ(pool.size(), 1 + static_cast<size_t>(kBatches * kBatchSize) +
-                             static_cast<size_t>(singles[0] + singles[1]));
 }
 
 TEST(StringPoolTest, ScopedPoolInstallsAndRestores) {

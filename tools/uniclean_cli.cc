@@ -21,16 +21,17 @@
 // re-cleans the grown relation once from its pristine values; the journal
 // written afterwards is the canonical (batch-equivalent) one.
 
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "flag_parse.h"
 #include "uniclean/uniclean.h"
 
 using namespace uniclean;  // NOLINT
+using tools::ParseDouble;
+using tools::ParseInt;
 
 namespace {
 
@@ -70,33 +71,6 @@ void Usage(const char* argv0) {
       "the clean\n"
       "                            and re-cleaned incrementally\n",
       argv0);
-}
-
-/// Strict double parse: the whole string must be consumed.
-bool ParseDouble(const char* flag, const char* v, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Strict int parse: the whole string must be consumed.
-bool ParseInt(const char* flag, const char* v, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
 }
 
 /// Parses a --phases spec like "c,e,h" or "ce". Unknown characters are an

@@ -35,16 +35,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "flag_parse.h"
 #include "serve/client.h"
 
 using namespace uniclean;  // NOLINT
+using tools::ParseInt;
 
 namespace {
 
@@ -82,19 +83,6 @@ void Usage(const char* argv0) {
       "          [--delta E.csv] [--delta-journal J2.csv]\n"
       "  [--deadline-ms N] [--max-retries N] [--retry-seed N]\n",
       argv0);
-}
-
-bool ParseInt(const char* flag, const char* v, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {

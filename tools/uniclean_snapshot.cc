@@ -3,28 +3,32 @@
 //
 //   uniclean_snapshot inspect FILE
 //       Decode the header and section table: format version, engine
-//       fingerprint, pool generation, per-section ids/sizes/CRCs.
+//       fingerprint, per-section ids/sizes/CRCs.
 //   uniclean_snapshot verify FILE
-//       Full container validation (header CRC, every section CRC, pool
-//       content hash). Exit 0 = intact, 1 = corrupt/unreadable.
+//       Full container validation (header CRC, every section CRC, the
+//       required sections). Exit 0 = intact, 1 = corrupt/unreadable.
 //   uniclean_snapshot write FILE --master M.csv --rules R.txt --schema D.csv
 //       [--eta F] [--delta1 N] [--delta2 F] [--no-memos]
 //       Build + warm an engine from the given sources (the same flags
-//       unicleand takes) and snapshot it to FILE. A fresh engine's memos
-//       are empty, so its memo sections hold no entries; a daemon's
-//       shutdown snapshot carries the memo heat it earned.
+//       unicleand takes, parsed as strictly: a value that is not a number
+//       prints the error and the usage and exits 2) and snapshot it to
+//       FILE. A fresh engine's memos are empty, so its memo sections hold
+//       no entries; a daemon's shutdown snapshot carries the memo heat it
+//       earned.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "data/csv.h"
+#include "flag_parse.h"
 #include "snapshot/snapshot.h"
 #include "uniclean/uniclean.h"
 
 using namespace uniclean;  // NOLINT
+using tools::ParseDouble;
+using tools::ParseInt;
 
 namespace {
 
@@ -40,8 +44,6 @@ int Usage() {
 
 const char* SectionName(uint32_t id) {
   switch (static_cast<snapshot::SectionId>(id)) {
-    case snapshot::SectionId::kStringPool:
-      return "string_pool";
     case snapshot::SectionId::kEnvironment:
       return "environment";
     case snapshot::SectionId::kMatcher:
@@ -63,8 +65,6 @@ int Inspect(const std::string& path) {
   std::printf("%s: %" PRIu64 " bytes, format v%u\n", path.c_str(),
               info->file_bytes, h.version);
   std::printf("  engine fingerprint  %016" PRIx64 "\n", h.engine_fingerprint);
-  std::printf("  string pool         %" PRIu64 " ids, hash %016" PRIx64 "\n",
-              h.pool_count, h.pool_hash);
   std::printf("  sections            %u\n", h.section_count);
   for (const snapshot::SectionHeader& s : info->sections) {
     std::printf("    %-12s", SectionName(s.id));
@@ -110,11 +110,11 @@ int Write(const std::string& path, int argc, char** argv) {
     } else if (arg == "--schema" && (v = next()) != nullptr) {
       schema_csv = v;
     } else if (arg == "--eta" && (v = next()) != nullptr) {
-      eta = std::atof(v);
+      if (!ParseDouble("--eta", v, &eta)) return Usage();
     } else if (arg == "--delta1" && (v = next()) != nullptr) {
-      delta1 = std::atoi(v);
+      if (!ParseInt("--delta1", v, &delta1)) return Usage();
     } else if (arg == "--delta2" && (v = next()) != nullptr) {
-      delta2 = std::atof(v);
+      if (!ParseDouble("--delta2", v, &delta2)) return Usage();
     } else if (arg == "--no-memos") {
       options.include_memos = false;
     } else {

@@ -26,16 +26,18 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "flag_parse.h"
 #include "serve/server.h"
 
 using namespace uniclean;  // NOLINT
+using tools::ParseDouble;
+using tools::ParseInt;
 
 namespace {
 
@@ -86,31 +88,6 @@ void Usage(const char* argv0) {
       "  [--ruleset NAME:MASTER:RULES:SCHEMA]   additional rulesets "
       "(repeatable)\n",
       argv0);
-}
-
-bool ParseDouble(const char* flag, const char* v, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "%s expects a number, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseInt(const char* flag, const char* v, int* out) {
-  errno = 0;
-  char* end = nullptr;
-  long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag, v);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
 }
 
 bool ParsePhases(const char* v, serve::RulesetConfig* cfg) {
